@@ -1,6 +1,13 @@
 """Beta shifts: greedy digit expansion of 1, lexicographic admissibility,
 follower-state counting.
 
+Counting is resumable: the follower-state layer and the lambda column are
+kept on the BetaSpec next to its digit memo, so extending the column by one
+length costs O(current length) and a K-row column O(K^2). Beta shifts are
+hereditary, and their lambda_k also satisfies
+lambda_k = lambda_(k-1) + #{w in L_k : w_1 > 0} (a 0 in front of a word of
+L_(k-1) keeps it in the language).
+
 The base beta is held exactly: either a rational (decimal strings parse to
 exact fractions) or a quadratic integer (a + b*sqrt(d))/c. All digits are
 produced by exact arithmetic, so every floor is certified; a PrecisionError
@@ -23,6 +30,7 @@ from math import gcd, isqrt
 
 from .core import EventuallyPeriodicPoint, Word, lex_compare, shift_point, word
 from .errors import PreconditionError, SpecParseError
+from .langkit import StateDP, SubshiftSpec, hereditary_check, log2_int
 
 DEFAULT_DIGIT_HORIZON = 4096
 
@@ -174,6 +182,7 @@ class BetaSpec:
         self.label = label if label is not None else str(beta)
         self._digits = []
         self._remainder = Fraction(1)
+        self._counts = StateDP(0, self._followers)
 
     def __repr__(self):
         return "BetaSpec(%s)" % self.label
@@ -193,6 +202,11 @@ class BetaSpec:
             self._digits.append(d)
             self._remainder = prod - d
         return self._digits[i]
+
+    def _followers(self, s):
+        # state: length of the current match with a digit prefix
+        d = self.digit(s)
+        return ((s + 1, 1), (0, d)) if d else ((s + 1, 1),)
 
 
 def beta_digits(spec, k):
@@ -253,31 +267,18 @@ def word_in_beta_language(spec, w):
 
 def count_beta_language(spec, k):
     """lambda_k via the follower-state DP: the state is the length of the
-    current maximal match with a digit prefix; O(k^2) time, exact."""
+    current maximal match with a digit prefix, playing the digit extends it
+    and any smaller digit resets it; exact. Resumes from the spec's last
+    counted length, so a column up to k costs O(k^2) time in total."""
     if k < 1:
         raise PreconditionError("k must be >= 1")
     if k > spec.digit_horizon:
         raise PreconditionError("k exceeds digit_horizon")
-    digits = [spec.digit(i) for i in range(k)]
-    vec = [0] * (k + 1)
-    vec[0] = 1
-    for _ in range(k):
-        nxt = [0] * (k + 1)
-        for s, cnt in enumerate(vec):
-            if not cnt:
-                continue
-            d = digits[s]
-            nxt[s + 1] += cnt        # play the digit d, extend the match
-            if d:
-                nxt[0] += cnt * d    # any smaller digit resets the match
-        vec = nxt
-    return sum(vec)
+    return spec._counts.count(k)
 
 
 def beta_shift(spec):
     """langkit spec for Omega_beta over the alphabet {0..floor(beta)}."""
-    from .langkit import SubshiftSpec
-
     def step(state, i, a):
         d = spec.digit(state)
         if a > d:
@@ -295,8 +296,6 @@ def beta_shift(spec):
 def beta_hereditary_probe(spec, k):
     """Exhaustive coordinate-lowering check on L_k(Omega_beta); true for every
     valid beta (beta shifts are hereditary)."""
-    from .langkit import hereditary_check
-
     ok, _ = hereditary_check(beta_shift(spec), k)
     return ok
 
@@ -304,7 +303,5 @@ def beta_hereditary_probe(spec, k):
 def entropy_vs_log_beta(spec, k):
     """(log2(lambda_k)/k, log2(beta)) - the entropy of a beta shift is log2(beta),
     and the first component is a finite upper-bound estimate of it."""
-    from .langkit import log2_int
-
     lam = count_beta_language(spec, k)
     return log2_int(lam) / k, math.log2(float(spec.beta))

@@ -12,9 +12,25 @@ Counting strategies:
 * ``brute_force`` - test all n**k words independently (the oracle);
 * ``windowed_dp`` - bounded-window dynamic programs (full shift, spacing
   shifts whose excluded-difference set is finite);
-* ``automaton_dp`` - follower-state dynamic program (beta shifts);
+* ``automaton_dp`` - layered state dynamic program over a canonical acceptor
+  state (beta shifts: match length; forbidden-word shifts: the last
+  max_len-1 symbols);
 * ``branch_and_bound`` - pruned search over 1-position subsets or prefixes
-  (general spacing shifts, the counting shift, forbidden/custom specs).
+  (general spacing shifts, the counting shift, custom specs).
+
+Every engine but brute force is resumable. The lambda_1, lambda_2, ...
+column and the engine's working state (a DP layer, say) are cached on the
+spec object a parse builds, so ``count_language(spec, k)`` returns a cached
+lambda_k or advances the saved state from its last length to k: a K-row
+entropy table costs one counting pass, in any order of k. The position
+searches use that the binary families they serve are hereditary and
+shift-invariant, so 0w is in L_k exactly when w is in L_(k-1), and
+
+    lambda_k = lambda_(k-1) + #{w in L_k : w_1 = 1},
+
+where the second term counts the admissible 1-position sets through
+position 1. Nothing is cached at module level: two separate runs do the
+same work.
 
 Entropy values h_k = log2(lambda_k)/k are reported as upper bounds only:
 h(X) is the infimum of the sequence, so no extrapolation is ever sound.
@@ -146,10 +162,55 @@ def _count_dfs(spec, k):
     return rec(0, spec._start_state)
 
 
+def extend_column(column, k, next_lambda):
+    """lambda_k from a cached column (column[j-1] = lambda_j), first appending
+    next_lambda(j) for every missing j <= k in ascending order. A value is
+    appended only after next_lambda returns, so a call that raises (a node
+    cap, say) leaves every cached value valid."""
+    while len(column) < k:
+        column.append(next_lambda(len(column) + 1))
+    return column[k - 1]
+
+
+def hereditary_column(column, k, with_one):
+    """lambda_k of a hereditary, shift-invariant binary family, where
+    with_one(j) counts the admissible 1-position sets B in [1, j] with 1 in B:
+    lambda_j = lambda_(j-1) + with_one(j), lambda_0 = 1."""
+    return extend_column(
+        column, k, lambda j: (column[-1] if column else 1) + with_one(j))
+
+
+class StateDP:
+    """A resumable layered {state: count} DP. ``successors(state)`` yields
+    ``(next_state, multiplicity)`` pairs and lambda_j is the total count after
+    j layers; the last layer and the lambda column are kept between calls."""
+
+    def __init__(self, start, successors):
+        self.column = []
+        self._layer = {start: 1}
+        self._successors = successors
+
+    def count(self, k):
+        return extend_column(self.column, k, self._advance)
+
+    def _advance(self, j):
+        nxt = {}
+        for state, cnt in self._layer.items():
+            for st, mult in self._successors(state):
+                nxt[st] = nxt.get(st, 0) + cnt * mult
+        self._layer = nxt
+        return sum(nxt.values())
+
+
 def count_language(spec, k, strategy=None):
-    """Exact lambda_k = #L_k(X); independent of the chosen strategy."""
+    """Exact lambda_k = #L_k(X); independent of the chosen strategy, which is
+    None (the spec's own), ``brute_force`` or ``spec.counting_strategy``."""
     if k < 1:
         raise PreconditionError("k must be >= 1")
+    if strategy not in (None, "brute_force", spec.counting_strategy):
+        raise PreconditionError(
+            "unknown counting strategy %r for %s (use %r or 'brute_force')"
+            % (strategy, spec.label, spec.counting_strategy))
     strategy = strategy or spec.counting_strategy
     if strategy == "brute_force":
         if spec.n ** k > BRUTE_FORCE_CAP:
@@ -159,7 +220,7 @@ def count_language(spec, k, strategy=None):
             if spec.accepts(syms):
                 total += 1
         return total
-    if spec._counter is not None and strategy == spec.counting_strategy:
+    if spec._counter is not None:
         return spec._counter(k)
     return _count_dfs(spec, k)
 
@@ -510,7 +571,9 @@ def counting_shift():
             q_min = max(q_min, chosen[i] + _counting_min_span(m - i + 1) - 1)
         return range(q_min, k + 1)
 
-    def counter(k):
+    column = []
+
+    def with_one(k):
         def rec(chosen, start):
             total = 1
             for q in pos_next(chosen, start, k):
@@ -519,7 +582,10 @@ def counting_shift():
                 chosen.pop()
             return total
 
-        return rec([], 1)
+        return rec([1], 2)
+
+    def counter(k):
+        return hereditary_column(column, k, with_one)
 
     def ones_exact(k):
         # the window covering the whole word already forces <= cap(k) ones,
@@ -553,11 +619,19 @@ def forbidden_shift(forbidden, n=2, sample_depth=None):
                 return False, state
         return True, tail[-(max_len - 1):] if max_len > 1 else ()
 
+    def successors(state):
+        for a in range(n):
+            ok, st = step(state, 0, a)
+            if ok:
+                yield st, 1
+
+    # a layer holds at most n**(max_len-1) states
+    dp = StateDP((), successors)
     label = "forbidden:{%s}" % ",".join(str(f) for f in forb)
     spec = SubshiftSpec(
         n=n, family="forbidden", label=label,
         start_state=(), step=step,
-        counting_strategy="branch_and_bound",
+        counting_strategy="automaton_dp", counter=dp.count,
         params={"forbidden": [str(f) for f in forb]})
     _validate_prolongable(spec, sample_depth or max_len + 2)
     return spec

@@ -6,25 +6,34 @@ in P, so the language is hereditary by construction. Counting uses a
 bounded-window bitmask DP when the excluded-difference set N \\ P is finite
 (window = largest excluded difference), and branch and bound over 1-position
 subsets with forward pruning otherwise.
+
+Both engines are resumable: the lambda column of each strategy, and the DP
+layer of the windowed DP, are cached on the PSetSpec object, so a K-row
+column costs one counting pass. Branch and bound uses that Omega_P is
+hereditary and shift-invariant (0w is admissible iff w is), so
+lambda_k = lambda_(k-1) + #{w in L_k : w_1 = 1}, and each step enumerates only
+the admissible 1-position sets through position 1.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import Word
 from .errors import PreconditionError, ResourceCapExceeded
 from .langkit import (
+    DEFAULT_NODE_CAP,
+    StateDP,
     SubshiftSpec,
     entropy_estimates,
+    hereditary_column,
     max_density_word,
 )
 from .sets import IntSetSpec, difference_set
 
 WINDOWED_DP_MAX_WINDOW = 24
-DEFAULT_NODE_CAP = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -32,6 +41,9 @@ class PSetSpec:
     """The parameter P of a spacing shift; membership decidable to any horizon."""
 
     base: IntSetSpec
+    # strategy -> resumable lambda column of Omega_P (see count_spacing)
+    _columns: dict = field(default_factory=dict, init=False, compare=False, repr=False,
+                           hash=False)
 
     def contains(self, d):
         return self.base.contains(d)
@@ -65,33 +77,35 @@ def admissible(P, w):
 
 def _count_windowed_dp(P, k, w):
     """DP over the bitmask of 1s among the last w positions; applicable when
-    every difference above w lies in P."""
+    every difference above w lies in P. The layer is kept on P."""
     if w == 0:
         return 2 ** k
     if w > WINDOWED_DP_MAX_WINDOW:
         raise ResourceCapExceeded("windowed DP window %d exceeds cap" % w)
-    mask = (1 << w) - 1
-    # bit (d-1) of `excluded` set  <->  difference d excluded
-    excluded = 0
-    for d in range(1, w + 1):
-        if not P.contains(d):
-            excluded |= 1 << (d - 1)
-    vec = {0: 1}
-    for _ in range(k):
-        nxt = {}
-        for state, cnt in vec.items():
+    dp = P._columns.get("windowed_dp")
+    if dp is None:
+        mask = (1 << w) - 1
+        # bit (d-1) of `excluded` set  <->  difference d excluded
+        excluded = 0
+        for d in range(1, w + 1):
+            if not P.contains(d):
+                excluded |= 1 << (d - 1)
+
+        def successors(state):
             s0 = (state << 1) & mask
-            nxt[s0] = nxt.get(s0, 0) + cnt
-            if state & excluded == 0:
-                s1 = ((state << 1) | 1) & mask
-                nxt[s1] = nxt.get(s1, 0) + cnt
-        vec = nxt
-    return sum(vec.values())
+            if state & excluded:
+                return ((s0, 1),)
+            return ((s0, 1), (s0 | 1, 1))
+
+        dp = P._columns["windowed_dp"] = StateDP(0, successors)
+    return dp.count(k)
 
 
 def _count_branch_and_bound(P, k, node_cap=DEFAULT_NODE_CAP):
-    """Count admissible 1-position subsets of [1, k]; positions ascending, the
-    running allowed-positions list is intersected on every choice."""
+    """Count admissible 1-position subsets of [1, k], one length at a time:
+    lambda_j = lambda_(j-1) + #{admissible B in [1, j] with 1 in B}. Positions
+    ascend and the running allowed-positions list is intersected on every
+    choice. node_cap bounds the nodes this call spends."""
     p_bits = [False] + [P.contains(d) for d in range(1, k)]
     nodes = 0
 
@@ -105,12 +119,17 @@ def _count_branch_and_bound(P, k, node_cap=DEFAULT_NODE_CAP):
             total += rec([r for r in allowed[idx + 1:] if p_bits[r - q]])
         return total
 
-    return rec(list(range(1, k + 1)))
+    def with_one(j):
+        return rec([r for r in range(2, j + 1) if p_bits[r - 1]])
+
+    column = P._columns.setdefault("branch_and_bound", [])
+    return hereditary_column(column, k, with_one)
 
 
 def count_spacing(P, k, strategy=None, node_cap=DEFAULT_NODE_CAP):
     """lambda_k for Omega_P, exact. Strategy is auto-selected: windowed DP when
-    N \\ P is finite with small maximum, branch and bound otherwise."""
+    N \\ P is finite with small maximum, branch and bound otherwise. Each
+    strategy keeps its own lambda column on P and resumes it."""
     if k < 1:
         raise PreconditionError("k must be >= 1")
     if strategy is None:
@@ -201,16 +220,13 @@ def delta_star_bound_check(A, k, trials, H, seed, structured=True):
     if beta * k <= 1:
         raise PreconditionError(
             "density estimate %s <= 1/%d; the bound's precondition fails" % (beta, k))
-    diff = set()
-    for i, a in enumerate(members):
-        for b in members[:i]:
-            diff.add(a - b)
+    diff = difference_set(A, H)
 
     def violates(B):
         bs = sorted(B)
         for i in range(len(bs)):
             for j in range(i + 1, len(bs)):
-                if bs[j] - bs[i] in diff:
+                if diff.contains(bs[j] - bs[i]):
                     return False
         return True
 

@@ -1,0 +1,122 @@
+"""Resumable lambda columns: every counting engine caches lambda_1, lambda_2,
+... on its spec object and extends it on demand, so the order of the k asked
+for must not change any value, and a cap trip must not leave a bad entry."""
+
+import io
+import json
+import os
+import random
+import subprocess
+import sys
+
+import pytest
+
+import shiftlab
+from shiftlab.cli import main
+from shiftlab.errors import PreconditionError, ResourceCapExceeded
+from shiftlab.langkit import count_language, parse_shift_spec
+from shiftlab.sets import EVENS, ComplementSet, FiniteSet
+from shiftlab.spacing import PSetSpec, count_spacing
+
+K = 14  # brute force checks every k with 2**k <= 2**14
+
+FAMILIES = (
+    "full:n=2",
+    "forbidden:{111,0101}",
+    "spacing:P=complement:(finite:{1,3})",   # windowed DP
+    "spacing:P=evens",                       # branch and bound
+    "counting",
+    "beta:beta=1.5",
+    "beta:beta=quad:(1+1*sqrt5)/2",
+)
+
+
+def _orders():
+    ks = list(range(1, K + 1))
+    shuffled = ks[:]
+    random.Random(3).shuffle(shuffled)
+    return {"ascending": ks, "descending": ks[::-1], "shuffled": shuffled}
+
+
+@pytest.mark.parametrize("text", FAMILIES)
+def test_column_order_does_not_matter(text):
+    fresh = {k: count_language(parse_shift_spec(text), k) for k in range(1, K + 1)}
+    brute_spec = parse_shift_spec(text)
+    for k in range(1, K + 1):
+        assert fresh[k] == count_language(brute_spec, k, strategy="brute_force"), k
+    for name, ks in _orders().items():
+        spec = parse_shift_spec(text)
+        assert {k: count_language(spec, k) for k in ks} == fresh, name
+
+
+@pytest.mark.parametrize("strategy", ["windowed_dp", "branch_and_bound"])
+def test_spacing_engine_columns_resume(strategy):
+    def golden():
+        return PSetSpec(ComplementSet(FiniteSet(frozenset({1, 3}))))
+
+    fresh = {k: count_spacing(golden(), k, strategy=strategy) for k in range(1, K + 1)}
+    for name, ks in _orders().items():
+        P = golden()
+        assert {k: count_spacing(P, k, strategy=strategy) for k in ks} == fresh, name
+
+
+def test_spacing_engines_keep_separate_columns():
+    P = PSetSpec(ComplementSet(FiniteSet(frozenset({1}))))
+    dp = [count_spacing(P, k, strategy="windowed_dp") for k in range(1, 13)]
+    bb = [count_spacing(P, k, strategy="branch_and_bound") for k in range(1, 13)]
+    assert dp == bb == [2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377]
+    assert set(P._columns) == {"windowed_dp", "branch_and_bound"}
+
+
+def _evens_closed_form(k):
+    return 2 ** ((k + 1) // 2) + 2 ** (k // 2) - 1
+
+
+def test_cap_trip_leaves_column_consistent():
+    P = PSetSpec(EVENS)
+    with pytest.raises(ResourceCapExceeded):
+        count_spacing(P, 30, node_cap=50)
+    cached = P._columns["branch_and_bound"]
+    assert 0 < len(cached) < 30
+    assert cached == [_evens_closed_form(k) for k in range(1, len(cached) + 1)]
+    assert count_spacing(P, 30) == _evens_closed_form(30)
+    assert [count_spacing(P, k) for k in range(1, 31)] == \
+        [_evens_closed_form(k) for k in range(1, 31)]
+
+
+def test_unknown_strategy_rejected():
+    spec = parse_shift_spec("counting")
+    with pytest.raises(PreconditionError):
+        count_language(spec, 3, strategy="nope")
+    with pytest.raises(PreconditionError):
+        count_language(spec, 3, strategy="windowed_dp")
+    assert count_language(spec, 3, strategy=spec.counting_strategy) == 5
+    assert count_language(spec, 3, strategy="brute_force") == 5
+
+
+def test_cli_unknown_strategy_exits_2():
+    for argv in (["entropy", "--shift", "counting", "--kmax", "3", "--strategy", "nope"],
+                 ["language", "--shift", "full:n=2", "--k", "3", "--strategy", "nope"]):
+        assert main(argv, out=io.StringIO()) == 2
+
+
+def test_forbidden_reports_state_dp():
+    spec = parse_shift_spec("forbidden:{11}")
+    assert spec.counting_strategy == "automaton_dp"
+    assert count_language(spec, 26) == 317811   # Fibonacci: F(28)
+
+
+def test_forbidden_long_word_count_no_traceback():
+    # used to end in a RecursionError in the depth-first count
+    src = os.path.dirname(os.path.dirname(os.path.abspath(shiftlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "shiftlab.cli", "language", "--shift", "forbidden:{111}",
+         "--k", "1200"], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    # words avoiding 111: the tribonacci recurrence from 2, 4, 7
+    lam = [2, 4, 7]
+    while len(lam) < 1200:
+        lam.append(lam[-1] + lam[-2] + lam[-3])
+    assert json.loads(proc.stdout)["result"]["lambda"] == str(lam[-1])

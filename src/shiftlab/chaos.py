@@ -7,6 +7,12 @@ The lower distribution F(t) is the liminf of prefix frequencies of
 periodic pair the series is itself eventually periodic, so both functions are
 a single exact step function with breakpoints at the rationals n**-k.
 
+Distances are handled through their integer gaps g_j (d_j = n**-g_j), and
+d_j < t iff g_j reaches the cutoff of t, so a profile is read from a
+histogram of gap values: an exact profile over a cycle of length c costs
+O(c + |grid|) integer operations, and an empirical one is linear in its
+last checkpoint.
+
 Generator-backed pairs (the scrambled family below) get empirical profiles:
 prefix frequencies measured at the construction's own checkpoints b_n, with
 liminf estimated by the minimum over checkpoints and limsup by the maximum.
@@ -14,9 +20,11 @@ liminf estimated by the minimum over checkpoints and limsup by the maximum.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 
 from .core import EventuallyPeriodicPoint
 from .errors import AlphabetMismatch, PreconditionError
@@ -53,14 +61,20 @@ def diff_equal_densities(x, y):
 
 def _gap_cycle(x, y):
     """For j in one cycle, the gap to the next disagreement after shifting by
-    j, or None when the pair agrees from some point on (empty cycle set)."""
+    j, or None when the pair agrees from some point on (empty cycle set).
+    One backward sweep over the cycle, starting from the first disagreement
+    of the next cycle."""
     p, c, D = _cycle_structure(x, y)
     if not D:
         return p, c, [None] * c
-    gaps = []
-    for j in range(p, p + c):
-        nxt = min(d if d > j else d + c for d in D)
-        gaps.append(nxt - j)
+    gaps = [0] * c
+    nxt = D[0] + c
+    k = len(D) - 1
+    for j in range(p + c - 1, p - 1, -1):
+        if k >= 0 and D[k] == j + 1:
+            nxt = D[k]
+            k -= 1
+        gaps[j - p] = nxt - j
     return p, c, gaps
 
 
@@ -134,20 +148,19 @@ def _exact_profile(x, y, thresholds):
     _check_pair(x, y)
     n = x.alphabet.size
     p, c, gaps = _gap_cycle(x, y)
-    if gaps and gaps[0] is None:
-        dists = [Fraction(0)] * c
-        max_gap = 1
-    else:
-        dists = [Fraction(1, n ** g) for g in gaps]
-        max_gap = max(gaps)
+    agreeing = gaps[0] is None
     if thresholds is None:
-        thresholds = _default_grid(n, max_gap + 1)
+        thresholds = _default_grid(n, 2 if agreeing else max(gaps) + 1)
     thresholds = tuple(sorted(thresholds))
-    F = tuple(Fraction(sum(1 for d in dists if d < t), c) for t in thresholds)
-    fstar_one = all(d == 0 for d in dists)
+    if agreeing:
+        # every distance is 0 from the cycle on, so d_j < t iff t > 0
+        F = tuple(Fraction(1 if t > 0 else 0) for t in thresholds)
+    else:
+        cutoffs = [_gap_cutoff(n, t) for t in thresholds]
+        F = tuple(row[0] for row in _prefix_frequencies(gaps, cutoffs, (c,)))
     return DistributionProfile(n=n, thresholds=thresholds, F_values=F,
                                Fstar_values=F, exact=True,
-                               fstar_one_everywhere=fstar_one)
+                               fstar_one_everywhere=agreeing)
 
 
 def _gap_series(xs, ys):
@@ -168,13 +181,39 @@ def _gap_series(xs, ys):
 
 
 def _gap_cutoff(n, t):
-    """Smallest g with n**-g < t, so d_j < t iff g_j >= cutoff."""
+    """Smallest g with n**-g < t, so d_j < t iff g_j >= cutoff; infinite for
+    t <= 0, which no distance is below."""
+    if t <= 0:
+        return inf
     g = 0
     scale = Fraction(1)
     while scale >= t:
         scale /= n
         g += 1
     return g
+
+
+def _prefix_frequencies(gaps, cutoffs, checkpoints):
+    """rows[i][k] = #{j <= m_k : g_j >= cutoffs[i]} / m_k for the ascending
+    checkpoints m_k <= len(gaps). One pass over the gaps up to the last
+    checkpoint tallies each segment's histogram of gap values into buckets
+    between the sorted cutoffs; a checkpoint then reads its frequencies from
+    the bucket tail sums, so the cost is O(m_last + |cutoffs|*|checkpoints|)
+    integer steps plus one Fraction per row entry."""
+    levels = sorted(set(cutoffs))
+    # tally[b]: gaps g so far with exactly b levels <= g
+    tally = [0] * (len(levels) + 1)
+    at_least = {cut: [] for cut in levels}
+    prev = 0
+    for m in checkpoints:
+        for g, count in Counter(gaps[prev:m]).items():
+            tally[bisect_right(levels, g)] += count
+        prev = m
+        above = 0
+        for b in range(len(levels), 0, -1):
+            above += tally[b]
+            at_least[levels[b - 1]].append(Fraction(above, m))
+    return [at_least[cut] for cut in cutoffs]
 
 
 def _empirical_profile(xs, ys, thresholds, horizon, checkpoints, n):
@@ -195,24 +234,13 @@ def _empirical_profile(xs, ys, thresholds, horizon, checkpoints, n):
             m *= 4
         checkpoints.append(N)
     checkpoints = tuple(sorted(set(min(m, N) for m in checkpoints if m > 0)))
+    if not checkpoints:
+        raise PreconditionError("no positive checkpoint")
     gaps = _gap_series(xs, ys)
-    F, Fstar = [], []
-    for t in thresholds:
-        cutoff = _gap_cutoff(n, t)
-        freqs = []
-        below = 0
-        it = iter(checkpoints)
-        target = next(it)
-        for j, g in enumerate(gaps, start=1):
-            if g >= cutoff:
-                below += 1
-            if j == target:
-                freqs.append(Fraction(below, j))
-                target = next(it, None)
-                if target is None:
-                    break
-        F.append(min(freqs))
-        Fstar.append(max(freqs))
+    cutoffs = [_gap_cutoff(n, t) for t in thresholds]
+    rows = _prefix_frequencies(gaps, cutoffs, checkpoints)
+    F = [min(freqs) for freqs in rows]
+    Fstar = [max(freqs) for freqs in rows]
     fstar_one = all(v >= Fraction(99, 100) for v in Fstar)
     return DistributionProfile(n=n, thresholds=thresholds, F_values=tuple(F),
                                Fstar_values=tuple(Fstar), exact=False,

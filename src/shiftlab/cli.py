@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 spec/usage error, 3 resource cap, 4 precision.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -92,7 +93,7 @@ def _cmd_language(args):
     if args.list:
         words = langkit.enumerate_language(spec, args.k)
         if args.limit:
-            words = words[:args.limit]
+            words = itertools.islice(words, args.limit)
         result["words"] = ["".join(map(str, w)) for w in words]
     return spec.label, result
 

@@ -15,10 +15,11 @@ Counting strategies:
 * ``automaton_dp`` - layered state dynamic program over a canonical acceptor
   state (beta shifts: match length; forbidden-word shifts: the last
   max_len-1 symbols);
-* ``branch_and_bound`` - pruned search over 1-position subsets or prefixes
-  (general spacing shifts, the counting shift, custom specs).
+* ``branch_and_bound`` - pruned search over 1-position subsets (general
+  spacing shifts, the counting shift);
+* ``dfs`` - depth-first search over the acceptor's prefixes (custom specs).
 
-Every engine but brute force is resumable. The lambda_1, lambda_2, ...
+Every engine but brute force and dfs is resumable. The lambda_1, lambda_2, ...
 column and the engine's working state (a DP layer, say) are cached on the
 spec object a parse builds, so ``count_language(spec, k)`` returns a cached
 lambda_k or advances the saved state from its last length to k: a K-row
@@ -126,24 +127,43 @@ def contains_word(spec, w):
 
 
 def enumerate_language(spec, k):
-    """Yield all language words of length k as symbol tuples (lexicographic)."""
-    n = spec.n
-    out = []
+    """Yield all language words of length k as symbol tuples (lexicographic).
 
-    def rec(prefix, state):
-        if len(prefix) == k:
-            out.append(tuple(prefix))
-            return
+    An explicit-stack depth-first search: words come out one at a time, the
+    working memory is O(k), and k is not bounded by the recursion limit."""
+    if k < 0:
+        raise PreconditionError("k must be >= 0")
+    if k == 0:
+        yield ()
+        return
+    step, symbols, last = spec._step, range(spec.n), k - 1
+    if last == 0:
+        yield from ((a,) for a in symbols if step(spec._start_state, 0, a)[0])
+        return
+    # the prefix, its acceptor states, and the symbols left to try at each
+    # depth below the last; the last symbol is tried in a flat loop, since
+    # most nodes are leaves
+    prefix, states, pending = [], [spec._start_state], [iter(symbols)]
+    while pending:
         i = len(prefix)
-        for a in range(n):
-            ok, st = spec._step(state, i, a)
-            if ok:
+        for a in pending[-1]:
+            ok, st = step(states[-1], i, a)
+            if not ok:
+                continue
+            if i + 1 < last:
                 prefix.append(a)
-                rec(prefix, st)
+                states.append(st)
+                pending.append(iter(symbols))
+                break
+            head = tuple(prefix) + (a,)
+            for b in symbols:
+                if step(st, last, b)[0]:
+                    yield head + (b,)
+        else:
+            pending.pop()
+            states.pop()
+            if prefix:
                 prefix.pop()
-
-    rec([], spec._start_state)
-    return out
 
 
 def _count_dfs(spec, k):
@@ -648,7 +668,7 @@ def custom_shift(predicate, n=2, label="custom", sample_depth=6):
     spec = SubshiftSpec(
         n=n, family="custom", label=label,
         start_state=(), step=step,
-        counting_strategy="branch_and_bound", params={})
+        counting_strategy="dfs", params={})
     _validate_factorial(spec, predicate, sample_depth)
     _validate_prolongable(spec, sample_depth)
     return spec
@@ -669,7 +689,7 @@ def _validate_factorial(spec, predicate, depth):
 
 def _validate_prolongable(spec, depth):
     for k in range(0, depth):
-        words_k = enumerate_language(spec, k) if k else [()]
+        words_k = list(enumerate_language(spec, k))
         for syms in words_k:
             if not any(spec.accepts(syms + (a,)) for a in range(spec.n)):
                 raise SpecValidationError("language not right-prolongable at %r" % (syms,))

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import lcm
+from operator import sub
 
 from .errors import SpecParseError
 
@@ -312,7 +314,11 @@ def asymptotic_density(A, H=_DEFAULT_HORIZON):
 
 def upper_banach_density(A, H=_DEFAULT_HORIZON, min_window=16):
     """limsup of window densities; exact for eventually periodic specs, else the
-    max density over sampled windows [m, n) in [1, H] with n - m >= min_window."""
+    max density over sampled windows [m, n) in [1, H] with n - m >= min_window.
+
+    The sampled lengths double from min_window, and each length takes the
+    integer maximum of counts[s+L] - counts[s] over its starts before making
+    one Fraction: O(H log H) integer operations."""
     ep = A.eventually_periodic()
     if ep is not None:
         return DensityResult(_period_density(ep), exact=True, exists=True)
@@ -320,15 +326,10 @@ def upper_banach_density(A, H=_DEFAULT_HORIZON, min_window=16):
     counts = _prefix_counts(bits)
     best = Fraction(0)
     L = min_window
-    lengths = []
     while L <= H:
-        lengths.append(L)
+        most = max(map(sub, islice(counts, L, None), counts))
+        best = max(best, Fraction(most, L))
         L *= 2
-    for L in lengths:
-        for start in range(0, H - L + 1):
-            c = counts[start + L] - counts[start]
-            if Fraction(c, L) > best:
-                best = Fraction(c, L)
     return DensityResult(float(best), exact=False, horizon=H)
 
 

@@ -148,7 +148,7 @@ def test_criterion_07_heredity_and_weight_bound():
     rng = random.Random(1729)
     for label in FAMILIES:
         spec = parse_shift_spec(label)
-        words = enumerate_language(spec, 14)
+        words = list(enumerate_language(spec, 14))
         lam = len(words)
         assert lam == count_language(spec, 14)
         sample = [words[rng.randrange(lam)] for _ in range(1000)]

@@ -1,5 +1,8 @@
+import io
+import json
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +17,7 @@ from shiftlab.chaos import (
     family_pair_frequencies,
     family_pair_profile,
 )
+from shiftlab.cli import main
 from shiftlab.core import periodic_point
 from shiftlab.errors import AlphabetMismatch, PreconditionError
 from shiftlab.sets import EVENS, FiniteSet, PeriodicSet, parse_set_expr
@@ -92,6 +96,84 @@ def test_profile_json():
     j = distribution_profile(P("", "10"), P("", "0")).to_json()
     assert j["exact"] is True
     assert {"t": "2^-1", "F": "1/2", "Fstar": "1/2"} in j["grid"]
+
+
+def _reference_exact_F(x, y, thresholds):
+    """F(t) = #{j in one cycle : d_j < t} / c straight from the definitions:
+    d_j = n**-(gap to the next disagreement after j), found by scanning every
+    disagreement of the cycle for every j (O(c*|D|))."""
+    n = x.alphabet.size
+    p = max(len(x.preperiod), len(y.preperiod))
+    c = lcm(len(x.period), len(y.period))
+    D = [i for i in range(p + 1, p + c + 1) if x.symbol_at(i) != y.symbol_at(i)]
+    if D:
+        gaps = [min(d if d > j else d + c for d in D) - j for j in range(p, p + c)]
+        dists = [Fraction(1, n ** g) for g in gaps]
+        max_k = max(gaps) + 1
+    else:
+        dists = [Fraction(0)] * c
+        max_k = 2
+    if thresholds is None:
+        thresholds = [Fraction(1, n ** a) for a in range(max_k, 0, -1)] + [Fraction(1)]
+    thresholds = tuple(sorted(thresholds))
+    F = tuple(Fraction(sum(1 for d in dists if d < t), c) for t in thresholds)
+    return thresholds, F, all(d == 0 for d in dists)
+
+
+def _random_point(rng, n, pre_len, per_len):
+    digits = lambda m: "".join(str(rng.randrange(n)) for _ in range(m))
+    return periodic_point(digits(pre_len), digits(per_len), n=n)
+
+
+def test_exact_profile_matches_reference_gap_loop():
+    rng = random.Random(20261018)
+    caller_grid = [Fraction(-1), Fraction(0), Fraction(1, 100), Fraction(1, 5),
+                   Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2)]
+    for n in (2, 3):
+        for trial in range(40):
+            pre_x = rng.randrange(4) if trial % 2 else 0
+            pre_y = rng.randrange(4) if trial % 2 else 0
+            x = _random_point(rng, n, pre_x, rng.randrange(1, 13))
+            y = _random_point(rng, n, pre_y, rng.randrange(1, 13))
+            for grid in (None, caller_grid):
+                prof = distribution_profile(x, y, thresholds=grid)
+                ts, F, fstar_one = _reference_exact_F(x, y, grid)
+                assert prof.thresholds == ts, (x, y)
+                assert prof.F_values == prof.Fstar_values == F, (x, y, grid)
+                assert prof.fstar_one_everywhere == fstar_one
+
+
+def test_exact_profile_agreeing_pair_matches_reference():
+    for n in (2, 3):
+        x, y = periodic_point("0", "1", n=n), periodic_point("1", "1", n=n)
+        for grid in (None, [Fraction(-1, 2), Fraction(0), Fraction(1, 9), Fraction(2)]):
+            prof = distribution_profile(x, y, thresholds=grid)
+            ts, F, fstar_one = _reference_exact_F(x, y, grid)
+            assert (prof.thresholds, prof.F_values) == (ts, F)
+            assert prof.fstar_one_everywhere and fstar_one
+
+
+def test_nonpositive_thresholds_give_zero():
+    grid = [Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1)]
+    finite = distribution_profile((0, 1, 1, 0) * 8, (0, 0, 1, 1) * 8, thresholds=grid)
+    periodic = distribution_profile(P("1", "0110"), P("", "0011"), thresholds=grid)
+    for prof in (finite, periodic):
+        assert prof.F_values[:2] == prof.Fstar_values[:2] == (0, 0)
+        assert prof.F_values[-1] == 1
+
+
+def test_classify_large_cycle_F_at_one_over_n_is_equal_density():
+    # d_j < 1/n iff x_(j+1) = y_(j+1), so F(1/n) is the density of Equal(x, y)
+    rng = random.Random(211243)
+    bits = lambda m: "".join(rng.choice("01") for _ in range(m))
+    xs, ys = ";" + bits(211), ";" + bits(243)
+    out = io.StringIO()
+    assert main(["chaos", "classify", "--x", xs, "--y", ys], out=out) == 0
+    grid = json.loads(out.getvalue())["result"]["profile"]["grid"]
+    F_half = next(row["F"] for row in grid if row["t"] == "2^-1")
+    x, y = P("", xs[1:]), P("", ys[1:])
+    assert lcm(len(x.period), len(y.period)) == 51273
+    assert Fraction(F_half) == diff_equal_densities(x, y)[1]
 
 
 # -- classification -----------------------------------------------------------

@@ -1,9 +1,13 @@
+import io
+import itertools
+import json
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shiftlab.cli import main
 from shiftlab.errors import (
     PreconditionError,
     ResourceCapExceeded,
@@ -63,8 +67,29 @@ def test_full_shift_counts_and_membership():
 
 def test_enumerate_language_lexicographic():
     f2 = full_shift(2)
-    words = enumerate_language(f2, 2)
+    words = list(enumerate_language(f2, 2))
     assert words == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    # a generator: the first word of a huge language comes out at once
+    assert next(enumerate_language(f2, 400)) == (0,) * 400
+    for label in ("full:n=3", "counting", "spacing:P=evens", "beta:beta=1.5",
+                  "forbidden:{111,0101}"):
+        spec = parse_shift_spec(label)
+        for k in range(0, 7):
+            expected = [w for w in itertools.product(range(spec.n), repeat=k)
+                        if spec.accepts(w)]
+            assert list(enumerate_language(spec, k)) == expected, (label, k)
+
+
+def test_language_list_stops_at_limit():
+    for shift, k, limit, count in (("full:n=2", 20, ["--limit", "3"], 3),
+                                   ("forbidden:{111}", 1200, [], 64)):
+        out = io.StringIO()
+        argv = ["language", "--shift", shift, "--k", str(k), "--list"] + limit
+        assert main(argv, out=out) == 0
+        words = json.loads(out.getvalue())["result"]["words"]
+        assert len(words) == count and words == sorted(words)
+        spec = parse_shift_spec(shift)
+        assert all(len(w) == k and contains_word(spec, w) for w in words)
 
 
 def test_count_language_strategies_agree_small():
@@ -199,6 +224,11 @@ def test_custom_shift_validation():
     ok = custom_shift(lambda w: (1, 1) not in [w[i:i + 2] for i in range(len(w) - 1)],
                       label="no11")
     assert count_language(ok, 4) == 8
+    assert ok.counting_strategy == "dfs"
+    assert entropy_estimates(ok, 6).strategy == "dfs"
+    for k in range(1, 9):
+        assert count_language(ok, k, strategy="dfs") == \
+            count_language(ok, k, strategy="brute_force")
     with pytest.raises(SpecValidationError):
         custom_shift(lambda w: len(w) != 2, label="notfactorial")
     with pytest.raises(SpecValidationError):

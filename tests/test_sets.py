@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -106,6 +107,29 @@ def test_upper_banach_density_factorial_blocks_estimate():
     assert not r.exact
     # the block [5!, 5!+5) is a full run of 5: small windows see density 1
     assert r.value >= 0.9
+
+
+def _reference_banach(A, H, min_window):
+    """The max over doubling window lengths L >= min_window and every start s
+    of the window density Fraction(|A cap (s, s+L]|, L), one Fraction per
+    start."""
+    best = Fraction(0)
+    L = min_window
+    while L <= H:
+        for s in range(H - L + 1):
+            best = max(best, Fraction(sum(1 for i in range(s + 1, s + L + 1) if A.contains(i)), L))
+        L *= 2
+    return best
+
+
+def test_upper_banach_density_matches_per_start_reference():
+    rng = random.Random(7)
+    seeded = WindowSet(tuple(1 if rng.random() < 0.3 else 0 for _ in range(700)))
+    for A in (Pow2DiffSet(), FactorialBlocksSet(), seeded):
+        for H, min_window in ((700, 16), (513, 4), (64, 64), (10, 16)):
+            r = upper_banach_density(A, H=H, min_window=min_window)
+            assert not r.exact and r.horizon == H
+            assert r.value == float(_reference_banach(A, H, min_window)), (A, H, min_window)
 
 
 def test_density_estimates_flagged():

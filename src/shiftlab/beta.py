@@ -28,7 +28,14 @@ import re
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .core import EventuallyPeriodicPoint, Word, lex_compare, shift_point, word
+from .core import (
+    EventuallyPeriodicPoint,
+    Word,
+    first_disagreement,
+    lex_compare,
+    shift_point,
+    word,
+)
 from .errors import PreconditionError, SpecParseError
 from .langkit import StateDP, SubshiftSpec, hereditary_check, log2_int
 
@@ -226,15 +233,8 @@ def parry_check(d, H):
     if isinstance(d, EventuallyPeriodicPoint):
         for k in range(1, H + 1):
             shifted = shift_point(d, k)
-            hor = len(shifted.preperiod) + len(d.preperiod) + \
-                math.lcm(len(shifted.period), len(d.period))
-            verdict = 0
-            for i in range(1, hor + 1):
-                a, b = shifted.symbol_at(i), d.symbol_at(i)
-                if a != b:
-                    verdict = -1 if a < b else 1
-                    break
-            if verdict > 0:
+            i = first_disagreement(shifted, d)
+            if i is not None and shifted.symbol_at(i) > d.symbol_at(i):
                 return False
         return True
     syms = d.symbols if isinstance(d, Word) else tuple(d)
@@ -279,8 +279,13 @@ def count_beta_language(spec, k):
 
 def beta_shift(spec):
     """langkit spec for Omega_beta over the alphabet {0..floor(beta)}."""
+    digits = spec._digits  # grown in place by spec.digit
+
     def step(state, i, a):
-        d = spec.digit(state)
+        try:
+            d = digits[state]
+        except IndexError:
+            d = spec.digit(state)
         if a > d:
             return False, state
         return True, (state + 1 if a == d else 0)
@@ -289,7 +294,7 @@ def beta_shift(spec):
         n=spec.alphabet_size, family="beta", label="beta:beta=%s" % spec.label,
         start_state=0, step=step,
         counting_strategy="automaton_dp",
-        counter=lambda k: count_beta_language(spec, k),
+        counter=lambda k, node_cap: count_beta_language(spec, k),
         params={"beta": spec.label})
 
 

@@ -163,21 +163,35 @@ def _exact_profile(x, y, thresholds):
                                fstar_one_everywhere=agreeing)
 
 
-def _gap_series(xs, ys):
-    """Gaps g_j with d_j = n**-g_j for j = 0..N-1; when no disagreement is
-    visible after j the true distance is below n**-(N-j), and that lower
-    bound on the gap stands in for it. Distances are handled through their
-    exponents to avoid materializing n**100000-denominator rationals."""
+def _gap_series(xs, ys, upto=None):
+    """Gaps g_j with d_j = n**-g_j for j = 0..upto-1 (upto defaults to the
+    length N); when no disagreement is visible after j the true distance is
+    below n**-(N-j), and that lower bound on the gap stands in for it.
+    Distances are handled through their exponents to avoid materializing
+    n**100000-denominator rationals. Past `upto` only the first disagreement
+    is needed, so the backward sweep starts there."""
     N = len(xs)
     if len(ys) != N:
         raise PreconditionError("empirical pair needs equal-length prefixes")
-    nxt = N + 1  # next disagreement position (1-based), scanning backwards
-    gaps = [0] * N
-    for j in range(N - 1, -1, -1):
+    upto = N if upto is None else upto
+    nxt = _first_disagreement_from(xs, ys, upto) + 1  # 1-based, scanning backwards
+    gaps = [0] * upto
+    for j in range(upto - 1, -1, -1):
         if xs[j] != ys[j]:
             nxt = j + 1
         gaps[j] = nxt - j if nxt <= N else N - j
     return gaps
+
+
+def _first_disagreement_from(xs, ys, start, chunk=4096):
+    """The least 0-based j >= start with xs[j] != ys[j], else len(xs); equal
+    chunks are skipped by one slice comparison each."""
+    N = len(xs)
+    for lo in range(start, N, chunk):
+        hi = min(lo + chunk, N)
+        if xs[lo:hi] != ys[lo:hi]:
+            return next(j for j in range(lo, hi) if xs[j] != ys[j])
+    return N
 
 
 def _gap_cutoff(n, t):
@@ -236,7 +250,7 @@ def _empirical_profile(xs, ys, thresholds, horizon, checkpoints, n):
     checkpoints = tuple(sorted(set(min(m, N) for m in checkpoints if m > 0)))
     if not checkpoints:
         raise PreconditionError("no positive checkpoint")
-    gaps = _gap_series(xs, ys)
+    gaps = _gap_series(xs, ys, checkpoints[-1])
     cutoffs = [_gap_cutoff(n, t) for t in thresholds]
     rows = _prefix_frequencies(gaps, cutoffs, checkpoints)
     F = [min(freqs) for freqs in rows]

@@ -82,13 +82,15 @@ def _csv_rows(result):
 
 def _cmd_entropy(args):
     spec = langkit.parse_shift_spec(args.shift)
-    report = langkit.entropy_estimates(spec, args.kmax, strategy=args.strategy)
+    report = langkit.entropy_estimates(spec, args.kmax, strategy=args.strategy,
+                                       node_cap=args.cap_states)
     return spec.label, report.to_json()
 
 
 def _cmd_language(args):
     spec = langkit.parse_shift_spec(args.shift)
-    lam = langkit.count_language(spec, args.k, strategy=args.strategy)
+    lam = langkit.count_language(spec, args.k, strategy=args.strategy,
+                                 node_cap=args.cap_states)
     result = {"k": args.k, "lambda": str(lam)}
     if args.list:
         words = langkit.enumerate_language(spec, args.k)
@@ -183,7 +185,7 @@ def _cmd_chaos_family(args):
 
 def _cmd_spacing_recurrence(args):
     R = sets.parse_set_expr(args.set)
-    report = spacing.recurrence_entropy_probe(R, args.kmax)
+    report = spacing.recurrence_entropy_probe(R, args.kmax, node_cap=args.cap_states)
     return str(R), report.to_json()
 
 

@@ -7,6 +7,17 @@ symbol by symbol, which keeps depth-first enumeration output-sensitive (a
 prefix is extended only while it stays in the language; predicates are
 monotone under subwords by the factorial contract).
 
+Acceptor states are canonical and free of absolute positions wherever the
+family allows it: two prefixes that leave the same constraints on every
+continuation reach equal states, and the step does not read prefix_len.
+Spacing shifts keep the relative 1-mask (bit d-1 set when a 1 sits d places
+back, cut to the largest excluded difference when N \\ P is finite), beta
+shifts the length of the current match with a digit prefix, and
+forbidden-word shifts the last max_len-1 symbols, with every (state, symbol)
+transition memoised in a table the counting DP reads too. A step then costs
+O(1) Python work. Only the counting shift and custom specs keep the prefix
+itself (1-positions or symbols) as their state.
+
 Counting strategies:
 
 * ``brute_force`` - test all n**k words independently (the oracle);
@@ -103,14 +114,18 @@ class SubshiftSpec:
         return "SubshiftSpec(%s)" % self.label
 
     def accepts(self, symbols):
-        state = self._start_state
+        state, step, n = self._start_state, self._step, self.n
         for i, a in enumerate(symbols):
-            if not (0 <= a < self.n):
+            if not (0 <= a < n):
                 return False
-            ok, state = self._step(state, i, a)
+            ok, state = step(state, i, a)
             if not ok:
                 return False
         return True
+
+
+# ASCII digit byte -> symbol value
+_DIGIT_BYTES = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
 def contains_word(spec, w):
@@ -120,7 +135,11 @@ def contains_word(spec, w):
             raise AlphabetMismatch("word over %r, spec over %r" % (w.alphabet, spec.alphabet))
         syms = w.symbols
     elif isinstance(w, str):
-        syms = tuple(int(c) for c in w)
+        if w.isascii() and w.isdigit():
+            syms = tuple(w.encode().translate(_DIGIT_BYTES))
+        else:
+            # non-ASCII digits parse too; any other character raises
+            syms = tuple(int(c) for c in w)
     else:
         syms = tuple(w)
     return spec.accepts(syms)
@@ -222,9 +241,11 @@ class StateDP:
         return sum(nxt.values())
 
 
-def count_language(spec, k, strategy=None):
+def count_language(spec, k, strategy=None, node_cap=DEFAULT_NODE_CAP):
     """Exact lambda_k = #L_k(X); independent of the chosen strategy, which is
-    None (the spec's own), ``brute_force`` or ``spec.counting_strategy``."""
+    None (the spec's own), ``brute_force`` or ``spec.counting_strategy``.
+    node_cap bounds the nodes one call of a branch-and-bound engine expands;
+    the state DPs, whose layers are bounded by their state count, ignore it."""
     if k < 1:
         raise PreconditionError("k must be >= 1")
     if strategy not in (None, "brute_force", spec.counting_strategy):
@@ -241,7 +262,7 @@ def count_language(spec, k, strategy=None):
                 total += 1
         return total
     if spec._counter is not None:
-        return spec._counter(k)
+        return spec._counter(k, node_cap)
     return _count_dfs(spec, k)
 
 
@@ -276,10 +297,10 @@ class EntropyReport:
         return {"strategy": self.strategy, "rows": [r.to_json() for r in self.rows]}
 
 
-def entropy_estimates(spec, k_max, strategy=None, ks=None):
+def entropy_estimates(spec, k_max, strategy=None, ks=None, node_cap=DEFAULT_NODE_CAP):
     """Rows (k, lambda_k, h_k) for k = 1..k_max; every h_k is an upper bound for
     h(X) since h is the infimum. The increment column log2(lambda_k/lambda_{k-1})
-    is advisory only."""
+    is advisory only. node_cap goes to every count_language call."""
     if k_max < 1:
         raise PreconditionError("k_max must be >= 1")
     strategy = strategy or spec.counting_strategy
@@ -288,7 +309,7 @@ def entropy_estimates(spec, k_max, strategy=None, ks=None):
     inf_so_far = math.inf
     prev = None
     for k in ks:
-        lam = count_language(spec, k, strategy=strategy)
+        lam = count_language(spec, k, strategy=strategy, node_cap=node_cap)
         h_k = log2_int(lam) / k
         inc = log2_int(lam) - log2_int(prev) if prev is not None else h_k
         inf_so_far = min(inf_so_far, h_k)
@@ -535,7 +556,7 @@ def full_shift(n=2):
     def step(state, i, a):
         return True, state
 
-    def counter(k):
+    def counter(k, node_cap):
         return n ** k
 
     def pos_next(chosen, start, k):
@@ -593,19 +614,23 @@ def counting_shift():
 
     column = []
 
-    def with_one(k):
-        def rec(chosen, start):
+    def counter(k, node_cap):
+        nodes = 0
+
+        def rec(chosen, start, j):
+            nonlocal nodes
             total = 1
-            for q in pos_next(chosen, start, k):
+            for q in pos_next(chosen, start, j):
+                nodes += 1
+                if nodes > node_cap:
+                    raise ResourceCapExceeded("counting-shift count exceeded %d nodes"
+                                              % node_cap)
                 chosen.append(q)
-                total += rec(chosen, q + 1)
+                total += rec(chosen, q + 1, j)
                 chosen.pop()
             return total
 
-        return rec([1], 2)
-
-    def counter(k):
-        return hereditary_column(column, k, with_one)
+        return hereditary_column(column, k, lambda j: rec([1], 2, j))
 
     def ones_exact(k):
         # the window covering the whole word already forces <= cap(k) ones,
@@ -622,6 +647,20 @@ def counting_shift():
         position_next=pos_next, ones_exact=ones_exact, params={})
 
 
+class _TransitionTable(dict):
+    """state -> the row (ok, next_state) for each symbol a = 0..n-1, computed
+    by ``transition(state, a)`` when the state is first looked up."""
+
+    def __init__(self, n, transition):
+        super().__init__()
+        self._n = n
+        self._transition = transition
+
+    def __missing__(self, state):
+        row = self[state] = tuple(self._transition(state, a) for a in range(self._n))
+        return row
+
+
 def forbidden_shift(forbidden, n=2, sample_depth=None):
     """Subshift avoiding an explicit finite set of forbidden words. Not
     hereditary in general; validated for right-prolongability by sampling."""
@@ -631,7 +670,7 @@ def forbidden_shift(forbidden, n=2, sample_depth=None):
     syms = tuple(f.symbols for f in forb)
     max_len = max(len(s) for s in syms)
 
-    def step(state, i, a):
+    def transition(state, a):
         # state: the last (max_len - 1) symbols
         tail = state + (a,)
         for f in syms:
@@ -639,19 +678,22 @@ def forbidden_shift(forbidden, n=2, sample_depth=None):
                 return False, state
         return True, tail[-(max_len - 1):] if max_len > 1 else ()
 
-    def successors(state):
-        for a in range(n):
-            ok, st = step(state, 0, a)
-            if ok:
-                yield st, 1
+    # at most n**(max_len-1) states, so one step is a lookup after the first
+    # visit to a state; the counting DP reads the same rows
+    table = _TransitionTable(n, transition)
 
-    # a layer holds at most n**(max_len-1) states
+    def step(state, i, a):
+        return table[state][a]
+
+    def successors(state):
+        return [(st, 1) for ok, st in table[state] if ok]
+
     dp = StateDP((), successors)
     label = "forbidden:{%s}" % ",".join(str(f) for f in forb)
     spec = SubshiftSpec(
         n=n, family="forbidden", label=label,
         start_state=(), step=step,
-        counting_strategy="automaton_dp", counter=dp.count,
+        counting_strategy="automaton_dp", counter=lambda k, node_cap: dp.count(k),
         params={"forbidden": [str(f) for f in forb]})
     _validate_prolongable(spec, sample_depth or max_len + 2)
     return spec

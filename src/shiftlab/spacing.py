@@ -7,6 +7,12 @@ bounded-window bitmask DP when the excluded-difference set N \\ P is finite
 (window = largest excluded difference), and branch and bound over 1-position
 subsets with forward pruning otherwise.
 
+The acceptor step and the windowed DP share one mask, PSetSpec.excluded_mask
+(bit d-1 set when d is not in P), and the same state: an int whose bit d-1
+is set when a 1 sits d places back, cut to the window when N \\ P is finite.
+A 1 is admissible exactly when the state misses the mask, so one step is a
+few integer operations, whatever the number of 1s so far.
+
 Both engines are resumable: the lambda column of each strategy, and the DP
 layer of the windowed DP, are cached on the PSetSpec object, so a K-row
 column costs one counting pass. Branch and bound uses that Omega_P is
@@ -44,9 +50,25 @@ class PSetSpec:
     # strategy -> resumable lambda column of Omega_P (see count_spacing)
     _columns: dict = field(default_factory=dict, init=False, compare=False, repr=False,
                            hash=False)
+    # [excluded-difference mask, number of differences it covers]
+    _excluded: list = field(default_factory=lambda: [0, 0], init=False, compare=False,
+                            repr=False, hash=False)
 
     def contains(self, d):
         return self.base.contains(d)
+
+    def excluded_mask(self, horizon):
+        """The int whose bit d-1 is set exactly when d is not in P, for every
+        d <= horizon (bits above it may be filled in as well). Kept on P and
+        grown at least twofold when a larger horizon is asked for."""
+        mask, covered = self._excluded
+        if horizon > covered:
+            top = max(horizon, 2 * covered)
+            bits = "".join("0" if self.contains(d) else "1"
+                           for d in range(top, covered, -1))
+            mask |= int(bits, 2) << covered
+            self._excluded[:] = mask, top
+        return mask
 
     def excluded_max(self):
         """Largest element of N \\ P when that set is provably finite, else None."""
@@ -85,11 +107,7 @@ def _count_windowed_dp(P, k, w):
     dp = P._columns.get("windowed_dp")
     if dp is None:
         mask = (1 << w) - 1
-        # bit (d-1) of `excluded` set  <->  difference d excluded
-        excluded = 0
-        for d in range(1, w + 1):
-            if not P.contains(d):
-                excluded |= 1 << (d - 1)
+        excluded = P.excluded_mask(w)
 
         def successors(state):
             s0 = (state << 1) & mask
@@ -147,33 +165,47 @@ def count_spacing(P, k, strategy=None, node_cap=DEFAULT_NODE_CAP):
 
 
 def spacing_shift(P):
-    """Build the langkit spec for Omega_P."""
+    """Build the langkit spec for Omega_P. The step never reads the position:
+    a 1 is refused when the relative 1-mask meets the excluded mask, which is
+    grown when the state outruns it unless N \\ P is finite."""
     if not isinstance(P, PSetSpec):
         P = PSetSpec(P)
 
-    def step(state, i, a):
-        # state: tuple of 1-based 1-positions so far
-        if a == 0:
-            return True, state
-        q = i + 1
-        for p in state:
-            if not P.contains(q - p):
+    w = P.excluded_max()
+    if w is not None:
+        excluded, window = P.excluded_mask(w), (1 << w) - 1
+
+        def step(state, i, a):
+            if a and state & excluded:
                 return False, state
-        return True, state + (q,)
+            return True, ((state << 1) | a) & window
+    else:
+        excluded = covered = 0
+
+        def step(state, i, a):
+            nonlocal excluded, covered
+            if not a:
+                return True, state << 1
+            if state.bit_length() > covered:
+                covered = 2 * state.bit_length()
+                excluded = P.excluded_mask(covered)
+            if state & excluded:
+                return False, state
+            return True, (state << 1) | 1
 
     def pos_next(chosen, start, k):
         for q in range(start, k + 1):
             if all(P.contains(q - p) for p in chosen):
                 yield q
 
-    w = P.excluded_max()
     strategy = "windowed_dp" if w is not None and w <= WINDOWED_DP_MAX_WINDOW \
         else "branch_and_bound"
     return SubshiftSpec(
         n=2, family="spacing", label="spacing:P=%s" % P,
-        start_state=(), step=step,
+        start_state=0, step=step,
         counting_strategy=strategy,
-        counter=lambda k: count_spacing(P, k, strategy=strategy),
+        counter=lambda k, node_cap: count_spacing(P, k, strategy=strategy,
+                                                  node_cap=node_cap),
         position_next=pos_next,
         params={"P": str(P)})
 
@@ -201,14 +233,14 @@ def weak_mixing_probe(P, block_len, H):
     return False
 
 
-def recurrence_entropy_probe(R, k_max, strategy=None):
+def recurrence_entropy_probe(R, k_max, strategy=None, node_cap=DEFAULT_NODE_CAP):
     """Entropy-side evidence for R as a recurrence set: h_k upper bounds for
     Omega_{N \\ R} (R is a recurrence set iff that entropy is zero)."""
     from .sets import ComplementSet
 
     P = PSetSpec(ComplementSet(R))
     spec = spacing_shift(P)
-    return entropy_estimates(spec, k_max, strategy=strategy)
+    return entropy_estimates(spec, k_max, strategy=strategy, node_cap=node_cap)
 
 
 def delta_star_bound_check(A, k, trials, H, seed, structured=True):

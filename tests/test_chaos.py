@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from shiftlab.chaos import (
     DistributionProfile,
+    _gap_series,
     build_scrambled_family,
     classify_pair,
     dc1_minimal_witness,
@@ -288,6 +289,68 @@ def test_family_blocks_disjoint_across_members():
             lo, hi = fam.blocks[n - 1]
             block_ones = {p for p in ones[i] if lo < p <= hi}
             assert block_ones, "block %d of member %d is empty" % (n, i)
+
+
+def _full_horizon_profile(fam, i, j):
+    """The family pair's profile from the definition, sweeping gaps over the
+    whole horizon: g_k is the distance from k to the next disagreement, or
+    N - k when none is visible; d_k = 2**-g_k < t is compared in floats,
+    which is exact for these powers of two (gaps past 64 are below every
+    grid threshold)."""
+    xs, ys = fam.members[i], fam.members[j]
+    N = len(xs)
+    gaps, nxt = [0] * N, None
+    for k in range(N - 1, -1, -1):
+        if xs[k] != ys[k]:
+            nxt = k + 1
+        gaps[k] = nxt - k if nxt is not None else N - k
+    ts = sorted(Fraction(1, 2 ** a) for a in range(1, 13)) + [Fraction(1)]
+    F, Fstar = [], []
+    for t in ts:
+        freqs = [Fraction(sum(1 for g in gaps[:m] if 2.0 ** -min(g, 64) < float(t)), m)
+                 for m in fam.b]
+        F.append(min(freqs))
+        Fstar.append(max(freqs))
+    return tuple(ts), tuple(F), tuple(Fstar)
+
+
+def test_family_profile_equals_full_horizon_sweep():
+    rng = random.Random(11)
+    for _ in range(8):
+        per = [rng.randint(0, 1) for _ in range(rng.randint(4, 10))]
+        per[rng.randrange(len(per))] = 1
+        S = PeriodicSet((), tuple(per))
+        fam = build_scrambled_family(S, rng.randint(2, 4), rng.randint(3000, 20000),
+                                     growth=rng.choice((3, 10, 200)))
+        for i in range(len(fam.members)):
+            for j in range(i + 1, len(fam.members)):
+                prof = family_pair_profile(fam, i, j)
+                assert (prof.thresholds, prof.F_values, prof.Fstar_values) == \
+                    _full_horizon_profile(fam, i, j)
+                assert prof.horizon == fam.horizon
+
+
+def test_gap_series_prefix_equals_full_sweep():
+    rng = random.Random(12)
+    for _ in range(40):
+        N = rng.randint(1, 9000)
+        xs = [rng.randint(0, 1) for _ in range(N)]
+        ys = list(xs)
+        # disagreements only in a few stretches, so long agreeing runs cross
+        # the chunk boundaries of the search past the last checkpoint
+        for _ in range(rng.randint(0, 3)):
+            lo = rng.randrange(N)
+            for k in range(lo, min(N, lo + rng.randint(1, 20))):
+                ys[k] = rng.randint(0, 1)
+        full = _gap_series(xs, ys)
+        for upto in {0, 1, N, rng.randint(0, N), rng.randint(0, N)}:
+            assert _gap_series(xs, ys, upto) == full[:upto]
+    # the only disagreement past the sweep sits right at its end, or at the
+    # start of a later chunk of the search for it
+    for upto, at in ((10, 10), (10, 4106), (0, 0), (5, 8999)):
+        xs, ys = [0] * 9000, [0] * 9000
+        ys[at] = 1
+        assert _gap_series(xs, ys, upto) == _gap_series(xs, ys)[:upto]
 
 
 def test_family_measured_frequencies_evens():

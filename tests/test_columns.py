@@ -14,10 +14,11 @@ import pytest
 import shiftlab
 from shiftlab.cli import main
 from shiftlab.errors import PreconditionError, ResourceCapExceeded
-from shiftlab.langkit import count_language, parse_shift_spec
+from shiftlab.langkit import count_language, entropy_estimates, parse_shift_spec
 from shiftlab.sets import EVENS, ComplementSet, FiniteSet
 from shiftlab.spacing import PSetSpec, count_spacing
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 K = 14  # brute force checks every k with 2**k <= 2**14
 
 FAMILIES = (
@@ -120,3 +121,49 @@ def test_forbidden_long_word_count_no_traceback():
     while len(lam) < 1200:
         lam.append(lam[-1] + lam[-2] + lam[-3])
     assert json.loads(proc.stdout)["result"]["lambda"] == str(lam[-1])
+
+
+@pytest.mark.parametrize("argv", [
+    ["entropy", "--shift", "spacing:P=evens", "--kmax", "30"],
+    ["entropy", "--shift", "counting", "--kmax", "24"],
+    ["language", "--shift", "spacing:P=evens", "--k", "30"],
+    ["language", "--shift", "counting", "--k", "24"],
+    ["spacing", "recurrence-probe", "--set", "odds", "--kmax", "30"],
+])
+def test_cap_states_bounds_the_position_searches(argv):
+    # spacing branch and bound and the counting shift's position search both
+    # count their nodes against --cap-states
+    assert main(argv + ["--cap-states", "10"], out=io.StringIO()) == 3
+    assert main(argv, out=io.StringIO()) == 0
+
+
+def test_count_language_passes_node_cap():
+    with pytest.raises(ResourceCapExceeded):
+        count_language(parse_shift_spec("counting"), 24, node_cap=10)
+    with pytest.raises(ResourceCapExceeded):
+        entropy_estimates(parse_shift_spec("spacing:P=evens"), 30, node_cap=10)
+    # the state DPs are bounded by their state count and take no node cap
+    assert count_language(parse_shift_spec("forbidden:{11}"), 26, node_cap=1) == 317811
+
+
+def _lang_columns_argvs():
+    """Every command of the lang-columns benchmark workload, with each entry
+    of its seeded spacing pool."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    argvs = []
+    for op in workloads.build("lang-columns", 0):
+        if op["id"] != "entropy.spacing.periodic":
+            argvs.append(op["argv"])
+    for bits, kmax in workloads.PERIODIC_POOL:
+        argvs.append(["entropy", "--shift", "spacing:P=periodic:;" + bits,
+                      "--kmax", str(kmax)])
+    return argvs
+
+
+def test_lang_columns_commands_pass_under_the_default_cap():
+    for argv in _lang_columns_argvs():
+        assert main(argv, out=io.StringIO()) == 0, argv

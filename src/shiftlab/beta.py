@@ -9,10 +9,21 @@ lambda_k = lambda_(k-1) + #{w in L_k : w_1 > 0} (a 0 in front of a word of
 L_(k-1) keeps it in the language).
 
 The base beta is held exactly: either a rational (decimal strings parse to
-exact fractions) or a quadratic integer (a + b*sqrt(d))/c. All digits are
-produced by exact arithmetic, so every floor is certified; a PrecisionError
-is reserved for genuinely ambiguous inputs and cannot fire on the exact
-representations used here.
+exact fractions) or a quadratic number (a + b*sqrt(d))/c; a rational is the
+case b = 0. Digits come from the greedy recurrence r_0 = 1,
+m_i = floor(beta * r_(i-1)), r_i = beta * r_(i-1) - m_i, run on plain
+integers: the remainder is kept as (x, y, z) with r = (x + y*sqrt(d))/z, and
+one digit is
+
+    X = a*x + b*y*d,  Y = a*y + b*x,  Z = c*z,
+    m = floor((X + Y*sqrt(d))/Z),  next remainder (X - m*Z, Y, Z).
+
+No gcd is taken, so x, y and z grow by O(1) bits per digit. Every floor is
+exact. When Y = 0 it is X // Z. Otherwise, with v = X + Y*sqrt(d),
+floor(v/Z) = floor(floor(v)/Z) for an integer Z > 0, and floor(Y*sqrt(d))
+is isqrt(Y*Y*d) for Y > 0 and -isqrt(Y*Y*d) - 1 for Y < 0 (d is not a
+square). So digit i costs one isqrt of an O(i)-bit integer plus O(i)-bit
+products, and a PrecisionError cannot fire here.
 
 Finite-length membership rule: w is in L(Omega_beta) iff every suffix of w is
 lexicographically <= the equal-length prefix of the digit sequence of 1.
@@ -187,8 +198,13 @@ class BetaSpec:
         self.floor_beta = fl
         self.digit_horizon = digit_horizon
         self.label = label if label is not None else str(beta)
+        if isinstance(beta, QuadraticNumber):
+            self._coef = (beta.a, beta.b, beta.c, beta.d)
+        else:
+            q = Fraction(beta)
+            self._coef = (q.numerator, 0, q.denominator, 0)
         self._digits = []
-        self._remainder = Fraction(1)
+        self._rem = (1, 0, 1)  # r = (x + y*sqrt(d))/z, here r_0 = 1
         self._counts = StateDP(0, self._followers)
 
     def __repr__(self):
@@ -203,12 +219,35 @@ class BetaSpec:
         if i >= self.digit_horizon:
             raise PreconditionError(
                 "digit index %d exceeds digit_horizon %d" % (i, self.digit_horizon))
-        while len(self._digits) <= i:
-            prod = self.beta * self._remainder
-            d = math.floor(prod)
-            self._digits.append(d)
-            self._remainder = prod - d
-        return self._digits[i]
+        digits = self._digits
+        if i >= len(digits):
+            self._extend(i + 1)
+        return digits[i]
+
+    def _extend(self, k):
+        """Grow the digit list in place to k digits (the greedy recurrence in
+        the module docstring)."""
+        a, b, c, d = self._coef
+        x, y, z = self._rem
+        digits = self._digits
+        append = digits.append
+        for _ in range(k - len(digits)):
+            X, Y, Z = a * x + b * y * d, a * y + b * x, c * z
+            if Y:
+                m = self._floor(X, Y, Z)
+                x = X - m * Z
+            else:
+                m, x = divmod(X, Z)
+                if not x:
+                    Z = 1  # r = 0: every later digit is 0
+            y, z = Y, Z
+            append(m)
+        self._rem = (x, y, z)
+
+    def _floor(self, X, Y, Z):
+        """floor((X + Y*sqrt(d))/Z) for Z > 0 and Y != 0, exact."""
+        root = isqrt(Y * Y * self._coef[3])
+        return (X + root) // Z if Y > 0 else (X - root - 1) // Z
 
     def _followers(self, s):
         # state: length of the current match with a digit prefix
@@ -241,10 +280,11 @@ def parry_check(d, H):
     L = len(syms)
     indeterminate = False
     for k in range(1, min(H, L - 1) + 1):
-        cmp = lex_compare(syms[k:], syms[:L - k])
-        if cmp > 0:
+        # equal-length tuple slices compare lexicographically
+        tail, head = syms[k:], syms[:L - k]
+        if tail > head:
             return False
-        if cmp == 0:
+        if tail == head:
             indeterminate = True
     return None if indeterminate else True
 

@@ -369,12 +369,11 @@ def build_scrambled_family(S, m, horizon, growth=DEFAULT_GROWTH):
     bits_S = S.bits(horizon)
     members = []
     for A in index_sets:
-        bits = [0] * horizon
+        # one byte per position as scratch, not a horizon-long list
+        bits = bytearray(horizon)
         for n in A:
             lo, hi = blocks[n - 1]
-            for p in range(lo + 1, min(hi, horizon) + 1):
-                if bits_S[p - 1]:
-                    bits[p - 1] = 1
+            bits[lo:hi] = bytes(bits_S[lo:hi])
         members.append(tuple(bits))
     log = {
         "b": list(b),

@@ -82,8 +82,12 @@ def _csv_rows(result):
 
 def _cmd_entropy(args):
     spec = langkit.parse_shift_spec(args.shift)
-    report = langkit.entropy_estimates(spec, args.kmax, strategy=args.strategy,
-                                       node_cap=args.cap_states)
+    try:
+        report = langkit.entropy_estimates(spec, args.kmax, strategy=args.strategy,
+                                           node_cap=args.cap_states)
+    except ResourceCapExceeded as e:
+        e.spec_echo = spec.label  # main emits e.partial under this spec
+        raise
     return spec.label, report.to_json()
 
 
@@ -350,6 +354,19 @@ def build_parser():
     return ap
 
 
+def _emit_result(args, spec_echo, result, started, out, cap_hit=False):
+    command = args.command
+    if getattr(args, "subcommand", None):
+        command = "%s %s" % (args.command, args.subcommand)
+    seed = getattr(args, "seed", None)
+    timing = round(time.monotonic() - started, 3) if args.timing else None
+    env = _envelope(command, spec_echo, result, seed=seed, timing=timing,
+                    cap_hit=cap_hit)
+    if args.cap_seconds is not None:
+        env["cap_seconds"] = args.cap_seconds
+    _emit(env, args.format, out)
+
+
 def main(argv=None, out=None):
     out = out or sys.stdout
     ap = build_parser()
@@ -365,20 +382,17 @@ def main(argv=None, out=None):
             _emit(env, args.format, out)
             return 0 if all_ok else 1
         spec_echo, result = args.fn(args)
-        command = args.command
-        if getattr(args, "subcommand", None):
-            command = "%s %s" % (args.command, args.subcommand)
-        seed = getattr(args, "seed", None)
-        timing = round(time.monotonic() - started, 3) if args.timing else None
-        env = _envelope(command, spec_echo, result, seed=seed, timing=timing)
-        if args.cap_seconds is not None:
-            env["cap_seconds"] = args.cap_seconds
-        _emit(env, args.format, out)
+        _emit_result(args, spec_echo, result, started, out)
         return 0
     except (SpecParseError, SpecValidationError, PreconditionError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
     except ResourceCapExceeded as e:
+        spec_echo = getattr(e, "spec_echo", None)
+        if spec_echo is not None:
+            # the rows built before the trip stay sound: emit them
+            _emit_result(args, spec_echo, e.partial.to_json(), started, out,
+                         cap_hit=True)
         print("resource cap: %s" % e, file=sys.stderr)
         return 3
     except PrecisionError as e:

@@ -22,7 +22,11 @@ class SpecValidationError(ShiftlabError):
 
 
 class ResourceCapExceeded(ShiftlabError):
-    """An enumeration or search hit its configured resource cap."""
+    """An enumeration or search hit its configured resource cap. ``partial``
+    holds a result that stays sound without the rest, when the raiser built
+    one before the cap tripped."""
+
+    partial = None
 
 
 class PrecisionError(ShiftlabError):

@@ -300,7 +300,9 @@ class EntropyReport:
 def entropy_estimates(spec, k_max, strategy=None, ks=None, node_cap=DEFAULT_NODE_CAP):
     """Rows (k, lambda_k, h_k) for k = 1..k_max; every h_k is an upper bound for
     h(X) since h is the infimum. The increment column log2(lambda_k/lambda_{k-1})
-    is advisory only. node_cap goes to every count_language call."""
+    is advisory only. node_cap goes to every count_language call; when it
+    trips, the ResourceCapExceeded carries the rows built so far as
+    ``partial`` (an EntropyReport)."""
     if k_max < 1:
         raise PreconditionError("k_max must be >= 1")
     strategy = strategy or spec.counting_strategy
@@ -309,7 +311,12 @@ def entropy_estimates(spec, k_max, strategy=None, ks=None, node_cap=DEFAULT_NODE
     inf_so_far = math.inf
     prev = None
     for k in ks:
-        lam = count_language(spec, k, strategy=strategy, node_cap=node_cap)
+        try:
+            lam = count_language(spec, k, strategy=strategy, node_cap=node_cap)
+        except ResourceCapExceeded as e:
+            # each row already built is an upper bound on its own
+            e.partial = EntropyReport(rows=tuple(rows), strategy=strategy)
+            raise
         h_k = log2_int(lam) / k
         inc = log2_int(lam) - log2_int(prev) if prev is not None else h_k
         inf_so_far = min(inf_so_far, h_k)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, cycle, islice
 from math import lcm
 from operator import sub
 
@@ -84,6 +84,11 @@ class PeriodicSet(IntSetSpec):
         if i <= len(self.pre):
             return bool(self.pre[i - 1])
         return bool(self.per[(i - len(self.pre) - 1) % len(self.per)])
+
+    def bits(self, H):
+        pre = [1 if b else 0 for b in self.pre]
+        per = [1 if b else 0 for b in self.per]
+        return list(islice(chain(pre, cycle(per)), max(H, 0)))
 
     def to_expr(self):
         if self.name:

@@ -194,8 +194,13 @@ def spacing_shift(P):
             return True, (state << 1) | 1
 
     def pos_next(chosen, start, k):
+        # chosen lies below start; s0 is the relative 1-mask at start
+        s0 = 0
+        for p in chosen:
+            s0 |= 1 << (start - 1 - p)
+        excluded = P.excluded_mask(k)
         for q in range(start, k + 1):
-            if all(P.contains(q - p) for p in chosen):
+            if not (s0 << (q - start)) & excluded:
                 yield q
 
     strategy = "windowed_dp" if w is not None and w <= WINDOWED_DP_MAX_WINDOW \

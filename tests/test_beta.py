@@ -1,5 +1,7 @@
 import math
+import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,7 @@ from shiftlab.beta import (
     parse_beta,
     word_in_beta_language,
 )
-from shiftlab.core import periodic_point, word
+from shiftlab.core import lex_compare, periodic_point, word
 from shiftlab.errors import PreconditionError, SpecParseError
 from shiftlab.langkit import contains_word, count_language, log2_int
 
@@ -237,3 +239,159 @@ def test_lambda_monotone_in_k(beta, k):
         return
     spec = BetaSpec(beta)
     assert count_beta_language(spec, k) > count_beta_language(spec, k - 1)
+
+
+# -- the integer digit recurrence against a greedy reference ------------------
+
+def _greedy_reference(beta, k):
+    """The first k greedy digits of 1 with QuadraticNumber/Fraction objects:
+    m = floor(beta * r), r <- beta * r - m, starting from r = 1."""
+    r, out = Fraction(1), []
+    for _ in range(k):
+        prod = beta * r
+        m = math.floor(prod)
+        out.append(m)
+        r = prod - m
+    return out
+
+
+def _seeded_quadratic_bases(seed, count):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = rng.choice([2, 3, 5, 6, 7, 10, 11, 13, 19, 1001])
+        a, b, c = rng.randint(-15, 15), rng.choice([-5, -3, -2, -1, 1, 2, 3, 5]), rng.randint(1, 7)
+        try:
+            q = QuadraticNumber(a, b, c, d)
+        except ValueError:
+            continue
+        if q > 1 and float(q) < 30:
+            out.append(q)
+    return out
+
+
+def _conjugate(q):
+    return (q.a - q.b * math.sqrt(q.d)) / q.c
+
+
+# (7+2*sqrt3)/3 and (-1+3*sqrt11)/4 have a conjugate above 1 in absolute
+# value, so Y/Z grows with the digit index and the sqrt(d) precision grows too
+NAMED_QUADRATIC = [QuadraticNumber(7, 2, 3, 3), QuadraticNumber(-1, 3, 4, 11),
+                   QuadraticNumber(1, 1, 2, 7), QuadraticNumber(1, 1, 2, 5),
+                   QuadraticNumber(3, 1, 1, 2), QuadraticNumber(5, -1, 2, 3)]
+
+
+@pytest.mark.parametrize("beta", NAMED_QUADRATIC, ids=repr)
+def test_digits_match_greedy_reference_deep(beta):
+    spec = BetaSpec(beta)
+    assert list(beta_digits(spec, 600).symbols) == _greedy_reference(beta, 600)
+
+
+def test_digits_match_greedy_reference_seeded_quadratic():
+    bases = _seeded_quadratic_bases(5, 60)
+    # the seeded bases cover every sign and size case of the recurrence
+    assert any(q.b < 0 for q in bases) and any(q.c > 1 for q in bases)
+    assert any(abs(_conjugate(q)) > 1 for q in bases)
+    assert any(abs(_conjugate(q)) < 1 for q in bases)
+    for q in bases:
+        spec = BetaSpec(q)
+        assert list(beta_digits(spec, 250).symbols) == _greedy_reference(q, 250), q
+
+
+def test_digits_match_greedy_reference_rational():
+    rng = random.Random(11)
+    bases = [Fraction(3, 2), Fraction(5, 2), Fraction(7, 3), Fraction(101, 100)]
+    while len(bases) < 30:
+        f = Fraction(rng.randint(11, 400), rng.randint(2, 97))
+        if f > 1 and f.denominator > 1:
+            bases.append(f)
+    for f in bases:
+        spec = BetaSpec(f)
+        assert list(beta_digits(spec, 600).symbols) == _greedy_reference(f, 600), f
+
+
+@pytest.mark.parametrize("d", [2, 3, 7, 11, 1001])
+def test_floor_at_near_ties(d):
+    # v = (X + Y*sqrt(d))/Z within 2^-200 of an integer on either side, with
+    # Y of either sign and |Y| up to far above Z
+    rng = random.Random(d)
+    spec = BetaSpec(QuadraticNumber(3, 1, 2, d))
+    for _ in range(60):
+        Z = rng.getrandbits(rng.randint(129, 400)) | (1 << 128)
+        Y = rng.getrandbits(rng.randint(1, 600)) + 1
+        Y = Y if rng.random() < 0.5 else -Y
+        root = isqrt(Y * Y * d)
+        floor_y = root if Y > 0 else -root - 1    # floor(Y*sqrt(d))
+        m = rng.randint(1, 40)
+        for delta in (-2, -1, 0, 1, rng.randint(2, Z - 1)):
+            X = m * Z - floor_y + delta
+            ref = math.floor(QuadraticNumber(X, Y, Z, d))
+            assert spec._floor(X, Y, Z) == ref, (X, Y, Z, d)
+            assert ref == (m - 1 if delta < 0 else m)
+
+
+def test_interleaved_digit_requests_agree():
+    beta = QuadraticNumber(-1, 3, 4, 11)
+    ref = _greedy_reference(beta, 500)
+    spec = BetaSpec(beta)
+    shift = beta_shift(spec)
+    rng = random.Random(3)
+    assert spec.digit(37) == ref[37]
+    # the acceptor reads the digit list in place and extends it past its end
+    assert contains_word(shift, ref[:120])
+    assert len(spec._digits) >= 120
+    assert list(beta_digits(spec, 90).symbols) == ref[:90]
+    for i in rng.sample(range(500), 60):
+        assert spec.digit(i) == ref[i]
+    assert contains_word(shift, ref[:500])
+    i = next(i for i in range(300, 500) if ref[i] < spec.floor_beta)
+    assert not contains_word(shift, ref[:i] + [ref[i] + 1])
+    assert list(beta_digits(spec, 500).symbols) == ref
+
+
+# -- parry_check on words against the lex_compare loop ------------------------
+
+def _parry_reference(syms, H):
+    L = len(syms)
+    indeterminate = False
+    for k in range(1, min(H, L - 1) + 1):
+        cmp = lex_compare(syms[k:], syms[:L - k])
+        if cmp > 0:
+            return False
+        if cmp == 0:
+            indeterminate = True
+    return None if indeterminate else True
+
+
+def test_parry_check_words_match_lex_compare_loop():
+    rng = random.Random(17)
+    cases = []
+    for text in ["2.5", "quad:(3+1*sqrt2)/2", "1.5", GOLDEN]:
+        spec = parse_beta(text)
+        digits = beta_digits(spec, 300)
+        cases.append((digits, spec.alphabet_size))
+        # lower one late digit and raise another: both kinds of verdict
+        syms = list(digits.symbols)
+        for _ in range(10):
+            i = rng.randrange(1, 300)
+            trial = syms[:]
+            trial[i] = rng.randrange(spec.alphabet_size)
+            cases.append((word(trial, n=spec.alphabet_size), spec.alphabet_size))
+    for _ in range(200):
+        n = rng.choice([2, 3])
+        cases.append((word([rng.randrange(n) for _ in range(rng.randint(1, 60))], n=n), n))
+    cases += [(word("2" * 9, n=3), 3), (word("21" * 7, n=3), 3), (word("210210", n=3), 3)]
+    verdicts = set()
+    for w, n in cases:
+        for H in (1, 5, len(w), 10 * len(w)):
+            got = parry_check(w, H)
+            assert got is _parry_reference(w.symbols, H)
+            verdicts.add(got)
+    assert verdicts == {True, False, None}
+    assert parry_check(word("2" * 9, n=3), 100) is None
+
+
+def test_parry_check_symbols_beyond_a_byte():
+    # digits of a base above 256 compare like any other symbols
+    for syms in [(300, 2, 299), (300, 301), (7, 300, 7), (300, 300, 300)]:
+        assert parry_check(syms, 10) is _parry_reference(syms, 10)

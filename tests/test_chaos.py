@@ -291,6 +291,32 @@ def test_family_blocks_disjoint_across_members():
             assert block_ones, "block %d of member %d is empty" % (n, i)
 
 
+def test_family_members_match_the_block_definition():
+    # member i holds position p exactly when p lies in a block (lo, hi] with
+    # index in A_i and p is in S
+    rng = random.Random(13)
+    sets = [EVENS, parse_set_expr("periodic:01;0111"), parse_set_expr("union:(evens|finite:{3})")]
+    for _ in range(6):
+        pre = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 4)))
+        per = [rng.randint(0, 1) for _ in range(rng.randint(2, 9))]
+        per[rng.randrange(len(per))] = 1
+        sets.append(PeriodicSet(pre, tuple(per)))
+    for S in sets:
+        if S.eventually_periodic() is None:
+            continue
+        m = rng.randint(2, 4)
+        H = rng.randint(2000, 30000)
+        fam = build_scrambled_family(S, m, H, growth=rng.choice((2, 5, 200)))
+        for i, A in enumerate(fam.index_sets):
+            ref = [0] * H
+            for n in A:
+                lo, hi = fam.blocks[n - 1]
+                for p in range(lo + 1, hi + 1):
+                    ref[p - 1] = 1 if S.contains(p) else 0
+            assert fam.members[i] == tuple(ref)
+            assert all(type(b) is int for b in fam.members[i])
+
+
 def _full_horizon_profile(fam, i, j):
     """The family pair's profile from the definition, sweeping gaps over the
     whole horizon: g_k is the distance from k to the next disagreement, or

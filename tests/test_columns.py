@@ -167,3 +167,42 @@ def _lang_columns_argvs():
 def test_lang_columns_commands_pass_under_the_default_cap():
     for argv in _lang_columns_argvs():
         assert main(argv, out=io.StringIO()) == 0, argv
+
+
+@pytest.mark.parametrize("shift", ["spacing:P=evens", "counting"])
+def test_entropy_cap_trip_emits_the_rows_already_counted(shift, capsys):
+    argv = ["entropy", "--shift", shift, "--kmax", "30"]
+    out = io.StringIO()
+    assert main(argv + ["--cap-states", "10"], out=out) == 3
+    assert "resource cap:" in capsys.readouterr().err
+    partial = json.loads(out.getvalue())
+    full_out = io.StringIO()
+    assert main(argv, out=full_out) == 0
+    full = json.loads(full_out.getvalue())
+    assert partial["cap_hit"] is True and full["cap_hit"] is False
+    rows = partial["result"]["rows"]
+    # every row counted before the trip is kept, and each is the same upper
+    # bound the uncapped run reports
+    spec = parse_shift_spec(shift)
+    counted = 0
+    with pytest.raises(ResourceCapExceeded):
+        for k in range(1, 31):
+            count_language(spec, k, node_cap=10)
+            counted = k
+    assert 1 <= len(rows) == counted < 30
+    assert rows == full["result"]["rows"][:len(rows)]
+    assert partial["result"]["strategy"] == full["result"]["strategy"]
+    assert {k: v for k, v in partial.items() if k != "result" and k != "cap_hit"} == \
+        {k: v for k, v in full.items() if k != "result" and k != "cap_hit"}
+    with pytest.raises(ResourceCapExceeded) as e:
+        entropy_estimates(parse_shift_spec(shift), 30, node_cap=10)
+    assert [r.to_json() for r in e.value.partial.rows] == rows
+
+
+def test_entropy_cap_trip_in_csv():
+    out = io.StringIO()
+    assert main(["entropy", "--shift", "spacing:P=evens", "--kmax", "30",
+                 "--cap-states", "10", "--format", "csv"], out=out) == 3
+    lines = out.getvalue().splitlines()
+    assert lines[0] == "h_k,increment,inf_so_far,k,lambda"
+    assert lines[1].endswith(",1,2")

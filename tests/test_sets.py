@@ -217,3 +217,20 @@ def test_periodic_density_matches_counting(s):
 def test_parse_str_round_trip_periodic(s):
     t = parse_set_expr(str(s))
     assert all(t.contains(i) == s.contains(i) for i in range(1, 40))
+
+
+def test_periodic_bits_match_contains():
+    # PeriodicSet.bits builds one list from the cycled period; it must equal
+    # the per-position membership definition of IntSetSpec.bits
+    rng = random.Random(23)
+    sets = [EVENS, ODDS, PeriodicSet((True, 0, 1), (2, 0))]
+    for _ in range(40):
+        pre = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 9)))
+        per = tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 13)))
+        sets.append(PeriodicSet(pre, per))
+    for s in sets:
+        for H in (0, len(s.pre) // 2, len(s.pre), len(s.pre) + 1,
+                  len(s.pre) + 50 * len(s.per) + 7, -1):
+            got = s.bits(H)
+            assert got == [1 if s.contains(i) else 0 for i in range(1, H + 1)], (s, H)
+            assert all(type(b) is int for b in got)

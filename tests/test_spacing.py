@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from shiftlab.core import word
 from shiftlab.errors import PreconditionError
-from shiftlab.langkit import contains_word, count_language, hereditary_check
+from shiftlab.langkit import (
+    contains_word,
+    count_language,
+    hereditary_check,
+    max_symbol_count,
+    max_symbol_witness,
+)
 from shiftlab.sets import (
     EVENS,
     NATURALS,
@@ -182,3 +189,39 @@ def test_spacing_language_hereditary_property(excluded, k):
     P = PSetSpec(ComplementSet(FiniteSet(frozenset(excluded))))
     ok, _ = hereditary_check(spacing_shift(P), k)
     assert ok
+
+
+def _reference_position_next(P):
+    """The definition-level position search: q is allowed when q - p lies in
+    P for every chosen 1 at p."""
+    def pos_next(chosen, start, k):
+        for q in range(start, k + 1):
+            if all(P.contains(q - p) for p in chosen):
+                yield q
+    return pos_next
+
+
+_WINDOW_BITS = "".join(random.Random(29).choice("0111") for _ in range(40))
+
+
+@pytest.mark.parametrize("text", [
+    "evens", "periodic:;0111011", "complement:(finite:{1,3,7,12})", "pow2diff",
+    "window:" + _WINDOW_BITS,
+])
+def test_position_search_reads_the_excluded_mask(text):
+    P = PSetSpec(parse_set_expr(text))
+    spec = spacing_shift(P)
+    ref = _reference_position_next(P)
+    rng = random.Random(text)
+    for _ in range(200):
+        k = rng.randint(1, 60)
+        start = rng.randint(1, k + 1)
+        chosen = sorted(rng.sample(range(1, start), min(start - 1, rng.randint(0, 6))))
+        assert list(spec._position_next(chosen, start, k)) == list(ref(chosen, start, k))
+    # the same searches on a spec whose position step is the definition
+    ref_spec = spacing_shift(P)
+    ref_spec._position_next = ref
+    for k in range(1, 31):
+        assert max_symbol_count(spec, 1, k) == max_symbol_count(ref_spec, 1, k)
+        assert max_symbol_witness(spec, 1, k) == max_symbol_witness(ref_spec, 1, k)
+        assert spec._d_cache == ref_spec._d_cache

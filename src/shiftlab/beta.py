@@ -1,10 +1,13 @@
 """Beta shifts: greedy digit expansion of 1, lexicographic admissibility,
-follower-state counting.
+counting by the automaton DP.
 
-Counting is resumable: the follower-state layer and the lambda column are
-kept on the BetaSpec next to its digit memo, so extending the column by one
-length costs O(current length) and a K-row column O(K^2). Beta shifts are
-hereditary, and their lambda_k also satisfies
+The acceptor state is the length of the current match with a digit prefix,
+so beta_shift hands langkit a transition and lambda_k comes from its
+automaton DP. Each BetaSpec builds that spec once, so count_beta_language
+and count_language(beta_shift(spec), k) read one resumable column, kept
+next to the digit memo: extending it by one length costs O(current length)
+and a K-row column O(K^2). Beta shifts are hereditary, and their lambda_k
+also satisfies
 lambda_k = lambda_(k-1) + #{w in L_k : w_1 > 0} (a 0 in front of a word of
 L_(k-1) keeps it in the language).
 
@@ -48,7 +51,7 @@ from .core import (
     word,
 )
 from .errors import PreconditionError, SpecParseError
-from .langkit import StateDP, SubshiftSpec, hereditary_check, log2_int
+from .langkit import SubshiftSpec, count_language, hereditary_check, log2_int
 
 DEFAULT_DIGIT_HORIZON = 4096
 
@@ -205,7 +208,7 @@ class BetaSpec:
             self._coef = (q.numerator, 0, q.denominator, 0)
         self._digits = []
         self._rem = (1, 0, 1)  # r = (x + y*sqrt(d))/z, here r_0 = 1
-        self._counts = StateDP(0, self._followers)
+        self._shift = None  # the langkit spec beta_shift builds once
 
     def __repr__(self):
         return "BetaSpec(%s)" % self.label
@@ -248,11 +251,6 @@ class BetaSpec:
         """floor((X + Y*sqrt(d))/Z) for Z > 0 and Y != 0, exact."""
         root = isqrt(Y * Y * self._coef[3])
         return (X + root) // Z if Y > 0 else (X - root - 1) // Z
-
-    def _followers(self, s):
-        # state: length of the current match with a digit prefix
-        d = self.digit(s)
-        return ((s + 1, 1), (0, d)) if d else ((s + 1, 1),)
 
 
 def beta_digits(spec, k):
@@ -306,36 +304,32 @@ def word_in_beta_language(spec, w):
 
 
 def count_beta_language(spec, k):
-    """lambda_k via the follower-state DP: the state is the length of the
-    current maximal match with a digit prefix, playing the digit extends it
-    and any smaller digit resets it; exact. Resumes from the spec's last
-    counted length, so a column up to k costs O(k^2) time in total."""
+    """lambda_k, exact, from the automaton DP of beta_shift(spec). Resumes
+    from the spec's last counted length, so a column up to k costs O(k^2)
+    time in total."""
     if k < 1:
         raise PreconditionError("k must be >= 1")
     if k > spec.digit_horizon:
         raise PreconditionError("k exceeds digit_horizon")
-    return spec._counts.count(k)
+    return count_language(beta_shift(spec), k)
 
 
 def beta_shift(spec):
-    """langkit spec for Omega_beta over the alphabet {0..floor(beta)}."""
-    digits = spec._digits  # grown in place by spec.digit
-
-    def step(state, i, a):
-        try:
-            d = digits[state]
-        except IndexError:
+    """langkit spec for Omega_beta over the alphabet {0..floor(beta)}, built
+    once per BetaSpec. The state is the length of the current maximal match
+    with a digit prefix: playing the digit extends it, any smaller digit
+    resets it."""
+    if spec._shift is None:
+        def transition(state, a):
             d = spec.digit(state)
-        if a > d:
-            return False, state
-        return True, (state + 1 if a == d else 0)
+            if a > d:
+                return False, state
+            return True, (state + 1 if a == d else 0)
 
-    return SubshiftSpec(
-        n=spec.alphabet_size, family="beta", label="beta:beta=%s" % spec.label,
-        start_state=0, step=step,
-        counting_strategy="automaton_dp",
-        counter=lambda k, node_cap: count_beta_language(spec, k),
-        params={"beta": spec.label})
+        spec._shift = SubshiftSpec(
+            n=spec.alphabet_size, family="beta", label="beta:beta=%s" % spec.label,
+            start_state=0, transition=transition, params={"beta": spec.label})
+    return spec._shift
 
 
 def beta_hereditary_probe(spec, k):

@@ -142,12 +142,14 @@ def _cmd_beta_digits(args):
 
 def _cmd_beta_parry(args):
     spec = beta_mod.parse_beta(args.beta)
-    w = beta_mod.beta_digits(spec, min(args.horizon, spec.digit_horizon))
-    verdict = beta_mod.parry_check(w, args.horizon)
+    # past the digit horizon only that many digits exist to compare, so the
+    # horizon reported is the one checked and the verdict is not exact
+    checked = min(args.horizon, spec.digit_horizon)
+    verdict = beta_mod.parry_check(beta_mod.beta_digits(spec, checked), checked)
     return spec.label, {
-        "horizon": args.horizon,
+        "horizon": checked,
         "parry": verdict,
-        "exact": verdict is not None,
+        "exact": verdict is not None and checked == args.horizon,
     }
 
 
@@ -189,7 +191,11 @@ def _cmd_chaos_family(args):
 
 def _cmd_spacing_recurrence(args):
     R = sets.parse_set_expr(args.set)
-    report = spacing.recurrence_entropy_probe(R, args.kmax, node_cap=args.cap_states)
+    try:
+        report = spacing.recurrence_entropy_probe(R, args.kmax, node_cap=args.cap_states)
+    except ResourceCapExceeded as e:
+        e.spec_echo = str(R)  # main emits e.partial under this spec
+        raise
     return str(R), report.to_json()
 
 
@@ -247,9 +253,7 @@ def _add_common(p):
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--timing", action="store_true",
                    help="include wall time (breaks byte-reproducibility)")
-    p.add_argument("--cap-states", type=int, default=2_000_000)
-    p.add_argument("--cap-seconds", type=float, default=None,
-                   help="advisory time budget, echoed in output")
+    p.add_argument("--cap-states", type=int, default=langkit.DEFAULT_NODE_CAP)
 
 
 def build_parser():
@@ -362,8 +366,6 @@ def _emit_result(args, spec_echo, result, started, out, cap_hit=False):
     timing = round(time.monotonic() - started, 3) if args.timing else None
     env = _envelope(command, spec_echo, result, seed=seed, timing=timing,
                     cap_hit=cap_hit)
-    if args.cap_seconds is not None:
-        env["cap_seconds"] = args.cap_seconds
     _emit(env, args.format, out)
 
 

@@ -10,33 +10,37 @@ monotone under subwords by the factorial contract).
 Acceptor states are canonical and free of absolute positions wherever the
 family allows it: two prefixes that leave the same constraints on every
 continuation reach equal states, and the step does not read prefix_len.
-Spacing shifts keep the relative 1-mask (bit d-1 set when a 1 sits d places
-back, cut to the largest excluded difference when N \\ P is finite), beta
-shifts the length of the current match with a digit prefix, and
-forbidden-word shifts the last max_len-1 symbols, with every (state, symbol)
-transition memoised in a table the counting DP reads too. A step then costs
-O(1) Python work. Only the counting shift and custom specs keep the prefix
-itself (1-positions or symbols) as their state.
+Such a family hands over its ``transition(state, a) -> (ok, next_state)``
+instead of a step, and every (state, symbol) row is memoised in one
+transition table that the step and the counting DPs all read. The full
+shift (one state), forbidden-word shifts (the last max_len-1 symbols), beta
+shifts (the length of the current match with a digit prefix) and spacing
+shifts with N \\ P finite and small (the relative 1-mask cut to the largest
+excluded difference) are built this way, so a step is one table lookup.
+Spacing shifts with any other P keep the uncut relative 1-mask; only the
+counting shift and custom specs keep the prefix itself (1-positions or
+symbols) as their state.
 
-Counting strategies:
+Counting engines, named by ``spec.engine`` after what the spec provides:
 
-* ``brute_force`` - test all n**k words independently (the oracle);
-* ``windowed_dp`` - bounded-window dynamic programs (full shift, spacing
-  shifts whose excluded-difference set is finite);
-* ``automaton_dp`` - layered state dynamic program over a canonical acceptor
-  state (beta shifts: match length; forbidden-word shifts: the last
-  max_len-1 symbols);
-* ``branch_and_bound`` - pruned search over 1-position subsets (general
-  spacing shifts, the counting shift);
-* ``dfs`` - depth-first search over the acceptor's prefixes (custom specs).
+* ``automaton_dp`` - a transition table: layered DPs over its states, in
+  (+, x) for lambda_k and in (max, +) with edge weight [a == alpha] for the
+  maximal symbol count D_k (the walk counts of Lind & Marcus, ch. 4);
+* ``branch_and_bound`` - position_next without a table: a pruned search over
+  1-position subsets (spacing shifts with any other P, the counting shift);
+* ``dfs`` - neither: a walk over enumerate_language (custom specs).
 
-Every engine but brute force and dfs is resumable. The lambda_1, lambda_2, ...
-column and the engine's working state (a DP layer, say) are cached on the
-spec object a parse builds, so ``count_language(spec, k)`` returns a cached
-lambda_k or advances the saved state from its last length to k: a K-row
-entropy table costs one counting pass, in any order of k. The position
-searches use that the binary families they serve are hereditary and
-shift-invariant, so 0w is in L_k exactly when w is in L_(k-1), and
+``brute_force`` tests all n**k words independently and is the oracle every
+engine is checked against.
+
+Every engine but dfs is resumable. The lambda_1, lambda_2, ... column and
+the engine's working state (a DP layer, say) are cached on the spec object a
+parse builds, so ``count_language(spec, k)`` returns a cached lambda_k or
+advances the saved state from its last length to k: a K-row entropy table
+costs one counting pass, in any order of k. The D_k columns of the (max, +)
+DP are kept the same way. The position searches use that the binary
+families they serve are hereditary and shift-invariant, so 0w is in L_k
+exactly when w is in L_(k-1), and
 
     lambda_k = lambda_(k-1) + #{w in L_k : w_1 = 1},
 
@@ -66,7 +70,7 @@ from .errors import (
 )
 
 BRUTE_FORCE_CAP = 1 << 22
-DEFAULT_NODE_CAP = 20_000_000
+DEFAULT_NODE_CAP = 2_000_000
 
 
 def log2_int(x):
@@ -87,28 +91,66 @@ def binary_entropy(eps):
     return -eps * math.log2(eps) - (1.0 - eps) * math.log2(1.0 - eps)
 
 
+class _TransitionTable(dict):
+    """state -> the row (ok, next_state) for each symbol a = 0..n-1, computed
+    by ``transition(state, a)`` when the state is first looked up."""
+
+    def __init__(self, n, transition):
+        super().__init__()
+        self._n = n
+        self._transition = transition
+
+    def __missing__(self, state):
+        row = self[state] = tuple(self._transition(state, a) for a in range(self._n))
+        return row
+
+
 class SubshiftSpec:
     """Immutable description of a subshift plus its counting machinery.
 
+    The acceptor is either ``transition(state, a)`` over canonical states,
+    which is memoised in a transition table, or ``step(state, prefix_len, a)``.
     ``position_next`` (optional, binary hereditary families only) yields the
     admissible next 1-positions given the chosen 1-positions so far; it backs
-    the branch-and-bound counting and maximum-weight searches.
+    the branch-and-bound counting and maximum-weight searches, and
+    ``position_count(k, node_cap)`` may stand in for the generic position
+    count with a faster one of the same sets. ``engine`` names the counting
+    engine these select (see the module docstring).
     """
 
-    def __init__(self, n, family, label, start_state, step, counting_strategy,
-                 counter=None, position_next=None, ones_exact=None, params=None):
+    def __init__(self, n, family, label, start_state, step=None, transition=None,
+                 position_next=None, position_count=None, ones_exact=None, params=None):
         self.alphabet = Alphabet(n)
         self.n = n
         self.family = family
         self.label = label
         self._start_state = start_state
+        self._table = None
+        if transition is not None:
+            table = self._table = _TransitionTable(n, transition)
+
+            def step(state, i, a):
+                return table[state][a]
+
+            self.engine = "automaton_dp"
+        elif position_next is not None:
+            self.engine = "branch_and_bound"
+        else:
+            self.engine = "dfs"
         self._step = step
-        self.counting_strategy = counting_strategy
-        self._counter = counter
         self._position_next = position_next
+        self._position_count = position_count
         self._ones_exact = ones_exact
         self.params = dict(params or {})
-        self._d_cache = {}
+        self._column = []   # lambda column of the generic position count
+        self._dps = {}      # alpha (None for lambda) -> StateDP on the table
+        self._d_cache = {}  # D_k and witnesses of the position searches
+
+    def _dp(self, alpha=None):
+        dp = self._dps.get(alpha)
+        if dp is None:
+            dp = self._dps[alpha] = StateDP(self._table, self._start_state, alpha)
+        return dp
 
     def __repr__(self):
         return "SubshiftSpec(%s)" % self.label
@@ -185,20 +227,13 @@ def enumerate_language(spec, k):
                 prefix.pop()
 
 
-def _count_dfs(spec, k):
-    n = spec.n
-
-    def rec(i, state):
-        if i == k:
-            return 1
-        total = 0
-        for a in range(n):
-            ok, st = spec._step(state, i, a)
-            if ok:
-                total += rec(i + 1, st)
-        return total
-
-    return rec(0, spec._start_state)
+def _walk_language(spec, k, node_cap):
+    """enumerate_language(spec, k), raising ResourceCapExceeded once more than
+    node_cap words have been walked."""
+    for i, w in enumerate(enumerate_language(spec, k), 1):
+        if i > node_cap:
+            raise ResourceCapExceeded("walk over L_%d exceeded %d words" % (k, node_cap))
+        yield w
 
 
 def extend_column(column, k, next_lambda):
@@ -220,39 +255,80 @@ def hereditary_column(column, k, with_one):
 
 
 class StateDP:
-    """A resumable layered {state: count} DP. ``successors(state)`` yields
-    ``(next_state, multiplicity)`` pairs and lambda_j is the total count after
-    j layers; the last layer and the lambda column are kept between calls."""
+    """A resumable layered DP over a transition table, kept between calls as
+    its last layer and its column. With alpha None it runs in (+, x): the
+    layer maps each state to the number of words that reach it, and
+    column[j-1] = lambda_j. With a symbol alpha it runs in (max, +) with edge
+    weight [a == alpha]: the layer maps each state to the most alphas on a
+    word that reaches it, and column[j-1] = D_j(alpha)."""
 
-    def __init__(self, start, successors):
+    def __init__(self, table, start, alpha=None):
         self.column = []
-        self._layer = {start: 1}
-        self._successors = successors
+        self._table = table
+        self._alpha = alpha
+        self._layer = {start: 1 if alpha is None else 0}
 
-    def count(self, k):
+    def value(self, k):
         return extend_column(self.column, k, self._advance)
 
     def _advance(self, j):
-        nxt = {}
-        for state, cnt in self._layer.items():
-            for st, mult in self._successors(state):
-                nxt[st] = nxt.get(st, 0) + cnt * mult
+        table, alpha, nxt = self._table, self._alpha, {}
+        if alpha is None:
+            for state, cnt in self._layer.items():
+                for ok, st in table[state]:
+                    if ok:
+                        nxt[st] = nxt.get(st, 0) + cnt
+            self._layer = nxt
+            return sum(nxt.values())
+        for state, best in self._layer.items():
+            for a, (ok, st) in enumerate(table[state]):
+                if ok:
+                    got = best + (a == alpha)
+                    if got > nxt.get(st, -1):
+                        nxt[st] = got
         self._layer = nxt
-        return sum(nxt.values())
+        return max(nxt.values())
+
+
+def _count_positions(spec, k, node_cap):
+    """lambda_k of a binary hereditary family from its position_next, by an
+    explicit-stack walk over the 1-position sets through position 1 (see the
+    module docstring). node_cap bounds the nodes this call expands."""
+    pos_next = spec._position_next
+    nodes = 0
+
+    def with_one(j):
+        nonlocal nodes
+        chosen, pending, total = [1], [iter(pos_next([1], 2, j))], 1
+        while pending:
+            for q in pending[-1]:
+                nodes += 1
+                if nodes > node_cap:
+                    raise ResourceCapExceeded("position count exceeded %d nodes" % node_cap)
+                total += 1
+                chosen.append(q)
+                pending.append(iter(pos_next(chosen, q + 1, j)))
+                break
+            else:
+                pending.pop()
+                chosen.pop()
+        return total
+
+    return hereditary_column(spec._column, k, with_one)
 
 
 def count_language(spec, k, strategy=None, node_cap=DEFAULT_NODE_CAP):
     """Exact lambda_k = #L_k(X); independent of the chosen strategy, which is
-    None (the spec's own), ``brute_force`` or ``spec.counting_strategy``.
-    node_cap bounds the nodes one call of a branch-and-bound engine expands;
-    the state DPs, whose layers are bounded by their state count, ignore it."""
+    None (the spec's own engine), ``brute_force`` or ``spec.engine``.
+    node_cap bounds the nodes one call of a branch-and-bound engine expands
+    and the words one dfs call walks; the automaton DP, whose layers are
+    bounded by its state count, ignores it."""
     if k < 1:
         raise PreconditionError("k must be >= 1")
-    if strategy not in (None, "brute_force", spec.counting_strategy):
+    if strategy not in (None, "brute_force", spec.engine):
         raise PreconditionError(
             "unknown counting strategy %r for %s (use %r or 'brute_force')"
-            % (strategy, spec.label, spec.counting_strategy))
-    strategy = strategy or spec.counting_strategy
+            % (strategy, spec.label, spec.engine))
     if strategy == "brute_force":
         if spec.n ** k > BRUTE_FORCE_CAP:
             raise ResourceCapExceeded("brute force over %d**%d words" % (spec.n, k))
@@ -261,9 +337,13 @@ def count_language(spec, k, strategy=None, node_cap=DEFAULT_NODE_CAP):
             if spec.accepts(syms):
                 total += 1
         return total
-    if spec._counter is not None:
-        return spec._counter(k, node_cap)
-    return _count_dfs(spec, k)
+    if spec.engine == "automaton_dp":
+        return spec._dp().value(k)
+    if spec.engine == "branch_and_bound":
+        if spec._position_count is not None:
+            return spec._position_count(k, node_cap)
+        return _count_positions(spec, k, node_cap)
+    return sum(1 for _ in _walk_language(spec, k, node_cap))
 
 
 @dataclass(frozen=True)
@@ -305,7 +385,7 @@ def entropy_estimates(spec, k_max, strategy=None, ks=None, node_cap=DEFAULT_NODE
     ``partial`` (an EntropyReport)."""
     if k_max < 1:
         raise PreconditionError("k_max must be >= 1")
-    strategy = strategy or spec.counting_strategy
+    strategy = strategy or spec.engine
     ks = list(ks) if ks is not None else list(range(1, k_max + 1))
     rows = []
     inf_so_far = math.inf
@@ -365,7 +445,9 @@ def _max_ones_by_positions(spec, k, node_cap):
 
 def max_symbol_count(spec, alpha, k, node_cap=DEFAULT_NODE_CAP):
     """D_k(X, alpha): the maximal number of occurrences of alpha over L_k(X).
-    Subadditive in k."""
+    Subadditive in k. Binary position families search 1-position sets (and
+    record a witness); a transition table runs the resumable (max, +) DP; a
+    custom spec walks L_k under node_cap."""
     if k < 1:
         raise PreconditionError("k must be >= 1")
     if alpha == 0 or not (0 < alpha < spec.n):
@@ -395,29 +477,9 @@ def max_symbol_count(spec, alpha, k, node_cap=DEFAULT_NODE_CAP):
                 spec._d_cache[kk_key] = val
                 spec._d_cache[("Dwit", 1, kk)] = wit
         return spec._d_cache[key]
-    # generic search over language words
-    best = 0
-    nodes = 0
-    n = spec.n
-    order = [alpha] + [a for a in range(n) if a != alpha]
-
-    def rec(i, state, cnt):
-        nonlocal best, nodes
-        if cnt > best:
-            best = cnt
-        if i == k or cnt + (k - i) <= best:
-            return
-        for a in order:
-            nodes += 1
-            if nodes > node_cap:
-                raise ResourceCapExceeded("max-symbol search exceeded %d nodes" % node_cap)
-            ok, st = spec._step(state, i, a)
-            if ok:
-                rec(i + 1, st, cnt + (1 if a == alpha else 0))
-
-    rec(0, spec._start_state, 0)
-    spec._d_cache[key] = best
-    return best
+    if spec._table is not None:
+        return spec._dp(alpha).value(k)
+    return max(w.count(alpha) for w in _walk_language(spec, k, node_cap))
 
 
 def max_symbol_witness(spec, alpha, k, node_cap=DEFAULT_NODE_CAP):
@@ -560,21 +622,12 @@ def mixing_probe(spec, u, v, m_max):
 # -- built-in families ---------------------------------------------------------------
 
 def full_shift(n=2):
-    def step(state, i, a):
+    def transition(state, a):
         return True, state
-
-    def counter(k, node_cap):
-        return n ** k
-
-    def pos_next(chosen, start, k):
-        return range(start, k + 1)
 
     return SubshiftSpec(
         n=n, family="full", label="full:n=%d" % n,
-        start_state=None, step=step,
-        counting_strategy="windowed_dp", counter=counter,
-        position_next=pos_next if n == 2 else None,
-        params={"n": n})
+        start_state=None, transition=transition, params={"n": n})
 
 
 def _counting_cap(length):
@@ -619,26 +672,6 @@ def counting_shift():
             q_min = max(q_min, chosen[i] + _counting_min_span(m - i + 1) - 1)
         return range(q_min, k + 1)
 
-    column = []
-
-    def counter(k, node_cap):
-        nodes = 0
-
-        def rec(chosen, start, j):
-            nonlocal nodes
-            total = 1
-            for q in pos_next(chosen, start, j):
-                nodes += 1
-                if nodes > node_cap:
-                    raise ResourceCapExceeded("counting-shift count exceeded %d nodes"
-                                              % node_cap)
-                chosen.append(q)
-                total += rec(chosen, q + 1, j)
-                chosen.pop()
-            return total
-
-        return hereditary_column(column, k, lambda j: rec([1], 2, j))
-
     def ones_exact(k):
         # the window covering the whole word already forces <= cap(k) ones,
         # and the chain 1, 3, 5, 9, ..., 2**(j-1)+1 realizes it: the window
@@ -650,22 +683,7 @@ def counting_shift():
     return SubshiftSpec(
         n=2, family="counting", label="counting",
         start_state=(), step=step,
-        counting_strategy="branch_and_bound", counter=counter,
         position_next=pos_next, ones_exact=ones_exact, params={})
-
-
-class _TransitionTable(dict):
-    """state -> the row (ok, next_state) for each symbol a = 0..n-1, computed
-    by ``transition(state, a)`` when the state is first looked up."""
-
-    def __init__(self, n, transition):
-        super().__init__()
-        self._n = n
-        self._transition = transition
-
-    def __missing__(self, state):
-        row = self[state] = tuple(self._transition(state, a) for a in range(self._n))
-        return row
 
 
 def forbidden_shift(forbidden, n=2, sample_depth=None):
@@ -685,22 +703,10 @@ def forbidden_shift(forbidden, n=2, sample_depth=None):
                 return False, state
         return True, tail[-(max_len - 1):] if max_len > 1 else ()
 
-    # at most n**(max_len-1) states, so one step is a lookup after the first
-    # visit to a state; the counting DP reads the same rows
-    table = _TransitionTable(n, transition)
-
-    def step(state, i, a):
-        return table[state][a]
-
-    def successors(state):
-        return [(st, 1) for ok, st in table[state] if ok]
-
-    dp = StateDP((), successors)
     label = "forbidden:{%s}" % ",".join(str(f) for f in forb)
     spec = SubshiftSpec(
         n=n, family="forbidden", label=label,
-        start_state=(), step=step,
-        counting_strategy="automaton_dp", counter=lambda k, node_cap: dp.count(k),
+        start_state=(), transition=transition,
         params={"forbidden": [str(f) for f in forb]})
     _validate_prolongable(spec, sample_depth or max_len + 2)
     return spec
@@ -716,8 +722,7 @@ def custom_shift(predicate, n=2, label="custom", sample_depth=6):
 
     spec = SubshiftSpec(
         n=n, family="custom", label=label,
-        start_state=(), step=step,
-        counting_strategy="dfs", params={})
+        start_state=(), step=step, params={})
     _validate_factorial(spec, predicate, sample_depth)
     _validate_prolongable(spec, sample_depth)
     return spec

@@ -22,6 +22,7 @@ from math import lcm
 from operator import sub
 
 from .errors import SpecParseError
+from .langkit import DEFAULT_NODE_CAP
 
 _DEFAULT_HORIZON = 10_000
 
@@ -417,7 +418,7 @@ def _longest_run(members):
     return best
 
 
-def largest_delta_subset(A, H, node_cap=2_000_000):
+def largest_delta_subset(A, H, node_cap=DEFAULT_NODE_CAP):
     """Largest D subset of [1, H] found with D - D inside A (bounded backtracking,
     deterministic ascending order; the size is a lower bound on the true max)."""
     bits = [False] + [A.contains(d) for d in range(1, H + 1)]
@@ -443,7 +444,7 @@ def largest_delta_subset(A, H, node_cap=2_000_000):
     return tuple(best)
 
 
-def largest_ip_subset(A, bound, node_cap=2_000_000, max_size=12):
+def largest_ip_subset(A, bound, node_cap=DEFAULT_NODE_CAP, max_size=12):
     """Largest S found with FS(S) inside A and every finite sum <= bound.
     The result is a lower bound on the true maximum: the search stops at
     max_size elements and at the node cap (dense A admits huge IP sets)."""
@@ -476,7 +477,7 @@ def largest_ip_subset(A, bound, node_cap=2_000_000, max_size=12):
     return tuple(best)
 
 
-def classify(A, H=_DEFAULT_HORIZON, ip_bound=None, node_cap=2_000_000):
+def classify(A, H=_DEFAULT_HORIZON, ip_bound=None, node_cap=DEFAULT_NODE_CAP):
     """Finite-horizon structure report: longest run (thickness evidence), max gap
     (syndeticity evidence), and bounded Delta / IP witness searches."""
     if ip_bound is None:

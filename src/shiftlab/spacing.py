@@ -2,20 +2,21 @@
 parameter set P.
 
 A word is admissible when the difference set of its 1-positions is contained
-in P, so the language is hereditary by construction. Counting uses a
-bounded-window bitmask DP when the excluded-difference set N \\ P is finite
-(window = largest excluded difference), and branch and bound over 1-position
-subsets with forward pruning otherwise.
+in P, so the language is hereditary by construction. The acceptor state is
+an int whose bit d-1 is set when a 1 sits d places back, and a 1 is
+admissible exactly when the state misses one mask, PSetSpec.excluded_mask
+(bit d-1 set when d is not in P). A step is a few integer operations,
+whatever the number of 1s so far.
 
-The acceptor step and the windowed DP share one mask, PSetSpec.excluded_mask
-(bit d-1 set when d is not in P), and the same state: an int whose bit d-1
-is set when a 1 sits d places back, cut to the window when N \\ P is finite.
-A 1 is admissible exactly when the state misses the mask, so one step is a
-few integer operations, whatever the number of 1s so far.
-
-Both engines are resumable: the lambda column of each strategy, and the DP
-layer of the windowed DP, are cached on the PSetSpec object, so a K-row
-column costs one counting pass. Branch and bound uses that Omega_P is
+When the excluded-difference set N \\ P is finite with largest element
+w <= WINDOWED_DP_MAX_WINDOW, the state is cut to its last w bits and the
+spec hands langkit its transition, so lambda_k comes from the automaton DP
+over at most 2**w states. For any other P the state keeps every 1 and
+lambda_k comes from branch and bound over 1-position subsets with forward
+pruning. Each PSetSpec builds its spec once, so count_spacing and
+count_language(spacing_shift(P), k) read one resumable lambda column: the
+automaton DP's on that spec, or the branch-and-bound column kept on P. A
+K-row column costs one counting pass. Branch and bound uses that Omega_P is
 hereditary and shift-invariant (0w is admissible iff w is), so
 lambda_k = lambda_(k-1) + #{w in L_k : w_1 = 1}, and each step enumerates only
 the admissible 1-position sets through position 1.
@@ -31,8 +32,8 @@ from .core import Word
 from .errors import PreconditionError, ResourceCapExceeded
 from .langkit import (
     DEFAULT_NODE_CAP,
-    StateDP,
     SubshiftSpec,
+    count_language,
     entropy_estimates,
     hereditary_column,
     max_density_word,
@@ -47,12 +48,15 @@ class PSetSpec:
     """The parameter P of a spacing shift; membership decidable to any horizon."""
 
     base: IntSetSpec
-    # strategy -> resumable lambda column of Omega_P (see count_spacing)
-    _columns: dict = field(default_factory=dict, init=False, compare=False, repr=False,
-                           hash=False)
+    # resumable branch-and-bound lambda column of Omega_P (see count_spacing)
+    _column: list = field(default_factory=list, init=False, compare=False, repr=False,
+                          hash=False)
     # [excluded-difference mask, number of differences it covers]
     _excluded: list = field(default_factory=lambda: [0, 0], init=False, compare=False,
                             repr=False, hash=False)
+    # [the langkit spec of Omega_P], built once by spacing_shift
+    _shift: list = field(default_factory=list, init=False, compare=False, repr=False,
+                         hash=False)
 
     def contains(self, d):
         return self.base.contains(d)
@@ -97,26 +101,12 @@ def admissible(P, w):
     return True
 
 
-def _count_windowed_dp(P, k, w):
-    """DP over the bitmask of 1s among the last w positions; applicable when
-    every difference above w lies in P. The layer is kept on P."""
-    if w == 0:
-        return 2 ** k
-    if w > WINDOWED_DP_MAX_WINDOW:
-        raise ResourceCapExceeded("windowed DP window %d exceeds cap" % w)
-    dp = P._columns.get("windowed_dp")
-    if dp is None:
-        mask = (1 << w) - 1
-        excluded = P.excluded_mask(w)
-
-        def successors(state):
-            s0 = (state << 1) & mask
-            if state & excluded:
-                return ((s0, 1),)
-            return ((s0, 1), (s0 | 1, 1))
-
-        dp = P._columns["windowed_dp"] = StateDP(0, successors)
-    return dp.count(k)
+def _window(P):
+    """The largest excluded difference when N \\ P is finite and at most
+    WINDOWED_DP_MAX_WINDOW, so that Omega_P is counted as an automaton;
+    None otherwise."""
+    w = P.excluded_max()
+    return w if w is not None and w <= WINDOWED_DP_MAX_WINDOW else None
 
 
 def _count_branch_and_bound(P, k, node_cap=DEFAULT_NODE_CAP):
@@ -140,42 +130,39 @@ def _count_branch_and_bound(P, k, node_cap=DEFAULT_NODE_CAP):
     def with_one(j):
         return rec([r for r in range(2, j + 1) if p_bits[r - 1]])
 
-    column = P._columns.setdefault("branch_and_bound", [])
-    return hereditary_column(column, k, with_one)
+    return hereditary_column(P._column, k, with_one)
 
 
-def count_spacing(P, k, strategy=None, node_cap=DEFAULT_NODE_CAP):
-    """lambda_k for Omega_P, exact. Strategy is auto-selected: windowed DP when
-    N \\ P is finite with small maximum, branch and bound otherwise. Each
-    strategy keeps its own lambda column on P and resumes it."""
+def count_spacing(P, k, node_cap=DEFAULT_NODE_CAP):
+    """lambda_k for Omega_P, exact, by the engine spacing_shift(P) gets: the
+    automaton DP of that spec when N \\ P is finite and small, else branch
+    and bound. Either resumes the one lambda column of P (kept on P's spec or
+    on P). node_cap bounds the nodes one branch-and-bound call expands."""
     if k < 1:
         raise PreconditionError("k must be >= 1")
-    if strategy is None:
-        w = P.excluded_max()
-        strategy = "windowed_dp" if w is not None and w <= WINDOWED_DP_MAX_WINDOW \
-            else "branch_and_bound"
-    if strategy == "windowed_dp":
-        w = P.excluded_max()
-        if w is None:
-            raise PreconditionError("windowed DP needs a finite excluded set")
-        return _count_windowed_dp(P, k, w)
-    if strategy == "branch_and_bound":
-        return _count_branch_and_bound(P, k, node_cap=node_cap)
-    raise PreconditionError("unknown spacing strategy %r" % (strategy,))
+    if _window(P) is not None:
+        return count_language(spacing_shift(P), k)
+    return _count_branch_and_bound(P, k, node_cap=node_cap)
 
 
 def spacing_shift(P):
-    """Build the langkit spec for Omega_P. The step never reads the position:
-    a 1 is refused when the relative 1-mask meets the excluded mask, which is
-    grown when the state outruns it unless N \\ P is finite."""
+    """The langkit spec for Omega_P, built once per PSetSpec. The step never
+    reads the position: a 1 is refused when the relative 1-mask meets the
+    excluded mask. With N \\ P finite and small the mask is cut to the window
+    and handed over as a transition (automaton DP); otherwise it is grown
+    when the state outruns it, and lambda_k comes from count_spacing (branch
+    and bound)."""
     if not isinstance(P, PSetSpec):
         P = PSetSpec(P)
+    if P._shift:
+        return P._shift[0]
 
-    w = P.excluded_max()
+    w = _window(P)
+    step = transition = position_count = None
     if w is not None:
         excluded, window = P.excluded_mask(w), (1 << w) - 1
 
-        def step(state, i, a):
+        def transition(state, a):
             if a and state & excluded:
                 return False, state
             return True, ((state << 1) | a) & window
@@ -193,6 +180,9 @@ def spacing_shift(P):
                 return False, state
             return True, (state << 1) | 1
 
+        def position_count(k, node_cap):
+            return count_spacing(P, k, node_cap=node_cap)
+
     def pos_next(chosen, start, k):
         # chosen lies below start; s0 is the relative 1-mask at start
         s0 = 0
@@ -203,16 +193,12 @@ def spacing_shift(P):
             if not (s0 << (q - start)) & excluded:
                 yield q
 
-    strategy = "windowed_dp" if w is not None and w <= WINDOWED_DP_MAX_WINDOW \
-        else "branch_and_bound"
-    return SubshiftSpec(
+    P._shift.append(SubshiftSpec(
         n=2, family="spacing", label="spacing:P=%s" % P,
-        start_state=0, step=step,
-        counting_strategy=strategy,
-        counter=lambda k, node_cap: count_spacing(P, k, strategy=strategy,
-                                                  node_cap=node_cap),
-        position_next=pos_next,
-        params={"P": str(P)})
+        start_state=0, step=step, transition=transition,
+        position_next=pos_next, position_count=position_count,
+        params={"P": str(P)}))
+    return P._shift[0]
 
 
 def transition_set_check(P, H):

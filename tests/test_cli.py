@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from shiftlab.cli import main
 
 
@@ -65,6 +67,15 @@ def test_beta_digits_command():
 def test_beta_parry_command():
     env = run_json(["beta", "parry", "--beta", "1.5", "--horizon", "500"])
     assert env["result"]["parry"] in (True, None)
+
+
+def test_beta_parry_reports_the_horizon_it_checked():
+    # only digit_horizon (4096) digits exist, so a deeper horizon is not
+    # checked and the verdict is not exact
+    env = run_json(["beta", "parry", "--beta", "2.5", "--horizon", "10000"])
+    assert env["result"] == {"horizon": 4096, "parry": True, "exact": False}
+    env = run_json(["beta", "parry", "--beta", "2.5", "--horizon", "4096"])
+    assert env["result"] == {"horizon": 4096, "parry": True, "exact": True}
 
 
 def test_chaos_profile_command():
@@ -136,6 +147,14 @@ def test_determinism_byte_identical():
     _, c = run_cli(argv2)
     _, d = run_cli(argv2)
     assert c == d
+
+
+def test_envelope_has_no_cap_seconds():
+    env = run_json(["entropy", "--shift", "counting", "--kmax", "3"])
+    assert "cap_seconds" not in env
+    with pytest.raises(SystemExit) as e:
+        main(["density", "--set", "evens", "--cap-seconds", "1"], out=io.StringIO())
+    assert e.value.code == 2
 
 
 def test_timing_flag_adds_wall_time():

@@ -12,11 +12,12 @@ import sys
 import pytest
 
 import shiftlab
+from shiftlab.beta import beta_shift, count_beta_language, parse_beta
 from shiftlab.cli import main
 from shiftlab.errors import PreconditionError, ResourceCapExceeded
 from shiftlab.langkit import count_language, entropy_estimates, parse_shift_spec
 from shiftlab.sets import EVENS, ComplementSet, FiniteSet
-from shiftlab.spacing import PSetSpec, count_spacing
+from shiftlab.spacing import PSetSpec, count_spacing, spacing_shift
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 K = 14  # brute force checks every k with 2**k <= 2**14
@@ -24,7 +25,7 @@ K = 14  # brute force checks every k with 2**k <= 2**14
 FAMILIES = (
     "full:n=2",
     "forbidden:{111,0101}",
-    "spacing:P=complement:(finite:{1,3})",   # windowed DP
+    "spacing:P=complement:(finite:{1,3})",   # automaton DP
     "spacing:P=evens",                       # branch and bound
     "counting",
     "beta:beta=1.5",
@@ -50,34 +51,56 @@ def test_column_order_does_not_matter(text):
         assert {k: count_language(spec, k) for k in ks} == fresh, name
 
 
-@pytest.mark.parametrize("strategy", ["windowed_dp", "branch_and_bound"])
-def test_spacing_engine_columns_resume(strategy):
-    def golden():
-        return PSetSpec(ComplementSet(FiniteSet(frozenset({1, 3}))))
-
-    fresh = {k: count_spacing(golden(), k, strategy=strategy) for k in range(1, K + 1)}
+@pytest.mark.parametrize("engine,base", [
+    ("automaton_dp", ComplementSet(FiniteSet(frozenset({1, 3})))),
+    ("branch_and_bound", EVENS),
+], ids=["automaton_dp", "branch_and_bound"])
+def test_spacing_engine_columns_resume(engine, base):
+    assert spacing_shift(PSetSpec(base)).engine == engine
+    fresh = {k: count_spacing(PSetSpec(base), k) for k in range(1, K + 1)}
     for name, ks in _orders().items():
-        P = golden()
-        assert {k: count_spacing(P, k, strategy=strategy) for k in ks} == fresh, name
-
-
-def test_spacing_engines_keep_separate_columns():
-    P = PSetSpec(ComplementSet(FiniteSet(frozenset({1}))))
-    dp = [count_spacing(P, k, strategy="windowed_dp") for k in range(1, 13)]
-    bb = [count_spacing(P, k, strategy="branch_and_bound") for k in range(1, 13)]
-    assert dp == bb == [2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377]
-    assert set(P._columns) == {"windowed_dp", "branch_and_bound"}
+        P = PSetSpec(base)
+        assert {k: count_spacing(P, k) for k in ks} == fresh, name
 
 
 def _evens_closed_form(k):
     return 2 ** ((k + 1) // 2) + 2 ** (k // 2) - 1
 
 
+def test_spacing_keeps_one_column():
+    # branch and bound: the spec's count goes through count_spacing, so both
+    # extend the one column kept on P
+    P = PSetSpec(EVENS)
+    spec = spacing_shift(P)
+    assert [count_language(spec, k) for k in range(1, 9)] == \
+        [_evens_closed_form(k) for k in range(1, 9)]
+    assert P._column == [_evens_closed_form(k) for k in range(1, 9)]
+    assert count_spacing(P, 12) == _evens_closed_form(12) and len(P._column) == 12
+    # the automaton DP keeps its column on P's one spec, none on P itself
+    golden = PSetSpec(ComplementSet(FiniteSet(frozenset({1}))))
+    assert [count_spacing(golden, k) for k in range(1, 13)] == \
+        [2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377]
+    assert spacing_shift(golden) is spacing_shift(golden)
+    assert spacing_shift(golden)._dp().column == [2, 3, 5, 8, 13, 21, 34, 55, 89, 144,
+                                                  233, 377]
+    assert golden._column == []
+
+
+def test_beta_keeps_one_column():
+    bspec = parse_beta("1.5")
+    spec = beta_shift(bspec)
+    assert beta_shift(bspec) is spec
+    lams = [count_beta_language(bspec, k) for k in range(1, 21)]
+    assert spec._dp().column == lams
+    assert count_language(spec, 30) == count_beta_language(bspec, 30)
+    assert len(spec._dp().column) == 30
+
+
 def test_cap_trip_leaves_column_consistent():
     P = PSetSpec(EVENS)
     with pytest.raises(ResourceCapExceeded):
         count_spacing(P, 30, node_cap=50)
-    cached = P._columns["branch_and_bound"]
+    cached = P._column
     assert 0 < len(cached) < 30
     assert cached == [_evens_closed_form(k) for k in range(1, len(cached) + 1)]
     assert count_spacing(P, 30) == _evens_closed_form(30)
@@ -91,7 +114,7 @@ def test_unknown_strategy_rejected():
         count_language(spec, 3, strategy="nope")
     with pytest.raises(PreconditionError):
         count_language(spec, 3, strategy="windowed_dp")
-    assert count_language(spec, 3, strategy=spec.counting_strategy) == 5
+    assert count_language(spec, 3, strategy=spec.engine) == 5
     assert count_language(spec, 3, strategy="brute_force") == 5
 
 
@@ -103,7 +126,7 @@ def test_cli_unknown_strategy_exits_2():
 
 def test_forbidden_reports_state_dp():
     spec = parse_shift_spec("forbidden:{11}")
-    assert spec.counting_strategy == "automaton_dp"
+    assert spec.engine == "automaton_dp"
     assert count_language(spec, 26) == 317811   # Fibonacci: F(28)
 
 
@@ -169,9 +192,14 @@ def test_lang_columns_commands_pass_under_the_default_cap():
         assert main(argv, out=io.StringIO()) == 0, argv
 
 
-@pytest.mark.parametrize("shift", ["spacing:P=evens", "counting"])
-def test_entropy_cap_trip_emits_the_rows_already_counted(shift, capsys):
-    argv = ["entropy", "--shift", shift, "--kmax", "30"]
+@pytest.mark.parametrize("command,shift", [
+    (["entropy", "--shift", "spacing:P=evens"], "spacing:P=evens"),
+    (["entropy", "--shift", "counting"], "counting"),
+    # the probe counts Omega_P for P = N \ R
+    (["spacing", "recurrence-probe", "--set", "odds"], "spacing:P=complement:(odds)"),
+], ids=["spacing:P=evens", "counting", "recurrence-probe"])
+def test_entropy_cap_trip_emits_the_rows_already_counted(command, shift, capsys):
+    argv = command + ["--kmax", "30"]
     out = io.StringIO()
     assert main(argv + ["--cap-states", "10"], out=out) == 3
     assert "resource cap:" in capsys.readouterr().err

@@ -224,7 +224,7 @@ def test_custom_shift_validation():
     ok = custom_shift(lambda w: (1, 1) not in [w[i:i + 2] for i in range(len(w) - 1)],
                       label="no11")
     assert count_language(ok, 4) == 8
-    assert ok.counting_strategy == "dfs"
+    assert ok.engine == "dfs"
     assert entropy_estimates(ok, 6).strategy == "dfs"
     for k in range(1, 9):
         assert count_language(ok, k, strategy="dfs") == \
@@ -291,3 +291,55 @@ def test_counting_D_subadditive(a, b):
     spec = counting_shift()
     d = lambda k: max_symbol_count(spec, 1, k)
     assert d(a + b) <= d(a) + d(b)
+
+
+def _automaton_specs(forbidden, beta, excluded):
+    from shiftlab.beta import BetaSpec, beta_shift
+    from shiftlab.sets import ComplementSet, FiniteSet
+    from shiftlab.spacing import PSetSpec, spacing_shift
+
+    specs = [beta_shift(BetaSpec(beta)),
+             spacing_shift(PSetSpec(ComplementSet(FiniteSet(frozenset(excluded)))))]
+    try:
+        specs.append(forbidden_shift(forbidden, n=3))
+    except SpecValidationError:
+        pass  # not right-prolongable
+    return specs
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.text(alphabet="012", min_size=1, max_size=3), min_size=1, max_size=3),
+       st.integers(2, 7).flatmap(lambda q: st.tuples(st.integers(q + 1, 3 * q - 1),
+                                                     st.just(q))),
+       st.sets(st.integers(1, 8), max_size=3))
+def test_automaton_dp_matches_the_oracles(forbidden, beta, excluded):
+    # lambda_k from the (+, x) DP against brute force, D_k from the (max, +)
+    # DP against the maximum over the enumerated language
+    num, den = beta
+    if num % den == 0:
+        return  # integer bases are rejected
+    for spec in _automaton_specs(forbidden, Fraction(num, den), excluded):
+        assert spec.engine == "automaton_dp"
+        for k in range(1, 7):
+            assert count_language(spec, k) == count_language(spec, k, strategy="brute_force")
+            words = list(enumerate_language(spec, k))
+            for alpha in range(1, spec.n):
+                best = max(w.count(alpha) for w in words)
+                assert spec._dp(alpha).value(k) == best
+                assert max_symbol_count(spec, alpha, k) == best
+
+
+@pytest.mark.parametrize("shift,d", [("beta:beta=1.5", 501), ("forbidden:{111}", 1000)])
+def test_max_symbol_count_deep_k_without_recursion(shift, d):
+    # the generic search recursed once per symbol and overflowed near k = 1000
+    assert max_symbol_count(parse_shift_spec(shift), 1, 1500) == d
+
+
+def test_custom_shift_walk_counts_under_the_node_cap():
+    no11 = custom_shift(lambda w: (1, 1) not in zip(w, w[1:]), label="no11")
+    assert [max_symbol_count(no11, 1, k) for k in range(1, 8)] == [1, 1, 2, 2, 3, 3, 4]
+    assert count_language(no11, 7, node_cap=34) == 34
+    with pytest.raises(ResourceCapExceeded):
+        count_language(no11, 7, node_cap=33)
+    with pytest.raises(ResourceCapExceeded):
+        max_symbol_count(no11, 1, 7, node_cap=33)

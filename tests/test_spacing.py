@@ -24,7 +24,9 @@ from shiftlab.sets import (
     parse_set_expr,
 )
 from shiftlab.spacing import (
+    WINDOWED_DP_MAX_WINDOW,
     PSetSpec,
+    _count_branch_and_bound,
     admissible,
     count_spacing,
     delta_star_bound_check,
@@ -74,25 +76,38 @@ def test_evens_frozen_counts():
 
 
 def test_strategies_agree():
-    for k in range(1, 13):
-        assert count_spacing(GOLDEN_P, k, strategy="windowed_dp") == \
-            count_spacing(GOLDEN_P, k, strategy="branch_and_bound")
+    P = PSetSpec(parse_set_expr("complement:(finite:{1,3,7,12})"))
+    spec = spacing_shift(P)
+    assert spec.engine == "automaton_dp"
+    for k in range(1, 31):
+        assert count_spacing(P, k) == count_language(spec, k)
+    # branch and bound on the same P stays a second engine to check against
+    for k in range(1, 19):
+        assert count_spacing(P, k) == _count_branch_and_bound(PSetSpec(P.base), k)
 
 
 def test_windowed_dp_needs_finite_excluded():
-    with pytest.raises(PreconditionError):
-        count_spacing(EVENS_P, 5, strategy="windowed_dp")
-    with pytest.raises(PreconditionError):
-        count_spacing(GOLDEN_P, 5, strategy="nope")
+    # the automaton needs N \ P finite and at most WINDOWED_DP_MAX_WINDOW
+    w = WINDOWED_DP_MAX_WINDOW
+    assert spacing_shift(PSetSpec(parse_set_expr("complement:(finite:{%d})" % w))) \
+        .engine == "automaton_dp"
+    wide = PSetSpec(parse_set_expr("complement:(finite:{2,%d})" % (w + 1)))
+    assert spacing_shift(wide).engine == "branch_and_bound"
+    assert spacing_shift(EVENS_P).engine == "branch_and_bound"
+    for k in range(1, 11):
+        assert count_spacing(wide, k) == count_language(spacing_shift(wide), k,
+                                                        strategy="brute_force")
+    with pytest.raises(TypeError):
+        count_spacing(GOLDEN_P, 5, strategy="windowed_dp")
 
 
 def test_spacing_shift_spec():
     spec = spacing_shift(GOLDEN_P)
-    assert spec.counting_strategy == "windowed_dp"
+    assert spec.engine == "automaton_dp"
     assert contains_word(spec, "1010") and not contains_word(spec, "11")
     assert count_language(spec, 10) == 144
     spec_e = spacing_shift(EVENS_P)
-    assert spec_e.counting_strategy == "branch_and_bound"
+    assert spec_e.engine == "branch_and_bound"
     assert contains_word(spec_e, "10100") and not contains_word(spec_e, "1100")
 
 
@@ -218,8 +233,9 @@ def test_position_search_reads_the_excluded_mask(text):
         start = rng.randint(1, k + 1)
         chosen = sorted(rng.sample(range(1, start), min(start - 1, rng.randint(0, 6))))
         assert list(spec._position_next(chosen, start, k)) == list(ref(chosen, start, k))
-    # the same searches on a spec whose position step is the definition
-    ref_spec = spacing_shift(P)
+    # the same searches on a spec whose position step is the definition (on
+    # its own P: spacing_shift builds one spec per P)
+    ref_spec = spacing_shift(PSetSpec(P.base))
     ref_spec._position_next = ref
     for k in range(1, 31):
         assert max_symbol_count(spec, 1, k) == max_symbol_count(ref_spec, 1, k)

@@ -255,6 +255,8 @@ class BetaSpec:
 
 def beta_digits(spec, k):
     """The first k digits of the expansion of 1 in base beta, as a Word."""
+    if k < 0:
+        raise PreconditionError("k must be >= 0")
     if k > spec.digit_horizon:
         raise PreconditionError("k exceeds digit_horizon")
     return word([spec.digit(i) for i in range(k)], n=spec.alphabet_size)

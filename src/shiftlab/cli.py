@@ -92,6 +92,8 @@ def _cmd_entropy(args):
 
 
 def _cmd_language(args):
+    if args.limit < 0:
+        raise PreconditionError("limit must be >= 0")
     spec = langkit.parse_shift_spec(args.shift)
     lam = langkit.count_language(spec, args.k, strategy=args.strategy,
                                  node_cap=args.cap_states)
@@ -123,6 +125,8 @@ def _cmd_sets_classify(args):
 
 
 def _cmd_sets_diff(args):
+    if args.limit < 0:
+        raise PreconditionError("limit must be >= 0")
     A = sets.parse_set_expr(args.set)
     D = sets.difference_set(A, args.horizon)
     members = D.members(args.horizon)
@@ -142,6 +146,8 @@ def _cmd_beta_digits(args):
 
 def _cmd_beta_parry(args):
     spec = beta_mod.parse_beta(args.beta)
+    if args.horizon < 1:
+        raise PreconditionError("horizon must be >= 1")
     # past the digit horizon only that many digits exist to compare, so the
     # horizon reported is the one checked and the verdict is not exact
     checked = min(args.horizon, spec.digit_horizon)

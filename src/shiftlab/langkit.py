@@ -26,27 +26,35 @@ Counting engines, named by ``spec.engine`` after what the spec provides:
 * ``automaton_dp`` - a transition table: layered DPs over its states, in
   (+, x) for lambda_k and in (max, +) with edge weight [a == alpha] for the
   maximal symbol count D_k (the walk counts of Lind & Marcus, ch. 4);
-* ``branch_and_bound`` - position_next without a table: a pruned search over
-  1-position subsets (spacing shifts with any other P, the counting shift);
+* ``branch_and_bound`` - a narrowing step without a table: position_search
+  over 1-position subsets (spacing shifts with any other P, the counting
+  shift);
 * ``dfs`` - neither: a walk over enumerate_language (custom specs).
 
 ``brute_force`` tests all n**k words independently and is the oracle every
-engine is checked against.
+engine is checked against. D_k follows the same engine, except that a family
+with a closed form for its maximal 1-count hands it over as ``ones_exact``.
 
 Every engine but dfs is resumable. The lambda_1, lambda_2, ... column and
 the engine's working state (a DP layer, say) are cached on the spec object a
 parse builds, so ``count_language(spec, k)`` returns a cached lambda_k or
 advances the saved state from its last length to k: a K-row entropy table
-costs one counting pass, in any order of k. The D_k columns of the (max, +)
-DP are kept the same way. The position searches use that the binary
-families they serve are hereditary and shift-invariant, so 0w is in L_k
-exactly when w is in L_(k-1), and
+costs one counting pass, in any order of k. The D_k columns are kept the
+same way. Nothing is cached at module level: two separate runs do the same
+work.
+
+The position search serves binary families that are hereditary and
+shift-invariant. Adding a 1 only adds constraints, so the admissible next
+1-positions only shrink as a word grows: ``narrow(chosen, rest)`` keeps
+those of the parent's remaining candidates ``rest`` (ascending, above
+chosen[-1]) still admissible after the 1s in ``chosen``. Since 0w is in
+L_k exactly when w is in L_(k-1),
 
     lambda_k = lambda_(k-1) + #{w in L_k : w_1 = 1},
 
-where the second term counts the admissible 1-position sets through
-position 1. Nothing is cached at module level: two separate runs do the
-same work.
+where the walk counts the second term: the admissible 1-position sets
+through position 1. Cut by the suffix bound D_(k-q), the same walk gives
+D_k and a witness.
 
 Entropy values h_k = log2(lambda_k)/k are reported as upper bounds only:
 h(X) is the infimum of the sequence, so no extrapolation is ever sound.
@@ -54,6 +62,7 @@ h(X) is the infimum of the sequence, so no extrapolation is ever sound.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -70,6 +79,9 @@ from .errors import (
 )
 
 BRUTE_FORCE_CAP = 1 << 22
+# largest alphabet a shift spec may name: a transition-table row holds one
+# entry per symbol
+MAX_ALPHABET = 1 << 16
 DEFAULT_NODE_CAP = 2_000_000
 
 
@@ -110,16 +122,15 @@ class SubshiftSpec:
 
     The acceptor is either ``transition(state, a)`` over canonical states,
     which is memoised in a transition table, or ``step(state, prefix_len, a)``.
-    ``position_next`` (optional, binary hereditary families only) yields the
-    admissible next 1-positions given the chosen 1-positions so far; it backs
-    the branch-and-bound counting and maximum-weight searches, and
-    ``position_count(k, node_cap)`` may stand in for the generic position
-    count with a faster one of the same sets. ``engine`` names the counting
-    engine these select (see the module docstring).
+    ``narrow(chosen, rest)`` (optional, binary hereditary families only) backs
+    position_search (see the module docstring); ``position_count(k,
+    node_cap)`` may stand in as the entry that counts lambda_k with it, and
+    ``ones_exact(k)``, a closed form (D_k, 1-positions of a witness), for
+    its D_k. ``engine`` names the counting engine these select.
     """
 
     def __init__(self, n, family, label, start_state, step=None, transition=None,
-                 position_next=None, position_count=None, ones_exact=None, params=None):
+                 narrow=None, position_count=None, ones_exact=None, params=None):
         self.alphabet = Alphabet(n)
         self.n = n
         self.family = family
@@ -133,18 +144,18 @@ class SubshiftSpec:
                 return table[state][a]
 
             self.engine = "automaton_dp"
-        elif position_next is not None:
+        elif narrow is not None:
             self.engine = "branch_and_bound"
         else:
             self.engine = "dfs"
         self._step = step
-        self._position_next = position_next
+        self._narrow = narrow
         self._position_count = position_count
         self._ones_exact = ones_exact
         self.params = dict(params or {})
-        self._column = []   # lambda column of the generic position count
-        self._dps = {}      # alpha (None for lambda) -> StateDP on the table
-        self._d_cache = {}  # D_k and witnesses of the position searches
+        self._column = []     # lambda column of the position search
+        self._witnesses = []  # witnesses[j-1]: 1-positions of a word realising D_j
+        self._dps = {}        # alpha (None for lambda) -> StateDP on the table
 
     def _dp(self, alpha=None):
         dp = self._dps.get(alpha)
@@ -236,22 +247,14 @@ def _walk_language(spec, k, node_cap):
         yield w
 
 
-def extend_column(column, k, next_lambda):
-    """lambda_k from a cached column (column[j-1] = lambda_j), first appending
-    next_lambda(j) for every missing j <= k in ascending order. A value is
-    appended only after next_lambda returns, so a call that raises (a node
-    cap, say) leaves every cached value valid."""
+def extend_column(column, k, next_value):
+    """The k-th entry of a cached column (column[j-1] for length j: lambda_j,
+    say), first appending next_value(j) for every missing j <= k in
+    ascending order. A value is appended only after next_value returns, so a
+    call that raises (a node cap, say) leaves every cached value valid."""
     while len(column) < k:
-        column.append(next_lambda(len(column) + 1))
+        column.append(next_value(len(column) + 1))
     return column[k - 1]
-
-
-def hereditary_column(column, k, with_one):
-    """lambda_k of a hereditary, shift-invariant binary family, where
-    with_one(j) counts the admissible 1-position sets B in [1, j] with 1 in B:
-    lambda_j = lambda_(j-1) + with_one(j), lambda_0 = 1."""
-    return extend_column(
-        column, k, lambda j: (column[-1] if column else 1) + with_one(j))
 
 
 class StateDP:
@@ -290,31 +293,59 @@ class StateDP:
         return max(nxt.values())
 
 
-def _count_positions(spec, k, node_cap):
-    """lambda_k of a binary hereditary family from its position_next, by an
-    explicit-stack walk over the 1-position sets through position 1 (see the
-    module docstring). node_cap bounds the nodes this call expands."""
-    pos_next = spec._position_next
-    nodes = 0
-
-    def with_one(j):
-        nonlocal nodes
-        chosen, pending, total = [1], [iter(pos_next([1], 2, j))], 1
-        while pending:
-            for q in pending[-1]:
-                nodes += 1
-                if nodes > node_cap:
-                    raise ResourceCapExceeded("position count exceeded %d nodes" % node_cap)
-                total += 1
-                chosen.append(q)
-                pending.append(iter(pos_next(chosen, q + 1, j)))
+def position_search(narrow, chosen, cands, node_cap, bound=None):
+    """Explicit-stack depth-first walk over the admissible extensions of the
+    1-positions ``chosen`` (next candidates ``cands``): each node adds one
+    candidate q, in ascending order, and narrows the candidates above it.
+    Returns (nodes visited, the first largest set seen). ``bound(q)``, an
+    upper bound on the 1s after a 1 at q that does not grow with q, cuts
+    the branches that cannot beat that set. node_cap bounds the nodes."""
+    chosen = list(chosen)
+    best, nodes = tuple(chosen), 0
+    stack = []  # (candidates, iterator over them) of each open ancestor level
+    level, it = cands, enumerate(cands, 1)
+    while True:
+        for i, q in it:
+            nodes += 1
+            if nodes > node_cap:
+                raise ResourceCapExceeded("position search exceeded %d nodes" % node_cap)
+            if bound is not None and len(chosen) + 1 + bound(q) <= len(best):
+                # a later q only lowers the bound: close this level
+                it = iter(())
                 break
-            else:
-                pending.pop()
-                chosen.pop()
-        return total
+            chosen.append(q)
+            if len(chosen) > len(best):
+                best = tuple(chosen)
+            rest = level[i:]
+            if rest:
+                rest = narrow(chosen, rest)
+                if rest:
+                    stack.append((level, it))
+                    level, it = rest, enumerate(rest, 1)
+                    break
+            chosen.pop()
+        else:
+            if not stack:
+                return nodes, best
+            level, it = stack.pop()
+            chosen.pop()
 
-    return hereditary_column(spec._column, k, with_one)
+
+def count_positions(spec, k, node_cap=DEFAULT_NODE_CAP):
+    """lambda_k of a binary hereditary family from the position search,
+    resuming the spec's lambda column: lambda_j = lambda_(j-1) + the number
+    of admissible 1-position sets in [1, j] through 1 (see the module
+    docstring). node_cap bounds the nodes this call expands."""
+    column, budget = spec._column, node_cap
+
+    def next_lambda(j):
+        nonlocal budget
+        nodes, _ = position_search(spec._narrow, [1],
+                                   spec._narrow([1], list(range(2, j + 1))), budget)
+        budget -= nodes
+        return (column[-1] if column else 1) + 1 + nodes
+
+    return extend_column(column, k, next_lambda)
 
 
 def count_language(spec, k, strategy=None, node_cap=DEFAULT_NODE_CAP):
@@ -342,7 +373,7 @@ def count_language(spec, k, strategy=None, node_cap=DEFAULT_NODE_CAP):
     if spec.engine == "branch_and_bound":
         if spec._position_count is not None:
             return spec._position_count(k, node_cap)
-        return _count_positions(spec, k, node_cap)
+        return count_positions(spec, k, node_cap)
     return sum(1 for _ in _walk_language(spec, k, node_cap))
 
 
@@ -407,90 +438,90 @@ def entropy_estimates(spec, k_max, strategy=None, ks=None, node_cap=DEFAULT_NODE
 
 # -- maximal symbol density ------------------------------------------------------
 
-def _max_ones_by_positions(spec, k, node_cap):
-    """Max number of 1s over L_k via branch and bound on 1-position subsets.
-    Uses previously computed D-values as suffix bounds; deterministic ascending
-    order. Requires spec.position_next."""
-    pos_next = spec._position_next
-    d = spec._d_cache
+def _max_ones_word(spec, k, node_cap):
+    """A word of L_k with D_k 1s for a binary position family: from its
+    ones_exact closed form when it has one, else from the position search
+    cut by the suffix bound D_(k-q), resuming the spec's witness column (D_j
+    is the length of entry j). node_cap bounds the nodes this call expands."""
+    column, budget = spec._witnesses, node_cap
 
-    def ub(rem):
-        if rem <= 0:
-            return 0
-        got = d.get(("D", 1, rem))
-        return got if got is not None else rem
+    def next_witness(j):
+        nonlocal budget
+        nodes, best = position_search(
+            spec._narrow, [], list(range(1, j + 1)), budget,
+            lambda q: len(column[j - q - 1]) if q < j else 0)
+        budget -= nodes
+        return best
 
-    best = 0
-    best_set = ()
-    nodes = 0
-
-    def rec(chosen, start):
-        nonlocal best, best_set, nodes
-        if len(chosen) > best:
-            best = len(chosen)
-            best_set = tuple(chosen)
-        for q in pos_next(chosen, start, k):
-            nodes += 1
-            if nodes > node_cap:
-                raise ResourceCapExceeded("max-ones search exceeded %d nodes" % node_cap)
-            if len(chosen) + 1 + ub(k - q) <= best:
-                break  # later q only shrinks the suffix bound
-            chosen.append(q)
-            rec(chosen, q + 1)
-            chosen.pop()
-
-    rec([], 1)
-    return best, best_set
+    exact = spec._ones_exact
+    if exact is None:
+        ones = extend_column(column, k, next_witness)
+    else:
+        val, ones = exact(k)
+    syms = [0] * k
+    for p in ones:
+        syms[p - 1] = 1
+    # a closed form's witness is verified by membership; its upper bound is
+    # the family's analytic argument
+    if exact is not None and (len(ones) != val or not spec.accepts(tuple(syms))):
+        raise SpecValidationError("ones_exact witness invalid for %s at k=%d" % (spec.label, k))
+    return syms
 
 
-def max_symbol_count(spec, alpha, k, node_cap=DEFAULT_NODE_CAP):
-    """D_k(X, alpha): the maximal number of occurrences of alpha over L_k(X).
-    Subadditive in k. Binary position families search 1-position sets (and
-    record a witness); a transition table runs the resumable (max, +) DP; a
-    custom spec walks L_k under node_cap."""
+def _table_witness(spec, alpha, k):
+    """Symbols of a word realising D_k(alpha) on a transition table: one
+    forward (max, +) pass that keeps, in every layer, each state's best count
+    with the state and symbol it was reached from, then a walk back from a
+    best state of the last layer."""
+    table = spec._table
+    layers = [{spec._start_state: (0, None, None)}]
+    for _ in range(k):
+        nxt = {}
+        for state, (best, _, _) in layers[-1].items():
+            for a, (ok, st) in enumerate(table[state]):
+                if ok:
+                    got = best + (a == alpha)
+                    if st not in nxt or got > nxt[st][0]:
+                        nxt[st] = (got, state, a)
+        layers.append(nxt)
+    last = layers[-1]
+    state = max(last, key=lambda st: last[st][0])
+    syms = [0] * k
+    for j in range(k, 0, -1):
+        _, state, syms[j - 1] = layers[j][state]
+    return syms
+
+
+def _check_symbol(spec, alpha, k):
     if k < 1:
         raise PreconditionError("k must be >= 1")
     if alpha == 0 or not (0 < alpha < spec.n):
         raise PreconditionError("alpha must be a nonzero symbol")
-    key = ("D", alpha, k)
-    if key in spec._d_cache:
-        return spec._d_cache[key]
-    if spec._ones_exact is not None and alpha == 1 and spec.n == 2:
-        # family-supplied closed form; the witness is verified by membership,
-        # the upper bound is the family's analytic argument
-        val, wit = spec._ones_exact(k)
-        syms = [0] * k
-        for p in wit:
-            syms[p - 1] = 1
-        if len(wit) != val or not spec.accepts(tuple(syms)):
-            raise SpecValidationError(
-                "ones_exact witness invalid for %s at k=%d" % (spec.label, k))
-        spec._d_cache[key] = val
-        spec._d_cache[("Dwit", 1, k)] = tuple(wit)
-        return val
-    if spec._position_next is not None and alpha == 1 and spec.n == 2:
-        # fill the table bottom-up so suffix bounds are available
-        for kk in range(1, k + 1):
-            kk_key = ("D", 1, kk)
-            if kk_key not in spec._d_cache:
-                val, wit = _max_ones_by_positions(spec, kk, node_cap)
-                spec._d_cache[kk_key] = val
-                spec._d_cache[("Dwit", 1, kk)] = wit
-        return spec._d_cache[key]
-    if spec._table is not None:
+
+
+def max_symbol_count(spec, alpha, k, node_cap=DEFAULT_NODE_CAP):
+    """D_k(X, alpha): the maximal number of occurrences of alpha over L_k(X).
+    Subadditive in k. By spec.engine: the resumable (max, +) DP on a table,
+    the position search (or the family's ones_exact) on a narrowing step, a
+    walk over L_k under node_cap on a custom spec."""
+    _check_symbol(spec, alpha, k)
+    if spec.engine == "automaton_dp":
         return spec._dp(alpha).value(k)
-    return max(w.count(alpha) for w in _walk_language(spec, k, node_cap))
+    return max_symbol_witness(spec, alpha, k, node_cap).symbols.count(alpha)
 
 
 def max_symbol_witness(spec, alpha, k, node_cap=DEFAULT_NODE_CAP):
-    """A word realizing D_k (as a Word), when the position search is available."""
-    max_symbol_count(spec, alpha, k, node_cap=node_cap)
-    wit = spec._d_cache.get(("Dwit", alpha, k))
-    if wit is None:
-        raise PreconditionError("witness only tracked for binary position families")
-    syms = [0] * k
-    for p in wit:
-        syms[p - 1] = 1
+    """A word of L_k(X) (as a Word) with D_k(X, alpha) occurrences of alpha,
+    found by the engine that gives D_k. On a transition table it costs one
+    forward (max, +) pass kept for the walk back, which max_symbol_count
+    does not keep."""
+    _check_symbol(spec, alpha, k)
+    if spec.engine == "automaton_dp":
+        syms = _table_witness(spec, alpha, k)
+    elif spec.engine == "dfs":
+        syms = max(_walk_language(spec, k, node_cap), key=lambda w: w.count(alpha))
+    else:
+        syms = _max_ones_word(spec, k, node_cap)  # binary, so alpha is 1
     return Word(spec.alphabet, tuple(syms))
 
 
@@ -638,39 +669,27 @@ def _counting_cap(length):
     return (length - 1).bit_length()
 
 
-def _counting_min_span(count):
-    """Smallest window length whose cap admits `count` ones."""
-    if count <= 1:
-        return 1
-    return (1 << (count - 1)) + 1
-
-
 def counting_shift():
     """The zero-entropy mixing hereditary shift: a word is admissible iff every
     subword of length in (2**(j-1), 2**j] carries at most j ones."""
 
-    def pos_ok(chosen, q):
+    def min_next(chosen):
+        # the least q that keeps every window from chosen[i] to q in its cap:
+        # its m - i + 1 ones need a length above 2**(m - i)
         m = len(chosen)
-        for i in range(m):
-            if q - chosen[i] + 1 < _counting_min_span(m - i + 1):
-                return False
-        return True
+        return max(p + (1 << (m - i)) for i, p in enumerate(chosen))
 
     def step(state, i, a):
         # state: tuple of 1-based 1-positions so far
         if a == 0:
             return True, state
         q = i + 1
-        if not pos_ok(state, q):
+        if state and q < min_next(state):
             return False, state
         return True, state + (q,)
 
-    def pos_next(chosen, start, k):
-        q_min = start
-        m = len(chosen)
-        for i in range(m):
-            q_min = max(q_min, chosen[i] + _counting_min_span(m - i + 1) - 1)
-        return range(q_min, k + 1)
+    def narrow(chosen, rest):
+        return rest[bisect.bisect_left(rest, min_next(chosen)):]
 
     def ones_exact(k):
         # the window covering the whole word already forces <= cap(k) ones,
@@ -683,7 +702,7 @@ def counting_shift():
     return SubshiftSpec(
         n=2, family="counting", label="counting",
         start_state=(), step=step,
-        position_next=pos_next, ones_exact=ones_exact, params={})
+        narrow=narrow, ones_exact=ones_exact, params={})
 
 
 def forbidden_shift(forbidden, n=2, sample_depth=None):
@@ -764,8 +783,9 @@ def parse_shift_spec(text):
             n = int(text[len("full:n="):])
         except ValueError as e:
             raise SpecParseError("bad alphabet size in %r" % (text,)) from e
-        if n < 2:
-            raise SpecParseError("alphabet size must be >= 2 in %r" % (text,))
+        if not 2 <= n <= MAX_ALPHABET:
+            raise SpecParseError(
+                "alphabet size must be in [2, %d] in %r" % (MAX_ALPHABET, text))
         return full_shift(n)
     if text.startswith("spacing:P="):
         from .sets import parse_set_expr
@@ -773,7 +793,11 @@ def parse_shift_spec(text):
         return spacing_shift(PSetSpec(parse_set_expr(text[len("spacing:P="):])))
     if text.startswith("beta:beta="):
         from .beta import beta_shift, parse_beta
-        return beta_shift(parse_beta(text[len("beta:beta="):]))
+        bspec = parse_beta(text[len("beta:beta="):])
+        if bspec.alphabet_size > MAX_ALPHABET:
+            raise SpecParseError(
+                "beta alphabet exceeds %d symbols in %r" % (MAX_ALPHABET, text))
+        return beta_shift(bspec)
     if text.startswith("forbidden:{") and text.endswith("}"):
         body = text[len("forbidden:{"):-1]
         parts = [p.strip() for p in body.split(",") if p.strip()]

@@ -21,7 +21,7 @@ from itertools import chain, cycle, islice
 from math import lcm
 from operator import sub
 
-from .errors import SpecParseError
+from .errors import PreconditionError, SpecParseError
 from .langkit import DEFAULT_NODE_CAP
 
 _DEFAULT_HORIZON = 10_000
@@ -298,8 +298,7 @@ def upper_density(A, H=_DEFAULT_HORIZON):
     ep = A.eventually_periodic()
     if ep is not None:
         return DensityResult(_period_density(ep), exact=True, exists=True)
-    bits = A.bits(H)
-    counts = _prefix_counts(bits)
+    counts = _prefix_counts(A, H)
     est = max(Fraction(counts[n], n) for n in _grid(H))
     return DensityResult(float(est), exact=False, horizon=H)
 
@@ -312,8 +311,7 @@ def asymptotic_density(A, H=_DEFAULT_HORIZON):
     if isinstance(A, FactorialBlocksSet):
         # sparsity certificate: |A cap [1, n!]| <= 2 + 3 + ... + (n-1) = o(n!)
         return DensityResult(Fraction(0), exact=True, exists=True)
-    bits = A.bits(H)
-    counts = _prefix_counts(bits)
+    counts = _prefix_counts(A, H)
     est = Fraction(counts[H], H)
     return DensityResult(float(est), exact=False, exists=None, horizon=H)
 
@@ -328,8 +326,7 @@ def upper_banach_density(A, H=_DEFAULT_HORIZON, min_window=16):
     ep = A.eventually_periodic()
     if ep is not None:
         return DensityResult(_period_density(ep), exact=True, exists=True)
-    bits = A.bits(H)
-    counts = _prefix_counts(bits)
+    counts = _prefix_counts(A, H)
     best = Fraction(0)
     L = min_window
     while L <= H:
@@ -339,9 +336,13 @@ def upper_banach_density(A, H=_DEFAULT_HORIZON, min_window=16):
     return DensityResult(float(best), exact=False, horizon=H)
 
 
-def _prefix_counts(bits):
+def _prefix_counts(A, H):
+    """counts[n] = |A cap [1, n]| for n = 0..H, the window every finite-horizon
+    density estimate reads."""
+    if H < 1:
+        raise PreconditionError("horizon must be >= 1")
     counts = [0]
-    for b in bits:
+    for b in A.bits(H):
         counts.append(counts[-1] + b)
     return counts
 
@@ -361,8 +362,6 @@ def difference_set(A, H):
 
 def sum_set_FS(S, depth, bound):
     """All sums of at most `depth` distinct elements of S, truncated at `bound`."""
-    from .errors import PreconditionError
-
     elems = S.members(bound)
     if not elems:
         raise PreconditionError("sum_set_FS: no elements of S below %d" % bound)

@@ -10,16 +10,14 @@ whatever the number of 1s so far.
 
 When the excluded-difference set N \\ P is finite with largest element
 w <= WINDOWED_DP_MAX_WINDOW, the state is cut to its last w bits and the
-spec hands langkit its transition, so lambda_k comes from the automaton DP
-over at most 2**w states. For any other P the state keeps every 1 and
-lambda_k comes from branch and bound over 1-position subsets with forward
-pruning. Each PSetSpec builds its spec once, so count_spacing and
-count_language(spacing_shift(P), k) read one resumable lambda column: the
-automaton DP's on that spec, or the branch-and-bound column kept on P. A
-K-row column costs one counting pass. Branch and bound uses that Omega_P is
-hereditary and shift-invariant (0w is admissible iff w is), so
-lambda_k = lambda_(k-1) + #{w in L_k : w_1 = 1}, and each step enumerates only
-the admissible 1-position sets through position 1.
+spec hands langkit its transition, so lambda_k and D_k come from the
+automaton DPs over at most 2**w states. For any other P the state keeps
+every 1, and the spec hands over a narrowing step for langkit's position
+search: a candidate q stays when q - chosen[-1] lies in P, since the parent
+node already tested the earlier 1s. Each PSetSpec builds its spec once, so
+count_spacing and count_language(spacing_shift(P), k) extend the one
+resumable lambda column on that spec, and a K-row column costs one counting
+pass.
 """
 
 from __future__ import annotations
@@ -29,13 +27,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import Word
-from .errors import PreconditionError, ResourceCapExceeded
+from .errors import PreconditionError
 from .langkit import (
     DEFAULT_NODE_CAP,
     SubshiftSpec,
     count_language,
+    count_positions,
     entropy_estimates,
-    hereditary_column,
     max_density_word,
 )
 from .sets import IntSetSpec, difference_set
@@ -48,9 +46,6 @@ class PSetSpec:
     """The parameter P of a spacing shift; membership decidable to any horizon."""
 
     base: IntSetSpec
-    # resumable branch-and-bound lambda column of Omega_P (see count_spacing)
-    _column: list = field(default_factory=list, init=False, compare=False, repr=False,
-                          hash=False)
     # [excluded-difference mask, number of differences it covers]
     _excluded: list = field(default_factory=lambda: [0, 0], init=False, compare=False,
                             repr=False, hash=False)
@@ -101,48 +96,16 @@ def admissible(P, w):
     return True
 
 
-def _window(P):
-    """The largest excluded difference when N \\ P is finite and at most
-    WINDOWED_DP_MAX_WINDOW, so that Omega_P is counted as an automaton;
-    None otherwise."""
-    w = P.excluded_max()
-    return w if w is not None and w <= WINDOWED_DP_MAX_WINDOW else None
-
-
-def _count_branch_and_bound(P, k, node_cap=DEFAULT_NODE_CAP):
-    """Count admissible 1-position subsets of [1, k], one length at a time:
-    lambda_j = lambda_(j-1) + #{admissible B in [1, j] with 1 in B}. Positions
-    ascend and the running allowed-positions list is intersected on every
-    choice. node_cap bounds the nodes this call spends."""
-    p_bits = [False] + [P.contains(d) for d in range(1, k)]
-    nodes = 0
-
-    def rec(allowed):
-        nonlocal nodes
-        total = 1
-        for idx, q in enumerate(allowed):
-            nodes += 1
-            if nodes > node_cap:
-                raise ResourceCapExceeded("spacing count exceeded %d nodes" % node_cap)
-            total += rec([r for r in allowed[idx + 1:] if p_bits[r - q]])
-        return total
-
-    def with_one(j):
-        return rec([r for r in range(2, j + 1) if p_bits[r - 1]])
-
-    return hereditary_column(P._column, k, with_one)
-
-
 def count_spacing(P, k, node_cap=DEFAULT_NODE_CAP):
     """lambda_k for Omega_P, exact, by the engine spacing_shift(P) gets: the
-    automaton DP of that spec when N \\ P is finite and small, else branch
-    and bound. Either resumes the one lambda column of P (kept on P's spec or
-    on P). node_cap bounds the nodes one branch-and-bound call expands."""
+    automaton DP when N \\ P is finite and small, else the position search.
+    node_cap bounds the nodes one position-search call expands."""
     if k < 1:
         raise PreconditionError("k must be >= 1")
-    if _window(P) is not None:
-        return count_language(spacing_shift(P), k)
-    return _count_branch_and_bound(P, k, node_cap=node_cap)
+    spec = spacing_shift(P)
+    if spec.engine == "automaton_dp":
+        return count_language(spec, k)
+    return count_positions(spec, k, node_cap)
 
 
 def spacing_shift(P):
@@ -150,16 +113,16 @@ def spacing_shift(P):
     reads the position: a 1 is refused when the relative 1-mask meets the
     excluded mask. With N \\ P finite and small the mask is cut to the window
     and handed over as a transition (automaton DP); otherwise it is grown
-    when the state outruns it, and lambda_k comes from count_spacing (branch
-    and bound)."""
+    when the state outruns it, and lambda_k comes from count_spacing (the
+    position search)."""
     if not isinstance(P, PSetSpec):
         P = PSetSpec(P)
     if P._shift:
         return P._shift[0]
 
-    w = _window(P)
-    step = transition = position_count = None
-    if w is not None:
+    w = P.excluded_max()
+    step = transition = narrow = position_count = None
+    if w is not None and w <= WINDOWED_DP_MAX_WINDOW:
         excluded, window = P.excluded_mask(w), (1 << w) - 1
 
         def transition(state, a):
@@ -180,23 +143,24 @@ def spacing_shift(P):
                 return False, state
             return True, (state << 1) | 1
 
+        # in_p[d]: d in P, grown at least twofold; in this hot loop a list
+        # index is faster than a bit test on the excluded mask
+        in_p = [False]
+
+        def narrow(chosen, rest):
+            # rest is admissible after chosen[:-1] already: test q - chosen[-1]
+            p = chosen[-1]
+            if rest and rest[-1] - p >= len(in_p):
+                in_p.extend(P.contains(d) for d in range(len(in_p), 2 * (rest[-1] - p) + 1))
+            return [q for q in rest if in_p[q - p]]
+
         def position_count(k, node_cap):
             return count_spacing(P, k, node_cap=node_cap)
-
-    def pos_next(chosen, start, k):
-        # chosen lies below start; s0 is the relative 1-mask at start
-        s0 = 0
-        for p in chosen:
-            s0 |= 1 << (start - 1 - p)
-        excluded = P.excluded_mask(k)
-        for q in range(start, k + 1):
-            if not (s0 << (q - start)) & excluded:
-                yield q
 
     P._shift.append(SubshiftSpec(
         n=2, family="spacing", label="spacing:P=%s" % P,
         start_state=0, step=step, transition=transition,
-        position_next=pos_next, position_count=position_count,
+        narrow=narrow, position_count=position_count,
         params={"P": str(P)}))
     return P._shift[0]
 

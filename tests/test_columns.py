@@ -68,22 +68,22 @@ def _evens_closed_form(k):
 
 
 def test_spacing_keeps_one_column():
-    # branch and bound: the spec's count goes through count_spacing, so both
-    # extend the one column kept on P
+    # the position search: the spec's count goes through count_spacing, so
+    # both extend the one column kept on P's spec
     P = PSetSpec(EVENS)
     spec = spacing_shift(P)
     assert [count_language(spec, k) for k in range(1, 9)] == \
         [_evens_closed_form(k) for k in range(1, 9)]
-    assert P._column == [_evens_closed_form(k) for k in range(1, 9)]
-    assert count_spacing(P, 12) == _evens_closed_form(12) and len(P._column) == 12
-    # the automaton DP keeps its column on P's one spec, none on P itself
+    assert spec._column == [_evens_closed_form(k) for k in range(1, 9)]
+    assert count_spacing(P, 12) == _evens_closed_form(12) and len(spec._column) == 12
+    # the automaton DP keeps its column in its DP, no position column
     golden = PSetSpec(ComplementSet(FiniteSet(frozenset({1}))))
     assert [count_spacing(golden, k) for k in range(1, 13)] == \
         [2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377]
     assert spacing_shift(golden) is spacing_shift(golden)
     assert spacing_shift(golden)._dp().column == [2, 3, 5, 8, 13, 21, 34, 55, 89, 144,
                                                   233, 377]
-    assert golden._column == []
+    assert spacing_shift(golden)._column == []
 
 
 def test_beta_keeps_one_column():
@@ -100,7 +100,7 @@ def test_cap_trip_leaves_column_consistent():
     P = PSetSpec(EVENS)
     with pytest.raises(ResourceCapExceeded):
         count_spacing(P, 30, node_cap=50)
-    cached = P._column
+    cached = spacing_shift(P)._column
     assert 0 < len(cached) < 30
     assert cached == [_evens_closed_form(k) for k in range(1, len(cached) + 1)]
     assert count_spacing(P, 30) == _evens_closed_form(30)

@@ -2,6 +2,7 @@ import io
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -343,3 +344,79 @@ def test_custom_shift_walk_counts_under_the_node_cap():
         count_language(no11, 7, node_cap=33)
     with pytest.raises(ResourceCapExceeded):
         max_symbol_count(no11, 1, 7, node_cap=33)
+
+
+# -- the position search ------------------------------------------------------------
+
+def _seeded_window():
+    rng = random.Random(7)
+    return "window:" + "".join(rng.choice("0111") for _ in range(40))
+
+
+POSITION_FAMILIES = (
+    "counting",
+    "spacing:P=evens",
+    "spacing:P=periodic:;0111011",
+    "spacing:P=pow2diff",
+    "spacing:P=factorial_blocks",
+    "spacing:P=" + _seeded_window(),
+)
+
+
+@pytest.mark.parametrize("text", POSITION_FAMILIES)
+def test_position_search_lambda_matches_brute_force(text):
+    spec = parse_shift_spec(text)
+    assert spec.engine == "branch_and_bound"
+    for k in range(1, 15):
+        assert count_language(spec, k) == count_language(spec, k, strategy="brute_force"), k
+    if text == "spacing:P=evens":
+        assert [count_language(spec, k) for k in range(1, 31)] == \
+            [2 ** ((k + 1) // 2) + 2 ** (k // 2) - 1 for k in range(1, 31)]
+
+
+def _max_symbol_spec(name):
+    if name == "counting-search":
+        # the counting shift without its closed form, so D_k runs the search
+        spec = counting_shift()
+        spec._ones_exact = None
+        return spec
+    if name == "custom-no11":
+        return custom_shift(lambda w: (1, 1) not in zip(w, w[1:]), label="no11")
+    return parse_shift_spec(name)
+
+
+@pytest.mark.parametrize("name", POSITION_FAMILIES + (
+    "counting-search", "full:n=2", "full:n=3", "forbidden:{111,0101}",
+    "spacing:P=complement:(finite:{1,3,7,12})", "beta:beta=1.5", "beta:beta=2.5",
+    "beta:beta=quad:(1+1*sqrt5)/2", "custom-no11"))
+def test_max_symbol_count_and_witness_match_enumeration(name):
+    spec = _max_symbol_spec(name)
+    for k in range(1, 11):
+        words = list(enumerate_language(spec, k))
+        for alpha in range(1, spec.n):
+            best = max(w.count(alpha) for w in words)
+            assert max_symbol_count(spec, alpha, k) == best, (k, alpha)
+            wit = max_symbol_witness(spec, alpha, k)
+            assert len(wit) == k and contains_word(spec, wit)
+            assert wit.symbols.count(alpha) == best
+
+
+def test_deep_max_symbol_count_on_a_finite_state_spacing_shift():
+    # the (max, +) DP, not the position search, and a witness from one
+    # backtracked pass
+    spec = parse_shift_spec("spacing:P=complement:(finite:{1})")
+    assert max_symbol_count(spec, 1, 2100) == 1050
+    wit = max_symbol_witness(spec, 1, 2100)
+    assert wit.weight() == 1050 and contains_word(spec, wit)
+
+
+def test_capped_max_symbol_count_leaves_a_valid_column():
+    text = "spacing:P=periodic:;0111011"
+    fresh = [max_symbol_count(parse_shift_spec(text), 1, k) for k in range(1, 31)]
+    spec = parse_shift_spec(text)
+    with pytest.raises(ResourceCapExceeded):
+        max_symbol_count(spec, 1, 30, node_cap=40)
+    assert 0 < len(spec._witnesses) < 30
+    assert [len(w) for w in spec._witnesses] == fresh[:len(spec._witnesses)]
+    assert max_symbol_count(spec, 1, 30) == fresh[-1]
+    assert [len(w) for w in spec._witnesses] == fresh

@@ -19,6 +19,7 @@ from shiftlab.sets import (
     ODDS,
     ComplementSet,
     FiniteSet,
+    IntSetSpec,
     PeriodicSet,
     Pow2DiffSet,
     parse_set_expr,
@@ -26,7 +27,6 @@ from shiftlab.sets import (
 from shiftlab.spacing import (
     WINDOWED_DP_MAX_WINDOW,
     PSetSpec,
-    _count_branch_and_bound,
     admissible,
     count_spacing,
     delta_star_bound_check,
@@ -40,6 +40,20 @@ from shiftlab.spacing import (
 GOLDEN_P = PSetSpec(ComplementSet(FiniteSet(frozenset({1}))))
 EVENS_P = PSetSpec(EVENS)
 FULL_P = PSetSpec(NATURALS)
+
+
+class _Unperiodic(IntSetSpec):
+    """P with its eventual periodicity hidden, so that spacing_shift counts
+    Omega_P by the position search even where N \\ P is finite."""
+
+    def __init__(self, base):
+        self.base = base
+
+    def contains(self, i):
+        return self.base.contains(i)
+
+    def to_expr(self):
+        return "unperiodic(%s)" % self.base
 
 
 def test_excluded_max():
@@ -81,9 +95,11 @@ def test_strategies_agree():
     assert spec.engine == "automaton_dp"
     for k in range(1, 31):
         assert count_spacing(P, k) == count_language(spec, k)
-    # branch and bound on the same P stays a second engine to check against
+    # the position search on the same P stays a second engine to check against
+    searched = PSetSpec(_Unperiodic(P.base))
+    assert spacing_shift(searched).engine == "branch_and_bound"
     for k in range(1, 19):
-        assert count_spacing(P, k) == _count_branch_and_bound(PSetSpec(P.base), k)
+        assert count_spacing(P, k) == count_spacing(searched, k)
 
 
 def test_windowed_dp_needs_finite_excluded():
@@ -206,14 +222,12 @@ def test_spacing_language_hereditary_property(excluded, k):
     assert ok
 
 
-def _reference_position_next(P):
-    """The definition-level position search: q is allowed when q - p lies in
-    P for every chosen 1 at p."""
-    def pos_next(chosen, start, k):
-        for q in range(start, k + 1):
-            if all(P.contains(q - p) for p in chosen):
-                yield q
-    return pos_next
+def _reference_narrow(P):
+    """The definition-level narrowing step: q stays when q - p lies in P for
+    every chosen 1 at p."""
+    def narrow(chosen, rest):
+        return [q for q in rest if all(P.contains(q - p) for p in chosen)]
+    return narrow
 
 
 _WINDOW_BITS = "".join(random.Random(29).choice("0111") for _ in range(40))
@@ -224,20 +238,31 @@ _WINDOW_BITS = "".join(random.Random(29).choice("0111") for _ in range(40))
     "window:" + _WINDOW_BITS,
 ])
 def test_position_search_reads_the_excluded_mask(text):
-    P = PSetSpec(parse_set_expr(text))
+    # hiding the period puts every P, the finite-excluded one too, on the
+    # position search
+    P = PSetSpec(_Unperiodic(parse_set_expr(text)))
     spec = spacing_shift(P)
-    ref = _reference_position_next(P)
+    assert spec.engine == "branch_and_bound"
+    ref = _reference_narrow(P)
     rng = random.Random(text)
     for _ in range(200):
-        k = rng.randint(1, 60)
-        start = rng.randint(1, k + 1)
-        chosen = sorted(rng.sample(range(1, start), min(start - 1, rng.randint(0, 6))))
-        assert list(spec._position_next(chosen, start, k)) == list(ref(chosen, start, k))
-    # the same searches on a spec whose position step is the definition (on
+        # an admissible chosen set and the candidates its parent keeps above
+        # chosen[-1]: the positions admissible after chosen[:-1]
+        k = rng.randint(2, 60)
+        chosen = [rng.randint(1, k - 1)]
+        for _ in range(rng.randint(0, 5)):
+            above = ref(chosen, list(range(chosen[-1] + 1, k)))
+            if not above:
+                break
+            chosen.append(rng.choice(above))
+        rest = ref(chosen[:-1], list(range(chosen[-1] + 1, k + 1)))
+        assert spec._narrow(chosen, rest) == ref(chosen, rest)
+    # the same searches on a spec whose narrowing step is the definition (on
     # its own P: spacing_shift builds one spec per P)
     ref_spec = spacing_shift(PSetSpec(P.base))
-    ref_spec._position_next = ref
+    ref_spec._narrow = ref
     for k in range(1, 31):
+        assert count_language(spec, k) == count_language(ref_spec, k)
         assert max_symbol_count(spec, 1, k) == max_symbol_count(ref_spec, 1, k)
         assert max_symbol_witness(spec, 1, k) == max_symbol_witness(ref_spec, 1, k)
-        assert spec._d_cache == ref_spec._d_cache
+    assert spec._witnesses == ref_spec._witnesses

@@ -51,7 +51,7 @@ from .core import (
     word,
 )
 from .errors import PreconditionError, SpecParseError
-from .langkit import SubshiftSpec, count_language, hereditary_check, log2_int
+from .langkit import SubshiftSpec, count_language, hereditary_check
 
 DEFAULT_DIGIT_HORIZON = 4096
 
@@ -330,7 +330,7 @@ def beta_shift(spec):
 
         spec._shift = SubshiftSpec(
             n=spec.alphabet_size, family="beta", label="beta:beta=%s" % spec.label,
-            start_state=0, transition=transition, params={"beta": spec.label})
+            start_state=0, transition=transition)
     return spec._shift
 
 
@@ -339,10 +339,3 @@ def beta_hereditary_probe(spec, k):
     valid beta (beta shifts are hereditary)."""
     ok, _ = hereditary_check(beta_shift(spec), k)
     return ok
-
-
-def entropy_vs_log_beta(spec, k):
-    """(log2(lambda_k)/k, log2(beta)) - the entropy of a beta shift is log2(beta),
-    and the first component is a finite upper-bound estimate of it."""
-    lam = count_beta_language(spec, k)
-    return log2_int(lam) / k, math.log2(float(spec.beta))

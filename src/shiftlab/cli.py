@@ -206,6 +206,8 @@ def _cmd_spacing_recurrence(args):
 
 
 def _cmd_spacing_delta_star(args):
+    if args.trials < 0:
+        raise PreconditionError("trials must be >= 0")
     A = sets.parse_set_expr(args.set)
     ok, counterexample = spacing.delta_star_bound_check(
         A, args.k, args.trials, args.horizon, args.seed)
@@ -229,6 +231,8 @@ _SELFTEST_FAMILIES = (
 
 
 def _cmd_selftest(args):
+    if args.kmax < 1:
+        raise PreconditionError("kmax must be >= 1")
     rows = []
     all_ok = True
     cap_hit = False
@@ -255,11 +259,12 @@ def _cmd_selftest(args):
 
 # -- argument parsing ---------------------------------------------------------
 
-def _add_common(p):
+def _add_common(p, cap_states=False):
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--timing", action="store_true",
                    help="include wall time (breaks byte-reproducibility)")
-    p.add_argument("--cap-states", type=int, default=langkit.DEFAULT_NODE_CAP)
+    if cap_states:
+        p.add_argument("--cap-states", type=int, default=langkit.DEFAULT_NODE_CAP)
 
 
 def build_parser():
@@ -271,7 +276,7 @@ def build_parser():
     p.add_argument("--shift", required=True)
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--strategy", default=None)
-    _add_common(p)
+    _add_common(p, cap_states=True)
     p.set_defaults(fn=_cmd_entropy)
 
     p = sub.add_parser("language", help="count (and list) language words")
@@ -280,7 +285,7 @@ def build_parser():
     p.add_argument("--strategy", default=None)
     p.add_argument("--list", action="store_true")
     p.add_argument("--limit", type=int, default=64)
-    _add_common(p)
+    _add_common(p, cap_states=True)
     p.set_defaults(fn=_cmd_language)
 
     p = sub.add_parser("density", help="density of an integer set")
@@ -296,7 +301,7 @@ def build_parser():
     q.add_argument("--set", required=True)
     q.add_argument("--horizon", type=int, default=10_000)
     q.add_argument("--ip-bound", type=int, default=None)
-    _add_common(q)
+    _add_common(q, cap_states=True)
     q.set_defaults(fn=_cmd_sets_classify)
     q = ssub.add_parser("diff", help="difference set to a horizon")
     q.add_argument("--set", required=True)
@@ -345,7 +350,7 @@ def build_parser():
     q = psub.add_parser("recurrence-probe", help="entropy of the complement spacing shift")
     q.add_argument("--set", required=True, help="candidate recurrence set R")
     q.add_argument("--kmax", type=int, required=True)
-    _add_common(q)
+    _add_common(q, cap_states=True)
     q.set_defaults(fn=_cmd_spacing_recurrence)
     q = psub.add_parser("delta-star", help="difference-intersection bound experiment")
     q.add_argument("--set", required=True)

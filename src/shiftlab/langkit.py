@@ -54,7 +54,9 @@ L_k exactly when w is in L_(k-1),
 
 where the walk counts the second term: the admissible 1-position sets
 through position 1. Cut by the suffix bound D_(k-q), the same walk gives
-D_k and a witness.
+D_k and a witness, and sets.largest_delta_subset a Delta-set: D - D lies in
+A exactly when the indicator word of D is in L(Omega_A). A node-cap trip
+leaves the best set so far in ResourceCapExceeded.partial.
 
 Entropy values h_k = log2(lambda_k)/k are reported as upper bounds only:
 h(X) is the infimum of the sequence, so no extrapolation is ever sound.
@@ -130,7 +132,7 @@ class SubshiftSpec:
     """
 
     def __init__(self, n, family, label, start_state, step=None, transition=None,
-                 narrow=None, position_count=None, ones_exact=None, params=None):
+                 narrow=None, position_count=None, ones_exact=None):
         self.alphabet = Alphabet(n)
         self.n = n
         self.family = family
@@ -152,7 +154,6 @@ class SubshiftSpec:
         self._narrow = narrow
         self._position_count = position_count
         self._ones_exact = ones_exact
-        self.params = dict(params or {})
         self._column = []     # lambda column of the position search
         self._witnesses = []  # witnesses[j-1]: 1-positions of a word realising D_j
         self._dps = {}        # alpha (None for lambda) -> StateDP on the table
@@ -299,7 +300,8 @@ def position_search(narrow, chosen, cands, node_cap, bound=None):
     candidate q, in ascending order, and narrows the candidates above it.
     Returns (nodes visited, the first largest set seen). ``bound(q)``, an
     upper bound on the 1s after a 1 at q that does not grow with q, cuts
-    the branches that cannot beat that set. node_cap bounds the nodes."""
+    (with the candidates left in the level) the branches that cannot beat
+    that set. A node_cap trip leaves that set in ResourceCapExceeded.partial."""
     chosen = list(chosen)
     best, nodes = tuple(chosen), 0
     stack = []  # (candidates, iterator over them) of each open ancestor level
@@ -308,11 +310,15 @@ def position_search(narrow, chosen, cands, node_cap, bound=None):
         for i, q in it:
             nodes += 1
             if nodes > node_cap:
-                raise ResourceCapExceeded("position search exceeded %d nodes" % node_cap)
-            if bound is not None and len(chosen) + 1 + bound(q) <= len(best):
-                # a later q only lowers the bound: close this level
-                it = iter(())
-                break
+                e = ResourceCapExceeded("position search exceeded %d nodes" % node_cap)
+                e.partial = best
+                raise e
+            if bound is not None:
+                need = len(best) - len(chosen)  # the 1s a branch must add to win
+                if len(level) - i < need or bound(q) < need:
+                    # a later q only lowers both bounds: close this level
+                    it = iter(())
+                    break
             chosen.append(q)
             if len(chosen) > len(best):
                 best = tuple(chosen)
@@ -408,7 +414,7 @@ class EntropyReport:
         return {"strategy": self.strategy, "rows": [r.to_json() for r in self.rows]}
 
 
-def entropy_estimates(spec, k_max, strategy=None, ks=None, node_cap=DEFAULT_NODE_CAP):
+def entropy_estimates(spec, k_max, strategy=None, node_cap=DEFAULT_NODE_CAP):
     """Rows (k, lambda_k, h_k) for k = 1..k_max; every h_k is an upper bound for
     h(X) since h is the infimum. The increment column log2(lambda_k/lambda_{k-1})
     is advisory only. node_cap goes to every count_language call; when it
@@ -417,11 +423,10 @@ def entropy_estimates(spec, k_max, strategy=None, ks=None, node_cap=DEFAULT_NODE
     if k_max < 1:
         raise PreconditionError("k_max must be >= 1")
     strategy = strategy or spec.engine
-    ks = list(ks) if ks is not None else list(range(1, k_max + 1))
     rows = []
     inf_so_far = math.inf
     prev = None
-    for k in ks:
+    for k in range(1, k_max + 1):
         try:
             lam = count_language(spec, k, strategy=strategy, node_cap=node_cap)
         except ResourceCapExceeded as e:
@@ -525,14 +530,13 @@ def max_symbol_witness(spec, alpha, k, node_cap=DEFAULT_NODE_CAP):
     return Word(spec.alphabet, tuple(syms))
 
 
-def maximal_density_estimate(spec, alpha, k_max, ks=None, node_cap=DEFAULT_NODE_CAP):
+def maximal_density_estimate(spec, alpha, k_max, node_cap=DEFAULT_NODE_CAP):
     """Upper bounds D_k/k for the maximal density of alpha in X (the infimum of
     the sequence). Returns a list of (k, D_k, Fraction(D_k, k))."""
     if alpha == 0:
         raise PreconditionError("alpha must be nonzero")
-    ks = list(ks) if ks is not None else list(range(1, k_max + 1))
     out = []
-    for k in ks:
+    for k in range(1, k_max + 1):
         d = max_symbol_count(spec, alpha, k, node_cap=node_cap)
         out.append((k, d, Fraction(d, k)))
     return out
@@ -543,65 +547,67 @@ def max_density_word(spec, alpha, k, k_ref=None, require_target=True,
     """A length-k language word whose every prefix has alpha-frequency at least
     D_{k_ref}/k_ref - 1/k (the constructive step behind the max-density point).
 
-    Search: branch and bound maximizing the minimum prefix frequency, ties
-    broken by lexicographically least word. With require_target=False the
-    target check is skipped and the best word found is returned (used by
-    difference-set witnesses, where the density target of the underlying
-    theorem is the true maximal density, not its finite upper bound)."""
-    if k < 1:
-        raise PreconditionError("k must be >= 1")
-    target = None
+    Returns the lexicographically least word maximizing the minimum prefix
+    frequency, and that value: an ascending explicit-stack branch and bound
+    keeps strict improvements only, so it finds that word first. Its floor is
+    the target or the value of a greedy dive (alpha first, then the others
+    descending) that reaches length k. require_target=False skips the target
+    (difference-set witnesses, whose theorem targets the true maximal
+    density). node_cap bounds the symbols tried, the dive's included."""
+    _check_symbol(spec, alpha, k)
+    target = Fraction(0)  # no prefix frequency is below 0
     if require_target:
         k_ref = k if k_ref is None else k_ref
         d_ref = max_symbol_count(spec, alpha, k_ref, node_cap=node_cap)
         target = Fraction(d_ref, k_ref) - Fraction(1, k)
-    n = spec.n
-    nodes = 0
-
-    def search(sym_order, floor_value, stop_at_first):
-        nonlocal nodes
-        best_val = None
-        best_word = None
-
-        def rec(prefix, state, cnt, cur_min):
-            nonlocal best_val, best_word, nodes
-            if best_word is not None and stop_at_first:
-                return
-            if len(prefix) == k:
-                if best_val is None or cur_min > best_val:
-                    best_val = cur_min
-                    best_word = tuple(prefix)
-                return
-            i = len(prefix)
-            for a in sym_order:
-                nodes += 1
-                if nodes > node_cap:
-                    raise ResourceCapExceeded("max_density_word exceeded %d nodes" % node_cap)
-                ok, st = spec._step(state, i, a)
-                if not ok:
-                    continue
-                c = cnt + (1 if a == alpha else 0)
-                m = min(cur_min, Fraction(c, i + 1))
-                if floor_value is not None and m < floor_value:
-                    continue
-                if best_val is not None and m <= best_val and not stop_at_first:
-                    continue
-                prefix.append(a)
-                rec(prefix, st, c, m)
-                prefix.pop()
-
-        rec([], spec._start_state, 0, Fraction(k + 1))  # min over empty prefix set: +inf surrogate
-        return best_val, best_word
-
-    desc = sorted(range(n), reverse=True)
-    best_val, best_word = search(desc, target, stop_at_first=False)
+    step, nodes = spec._step, 0
+    order = [alpha] + [a for a in range(spec.n - 1, -1, -1) if a != alpha]
+    state, cnt, dive = spec._start_state, 0, Fraction(1)
+    for i in range(k):
+        for a in order:
+            nodes += 1
+            ok, st = step(state, i, a)
+            if ok:
+                break
+        else:
+            dive = Fraction(0)  # a dead end: no floor from the dive
+            break
+        state, cnt = st, cnt + (a == alpha)
+        dive = min(dive, Fraction(cnt, i + 1))
+    floor, best_val, best_word = max(target, dive), Fraction(-1), None
+    # the prefix, and (state, alpha count, minimum prefix frequency, symbols
+    # left to try) of each open ancestor
+    prefix, stack = [], []
+    state, cnt, low, it = spec._start_state, 0, Fraction(1), iter(range(spec.n))
+    while True:
+        i = len(prefix)
+        for a in it:
+            nodes += 1
+            if nodes > node_cap:
+                raise ResourceCapExceeded("max_density_word exceeded %d nodes" % node_cap)
+            ok, st = step(state, i, a)
+            if not ok:
+                continue
+            c = cnt + (a == alpha)
+            m = min(low, Fraction(c, i + 1))
+            if m < floor or m <= best_val:
+                continue
+            if i + 1 == k:
+                best_val, best_word = m, tuple(prefix) + (a,)
+                continue
+            stack.append((state, cnt, low, it))
+            prefix.append(a)
+            state, cnt, low, it = st, c, m, iter(range(spec.n))
+            break
+        else:
+            if not stack:
+                break
+            state, cnt, low, it = stack.pop()
+            prefix.pop()
     if best_word is None:
         raise SearchFailure(
             "no length-%d word meets the prefix-density target %s" % (k, target))
-    # second pass: lexicographically least among the maximizers
-    asc = sorted(range(n))
-    _, lex_word = search(asc, best_val, stop_at_first=True)
-    return Word(spec.alphabet, lex_word), best_val
+    return Word(spec.alphabet, best_word), best_val
 
 
 # -- heredity ----------------------------------------------------------------------
@@ -658,7 +664,7 @@ def full_shift(n=2):
 
     return SubshiftSpec(
         n=n, family="full", label="full:n=%d" % n,
-        start_state=None, transition=transition, params={"n": n})
+        start_state=None, transition=transition)
 
 
 def _counting_cap(length):
@@ -702,10 +708,10 @@ def counting_shift():
     return SubshiftSpec(
         n=2, family="counting", label="counting",
         start_state=(), step=step,
-        narrow=narrow, ones_exact=ones_exact, params={})
+        narrow=narrow, ones_exact=ones_exact)
 
 
-def forbidden_shift(forbidden, n=2, sample_depth=None):
+def forbidden_shift(forbidden, n=2):
     """Subshift avoiding an explicit finite set of forbidden words. Not
     hereditary in general; validated for right-prolongability by sampling."""
     forb = tuple(word(f, n) if not isinstance(f, Word) else f for f in forbidden)
@@ -725,15 +731,14 @@ def forbidden_shift(forbidden, n=2, sample_depth=None):
     label = "forbidden:{%s}" % ",".join(str(f) for f in forb)
     spec = SubshiftSpec(
         n=n, family="forbidden", label=label,
-        start_state=(), transition=transition,
-        params={"forbidden": [str(f) for f in forb]})
-    _validate_prolongable(spec, sample_depth or max_len + 2)
+        start_state=(), transition=transition)
+    _validate_prolongable(spec, max_len + 2)
     return spec
 
 
-def custom_shift(predicate, n=2, label="custom", sample_depth=6):
+def custom_shift(predicate, n=2, label="custom"):
     """Subshift from a word predicate; factoriality and right-prolongability are
-    sampled up to sample_depth and violations raise SpecValidationError."""
+    sampled up to length 6 and violations raise SpecValidationError."""
 
     def step(state, i, a):
         w = state + (a,)
@@ -741,9 +746,9 @@ def custom_shift(predicate, n=2, label="custom", sample_depth=6):
 
     spec = SubshiftSpec(
         n=n, family="custom", label=label,
-        start_state=(), step=step, params={})
-    _validate_factorial(spec, predicate, sample_depth)
-    _validate_prolongable(spec, sample_depth)
+        start_state=(), step=step)
+    _validate_factorial(spec, predicate, 6)
+    _validate_prolongable(spec, 6)
     return spec
 
 

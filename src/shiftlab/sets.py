@@ -21,10 +21,13 @@ from itertools import chain, cycle, islice
 from math import lcm
 from operator import sub
 
-from .errors import PreconditionError, SpecParseError
-from .langkit import DEFAULT_NODE_CAP
+from .errors import PreconditionError, ResourceCapExceeded, SpecParseError
+from .langkit import DEFAULT_NODE_CAP, position_search
 
 _DEFAULT_HORIZON = 10_000
+IP_MAX_SIZE = 12
+# each parenthesis nests parse_set_expr and the set methods one level deeper
+MAX_SET_EXPR_PARENS = 100
 
 
 class IntSetSpec:
@@ -198,7 +201,6 @@ class FactorialBlocksSet(IntSetSpec):
 EVENS = PeriodicSet((), (0, 1), name="evens")
 ODDS = PeriodicSet((), (1, 0), name="odds")
 NATURALS = PeriodicSet((), (1,), name="")
-EMPTY = PeriodicSet((), (0,), name="")
 
 _NAMED = {
     "evens": EVENS,
@@ -210,6 +212,8 @@ _NAMED = {
 
 def parse_set_expr(text):
     text = text.strip()
+    if text.count("(") > MAX_SET_EXPR_PARENS:
+        raise SpecParseError("over %d parentheses in a set expression" % MAX_SET_EXPR_PARENS)
     if text in _NAMED:
         return _NAMED[text]
     if text.startswith("finite:{") and text.endswith("}"):
@@ -351,6 +355,8 @@ def _prefix_counts(A, H):
 
 def difference_set(A, H):
     """{a - a' : a, a' in A cap [1, H], a > a'} as a windowed set."""
+    if H < 1:
+        raise PreconditionError("horizon must be >= 1")
     mem = A.members(H)
     diffs = set()
     for i, a in enumerate(mem):
@@ -418,35 +424,26 @@ def _longest_run(members):
 
 
 def largest_delta_subset(A, H, node_cap=DEFAULT_NODE_CAP):
-    """Largest D subset of [1, H] found with D - D inside A (bounded backtracking,
-    deterministic ascending order; the size is a lower bound on the true max)."""
+    """Largest D subset of [1, H] found with D - D inside A: the 1-positions of
+    a densest word of L_H(Omega_A), by the position search in ascending order.
+    Past node_cap it is the best set so far, a lower bound on the true max."""
     bits = [False] + [A.contains(d) for d in range(1, H + 1)]
-    best = []
-    nodes = 0
 
-    def rec(chosen, allowed):
-        nonlocal best, nodes
-        if len(chosen) > len(best):
-            best = list(chosen)
-        for idx, q in enumerate(allowed):
-            nodes += 1
-            if nodes > node_cap:
-                return
-            if len(chosen) + 1 + (len(allowed) - idx - 1) <= len(best):
-                break
-            nxt = [r for r in allowed[idx + 1:] if bits[r - q]]
-            chosen.append(q)
-            rec(chosen, nxt)
-            chosen.pop()
+    def narrow(chosen, rest):
+        p = chosen[-1]
+        return [r for r in rest if bits[r - p]]
 
-    rec([], list(range(1, H + 1)))
-    return tuple(best)
+    try:
+        return position_search(narrow, [], list(range(1, H + 1)), node_cap,
+                               lambda q: H - q)[1]
+    except ResourceCapExceeded as e:
+        return e.partial
 
 
-def largest_ip_subset(A, bound, node_cap=DEFAULT_NODE_CAP, max_size=12):
+def largest_ip_subset(A, bound, node_cap=DEFAULT_NODE_CAP):
     """Largest S found with FS(S) inside A and every finite sum <= bound.
     The result is a lower bound on the true maximum: the search stops at
-    max_size elements and at the node cap (dense A admits huge IP sets)."""
+    IP_MAX_SIZE elements and at the node cap (dense A admits huge IP sets)."""
     candidates = A.members(bound)
     best = []
     nodes = 0
@@ -455,12 +452,10 @@ def largest_ip_subset(A, bound, node_cap=DEFAULT_NODE_CAP, max_size=12):
         nonlocal best, nodes
         if len(chosen) > len(best):
             best = list(chosen)
-        if len(best) >= max_size:
-            return
         top = max(sums) if sums else 0
         for j in range(start, len(candidates)):
             nodes += 1
-            if nodes > node_cap or len(best) >= max_size:
+            if nodes > node_cap or len(best) >= IP_MAX_SIZE:
                 return
             c = candidates[j]
             if sums and c + top > bound:
@@ -479,6 +474,8 @@ def largest_ip_subset(A, bound, node_cap=DEFAULT_NODE_CAP, max_size=12):
 def classify(A, H=_DEFAULT_HORIZON, ip_bound=None, node_cap=DEFAULT_NODE_CAP):
     """Finite-horizon structure report: longest run (thickness evidence), max gap
     (syndeticity evidence), and bounded Delta / IP witness searches."""
+    if H < 1:
+        raise PreconditionError("horizon must be >= 1")
     if ip_bound is None:
         ip_bound = min(H, 4096)
     members = A.members(H)

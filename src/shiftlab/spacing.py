@@ -160,8 +160,7 @@ def spacing_shift(P):
     P._shift.append(SubshiftSpec(
         n=2, family="spacing", label="spacing:P=%s" % P,
         start_state=0, step=step, transition=transition,
-        narrow=narrow, position_count=position_count,
-        params={"P": str(P)}))
+        narrow=narrow, position_count=position_count))
     return P._shift[0]
 
 
@@ -188,26 +187,26 @@ def weak_mixing_probe(P, block_len, H):
     return False
 
 
-def recurrence_entropy_probe(R, k_max, strategy=None, node_cap=DEFAULT_NODE_CAP):
+def recurrence_entropy_probe(R, k_max, node_cap=DEFAULT_NODE_CAP):
     """Entropy-side evidence for R as a recurrence set: h_k upper bounds for
     Omega_{N \\ R} (R is a recurrence set iff that entropy is zero)."""
     from .sets import ComplementSet
 
     P = PSetSpec(ComplementSet(R))
     spec = spacing_shift(P)
-    return entropy_estimates(spec, k_max, strategy=strategy, node_cap=node_cap)
+    return entropy_estimates(spec, k_max, node_cap=node_cap)
 
 
 def delta_star_bound_check(A, k, trials, H, seed, structured=True):
     """For `trials` seeded random (plus structured) k-element sets B in [1, H],
     verify that A - A contains a positive element of B - B. Precondition of the
     underlying pigeonhole lemma: the density estimate of A on [1, H] exceeds 1/k."""
+    diff = difference_set(A, H)  # checks the horizon
     members = A.members(H)
     beta = Fraction(len(members), H)
     if beta * k <= 1:
         raise PreconditionError(
             "density estimate %s <= 1/%d; the bound's precondition fails" % (beta, k))
-    diff = difference_set(A, H)
 
     def violates(B):
         bs = sorted(B)

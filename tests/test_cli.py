@@ -157,6 +157,47 @@ def test_envelope_has_no_cap_seconds():
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["density", "--set", "evens"],
+    ["sets", "diff", "--set", "evens"],
+    ["beta", "digits", "--beta", "1.5", "--k", "5"],
+    ["beta", "parry", "--beta", "1.5"],
+    ["chaos", "profile", "--x", ";10", "--y", ";0"],
+    ["chaos", "classify", "--x", ";10", "--y", ";0"],
+    ["chaos", "family", "--set", "evens", "--horizon", "1000"],
+    ["spacing", "delta-star", "--set", "evens", "--k", "3", "--seed", "1"],
+    ["selftest", "--kmax", "2"],
+])
+def test_cap_states_only_where_a_search_reads_it(argv):
+    # none of these runs a capped search, so the flag is a usage error
+    assert run_cli(argv)[0] == 0
+    with pytest.raises(SystemExit) as e:
+        main(argv + ["--cap-states", "-7"], out=io.StringIO())
+    assert e.value.code == 2
+
+
+def test_sets_classify_reads_cap_states():
+    full = run_json(["sets", "classify", "--set", "evens", "--horizon", "64"])
+    capped = run_json(["sets", "classify", "--set", "evens", "--horizon", "64",
+                       "--cap-states", "3"])
+    # a tripped cap leaves the best sets found so far as witnesses
+    assert full["result"]["delta_witness_size"] == 32
+    assert capped["result"]["delta_witness"] == [1, 3, 5]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sets", "classify", "--set", "evens", "--horizon", "-5"],
+    ["sets", "classify", "--set", "evens", "--horizon", "0"],
+    ["sets", "diff", "--set", "evens", "--horizon", "-5"],
+    ["spacing", "delta-star", "--set", "evens", "--k", "3", "--trials", "-4", "--seed", "1"],
+    ["spacing", "delta-star", "--set", "evens", "--k", "3", "--horizon", "0", "--seed", "1"],
+    ["selftest", "--kmax", "-2"],
+    ["selftest", "--kmax", "0"],
+])
+def test_sizes_below_their_range_exit_2(argv):
+    assert run_cli(argv)[0] == 2
+
+
 def test_timing_flag_adds_wall_time():
     env = run_json(["density", "--set", "evens", "--timing"])
     assert "wall_time_s" in env

@@ -2,7 +2,8 @@
 cli.main runs over generated commands built from small grammars of shift
 specs, set expressions, beta values and points, with garbage, beta <= 1,
 integer beta, huge alphabets, zero and negative sizes mixed in, and must
-return one of the documented exit codes. A usage error that argparse
+return one of the documented exit codes; a size below its range must exit
+2 rather than report on an empty range. A usage error that argparse
 catches leaves main as SystemExit(2), which tests/test_cli.py pins."""
 
 import contextlib
@@ -85,7 +86,30 @@ commands = st.one_of(
         lambda t: ["sets", "diff", "--set", t[0], "--horizon", str(t[1])] + t[2]),
     st.tuples(points, points, _flag("--n", st.integers(-1, 4))).map(
         lambda t: ["chaos", "classify", "--x", t[0], "--y", t[1]] + t[2]),
+    st.tuples(set_exprs, horizons, _flag("--ip-bound", horizons),
+              st.integers(-1, 2000).map(str)).map(
+        lambda t: ["sets", "classify", "--set", t[0], "--horizon", str(t[1])] + t[2]
+        + ["--cap-states", t[3]]),
+    st.tuples(set_exprs, sizes, _flag("--trials", st.integers(-3, 20)), horizons,
+              st.integers(0, 9)).map(
+        lambda t: ["spacing", "delta-star", "--set", t[0], "--k", str(t[1])] + t[2]
+        + ["--horizon", str(t[3]), "--seed", str(t[4])]),
+    st.integers(-2, 4).map(lambda k: ["selftest", "--kmax", str(k)]),
 )
+
+# (command, size flag) -> the least value that does not ask about an empty range
+MINIMUMS = {
+    ("entropy", "--kmax"): 1, ("language", "--k"): 1, ("beta digits", "--k"): 0,
+    ("beta parry", "--horizon"): 1, ("sets classify", "--horizon"): 1,
+    ("sets diff", "--horizon"): 1, ("spacing delta-star", "--horizon"): 1,
+    ("spacing delta-star", "--trials"): 0, ("selftest", "--kmax"): 1,
+}
+
+
+def _below_range(argv):
+    command = " ".join(argv[:2]) if argv[0] in ("beta", "sets", "spacing") else argv[0]
+    return any(cmd == command and flag in argv and int(argv[argv.index(flag) + 1]) < low
+               for (cmd, flag), low in MINIMUMS.items())
 
 
 @settings(max_examples=400, derandomize=True, deadline=None, database=None,
@@ -100,3 +124,5 @@ def test_cli_never_raises(argv):
             # by exiting with its usage-error status
             code = e.code
     assert code in EXIT_CODES, (argv, code)
+    if _below_range(argv):
+        assert code == 2, argv

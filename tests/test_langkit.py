@@ -12,6 +12,7 @@ from shiftlab.cli import main
 from shiftlab.errors import (
     PreconditionError,
     ResourceCapExceeded,
+    SearchFailure,
     SpecParseError,
     SpecValidationError,
 )
@@ -408,6 +409,44 @@ def test_deep_max_symbol_count_on_a_finite_state_spacing_shift():
     assert max_symbol_count(spec, 1, 2100) == 1050
     wit = max_symbol_witness(spec, 1, 2100)
     assert wit.weight() == 1050 and contains_word(spec, wit)
+
+
+def _least_densest_word(spec, alpha, k):
+    """The lexicographically least word of L_k maximizing the minimum prefix
+    frequency of alpha, with that value, from the enumerated language."""
+    low = {(): Fraction(1)}  # word -> its least prefix frequency of alpha
+    for j in range(1, k + 1):
+        for w in enumerate_language(spec, j):
+            low[w] = min(low[w[:-1]], Fraction(w.count(alpha), j))
+    words = list(enumerate_language(spec, k))  # lexicographic
+    best = max(low[w] for w in words)
+    return next(w for w in words if low[w] == best), best
+
+
+@pytest.mark.parametrize("name", POSITION_FAMILIES + (
+    "full:n=2", "forbidden:{111,0101}", "forbidden:{22,101}",
+    "spacing:P=complement:(finite:{1,3,7,12})", "beta:beta=1.5", "beta:beta=2.5",
+    "beta:beta=quad:(1+1*sqrt5)/2", "custom-no11"))
+def test_max_density_word_is_the_least_densest_word(name):
+    spec = _max_symbol_spec(name)
+    d = {j: [max(w.count(alpha) for w in enumerate_language(spec, j))
+             for alpha in range(spec.n)] for j in range(1, 11)}
+    failures = 0
+    for k in range(1, 11):
+        for alpha in range(1, spec.n):
+            ref_word, ref_val = _least_densest_word(spec, alpha, k)
+            w, val = max_density_word(spec, alpha, k, require_target=False)
+            assert (w.symbols, val) == (ref_word, ref_val), (k, alpha)
+            for k_ref in (k, 1, 3):
+                # the target D_(k_ref)/k_ref - 1/k
+                if ref_val >= Fraction(d[k_ref][alpha], k_ref) - Fraction(1, k):
+                    assert max_density_word(spec, alpha, k, k_ref) == (w, val), (k, alpha)
+                else:
+                    failures += 1
+                    with pytest.raises(SearchFailure):
+                        max_density_word(spec, alpha, k, k_ref)
+    if name != "full:n=2":
+        assert failures
 
 
 def test_capped_max_symbol_count_leaves_a_valid_column():

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from shiftlab.errors import SpecParseError
+from shiftlab import sets
+from shiftlab.errors import ResourceCapExceeded, SpecParseError
+from shiftlab.langkit import position_search
 from shiftlab.sets import (
     EVENS,
     ODDS,
@@ -163,6 +165,106 @@ def test_largest_delta_subset_evens():
     diffs = {b - a for i, a in enumerate(d) for b in d[i + 1:]}
     assert all(x in EVENS for x in diffs)
     assert len(d) == 6
+
+
+def _recursive_delta_reference(A, H, node_cap):
+    """The recursive backtracking search largest_delta_subset ran before it
+    moved onto the position search, kept as the reference: ascending order,
+    one node per candidate tried (counted before the cap and the level
+    bound), and the best set so far once the cap trips."""
+    bits = [False] + [A.contains(d) for d in range(1, H + 1)]
+    best = []
+    nodes = 0
+
+    def rec(chosen, allowed):
+        nonlocal best, nodes
+        if len(chosen) > len(best):
+            best = list(chosen)
+        for idx, q in enumerate(allowed):
+            nodes += 1
+            if nodes > node_cap:
+                return
+            if len(chosen) + 1 + (len(allowed) - idx - 1) <= len(best):
+                break
+            nxt = [r for r in allowed[idx + 1:] if bits[r - q]]
+            chosen.append(q)
+            rec(chosen, nxt)
+            chosen.pop()
+
+    rec([], list(range(1, H + 1)))
+    return tuple(best)
+
+
+def _delta_cases():
+    named = ["evens", "odds", "pow2diff", "factorial_blocks", "periodic:;0111011",
+             "complement:(finite:{1,3,7,12})", "union:(window:0010011|periodic:;0001)"]
+    for text in named:
+        for H, cap in ((40, 10 ** 6), (96, 500), (200, 3000)):
+            yield text, H, cap
+    rng = random.Random(41)
+    for _ in range(60):
+        bits = "".join(rng.choice("0111") for _ in range(rng.randint(5, 40)))
+        yield "window:" + bits, rng.randint(1, 45), rng.choice([1, 50, 300, 10 ** 6])
+
+
+@pytest.fixture
+def delta_cap_trips(monkeypatch):
+    """The arguments of each largest_delta_subset search that trips its cap."""
+    trips = []
+
+    def spy(*args):
+        try:
+            return position_search(*args)
+        except ResourceCapExceeded:
+            trips.append(args)
+            raise
+
+    monkeypatch.setattr(sets, "position_search", spy)
+    return trips
+
+
+def test_largest_delta_subset_matches_the_recursive_search(delta_cap_trips):
+    for text, H, cap in _delta_cases():
+        A = parse_set_expr(text)
+        got = largest_delta_subset(A, H, node_cap=cap)
+        assert got == _recursive_delta_reference(A, H, cap), (text, H, cap)
+        assert all(A.contains(b - a) for i, a in enumerate(got) for b in got[i + 1:])
+    # a capped search returns the best set so far as its witness
+    assert len(delta_cap_trips) > 20
+    for c in range(1, 8):
+        assert largest_delta_subset(EVENS, 40, node_cap=c) == tuple(range(1, 2 * c, 2))
+
+
+def test_largest_delta_subset_under_the_classify_cap(delta_cap_trips):
+    # sparse unions like those the benchmark's `sets classify` runs with
+    # --cap-states 20000: the cap trips mid-search, and the witness is partial
+    rng = random.Random(43)
+    for _ in range(3):
+        window, period = ["0"] * 128, ["0"] * 16
+        for i in rng.sample(range(128), 24):
+            window[i] = "1"
+        period[rng.randrange(16)] = "1"
+        A = parse_set_expr("union:(window:%s|periodic:;%s)"
+                           % ("".join(window), "".join(period)))
+        assert largest_delta_subset(A, 512, node_cap=20000) == \
+            _recursive_delta_reference(A, 512, 20000)
+    assert len(delta_cap_trips) == 3
+
+
+def test_deep_largest_delta_subset_without_recursion():
+    # the recursive search overflowed near H = 2000 on evens
+    d = largest_delta_subset(EVENS, 2100)
+    assert len(d) == 1050 and d[:3] == (1, 3, 5)
+
+
+def test_set_expression_nesting_is_bounded():
+    # each parenthesis nests one level of the parser and of the spec methods
+    deep = "union:(" * 50 + "window:01" + "|complement:(evens))" * 50
+    A = parse_set_expr(deep)
+    assert str(A) == deep
+    assert upper_density(A, 100).value == 0.625 and A.eventually_periodic() is None
+    with pytest.raises(SpecParseError):
+        parse_set_expr("complement:(" * 101 + "evens" + ")" * 101)
 
 
 def test_largest_ip_subset_pow2diff_small():

@@ -196,6 +196,13 @@ def test_difference_subset_witness_evens():
     assert all(d % 2 == 0 for d in diffs)
 
 
+def test_deep_difference_subset_witness_without_recursion():
+    # max_density_word recursed once per symbol and overflowed near H = 1000
+    w, value, P = difference_subset_witness(EVENS, 1200)
+    assert value == Fraction(1, 2) and len(w) == 1200
+    assert contains_word(spacing_shift(P), w)
+
+
 @settings(max_examples=15)
 @given(st.sets(st.integers(1, 6), max_size=4))
 def test_count_matches_brute_force_random_P(excluded):
@@ -230,12 +237,14 @@ def _reference_narrow(P):
     return narrow
 
 
-_WINDOW_BITS = "".join(random.Random(29).choice("0111") for _ in range(40))
+def _seeded_window_bits():
+    rng = random.Random(29)
+    return "".join(rng.choice("0111") for _ in range(40))
 
 
 @pytest.mark.parametrize("text", [
     "evens", "periodic:;0111011", "complement:(finite:{1,3,7,12})", "pow2diff",
-    "window:" + _WINDOW_BITS,
+    "window:" + _seeded_window_bits(),
 ])
 def test_position_search_reads_the_excluded_mask(text):
     # hiding the period puts every P, the finite-excluded one too, on the

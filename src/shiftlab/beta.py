@@ -279,13 +279,21 @@ def parry_check(d, H):
     syms = d.symbols if isinstance(d, Word) else tuple(d)
     L = len(syms)
     indeterminate = False
+    # Z-array pass: z[k] is the longest common prefix of syms and syms[k:];
+    # syms[l:r] == syms[:r - l] is the match reaching furthest right so far
+    z = [0] * L
+    l = r = 0
     for k in range(1, min(H, L - 1) + 1):
-        # equal-length tuple slices compare lexicographically
-        tail, head = syms[k:], syms[:L - k]
-        if tail > head:
+        n = min(r - k, z[k - l]) if k < r else 0
+        while k + n < L and syms[n] == syms[k + n]:
+            n += 1
+        z[k] = n
+        if k + n > r:
+            l, r = k, k + n
+        if k + n == L:
+            indeterminate = True  # the tail equals the prefix of its length
+        elif syms[k + n] > syms[n]:
             return False
-        if tail == head:
-            indeterminate = True
     return None if indeterminate else True
 
 

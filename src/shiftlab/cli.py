@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 spec/usage error, 3 resource cap, 4 precision.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -267,7 +268,10 @@ def _add_common(p, cap_states=False):
         p.add_argument("--cap-states", type=int, default=langkit.DEFAULT_NODE_CAP)
 
 
+@functools.cache
 def build_parser():
+    """The parser, built on the first call and shared by every later main()
+    call in the process (parse_args leaves it unchanged)."""
     ap = argparse.ArgumentParser(prog="shiftlab",
                                  description="subshift language and density workbench")
     sub = ap.add_subparsers(dest="command", required=True)

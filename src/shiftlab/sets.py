@@ -1,10 +1,18 @@
 """Integer-set calculus: subsets of N with decidable membership.
 
-Every spec can answer membership up to any horizon; densities are exact when
-the description permits (eventually periodic, or a generator with a sparsity
-certificate) and finite-horizon estimates otherwise. Estimates are never
-silently conflated with exact values: each density result carries an
-``exact`` flag, and classification verdicts are finite-horizon evidence only.
+Every spec answers membership two ways: ``contains(i)`` for one integer, and
+``bits(H)``, the 0/1 indicator of A cap [1, H] built in one pass over the
+set's structure (a window slice, the values 2**n - 2**m, the factorial
+blocks, an or of the parts' indicators), never one ``contains`` per integer.
+Every range consumer here reads ``bits(H)``: ``members``, the prefix counts
+behind the density estimates, the Delta-set search, and the IP search, which
+keeps its finite sums and A cap [1, bound] as int bitmasks.
+
+Densities are exact when the description permits (eventually periodic, or a
+generator with a sparsity certificate) and finite-horizon estimates
+otherwise. Estimates are never silently conflated with exact values: each
+density result carries an ``exact`` flag, and classification verdicts are
+finite-horizon evidence only.
 
 Set expression grammar (round-trips bit-exactly through parse/str):
 
@@ -17,9 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, cycle, islice
+from functools import partial, reduce
+from itertools import accumulate, chain, compress, cycle, islice
 from math import lcm
-from operator import sub
+from operator import or_, sub
 
 from .errors import PreconditionError, ResourceCapExceeded, SpecParseError
 from .langkit import DEFAULT_NODE_CAP, position_search
@@ -31,19 +40,21 @@ MAX_SET_EXPR_PARENS = 100
 
 
 class IntSetSpec:
-    """Base class; subclasses implement contains() and to_expr()."""
+    """Base class; subclasses implement contains(), bits() and to_expr()."""
 
     def contains(self, i):
+        raise NotImplementedError
+
+    def bits(self, H):
+        """[1 if contains(i) else 0 for i in 1..H] as ints, built from the
+        set's structure; [] for H < 1."""
         raise NotImplementedError
 
     def to_expr(self):
         raise NotImplementedError
 
     def members(self, H):
-        return [i for i in range(1, H + 1) if self.contains(i)]
-
-    def bits(self, H):
-        return [1 if self.contains(i) else 0 for i in range(1, H + 1)]
+        return list(compress(range(1, H + 1), self.bits(H)))
 
     def eventually_periodic(self):
         """(pre_bits, per_bits) if membership is provably eventually periodic."""
@@ -63,13 +74,19 @@ class FiniteSet(IntSetSpec):
     def contains(self, i):
         return i in self.elements
 
+    def bits(self, H):
+        out = [0] * max(H, 0)
+        for e in self.elements:
+            if 1 <= e <= H:
+                out[e - 1] = 1
+        return out
+
     def to_expr(self):
         return "finite:{%s}" % ",".join(str(e) for e in sorted(self.elements))
 
     def eventually_periodic(self):
         m = max(self.elements) if self.elements else 0
-        pre = tuple(1 if i in self.elements else 0 for i in range(1, m + 1))
-        return pre, (0,)
+        return tuple(self.bits(m)), (0,)
 
 
 @dataclass(frozen=True)
@@ -110,6 +127,9 @@ class ComplementSet(IntSetSpec):
     def contains(self, i):
         return i >= 1 and not self.inner.contains(i)
 
+    def bits(self, H):
+        return [1 - b for b in self.inner.bits(H)]
+
     def to_expr(self):
         return "complement:(%s)" % self.inner.to_expr()
 
@@ -128,6 +148,11 @@ class UnionSet(IntSetSpec):
     def contains(self, i):
         return any(p.contains(i) for p in self.parts)
 
+    def bits(self, H):
+        # lazy maps chained part by part, consumed once by list()
+        return list(reduce(partial(map, or_), (p.bits(H) for p in self.parts),
+                           [0] * max(H, 0)))
+
     def to_expr(self):
         return "union:(%s)" % "|".join(p.to_expr() for p in self.parts)
 
@@ -137,9 +162,8 @@ class UnionSet(IntSetSpec):
             return None
         pre_len = max(len(pre) for pre, _ in eps)
         per_len = lcm(*[len(per) for _, per in eps])
-        pre = tuple(1 if self.contains(i) else 0 for i in range(1, pre_len + 1))
-        per = tuple(1 if self.contains(i) else 0 for i in range(pre_len + 1, pre_len + per_len + 1))
-        return pre, per
+        bits = self.bits(pre_len + per_len)
+        return tuple(bits[:pre_len]), tuple(bits[pre_len:])
 
 
 @dataclass(frozen=True)
@@ -155,6 +179,11 @@ class WindowSet(IntSetSpec):
 
     def contains(self, i):
         return 1 <= i <= len(self.window_bits) and bool(self.window_bits[i - 1])
+
+    def bits(self, H):
+        H = max(H, 0)
+        out = [1 if b else 0 for b in self.window_bits[:H]]
+        return out + [0] * (H - len(out))
 
     def to_expr(self):
         return "window:%s" % "".join(map(str, self.window_bits))
@@ -173,6 +202,19 @@ class Pow2DiffSet(IntSetSpec):
             return False
         x = i >> ((i & -i).bit_length() - 1)
         return (x & (x + 1)) == 0
+
+    def bits(self, H):
+        # the O(log^2 H) values 2**n - 2**m <= H; 2**(n-1) is the least for n
+        out = [0] * max(H, 0)
+        n = 1
+        while 1 << (n - 1) <= H:
+            for m in range(n - 1, -1, -1):
+                v = (1 << n) - (1 << m)
+                if v > H:
+                    break
+                out[v - 1] = 1
+            n += 1
+        return out
 
     def to_expr(self):
         return "pow2diff"
@@ -193,6 +235,16 @@ class FactorialBlocksSet(IntSetSpec):
             n += 1
             f *= n
         return False
+
+    def bits(self, H):
+        out = [0] * max(H, 0)
+        f, n = 2, 2
+        while f <= H:
+            end = min(f + n, H + 1)
+            out[f - 1:end - 1] = [1] * (end - f)
+            n += 1
+            f *= n
+        return out
 
     def to_expr(self):
         return "factorial_blocks"
@@ -345,10 +397,7 @@ def _prefix_counts(A, H):
     density estimate reads."""
     if H < 1:
         raise PreconditionError("horizon must be >= 1")
-    counts = [0]
-    for b in A.bits(H):
-        counts.append(counts[-1] + b)
-    return counts
+    return list(accumulate(A.bits(H), initial=0))
 
 
 # -- set algebra to a horizon --------------------------------------------------
@@ -427,7 +476,7 @@ def largest_delta_subset(A, H, node_cap=DEFAULT_NODE_CAP):
     """Largest D subset of [1, H] found with D - D inside A: the 1-positions of
     a densest word of L_H(Omega_A), by the position search in ascending order.
     Past node_cap it is the best set so far, a lower bound on the true max."""
-    bits = [False] + [A.contains(d) for d in range(1, H + 1)]
+    bits = [0] + A.bits(H)
 
     def narrow(chosen, rest):
         p = chosen[-1]
@@ -443,8 +492,14 @@ def largest_delta_subset(A, H, node_cap=DEFAULT_NODE_CAP):
 def largest_ip_subset(A, bound, node_cap=DEFAULT_NODE_CAP):
     """Largest S found with FS(S) inside A and every finite sum <= bound.
     The result is a lower bound on the true maximum: the search stops at
-    IP_MAX_SIZE elements and at the node cap (dense A admits huge IP sets)."""
-    candidates = A.members(bound)
+    IP_MAX_SIZE elements and at the node cap (dense A admits huge IP sets).
+
+    The finite sums of the chosen elements are one int, bit s set when s is
+    a sum, and A cap [1, bound] is another, a_mask: adding c makes the sums
+    (sums << c) | (1 << c), which must all lie in a_mask."""
+    bits = A.bits(bound)
+    candidates = list(compress(range(1, bound + 1), bits))
+    a_mask = int("".join(map(str, reversed(bits))) + "0", 2)
     best = []
     nodes = 0
 
@@ -452,7 +507,7 @@ def largest_ip_subset(A, bound, node_cap=DEFAULT_NODE_CAP):
         nonlocal best, nodes
         if len(chosen) > len(best):
             best = list(chosen)
-        top = max(sums) if sums else 0
+        top = sums.bit_length() - 1
         for j in range(start, len(candidates)):
             nodes += 1
             if nodes > node_cap or len(best) >= IP_MAX_SIZE:
@@ -460,14 +515,14 @@ def largest_ip_subset(A, bound, node_cap=DEFAULT_NODE_CAP):
             c = candidates[j]
             if sums and c + top > bound:
                 break  # candidates ascend, later c only overflows more
-            new_sums = {c} | {c + t for t in sums}
-            if any(s > bound or not A.contains(s) for s in new_sums):
+            new = (sums << c) | (1 << c)
+            if new & a_mask != new:
                 continue
             chosen.append(c)
-            rec(j + 1, chosen, sums | new_sums)
+            rec(j + 1, chosen, sums | new)
             chosen.pop()
 
-    rec(0, [], frozenset())
+    rec(0, [], 0)
     return tuple(best)
 
 
@@ -478,6 +533,8 @@ def classify(A, H=_DEFAULT_HORIZON, ip_bound=None, node_cap=DEFAULT_NODE_CAP):
         raise PreconditionError("horizon must be >= 1")
     if ip_bound is None:
         ip_bound = min(H, 4096)
+    if ip_bound < 1:
+        raise PreconditionError("ip_bound must be >= 1")
     members = A.members(H)
     thick_run = _longest_run(members)
     if len(members) >= 1:

@@ -15,7 +15,8 @@ from shiftlab.langkit import contains_word, forbidden_shift, full_shift, parse_s
 from shiftlab.sets import parse_set_expr
 from shiftlab.spacing import PSetSpec, admissible, spacing_shift
 
-WINDOW_BITS = "".join(random.Random(7).choice("01") for _ in range(48))
+_WINDOW_RNG = random.Random(7)
+WINDOW_BITS = "".join(_WINDOW_RNG.choice("01") for _ in range(48))
 SPACING_SETS = (
     "evens",
     "complement:(finite:{1,3,7,12})",

@@ -395,3 +395,50 @@ def test_parry_check_symbols_beyond_a_byte():
     # digits of a base above 256 compare like any other symbols
     for syms in [(300, 2, 299), (300, 301), (7, 300, 7), (300, 300, 300)]:
         assert parry_check(syms, 10) is _parry_reference(syms, 10)
+
+
+def _shift_verdicts(syms):
+    """lex_compare of each shifted tail syms[k:] with the prefix of its
+    length, k = 1 .. L - 1: the O(L^2) slice definition."""
+    L = len(syms)
+    return [lex_compare(syms[k:], syms[:L - k]) for k in range(1, L)]
+
+
+def _parry_from_verdicts(verdicts, H):
+    """_parry_reference given the verdicts of every shift."""
+    seen = verdicts[:max(H, 0)]
+    if 1 in seen:
+        return False
+    return None if 0 in seen else True
+
+
+def _fibonacci_word(n):
+    a, b = "1", "10"
+    while len(b) < n:
+        a, b = b, b + a
+    return b[:n]
+
+
+def test_parry_check_matches_the_slice_definition_on_long_words():
+    rng = random.Random(61)
+    texts = [
+        "10" * 1600, "1" * 3000, "110" * 1000 + "111", "1" * 1500 + "0" + "1" * 1500,
+        _fibonacci_word(3200), ("1" * 40 + "0") * 80, ("1" * 40 + "0") * 80 + "1" * 41,
+        "".join(rng.choice("1110") for _ in range(3000)), "0" + "1" * 2999,
+        "2" + "1" * 500 + ("21" * 1300),
+    ]
+    words = [tuple(map(int, t)) for t in texts]
+    words.append(beta_digits(parse_beta("1.5"), 3000).symbols)
+    answers = set()
+    for syms in words:
+        assert len(syms) >= 3000
+        verdicts = _shift_verdicts(syms)
+        L = len(syms)
+        for H in (0, 1, 2, 3, 40, 41, 82, L // 2, L - 2, L - 1, L, 10 * L):
+            got = parry_check(syms, H)
+            assert got is _parry_from_verdicts(verdicts, H), (syms[:12], L, H)
+            answers.add(got)
+        assert parry_check(word("".join(map(str, syms)), n=3), L) is \
+            _parry_from_verdicts(verdicts, L)
+    assert answers == {True, False, None}
+

@@ -1,9 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from shiftlab.cli import main
+import shiftlab
+from shiftlab.cli import build_parser, main
 
 
 def run_cli(argv):
@@ -193,6 +197,8 @@ def test_sets_classify_reads_cap_states():
     ["spacing", "delta-star", "--set", "evens", "--k", "3", "--horizon", "0", "--seed", "1"],
     ["selftest", "--kmax", "-2"],
     ["selftest", "--kmax", "0"],
+    ["sets", "classify", "--set", "evens", "--horizon", "5", "--ip-bound", "-3"],
+    ["sets", "classify", "--set", "evens", "--horizon", "5", "--ip-bound", "0"],
 ])
 def test_sizes_below_their_range_exit_2(argv):
     assert run_cli(argv)[0] == 2
@@ -212,3 +218,27 @@ def test_csv_format():
     lines = text.strip().splitlines()
     assert lines[0].split(",")[0] == "h_k"
     assert len(lines) == 4
+
+
+def test_one_parser_serves_consecutive_calls():
+    # main() reuses the parser built by its first call: a run of commands in
+    # one process, usage errors among them, prints what separate processes do
+    assert build_parser() is build_parser()
+    runs = [
+        ["density", "--set", "pow2diff", "--kind", "banach", "--horizon", "300"],
+        ["sets", "classify", "--set", "union:(window:0110|periodic:;001)",
+         "--horizon", "40", "--cap-states", "50"],
+        ["entropy", "--shift", "full:n=2", "--kmax", "3", "--format", "csv"],
+        ["beta", "parry", "--beta", "1.5", "--horizon", "64"],
+        ["sets", "diff", "--set", "finite:{3,10,14}", "--horizon", "20", "--format", "csv"],
+        ["density", "--set", "evens"],
+    ]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(shiftlab.__file__)))
+    for argv in runs:
+        with pytest.raises(SystemExit) as e:
+            main(argv + ["--no-such-flag"], out=io.StringIO())
+        assert e.value.code == 2
+        code, text = run_cli(argv)
+        fresh = subprocess.run([sys.executable, "-m", "shiftlab.cli"] + argv, env=env,
+                               capture_output=True, text=True, check=False)
+        assert (code, text) == (fresh.returncode, fresh.stdout), argv

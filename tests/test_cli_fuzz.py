@@ -103,6 +103,7 @@ MINIMUMS = {
     ("beta parry", "--horizon"): 1, ("sets classify", "--horizon"): 1,
     ("sets diff", "--horizon"): 1, ("spacing delta-star", "--horizon"): 1,
     ("spacing delta-star", "--trials"): 0, ("selftest", "--kmax"): 1,
+    ("sets classify", "--ip-bound"): 1,
 }
 
 

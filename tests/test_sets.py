@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from shiftlab import sets
-from shiftlab.errors import ResourceCapExceeded, SpecParseError
+from shiftlab.errors import PreconditionError, ResourceCapExceeded, SpecParseError
 from shiftlab.langkit import position_search
 from shiftlab.sets import (
     EVENS,
@@ -336,3 +336,126 @@ def test_periodic_bits_match_contains():
             got = s.bits(H)
             assert got == [1 if s.contains(i) else 0 for i in range(1, H + 1)], (s, H)
             assert all(type(b) is int for b in got)
+
+
+# -- whole-horizon kernels -----------------------------------------------------
+
+def _seeded_set(rng, depth):
+    """A random set expression tree over every class: complements and unions
+    of windows, finite sets, pow2diff, factorial blocks and periodic sets."""
+    if depth == 0 or rng.random() < 0.3:
+        kind = rng.randrange(5)
+        if kind == 0:
+            return WindowSet(tuple(rng.choice((0, 1, True, False))
+                                   for _ in range(rng.randint(1, 60))))
+        if kind == 1:
+            return FiniteSet(frozenset(rng.sample(range(1, 90), rng.randint(0, 6))))
+        if kind == 2:
+            return Pow2DiffSet()
+        if kind == 3:
+            return FactorialBlocksSet()
+        return PeriodicSet(tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 5))),
+                           tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 7))))
+    if rng.random() < 0.4:
+        return ComplementSet(_seeded_set(rng, depth - 1))
+    return UnionSet(tuple(_seeded_set(rng, depth - 1) for _ in range(rng.randint(2, 3))))
+
+
+def _kernel_sets():
+    rng = random.Random(53)
+    window = WindowSet((1, 0, 0, 1, 1))
+    named = [window, ComplementSet(window), FiniteSet(frozenset()), UnionSet(()),
+             ComplementSet(UnionSet((window, FiniteSet(frozenset({2, 9})), Pow2DiffSet(),
+                                     FactorialBlocksSet(), EVENS))),
+             Pow2DiffSet(), FactorialBlocksSet(), EVENS]
+    return named + [_seeded_set(rng, 3) for _ in range(16)]
+
+
+def _window_lengths(A):
+    if isinstance(A, WindowSet):
+        yield A.horizon
+    for child in getattr(A, "parts", ()) + ((A.inner,) if isinstance(A, ComplementSet) else ()):
+        yield from _window_lengths(child)
+
+
+def test_bits_match_contains_for_every_class():
+    for A in _kernel_sets():
+        lengths = set(_window_lengths(A))
+        Hs = {-1, 0, 1, 20000} | {n + d for n in lengths for d in (-1, 0, 1)}
+        for H in sorted(Hs):
+            got = A.bits(H)
+            assert got == [1 if A.contains(i) else 0 for i in range(1, H + 1)], (A, H)
+            assert all(type(b) is int for b in got), (A, H)
+            assert A.members(H) == [i for i in range(1, H + 1) if A.contains(i)], (A, H)
+
+
+def test_density_estimates_match_their_definitions():
+    for A in _kernel_sets()[:14]:
+        if A.eventually_periodic() is not None:
+            continue
+        for H in (1, 7, 300, 1000):
+            count = [0]
+            for i in range(1, H + 1):
+                count.append(count[-1] + A.contains(i))
+            grid = [n for n in (8, 16, 32, 64, 128, 256, 512) if n < H] + [H]
+            assert upper_density(A, H).value == float(max(Fraction(count[n], n) for n in grid))
+            r = asymptotic_density(A, H)
+            assert r.exact or r.value == float(Fraction(count[H], H))
+        assert upper_banach_density(A, 300, min_window=4).value == \
+            float(_reference_banach(A, 300, 4))
+
+
+def _frozenset_ip_reference(A, bound, node_cap):
+    """The frozenset search largest_ip_subset ran before its bitmask form,
+    kept as the reference: the same candidate order, nodes and stops."""
+    candidates = A.members(bound)
+    best = []
+    nodes = 0
+
+    def rec(start, chosen, sums):
+        nonlocal best, nodes
+        if len(chosen) > len(best):
+            best = list(chosen)
+        top = max(sums) if sums else 0
+        for j in range(start, len(candidates)):
+            nodes += 1
+            if nodes > node_cap or len(best) >= sets.IP_MAX_SIZE:
+                return
+            c = candidates[j]
+            if sums and c + top > bound:
+                break
+            new_sums = {c} | {c + t for t in sums}
+            if any(s > bound or not A.contains(s) for s in new_sums):
+                continue
+            chosen.append(c)
+            rec(j + 1, chosen, sums | new_sums)
+            chosen.pop()
+
+    rec(0, [], frozenset())
+    return tuple(best)
+
+
+def test_largest_ip_subset_matches_the_frozenset_search():
+    rng = random.Random(59)
+    cases = [(EVENS, 4096), (sets.NATURALS, 4096), (EVENS, 40), (Pow2DiffSet(), 600),
+             (FactorialBlocksSet(), 800), (ComplementSet(FactorialBlocksSet()), 300),
+             (parse_set_expr("union:(periodic:;0001|finite:{3,6,9})"), 500)]
+    cases += [(_seeded_set(rng, 3), rng.choice((1, 5, 80, 400))) for _ in range(20)]
+    capped = 0
+    for A, bound in cases:
+        answers = []
+        for cap in (20000, 50, 1):
+            got = largest_ip_subset(A, bound, node_cap=cap)
+            assert got == _frozenset_ip_reference(A, bound, cap), (A, bound, cap)
+            answers.append(got)
+        capped += answers[2] != answers[0]
+    # evens and the naturals stop at IP_MAX_SIZE, and small caps cut searches short
+    assert len(largest_ip_subset(EVENS, 4096)) == sets.IP_MAX_SIZE
+    assert len(largest_ip_subset(sets.NATURALS, 4096)) == sets.IP_MAX_SIZE
+    assert capped > 5
+
+
+def test_classify_rejects_an_ip_bound_below_1():
+    for ip_bound in (0, -3):
+        with pytest.raises(PreconditionError):
+            classify(EVENS, H=5, ip_bound=ip_bound)

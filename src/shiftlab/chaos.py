@@ -25,6 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import inf, lcm
+from operator import ne
 
 from .core import EventuallyPeriodicPoint
 from .errors import AlphabetMismatch, PreconditionError
@@ -402,13 +403,10 @@ def family_pair_frequencies(fam, i, j):
     window-level assertions about the construction."""
     xs, ys = fam.members[i], fam.members[j]
     rows = []
-    diff = 0
-    pos = 0
+    diff = prev = 0
     for cp in fam.b:
-        while pos < cp:
-            if xs[pos] != ys[pos]:
-                diff += 1
-            pos += 1
+        diff += sum(map(ne, xs[prev:cp], ys[prev:cp]))
+        prev = cp
         rows.append((cp, Fraction(diff, cp), 1 - Fraction(diff, cp)))
     return rows
 

@@ -631,15 +631,15 @@ def heredity_entropy_bound(spec, w):
     (#nonzero)/|w| is a lower bound for log2(lambda_k)/k."""
     if not contains_word(spec, w):
         raise PreconditionError("word %s is not in the language" % (w,))
-    w = word(w, spec.n) if not isinstance(w, Word) else w
+    w = word(w, spec.n)
     return Fraction(w.weight(), len(w))
 
 
 def mixing_probe(spec, u, v, m_max):
     """Smallest gap g such that u 0^m v is in L(X) for all g <= m <= m_max,
     or None when the scan gives no such tail (finite-horizon evidence only)."""
-    u = word(u, spec.n) if not isinstance(u, Word) else u
-    v = word(v, spec.n) if not isinstance(v, Word) else v
+    u = word(u, spec.n)
+    v = word(v, spec.n)
     if not contains_word(spec, u):
         raise PreconditionError("u not in the language")
     if not contains_word(spec, v):
@@ -714,7 +714,7 @@ def counting_shift():
 def forbidden_shift(forbidden, n=2):
     """Subshift avoiding an explicit finite set of forbidden words. Not
     hereditary in general; validated for right-prolongability by sampling."""
-    forb = tuple(word(f, n) if not isinstance(f, Word) else f for f in forbidden)
+    forb = tuple(word(f, n) for f in forbidden)
     if not forb:
         return full_shift(n)
     syms = tuple(f.symbols for f in forb)

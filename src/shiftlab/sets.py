@@ -4,9 +4,13 @@ Every spec answers membership two ways: ``contains(i)`` for one integer, and
 ``bits(H)``, the 0/1 indicator of A cap [1, H] built in one pass over the
 set's structure (a window slice, the values 2**n - 2**m, the factorial
 blocks, an or of the parts' indicators), never one ``contains`` per integer.
-Every range consumer here reads ``bits(H)``: ``members``, the prefix counts
-behind the density estimates, the Delta-set search, and the IP search, which
-keeps its finite sums and A cap [1, bound] as int bitmasks.
+``mask(H)`` packs that indicator into the one int layout of a finite set:
+bit i is set exactly when i is in A cap [1, H]. Every range consumer reads
+``bits(H)`` or ``mask(H)``: ``members``, the prefix counts behind the density
+estimates and the Delta-set search read the indicator; the difference set
+(an or of shifted masks), the finite sums (a layered subset-sum over masks)
+and the IP search read the mask, and the first two return through one
+unpacking into a WindowSet. ``contains`` is left for one-off queries.
 
 Densities are exact when the description permits (eventually periodic, or a
 generator with a sparsity certificate) and finite-horizon estimates
@@ -55,6 +59,10 @@ class IntSetSpec:
 
     def members(self, H):
         return list(compress(range(1, H + 1), self.bits(H)))
+
+    def mask(self, H):
+        """bits(H) as one int: bit i is set exactly when i is in A cap [1, H]."""
+        return int("".join(map(str, reversed(self.bits(H)))) + "0", 2)
 
     def eventually_periodic(self):
         """(pre_bits, per_bits) if membership is provably eventually periodic."""
@@ -321,9 +329,6 @@ class DensityResult:
     exists: object = None  # asymptotic density: True/False/None (unknown)
     horizon: object = None
 
-    def as_float(self):
-        return float(self.value)
-
     def to_json(self):
         out = {"value": float(self.value), "exact": self.exact}
         if self.exact:
@@ -402,38 +407,37 @@ def _prefix_counts(A, H):
 
 # -- set algebra to a horizon --------------------------------------------------
 
+def _window(mask, H):
+    """The WindowSet of bits 1..H of mask."""
+    digits = format(mask >> 1 & ((1 << H) - 1), "0%db" % H)
+    return WindowSet(tuple(map(int, reversed(digits))))
+
+
 def difference_set(A, H):
-    """{a - a' : a, a' in A cap [1, H], a > a'} as a windowed set."""
+    """{a - a' : a, a' in A cap [1, H], a > a'} as a windowed set: the or of
+    mask >> a over the members a, whose bit d is set when a + d is in A."""
     if H < 1:
         raise PreconditionError("horizon must be >= 1")
-    mem = A.members(H)
-    diffs = set()
-    for i, a in enumerate(mem):
-        for b in mem[:i]:
-            diffs.add(a - b)
-    bits = [1 if d in diffs else 0 for d in range(1, H + 1)]
-    return WindowSet(tuple(bits))
+    mask = A.mask(H)
+    return _window(reduce(or_, (mask >> a for a in A.members(H)), 0), H)
 
 
 def sum_set_FS(S, depth, bound):
-    """All sums of at most `depth` distinct elements of S, truncated at `bound`."""
+    """All sums of at most `depth` distinct elements of S, truncated at `bound`.
+
+    A layered subset-sum over masks: after each element e, layers[j] has bit s
+    set when s <= bound is a sum of exactly j distinct elements seen so far."""
+    if depth < 1:
+        raise PreconditionError("sum_set_FS: depth must be >= 1")
     elems = S.members(bound)
     if not elems:
         raise PreconditionError("sum_set_FS: no elements of S below %d" % bound)
-    sums = set()
-
-    def rec(idx, remaining, acc):
-        for j in range(idx, len(elems)):
-            s = acc + elems[j]
-            if s > bound:
-                break
-            sums.add(s)
-            if remaining > 1:
-                rec(j + 1, remaining - 1, s)
-
-    rec(0, depth, 0)
-    bits = [1 if v in sums else 0 for v in range(1, bound + 1)]
-    return WindowSet(tuple(bits))
+    keep = (1 << (bound + 1)) - 1
+    layers = [1] + [0] * depth
+    for e in elems:
+        for j in range(depth, 0, -1):
+            layers[j] |= layers[j - 1] << e & keep
+    return _window(reduce(or_, layers[1:]), bound)
 
 
 # -- finite-horizon classification ---------------------------------------------
@@ -497,9 +501,8 @@ def largest_ip_subset(A, bound, node_cap=DEFAULT_NODE_CAP):
     The finite sums of the chosen elements are one int, bit s set when s is
     a sum, and A cap [1, bound] is another, a_mask: adding c makes the sums
     (sums << c) | (1 << c), which must all lie in a_mask."""
-    bits = A.bits(bound)
-    candidates = list(compress(range(1, bound + 1), bits))
-    a_mask = int("".join(map(str, reversed(bits))) + "0", 2)
+    candidates = A.members(bound)
+    a_mask = A.mask(bound)
     best = []
     nodes = 0
 

@@ -6,7 +6,9 @@ in P, so the language is hereditary by construction. The acceptor state is
 an int whose bit d-1 is set when a 1 sits d places back, and a 1 is
 admissible exactly when the state misses one mask, PSetSpec.excluded_mask
 (bit d-1 set when d is not in P). A step is a few integer operations,
-whatever the number of 1s so far.
+whatever the number of 1s so far. P itself is read through its set's
+kernels, ``bits(H)`` and ``mask(H)`` (bit d set when d is in P); the
+excluded mask is the one place that shifts that layout to bit d-1.
 
 When the excluded-difference set N \\ P is finite with largest element
 w <= WINDOWED_DP_MAX_WINDOW, the state is cut to its last w bits and the
@@ -46,9 +48,6 @@ class PSetSpec:
     """The parameter P of a spacing shift; membership decidable to any horizon."""
 
     base: IntSetSpec
-    # [excluded-difference mask, number of differences it covers]
-    _excluded: list = field(default_factory=lambda: [0, 0], init=False, compare=False,
-                            repr=False, hash=False)
     # [the langkit spec of Omega_P], built once by spacing_shift
     _shift: list = field(default_factory=list, init=False, compare=False, repr=False,
                          hash=False)
@@ -57,17 +56,8 @@ class PSetSpec:
         return self.base.contains(d)
 
     def excluded_mask(self, horizon):
-        """The int whose bit d-1 is set exactly when d is not in P, for every
-        d <= horizon (bits above it may be filled in as well). Kept on P and
-        grown at least twofold when a larger horizon is asked for."""
-        mask, covered = self._excluded
-        if horizon > covered:
-            top = max(horizon, 2 * covered)
-            bits = "".join("0" if self.contains(d) else "1"
-                           for d in range(top, covered, -1))
-            mask |= int(bits, 2) << covered
-            self._excluded[:] = mask, top
-        return mask
+        """The int whose bit d-1 is set exactly when d <= horizon is not in P."""
+        return ((1 << horizon) - 1) & ~(self.base.mask(horizon) >> 1)
 
     def excluded_max(self):
         """Largest element of N \\ P when that set is provably finite, else None."""
@@ -144,14 +134,15 @@ def spacing_shift(P):
             return True, (state << 1) | 1
 
         # in_p[d]: d in P, grown at least twofold; in this hot loop a list
-        # index is faster than a bit test on the excluded mask
+        # index is faster than a bit test on the excluded mask, and a bool
+        # is tested faster than an int
         in_p = [False]
 
         def narrow(chosen, rest):
             # rest is admissible after chosen[:-1] already: test q - chosen[-1]
             p = chosen[-1]
             if rest and rest[-1] - p >= len(in_p):
-                in_p.extend(P.contains(d) for d in range(len(in_p), 2 * (rest[-1] - p) + 1))
+                in_p[:] = [False, *map(bool, P.base.bits(2 * (rest[-1] - p)))]
             return [q for q in rest if in_p[q - p]]
 
         def position_count(k, node_cap):
@@ -180,8 +171,8 @@ def weak_mixing_probe(P, block_len, H):
     """Finite-horizon thickness evidence: does P contain `block_len` consecutive
     integers within [1, H]? (Weak mixing of Omega_P is equivalent to P thick.)"""
     run = 0
-    for d in range(1, H + 1):
-        run = run + 1 if P.contains(d) else 0
+    for b in P.base.bits(H):
+        run = run + 1 if b else 0
         if run >= block_len:
             return True
     return False
@@ -201,20 +192,19 @@ def delta_star_bound_check(A, k, trials, H, seed, structured=True):
     """For `trials` seeded random (plus structured) k-element sets B in [1, H],
     verify that A - A contains a positive element of B - B. Precondition of the
     underlying pigeonhole lemma: the density estimate of A on [1, H] exceeds 1/k."""
-    diff = difference_set(A, H)  # checks the horizon
+    dmask = difference_set(A, H).mask(H)  # checks the horizon
     members = A.members(H)
     beta = Fraction(len(members), H)
     if beta * k <= 1:
         raise PreconditionError(
             "density estimate %s <= 1/%d; the bound's precondition fails" % (beta, k))
+    if k > H:
+        raise PreconditionError("no %d-element set fits in [1, %d]" % (k, H))
 
     def violates(B):
-        bs = sorted(B)
-        for i in range(len(bs)):
-            for j in range(i + 1, len(bs)):
-                if diff.contains(bs[j] - bs[i]):
-                    return False
-        return True
+        # bit d of bmask >> b is set when b + d is in B; bit 0 of dmask is clear
+        bmask = sum(1 << b for b in B)
+        return not any(bmask >> b & dmask for b in B)
 
     candidates = []
     if structured:

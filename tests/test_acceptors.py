@@ -4,16 +4,19 @@ Spacing, beta and forbidden-word acceptors keep a canonical state (relative
 1-distances, a match length, the last few symbols), so `spec.accepts` is
 checked here against the definition-level membership tests on seeded words
 both in and out of the language, and `contains_word` against its string
-parsing rules."""
+parsing rules. The spacing excluded mask and the Delta* check are checked
+against their per-difference forms on seeded set expressions."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from shiftlab.beta import parse_beta, word_in_beta_language
+from shiftlab.errors import PreconditionError
 from shiftlab.langkit import contains_word, forbidden_shift, full_shift, parse_shift_spec
-from shiftlab.sets import parse_set_expr
-from shiftlab.spacing import PSetSpec, admissible, spacing_shift
+from shiftlab.sets import difference_set, parse_set_expr
+from shiftlab.spacing import PSetSpec, admissible, delta_star_bound_check, spacing_shift
 
 _WINDOW_RNG = random.Random(7)
 WINDOW_BITS = "".join(_WINDOW_RNG.choice("01") for _ in range(48))
@@ -128,6 +131,101 @@ def test_excluded_mask_bits_and_growth():
     assert all(bool(grown >> (d - 1) & 1) == (d % 2 == 1) for d in range(1, 301))
     finite = PSetSpec(parse_set_expr("complement:(finite:{2,5})"))
     assert finite.excluded_mask(finite.excluded_max()) == 0b10010
+
+
+def _seeded_expr(rng, depth):
+    """A random set expression: complements and unions of windows, finite
+    sets, periodic sets, pow2diff and factorial blocks."""
+    if depth == 0 or rng.random() < 0.3:
+        kind = rng.randrange(5)
+        if kind == 0:
+            return "window:" + "".join(rng.choice("01") for _ in range(rng.randint(1, 60)))
+        if kind == 1:
+            return "finite:{%s}" % ",".join(map(str, rng.sample(range(1, 90), rng.randint(1, 6))))
+        if kind == 2:
+            return "periodic:%s;%s" % ("".join(rng.choice("01") for _ in range(rng.randint(0, 5))),
+                                       "".join(rng.choice("01") for _ in range(rng.randint(1, 7))))
+        return rng.choice(("pow2diff", "factorial_blocks"))
+    if rng.random() < 0.4:
+        return "complement:(%s)" % _seeded_expr(rng, depth - 1)
+    return "union:(%s)" % "|".join(_seeded_expr(rng, depth - 1)
+                                    for _ in range(rng.randint(2, 3)))
+
+
+def _seeded_sets(seed, count):
+    rng = random.Random(seed)
+    return [parse_set_expr(e) for e in SPACING_SETS] + \
+        [parse_set_expr(_seeded_expr(rng, 3)) for _ in range(count)]
+
+
+def _window_lengths(expr):
+    return [len(part.split(")")[0].split("|")[0]) for part in expr.split("window:")[1:]]
+
+
+def _excluded_mask_reference(P, h):
+    """The per-d string excluded_mask built before it read the set's mask."""
+    return int("".join("0" if P.contains(d) else "1" for d in range(h, 0, -1)) or "0", 2)
+
+
+def test_excluded_mask_matches_the_per_d_reference():
+    for A in _seeded_sets(31, 24):
+        P = PSetSpec(A)
+        for h in sorted({0, 1, 2, 300} | {n + d for n in _window_lengths(str(A))
+                                          for d in (-1, 1)}):
+            assert P.excluded_mask(h) == _excluded_mask_reference(P, h), (A, h)
+
+
+def _delta_star_reference(A, k, trials, H, seed):
+    """delta_star_bound_check as it ran with the pairwise violates test."""
+    diff = difference_set(A, H)
+    beta = Fraction(len(A.members(H)), H)
+    if beta * k <= 1:
+        raise PreconditionError("density precondition")
+
+    def violates(B):
+        bs = sorted(B)
+        for i in range(len(bs)):
+            for j in range(i + 1, len(bs)):
+                if diff.contains(bs[j] - bs[i]):
+                    return False
+        return True
+
+    candidates = []
+    for step in range(1, 21):
+        B = [1 + t * step for t in range(k)]
+        if B[-1] <= H:
+            candidates.append(B)
+    rng = random.Random(seed)
+    for _ in range(trials):
+        candidates.append(rng.sample(range(1, H + 1), k))
+    for B in candidates:
+        if violates(B):
+            return False, tuple(sorted(B))
+    return True, None
+
+
+def test_delta_star_matches_the_pairwise_reference():
+    verdicts = []
+    rng = random.Random(37)
+    for A in _seeded_sets(41, 40):
+        for H in (3, 40, 300):
+            k = rng.randint(2, min(H, 12))
+            try:
+                want = _delta_star_reference(A, k, 30, H, seed=H)
+            except PreconditionError:
+                with pytest.raises(PreconditionError):
+                    delta_star_bound_check(A, k, 30, H, seed=H)
+                continue
+            assert delta_star_bound_check(A, k, 30, H, seed=H) == want, (A, k, H)
+            verdicts.append(want[0])
+    # both verdicts occur, so neither side of the comparison is vacuous
+    assert verdicts.count(True) > 5 and verdicts.count(False) > 5
+
+
+def test_delta_star_needs_k_at_most_the_horizon():
+    for k, H in ((600, 512), (5, 3), (4, 3)):
+        with pytest.raises(PreconditionError):
+            delta_star_bound_check(parse_set_expr("evens"), k, 1, H, seed=1)
 
 
 # -- contains_word string parsing ---------------------------------------------

@@ -397,6 +397,25 @@ def test_family_profile_dc2_evidence():
     assert cls.verdict == "DC2-not-DC1" and cls.evidence
 
 
+def test_family_frequencies_match_the_per_position_count():
+    rng = random.Random(43)
+    for S, m, horizon in ((EVENS, 2, 5000), (parse_set_expr("periodic:;110"), 3, 7000),
+                          (parse_set_expr("periodic:1;0110100"), 2, 20000)):
+        # rebuilt to end on a checkpoint, so the last one equals the horizon
+        growth = rng.randint(2, 5)
+        end = build_scrambled_family(S, m, horizon, growth=growth).b[-1]
+        fam = build_scrambled_family(S, m, end, growth=growth)
+        for i in range(m):
+            for j in range(m):
+                xs, ys = fam.members[i], fam.members[j]
+                want = []
+                for cp in fam.b:
+                    diff = sum(1 for p in range(cp) if xs[p] != ys[p])
+                    want.append((cp, Fraction(diff, cp), 1 - Fraction(diff, cp)))
+                assert family_pair_frequencies(fam, i, j) == want
+        assert fam.b[-1] == fam.horizon
+
+
 def test_family_three_members_pairwise():
     S = parse_set_expr("periodic:;110")   # density 2/3
     fam = build_scrambled_family(S, 3, 100_000, growth=20)

@@ -195,6 +195,9 @@ def test_sets_classify_reads_cap_states():
     ["sets", "diff", "--set", "evens", "--horizon", "-5"],
     ["spacing", "delta-star", "--set", "evens", "--k", "3", "--trials", "-4", "--seed", "1"],
     ["spacing", "delta-star", "--set", "evens", "--k", "3", "--horizon", "0", "--seed", "1"],
+    ["spacing", "delta-star", "--set", "evens", "--k", "600", "--horizon", "512", "--seed", "1",
+     "--trials", "1"],
+    ["spacing", "delta-star", "--set", "evens", "--k", "5", "--horizon", "3", "--seed", "1"],
     ["selftest", "--kmax", "-2"],
     ["selftest", "--kmax", "0"],
     ["sets", "classify", "--set", "evens", "--horizon", "5", "--ip-bound", "-3"],

@@ -10,8 +10,6 @@ import shiftlab
 # module.qualified.name -> why its recursion stays shallow
 ALLOWED = {
     "sets.largest_ip_subset.rec": "one level per element, at most sets.IP_MAX_SIZE = 12",
-    "sets.sum_set_FS.rec": "one level per summand; distinct positive summands of a "
-                           "sum <= bound number at most sqrt(2 * bound)",
     "sets.parse_set_expr": "one level per parenthesis, at most sets.MAX_SET_EXPR_PARENS",
 }
 

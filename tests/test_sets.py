@@ -459,3 +459,83 @@ def test_classify_rejects_an_ip_bound_below_1():
     for ip_bound in (0, -3):
         with pytest.raises(PreconditionError):
             classify(EVENS, H=5, ip_bound=ip_bound)
+
+
+# -- set algebra on masks -------------------------------------------------------
+
+def _pairwise_difference_reference(A, H):
+    """The pairwise loop difference_set ran before its mask form."""
+    mem = A.members(H)
+    diffs = set()
+    for i, a in enumerate(mem):
+        for b in mem[:i]:
+            diffs.add(a - b)
+    return WindowSet(tuple(1 if d in diffs else 0 for d in range(1, H + 1)))
+
+
+def _recursive_fs_reference(S, depth, bound):
+    """The recursive search sum_set_FS ran before its layered subset-sum."""
+    elems = S.members(bound)
+    sums = set()
+
+    def rec(idx, remaining, acc):
+        for j in range(idx, len(elems)):
+            s = acc + elems[j]
+            if s > bound:
+                break
+            sums.add(s)
+            if remaining > 1:
+                rec(j + 1, remaining - 1, s)
+
+    rec(0, depth, 0)
+    return WindowSet(tuple(1 if v in sums else 0 for v in range(1, bound + 1)))
+
+
+def _algebra_horizons(A):
+    return sorted({1, 2, 300} | {n + d for n in _window_lengths(A) for d in (-1, 1)} - {0})
+
+
+def test_mask_packs_bits():
+    for A in _kernel_sets():
+        for H in (-1, 0, 1, 2, 61, 300):
+            assert A.mask(H) == sum(1 << i for i in A.members(H)), (A, H)
+
+
+def test_difference_set_matches_the_pairwise_loop():
+    for A in _kernel_sets():
+        for H in _algebra_horizons(A):
+            assert difference_set(A, H) == _pairwise_difference_reference(A, H), (A, H)
+
+
+def test_sum_set_FS_matches_the_recursive_search():
+    checked = 0
+    for A in _kernel_sets():
+        for H in _algebra_horizons(A):
+            if not A.members(H):
+                with pytest.raises(PreconditionError):
+                    sum_set_FS(A, 1, H)
+                continue
+            for depth in range(1, 6):
+                # the reference visits every subset of <= depth members with
+                # sum <= H: 13 s at depth 5 for a dense set to 300
+                if H == 300 and depth > 3 and len(A.members(H)) > 40:
+                    continue
+                got = sum_set_FS(A, depth, H)
+                assert got == _recursive_fs_reference(A, depth, H), (A, depth, H)
+                checked += 1
+    assert checked > 300
+
+
+def test_sum_set_FS_needs_a_positive_depth():
+    S = FiniteSet(frozenset({1, 3, 9}))
+    for depth in (0, -2):
+        with pytest.raises(PreconditionError):
+            sum_set_FS(S, depth, 20)
+
+
+def test_deep_set_algebra_finishes():
+    # the recursive search visits every subset of up to 12 naturals with sum
+    # <= 4096; the layered subset-sum is 12 shifts per element
+    assert sum_set_FS(sets.NATURALS, 12, 4096).members(4096) == list(range(1, 4097))
+    assert sum_set_FS(sets.NATURALS, 2, 10).members(10) == list(range(1, 11))
+    assert difference_set(ODDS, 4000).members(4000) == list(range(2, 4000, 2))

@@ -52,6 +52,9 @@ class _Unperiodic(IntSetSpec):
     def contains(self, i):
         return self.base.contains(i)
 
+    def bits(self, H):
+        return self.base.bits(H)
+
     def to_expr(self):
         return "unperiodic(%s)" % self.base
 

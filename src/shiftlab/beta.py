@@ -42,16 +42,9 @@ import re
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .core import (
-    EventuallyPeriodicPoint,
-    Word,
-    first_disagreement,
-    lex_compare,
-    shift_point,
-    word,
-)
+from .core import EventuallyPeriodicPoint, Word, lex_compare, word
 from .errors import PreconditionError, SpecParseError
-from .langkit import SubshiftSpec, count_language, hereditary_check
+from .langkit import SubshiftSpec, count_language
 
 DEFAULT_DIGIT_HORIZON = 4096
 
@@ -265,18 +258,21 @@ def beta_digits(spec, k):
 def parry_check(d, H):
     """Check sigma^k(d) <= d lexicographically for 0 <= k <= H.
 
-    Exact (True/False) for eventually periodic points. For a finite prefix the
-    result may be None: some shifted copy agreed with the prefix over the whole
-    available comparison length, which decides nothing.
+    One Z-array pass over a finite window serves words and points. A point
+    d = u v v v ... is read through d.prefix(H + 2|u| + |v| + 1). For k <= H,
+    sigma^k d has preperiod at most |u| and period |v|, so it equals d once
+    the two agree on more than 2|u| + |v| places (core.equality_horizon),
+    and more than that many remain in the window after the shift. A shift
+    whose tail matches d to the end of the window therefore equals d, and the
+    verdict is exact (True/False). For a finite prefix the result may be
+    None: some shifted copy agreed with the prefix over the whole available
+    comparison length, which decides nothing.
     """
-    if isinstance(d, EventuallyPeriodicPoint):
-        for k in range(1, H + 1):
-            shifted = shift_point(d, k)
-            i = first_disagreement(shifted, d)
-            if i is not None and shifted.symbol_at(i) > d.symbol_at(i):
-                return False
-        return True
-    syms = d.symbols if isinstance(d, Word) else tuple(d)
+    point = isinstance(d, EventuallyPeriodicPoint)
+    if point:
+        syms = d.prefix(H + 2 * len(d.preperiod) + len(d.period) + 1)
+    else:
+        syms = d.symbols if isinstance(d, Word) else tuple(d)
     L = len(syms)
     indeterminate = False
     # Z-array pass: z[k] is the longest common prefix of syms and syms[k:];
@@ -291,10 +287,11 @@ def parry_check(d, H):
         if k + n > r:
             l, r = k, k + n
         if k + n == L:
-            indeterminate = True  # the tail equals the prefix of its length
+            # the tail equals the prefix of its length (sigma^k d = d for a point)
+            indeterminate = True
         elif syms[k + n] > syms[n]:
             return False
-    return None if indeterminate else True
+    return None if indeterminate and not point else True
 
 
 def word_in_beta_language(spec, w):
@@ -341,9 +338,3 @@ def beta_shift(spec):
             start_state=0, transition=transition)
     return spec._shift
 
-
-def beta_hereditary_probe(spec, k):
-    """Exhaustive coordinate-lowering check on L_k(Omega_beta); true for every
-    valid beta (beta shifts are hereditary)."""
-    ok, _ = hereditary_check(beta_shift(spec), k)
-    return ok

@@ -9,7 +9,11 @@ a single exact step function with breakpoints at the rationals n**-k.
 
 Distances are handled through their integer gaps g_j (d_j = n**-g_j), and
 d_j < t iff g_j reaches the cutoff of t, so a profile is read from a
-histogram of gap values: an exact profile over a cycle of length c costs
+histogram of gap values. An exact profile and an empirical one run the same
+gap sweep: past the longer preperiod p the pair repeats with the cycle
+length c, so the sweep runs over the two-cycle window (p, p + 2c] read by
+``prefix``, where every shift in the first cycle meets its next
+disagreement within c places and its gap is exact. An exact profile costs
 O(c + |grid|) integer operations, and an empirical one is linear in its
 last checkpoint.
 
@@ -32,6 +36,7 @@ from .errors import AlphabetMismatch, PreconditionError
 from .sets import IntSetSpec
 
 DEFAULT_GROWTH = 200
+_CHUNK = 4096  # positions per slice comparison when skipping an equal stretch
 
 
 # -- exact machinery for eventually periodic pairs ----------------------------
@@ -41,13 +46,12 @@ def _check_pair(x, y):
         raise AlphabetMismatch("%r vs %r" % (x.alphabet, y.alphabet))
 
 
-def _cycle_structure(x, y):
-    """(p, c, D) with D the 1-based disagreement positions inside (p, p+c];
-    beyond index p the disagreement set is D shifted by multiples of c."""
+def _cycle_window(x, y):
+    """(c, xs, ys): the cycle length c and both points over (p, p + 2c], with
+    p the longer preperiod; beyond index p the pair repeats every c places."""
     p = max(len(x.preperiod), len(y.preperiod))
     c = lcm(len(x.period), len(y.period))
-    D = [i for i in range(p + 1, p + c + 1) if x.symbol_at(i) != y.symbol_at(i)]
-    return p, c, D
+    return c, x.prefix(p + 2 * c)[p:], y.prefix(p + 2 * c)[p:]
 
 
 def diff_equal_densities(x, y):
@@ -55,28 +59,9 @@ def diff_equal_densities(x, y):
     and its complement Equal(x,y); both limits exist for eventually periodic
     pairs."""
     _check_pair(x, y)
-    p, c, D = _cycle_structure(x, y)
-    d = Fraction(len(D), c)
+    c, xs, ys = _cycle_window(x, y)
+    d = Fraction(sum(map(ne, xs[:c], ys[:c])), c)
     return d, 1 - d
-
-
-def _gap_cycle(x, y):
-    """For j in one cycle, the gap to the next disagreement after shifting by
-    j, or None when the pair agrees from some point on (empty cycle set).
-    One backward sweep over the cycle, starting from the first disagreement
-    of the next cycle."""
-    p, c, D = _cycle_structure(x, y)
-    if not D:
-        return p, c, [None] * c
-    gaps = [0] * c
-    nxt = D[0] + c
-    k = len(D) - 1
-    for j in range(p + c - 1, p - 1, -1):
-        if k >= 0 and D[k] == j + 1:
-            nxt = D[k]
-            k -= 1
-        gaps[j - p] = nxt - j
-    return p, c, gaps
 
 
 @dataclass(frozen=True)
@@ -131,25 +116,25 @@ def _default_grid(n, max_k):
     return grid
 
 
-def distribution_profile(x, y, thresholds=None, horizon=None,
-                         checkpoints=None, n=None):
+def distribution_profile(x, y, thresholds=None, checkpoints=None, n=None):
     """Exact profile for a pair of eventually periodic points; empirical
-    profile (measured at checkpoints up to the horizon) for a pair of finite
-    symbol sequences."""
+    profile (measured at checkpoints up to the prefix length) for a pair of
+    finite symbol sequences."""
     if isinstance(x, EventuallyPeriodicPoint) and isinstance(y, EventuallyPeriodicPoint):
         return _exact_profile(x, y, thresholds)
     if isinstance(x, EventuallyPeriodicPoint) or isinstance(y, EventuallyPeriodicPoint):
         raise PreconditionError("mixed exact/empirical pair is not supported")
     if n is None:
         n = 2
-    return _empirical_profile(tuple(x), tuple(y), thresholds, horizon, checkpoints, n)
+    return _empirical_profile(tuple(x), tuple(y), thresholds, checkpoints, n)
 
 
 def _exact_profile(x, y, thresholds):
     _check_pair(x, y)
     n = x.alphabet.size
-    p, c, gaps = _gap_cycle(x, y)
-    agreeing = gaps[0] is None
+    c, xs, ys = _cycle_window(x, y)
+    agreeing = xs[:c] == ys[:c]
+    gaps = None if agreeing else _gap_series(xs, ys, c)
     if thresholds is None:
         thresholds = _default_grid(n, 2 if agreeing else max(gaps) + 1)
     thresholds = tuple(sorted(thresholds))
@@ -184,12 +169,12 @@ def _gap_series(xs, ys, upto=None):
     return gaps
 
 
-def _first_disagreement_from(xs, ys, start, chunk=4096):
+def _first_disagreement_from(xs, ys, start):
     """The least 0-based j >= start with xs[j] != ys[j], else len(xs); equal
     chunks are skipped by one slice comparison each."""
     N = len(xs)
-    for lo in range(start, N, chunk):
-        hi = min(lo + chunk, N)
+    for lo in range(start, N, _CHUNK):
+        hi = min(lo + _CHUNK, N)
         if xs[lo:hi] != ys[lo:hi]:
             return next(j for j in range(lo, hi) if xs[j] != ys[j])
     return N
@@ -231,11 +216,8 @@ def _prefix_frequencies(gaps, cutoffs, checkpoints):
     return [at_least[cut] for cut in cutoffs]
 
 
-def _empirical_profile(xs, ys, thresholds, horizon, checkpoints, n):
+def _empirical_profile(xs, ys, thresholds, checkpoints, n):
     N = len(xs)
-    if horizon is not None:
-        N = min(N, horizon)
-        xs, ys = xs[:N], ys[:N]
     if N == 0:
         raise PreconditionError("empty prefixes")
     if thresholds is None:
@@ -338,6 +320,8 @@ def build_scrambled_family(S, m, horizon, growth=DEFAULT_GROWTH):
     """
     if m < 2:
         raise PreconditionError("need at least 2 members")
+    if growth < 2:
+        raise PreconditionError("growth must be >= 2, got %d" % growth)
     if not isinstance(S, IntSetSpec):
         raise PreconditionError("S must be an integer-set spec")
     ep = S.eventually_periodic()
@@ -353,8 +337,6 @@ def build_scrambled_family(S, m, horizon, growth=DEFAULT_GROWTH):
         n_idx = len(b)
         target = max(n_idx, growth) * b[-1]
         nxt = -(-target // period) * period
-        if nxt <= b[-1]:
-            nxt = b[-1] + period
         if nxt > horizon:
             break
         b.append(nxt)
@@ -390,11 +372,10 @@ def build_scrambled_family(S, m, horizon, growth=DEFAULT_GROWTH):
                            density=dens, log=log)
 
 
-def family_pair_profile(fam, i, j, thresholds=None):
+def family_pair_profile(fam, i, j):
     """Empirical distribution profile of members i and j, measured at the
     construction's own checkpoints."""
     return distribution_profile(fam.members[i], fam.members[j],
-                                thresholds=thresholds,
                                 checkpoints=fam.b, n=2)
 
 
@@ -422,8 +403,8 @@ def dc1_minimal_witness(x, k):
     n = x.alphabet.size
     span = len(x.preperiod) + 2 * len(x.period) + k
     run = 0
-    for i in range(1, span + 1):
-        run = run + 1 if x.symbol_at(i) == 0 else 0
+    for s in x.prefix(span):
+        run = run + 1 if s == 0 else 0
         if run >= k:
             raise PreconditionError("x has a zero run of length %d" % k)
     zero = EventuallyPeriodicPoint(x.alphabet, (), (0,))

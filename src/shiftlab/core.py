@@ -10,12 +10,19 @@ Conventions used everywhere in the package:
 An eventually periodic point ``u . v v v ...`` is kept in a canonical form
 (minimal preperiod, primitive period), which makes equality, the metric and
 shifting exact and decidable.
+
+A point has one whole-window kernel, ``prefix(k)``: omega_1 .. omega_k in
+one pass over the preperiod and the repeated period. Everything that reads
+a run of coordinates (the metric here, the exact profiles and Diff/Equal
+densities in ``chaos``, the Parry check in ``beta``) reads it;
+``symbol_at`` is for one-off queries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, cycle, islice
 from math import lcm
 
 from .errors import AlphabetMismatch, SpecParseError
@@ -134,7 +141,8 @@ class EventuallyPeriodicPoint:
         return self.period[(i - p - 1) % len(self.period)]
 
     def prefix(self, k):
-        return tuple(self.symbol_at(i) for i in range(1, k + 1))
+        """omega_1 .. omega_k as a tuple, empty for k <= 0."""
+        return tuple(islice(chain(self.preperiod, cycle(self.period)), max(k, 0)))
 
     def __str__(self):
         return format_point(self)
@@ -180,10 +188,9 @@ def equality_horizon(x, y):
 def first_disagreement(x, y):
     """1-based index of the first coordinate where x and y differ, or None."""
     _same_alphabet(x, y)
-    for i in range(1, equality_horizon(x, y) + 1):
-        if x.symbol_at(i) != y.symbol_at(i):
-            return i
-    return None
+    L = equality_horizon(x, y)
+    return next((i for i, (a, b) in enumerate(zip(x.prefix(L), y.prefix(L)), 1)
+                 if a != b), None)
 
 
 def metric_rho(x, y):
@@ -209,31 +216,3 @@ def point_prefix(x, k):
     """The first k coordinates of x as a Word."""
     return Word(x.alphabet, x.prefix(k))
 
-
-# -- word plumbing ------------------------------------------------------------
-
-def concat(u, v):
-    if u.alphabet != v.alphabet:
-        raise AlphabetMismatch("concat: %r vs %r" % (u.alphabet, v.alphabet))
-    return Word(u.alphabet, u.symbols + v.symbols)
-
-
-def subword(w, i, length):
-    """The length-`length` factor of w starting at 1-based position i."""
-    if i < 1 or i + length - 1 > len(w):
-        raise IndexError("subword out of range: i=%d len=%d |w|=%d" % (i, length, len(w)))
-    return Word(w.alphabet, w.symbols[i - 1:i - 1 + length])
-
-
-def occurrences(u, w):
-    """All 1-based positions where u appears in w."""
-    if u.alphabet != w.alphabet:
-        raise AlphabetMismatch("occurrences: %r vs %r" % (u.alphabet, w.alphabet))
-    k = len(u)
-    return [t for t in range(1, len(w) - k + 2) if w.symbols[t - 1:t - 1 + k] == u.symbols]
-
-
-def ones_positions(w):
-    """1-based positions carrying the symbol 1."""
-    syms = _symbols(w)
-    return [i + 1 for i, s in enumerate(syms) if s == 1]

@@ -345,6 +345,11 @@ def _period_density(ep):
     return Fraction(sum(per), len(per))
 
 
+def _check_horizon(H):
+    if H < 1:
+        raise PreconditionError("horizon must be >= 1")
+
+
 def _grid(H):
     ns, n = [], 8
     while n < H:
@@ -356,6 +361,7 @@ def _grid(H):
 
 def upper_density(A, H=_DEFAULT_HORIZON):
     """limsup of |A \\cap [1,n]| / n; exact for eventually periodic specs."""
+    _check_horizon(H)
     ep = A.eventually_periodic()
     if ep is not None:
         return DensityResult(_period_density(ep), exact=True, exists=True)
@@ -366,6 +372,7 @@ def upper_density(A, H=_DEFAULT_HORIZON):
 
 def asymptotic_density(A, H=_DEFAULT_HORIZON):
     """Density limit where it provably exists, window estimates otherwise."""
+    _check_horizon(H)
     ep = A.eventually_periodic()
     if ep is not None:
         return DensityResult(_period_density(ep), exact=True, exists=True)
@@ -384,6 +391,7 @@ def upper_banach_density(A, H=_DEFAULT_HORIZON, min_window=16):
     The sampled lengths double from min_window, and each length takes the
     integer maximum of counts[s+L] - counts[s] over its starts before making
     one Fraction: O(H log H) integer operations."""
+    _check_horizon(H)
     ep = A.eventually_periodic()
     if ep is not None:
         return DensityResult(_period_density(ep), exact=True, exists=True)
@@ -400,8 +408,6 @@ def upper_banach_density(A, H=_DEFAULT_HORIZON, min_window=16):
 def _prefix_counts(A, H):
     """counts[n] = |A cap [1, n]| for n = 0..H, the window every finite-horizon
     density estimate reads."""
-    if H < 1:
-        raise PreconditionError("horizon must be >= 1")
     return list(accumulate(A.bits(H), initial=0))
 
 
@@ -416,8 +422,7 @@ def _window(mask, H):
 def difference_set(A, H):
     """{a - a' : a, a' in A cap [1, H], a > a'} as a windowed set: the or of
     mask >> a over the members a, whose bit d is set when a + d is in A."""
-    if H < 1:
-        raise PreconditionError("horizon must be >= 1")
+    _check_horizon(H)
     mask = A.mask(H)
     return _window(reduce(or_, (mask >> a for a in A.members(H)), 0), H)
 
@@ -532,8 +537,7 @@ def largest_ip_subset(A, bound, node_cap=DEFAULT_NODE_CAP):
 def classify(A, H=_DEFAULT_HORIZON, ip_bound=None, node_cap=DEFAULT_NODE_CAP):
     """Finite-horizon structure report: longest run (thickness evidence), max gap
     (syndeticity evidence), and bounded Delta / IP witness searches."""
-    if H < 1:
-        raise PreconditionError("horizon must be >= 1")
+    _check_horizon(H)
     if ip_bound is None:
         ip_bound = min(H, 4096)
     if ip_bound < 1:

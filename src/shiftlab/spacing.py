@@ -188,8 +188,9 @@ def recurrence_entropy_probe(R, k_max, node_cap=DEFAULT_NODE_CAP):
     return entropy_estimates(spec, k_max, node_cap=node_cap)
 
 
-def delta_star_bound_check(A, k, trials, H, seed, structured=True):
-    """For `trials` seeded random (plus structured) k-element sets B in [1, H],
+def delta_star_bound_check(A, k, trials, H, seed):
+    """For `trials` seeded random k-element sets B in [1, H], plus the
+    arithmetic progressions 1, 1 + s, ..., 1 + (k-1)s in [1, H] for s <= 20,
     verify that A - A contains a positive element of B - B. Precondition of the
     underlying pigeonhole lemma: the density estimate of A on [1, H] exceeds 1/k."""
     dmask = difference_set(A, H).mask(H)  # checks the horizon
@@ -207,11 +208,10 @@ def delta_star_bound_check(A, k, trials, H, seed, structured=True):
         return not any(bmask >> b & dmask for b in B)
 
     candidates = []
-    if structured:
-        for step in range(1, 21):
-            B = [1 + t * step for t in range(k)]
-            if B[-1] <= H:
-                candidates.append(B)
+    for step in range(1, 21):
+        B = [1 + t * step for t in range(k)]
+        if B[-1] <= H:
+            candidates.append(B)
     rng = random.Random(seed)
     for _ in range(trials):
         candidates.append(rng.sample(range(1, H + 1), k))

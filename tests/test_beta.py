@@ -10,16 +10,15 @@ from shiftlab.beta import (
     BetaSpec,
     QuadraticNumber,
     beta_digits,
-    beta_hereditary_probe,
     beta_shift,
     count_beta_language,
     parry_check,
     parse_beta,
     word_in_beta_language,
 )
-from shiftlab.core import lex_compare, periodic_point, word
+from shiftlab.core import equality_horizon, lex_compare, periodic_point, shift_point, word
 from shiftlab.errors import PreconditionError, SpecParseError
-from shiftlab.langkit import contains_word, count_language, log2_int
+from shiftlab.langkit import contains_word, count_language, hereditary_check, log2_int
 
 GOLDEN = "quad:(1+1*sqrt5)/2"
 LOG2_PHI = math.log2((1 + math.sqrt(5)) / 2)
@@ -208,9 +207,9 @@ def test_entropy_close_to_log_beta():
 
 
 def test_beta_hereditary():
-    assert beta_hereditary_probe(parse_beta(GOLDEN), 10)
-    assert beta_hereditary_probe(parse_beta("1.5"), 10)
-    assert beta_hereditary_probe(parse_beta("2.5"), 7)
+    for text, k in ((GOLDEN, 10), ("1.5", 10), ("2.5", 7)):
+        ok, _ = hereditary_check(beta_shift(parse_beta(text)), k)
+        assert ok, text
 
 
 def test_count_preconditions():
@@ -442,3 +441,46 @@ def test_parry_check_matches_the_slice_definition_on_long_words():
             _parry_from_verdicts(verdicts, L)
     assert answers == {True, False, None}
 
+
+# -- parry_check on points against the per-shift loop -------------------------
+
+def _parry_point_reference(d, H):
+    """Each shift sigma^k d, k = 1..H, against d at their first disagreement,
+    found coordinate by coordinate."""
+    for k in range(1, H + 1):
+        shifted = shift_point(d, k)
+        i = next((i for i in range(1, equality_horizon(shifted, d) + 1)
+                  if shifted.symbol_at(i) != d.symbol_at(i)), None)
+        if i is not None and shifted.symbol_at(i) > d.symbol_at(i):
+            return False
+    return True
+
+
+def test_parry_check_points_match_the_per_shift_loop():
+    rng = random.Random(1104)
+    points = [periodic_point("", "1"), periodic_point("", "110"), periodic_point("", "2", n=3),
+              periodic_point("", "210", n=3), periodic_point("11", "0"), periodic_point("", "10"),
+              periodic_point("01", "0"), periodic_point("", "3302", n=4)]
+    for _ in range(150):
+        n = rng.choice((2, 3, 4))
+        pre = [rng.randrange(n) for _ in range(rng.randint(0, 6))]
+        per = [rng.randrange(n) for _ in range(rng.randint(1, 13))]
+        if rng.random() < 0.5:
+            # a run of the top digit, then lower digits only: Parry holds
+            top, low = [n - 1] * rng.randint(1, 3), [min(s, n - 2) for s in pre + per]
+            if rng.random() < 0.5:
+                pre, per = top + low[:len(pre)], low[len(pre):]
+            else:
+                pre, per = [], top + low
+        points.append(periodic_point(pre, per, n=n))
+    verdicts = set()
+    for d in points:
+        p, q = len(d.preperiod), len(d.period)
+        for H in (0, 1, p, p + q, 300):
+            got = parry_check(d, H)
+            assert got is _parry_point_reference(d, H), (d, H)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+    # a purely periodic d: sigma^|per| d = d, so its window tail meets d
+    d = periodic_point("", "2110", n=3)
+    assert shift_point(d, 4) == d and parry_check(d, 300) is True

@@ -154,6 +154,74 @@ def test_exact_profile_agreeing_pair_matches_reference():
             assert prof.fstar_one_everywhere and fstar_one
 
 
+def _cycle_structure_reference(x, y):
+    """(p, c, D), D the disagreement positions in (p, p + c], coordinate by
+    coordinate."""
+    p = max(len(x.preperiod), len(y.preperiod))
+    c = lcm(len(x.period), len(y.period))
+    D = [i for i in range(p + 1, p + c + 1) if x.symbol_at(i) != y.symbol_at(i)]
+    return p, c, D
+
+
+def _gap_cycle_reference(x, y):
+    """Gaps over one cycle, None for an agreeing pair: one backward sweep
+    from the first disagreement of the next cycle."""
+    p, c, D = _cycle_structure_reference(x, y)
+    if not D:
+        return c, None
+    gaps = [0] * c
+    nxt = D[0] + c
+    k = len(D) - 1
+    for j in range(p + c - 1, p - 1, -1):
+        if k >= 0 and D[k] == j + 1:
+            nxt = D[k]
+            k -= 1
+        gaps[j - p] = nxt - j
+    return c, gaps
+
+
+def _cycle_profile_reference(x, y, thresholds):
+    n = x.alphabet.size
+    c, gaps = _gap_cycle_reference(x, y)
+    agreeing = gaps is None
+    if thresholds is None:
+        top = 2 if agreeing else max(gaps) + 1
+        thresholds = [Fraction(1, n ** a) for a in range(top, 0, -1)] + [Fraction(1)]
+    thresholds = tuple(sorted(thresholds))
+    if agreeing:
+        F = tuple(Fraction(1 if t > 0 else 0) for t in thresholds)
+    else:
+        F = tuple(Fraction(sum(1 for g in gaps if Fraction(1, n ** g) < t), c)
+                  for t in thresholds)
+    return DistributionProfile(n=n, thresholds=thresholds, F_values=F, Fstar_values=F,
+                               exact=True, fstar_one_everywhere=agreeing)
+
+
+def test_two_cycle_window_matches_the_cycle_structure_sweep():
+    rng = random.Random(1103)
+    pairs = [(P("", "1"), P("", "1")), (P("", "1"), P("0110", "1")),
+             (P("", "110"), P("", "101")), (P("10", "01"), P("", "1"))]
+    for _ in range(150):
+        n = rng.choice((2, 3, 4))
+        x = _random_point(rng, n, rng.randint(0, 6), rng.randint(1, 13))
+        y = _random_point(rng, n, rng.randint(0, 6), rng.randint(1, 13))
+        pairs.append((x, y))
+        # x with its first j coordinates redrawn: an agreeing pair
+        L = len(x.preperiod) + len(x.period)
+        j = rng.randint(0, L)
+        head = [rng.randrange(n) for _ in range(j)] + list(x.prefix(L)[j:])
+        pairs.append((x, periodic_point(head, x.period, n=n)))
+    agreeing = 0
+    for x, y in pairs:
+        for grid in (None, [Fraction(0), Fraction(1, 7), Fraction(1, 2), Fraction(1)]):
+            assert distribution_profile(x, y, thresholds=grid) == \
+                _cycle_profile_reference(x, y, grid), (x, y, grid)
+        p, c, D = _cycle_structure_reference(x, y)
+        assert diff_equal_densities(x, y) == (Fraction(len(D), c), 1 - Fraction(len(D), c))
+        agreeing += not D
+    assert 0 < agreeing < len(pairs)
+
+
 def test_nonpositive_thresholds_give_zero():
     grid = [Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1)]
     finite = distribution_profile((0, 1, 1, 0) * 8, (0, 0, 1, 1) * 8, thresholds=grid)

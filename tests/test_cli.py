@@ -202,6 +202,10 @@ def test_sets_classify_reads_cap_states():
     ["selftest", "--kmax", "0"],
     ["sets", "classify", "--set", "evens", "--horizon", "5", "--ip-bound", "-3"],
     ["sets", "classify", "--set", "evens", "--horizon", "5", "--ip-bound", "0"],
+    ["chaos", "family", "--set", "evens", "--horizon", "1000", "--growth", "0"],
+    ["chaos", "family", "--set", "evens", "--horizon", "1000", "--growth", "1"],
+    ["density", "--set", "evens", "--kind", "banach", "--horizon", "0"],
+    ["density", "--set", "factorial_blocks", "--kind", "asymptotic", "--horizon", "0"],
 ])
 def test_sizes_below_their_range_exit_2(argv):
     assert run_cli(argv)[0] == 2

@@ -84,8 +84,12 @@ commands = st.one_of(
     .map(lambda t: ["density", "--set", t[0], "--kind", t[1], "--horizon", str(t[2])]),
     st.tuples(set_exprs, horizons, _flag("--limit", limits)).map(
         lambda t: ["sets", "diff", "--set", t[0], "--horizon", str(t[1])] + t[2]),
-    st.tuples(points, points, _flag("--n", st.integers(-1, 4))).map(
-        lambda t: ["chaos", "classify", "--x", t[0], "--y", t[1]] + t[2]),
+    st.tuples(st.sampled_from(["profile", "classify"]), points, points,
+              _flag("--n", st.integers(-1, 4))).map(
+        lambda t: ["chaos", t[0], "--x", t[1], "--y", t[2]] + t[3]),
+    st.tuples(set_exprs, sizes, horizons, st.integers(-2, 5)).map(
+        lambda t: ["chaos", "family", "--set", t[0], "--members", str(t[1]),
+                   "--horizon", str(t[2]), "--growth", str(t[3])]),
     st.tuples(set_exprs, horizons, _flag("--ip-bound", horizons),
               st.integers(-1, 2000).map(str)).map(
         lambda t: ["sets", "classify", "--set", t[0], "--horizon", str(t[1])] + t[2]
@@ -103,12 +107,13 @@ MINIMUMS = {
     ("beta parry", "--horizon"): 1, ("sets classify", "--horizon"): 1,
     ("sets diff", "--horizon"): 1, ("spacing delta-star", "--horizon"): 1,
     ("spacing delta-star", "--trials"): 0, ("selftest", "--kmax"): 1,
-    ("sets classify", "--ip-bound"): 1,
+    ("sets classify", "--ip-bound"): 1, ("chaos family", "--growth"): 2,
+    ("density", "--horizon"): 1,
 }
 
 
 def _below_range(argv):
-    command = " ".join(argv[:2]) if argv[0] in ("beta", "sets", "spacing") else argv[0]
+    command = " ".join(argv[:2]) if argv[0] in ("beta", "sets", "spacing", "chaos") else argv[0]
     return any(cmd == command and flag in argv and int(argv[argv.index(flag) + 1]) < low
                for (cmd, flag), low in MINIMUMS.items())
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,19 +6,15 @@ from hypothesis import given, strategies as st
 
 from shiftlab.core import (
     Alphabet,
-    concat,
     equality_horizon,
     first_disagreement,
     format_point,
     lex_compare,
     metric_rho,
-    occurrences,
-    ones_positions,
     parse_point,
     periodic_point,
     point_prefix,
     shift_point,
-    subword,
     word,
 )
 from shiftlab.errors import AlphabetMismatch, SpecParseError
@@ -127,18 +124,6 @@ def test_point_prefix_and_str():
     assert str(x) == ";10"
 
 
-def test_word_plumbing():
-    u, v = word("10"), word("01")
-    assert concat(u, v).symbols == (1, 0, 0, 1)
-    w = word("10110")
-    assert subword(w, 2, 3).symbols == (0, 1, 1)
-    with pytest.raises(IndexError):
-        subword(w, 4, 3)
-    assert occurrences(word("1"), w) == [1, 3, 4]
-    assert occurrences(word("01"), w) == [2]
-    assert ones_positions(w) == [1, 3, 4]
-
-
 points = st.builds(
     periodic_point,
     st.lists(st.integers(0, 1), max_size=4),
@@ -170,3 +155,51 @@ def test_prefix_matches_symbol_at(x, k):
 @given(points)
 def test_format_round_trip_property(x):
     assert parse_point(format_point(x)) == x
+
+
+# -- the prefix kernel against the one-coordinate definitions ----------------
+
+def _seeded_point(rng, n):
+    """A point over n symbols with preperiod 0..6 and period 1..13."""
+    digits = lambda m: [rng.randrange(n) for _ in range(m)]
+    return periodic_point(digits(rng.randint(0, 6)), digits(rng.randint(1, 13)), n=n)
+
+
+def _first_disagreement_reference(x, y):
+    """The per-index loop: symbol_at twice per index up to the horizon."""
+    for i in range(1, equality_horizon(x, y) + 1):
+        if x.symbol_at(i) != y.symbol_at(i):
+            return i
+    return None
+
+
+def test_prefix_matches_symbol_at_at_the_window_edges():
+    rng = random.Random(1101)
+    xs = [_seeded_point(rng, rng.choice((2, 3, 4))) for _ in range(120)]
+    for x in xs + [periodic_point("", "1"), periodic_point("201", "2", n=3)]:
+        p, q = len(x.preperiod), len(x.period)
+        for k in (-1, 0, 1, p, p + q - 1, p + q, p + q + 1, 1000):
+            assert x.prefix(k) == tuple(x.symbol_at(i) for i in range(1, k + 1)), (x, k)
+
+
+def test_first_disagreement_matches_the_per_index_loop():
+    rng = random.Random(1102)
+    pairs = []
+    for _ in range(150):
+        n = rng.choice((2, 3, 4))
+        x = _seeded_point(rng, n)
+        pre, per = list(x.preperiod), list(x.period)
+        # a partner that differs from x in one place only, or nowhere
+        if rng.random() < 0.5 and pre:
+            pre[rng.randrange(len(pre))] = rng.randrange(n)
+        else:
+            per[rng.randrange(len(per))] = rng.randrange(n)
+        pairs.append((x, periodic_point(pre, per, n=n)))
+        pairs.append((x, periodic_point(x.preperiod, x.period * 2, n=n)))
+        pairs.append((x, _seeded_point(rng, n)))
+    seen = set()
+    for x, y in pairs:
+        got = first_disagreement(x, y)
+        assert got == _first_disagreement_reference(x, y), (x, y)
+        seen.add(got is None)
+    assert seen == {True, False}

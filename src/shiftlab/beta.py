@@ -258,18 +258,21 @@ def beta_digits(spec, k):
 def parry_check(d, H):
     """Check sigma^k(d) <= d lexicographically for 0 <= k <= H.
 
-    One Z-array pass over a finite window serves words and points. A point
-    d = u v v v ... is read through d.prefix(H + 2|u| + |v| + 1). For k <= H,
-    sigma^k d has preperiod at most |u| and period |v|, so it equals d once
-    the two agree on more than 2|u| + |v| places (core.equality_horizon),
-    and more than that many remain in the window after the shift. A shift
-    whose tail matches d to the end of the window therefore equals d, and the
-    verdict is exact (True/False). For a finite prefix the result may be
+    One Z-array pass over a finite window serves words and points. For a
+    point d = u v v v ..., sigma^k d = sigma^(k-|v|) d once k >= |u| + |v|,
+    so only k <= K = min(H, |u| + |v|) are checked, through
+    d.prefix(K + 2|u| + |v| + 1). For k <= K, sigma^k d has preperiod at
+    most |u| and period |v|, so it equals d once the two agree on more than
+    2|u| + |v| places (core.equality_horizon), and more than that many
+    remain in the window after the shift. A shift whose tail matches d to
+    the end of the window therefore equals d, and the verdict is exact
+    (True/False). For a finite prefix the result may be
     None: some shifted copy agreed with the prefix over the whole available
     comparison length, which decides nothing.
     """
     point = isinstance(d, EventuallyPeriodicPoint)
     if point:
+        H = min(H, len(d.preperiod) + len(d.period))
         syms = d.prefix(H + 2 * len(d.preperiod) + len(d.period) + 1)
     else:
         syms = d.symbols if isinstance(d, Word) else tuple(d)

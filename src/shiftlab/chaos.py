@@ -400,6 +400,8 @@ def dc1_minimal_witness(x, k):
     DC1 definition (F* = 1 for all t > 0) requires the Equal set to have upper
     density one, which fails for periodic x; both certificate components are
     reported separately."""
+    if k < 1:
+        raise PreconditionError("k must be >= 1")
     n = x.alphabet.size
     span = len(x.preperiod) + 2 * len(x.period) + k
     run = 0

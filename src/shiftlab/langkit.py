@@ -21,6 +21,16 @@ Spacing shifts with any other P keep the uncut relative 1-mask; only the
 counting shift and custom specs keep the prefix itself (1-positions or
 symbols) as their state.
 
+Membership of a whole word does not go through the step when the family can
+test its definition directly. Such a family hands over ``word_test(b)``,
+which gets the word as ``bytes`` of symbol values: spacing shifts test the
+word's 1s as one int against the excluded differences, forbidden-word shifts
+look for each forbidden word with ``in``, and the counting shift walks its
+few 1s with ``bytes.find``. ``accepts`` checks the alphabet with one
+``bytes.translate`` and then calls the word test; table specs without one
+(full and beta shifts) read their transition table directly. The step, the
+table and ``narrow`` serve enumeration, the DPs and the position search.
+
 Counting engines, named by ``spec.engine`` after what the spec provides:
 
 * ``automaton_dp`` - a transition table: layered DPs over its states, in
@@ -32,7 +42,9 @@ Counting engines, named by ``spec.engine`` after what the spec provides:
 * ``dfs`` - neither: a walk over enumerate_language (custom specs).
 
 ``brute_force`` tests all n**k words independently and is the oracle every
-engine is checked against. D_k follows the same engine, except that a family
+engine is checked against. It calls ``accepts``, so for a family with a word
+test it checks the engines against the definition, not against the
+transition they read. D_k follows the same engine, except that a family
 with a closed form for its maximal 1-count hands it over as ``ones_exact``.
 
 Every engine but dfs is resumable. The lambda_1, lambda_2, ... column and
@@ -67,6 +79,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -129,10 +142,13 @@ class SubshiftSpec:
     node_cap)`` may stand in as the entry that counts lambda_k with it, and
     ``ones_exact(k)``, a closed form (D_k, 1-positions of a witness), for
     its D_k. ``engine`` names the counting engine these select.
+    ``word_test(b)`` (optional) decides membership of a word over the
+    alphabet, given as ``bytes`` of symbol values, from the family's
+    definition; ``accepts`` calls it in place of the step when n <= 256.
     """
 
     def __init__(self, n, family, label, start_state, step=None, transition=None,
-                 narrow=None, position_count=None, ones_exact=None):
+                 narrow=None, position_count=None, ones_exact=None, word_test=None):
         self.alphabet = Alphabet(n)
         self.n = n
         self.family = family
@@ -154,6 +170,10 @@ class SubshiftSpec:
         self._narrow = narrow
         self._position_count = position_count
         self._ones_exact = ones_exact
+        self._word_test = word_test
+        # the symbol values as bytes: a byte string is over the alphabet
+        # exactly when deleting these leaves nothing
+        self._symbol_bytes = bytes(range(n)) if n <= 256 else None
         self._column = []     # lambda column of the position search
         self._witnesses = []  # witnesses[j-1]: 1-positions of a word realising D_j
         self._dps = {}        # alpha (None for lambda) -> StateDP on the table
@@ -168,6 +188,30 @@ class SubshiftSpec:
         return "SubshiftSpec(%s)" % self.label
 
     def accepts(self, symbols):
+        """Membership of a word given as symbol values (ints, or bytes); a
+        value outside 0..n-1 answers False."""
+        if self._symbol_bytes is None:
+            return self._walk(symbols)
+        if not isinstance(symbols, bytes):
+            try:
+                symbols = bytes(symbols)
+            except ValueError:  # a value outside 0..255, so outside the alphabet
+                return False
+        if symbols.translate(None, self._symbol_bytes):
+            return False
+        if self._word_test is not None:
+            return self._word_test(symbols)
+        table = self._table
+        if table is None:
+            return self._walk(symbols)
+        state = self._start_state
+        for a in symbols:
+            ok, state = table[state][a]
+            if not ok:
+                return False
+        return True
+
+    def _walk(self, symbols):
         state, step, n = self._start_state, self._step, self.n
         for i, a in enumerate(symbols):
             if not (0 <= a < n):
@@ -190,7 +234,7 @@ def contains_word(spec, w):
         syms = w.symbols
     elif isinstance(w, str):
         if w.isascii() and w.isdigit():
-            syms = tuple(w.encode().translate(_DIGIT_BYTES))
+            syms = w.encode().translate(_DIGIT_BYTES)
         else:
             # non-ASCII digits parse too; any other character raises
             syms = tuple(int(c) for c in w)
@@ -697,6 +741,21 @@ def counting_shift():
     def narrow(chosen, rest):
         return rest[bisect.bisect_left(rest, min_next(chosen)):]
 
+    # 2**64, ..., 4, 2: the last m are the gaps that m earlier 1s need
+    gaps = tuple(1 << j for j in range(64, 0, -1))
+
+    def word_test(b):
+        # the definition on 1-positions: p_j - p_i >= 2**(j-i) for i < j, and
+        # at most _counting_cap(len(b)) <= 64 of them, so the walk is short
+        cap, ones, q = _counting_cap(len(b)), [], b.find(1)
+        while q >= 0:
+            m = len(ones)
+            if m == cap or m and q < max(map(operator.add, ones, gaps[-m:])):
+                return False
+            ones.append(q)
+            q = b.find(1, q + 1)
+        return True
+
     def ones_exact(k):
         # the window covering the whole word already forces <= cap(k) ones,
         # and the chain 1, 3, 5, 9, ..., 2**(j-1)+1 realizes it: the window
@@ -708,7 +767,7 @@ def counting_shift():
     return SubshiftSpec(
         n=2, family="counting", label="counting",
         start_state=(), step=step,
-        narrow=narrow, ones_exact=ones_exact)
+        narrow=narrow, ones_exact=ones_exact, word_test=word_test)
 
 
 def forbidden_shift(forbidden, n=2):
@@ -728,10 +787,16 @@ def forbidden_shift(forbidden, n=2):
                 return False, state
         return True, tail[-(max_len - 1):] if max_len > 1 else ()
 
+    # the transition never matches an empty forbidden word
+    fbytes = tuple(bytes(f) for f in syms if f) if n <= 256 else ()
+
+    def word_test(b):
+        return not any(f in b for f in fbytes)
+
     label = "forbidden:{%s}" % ",".join(str(f) for f in forb)
     spec = SubshiftSpec(
         n=n, family="forbidden", label=label,
-        start_state=(), transition=transition)
+        start_state=(), transition=transition, word_test=word_test)
     _validate_prolongable(spec, max_len + 2)
     return spec
 

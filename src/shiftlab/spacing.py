@@ -20,6 +20,14 @@ node already tested the earlier 1s. Each PSetSpec builds its spec once, so
 count_spacing and count_language(spacing_shift(P), k) extend the one
 resumable lambda column on that spec, and a K-row column costs one counting
 pass.
+
+Membership of a whole word skips the step: the spec's word test reads the
+word as one int W and the excluded mask cut to its length, and the word is
+admissible exactly when no two 1s sit an excluded distance apart. It loops
+over whichever is fewer, the 1s of W (testing (W >> (q+1)) & excluded) or the
+excluded d (testing W & (W >> d)), so langkit's brute force checks the
+engines against the definition rather than against the step. The growing
+excluded mask is the step's own.
 """
 
 from __future__ import annotations
@@ -41,6 +49,8 @@ from .langkit import (
 from .sets import IntSetSpec, difference_set
 
 WINDOWED_DP_MAX_WINDOW = 24
+# symbol value byte -> ASCII binary digit
+_BITS_ASCII = bytes.maketrans(b"\x00\x01", b"01")
 
 
 @dataclass(frozen=True)
@@ -115,6 +125,9 @@ def spacing_shift(P):
     if w is not None and w <= WINDOWED_DP_MAX_WINDOW:
         excluded, window = P.excluded_mask(w), (1 << w) - 1
 
+        def excluded_upto(h):
+            return excluded  # every excluded difference is at most w
+
         def transition(state, a):
             if a and state & excluded:
                 return False, state
@@ -122,13 +135,19 @@ def spacing_shift(P):
     else:
         excluded = covered = 0
 
-        def step(state, i, a):
+        def excluded_upto(h):
+            # the excluded mask exact to at least h, grown at least twofold
             nonlocal excluded, covered
+            if h > covered:
+                covered = 2 * h
+                excluded = P.excluded_mask(covered)
+            return excluded
+
+        def step(state, i, a):
             if not a:
                 return True, state << 1
             if state.bit_length() > covered:
-                covered = 2 * state.bit_length()
-                excluded = P.excluded_mask(covered)
+                excluded_upto(state.bit_length())
             if state & excluded:
                 return False, state
             return True, (state << 1) | 1
@@ -148,10 +167,33 @@ def spacing_shift(P):
         def position_count(k, node_cap):
             return count_spacing(P, k, node_cap=node_cap)
 
+    def word_test(b):
+        # W: the word as one int, its first symbol the top bit, so a pair of
+        # 1s d places apart is a pair of set bits d apart
+        ones = b.count(1)
+        if ones < 2:
+            return True
+        W, h = int(b.translate(_BITS_ASCII), 2), len(b) - 1
+        ex = excluded_upto(h) & ((1 << h) - 1)
+        if ones <= ex.bit_count():
+            rest = W
+            while rest:  # over the 1s: bit d-1 of W >> (q+1) is a 1 d above bit q
+                low = rest & -rest
+                if W >> low.bit_length() & ex:
+                    return False
+                rest ^= low
+        else:
+            while ex:    # over the excluded d: W & (W >> d) is a pair d apart
+                low = ex & -ex
+                if W & (W >> low.bit_length()):
+                    return False
+                ex ^= low
+        return True
+
     P._shift.append(SubshiftSpec(
         n=2, family="spacing", label="spacing:P=%s" % P,
         start_state=0, step=step, transition=transition,
-        narrow=narrow, position_count=position_count))
+        narrow=narrow, position_count=position_count, word_test=word_test))
     return P._shift[0]
 
 

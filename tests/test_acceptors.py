@@ -1,18 +1,22 @@
-"""Acceptor steps against the definitions of their languages.
+"""Acceptors against the definitions of their languages.
 
-Spacing, beta and forbidden-word acceptors keep a canonical state (relative
-1-distances, a match length, the last few symbols), so `spec.accepts` is
-checked here against the definition-level membership tests on seeded words
-both in and out of the language, and `contains_word` against its string
-parsing rules. The spacing excluded mask and the Delta* check are checked
-against their per-difference forms on seeded set expressions."""
+`spec.accepts` runs the family's word test where it has one (spacing,
+forbidden words, counting) and a table walk otherwise (beta). It is checked
+here against independent definition-level membership tests and against a
+walk over the step, which enumeration and the DPs read, on seeded words
+both in and out of the language; a property test feeds it arbitrary int
+sequences. `contains_word` is checked against its string parsing rules. The
+spacing excluded mask and the Delta* check are checked against their
+per-difference forms on seeded set expressions."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shiftlab.beta import parse_beta, word_in_beta_language
+from shiftlab.core import Alphabet, Word
 from shiftlab.errors import PreconditionError
 from shiftlab.langkit import contains_word, forbidden_shift, full_shift, parse_shift_spec
 from shiftlab.sets import difference_set, parse_set_expr
@@ -91,6 +95,106 @@ def test_forbidden_accepts_is_substring_avoidance(forb):
     bad = forb[1:-1].split(",")
     _check(spec, _seeded_words(spec, 1, 30),
            lambda w: not any(f in "".join(map(str, w)) for f in bad))
+
+
+def _step_walk(spec, syms):
+    """Membership by feeding the symbols through the step one at a time, each
+    first checked against the alphabet."""
+    state = spec._start_state
+    for i, a in enumerate(syms):
+        if not 0 <= a < spec.n:
+            return False
+        ok, state = spec._step(state, i, a)
+        if not ok:
+            return False
+    return True
+
+
+WORD_TEST_SPECS = tuple("spacing:P=" + e for e in SPACING_SETS) + \
+    tuple("forbidden:" + f for f in FORBIDDEN) + ("counting",)
+
+
+@pytest.mark.parametrize("text", WORD_TEST_SPECS)
+def test_word_test_matches_the_step_walk(text):
+    spec = parse_shift_spec(text)
+    assert spec._word_test is not None
+    words = _seeded_words(spec, 3, 60)
+    rng = random.Random(text)
+    for w in words[:20]:
+        # several symbols changed at once, and every prefix of a few words
+        w = list(w)
+        for i in rng.sample(range(len(w)), min(len(w), rng.randint(1, 6))):
+            w[i] = rng.randrange(spec.n)
+        words.append(tuple(w))
+    words += [w[:j] for w in words[:3] for j in range(0, len(w), 7)]
+    answers = [_step_walk(spec, w) for w in words]
+    assert [spec.accepts(w) for w in words] == answers
+    assert True in answers and False in answers
+    # the empty word and every single symbol are in the language
+    assert spec.accepts(()) and spec.accepts(b"")
+    assert all(spec.accepts((a,)) for a in range(spec.n))
+
+
+@pytest.mark.parametrize("expr", SPACING_SETS)
+def test_spacing_gap_words_as_the_excluded_mask_grows(expr):
+    # on a fresh spec, 1 0^(m-1) 1 is in the language exactly when m is in P,
+    # with m growing by one, so each answer reads the mask as grown so far;
+    # the step walk on a second fresh spec grows it from the step's side
+    for first in ("word test", "step"):
+        P = PSetSpec(parse_set_expr(expr))
+        spec = spacing_shift(P)
+        for m in range(1, 400):
+            gap = (1,) + (0,) * (m - 1) + (1,)
+            if first == "step":
+                assert _step_walk(spec, gap + (0,) * m) == P.contains(m), m
+            assert spec.accepts(gap) == P.contains(m), (first, m)
+
+
+def test_counting_word_test_at_the_cap():
+    # 1, 3, 5, 9, ..., 2**(j-1) + 1 realise the cap of the whole word; one
+    # more 1 anywhere breaks it, and moving the last one in breaks a window
+    spec = parse_shift_spec("counting")
+    for length in (1, 2, 3, 5, 9, 17, 33, 65, 200, 513):
+        ones = [1] + [(1 << (i - 1)) + 1 for i in range(2, length.bit_length() + 2)]
+        ones = [p for p in ones if p <= length]
+        syms = [0] * length
+        for p in ones:
+            syms[p - 1] = 1
+        assert spec.accepts(syms) and _step_walk(spec, syms)
+        for i in range(length):
+            if not syms[i]:
+                more = syms[:i] + [1] + syms[i + 1:]
+                assert spec.accepts(more) == _step_walk(spec, more)
+        if len(ones) > 1:
+            moved = list(syms)
+            moved[ones[-1] - 1], moved[ones[-1] - 2] = 0, 1
+            assert not spec.accepts(moved) and not _step_walk(spec, moved)
+
+
+ARBITRARY_SPECS = tuple(parse_shift_spec(t) for t in WORD_TEST_SPECS + (
+    "beta:beta=1.5", "beta:beta=2.7", "full:n=2", "full:n=300"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_accepts_never_raises_and_matches_the_step_walk(data):
+    spec = data.draw(st.sampled_from(ARBITRARY_SPECS))
+    inside = st.integers(0, spec.n - 1)
+    syms = data.draw(st.lists(st.one_of(
+        inside, inside, inside,
+        st.integers(-3, 300), st.integers(-(1 << 70), 1 << 70)), max_size=40))
+    want = _step_walk(spec, syms)
+    assert spec.accepts(syms) is want
+    assert spec.accepts(tuple(syms)) is want
+    assert contains_word(spec, syms) is want
+    if all(0 <= a < 256 for a in syms):
+        assert spec.accepts(bytes(syms)) is want
+    if all(0 <= a < spec.n for a in syms):
+        assert contains_word(spec, Word(Alphabet(spec.n), tuple(syms))) is want
+    if all(0 <= a < 10 for a in syms):
+        assert contains_word(spec, "".join(map(str, syms))) is want
+        # Arabic-Indic digits
+        assert contains_word(spec, "".join(chr(0x660 + a) for a in syms)) is want
 
 
 def _state(spec, syms, positions=True):

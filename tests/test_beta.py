@@ -484,3 +484,33 @@ def test_parry_check_points_match_the_per_shift_loop():
     # a purely periodic d: sigma^|per| d = d, so its window tail meets d
     d = periodic_point("", "2110", n=3)
     assert shift_point(d, 4) == d and parry_check(d, 300) is True
+
+
+def test_parry_check_points_read_one_orbit_of_shifts(monkeypatch):
+    # sigma^k d for k >= |pre| + |per| repeats an earlier shift, so the answer
+    # at any H is the per-shift loop's at min(H, |pre| + |per|), and the
+    # window read does not grow with H
+    from shiftlab.core import EventuallyPeriodicPoint
+    read = []
+    prefix = EventuallyPeriodicPoint.prefix
+    monkeypatch.setattr(EventuallyPeriodicPoint, "prefix",
+                        lambda self, k: read.append(k) or prefix(self, k))
+    rng = random.Random(1207)
+    points = [periodic_point("", "10"), periodic_point("11", "0"), periodic_point("01", "0"),
+              periodic_point("", "210", n=3)]
+    for _ in range(60):
+        n = rng.choice((2, 3))
+        points.append(periodic_point([rng.randrange(n) for _ in range(rng.randint(0, 5))],
+                                     [rng.randrange(n) for _ in range(rng.randint(1, 9))], n=n))
+    verdicts = set()
+    for d in points:
+        p, q = len(d.preperiod), len(d.period)
+        want = _parry_point_reference(d, p + q)
+        for H in (p + q - 1, p + q, p + q + 1, 3 * (p + q) + 5):
+            assert parry_check(d, H) is _parry_point_reference(d, H), (d, H)
+        for H in (p + q, 10 ** 6, 10 ** 12):
+            read.clear()
+            assert parry_check(d, H) is want, (d, H)
+            assert read == [2 * (p + q) + p + 1]
+        verdicts.add(want)
+    assert verdicts == {True, False}

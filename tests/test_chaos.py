@@ -514,6 +514,13 @@ def test_dc1_minimal_witness_precondition():
         dc1_minimal_witness(P("", "100"), 2)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_dc1_minimal_witness_needs_k_at_least_one(k):
+    for x in (P("0110", "1"), P("", "1"), P("", "100")):
+        with pytest.raises(PreconditionError, match="k must be >= 1"):
+            dc1_minimal_witness(x, k)
+
+
 # -- property tests -----------------------------------------------------------
 
 points = st.builds(

@@ -100,9 +100,7 @@ def _cmd_language(args):
                                  node_cap=args.cap_states)
     result = {"k": args.k, "lambda": str(lam)}
     if args.list:
-        words = langkit.enumerate_language(spec, args.k)
-        if args.limit:
-            words = itertools.islice(words, args.limit)
+        words = itertools.islice(langkit.enumerate_language(spec, args.k), args.limit)
         result["words"] = ["".join(map(str, w)) for w in words]
     return spec.label, result
 
@@ -390,6 +388,8 @@ def main(argv=None, out=None):
     args = ap.parse_args(argv)
     started = time.monotonic()
     try:
+        if getattr(args, "cap_states", 1) < 1:
+            raise PreconditionError("cap-states must be >= 1")
         if args.command == "selftest":
             rows, all_ok, cap_hit = _cmd_selftest(args)
             timing = round(time.monotonic() - started, 3) if args.timing else None

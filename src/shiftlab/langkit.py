@@ -36,9 +36,11 @@ Counting engines, named by ``spec.engine`` after what the spec provides:
 * ``automaton_dp`` - a transition table: layered DPs over its states, in
   (+, x) for lambda_k and in (max, +) with edge weight [a == alpha] for the
   maximal symbol count D_k (the walk counts of Lind & Marcus, ch. 4);
-* ``branch_and_bound`` - a narrowing step without a table: position_search
-  over 1-position subsets (spacing shifts with any other P, the counting
-  shift);
+* ``branch_and_bound`` - a narrowing step without a table: lambda_k from
+  the family's ``position_count`` entry where it has one (spacing shifts
+  with any other P: spacing.count_spacing, a memoised count over candidate
+  masks), else from position_search over 1-position subsets (the counting
+  shift); D_k from position_search either way;
 * ``dfs`` - neither: a walk over enumerate_language (custom specs).
 
 ``brute_force`` tests all n**k words independently and is the oracle every
@@ -139,7 +141,8 @@ class SubshiftSpec:
     which is memoised in a transition table, or ``step(state, prefix_len, a)``.
     ``narrow(chosen, rest)`` (optional, binary hereditary families only) backs
     position_search (see the module docstring); ``position_count(k,
-    node_cap)`` may stand in as the entry that counts lambda_k with it, and
+    node_cap)`` may stand in for count_positions as the family's own
+    lambda_k entry, and
     ``ones_exact(k)``, a closed form (D_k, 1-positions of a witness), for
     its D_k. ``engine`` names the counting engine these select.
     ``word_test(b)`` (optional) decides membership of a word over the

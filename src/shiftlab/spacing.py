@@ -14,12 +14,16 @@ When the excluded-difference set N \\ P is finite with largest element
 w <= WINDOWED_DP_MAX_WINDOW, the state is cut to its last w bits and the
 spec hands langkit its transition, so lambda_k and D_k come from the
 automaton DPs over at most 2**w states. For any other P the state keeps
-every 1, and the spec hands over a narrowing step for langkit's position
-search: a candidate q stays when q - chosen[-1] lies in P, since the parent
-node already tested the earlier 1s. Each PSetSpec builds its spec once, so
-count_spacing and count_language(spacing_shift(P), k) extend the one
-resumable lambda column on that spec, and a K-row column costs one counting
-pass.
+every 1. Its lambda_k then comes from count_spacing's candidate-mask count:
+what may follow a word's last 1 is fixed by the set T of offsets still
+admissible after it, cut to the positions left (its follower set), so the
+number of continuations depends on T alone, and one memo keyed by T, an
+int, serves every word and every k. D_k comes from langkit's position
+search, which the spec serves with a narrowing step: a candidate q stays
+when q - chosen[-1] lies in P, since the parent node already tested the
+earlier 1s. Each PSetSpec builds its spec once, so count_spacing and
+count_language(spacing_shift(P), k) extend the one resumable lambda column
+on that spec, and a K-row column costs one counting pass.
 
 Membership of a whole word skips the step: the spec's word test reads the
 word as one int W and the excluded mask cut to its length, and the word is
@@ -27,7 +31,7 @@ admissible exactly when no two 1s sit an excluded distance apart. It loops
 over whichever is fewer, the 1s of W (testing (W >> (q+1)) & excluded) or the
 excluded d (testing W & (W >> d)), so langkit's brute force checks the
 engines against the definition rather than against the step. The growing
-excluded mask is the step's own.
+excluded mask is the step's own, and the count reads its candidates off it.
 """
 
 from __future__ import annotations
@@ -37,13 +41,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import Word
-from .errors import PreconditionError
+from .errors import PreconditionError, ResourceCapExceeded
 from .langkit import (
     DEFAULT_NODE_CAP,
     SubshiftSpec,
     count_language,
-    count_positions,
     entropy_estimates,
+    extend_column,
     max_density_word,
 )
 from .sets import IntSetSpec, difference_set
@@ -58,7 +62,8 @@ class PSetSpec:
     """The parameter P of a spacing shift; membership decidable to any horizon."""
 
     base: IntSetSpec
-    # [the langkit spec of Omega_P], built once by spacing_shift
+    # [the langkit spec of Omega_P], then, off the automaton DP, the memo and
+    # the candidate-mask kernel of count_spacing; built once by spacing_shift
     _shift: list = field(default_factory=list, init=False, compare=False, repr=False,
                          hash=False)
 
@@ -97,15 +102,61 @@ def admissible(P, w):
 
 
 def count_spacing(P, k, node_cap=DEFAULT_NODE_CAP):
-    """lambda_k for Omega_P, exact, by the engine spacing_shift(P) gets: the
-    automaton DP when N \\ P is finite and small, else the position search.
-    node_cap bounds the nodes one position-search call expands."""
+    """lambda_k for Omega_P, exact: by the automaton DP when N \\ P is finite
+    and small, else by the candidate-mask count, resuming the column on P's
+    spec. T is an int whose bit u is set when a 1 placed u past the last 1
+    is still admissible and inside the word; f(T) counts the admissible sets
+    of later 1s, the empty set included:
+
+        f(0) = 1,   f(T) = 1 + sum over t in T of f((T >> t) & pmask),
+
+    with pmask the candidates after a lone 1 (bit d set when d is in P).
+    f(T) reads only T, so one memo on the spec serves every k, and
+    lambda_j = lambda_(j-1) + f(pmask & (2**j - 1)), the sets through
+    position 1. node_cap bounds the (T, t) lookups this call makes; a trip
+    leaves the column and the memo valid."""
     if k < 1:
         raise PreconditionError("k must be >= 1")
+    if not isinstance(P, PSetSpec):
+        P = PSetSpec(P)
     spec = spacing_shift(P)
     if spec.engine == "automaton_dp":
         return count_language(spec, k)
-    return count_positions(spec, k, node_cap)
+    _, memo, candidates = P._shift
+    column, pmask, budget = spec._column, candidates(k), node_cap
+
+    def next_lambda(j):
+        nonlocal budget
+        root = pmask & ((1 << j) - 1)
+        if root not in memo:
+            # an explicit stack of [T, bits of T not yet looked up, sum so far];
+            # a child is below its parent, so none is still open
+            stack = [[root, root, 1]]
+            while stack:
+                frame = stack[-1]
+                T, rest, acc = frame
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    budget -= 1
+                    if budget < 0:
+                        raise ResourceCapExceeded(
+                            "candidate-mask count exceeded %d nodes" % node_cap)
+                    child = T >> (low.bit_length() - 1) & pmask
+                    got = memo.get(child)
+                    if got is None:
+                        frame[1], frame[2] = rest, acc
+                        stack.append([child, child, 1])
+                        break
+                    acc += got
+                else:
+                    memo[T] = acc
+                    stack.pop()
+                    if stack:
+                        stack[-1][2] += acc
+        return (column[-1] if column else 1) + memo[root]
+
+    return extend_column(column, k, next_lambda)
 
 
 def spacing_shift(P):
@@ -113,8 +164,9 @@ def spacing_shift(P):
     reads the position: a 1 is refused when the relative 1-mask meets the
     excluded mask. With N \\ P finite and small the mask is cut to the window
     and handed over as a transition (automaton DP); otherwise it is grown
-    when the state outruns it, and lambda_k comes from count_spacing (the
-    position search)."""
+    when the state outruns it, the spec's lambda_k comes from count_spacing
+    (the candidate-mask count, whose memo and candidate mask this builds from
+    that one excluded mask), and D_k from the position search."""
     if not isinstance(P, PSetSpec):
         P = PSetSpec(P)
     if P._shift:
@@ -164,6 +216,14 @@ def spacing_shift(P):
                 in_p[:] = [False, *map(bool, P.base.bits(2 * (rest[-1] - p)))]
             return [q for q in rest if in_p[q - p]]
 
+        memo = {0: 1}  # candidate mask T -> f(T), see count_spacing
+
+        def candidates(h):
+            # the candidates after a lone 1, exact to at least h: bit d set
+            # when d is in P, read off the grown excluded mask
+            excluded_upto(h)
+            return (~excluded & ((1 << covered) - 1)) << 1
+
         def position_count(k, node_cap):
             return count_spacing(P, k, node_cap=node_cap)
 
@@ -194,6 +254,8 @@ def spacing_shift(P):
         n=2, family="spacing", label="spacing:P=%s" % P,
         start_state=0, step=step, transition=transition,
         narrow=narrow, position_count=position_count, word_test=word_test))
+    if transition is None:
+        P._shift.extend((memo, candidates))
     return P._shift[0]
 
 

@@ -206,9 +206,41 @@ def test_sets_classify_reads_cap_states():
     ["chaos", "family", "--set", "evens", "--horizon", "1000", "--growth", "1"],
     ["density", "--set", "evens", "--kind", "banach", "--horizon", "0"],
     ["density", "--set", "factorial_blocks", "--kind", "asymptotic", "--horizon", "0"],
+    ["entropy", "--shift", "spacing:P=evens", "--kmax", "3", "--cap-states", "-5"],
+    ["entropy", "--shift", "full:n=2", "--kmax", "3", "--cap-states", "0"],
+    ["language", "--shift", "spacing:P=evens", "--k", "3", "--cap-states", "0"],
+    ["language", "--shift", "full:n=2", "--k", "3", "--cap-states", "-1"],
+    ["sets", "classify", "--set", "evens", "--horizon", "64", "--cap-states", "0"],
+    ["sets", "classify", "--set", "evens", "--horizon", "64", "--cap-states", "-3"],
+    ["spacing", "recurrence-probe", "--set", "odds", "--kmax", "3", "--cap-states", "0"],
+    ["spacing", "recurrence-probe", "--set", "odds", "--kmax", "3", "--cap-states", "-5"],
 ])
 def test_sizes_below_their_range_exit_2(argv):
     assert run_cli(argv)[0] == 2
+
+
+def test_cap_states_of_one_is_in_range():
+    assert run_cli(["entropy", "--shift", "full:n=2", "--kmax", "3", "--cap-states", "1"])[0] == 0
+    assert run_cli(["language", "--shift", "counting", "--k", "3", "--cap-states", "1"])[0] == 0
+    assert run_cli(["spacing", "recurrence-probe", "--set", "odds", "--kmax", "3",
+                    "--cap-states", "1"])[0] == 0
+
+
+def test_language_limit_zero_lists_no_words():
+    for k in (14, 200):
+        env = run_json(["language", "--shift", "full:n=2", "--k", str(k), "--list",
+                        "--limit", "0"])
+        assert env["result"] == {"k": k, "lambda": str(2 ** k), "words": []}
+
+
+def test_evens_column_to_60_under_the_default_cap():
+    # the candidate-mask count: the position search tripped the 2M-node cap
+    env = run_json(["entropy", "--shift", "spacing:P=evens", "--kmax", "60"])
+    rows = env["result"]["rows"]
+    assert env["cap_hit"] is False and env["result"]["strategy"] == "branch_and_bound"
+    assert [int(r["lambda"]) for r in rows] == \
+        [2 ** ((k + 1) // 2) + 2 ** (k // 2) - 1 for k in range(1, 61)]
+    assert rows[-1]["lambda"] == str(2 ** 31 - 1)
 
 
 def test_timing_flag_adds_wall_time():

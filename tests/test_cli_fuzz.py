@@ -98,6 +98,9 @@ commands = st.one_of(
               st.integers(0, 9)).map(
         lambda t: ["spacing", "delta-star", "--set", t[0], "--k", str(t[1])] + t[2]
         + ["--horizon", str(t[3]), "--seed", str(t[4])]),
+    st.tuples(set_exprs, st.integers(-2, 6), caps).map(
+        lambda t: ["spacing", "recurrence-probe", "--set", t[0], "--kmax", str(t[1]),
+                   "--cap-states", t[2]]),
     st.integers(-2, 4).map(lambda k: ["selftest", "--kmax", str(k)]),
 )
 
@@ -108,7 +111,9 @@ MINIMUMS = {
     ("sets diff", "--horizon"): 1, ("spacing delta-star", "--horizon"): 1,
     ("spacing delta-star", "--trials"): 0, ("selftest", "--kmax"): 1,
     ("sets classify", "--ip-bound"): 1, ("chaos family", "--growth"): 2,
-    ("density", "--horizon"): 1,
+    ("density", "--horizon"): 1, ("entropy", "--cap-states"): 1,
+    ("language", "--cap-states"): 1, ("sets classify", "--cap-states"): 1,
+    ("spacing recurrence-probe", "--cap-states"): 1, ("spacing recurrence-probe", "--kmax"): 1,
 }
 
 

@@ -68,8 +68,8 @@ def _evens_closed_form(k):
 
 
 def test_spacing_keeps_one_column():
-    # the position search: the spec's count goes through count_spacing, so
-    # both extend the one column kept on P's spec
+    # the candidate-mask count: the spec's count goes through count_spacing,
+    # so both extend the one column kept on P's spec
     P = PSetSpec(EVENS)
     spec = spacing_shift(P)
     assert [count_language(spec, k) for k in range(1, 9)] == \
@@ -154,8 +154,8 @@ def test_forbidden_long_word_count_no_traceback():
     ["spacing", "recurrence-probe", "--set", "odds", "--kmax", "30"],
 ])
 def test_cap_states_bounds_the_position_searches(argv):
-    # spacing branch and bound and the counting shift's position search both
-    # count their nodes against --cap-states
+    # the spacing candidate-mask count and the counting shift's position
+    # search both count their nodes against --cap-states
     assert main(argv + ["--cap-states", "10"], out=io.StringIO()) == 3
     assert main(argv, out=io.StringIO()) == 0
 

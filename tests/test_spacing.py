@@ -1,14 +1,17 @@
+import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from shiftlab.core import word
-from shiftlab.errors import PreconditionError
+from shiftlab.errors import PreconditionError, ResourceCapExceeded
 from shiftlab.langkit import (
     contains_word,
     count_language,
+    count_positions,
     hereditary_check,
     max_symbol_count,
     max_symbol_witness,
@@ -44,7 +47,8 @@ FULL_P = PSetSpec(NATURALS)
 
 class _Unperiodic(IntSetSpec):
     """P with its eventual periodicity hidden, so that spacing_shift counts
-    Omega_P by the position search even where N \\ P is finite."""
+    Omega_P by the candidate-mask count, with the position search for D_k,
+    even where N \\ P is finite."""
 
     def __init__(self, base):
         self.base = base
@@ -98,11 +102,13 @@ def test_strategies_agree():
     assert spec.engine == "automaton_dp"
     for k in range(1, 31):
         assert count_spacing(P, k) == count_language(spec, k)
-    # the position search on the same P stays a second engine to check against
+    # hiding the period puts the same P on the candidate-mask count, and the
+    # position search on it stays a third engine to check against
     searched = PSetSpec(_Unperiodic(P.base))
     assert spacing_shift(searched).engine == "branch_and_bound"
+    walked = spacing_shift(PSetSpec(_Unperiodic(P.base)))
     for k in range(1, 19):
-        assert count_spacing(P, k) == count_spacing(searched, k)
+        assert count_spacing(P, k) == count_spacing(searched, k) == count_positions(walked, k)
 
 
 def test_windowed_dp_needs_finite_excluded():
@@ -251,7 +257,7 @@ def _seeded_window_bits():
 ])
 def test_position_search_reads_the_excluded_mask(text):
     # hiding the period puts every P, the finite-excluded one too, on the
-    # position search
+    # branch-and-bound engine, whose D_k comes from the position search
     P = PSetSpec(_Unperiodic(parse_set_expr(text)))
     spec = spacing_shift(P)
     assert spec.engine == "branch_and_bound"
@@ -270,11 +276,93 @@ def test_position_search_reads_the_excluded_mask(text):
         rest = ref(chosen[:-1], list(range(chosen[-1] + 1, k + 1)))
         assert spec._narrow(chosen, rest) == ref(chosen, rest)
     # the same searches on a spec whose narrowing step is the definition (on
-    # its own P: spacing_shift builds one spec per P)
+    # its own P: spacing_shift builds one spec per P); its lambda column comes
+    # from the position search, the spec's own from the candidate-mask count
     ref_spec = spacing_shift(PSetSpec(P.base))
     ref_spec._narrow = ref
     for k in range(1, 31):
-        assert count_language(spec, k) == count_language(ref_spec, k)
+        assert count_language(spec, k) == count_positions(ref_spec, k)
         assert max_symbol_count(spec, 1, k) == max_symbol_count(ref_spec, 1, k)
         assert max_symbol_witness(spec, 1, k) == max_symbol_witness(ref_spec, 1, k)
     assert spec._witnesses == ref_spec._witnesses
+
+
+# -- the candidate-mask count --------------------------------------------------
+
+def _perfbench_periodic_pool():
+    """The seeded spacing parameters of the lang-columns benchmark workload,
+    each with the kmax its entropy column is run to."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sys.path.insert(0, os.path.join(root, "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return workloads.PERIODIC_POOL
+
+
+def _seeded_window(seed, length=48):
+    rng = random.Random(seed)
+    return "window:" + "".join(rng.choice("0111") for _ in range(length))
+
+
+MASK_COUNT_SETS = (
+    "evens", "odds", "pow2diff", "factorial_blocks",
+    _seeded_window(3), _seeded_window(17),
+    "union:(%s|periodic:;001)" % _seeded_window(5, 24), "union:(pow2diff|periodic:;00001)",
+    "complement:(complement:(evens))",
+    "complement:(union:(odds|complement:(pow2diff)))",
+    # cofinite, but the largest excluded difference is past the windowed DP
+    "complement:(finite:{2,%d})" % (WINDOWED_DP_MAX_WINDOW + 1),
+    "complement:(finite:{1,3,%d})" % (WINDOWED_DP_MAX_WINDOW + 6),
+)
+
+
+def _check_mask_count(text, kmax, brute_kmax):
+    P = PSetSpec(parse_set_expr(text))
+    assert spacing_shift(P).engine == "branch_and_bound", text
+    got = [count_spacing(P, k) for k in range(1, kmax + 1)]
+    # the position search on a fresh spec of its own: P's spec keeps one column
+    searched = spacing_shift(PSetSpec(parse_set_expr(text)))
+    assert got == [count_positions(searched, k) for k in range(1, kmax + 1)], text
+    brute = spacing_shift(PSetSpec(parse_set_expr(text)))
+    assert got[:brute_kmax] == [count_language(brute, k, strategy="brute_force")
+                                for k in range(1, brute_kmax + 1)], text
+
+
+@pytest.mark.parametrize("text", MASK_COUNT_SETS)
+def test_mask_count_matches_position_search_and_brute_force(text):
+    _check_mask_count(text, 24, 16)
+
+
+@pytest.mark.parametrize("per,kmax", _perfbench_periodic_pool())
+def test_mask_count_on_the_benchmark_periodic_pool(per, kmax):
+    _check_mask_count("periodic:;" + per, kmax, 12)
+
+
+def test_mask_count_resumes_after_a_cap_trip():
+    fresh = PSetSpec(EVENS)
+    assert count_spacing(fresh, 60) == 2 ** 31 - 1
+    P = PSetSpec(EVENS)
+    with pytest.raises(ResourceCapExceeded):
+        count_spacing(P, 60, node_cap=200)
+    spec, memo, _ = P._shift
+    _, fresh_memo, _ = fresh._shift
+    assert 0 < len(spec._column) < 60
+    assert spec._column == spacing_shift(fresh)._column[:len(spec._column)]
+    # every memo entry kept through the trip is f(T), so a fresh count agrees
+    assert len(memo) > 1 and all(fresh_memo[T] == v for T, v in memo.items())
+    # the lookups already made are not made again: the rest of the column
+    # fits in a cap that a fresh count of it trips
+    with pytest.raises(ResourceCapExceeded):
+        count_spacing(PSetSpec(EVENS), 60, node_cap=250)
+    assert count_spacing(P, 60, node_cap=250) == 2 ** 31 - 1
+    assert spec._column == spacing_shift(fresh)._column
+
+
+def test_mask_count_work_is_memoised():
+    # lambda_60 = 2**31 - 1: a count that visits each admissible 1-set, as the
+    # position search does, needs about 2**31 nodes; the memo needs 435
+    assert count_spacing(PSetSpec(EVENS), 60, node_cap=1000) == 2 ** 31 - 1
+    assert count_spacing(PSetSpec(ODDS), 200, node_cap=10 ** 4) == \
+        count_positions(spacing_shift(PSetSpec(ODDS)), 200)

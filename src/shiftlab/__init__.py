@@ -17,7 +17,6 @@ from .core import (
 )
 from .errors import (
     AlphabetMismatch,
-    PrecisionError,
     PreconditionError,
     ResourceCapExceeded,
     SearchFailure,
@@ -48,7 +47,7 @@ __all__ = [
     "Alphabet", "EventuallyPeriodicPoint", "Word", "format_point",
     "lex_compare", "metric_rho", "parse_point", "periodic_point",
     "point_prefix", "shift_point", "word",
-    "AlphabetMismatch", "PrecisionError", "PreconditionError",
+    "AlphabetMismatch", "PreconditionError",
     "ResourceCapExceeded", "SearchFailure", "ShiftlabError",
     "SpecParseError", "SpecValidationError",
     "SubshiftSpec", "contains_word", "count_language", "counting_shift",

@@ -26,7 +26,7 @@ exact. When Y = 0 it is X // Z. Otherwise, with v = X + Y*sqrt(d),
 floor(v/Z) = floor(floor(v)/Z) for an integer Z > 0, and floor(Y*sqrt(d))
 is isqrt(Y*Y*d) for Y > 0 and -isqrt(Y*Y*d) - 1 for Y < 0 (d is not a
 square). So digit i costs one isqrt of an O(i)-bit integer plus O(i)-bit
-products, and a PrecisionError cannot fire here.
+products, and no digit needs a precision check.
 
 Finite-length membership rule: w is in L(Omega_beta) iff every suffix of w is
 lexicographically <= the equal-length prefix of the digit sequence of 1.

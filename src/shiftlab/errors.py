@@ -1,7 +1,6 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: parse errors -> 2, resource caps -> 3,
-precision failures -> 4.
+The CLI maps these onto exit codes: parse errors -> 2, resource caps -> 3.
 """
 
 
@@ -27,10 +26,6 @@ class ResourceCapExceeded(ShiftlabError):
     one before the cap tripped."""
 
     partial = None
-
-
-class PrecisionError(ShiftlabError):
-    """A floor/comparison could not be certified at the working precision."""
 
 
 class SearchFailure(ShiftlabError):

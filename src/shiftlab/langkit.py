@@ -59,10 +59,12 @@ work.
 
 The position search serves binary families that are hereditary and
 shift-invariant. Adding a 1 only adds constraints, so the admissible next
-1-positions only shrink as a word grows: ``narrow(chosen, rest)`` keeps
-those of the parent's remaining candidates ``rest`` (ascending, above
-chosen[-1]) still admissible after the 1s in ``chosen``. Since 0w is in
-L_k exactly when w is in L_(k-1),
+1-positions only shrink as a word grows. A candidate set is one int mask,
+bit q set while position q is a candidate; the search visits its set bits
+in ascending order, and ``narrow(chosen, rest)`` keeps, in one mask
+operation, those of the parent's remaining candidates ``rest`` (the mask of
+those above chosen[-1]) still admissible after the 1s in ``chosen``. Since
+0w is in L_k exactly when w is in L_(k-1),
 
     lambda_k = lambda_(k-1) + #{w in L_k : w_1 = 1},
 
@@ -78,7 +80,6 @@ h(X) is the infimum of the sequence, so no extrapolation is ever sound.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import operator
@@ -343,45 +344,45 @@ class StateDP:
 
 def position_search(narrow, chosen, cands, node_cap, bound=None):
     """Explicit-stack depth-first walk over the admissible extensions of the
-    1-positions ``chosen`` (next candidates ``cands``): each node adds one
-    candidate q, in ascending order, and narrows the candidates above it.
-    Returns (nodes visited, the first largest set seen). ``bound(q)``, an
-    upper bound on the 1s after a 1 at q that does not grow with q, cuts
-    (with the candidates left in the level) the branches that cannot beat
-    that set. A node_cap trip leaves that set in ResourceCapExceeded.partial."""
+    1-positions ``chosen`` (next candidates ``cands``, an int mask with bit q
+    set when q is a candidate): each node adds one candidate q, in ascending
+    order, and narrows the candidates above it. Returns (nodes visited, the
+    first largest set seen). ``bound(q)``, an upper bound on the 1s after a
+    1 at q that does not grow with q, cuts (with the candidates left in the
+    level) the branches that cannot beat that set. A node_cap trip leaves
+    that set in ResourceCapExceeded.partial."""
     chosen = list(chosen)
     best, nodes = tuple(chosen), 0
-    stack = []  # (candidates, iterator over them) of each open ancestor level
-    level, it = cands, enumerate(cands, 1)
+    stack = []  # the candidates each open ancestor level has left
+    m = cands
     while True:
-        for i, q in it:
+        while m:
+            low = m & -m
+            m ^= low
             nodes += 1
             if nodes > node_cap:
                 e = ResourceCapExceeded("position search exceeded %d nodes" % node_cap)
                 e.partial = best
                 raise e
+            q = low.bit_length() - 1
             if bound is not None:
                 need = len(best) - len(chosen)  # the 1s a branch must add to win
-                if len(level) - i < need or bound(q) < need:
+                if m.bit_count() < need or bound(q) < need:
                     # a later q only lowers both bounds: close this level
-                    it = iter(())
                     break
             chosen.append(q)
             if len(chosen) > len(best):
                 best = tuple(chosen)
-            rest = level[i:]
+            rest = narrow(chosen, m) if m else 0
             if rest:
-                rest = narrow(chosen, rest)
-                if rest:
-                    stack.append((level, it))
-                    level, it = rest, enumerate(rest, 1)
-                    break
-            chosen.pop()
-        else:
-            if not stack:
-                return nodes, best
-            level, it = stack.pop()
-            chosen.pop()
+                stack.append(m)
+                m = rest
+            else:
+                chosen.pop()
+        if not stack:
+            return nodes, best
+        m = stack.pop()
+        chosen.pop()
 
 
 def count_positions(spec, k, node_cap=DEFAULT_NODE_CAP):
@@ -393,8 +394,9 @@ def count_positions(spec, k, node_cap=DEFAULT_NODE_CAP):
 
     def next_lambda(j):
         nonlocal budget
+        # the candidates 2..j after a 1 at position 1
         nodes, _ = position_search(spec._narrow, [1],
-                                   spec._narrow([1], list(range(2, j + 1))), budget)
+                                   spec._narrow([1], (1 << (j + 1)) - 4), budget)
         budget -= nodes
         return (column[-1] if column else 1) + 1 + nodes
 
@@ -500,7 +502,7 @@ def _max_ones_word(spec, k, node_cap):
     def next_witness(j):
         nonlocal budget
         nodes, best = position_search(
-            spec._narrow, [], list(range(1, j + 1)), budget,
+            spec._narrow, [], (1 << (j + 1)) - 2, budget,
             lambda q: len(column[j - q - 1]) if q < j else 0)
         budget -= nodes
         return best
@@ -679,12 +681,16 @@ def heredity_entropy_bound(spec, w):
     if not contains_word(spec, w):
         raise PreconditionError("word %s is not in the language" % (w,))
     w = word(w, spec.n)
+    if not len(w):
+        raise PreconditionError("the empty word gives no bound")
     return Fraction(w.weight(), len(w))
 
 
 def mixing_probe(spec, u, v, m_max):
     """Smallest gap g such that u 0^m v is in L(X) for all g <= m <= m_max,
     or None when the scan gives no such tail (finite-horizon evidence only)."""
+    if m_max < 0:
+        raise PreconditionError("m_max must be >= 0")
     u = word(u, spec.n)
     v = word(v, spec.n)
     if not contains_word(spec, u):
@@ -726,34 +732,33 @@ def counting_shift():
     """The zero-entropy mixing hereditary shift: a word is admissible iff every
     subword of length in (2**(j-1), 2**j] carries at most j ones."""
 
-    def min_next(chosen):
-        # the least q that keeps every window from chosen[i] to q in its cap:
-        # its m - i + 1 ones need a length above 2**(m - i)
-        m = len(chosen)
-        return max(p + (1 << (m - i)) for i, p in enumerate(chosen))
+    # 2**64, ..., 4, 2: the last m are the gaps that m earlier 1s need
+    gaps = tuple(1 << j for j in range(64, 0, -1))
+
+    def _floor(ones):
+        # the least position a next 1 may take: p_j - p_i >= 2**(j-i) for
+        # i < j keeps every window from a 1 to it in its cap
+        return max(map(operator.add, ones, gaps[-len(ones):]))
 
     def step(state, i, a):
         # state: tuple of 1-based 1-positions so far
         if a == 0:
             return True, state
         q = i + 1
-        if state and q < min_next(state):
+        if state and q < _floor(state):
             return False, state
         return True, state + (q,)
 
     def narrow(chosen, rest):
-        return rest[bisect.bisect_left(rest, min_next(chosen)):]
-
-    # 2**64, ..., 4, 2: the last m are the gaps that m earlier 1s need
-    gaps = tuple(1 << j for j in range(64, 0, -1))
+        f = _floor(chosen)
+        return rest >> f << f
 
     def word_test(b):
-        # the definition on 1-positions: p_j - p_i >= 2**(j-i) for i < j, and
-        # at most _counting_cap(len(b)) <= 64 of them, so the walk is short
+        # the definition on 1-positions, and at most _counting_cap(len(b))
+        # <= 64 of them, so the walk is short
         cap, ones, q = _counting_cap(len(b)), [], b.find(1)
         while q >= 0:
-            m = len(ones)
-            if m == cap or m and q < max(map(operator.add, ones, gaps[-m:])):
+            if len(ones) == cap or ones and q < _floor(ones):
                 return False
             ones.append(q)
             q = b.find(1, q + 1)

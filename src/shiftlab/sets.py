@@ -485,14 +485,14 @@ def largest_delta_subset(A, H, node_cap=DEFAULT_NODE_CAP):
     """Largest D subset of [1, H] found with D - D inside A: the 1-positions of
     a densest word of L_H(Omega_A), by the position search in ascending order.
     Past node_cap it is the best set so far, a lower bound on the true max."""
-    bits = [0] + A.bits(H)
+    a_mask = A.mask(H)
 
     def narrow(chosen, rest):
-        p = chosen[-1]
-        return [r for r in rest if bits[r - p]]
+        # keep r when r - chosen[-1] is in A
+        return rest & (a_mask << chosen[-1])
 
     try:
-        return position_search(narrow, [], list(range(1, H + 1)), node_cap,
+        return position_search(narrow, [], (1 << (H + 1)) - 2, node_cap,
                                lambda q: H - q)[1]
     except ResourceCapExceeded as e:
         return e.partial

@@ -19,9 +19,9 @@ what may follow a word's last 1 is fixed by the set T of offsets still
 admissible after it, cut to the positions left (its follower set), so the
 number of continuations depends on T alone, and one memo keyed by T, an
 int, serves every word and every k. D_k comes from langkit's position
-search, which the spec serves with a narrowing step: a candidate q stays
-when q - chosen[-1] lies in P, since the parent node already tested the
-earlier 1s. Each PSetSpec builds its spec once, so count_spacing and
+search, which the spec serves with a narrowing step on candidate masks,
+rest & (pmask << chosen[-1]): a candidate q stays when q - chosen[-1] lies
+in P, since the parent node already tested the earlier 1s. Each PSetSpec builds its spec once, so count_spacing and
 count_language(spacing_shift(P), k) extend the one resumable lambda column
 on that spec, and a K-row column costs one counting pass.
 
@@ -31,7 +31,8 @@ admissible exactly when no two 1s sit an excluded distance apart. It loops
 over whichever is fewer, the 1s of W (testing (W >> (q+1)) & excluded) or the
 excluded d (testing W & (W >> d)), so langkit's brute force checks the
 engines against the definition rather than against the step. The growing
-excluded mask is the step's own, and the count reads its candidates off it.
+excluded mask is the step's own, and pmask, which the count and the
+narrowing step read, is grown with it.
 """
 
 from __future__ import annotations
@@ -185,14 +186,17 @@ def spacing_shift(P):
                 return False, state
             return True, ((state << 1) | a) & window
     else:
-        excluded = covered = 0
+        excluded = covered = pmask = 0
 
         def excluded_upto(h):
-            # the excluded mask exact to at least h, grown at least twofold
-            nonlocal excluded, covered
+            # the excluded mask exact to at least h, grown at least twofold,
+            # and with it pmask, the candidates after a lone 1: bit d set
+            # when d <= covered is in P
+            nonlocal excluded, covered, pmask
             if h > covered:
                 covered = 2 * h
                 excluded = P.excluded_mask(covered)
+                pmask = (~excluded & ((1 << covered) - 1)) << 1
             return excluded
 
         def step(state, i, a):
@@ -204,25 +208,20 @@ def spacing_shift(P):
                 return False, state
             return True, (state << 1) | 1
 
-        # in_p[d]: d in P, grown at least twofold; in this hot loop a list
-        # index is faster than a bit test on the excluded mask, and a bool
-        # is tested faster than an int
-        in_p = [False]
-
         def narrow(chosen, rest):
-            # rest is admissible after chosen[:-1] already: test q - chosen[-1]
+            # rest is admissible after chosen[:-1] already: keep q when
+            # q - chosen[-1] is in P
             p = chosen[-1]
-            if rest and rest[-1] - p >= len(in_p):
-                in_p[:] = [False, *map(bool, P.base.bits(2 * (rest[-1] - p)))]
-            return [q for q in rest if in_p[q - p]]
+            if rest.bit_length() - p > covered:
+                excluded_upto(rest.bit_length() - p)
+            return rest & (pmask << p)
 
         memo = {0: 1}  # candidate mask T -> f(T), see count_spacing
 
         def candidates(h):
-            # the candidates after a lone 1, exact to at least h: bit d set
-            # when d is in P, read off the grown excluded mask
+            # pmask, exact to at least h
             excluded_upto(h)
-            return (~excluded & ((1 << covered) - 1)) << 1
+            return pmask
 
         def position_count(k, node_cap):
             return count_spacing(P, k, node_cap=node_cap)
@@ -260,13 +259,13 @@ def spacing_shift(P):
 
 
 def transition_set_check(P, H):
-    """Verify N([1]_P, [1]_P) = P up to the horizon: the gap word 1 0^(m-1) 1 is
-    admissible exactly for m in P."""
+    """Verify N([1]_P, [1]_P) = P up to the horizon on P's acceptor: the gap
+    word 1 0^(m-1) 1 is in its language exactly for m in P."""
     if H < 1:
         raise PreconditionError("H must be >= 1")
+    spec = spacing_shift(P)
     for m in range(1, H + 1):
-        gap_word = (1,) + (0,) * (m - 1) + (1,)
-        if admissible(P, gap_word) != P.contains(m):
+        if spec.accepts((1,) + (0,) * (m - 1) + (1,)) != P.contains(m):
             return False
     return True
 

@@ -9,6 +9,7 @@ sequences. `contains_word` is checked against its string parsing rules. The
 spacing excluded mask and the Delta* check are checked against their
 per-difference forms on seeded set expressions."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,7 +19,13 @@ from hypothesis import given, settings, strategies as st
 from shiftlab.beta import parse_beta, word_in_beta_language
 from shiftlab.core import Alphabet, Word
 from shiftlab.errors import PreconditionError
-from shiftlab.langkit import contains_word, forbidden_shift, full_shift, parse_shift_spec
+from shiftlab.langkit import (
+    contains_word,
+    count_language,
+    forbidden_shift,
+    full_shift,
+    parse_shift_spec,
+)
 from shiftlab.sets import difference_set, parse_set_expr
 from shiftlab.spacing import PSetSpec, admissible, delta_star_bound_check, spacing_shift
 
@@ -169,6 +176,33 @@ def test_counting_word_test_at_the_cap():
             moved = list(syms)
             moved[ones[-1] - 1], moved[ones[-1] - 2] = 0, 1
             assert not spec.accepts(moved) and not _step_walk(spec, moved)
+
+
+def _counting_reference(w):
+    """The counting shift from its window definition: every subword of length
+    in (2**(j-1), 2**j], j >= 1, carries at most j ones."""
+    for i in range(len(w)):
+        ones = 0
+        for end in range(i, len(w)):
+            ones += w[end]
+            j = 1
+            while 2 ** j < end - i + 1:
+                j += 1
+            if ones > j:
+                return False
+    return True
+
+
+def test_counting_matches_its_window_definition():
+    # accepts (the word test), the step walk and the lambda column all read
+    # one floor for the next 1; the reference reads every window
+    spec = parse_shift_spec("counting")
+    for k in range(1, 15):
+        words = list(itertools.product((0, 1), repeat=k))
+        want = [_counting_reference(w) for w in words]
+        assert [spec.accepts(w) for w in words] == want, k
+        assert [_step_walk(spec, w) for w in words] == want, k
+        assert count_language(spec, k) == sum(want), k
 
 
 ARBITRARY_SPECS = tuple(parse_shift_spec(t) for t in WORD_TEST_SPECS + (

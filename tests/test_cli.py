@@ -110,7 +110,14 @@ def test_spacing_delta_star_command():
     env = run_json(["spacing", "delta-star", "--set", "evens", "--k", "3",
                     "--trials", "50", "--horizon", "256", "--seed", "9"])
     assert env["result"]["holds"] is True
+    assert env["result"]["exact"] is False  # sampled candidates only
     assert env["seed"] == 9
+    # A = {1, 2}: B = {1, 3} misses A - A = {1}, which settles the bound
+    env = run_json(["spacing", "delta-star", "--set", "finite:{1,2}", "--k", "2",
+                    "--trials", "10", "--horizon", "3", "--seed", "1"])
+    assert env["result"]["holds"] is False
+    assert env["result"]["exact"] is True
+    assert env["result"]["counterexample"] == [1, 3]
 
 
 def test_selftest():

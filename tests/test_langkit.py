@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shiftlab import sets
 from shiftlab.cli import main
 from shiftlab.errors import (
     PreconditionError,
@@ -35,6 +36,7 @@ from shiftlab.langkit import (
     maximal_density_estimate,
     mixing_probe,
     parse_shift_spec,
+    position_search,
 )
 
 
@@ -196,6 +198,17 @@ def test_lemma_style_weight_bound_full_shift():
     lam = count_language(spec, 6)
     for syms in enumerate_language(spec, 6):
         assert 2 ** sum(syms) <= lam
+
+
+def test_heredity_entropy_bound_needs_a_nonempty_word():
+    with pytest.raises(PreconditionError):
+        heredity_entropy_bound(full_shift(2), "")
+
+
+def test_mixing_probe_needs_a_nonnegative_horizon():
+    with pytest.raises(PreconditionError):
+        mixing_probe(full_shift(2), "1", "1", -1)
+    assert mixing_probe(full_shift(2), "1", "1", 0) == 0
 
 
 def test_mixing_probe_full_shift():
@@ -373,6 +386,142 @@ def test_position_search_lambda_matches_brute_force(text):
     if text == "spacing:P=evens":
         assert [count_language(spec, k) for k in range(1, 31)] == \
             [2 ** ((k + 1) // 2) + 2 ** (k // 2) - 1 for k in range(1, 31)]
+
+
+def _list_position_search(narrow, chosen, cands, node_cap, bound=None):
+    """position_search as it ran on candidate lists, kept as the reference
+    for the mask walk: ``cands`` and the ``rest`` that ``narrow`` gets and
+    returns are ascending lists, and the bound cut reads the candidates left
+    in the level from the level's length."""
+    chosen = list(chosen)
+    best, nodes = tuple(chosen), 0
+    stack = []  # (candidates, iterator over them) of each open ancestor level
+    level, it = cands, enumerate(cands, 1)
+    while True:
+        for i, q in it:
+            nodes += 1
+            if nodes > node_cap:
+                e = ResourceCapExceeded("position search exceeded %d nodes" % node_cap)
+                e.partial = best
+                raise e
+            if bound is not None:
+                need = len(best) - len(chosen)
+                if len(level) - i < need or bound(q) < need:
+                    it = iter(())
+                    break
+            chosen.append(q)
+            if len(chosen) > len(best):
+                best = tuple(chosen)
+            rest = level[i:]
+            if rest:
+                rest = narrow(chosen, rest)
+                if rest:
+                    stack.append((level, it))
+                    level, it = rest, enumerate(rest, 1)
+                    break
+            chosen.pop()
+        else:
+            if not stack:
+                return nodes, best
+            level, it = stack.pop()
+            chosen.pop()
+
+
+def _positions(mask):
+    return [q for q in range(mask.bit_length()) if mask >> q & 1]
+
+
+def _membership_narrow(spec):
+    """The list narrowing step from membership: q stays when the word with
+    its 1s at chosen and q is in the language."""
+    def narrow(chosen, rest):
+        kept = []
+        for q in rest:
+            syms = [0] * q
+            for p in chosen + [q]:
+                syms[p - 1] = 1
+            if spec.accepts(syms):
+                kept.append(q)
+        return kept
+    return narrow
+
+
+def _check_node_for_node(args, ref_narrow):
+    """The mask search on args (narrow, chosen, cands, node_cap, bound)
+    against the list reference with ref_narrow: the same (nodes, best), or
+    the same partial set from a cap trip, at the given cap and at caps that
+    trip it at the start, in the middle and at the last node."""
+    narrow, chosen, cands, node_cap, bound = args
+
+    def both(cap):
+        out = []
+        for search, nar, cs in ((position_search, narrow, cands),
+                                (_list_position_search, ref_narrow, _positions(cands))):
+            try:
+                out.append(search(nar, chosen, cs, cap, bound))
+            except ResourceCapExceeded as e:
+                out.append(("cap", e.partial))
+        assert out[0] == out[1], (cap, out)
+        return out[0]
+
+    got = both(node_cap)
+    if got[0] != "cap":
+        for cap in {1, got[0] // 3, got[0] // 2, got[0] - 1}:
+            if 1 <= cap < got[0]:
+                assert both(cap)[0] == "cap"
+    return got
+
+
+@pytest.mark.parametrize("text", (
+    "counting", "spacing:P=evens", "spacing:P=periodic:;0111011", "spacing:P=pow2diff",
+    "spacing:P=" + _seeded_window(), "spacing:P=complement:(finite:{2,25})"))
+def test_mask_search_matches_the_list_search_node_for_node(text):
+    spec = parse_shift_spec(text)
+    assert spec.engine == "branch_and_bound"
+    ref = _membership_narrow(spec)
+    # the counting shift's D_j search, whose bound is loose, grows fastest
+    dmax, lmax = (20, 22) if text == "counting" else (30, 16)
+    for j in range(1, dmax + 1):
+        # D_j, cut by the suffix bound, as _max_ones_word runs it
+        d = [max_symbol_count(spec, 1, i) for i in range(1, j)]
+
+        def bound(q):
+            return d[j - q - 1] if q < j else 0
+
+        _, best = _check_node_for_node(
+            (spec._narrow, [], (1 << (j + 1)) - 2, 10 ** 6, bound), ref)
+        assert len(best) == max_symbol_count(spec, 1, j)
+    for j in range(1, lmax + 1):
+        # lambda_j through position 1, as count_positions runs it
+        cands = spec._narrow([1], (1 << (j + 1)) - 4)
+        assert _positions(cands) == ref([1], list(range(2, j + 1)))
+        _check_node_for_node((spec._narrow, [1], cands, 10 ** 6, None), ref)
+
+
+def test_delta_search_matches_the_list_search_node_for_node(monkeypatch):
+    searches = []
+
+    def spy(*args):
+        searches.append(args)
+        return position_search(*args)
+
+    monkeypatch.setattr(sets, "position_search", spy)
+    trips = 0
+    for text in ("evens", "pow2diff", "periodic:;0111011", "complement:(finite:{1,3,7,12})",
+                 _seeded_window()):
+        A = sets.parse_set_expr(text)
+        for H, cap in ((30, 10 ** 6), (60, 400), (90, 50)):
+            del searches[:]
+            got = sets.largest_delta_subset(A, H, node_cap=cap)
+            [args] = searches
+
+            def ref(chosen, rest):
+                return [r for r in rest if A.contains(r - chosen[-1])]
+
+            out = _check_node_for_node(args, ref)
+            trips += out[0] == "cap"
+            assert got == out[1]
+    assert trips
 
 
 def _max_symbol_spec(name):

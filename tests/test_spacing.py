@@ -148,6 +148,21 @@ def test_transition_set_check():
     assert transition_set_check(PSetSpec(Pow2DiffSet()), 64)
 
 
+class _DroppedThree(PSetSpec):
+    """P whose excluded mask has lost the difference 3."""
+
+    def excluded_mask(self, horizon):
+        return super().excluded_mask(horizon) & ~(1 << 2)
+
+
+@pytest.mark.parametrize("text", ["evens", "complement:(finite:{1,3})"])
+def test_transition_set_check_reads_the_acceptor(text):
+    # 3 is not in P, but the acceptor's mask lets 1001 through (on the
+    # windowed table and on the uncut mask alike)
+    assert transition_set_check(PSetSpec(parse_set_expr(text)), 40)
+    assert not transition_set_check(_DroppedThree(parse_set_expr(text)), 40)
+
+
 def test_weak_mixing_probe():
     assert not weak_mixing_probe(EVENS_P, 2, 1000)   # evens are nowhere thick
     assert weak_mixing_probe(FULL_P, 50, 100)
@@ -239,11 +254,22 @@ def test_spacing_language_hereditary_property(excluded, k):
 
 
 def _reference_narrow(P):
-    """The definition-level narrowing step: q stays when q - p lies in P for
-    every chosen 1 at p."""
+    """The definition-level narrowing step on candidate masks: q stays when
+    q - p lies in P for every chosen 1 at p."""
     def narrow(chosen, rest):
-        return [q for q in rest if all(P.contains(q - p) for p in chosen)]
+        return sum(1 << q for q in _positions(rest)
+                   if all(P.contains(q - p) for p in chosen))
     return narrow
+
+
+def _positions(mask):
+    """The set bits of a candidate mask, ascending."""
+    return [q for q in range(mask.bit_length()) if mask >> q & 1]
+
+
+def _span(lo, hi):
+    """The candidate mask of lo, ..., hi - 1."""
+    return (1 << hi) - (1 << lo)
 
 
 def _seeded_window_bits():
@@ -269,11 +295,11 @@ def test_position_search_reads_the_excluded_mask(text):
         k = rng.randint(2, 60)
         chosen = [rng.randint(1, k - 1)]
         for _ in range(rng.randint(0, 5)):
-            above = ref(chosen, list(range(chosen[-1] + 1, k)))
+            above = ref(chosen, _span(chosen[-1] + 1, k))
             if not above:
                 break
-            chosen.append(rng.choice(above))
-        rest = ref(chosen[:-1], list(range(chosen[-1] + 1, k + 1)))
+            chosen.append(rng.choice(_positions(above)))
+        rest = ref(chosen[:-1], _span(chosen[-1] + 1, k + 1))
         assert spec._narrow(chosen, rest) == ref(chosen, rest)
     # the same searches on a spec whose narrowing step is the definition (on
     # its own P: spacing_shift builds one spec per P); its lambda column comes

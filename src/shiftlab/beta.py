@@ -22,11 +22,18 @@ one digit is
     m = floor((X + Y*sqrt(d))/Z),  next remainder (X - m*Z, Y, Z).
 
 No gcd is taken, so x, y and z grow by O(1) bits per digit. Every floor is
-exact. When Y = 0 it is X // Z. Otherwise, with v = X + Y*sqrt(d),
-floor(v/Z) = floor(floor(v)/Z) for an integer Z > 0, and floor(Y*sqrt(d))
-is isqrt(Y*Y*d) for Y > 0 and -isqrt(Y*Y*d) - 1 for Y < 0 (d is not a
-square). So digit i costs one isqrt of an O(i)-bit integer plus O(i)-bit
-products, and no digit needs a precision check.
+exact. When Y = 0 it is X // Z. Otherwise v = (X + Y*sqrt(d))/Z is
+irrational and its floor is read from a certified bracket: X, Y and Z are
+shifted right by s = max(0, bitlen(Z) - G), G = 64, sqrt(d) is one cached
+fixed-point value S = isqrt(d * 4^P) with P >= bitlen(Y >> s) + G (P
+doubles when the conjugate makes Y outgrow it), and the numerator scaled by
+2^(P-s) lies within e of mid = (X >> s << P) + (Y >> s)*S, where e bounds
+the truncation of X, Y, Z and the error of S. When both ends of the bracket
+divided by Z have one floor, that is the digit. Otherwise v lies within
+O((sqrt(d) + v) * 2^-G) of an integer, and the exact floor _floor settles
+it with one isqrt of an O(i)-bit integer. So a digit costs O(i)-bit shifts
+and sums plus products of O(P)-bit integers, and P stays O(G) for a
+Pisot base.
 
 Finite-length membership rule: w is in L(Omega_beta) iff every suffix of w is
 lexicographically <= the equal-length prefix of the digit sequence of 1.
@@ -47,6 +54,7 @@ from .errors import PreconditionError, SpecParseError
 from .langkit import SubshiftSpec, count_language
 
 DEFAULT_DIGIT_HORIZON = 4096
+G = 64  # bits of Z kept by the digit bracket, and guard bits of its sqrt(d)
 
 
 class QuadraticNumber:
@@ -201,6 +209,7 @@ class BetaSpec:
             self._coef = (q.numerator, 0, q.denominator, 0)
         self._digits = []
         self._rem = (1, 0, 1)  # r = (x + y*sqrt(d))/z, here r_0 = 1
+        self._root = (0, 0)  # (P, isqrt(d * 4^P)): sqrt(d) to P bits
         self._shift = None  # the langkit spec beta_shift builds once
 
     def __repr__(self):
@@ -212,6 +221,8 @@ class BetaSpec:
 
     def digit(self, i):
         """0-based: digit(i) is the (i+1)-st digit of the expansion of 1."""
+        if i < 0:
+            raise PreconditionError("digit index %d is negative" % i)
         if i >= self.digit_horizon:
             raise PreconditionError(
                 "digit index %d exceeds digit_horizon %d" % (i, self.digit_horizon))
@@ -230,7 +241,7 @@ class BetaSpec:
         for _ in range(k - len(digits)):
             X, Y, Z = a * x + b * y * d, a * y + b * x, c * z
             if Y:
-                m = self._floor(X, Y, Z)
+                m = self._bracket_floor(X, Y, Z)
                 x = X - m * Z
             else:
                 m, x = divmod(X, Z)
@@ -240,8 +251,36 @@ class BetaSpec:
             append(m)
         self._rem = (x, y, z)
 
+    def _bracket_floor(self, X, Y, Z):
+        """floor((X + Y*sqrt(d))/Z) for Z > 0 and Y != 0 from the certified
+        bracket of the module docstring, or from _floor when the bracket
+        straddles an integer."""
+        s = max(0, Z.bit_length() - G)
+        Xs, Ys, Zs = X >> s, Y >> s, Z >> s
+        P, S = self._root
+        need = abs(Ys).bit_length() + G
+        if P < need:
+            P = max(2 * P, need)
+            S = isqrt(self._coef[3] << 2 * P)
+            self._root = (P, S)
+        # numerator * 2^(P-s) lies in [mid - e, mid + e]; with s = 0 only
+        # S is inexact, by less than 1, so Y*S is off by less than |Y|
+        mid = (Xs << P) + Ys * S
+        e = abs(Ys) + (S + (1 << P) + 2 if s else 1)
+        lo = mid - e
+        if lo >= 0:
+            # Z lies in [Zs * 2^s, (Zs + 1) * 2^s), exactly Zs when s = 0
+            m = (lo >> P) // (Zs + 1 if s else Zs)
+            if m == ((mid + e) >> P) // Zs:
+                return m
+        return self._floor(X, Y, Z)
+
     def _floor(self, X, Y, Z):
-        """floor((X + Y*sqrt(d))/Z) for Z > 0 and Y != 0, exact."""
+        """floor((X + Y*sqrt(d))/Z) for Z > 0 and Y != 0, exact: with
+        v = X + Y*sqrt(d), floor(v/Z) = floor(floor(v)/Z), and
+        floor(Y*sqrt(d)) is isqrt(Y*Y*d) for Y > 0 and -isqrt(Y*Y*d) - 1 for
+        Y < 0 (d is not a square). The reference for _bracket_floor and its
+        fallback where the bracket cannot decide."""
         root = isqrt(Y * Y * self._coef[3])
         return (X + root) // Z if Y > 0 else (X - root - 1) // Z
 

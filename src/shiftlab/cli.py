@@ -22,7 +22,7 @@ import time
 from . import beta as beta_mod
 from . import chaos as chaos_mod
 from . import langkit, sets, spacing
-from .core import parse_point
+from .core import format_symbols, parse_point
 from .errors import (
     PreconditionError,
     ResourceCapExceeded,
@@ -100,7 +100,7 @@ def _cmd_language(args):
     result = {"k": args.k, "lambda": str(lam)}
     if args.list:
         words = itertools.islice(langkit.enumerate_language(spec, args.k), args.limit)
-        result["words"] = ["".join(map(str, w)) for w in words]
+        result["words"] = [format_symbols(w, spec.n) for w in words]
     return spec.label, result
 
 

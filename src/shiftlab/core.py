@@ -54,11 +54,18 @@ class Word:
         return len(self.symbols)
 
     def __str__(self):
-        return "".join(str(s) for s in self.symbols)
+        return format_symbols(self.symbols, self.alphabet.size)
 
     def weight(self):
         """Number of nonzero symbols (equals sum(w) on a binary alphabet)."""
         return sum(1 for s in self.symbols if s != 0)
+
+
+def format_symbols(symbols, n):
+    """A word over {0..n-1} as text: one digit per symbol for n <= 10, and the
+    symbols separated by one space above that, where a digit string would not
+    say where a symbol such as 12 ends."""
+    return ("" if n <= 10 else " ").join(map(str, symbols))
 
 
 def word(text_or_symbols, n=2):

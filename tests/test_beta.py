@@ -310,11 +310,13 @@ def test_digits_match_greedy_reference_rational():
 
 
 @pytest.mark.parametrize("d", [2, 3, 7, 11, 1001])
-def test_floor_at_near_ties(d):
-    # v = (X + Y*sqrt(d))/Z within 2^-200 of an integer on either side, with
-    # Y of either sign and |Y| up to far above Z
+def test_floor_at_near_ties(d, monkeypatch):
+    # v = (X + Y*sqrt(d))/Z within 2^-126 of an integer on either side, with
+    # Y of either sign and |Y| up to far above Z: the bracket straddles the
+    # integer there, so the bracketed floor must reach the exact one
     rng = random.Random(d)
     spec = BetaSpec(QuadraticNumber(3, 1, 2, d))
+    exact = _count_exact_floors(monkeypatch)
     for _ in range(60):
         Z = rng.getrandbits(rng.randint(129, 400)) | (1 << 128)
         Y = rng.getrandbits(rng.randint(1, 600)) + 1
@@ -327,6 +329,87 @@ def test_floor_at_near_ties(d):
             ref = math.floor(QuadraticNumber(X, Y, Z, d))
             assert spec._floor(X, Y, Z) == ref, (X, Y, Z, d)
             assert ref == (m - 1 if delta < 0 else m)
+            before = exact[0]
+            assert spec._bracket_floor(X, Y, Z) == ref, (X, Y, Z, d)
+            if delta < 2:
+                assert exact[0] == before + 1, (X, Y, Z, d)
+    # Z below 2^64 cuts nothing, and only sqrt(d) is inexact: a convergent
+    # p/q of sqrt(d) puts q*sqrt(d) within 1/q of p, so v = m + (q*sqrt(d)
+    # - p)/Z lies within 2^-100/Z of m, above or below as the side of the
+    # convergent. A fresh spec holds sqrt(d) to bitlen(q) + 64 bits only.
+    for p, q in _sqrt_convergents(d, 400):
+        if q < 1 << 100:
+            continue
+        for Z in (1, 3, rng.getrandbits(63) | 1):
+            for sign in (1, -1):
+                m = rng.randint(1, 40)
+                X, Y = m * Z - sign * p, sign * q
+                ref = math.floor(QuadraticNumber(X, Y, Z, d))
+                assert ref == (m - 1 if (p * p > d * q * q) == (sign > 0) else m)
+                before = exact[0]
+                assert BetaSpec(spec.beta)._bracket_floor(X, Y, Z) == ref, (X, Y, Z, d)
+                assert exact[0] == before + 1, (X, Y, Z, d)
+
+
+def _sqrt_convergents(d, count):
+    """The first count continued-fraction convergents (p, q) of sqrt(d)."""
+    a0 = isqrt(d)
+    m, den, a = 0, 1, a0
+    p0, p1, q0, q1 = 1, a0, 0, 1
+    out = [(p1, q1)]
+    while len(out) < count:
+        m = den * a - m
+        den = (d - m * m) // den
+        a = (a0 + m) // den
+        p0, p1, q0, q1 = p1, a * p1 + p0, q1, a * q1 + q0
+        out.append((p1, q1))
+    return out
+
+
+def _count_exact_floors(monkeypatch):
+    """Count the calls of BetaSpec._floor from here on: [calls]."""
+    calls = [0]
+    floor = BetaSpec._floor
+
+    def counted(self, X, Y, Z):
+        calls[0] += 1
+        return floor(self, X, Y, Z)
+    monkeypatch.setattr(BetaSpec, "_floor", counted)
+    return calls
+
+
+@pytest.mark.parametrize("beta", NAMED_QUADRATIC, ids=repr)
+def test_digits_take_the_bracket(beta, monkeypatch):
+    # a digit reaches the exact floor only when v lies within about 2^-60 of
+    # an integer, which none of these bases' first 4096 digits does (they
+    # include (1+sqrt7)/2 and the c = 1 base 3+sqrt2, where nothing is cut)
+    exact = _count_exact_floors(monkeypatch)
+    spec = BetaSpec(beta)
+    beta_digits(spec, 4096)
+    assert exact[0] <= 2
+
+
+# the bases whose conjugate exceeds 1 in absolute value: Y/Z grows, and the
+# fixed-point sqrt(d) of the bracket has to grow with it
+@pytest.mark.parametrize("beta", [QuadraticNumber(1, 1, 2, 13), QuadraticNumber(7, 2, 3, 3),
+                                  QuadraticNumber(-1, 3, 4, 11)], ids=repr)
+def test_digits_match_greedy_reference_at_the_digit_horizon(beta):
+    assert abs(_conjugate(beta)) > 1
+    spec = BetaSpec(beta)
+    k = spec.digit_horizon
+    assert list(beta_digits(spec, k).symbols) == _greedy_reference(beta, k)
+    assert spec._root[0] > 2 * 64
+
+
+def test_negative_digit_index_rejected():
+    for text in ("1.5", GOLDEN, "quad:(7+2*sqrt3)/3"):
+        spec = parse_beta(text)
+        with pytest.raises(PreconditionError):
+            spec.digit(-1)          # fresh spec, no digit computed yet
+        beta_digits(spec, 20)
+        with pytest.raises(PreconditionError):
+            spec.digit(-1)          # the digit list is no longer empty
+        assert spec.digit(0) == spec.floor_beta
 
 
 def test_interleaved_digit_requests_agree():

@@ -68,6 +68,23 @@ def test_beta_digits_command():
     assert env["result"]["exact"] is True
 
 
+def test_symbols_above_nine_are_separated():
+    # over more than 10 symbols a digit string is ambiguous (12 6 or 1 2 6),
+    # so beta digits and language --list separate the symbols by one space
+    env = run_json(["beta", "digits", "--beta", "12.5", "--k", "6"])
+    assert env["result"]["digits"] == "12 6 3 1 7 0"
+    env = run_json(["language", "--shift", "beta:beta=12.5", "--k", "2", "--list",
+                    "--limit", "40"])
+    words = [list(map(int, w.split(" "))) for w in env["result"]["words"]]
+    assert words[:2] == [[0, 0], [0, 1]] and [0, 12] in words and [1, 0] in words
+    assert all(len(w) == 2 and max(w) <= 12 for w in words)
+    # up to 10 symbols the output stays one digit per symbol
+    env = run_json(["beta", "digits", "--beta", "9.5", "--k", "4"])
+    assert env["result"]["digits"] == "9471"
+    env = run_json(["language", "--shift", "full:n=10", "--k", "2", "--list", "--limit", "3"])
+    assert env["result"]["words"] == ["00", "01", "02"]
+
+
 def test_beta_parry_command():
     env = run_json(["beta", "parry", "--beta", "1.5", "--horizon", "500"])
     assert env["result"]["parry"] in (True, None)

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from shiftlab.cli import main
 
-EXIT_CODES = {0, 2, 3, 4}
+EXIT_CODES = {0, 2, 3}
 
 garbage = st.text(alphabet="0123456789abn:;=,{}()|+-*/. ", max_size=12)
 bits = st.text(alphabet="01", max_size=12)

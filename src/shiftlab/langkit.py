@@ -37,10 +37,10 @@ Counting engines, named by ``spec.engine`` after what the spec provides:
   (+, x) for lambda_k and in (max, +) with edge weight [a == alpha] for the
   maximal symbol count D_k (the walk counts of Lind & Marcus, ch. 4);
 * ``branch_and_bound`` - a narrowing step without a table: lambda_k from
-  the family's ``position_count`` entry where it has one (spacing shifts
-  with any other P: spacing.count_spacing, a memoised count over candidate
-  masks), else from position_search over 1-position subsets (the counting
-  shift); D_k from position_search either way;
+  the family's ``position_count`` entry, a follower_count with one memo for
+  every k (spacing shifts with any other P: spacing.count_spacing over
+  candidate masks; the counting shift: over the floors of its next 1s); D_k
+  from position_search over 1-position subsets;
 * ``dfs`` - neither: a walk over enumerate_language (custom specs).
 
 ``brute_force`` tests all n**k words independently and is the oracle every
@@ -68,11 +68,12 @@ those above chosen[-1]) still admissible after the 1s in ``chosen``. Since
 
     lambda_k = lambda_(k-1) + #{w in L_k : w_1 = 1},
 
-where the walk counts the second term: the admissible 1-position sets
-through position 1. Cut by the suffix bound D_(k-q), the same walk gives
-D_k and a witness, and sets.largest_delta_subset a Delta-set: D - D lies in
-A exactly when the indicator word of D is in L(Omega_A). A node-cap trip
-leaves the best set so far in ResourceCapExceeded.partial.
+where follower_count counts the second term from a memo of what may follow
+a 1, rather than set by set as the walk would. Cut by the suffix bound
+D_(k-q), the walk gives D_k and a witness, and sets.largest_delta_subset a
+Delta-set: D - D lies in A exactly when the indicator word of D is in
+L(Omega_A). A node-cap trip leaves the best set so far in
+ResourceCapExceeded.partial.
 
 Entropy values h_k = log2(lambda_k)/k are reported as upper bounds only:
 h(X) is the infimum of the sequence, so no extrapolation is ever sound.
@@ -141,11 +142,11 @@ class SubshiftSpec:
     The acceptor is either ``transition(state, a)`` over canonical states,
     which is memoised in a transition table, or ``step(state, prefix_len, a)``.
     ``narrow(chosen, rest)`` (optional, binary hereditary families only) backs
-    position_search (see the module docstring); ``position_count(k,
-    node_cap)`` may stand in for count_positions as the family's own
-    lambda_k entry, and
-    ``ones_exact(k)``, a closed form (D_k, 1-positions of a witness), for
-    its D_k. ``engine`` names the counting engine these select.
+    position_search (see the module docstring) and needs ``position_count(k,
+    node_cap)``, the family's lambda_k entry, which extends ``_column``;
+    ``ones_exact(k)``, a closed form (D_k, 1-positions of a witness), may
+    stand in for the search's D_k. ``engine`` names the counting engine
+    these select.
     ``word_test(b)`` (optional) decides membership of a word over the
     alphabet, given as ``bytes`` of symbol values, from the family's
     definition; ``accepts`` calls it in place of the step when n <= 256.
@@ -167,6 +168,8 @@ class SubshiftSpec:
 
             self.engine = "automaton_dp"
         elif narrow is not None:
+            if position_count is None:
+                raise SpecValidationError("%s: a narrowing step needs a position_count" % label)
             self.engine = "branch_and_bound"
         else:
             self.engine = "dfs"
@@ -178,7 +181,8 @@ class SubshiftSpec:
         # the symbol values as bytes: a byte string is over the alphabet
         # exactly when deleting these leaves nothing
         self._symbol_bytes = bytes(range(n)) if n <= 256 else None
-        self._column = []     # lambda column of the position search
+        self._column = []     # lambda column of the position_count entry
+        self._memo = {}       # the memo behind it, where the spec keeps one
         self._witnesses = []  # witnesses[j-1]: 1-positions of a word realising D_j
         self._dps = {}        # alpha (None for lambda) -> StateDP on the table
 
@@ -385,20 +389,44 @@ def position_search(narrow, chosen, cands, node_cap, bound=None):
         chosen.pop()
 
 
-def count_positions(spec, k, node_cap=DEFAULT_NODE_CAP):
-    """lambda_k of a binary hereditary family from the position search,
-    resuming the spec's lambda column: lambda_j = lambda_(j-1) + the number
-    of admissible 1-position sets in [1, j] through 1 (see the module
-    docstring). node_cap bounds the nodes this call expands."""
-    column, budget = spec._column, node_cap
+def follower_count(column, memo, k, root, followers, node_cap):
+    """lambda_k of a binary hereditary family, resuming its column: lambda_j =
+    lambda_(j-1) + f(root(j)) (see the module docstring), where a key says
+    what may follow a word's last 1 in the places left, root(j) is the key
+    after a 1 at position 1 of a length-j word, and
+
+        f(key) = 1 + the sum of f over followers(key),
+
+    the keys after each admissible next 1, counts the sets of later 1s. f is
+    summed by an explicit stack and memoised in memo, one for every k.
+    node_cap bounds the follower lookups of this call; a trip leaves the
+    column and every memo entry valid."""
+    budget = node_cap
 
     def next_lambda(j):
         nonlocal budget
-        # the candidates 2..j after a 1 at position 1
-        nodes, _ = position_search(spec._narrow, [1],
-                                   spec._narrow([1], (1 << (j + 1)) - 4), budget)
-        budget -= nodes
-        return (column[-1] if column else 1) + 1 + nodes
+        key = root(j)
+        # an explicit stack of [key, its followers not yet looked up, sum so
+        # far]; a follower has fewer places left than its key, so none is
+        # still open
+        stack = [] if key in memo else [[key, followers(key), 1]]
+        while stack:
+            frame = stack[-1]
+            for child in frame[1]:
+                budget -= 1
+                if budget < 0:
+                    raise ResourceCapExceeded("follower count exceeded %d lookups" % node_cap)
+                got = memo.get(child)
+                if got is None:
+                    stack.append([child, followers(child), 1])
+                    break
+                frame[2] += got
+            else:
+                memo[frame[0]] = frame[2]
+                stack.pop()
+                if stack:
+                    stack[-1][2] += frame[2]
+        return (column[-1] if column else 1) + memo[key]
 
     return extend_column(column, k, next_lambda)
 
@@ -406,9 +434,10 @@ def count_positions(spec, k, node_cap=DEFAULT_NODE_CAP):
 def count_language(spec, k, strategy=None, node_cap=DEFAULT_NODE_CAP):
     """Exact lambda_k = #L_k(X); independent of the chosen strategy, which is
     None (the spec's own engine), ``brute_force`` or ``spec.engine``.
-    node_cap bounds the nodes one call of a branch-and-bound engine expands
+    node_cap bounds the lookups one call of a branch-and-bound engine makes
     and the words one dfs call walks; the automaton DP, whose layers are
-    bounded by its state count, ignores it."""
+    bounded by its state count, ignores it. Brute force feeds ``accepts``
+    bytes when n <= 256, else tuples."""
     if k < 1:
         raise PreconditionError("k must be >= 1")
     if strategy not in (None, "brute_force", spec.engine):
@@ -418,17 +447,14 @@ def count_language(spec, k, strategy=None, node_cap=DEFAULT_NODE_CAP):
     if strategy == "brute_force":
         if spec.n ** k > BRUTE_FORCE_CAP:
             raise ResourceCapExceeded("brute force over %d**%d words" % (spec.n, k))
-        total = 0
-        for syms in itertools.product(range(spec.n), repeat=k):
-            if spec.accepts(syms):
-                total += 1
-        return total
+        words = itertools.product(range(spec.n), repeat=k)
+        if spec._symbol_bytes is not None:
+            words = map(bytes, words)
+        return sum(map(spec.accepts, words))
     if spec.engine == "automaton_dp":
         return spec._dp().value(k)
     if spec.engine == "branch_and_bound":
-        if spec._position_count is not None:
-            return spec._position_count(k, node_cap)
-        return count_positions(spec, k, node_cap)
+        return spec._position_count(k, node_cap)
     return sum(1 for _ in _walk_language(spec, k, node_cap))
 
 
@@ -772,10 +798,34 @@ def counting_shift():
         wit = (1,) + tuple((1 << (i - 1)) + 1 for i in range(2, cap + 1))
         return cap, wit
 
-    return SubshiftSpec(
+    def followers(key):
+        # key = (r, g_1, g_2, ...): r places are left after the last 1, and
+        # the m-th next 1 needs an offset of at least g_m, cut to r (a floor
+        # above r drops out, and so does every floor after it). A next 1 at
+        # offset q leaves r - q places and g'_m = max(g_(m+1) - q, 2**m);
+        # floors increase with m, so the cut stops at the first one too far.
+        r, *g = key  # g[m] is g_(m+1)
+        for q in range(g[0], r + 1) if g else ():
+            child = [r - q]
+            for m in range(1, len(g)):
+                x = max(g[m] - q, 1 << m)
+                if x > r - q:
+                    break
+                child.append(x)
+            yield tuple(child)
+
+    def position_count(k, node_cap):
+        # a lone 1 at position 1 has the floors g_m = 2**m
+        return follower_count(
+            spec._column, spec._memo, k,
+            lambda j: (j - 1,) + tuple(1 << m for m in range(1, (j - 1).bit_length())),
+            followers, node_cap)
+
+    spec = SubshiftSpec(
         n=2, family="counting", label="counting",
-        start_state=(), step=step,
-        narrow=narrow, ones_exact=ones_exact, word_test=word_test)
+        start_state=(), step=step, narrow=narrow, position_count=position_count,
+        ones_exact=ones_exact, word_test=word_test)
+    return spec
 
 
 def forbidden_shift(forbidden, n=2):

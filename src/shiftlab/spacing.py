@@ -42,13 +42,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import Word
-from .errors import PreconditionError, ResourceCapExceeded
+from .errors import PreconditionError
 from .langkit import (
     DEFAULT_NODE_CAP,
     SubshiftSpec,
     count_language,
     entropy_estimates,
-    extend_column,
+    follower_count,
     max_density_word,
 )
 from .sets import IntSetSpec, difference_set
@@ -112,10 +112,10 @@ def count_spacing(P, k, node_cap=DEFAULT_NODE_CAP):
         f(0) = 1,   f(T) = 1 + sum over t in T of f((T >> t) & pmask),
 
     with pmask the candidates after a lone 1 (bit d set when d is in P).
-    f(T) reads only T, so one memo on the spec serves every k, and
-    lambda_j = lambda_(j-1) + f(pmask & (2**j - 1)), the sets through
-    position 1. node_cap bounds the (T, t) lookups this call makes; a trip
-    leaves the column and the memo valid."""
+    f(T) reads only T, so one memo serves every k, and langkit's
+    follower_count sums lambda_j = lambda_(j-1) + f(pmask & (2**j - 1)), the
+    sets through position 1. node_cap bounds the (T, t) lookups this call
+    makes; a trip leaves the column and the memo valid."""
     if k < 1:
         raise PreconditionError("k must be >= 1")
     if not isinstance(P, PSetSpec):
@@ -124,40 +124,18 @@ def count_spacing(P, k, node_cap=DEFAULT_NODE_CAP):
     if spec.engine == "automaton_dp":
         return count_language(spec, k)
     _, memo, candidates = P._shift
-    column, pmask, budget = spec._column, candidates(k), node_cap
+    pmask = candidates(k)
 
-    def next_lambda(j):
-        nonlocal budget
-        root = pmask & ((1 << j) - 1)
-        if root not in memo:
-            # an explicit stack of [T, bits of T not yet looked up, sum so far];
-            # a child is below its parent, so none is still open
-            stack = [[root, root, 1]]
-            while stack:
-                frame = stack[-1]
-                T, rest, acc = frame
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    budget -= 1
-                    if budget < 0:
-                        raise ResourceCapExceeded(
-                            "candidate-mask count exceeded %d nodes" % node_cap)
-                    child = T >> (low.bit_length() - 1) & pmask
-                    got = memo.get(child)
-                    if got is None:
-                        frame[1], frame[2] = rest, acc
-                        stack.append([child, child, 1])
-                        break
-                    acc += got
-                else:
-                    memo[T] = acc
-                    stack.pop()
-                    if stack:
-                        stack[-1][2] += acc
-        return (column[-1] if column else 1) + memo[root]
+    def followers(T):
+        # the masks after a 1 at each offset t in T
+        rest = T
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            yield T >> (low.bit_length() - 1) & pmask
 
-    return extend_column(column, k, next_lambda)
+    return follower_count(spec._column, memo, k, lambda j: pmask & ((1 << j) - 1),
+                          followers, node_cap)
 
 
 def spacing_shift(P):

@@ -3,6 +3,7 @@
 for must not change any value, and a cap trip must not leave a bad entry."""
 
 import io
+import itertools
 import json
 import os
 import random
@@ -108,6 +109,26 @@ def test_cap_trip_leaves_column_consistent():
         [_evens_closed_form(k) for k in range(1, 31)]
 
 
+def _tuple_loop_count(spec, k):
+    """The brute-force oracle as a loop over symbol tuples, one accepts call
+    per word."""
+    return sum(1 for syms in itertools.product(range(spec.n), repeat=k) if spec.accepts(syms))
+
+
+@pytest.mark.parametrize("text", FAMILIES)
+def test_brute_force_over_bytes_matches_the_tuple_loop(text):
+    spec = parse_shift_spec(text)
+    assert spec._symbol_bytes is not None
+    for k in range(1, 13):
+        assert count_language(spec, k, strategy="brute_force") == _tuple_loop_count(spec, k), k
+
+
+def test_brute_force_past_a_byte_alphabet_feeds_tuples():
+    spec = parse_shift_spec("full:n=300")
+    assert spec._symbol_bytes is None
+    assert [count_language(spec, k, strategy="brute_force") for k in (1, 2)] == [300, 300 ** 2]
+
+
 def test_unknown_strategy_rejected():
     spec = parse_shift_spec("counting")
     with pytest.raises(PreconditionError):
@@ -154,8 +175,8 @@ def test_forbidden_long_word_count_no_traceback():
     ["spacing", "recurrence-probe", "--set", "odds", "--kmax", "30"],
 ])
 def test_cap_states_bounds_the_position_searches(argv):
-    # the spacing candidate-mask count and the counting shift's position
-    # search both count their nodes against --cap-states
+    # the spacing candidate-mask count and the counting shift's
+    # follower-floor count both count their lookups against --cap-states
     assert main(argv + ["--cap-states", "10"], out=io.StringIO()) == 3
     assert main(argv, out=io.StringIO()) == 0
 

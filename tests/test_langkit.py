@@ -18,6 +18,7 @@ from shiftlab.errors import (
     SpecValidationError,
 )
 from shiftlab.langkit import (
+    SubshiftSpec,
     binary_entropy,
     contains_word,
     count_language,
@@ -38,6 +39,8 @@ from shiftlab.langkit import (
     parse_shift_spec,
     position_search,
 )
+
+from position_reference import count_positions
 
 
 def test_log2_int_exact_powers():
@@ -608,3 +611,63 @@ def test_capped_max_symbol_count_leaves_a_valid_column():
     assert [len(w) for w in spec._witnesses] == fresh[:len(spec._witnesses)]
     assert max_symbol_count(spec, 1, 30) == fresh[-1]
     assert [len(w) for w in spec._witnesses] == fresh
+
+
+# -- the counting shift's follower-floor count ---------------------------------------
+
+COUNTING_LAMBDA_40 = 1_211_716
+
+
+def test_follower_floor_count_matches_brute_force():
+    spec = counting_shift()
+    for k in range(1, 17):
+        brute = count_language(counting_shift(), k, strategy="brute_force")
+        assert count_language(spec, k) == brute, k
+
+
+def test_follower_floor_count_matches_the_position_search():
+    # the reference walks every admissible 1-set, on a spec of its own
+    spec, searched = counting_shift(), counting_shift()
+    for k in range(1, 41):
+        assert count_language(spec, k) == count_positions(searched, k), k
+    assert spec._column[-1] == COUNTING_LAMBDA_40
+    assert count_language(spec, 54) == 14_386_955
+
+
+def test_follower_floor_count_work_is_memoised():
+    # lambda_40 takes ~18k (key, q) lookups; the position search visits each
+    # of its ~1.2M admissible 1-sets through position 1
+    assert count_language(counting_shift(), 40, node_cap=20_000) == COUNTING_LAMBDA_40
+    with pytest.raises(ResourceCapExceeded):
+        count_positions(counting_shift(), 40, node_cap=20_000)
+
+
+def test_follower_floor_count_resumes_after_a_cap_trip():
+    fresh = counting_shift()
+    assert count_language(fresh, 40) == COUNTING_LAMBDA_40
+    spec = counting_shift()
+    with pytest.raises(ResourceCapExceeded):
+        count_language(spec, 40, node_cap=8000)
+    assert 0 < len(spec._column) < 40
+    assert spec._column == fresh._column[:len(spec._column)]
+    # every memo entry kept through the trip is f(g, r), so a fresh count agrees
+    assert len(spec._memo) > 1 and all(fresh._memo[key] == v for key, v in spec._memo.items())
+    # the lookups already made are not made again: the rest of the column
+    # fits in a cap that a fresh count of it trips
+    with pytest.raises(ResourceCapExceeded):
+        count_language(counting_shift(), 40, node_cap=10_000)
+    assert count_language(spec, 40, node_cap=10_000) == COUNTING_LAMBDA_40
+    assert spec._column == fresh._column
+
+
+def test_counting_entropy_to_k_100_under_the_default_cap():
+    out = io.StringIO()
+    assert main(["entropy", "--shift", "counting", "--kmax", "100"], out=out) == 0
+    rows = json.loads(out.getvalue())["result"]["rows"]
+    assert len(rows) == 100 and rows[-1]["lambda"] == "9428688316"
+
+
+def test_a_narrowing_step_needs_a_position_count():
+    with pytest.raises(SpecValidationError):
+        SubshiftSpec(n=2, family="custom", label="custom", start_state=(),
+                     step=lambda state, i, a: (True, state), narrow=lambda chosen, rest: rest)

@@ -11,7 +11,6 @@ from shiftlab.errors import PreconditionError, ResourceCapExceeded
 from shiftlab.langkit import (
     contains_word,
     count_language,
-    count_positions,
     hereditary_check,
     max_symbol_count,
     max_symbol_witness,
@@ -39,6 +38,8 @@ from shiftlab.spacing import (
     transition_set_check,
     weak_mixing_probe,
 )
+
+from position_reference import count_positions
 
 GOLDEN_P = PSetSpec(ComplementSet(FiniteSet(frozenset({1}))))
 EVENS_P = PSetSpec(EVENS)

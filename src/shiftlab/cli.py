@@ -119,7 +119,7 @@ def _cmd_sets_classify(args):
     A = sets.parse_set_expr(args.set)
     report = sets.classify(A, H=args.horizon,
                            ip_bound=args.ip_bound, node_cap=args.cap_states)
-    return str(A), report.to_json()
+    return str(A), report.to_json(), report.cap_hit
 
 
 def _cmd_sets_diff(args):
@@ -254,7 +254,7 @@ def _cmd_selftest(args):
             detail = str(e)
             cap_hit = True
         rows.append({"family": spec.label, "status": status, "detail": detail})
-    return rows, all_ok, cap_hit
+    return {"kmax": args.kmax}, {"rows": rows, "all_pass": all_ok}, cap_hit
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -367,7 +367,7 @@ def build_parser():
     p = sub.add_parser("selftest", help="oracle-equivalence suite")
     p.add_argument("--kmax", type=int, default=12)
     _add_common(p)
-    p.set_defaults(fn=None)
+    p.set_defaults(fn=_cmd_selftest)
 
     return ap
 
@@ -391,17 +391,10 @@ def main(argv=None, out=None):
     try:
         if getattr(args, "cap_states", 1) < 1:
             raise PreconditionError("cap-states must be >= 1")
-        if args.command == "selftest":
-            rows, all_ok, cap_hit = _cmd_selftest(args)
-            timing = round(time.monotonic() - started, 3) if args.timing else None
-            env = _envelope("selftest", {"kmax": args.kmax},
-                            {"rows": rows, "all_pass": all_ok},
-                            timing=timing, cap_hit=cap_hit)
-            _emit(env, args.format, out)
-            return 0 if all_ok else 1
-        spec_echo, result = args.fn(args)
-        _emit_result(args, spec_echo, result, started, out)
-        return 0
+        # a command whose result may be partial returns its cap_hit third
+        spec_echo, result, *cap_hit = args.fn(args)
+        _emit_result(args, spec_echo, result, started, out, cap_hit=any(cap_hit))
+        return 0 if result.get("all_pass", True) else 1  # 1: a selftest family failed
     except (SpecParseError, SpecValidationError, PreconditionError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

@@ -17,9 +17,9 @@ shift (one state), forbidden-word shifts (the last max_len-1 symbols), beta
 shifts (the length of the current match with a digit prefix) and spacing
 shifts with N \\ P finite and small (the relative 1-mask cut to the largest
 excluded difference) are built this way, so a step is one table lookup.
-Spacing shifts with any other P keep the uncut relative 1-mask; only the
-counting shift and custom specs keep the prefix itself (1-positions or
-symbols) as their state.
+Spacing shifts with any other P run the same transition, uncut, as their
+step; only the counting shift and custom specs keep the prefix itself
+(1-positions or symbols) as their state.
 
 Membership of a whole word does not go through the step when the family can
 test its definition directly. Such a family hands over ``word_test(b)``,
@@ -42,6 +42,11 @@ Counting engines, named by ``spec.engine`` after what the spec provides:
   candidate masks; the counting shift: over the floors of its next 1s); D_k
   from position_search over 1-position subsets;
 * ``dfs`` - neither: a walk over enumerate_language (custom specs).
+
+``node_cap`` bounds what one call of each engine spends: the states of the
+DP layers it builds, the follower lookups of a position_count, the nodes of
+the position search, the words of the dfs walk. A trip raises
+ResourceCapExceeded and leaves every cached column valid.
 
 ``brute_force`` tests all n**k words independently and is the oracle every
 engine is checked against. It calls ``accepts``, so for a family with a word
@@ -310,6 +315,14 @@ def extend_column(column, k, next_value):
     return column[k - 1]
 
 
+def _charge(budget, layer, node_cap):
+    # the budget left after a DP layer's states
+    budget -= len(layer)
+    if budget < 0:
+        raise ResourceCapExceeded("automaton DP exceeded %d states" % node_cap)
+    return budget
+
+
 class StateDP:
     """A resumable layered DP over a transition table, kept between calls as
     its last layer and its column. With alpha None it runs in (+, x): the
@@ -324,26 +337,29 @@ class StateDP:
         self._alpha = alpha
         self._layer = {start: 1 if alpha is None else 0}
 
-    def value(self, k):
-        return extend_column(self.column, k, self._advance)
+    def value(self, k, node_cap=DEFAULT_NODE_CAP):
+        """column[k-1]. node_cap bounds the states of the layers this call
+        builds; a trip leaves the layer and the column valid."""
+        self._budget = node_cap
+        return extend_column(self.column, k, lambda j: self._advance(node_cap))
 
-    def _advance(self, j):
+    def _advance(self, node_cap):
         table, alpha, nxt = self._table, self._alpha, {}
         if alpha is None:
             for state, cnt in self._layer.items():
                 for ok, st in table[state]:
                     if ok:
                         nxt[st] = nxt.get(st, 0) + cnt
-            self._layer = nxt
-            return sum(nxt.values())
-        for state, best in self._layer.items():
-            for a, (ok, st) in enumerate(table[state]):
-                if ok:
-                    got = best + (a == alpha)
-                    if got > nxt.get(st, -1):
-                        nxt[st] = got
+        else:
+            for state, best in self._layer.items():
+                for a, (ok, st) in enumerate(table[state]):
+                    if ok:
+                        got = best + (a == alpha)
+                        if got > nxt.get(st, -1):
+                            nxt[st] = got
+        self._budget = _charge(self._budget, nxt, node_cap)
         self._layer = nxt
-        return max(nxt.values())
+        return sum(nxt.values()) if alpha is None else max(nxt.values())
 
 
 def position_search(narrow, chosen, cands, node_cap, bound=None):
@@ -434,10 +450,10 @@ def follower_count(column, memo, k, root, followers, node_cap):
 def count_language(spec, k, strategy=None, node_cap=DEFAULT_NODE_CAP):
     """Exact lambda_k = #L_k(X); independent of the chosen strategy, which is
     None (the spec's own engine), ``brute_force`` or ``spec.engine``.
-    node_cap bounds the lookups one call of a branch-and-bound engine makes
-    and the words one dfs call walks; the automaton DP, whose layers are
-    bounded by its state count, ignores it. Brute force feeds ``accepts``
-    bytes when n <= 256, else tuples."""
+    node_cap bounds what one call of an engine spends: the states of the
+    automaton DP layers it builds, the lookups of a branch-and-bound count,
+    the words of a dfs walk. Brute force feeds ``accepts`` bytes when
+    n <= 256, else tuples."""
     if k < 1:
         raise PreconditionError("k must be >= 1")
     if strategy not in (None, "brute_force", spec.engine):
@@ -452,7 +468,7 @@ def count_language(spec, k, strategy=None, node_cap=DEFAULT_NODE_CAP):
             words = map(bytes, words)
         return sum(map(spec.accepts, words))
     if spec.engine == "automaton_dp":
-        return spec._dp().value(k)
+        return spec._dp().value(k, node_cap)
     if spec.engine == "branch_and_bound":
         return spec._position_count(k, node_cap)
     return sum(1 for _ in _walk_language(spec, k, node_cap))
@@ -548,12 +564,12 @@ def _max_ones_word(spec, k, node_cap):
     return syms
 
 
-def _table_witness(spec, alpha, k):
+def _table_witness(spec, alpha, k, node_cap):
     """Symbols of a word realising D_k(alpha) on a transition table: one
     forward (max, +) pass that keeps, in every layer, each state's best count
     with the state and symbol it was reached from, then a walk back from a
-    best state of the last layer."""
-    table = spec._table
+    best state of the last layer. node_cap bounds the states of its layers."""
+    table, budget = spec._table, node_cap
     layers = [{spec._start_state: (0, None, None)}]
     for _ in range(k):
         nxt = {}
@@ -563,6 +579,7 @@ def _table_witness(spec, alpha, k):
                     got = best + (a == alpha)
                     if st not in nxt or got > nxt[st][0]:
                         nxt[st] = (got, state, a)
+        budget = _charge(budget, nxt, node_cap)
         layers.append(nxt)
     last = layers[-1]
     state = max(last, key=lambda st: last[st][0])
@@ -583,10 +600,10 @@ def max_symbol_count(spec, alpha, k, node_cap=DEFAULT_NODE_CAP):
     """D_k(X, alpha): the maximal number of occurrences of alpha over L_k(X).
     Subadditive in k. By spec.engine: the resumable (max, +) DP on a table,
     the position search (or the family's ones_exact) on a narrowing step, a
-    walk over L_k under node_cap on a custom spec."""
+    walk over L_k on a custom spec; each under node_cap."""
     _check_symbol(spec, alpha, k)
     if spec.engine == "automaton_dp":
-        return spec._dp(alpha).value(k)
+        return spec._dp(alpha).value(k, node_cap)
     return max_symbol_witness(spec, alpha, k, node_cap).symbols.count(alpha)
 
 
@@ -597,7 +614,7 @@ def max_symbol_witness(spec, alpha, k, node_cap=DEFAULT_NODE_CAP):
     does not keep."""
     _check_symbol(spec, alpha, k)
     if spec.engine == "automaton_dp":
-        syms = _table_witness(spec, alpha, k)
+        syms = _table_witness(spec, alpha, k, node_cap)
     elif spec.engine == "dfs":
         syms = max(_walk_language(spec, k, node_cap), key=lambda w: w.count(alpha))
     else:

@@ -456,6 +456,7 @@ class ClassifyReport:
     delta_witness: tuple      # largest D found with D-D inside A
     ip_witness: tuple         # largest S found with FS(S) inside A
     ip_bound: int
+    cap_hit: bool             # a witness search stopped at the node cap
 
     def to_json(self):
         return {
@@ -485,6 +486,11 @@ def largest_delta_subset(A, H, node_cap=DEFAULT_NODE_CAP):
     """Largest D subset of [1, H] found with D - D inside A: the 1-positions of
     a densest word of L_H(Omega_A), by the position search in ascending order.
     Past node_cap it is the best set so far, a lower bound on the true max."""
+    return _delta_search(A, H, node_cap)[0]
+
+
+def _delta_search(A, H, node_cap):
+    # (largest_delta_subset, whether the search stopped at node_cap)
     a_mask = A.mask(H)
 
     def narrow(chosen, rest):
@@ -493,9 +499,9 @@ def largest_delta_subset(A, H, node_cap=DEFAULT_NODE_CAP):
 
     try:
         return position_search(narrow, [], (1 << (H + 1)) - 2, node_cap,
-                               lambda q: H - q)[1]
+                               lambda q: H - q)[1], False
     except ResourceCapExceeded as e:
-        return e.partial
+        return e.partial, True
 
 
 def largest_ip_subset(A, bound, node_cap=DEFAULT_NODE_CAP):
@@ -506,6 +512,11 @@ def largest_ip_subset(A, bound, node_cap=DEFAULT_NODE_CAP):
     The finite sums of the chosen elements are one int, bit s set when s is
     a sum, and A cap [1, bound] is another, a_mask: adding c makes the sums
     (sums << c) | (1 << c), which must all lie in a_mask."""
+    return _ip_search(A, bound, node_cap)[0]
+
+
+def _ip_search(A, bound, node_cap):
+    # (largest_ip_subset, whether the search stopped at node_cap)
     candidates = A.members(bound)
     a_mask = A.mask(bound)
     best = []
@@ -531,12 +542,13 @@ def largest_ip_subset(A, bound, node_cap=DEFAULT_NODE_CAP):
             chosen.pop()
 
     rec(0, [], 0)
-    return tuple(best)
+    return tuple(best), nodes > node_cap
 
 
 def classify(A, H=_DEFAULT_HORIZON, ip_bound=None, node_cap=DEFAULT_NODE_CAP):
     """Finite-horizon structure report: longest run (thickness evidence), max gap
-    (syndeticity evidence), and bounded Delta / IP witness searches."""
+    (syndeticity evidence), and bounded Delta / IP witness searches; cap_hit
+    says that a witness is partial, the best found before node_cap."""
     _check_horizon(H)
     if ip_bound is None:
         ip_bound = min(H, 4096)
@@ -552,8 +564,8 @@ def classify(A, H=_DEFAULT_HORIZON, ip_bound=None, node_cap=DEFAULT_NODE_CAP):
     else:
         max_gap = None
     pws = thick_run >= 2 and max_gap is not None
-    delta_w = largest_delta_subset(A, min(H, 512), node_cap=node_cap)
-    ip_w = largest_ip_subset(A, ip_bound, node_cap=node_cap)
+    delta_w, delta_capped = _delta_search(A, min(H, 512), node_cap)
+    ip_w, ip_capped = _ip_search(A, ip_bound, node_cap)
     return ClassifyReport(
         horizon=H,
         thick_run=thick_run,
@@ -562,4 +574,5 @@ def classify(A, H=_DEFAULT_HORIZON, ip_bound=None, node_cap=DEFAULT_NODE_CAP):
         delta_witness=delta_w,
         ip_witness=ip_w,
         ip_bound=ip_bound,
+        cap_hit=delta_capped or ip_capped,
     )

@@ -1,38 +1,30 @@
 """Spacing shifts: binary subshifts where all distances between 1s lie in a
-parameter set P.
+parameter set P, so the language is hereditary by construction.
 
-A word is admissible when the difference set of its 1-positions is contained
-in P, so the language is hereditary by construction. The acceptor state is
-an int whose bit d-1 is set when a 1 sits d places back, and a 1 is
-admissible exactly when the state misses one mask, PSetSpec.excluded_mask
-(bit d-1 set when d is not in P). A step is a few integer operations,
-whatever the number of 1s so far. P itself is read through its set's
-kernels, ``bits(H)`` and ``mask(H)`` (bit d set when d is in P); the
-excluded mask is the one place that shifts that layout to bit d-1.
+Each PSetSpec builds its spec once, around one transition(state, a). The
+state is an int whose bit d-1 is set when a 1 sits d places back, and a 1
+is admissible exactly when the state misses the excluded mask,
+PSetSpec.excluded_mask: bit d-1 set when d is not in P, the one place that
+shifts the layout of P's ``mask(H)`` (bit d set when d is in P) by one.
+The excluded mask grows lazily as longer words ask for it, and with it
+pmask, the candidates after a lone 1 in P's own layout.
 
-When the excluded-difference set N \\ P is finite with largest element
+Only the engine depends on P. When N \\ P is finite with largest element
 w <= WINDOWED_DP_MAX_WINDOW, the state is cut to its last w bits and the
-spec hands langkit its transition, so lambda_k and D_k come from the
-automaton DPs over at most 2**w states. For any other P the state keeps
-every 1. Its lambda_k then comes from count_spacing's candidate-mask count:
-what may follow a word's last 1 is fixed by the set T of offsets still
-admissible after it, cut to the positions left (its follower set), so the
-number of continuations depends on T alone, and one memo keyed by T, an
-int, serves every word and every k. D_k comes from langkit's position
-search, which the spec serves with a narrowing step on candidate masks,
-rest & (pmask << chosen[-1]): a candidate q stays when q - chosen[-1] lies
-in P, since the parent node already tested the earlier 1s. Each PSetSpec builds its spec once, so count_spacing and
-count_language(spacing_shift(P), k) extend the one resumable lambda column
-on that spec, and a K-row column costs one counting pass.
+transition is handed over, so lambda_k and D_k come from the automaton DPs
+over at most 2**w states. Otherwise the transition is the step; lambda_k
+comes from count_spacing's candidate-mask count, where one memo keyed by
+the offsets still admissible after a word's last 1 serves every word and
+every k, and D_k from langkit's position search with the narrowing step
+rest & (pmask << chosen[-1]): q stays when q - chosen[-1] is in P, since
+the parent node already tested the earlier 1s. Either way the spec keeps
+the columns, so a K-row column costs one counting pass.
 
-Membership of a whole word skips the step: the spec's word test reads the
-word as one int W and the excluded mask cut to its length, and the word is
-admissible exactly when no two 1s sit an excluded distance apart. It loops
-over whichever is fewer, the 1s of W (testing (W >> (q+1)) & excluded) or the
+The word test reads a whole word as one int W and decides it from the
+definition: no two 1s sit an excluded distance apart. It loops over
+whichever is fewer, the 1s of W (testing (W >> (q+1)) & excluded) or the
 excluded d (testing W & (W >> d)), so langkit's brute force checks the
-engines against the definition rather than against the step. The growing
-excluded mask is the step's own, and pmask, which the count and the
-narrowing step read, is grown with it.
+engines against the definition rather than against the transition.
 """
 
 from __future__ import annotations
@@ -63,8 +55,7 @@ class PSetSpec:
     """The parameter P of a spacing shift; membership decidable to any horizon."""
 
     base: IntSetSpec
-    # [the langkit spec of Omega_P], then, off the automaton DP, the memo and
-    # the candidate-mask kernel of count_spacing; built once by spacing_shift
+    # [the langkit spec of Omega_P], built once by spacing_shift
     _shift: list = field(default_factory=list, init=False, compare=False, repr=False,
                          hash=False)
 
@@ -103,28 +94,25 @@ def admissible(P, w):
 
 
 def count_spacing(P, k, node_cap=DEFAULT_NODE_CAP):
-    """lambda_k for Omega_P, exact: by the automaton DP when N \\ P is finite
-    and small, else by the candidate-mask count, resuming the column on P's
-    spec. T is an int whose bit u is set when a 1 placed u past the last 1
+    """lambda_k for Omega_P, exact, resuming the column on P's spec: by the
+    automaton DP when N \\ P is finite and small, else by the candidate-mask
+    count. T is an int whose bit u is set when a 1 placed u past the last 1
     is still admissible and inside the word; f(T) counts the admissible sets
     of later 1s, the empty set included:
 
         f(0) = 1,   f(T) = 1 + sum over t in T of f((T >> t) & pmask),
 
-    with pmask the candidates after a lone 1 (bit d set when d is in P).
-    f(T) reads only T, so one memo serves every k, and langkit's
-    follower_count sums lambda_j = lambda_(j-1) + f(pmask & (2**j - 1)), the
-    sets through position 1. node_cap bounds the (T, t) lookups this call
-    makes; a trip leaves the column and the memo valid."""
+    with pmask the narrowing step's candidates after a 1 at position 0. One
+    memo, the spec's, serves every k, and langkit's follower_count sums
+    lambda_j = lambda_(j-1) + f(pmask & (2**j - 1)). node_cap bounds the DP's
+    states or the (T, t) lookups of this call; a trip leaves the column and
+    the memo valid."""
     if k < 1:
         raise PreconditionError("k must be >= 1")
-    if not isinstance(P, PSetSpec):
-        P = PSetSpec(P)
     spec = spacing_shift(P)
     if spec.engine == "automaton_dp":
-        return count_language(spec, k)
-    _, memo, candidates = P._shift
-    pmask = candidates(k)
+        return count_language(spec, k, node_cap=node_cap)
+    pmask = spec._narrow([0], (1 << (k + 1)) - 2)
 
     def followers(T):
         # the masks after a 1 at each offset t in T
@@ -134,75 +122,52 @@ def count_spacing(P, k, node_cap=DEFAULT_NODE_CAP):
             rest ^= low
             yield T >> (low.bit_length() - 1) & pmask
 
-    return follower_count(spec._column, memo, k, lambda j: pmask & ((1 << j) - 1),
+    return follower_count(spec._column, spec._memo, k, lambda j: pmask & ((1 << j) - 1),
                           followers, node_cap)
 
 
 def spacing_shift(P):
-    """The langkit spec for Omega_P, built once per PSetSpec. The step never
-    reads the position: a 1 is refused when the relative 1-mask meets the
-    excluded mask. With N \\ P finite and small the mask is cut to the window
-    and handed over as a transition (automaton DP); otherwise it is grown
-    when the state outruns it, the spec's lambda_k comes from count_spacing
-    (the candidate-mask count, whose memo and candidate mask this builds from
-    that one excluded mask), and D_k from the position search."""
+    """The langkit spec for Omega_P, built once per PSetSpec around one
+    transition: a 1 is refused when the relative 1-mask meets the excluded
+    mask, which grows when the state outruns it. With N \\ P finite and
+    small the state is cut to the window and the transition handed over
+    (automaton DP); otherwise it is the step, lambda_k comes from
+    count_spacing and D_k from the position search."""
     if not isinstance(P, PSetSpec):
         P = PSetSpec(P)
     if P._shift:
         return P._shift[0]
+    excluded = covered = pmask = 0
 
-    w = P.excluded_max()
-    step = transition = narrow = position_count = None
-    if w is not None and w <= WINDOWED_DP_MAX_WINDOW:
-        excluded, window = P.excluded_mask(w), (1 << w) - 1
+    def excluded_upto(h):
+        # the excluded mask exact to at least h, grown at least twofold, and
+        # with it pmask: bit d set when d <= covered is in P
+        nonlocal excluded, covered, pmask
+        if h > covered:
+            covered = 2 * h
+            excluded = P.excluded_mask(covered)
+            pmask = (~excluded & ((1 << covered) - 1)) << 1
+        return excluded
 
-        def excluded_upto(h):
-            return excluded  # every excluded difference is at most w
+    def transition(state, a):
+        if not a:
+            return True, state << 1
+        if state.bit_length() > covered:
+            excluded_upto(state.bit_length())
+        if state & excluded:
+            return False, state
+        return True, (state << 1) | 1
 
-        def transition(state, a):
-            if a and state & excluded:
-                return False, state
-            return True, ((state << 1) | a) & window
-    else:
-        excluded = covered = pmask = 0
+    def narrow(chosen, rest):
+        # rest is admissible after chosen[:-1] already: keep q when
+        # q - chosen[-1] is in P
+        p = chosen[-1]
+        if rest.bit_length() - p > covered:
+            excluded_upto(rest.bit_length() - p)
+        return rest & (pmask << p)
 
-        def excluded_upto(h):
-            # the excluded mask exact to at least h, grown at least twofold,
-            # and with it pmask, the candidates after a lone 1: bit d set
-            # when d <= covered is in P
-            nonlocal excluded, covered, pmask
-            if h > covered:
-                covered = 2 * h
-                excluded = P.excluded_mask(covered)
-                pmask = (~excluded & ((1 << covered) - 1)) << 1
-            return excluded
-
-        def step(state, i, a):
-            if not a:
-                return True, state << 1
-            if state.bit_length() > covered:
-                excluded_upto(state.bit_length())
-            if state & excluded:
-                return False, state
-            return True, (state << 1) | 1
-
-        def narrow(chosen, rest):
-            # rest is admissible after chosen[:-1] already: keep q when
-            # q - chosen[-1] is in P
-            p = chosen[-1]
-            if rest.bit_length() - p > covered:
-                excluded_upto(rest.bit_length() - p)
-            return rest & (pmask << p)
-
-        memo = {0: 1}  # candidate mask T -> f(T), see count_spacing
-
-        def candidates(h):
-            # pmask, exact to at least h
-            excluded_upto(h)
-            return pmask
-
-        def position_count(k, node_cap):
-            return count_spacing(P, k, node_cap=node_cap)
+    def position_count(k, node_cap):
+        return count_spacing(P, k, node_cap=node_cap)
 
     def word_test(b):
         # W: the word as one int, its first symbol the top bit, so a pair of
@@ -227,13 +192,22 @@ def spacing_shift(P):
                 ex ^= low
         return True
 
-    P._shift.append(SubshiftSpec(
-        n=2, family="spacing", label="spacing:P=%s" % P,
-        start_state=0, step=step, transition=transition,
-        narrow=narrow, position_count=position_count, word_test=word_test))
-    if transition is None:
-        P._shift.extend((memo, candidates))
-    return P._shift[0]
+    common = dict(n=2, family="spacing", label="spacing:P=%s" % P, start_state=0,
+                  word_test=word_test)
+    w = P.excluded_max()
+    if w is not None and w <= WINDOWED_DP_MAX_WINDOW:
+        window = (1 << w) - 1  # every excluded difference is at most w
+
+        def windowed(state, a):
+            ok, state = transition(state, a)
+            return ok, state & window
+
+        spec = SubshiftSpec(transition=windowed, **common)
+    else:
+        spec = SubshiftSpec(step=lambda state, i, a: transition(state, a), narrow=narrow,
+                            position_count=position_count, **common)
+    P._shift.append(spec)
+    return spec
 
 
 def transition_set_check(P, H):
@@ -274,6 +248,8 @@ def delta_star_bound_check(A, k, trials, H, seed):
     arithmetic progressions 1, 1 + s, ..., 1 + (k-1)s in [1, H] for s <= 20,
     verify that A - A contains a positive element of B - B. Precondition of the
     underlying pigeonhole lemma: the density estimate of A on [1, H] exceeds 1/k."""
+    if k < 1:
+        raise PreconditionError("k must be >= 1")
     dmask = difference_set(A, H).mask(H)  # checks the horizon
     members = A.members(H)
     beta = Fraction(len(members), H)

@@ -213,6 +213,30 @@ def test_sets_classify_reads_cap_states():
     assert capped["result"]["delta_witness"] == [1, 3, 5]
 
 
+def test_sets_classify_flags_partial_witnesses():
+    argv = ["sets", "classify", "--set", "evens", "--horizon", "200"]
+    full = run_json(argv)
+    capped = run_json(argv + ["--cap-states", "10"])
+    # the IP search stops at 12 elements by design, not at the cap
+    assert full["cap_hit"] is False
+    assert (full["result"]["delta_witness_size"], full["result"]["ip_witness_size"]) == (100, 12)
+    assert capped["cap_hit"] is True
+    assert (capped["result"]["delta_witness_size"], capped["result"]["ip_witness_size"]) == \
+        (10, 10)
+
+
+def test_capped_automaton_dp_exits_3_with_its_rows(capsys):
+    # N \ P = {23}: layer k of the windowed DP holds 2**k states up to k = 23,
+    # so a cap of 100000 states admits 16 rows
+    out = io.StringIO()
+    assert main(["entropy", "--shift", "spacing:P=complement:(finite:{23})", "--kmax", "40",
+                 "--cap-states", "100000"], out=out) == 3
+    assert "resource cap:" in capsys.readouterr().err
+    env = json.loads(out.getvalue())
+    assert env["cap_hit"] is True and env["result"]["strategy"] == "automaton_dp"
+    assert [r["lambda"] for r in env["result"]["rows"]] == [str(2 ** k) for k in range(1, 17)]
+
+
 @pytest.mark.parametrize("argv", [
     ["sets", "classify", "--set", "evens", "--horizon", "-5"],
     ["sets", "classify", "--set", "evens", "--horizon", "0"],
@@ -222,6 +246,7 @@ def test_sets_classify_reads_cap_states():
     ["spacing", "delta-star", "--set", "evens", "--k", "600", "--horizon", "512", "--seed", "1",
      "--trials", "1"],
     ["spacing", "delta-star", "--set", "evens", "--k", "5", "--horizon", "3", "--seed", "1"],
+    ["spacing", "delta-star", "--set", "evens", "--k", "0", "--seed", "1"],
     ["selftest", "--kmax", "-2"],
     ["selftest", "--kmax", "0"],
     ["sets", "classify", "--set", "evens", "--horizon", "5", "--ip-bound", "-3"],

@@ -114,6 +114,7 @@ MINIMUMS = {
     ("density", "--horizon"): 1, ("entropy", "--cap-states"): 1,
     ("language", "--cap-states"): 1, ("sets classify", "--cap-states"): 1,
     ("spacing recurrence-probe", "--cap-states"): 1, ("spacing recurrence-probe", "--kmax"): 1,
+    ("spacing delta-star", "--k"): 1,
 }
 
 

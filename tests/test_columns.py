@@ -16,7 +16,13 @@ import shiftlab
 from shiftlab.beta import beta_shift, count_beta_language, parse_beta
 from shiftlab.cli import main
 from shiftlab.errors import PreconditionError, ResourceCapExceeded
-from shiftlab.langkit import count_language, entropy_estimates, parse_shift_spec
+from shiftlab.langkit import (
+    count_language,
+    entropy_estimates,
+    max_symbol_count,
+    max_symbol_witness,
+    parse_shift_spec,
+)
 from shiftlab.sets import EVENS, ComplementSet, FiniteSet
 from shiftlab.spacing import PSetSpec, count_spacing, spacing_shift
 
@@ -186,8 +192,49 @@ def test_count_language_passes_node_cap():
         count_language(parse_shift_spec("counting"), 24, node_cap=10)
     with pytest.raises(ResourceCapExceeded):
         entropy_estimates(parse_shift_spec("spacing:P=evens"), 30, node_cap=10)
-    # the state DPs are bounded by their state count and take no node cap
-    assert count_language(parse_shift_spec("forbidden:{11}"), 26, node_cap=1) == 317811
+    # the state DPs charge the states of each layer they build: 26 layers of
+    # 2 states (the last symbol) each
+    with pytest.raises(ResourceCapExceeded):
+        count_language(parse_shift_spec("forbidden:{11}"), 26, node_cap=51)
+    assert count_language(parse_shift_spec("forbidden:{11}"), 26, node_cap=52) == 317811
+
+
+# windowed: its layers hold 2, 3, 5, ..., 130 states, then 195 from k = 12 on,
+# so the first 30 layers hold 4083 states and layers 12 to 30 hold 3705
+TABLE_DP = "spacing:P=complement:(finite:{1,3,12})"
+
+
+def test_capped_table_dp_trips_and_resumes():
+    full = entropy_estimates(parse_shift_spec(TABLE_DP), 30).rows
+    spec = parse_shift_spec(TABLE_DP)
+    assert spec.engine == "automaton_dp"
+    with pytest.raises(ResourceCapExceeded) as e:
+        entropy_estimates(spec, 30, node_cap=150)
+    rows = e.value.partial.rows
+    assert 0 < len(rows) < 30 and rows == full[:len(rows)]
+    assert spec._dp().column == [r.lam for r in rows]
+    # the layers already built are not built again: the rest of the column
+    # fits in a cap that a fresh count of it trips
+    with pytest.raises(ResourceCapExceeded):
+        count_language(parse_shift_spec(TABLE_DP), 30, node_cap=3800)
+    assert count_language(spec, 30, node_cap=3800) == full[-1].lam
+    assert entropy_estimates(spec, 30, node_cap=150).rows == full
+
+
+def test_capped_max_symbol_dp_trips_and_resumes():
+    fresh = parse_shift_spec(TABLE_DP)
+    full = [max_symbol_count(fresh, 1, k) for k in range(1, 31)]
+    spec = parse_shift_spec(TABLE_DP)
+    with pytest.raises(ResourceCapExceeded):
+        max_symbol_count(spec, 1, 30, node_cap=500)
+    column = spec._dp(1).column
+    assert 0 < len(column) < 30 and column == full[:len(column)]
+    assert max_symbol_count(spec, 1, 30, node_cap=3800) == full[-1]
+    assert spec._dp(1).column == full
+    # the witness pass is not resumable: it charges all of its layers
+    with pytest.raises(ResourceCapExceeded):
+        max_symbol_witness(spec, 1, 30, node_cap=3800)
+    assert max_symbol_witness(spec, 1, 30).weight() == full[-1]
 
 
 def _lang_columns_argvs():

@@ -281,6 +281,21 @@ def test_classify_evens():
     assert j["horizon"] == 500 and j["delta_witness_size"] == len(rep.delta_witness)
 
 
+@pytest.mark.parametrize("A,H,ip_bound,cap,hit", [
+    (EVENS, 200, None, 200, True),           # the Delta search trips, the IP search ends
+    (Pow2DiffSet(), 16, 2000, 500, True),    # the Delta search ends, the IP search trips
+    (Pow2DiffSet(), 16, 2000, 50_000, False),
+    (EVENS, 200, None, 500, False),          # the IP search stops at IP_MAX_SIZE
+])
+def test_classify_cap_hit_says_a_witness_search_stopped_at_the_cap(A, H, ip_bound, cap, hit):
+    rep = classify(A, H=H, ip_bound=ip_bound, node_cap=cap)
+    assert rep.cap_hit is hit
+    # the witnesses are those of the searches on their own
+    assert rep.delta_witness == largest_delta_subset(A, min(H, 512), node_cap=cap)
+    assert rep.ip_witness == largest_ip_subset(A, rep.ip_bound, node_cap=cap)
+    assert "cap_hit" not in rep.to_json()
+
+
 def test_classify_empty_like():
     rep = classify(FiniteSet(frozenset()), H=50)
     assert rep.max_gap is None and rep.thick_run == 0

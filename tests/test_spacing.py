@@ -196,6 +196,13 @@ def test_delta_star_precondition():
         delta_star_bound_check(EVENS, 2, 10, 512, seed=1)
 
 
+@pytest.mark.parametrize("k", [0, -3])
+def test_delta_star_rejects_k_below_one(k):
+    # checked first: the density condition beta > 1/k needs k >= 1
+    with pytest.raises(PreconditionError, match="k must be >= 1"):
+        delta_star_bound_check(EVENS, k, 10, 512, seed=1)
+
+
 def test_delta_star_deterministic():
     a = delta_star_bound_check(EVENS, 3, 100, 256, seed=5)
     b = delta_star_bound_check(EVENS, 3, 100, 256, seed=5)
@@ -373,8 +380,8 @@ def test_mask_count_resumes_after_a_cap_trip():
     P = PSetSpec(EVENS)
     with pytest.raises(ResourceCapExceeded):
         count_spacing(P, 60, node_cap=200)
-    spec, memo, _ = P._shift
-    _, fresh_memo, _ = fresh._shift
+    spec = spacing_shift(P)
+    memo, fresh_memo = spec._memo, spacing_shift(fresh)._memo
     assert 0 < len(spec._column) < 60
     assert spec._column == spacing_shift(fresh)._column[:len(spec._column)]
     # every memo entry kept through the trip is f(T), so a fresh count agrees
@@ -393,3 +400,16 @@ def test_mask_count_work_is_memoised():
     assert count_spacing(PSetSpec(EVENS), 60, node_cap=1000) == 2 ** 31 - 1
     assert count_spacing(PSetSpec(ODDS), 200, node_cap=10 ** 4) == \
         count_positions(spacing_shift(PSetSpec(ODDS)), 200)
+
+
+@pytest.mark.parametrize("base", [
+    EVENS, ODDS, PeriodicSet((), (0, 1, 1, 1, 0, 1, 1)), _Unperiodic(EVENS),
+    ComplementSet(FiniteSet(frozenset({1, 3, 12}))),
+], ids=["evens", "odds", "periodic", "unperiodic", "windowed"])
+def test_count_spacing_on_a_bare_set_matches_its_pset(base):
+    P = PSetSpec(base)
+    want = [count_spacing(P, k) for k in range(1, 31)]
+    assert [count_spacing(base, k) for k in range(1, 31)] == want
+    assert [count_language(spacing_shift(base), k) for k in range(1, 31)] == want
+    assert want[:12] == [count_language(spacing_shift(base), k, strategy="brute_force")
+                         for k in range(1, 13)]

@@ -26,12 +26,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import inf, lcm
 from operator import ne
 
-from .core import EventuallyPeriodicPoint
+from .core import EventuallyPeriodicPoint, Record, set_field
 from .errors import AlphabetMismatch, PreconditionError
 from .sets import IntSetSpec
 
@@ -64,8 +63,7 @@ def diff_equal_densities(x, y):
     return d, 1 - d
 
 
-@dataclass(frozen=True)
-class DistributionProfile:
+class DistributionProfile(Record):
     """F and F* sampled on a threshold grid.
 
     `fstar_one_everywhere` records whether F*(t) = 1 for every t > 0 (not just
@@ -73,14 +71,19 @@ class DistributionProfile:
     (threshold 0.99 on every grid point) in the empirical case.
     """
 
-    n: int
-    thresholds: tuple
-    F_values: tuple
-    Fstar_values: tuple
-    exact: bool
-    fstar_one_everywhere: bool
-    horizon: int = None
-    checkpoints: tuple = ()
+    __slots__ = ("n", "thresholds", "F_values", "Fstar_values", "exact",
+                 "fstar_one_everywhere", "horizon", "checkpoints")
+
+    def __init__(self, n, thresholds, F_values, Fstar_values, exact,
+                 fstar_one_everywhere, horizon=None, checkpoints=()):
+        set_field(self, "n", n)
+        set_field(self, "thresholds", thresholds)
+        set_field(self, "F_values", F_values)
+        set_field(self, "Fstar_values", Fstar_values)
+        set_field(self, "exact", exact)
+        set_field(self, "fstar_one_everywhere", fstar_one_everywhere)
+        set_field(self, "horizon", horizon)
+        set_field(self, "checkpoints", checkpoints)
 
     def to_json(self):
         rows = []
@@ -247,11 +250,13 @@ def _empirical_profile(xs, ys, thresholds, checkpoints, n):
 
 # -- classification -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class PairClass:
-    verdict: str            # DC1 | DC2-not-DC1 | DC3-not-DC2 | none
-    evidence: bool          # empirical verdicts are evidence, never exact
-    certificates: dict = field(default_factory=dict)
+class PairClass(Record):
+    __slots__ = ("verdict", "evidence", "certificates")
+
+    def __init__(self, verdict, evidence, certificates=None):
+        set_field(self, "verdict", verdict)    # DC1 | DC2-not-DC1 | DC3-not-DC2 | none
+        set_field(self, "evidence", evidence)  # empirical verdicts are evidence, never exact
+        set_field(self, "certificates", {} if certificates is None else certificates)
 
     def to_json(self):
         return {"verdict": self.verdict, "evidence": self.evidence,
@@ -291,15 +296,22 @@ def classify_pair(profile):
 
 # -- the scrambled family -----------------------------------------------------
 
-@dataclass(frozen=True)
-class ScrambledFamily:
-    members: tuple          # m characteristic sequences, tuples of 0/1 bits
-    horizon: int
-    b: tuple                # checkpoint sequence b_1 < b_2 < ...
-    blocks: tuple           # ((lo, hi), ...) with block n = (b_{2n-1}, b_{2n}]
-    index_sets: tuple       # A_i as tuples of block indices within range
-    density: Fraction       # exact density of S
-    log: dict
+class ScrambledFamily(Record):
+    """members: m characteristic sequences, tuples of 0/1 bits; b: the
+    checkpoint sequence b_1 < b_2 < ...; blocks: ((lo, hi), ...) with block
+    n = (b_{2n-1}, b_{2n}]; index_sets: A_i as tuples of block indices within
+    range; density: the exact density of S."""
+
+    __slots__ = ("members", "horizon", "b", "blocks", "index_sets", "density", "log")
+
+    def __init__(self, members, horizon, b, blocks, index_sets, density, log):
+        set_field(self, "members", members)
+        set_field(self, "horizon", horizon)
+        set_field(self, "b", b)
+        set_field(self, "blocks", blocks)
+        set_field(self, "index_sets", index_sets)
+        set_field(self, "density", density)
+        set_field(self, "log", log)
 
     def member_ones(self, i):
         return [p + 1 for p, bit in enumerate(self.members[i]) if bit]

@@ -20,35 +20,77 @@ densities in ``chaos``, the Parry check in ``beta``) reads it;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, cycle, islice
 from math import lcm
+from operator import attrgetter
 
 from .errors import AlphabetMismatch, SpecParseError
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    size: int
-
-    def __post_init__(self):
-        if self.size < 2:
-            raise ValueError("alphabet size must be >= 2, got %r" % (self.size,))
+set_field = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Word:
+class Record:
+    """Base of shiftlab's immutable value types. A record's fields are the
+    public names in its ``__slots__``, set once by its ``__init__`` through
+    ``object.__setattr__``; slots named with a leading underscore hold private
+    state that is neither compared, hashed nor shown. Records compare equal
+    when their classes are the same and their fields are equal, hash by their
+    field values, show as ``Name(field=value, ...)``, pickle through their
+    constructor, and refuse assignment with an AttributeError."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(f for f in cls.__slots__ if not f.startswith("_"))
+        # what eq and hash read: the field tuple, or a single field's value
+        cls._key = staticmethod(attrgetter(*cls._fields) if cls._fields else lambda record: ())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self._fields))
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
+
+
+class Alphabet(Record):
+    __slots__ = ("size",)
+
+    def __init__(self, size):
+        if size < 2:
+            raise ValueError("alphabet size must be >= 2, got %r" % (size,))
+        set_field(self, "size", size)
+
+
+class Word(Record):
     """A finite string of symbols over a fixed alphabet."""
 
-    alphabet: Alphabet
-    symbols: tuple
+    __slots__ = ("alphabet", "symbols")
 
-    def __post_init__(self):
-        n = self.alphabet.size
-        for s in self.symbols:
+    def __init__(self, alphabet, symbols):
+        n = alphabet.size
+        for s in symbols:
             if not (0 <= s < n):
                 raise ValueError("symbol %r out of range for alphabet of size %d" % (s, n))
+        set_field(self, "alphabet", alphabet)
+        set_field(self, "symbols", symbols)
 
     def __len__(self):
         return len(self.symbols)
@@ -121,22 +163,20 @@ def _canonicalize(pre, per):
     return pre, _primitive_root(per)
 
 
-@dataclass(frozen=True)
-class EventuallyPeriodicPoint:
+class EventuallyPeriodicPoint(Record):
     """The infinite sequence preperiod . period period ... in canonical form."""
 
-    alphabet: Alphabet
-    preperiod: tuple
-    period: tuple
+    __slots__ = ("alphabet", "preperiod", "period")
 
-    def __post_init__(self):
-        pre, per = _canonicalize(self.preperiod, self.period)
-        object.__setattr__(self, "preperiod", pre)
-        object.__setattr__(self, "period", per)
-        n = self.alphabet.size
+    def __init__(self, alphabet, preperiod, period):
+        pre, per = _canonicalize(preperiod, period)
+        n = alphabet.size
         for s in pre + per:
             if not (0 <= s < n):
                 raise ValueError("symbol %r out of range for alphabet of size %d" % (s, n))
+        set_field(self, "alphabet", alphabet)
+        set_field(self, "preperiod", pre)
+        set_field(self, "period", per)
 
     def symbol_at(self, i):
         """1-based coordinate omega_i."""

@@ -89,10 +89,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Alphabet, Word, word
+from .core import Alphabet, Record, Word, set_field, word
 from .errors import (
     AlphabetMismatch,
     PreconditionError,
@@ -474,13 +473,15 @@ def count_language(spec, k, strategy=None, node_cap=DEFAULT_NODE_CAP):
     return sum(1 for _ in _walk_language(spec, k, node_cap))
 
 
-@dataclass(frozen=True)
-class EntropyRow:
-    k: int
-    lam: int
-    h_k: float
-    increment: float
-    inf_so_far: float
+class EntropyRow(Record):
+    __slots__ = ("k", "lam", "h_k", "increment", "inf_so_far")
+
+    def __init__(self, k, lam, h_k, increment, inf_so_far):
+        set_field(self, "k", k)
+        set_field(self, "lam", lam)
+        set_field(self, "h_k", h_k)
+        set_field(self, "increment", increment)
+        set_field(self, "inf_so_far", inf_so_far)
 
     def to_json(self):
         return {
@@ -492,10 +493,12 @@ class EntropyRow:
         }
 
 
-@dataclass(frozen=True)
-class EntropyReport:
-    rows: tuple
-    strategy: str
+class EntropyReport(Record):
+    __slots__ = ("rows", "strategy")
+
+    def __init__(self, rows, strategy):
+        set_field(self, "rows", rows)
+        set_field(self, "strategy", strategy)
 
     @property
     def inf_so_far(self):

@@ -27,13 +27,13 @@ Set expression grammar (round-trips bit-exactly through parse/str):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import accumulate, chain, compress, cycle, islice
 from math import lcm
 from operator import or_, sub
 
+from .core import Record, set_field
 from .errors import PreconditionError, ResourceCapExceeded, SpecParseError
 from .langkit import DEFAULT_NODE_CAP, position_search
 
@@ -44,7 +44,11 @@ MAX_SET_EXPR_PARENS = 100
 
 
 class IntSetSpec:
-    """Base class; subclasses implement contains(), bits() and to_expr()."""
+    """Base class; subclasses implement contains(), bits() and to_expr(). The
+    set classes below are also Records, compared and hashed by value; a
+    subclass that is not keeps identity semantics and may set attributes."""
+
+    __slots__ = ()
 
     def contains(self, i):
         raise NotImplementedError
@@ -75,9 +79,11 @@ class IntSetSpec:
         return self.contains(i)
 
 
-@dataclass(frozen=True)
-class FiniteSet(IntSetSpec):
-    elements: frozenset
+class FiniteSet(IntSetSpec, Record):
+    __slots__ = ("elements",)
+
+    def __init__(self, elements):
+        set_field(self, "elements", elements)
 
     def contains(self, i):
         return i in self.elements
@@ -97,15 +103,15 @@ class FiniteSet(IntSetSpec):
         return tuple(self.bits(m)), (0,)
 
 
-@dataclass(frozen=True)
-class PeriodicSet(IntSetSpec):
-    pre: tuple
-    per: tuple
-    name: str = ""
+class PeriodicSet(IntSetSpec, Record):
+    __slots__ = ("pre", "per", "name")
 
-    def __post_init__(self):
-        if not self.per:
+    def __init__(self, pre, per, name=""):
+        if not per:
             raise ValueError("period bits must be nonempty")
+        set_field(self, "pre", pre)
+        set_field(self, "per", per)
+        set_field(self, "name", name)
 
     def contains(self, i):
         if i < 1:
@@ -128,9 +134,11 @@ class PeriodicSet(IntSetSpec):
         return self.pre, self.per
 
 
-@dataclass(frozen=True)
-class ComplementSet(IntSetSpec):
-    inner: IntSetSpec
+class ComplementSet(IntSetSpec, Record):
+    __slots__ = ("inner",)
+
+    def __init__(self, inner):
+        set_field(self, "inner", inner)
 
     def contains(self, i):
         return i >= 1 and not self.inner.contains(i)
@@ -149,9 +157,11 @@ class ComplementSet(IntSetSpec):
         return tuple(1 - b for b in pre), tuple(1 - b for b in per)
 
 
-@dataclass(frozen=True)
-class UnionSet(IntSetSpec):
-    parts: tuple
+class UnionSet(IntSetSpec, Record):
+    __slots__ = ("parts",)
+
+    def __init__(self, parts):
+        set_field(self, "parts", parts)
 
     def contains(self, i):
         return any(p.contains(i) for p in self.parts)
@@ -174,12 +184,14 @@ class UnionSet(IntSetSpec):
         return tuple(bits[:pre_len]), tuple(bits[pre_len:])
 
 
-@dataclass(frozen=True)
-class WindowSet(IntSetSpec):
+class WindowSet(IntSetSpec, Record):
     """Explicit bits up to a horizon; membership beyond the horizon is unknown
     and reported as False. Density results over window sets are estimates."""
 
-    window_bits: tuple
+    __slots__ = ("window_bits",)
+
+    def __init__(self, window_bits):
+        set_field(self, "window_bits", window_bits)
 
     @property
     def horizon(self):
@@ -197,13 +209,14 @@ class WindowSet(IntSetSpec):
         return "window:%s" % "".join(map(str, self.window_bits))
 
 
-@dataclass(frozen=True)
-class Pow2DiffSet(IntSetSpec):
+class Pow2DiffSet(IntSetSpec, Record):
     """Differences of powers of two, {2**n - 2**m : n > m >= 0}.
 
     Membership test: i = 2**a * (2**b - 1) with b >= 1, i.e. after stripping
     trailing zero bits the remainder is all-ones in binary.
     """
+
+    __slots__ = ()
 
     def contains(self, i):
         if i < 1:
@@ -228,10 +241,11 @@ class Pow2DiffSet(IntSetSpec):
         return "pow2diff"
 
 
-@dataclass(frozen=True)
-class FactorialBlocksSet(IntSetSpec):
+class FactorialBlocksSet(IntSetSpec, Record):
     """Union of blocks [n!, n! + n) for n >= 2: asymptotic density 0 but upper
     Banach density 1 (each block is a run of n consecutive members)."""
+
+    __slots__ = ()
 
     def contains(self, i):
         if i < 2:
@@ -322,12 +336,14 @@ def parse_set_expr(text):
 
 # -- densities ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DensityResult:
-    value: object          # Fraction when exact, float estimate otherwise
-    exact: bool
-    exists: object = None  # asymptotic density: True/False/None (unknown)
-    horizon: object = None
+class DensityResult(Record):
+    __slots__ = ("value", "exact", "exists", "horizon")
+
+    def __init__(self, value, exact, exists=None, horizon=None):
+        set_field(self, "value", value)      # Fraction when exact, float estimate otherwise
+        set_field(self, "exact", exact)
+        set_field(self, "exists", exists)    # asymptotic density: True/False/None (unknown)
+        set_field(self, "horizon", horizon)
 
     def to_json(self):
         out = {"value": float(self.value), "exact": self.exact}
@@ -447,16 +463,20 @@ def sum_set_FS(S, depth, bound):
 
 # -- finite-horizon classification ---------------------------------------------
 
-@dataclass(frozen=True)
-class ClassifyReport:
-    horizon: int
-    thick_run: int
-    max_gap: object           # None when fewer than two members
-    piecewise_syndetic_evidence: bool
-    delta_witness: tuple      # largest D found with D-D inside A
-    ip_witness: tuple         # largest S found with FS(S) inside A
-    ip_bound: int
-    cap_hit: bool             # a witness search stopped at the node cap
+class ClassifyReport(Record):
+    __slots__ = ("horizon", "thick_run", "max_gap", "piecewise_syndetic_evidence",
+                 "delta_witness", "ip_witness", "ip_bound", "cap_hit")
+
+    def __init__(self, horizon, thick_run, max_gap, piecewise_syndetic_evidence,
+                 delta_witness, ip_witness, ip_bound, cap_hit):
+        set_field(self, "horizon", horizon)
+        set_field(self, "thick_run", thick_run)
+        set_field(self, "max_gap", max_gap)              # None when fewer than two members
+        set_field(self, "piecewise_syndetic_evidence", piecewise_syndetic_evidence)
+        set_field(self, "delta_witness", delta_witness)  # largest D found with D-D inside A
+        set_field(self, "ip_witness", ip_witness)        # largest S found with FS(S) inside A
+        set_field(self, "ip_bound", ip_bound)
+        set_field(self, "cap_hit", cap_hit)  # a witness search stopped at the node cap
 
     def to_json(self):
         return {

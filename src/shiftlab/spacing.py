@@ -30,10 +30,9 @@ engines against the definition rather than against the transition.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import Word
+from .core import Record, Word, set_field
 from .errors import PreconditionError
 from .langkit import (
     DEFAULT_NODE_CAP,
@@ -43,21 +42,22 @@ from .langkit import (
     follower_count,
     max_density_word,
 )
-from .sets import IntSetSpec, difference_set
+from .sets import difference_set
 
 WINDOWED_DP_MAX_WINDOW = 24
 # symbol value byte -> ASCII binary digit
 _BITS_ASCII = bytes.maketrans(b"\x00\x01", b"01")
 
 
-@dataclass(frozen=True)
-class PSetSpec:
+class PSetSpec(Record):
     """The parameter P of a spacing shift; membership decidable to any horizon."""
 
-    base: IntSetSpec
-    # [the langkit spec of Omega_P], built once by spacing_shift
-    _shift: list = field(default_factory=list, init=False, compare=False, repr=False,
-                         hash=False)
+    __slots__ = ("base", "_shift")
+
+    def __init__(self, base):
+        set_field(self, "base", base)
+        # [the langkit spec of Omega_P], built once by spacing_shift
+        set_field(self, "_shift", [])
 
     def contains(self, d):
         return self.base.contains(d)

@@ -1,0 +1,37 @@
+"""Start-up: importing the CLI loads no introspection machinery, and the
+package runs as ``python -m shiftlab`` from a checkout."""
+
+import json
+import os
+import subprocess
+import sys
+
+import shiftlab
+
+SRC = os.path.dirname(os.path.dirname(shiftlab.__file__))
+# what the dataclass machinery pulls in: dataclasses imports inspect, which
+# imports ast, dis and tokenize
+INTROSPECTION = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+def _fresh(args):
+    return subprocess.run([sys.executable] + args, env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, check=False, timeout=120)
+
+
+def test_cli_import_adds_no_introspection_modules():
+    # the difference across the import, not absence: site may load some of
+    # these before any user code runs
+    code = ("import json, sys; before = set(sys.modules); import shiftlab, shiftlab.cli; "
+            "print(json.dumps(sorted(set(sys.modules) - before)))")
+    run = _fresh(["-c", code])
+    assert run.returncode == 0, run.stderr
+    added = set(json.loads(run.stdout))
+    assert "shiftlab.cli" in added
+    assert not added & INTROSPECTION, sorted(added & INTROSPECTION)
+
+
+def test_python_m_shiftlab_runs_the_cli():
+    run = _fresh(["-m", "shiftlab", "selftest", "--kmax", "4"])
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["result"]["all_pass"] is True

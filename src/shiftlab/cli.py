@@ -7,7 +7,8 @@ a horizon. Output is deterministic for a fixed config and seed; wall time is
 reported only when --timing is passed, precisely so that the default output
 is byte-reproducible.
 
-Exit codes: 0 success, 2 spec/usage error, 3 resource cap.
+Exit codes: 0 success, 2 spec/usage error, 3 resource cap, 141 (128 +
+SIGPIPE) when the reader closed stdout before the output was written.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
 import time
 
@@ -385,8 +387,21 @@ def _emit_result(args, spec_echo, result, started, out, cap_hit=False):
 
 def main(argv=None, out=None):
     out = out or sys.stdout
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        code = _run(build_parser().parse_args(argv), out)
+        out.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: what is still buffered goes nowhere, so
+        # the interpreter's last flush cannot raise either
+        if out is sys.stdout:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, out.fileno())
+            os.close(devnull)
+        return 141  # 128 + SIGPIPE, the status of a filter the signal ends
+
+
+def _run(args, out):
     started = time.monotonic()
     try:
         if getattr(args, "cap_states", 1) < 1:

@@ -2,51 +2,48 @@
 maximal symbol density and finite-horizon probes.
 
 A subshift is described by an incremental acceptor: a start state plus a
-``step(state, prefix_len, symbol) -> (ok, state)`` transition. Words are fed
-symbol by symbol, which keeps depth-first enumeration output-sensitive (a
-prefix is extended only while it stays in the language; predicates are
-monotone under subwords by the factorial contract).
-
-Acceptor states are canonical and free of absolute positions wherever the
-family allows it: two prefixes that leave the same constraints on every
-continuation reach equal states, and the step does not read prefix_len.
-Such a family hands over its ``transition(state, a) -> (ok, next_state)``
-instead of a step, and every (state, symbol) row is memoised in one
-transition table that the step and the counting DPs all read. The full
-shift (one state), forbidden-word shifts (the last max_len-1 symbols), beta
-shifts (the length of the current match with a digit prefix) and spacing
+``transition(state, a) -> (ok, next_state)``, which is given no position.
+Words are fed symbol by symbol, which keeps depth-first enumeration
+output-sensitive (a prefix is extended only while it stays in the language;
+predicates are monotone under subwords by the factorial contract). States
+are canonical wherever the family allows it: two prefixes that leave the
+same constraints on every continuation reach equal states. The full shift
+(one state), forbidden-word shifts (the last max_len-1 symbols), beta
+shifts (the length of the current match with a digit prefix), spacing
 shifts with N \\ P finite and small (the relative 1-mask cut to the largest
-excluded difference) are built this way, so a step is one table lookup.
-Spacing shifts with any other P run the same transition, uncut, as their
-step; only the counting shift and custom specs keep the prefix itself
-(1-positions or symbols) as their state.
+excluded difference) and custom specs (the word itself) memoise every
+(state, symbol) row in one transition table that enumeration and the
+counting DPs all read, so a step is one table lookup. Spacing shifts with
+any other P (the relative 1-mask, uncut) and the counting shift (the
+symbols read and the 1-positions) run their transition unmemoised as the
+step.
 
 Membership of a whole word does not go through the step when the family can
 test its definition directly. Such a family hands over ``word_test(b)``,
 which gets the word as ``bytes`` of symbol values: spacing shifts test the
 word's 1s as one int against the excluded differences, forbidden-word shifts
-look for each forbidden word with ``in``, and the counting shift walks its
-few 1s with ``bytes.find``. ``accepts`` checks the alphabet with one
-``bytes.translate`` and then calls the word test; table specs without one
-(full and beta shifts) read their transition table directly. The step, the
-table and ``narrow`` serve enumeration, the DPs and the position search.
+look for each forbidden word with ``in``, the counting shift walks its few
+1s with ``bytes.find``, and custom specs call their predicate on the word.
+``accepts`` checks the alphabet with one ``bytes.translate`` and then calls
+the word test; table specs without one (full and beta shifts) read their
+transition table directly. The step, the table and ``narrow`` serve
+enumeration, the DPs and the position search.
 
 Counting engines, named by ``spec.engine`` after what the spec provides:
 
 * ``automaton_dp`` - a transition table: layered DPs over its states, in
   (+, x) for lambda_k and in (max, +) with edge weight [a == alpha] for the
   maximal symbol count D_k (the walk counts of Lind & Marcus, ch. 4);
-* ``branch_and_bound`` - a narrowing step without a table: lambda_k from
-  the family's ``position_count`` entry, a follower_count with one memo for
-  every k (spacing shifts with any other P: spacing.count_spacing over
-  candidate masks; the counting shift: over the floors of its next 1s); D_k
-  from position_search over 1-position subsets;
-* ``dfs`` - neither: a walk over enumerate_language (custom specs).
+* ``branch_and_bound`` - ``narrow`` and ``position_count``, which come
+  together: lambda_k from position_count, a follower_count with one memo
+  for every k (spacing shifts: spacing.count_spacing over candidate masks;
+  the counting shift: over the floors of its next 1s); D_k from
+  position_search over 1-position subsets.
 
 ``node_cap`` bounds what one call of each engine spends: the states of the
 DP layers it builds, the follower lookups of a position_count, the nodes of
-the position search, the words of the dfs walk. A trip raises
-ResourceCapExceeded and leaves every cached column valid.
+the position search. A trip raises ResourceCapExceeded and leaves every
+cached column valid.
 
 ``brute_force`` tests all n**k words independently and is the oracle every
 engine is checked against. It calls ``accepts``, so for a family with a word
@@ -54,8 +51,8 @@ test it checks the engines against the definition, not against the
 transition they read. D_k follows the same engine, except that a family
 with a closed form for its maximal 1-count hands it over as ``ones_exact``.
 
-Every engine but dfs is resumable. The lambda_1, lambda_2, ... column and
-the engine's working state (a DP layer, say) are cached on the spec object a
+Every engine is resumable. The lambda_1, lambda_2, ... column and the
+engine's working state (a DP layer, say) are cached on the spec object a
 parse builds, so ``count_language(spec, k)`` returns a cached lambda_k or
 advances the saved state from its last length to k: a K-row entropy table
 costs one counting pass, in any order of k. The D_k columns are kept the
@@ -143,41 +140,36 @@ class _TransitionTable(dict):
 class SubshiftSpec:
     """Immutable description of a subshift plus its counting machinery.
 
-    The acceptor is either ``transition(state, a)`` over canonical states,
-    which is memoised in a transition table, or ``step(state, prefix_len, a)``.
-    ``narrow(chosen, rest)`` (optional, binary hereditary families only) backs
-    position_search (see the module docstring) and needs ``position_count(k,
-    node_cap)``, the family's lambda_k entry, which extends ``_column``;
-    ``ones_exact(k)``, a closed form (D_k, 1-positions of a witness), may
-    stand in for the search's D_k. ``engine`` names the counting engine
-    these select.
+    The acceptor is ``transition(state, a) -> (ok, next_state)``. Without
+    ``position_count`` it is memoised in a transition table (automaton_dp).
+    ``narrow(chosen, rest)``, which backs position_search (see the module
+    docstring), and ``position_count(k, node_cap)``, the family's lambda_k
+    entry, which extends ``_column``, come together (binary hereditary
+    families only); with them the transition runs unmemoised as the step
+    (branch_and_bound). ``ones_exact(k)``, a closed form (D_k, 1-positions
+    of a witness), may stand in for the search's D_k. ``engine`` names the
+    counting engine these select.
     ``word_test(b)`` (optional) decides membership of a word over the
     alphabet, given as ``bytes`` of symbol values, from the family's
     definition; ``accepts`` calls it in place of the step when n <= 256.
     """
 
-    def __init__(self, n, family, label, start_state, step=None, transition=None,
+    def __init__(self, n, family, label, start_state, transition,
                  narrow=None, position_count=None, ones_exact=None, word_test=None):
+        if (narrow is None) != (position_count is None):
+            raise SpecValidationError("%s: narrow and position_count come together" % label)
         self.alphabet = Alphabet(n)
         self.n = n
         self.family = family
         self.label = label
         self._start_state = start_state
         self._table = None
-        if transition is not None:
+        self._step = transition
+        self.engine = "branch_and_bound"
+        if position_count is None:
             table = self._table = _TransitionTable(n, transition)
-
-            def step(state, i, a):
-                return table[state][a]
-
+            self._step = lambda state, a: table[state][a]
             self.engine = "automaton_dp"
-        elif narrow is not None:
-            if position_count is None:
-                raise SpecValidationError("%s: a narrowing step needs a position_count" % label)
-            self.engine = "branch_and_bound"
-        else:
-            self.engine = "dfs"
-        self._step = step
         self._narrow = narrow
         self._position_count = position_count
         self._ones_exact = ones_exact
@@ -225,10 +217,10 @@ class SubshiftSpec:
 
     def _walk(self, symbols):
         state, step, n = self._start_state, self._step, self.n
-        for i, a in enumerate(symbols):
+        for a in symbols:
             if not (0 <= a < n):
                 return False
-            ok, state = step(state, i, a)
+            ok, state = step(state, a)
             if not ok:
                 return False
         return True
@@ -267,7 +259,7 @@ def enumerate_language(spec, k):
         return
     step, symbols, last = spec._step, range(spec.n), k - 1
     if last == 0:
-        yield from ((a,) for a in symbols if step(spec._start_state, 0, a)[0])
+        yield from ((a,) for a in symbols if step(spec._start_state, a)[0])
         return
     # the prefix, its acceptor states, and the symbols left to try at each
     # depth below the last; the last symbol is tried in a flat loop, since
@@ -276,7 +268,7 @@ def enumerate_language(spec, k):
     while pending:
         i = len(prefix)
         for a in pending[-1]:
-            ok, st = step(states[-1], i, a)
+            ok, st = step(states[-1], a)
             if not ok:
                 continue
             if i + 1 < last:
@@ -286,22 +278,13 @@ def enumerate_language(spec, k):
                 break
             head = tuple(prefix) + (a,)
             for b in symbols:
-                if step(st, last, b)[0]:
+                if step(st, b)[0]:
                     yield head + (b,)
         else:
             pending.pop()
             states.pop()
             if prefix:
                 prefix.pop()
-
-
-def _walk_language(spec, k, node_cap):
-    """enumerate_language(spec, k), raising ResourceCapExceeded once more than
-    node_cap words have been walked."""
-    for i, w in enumerate(enumerate_language(spec, k), 1):
-        if i > node_cap:
-            raise ResourceCapExceeded("walk over L_%d exceeded %d words" % (k, node_cap))
-        yield w
 
 
 def extend_column(column, k, next_value):
@@ -450,9 +433,8 @@ def count_language(spec, k, strategy=None, node_cap=DEFAULT_NODE_CAP):
     """Exact lambda_k = #L_k(X); independent of the chosen strategy, which is
     None (the spec's own engine), ``brute_force`` or ``spec.engine``.
     node_cap bounds what one call of an engine spends: the states of the
-    automaton DP layers it builds, the lookups of a branch-and-bound count,
-    the words of a dfs walk. Brute force feeds ``accepts`` bytes when
-    n <= 256, else tuples."""
+    automaton DP layers it builds, the lookups of a branch-and-bound count.
+    Brute force feeds ``accepts`` bytes when n <= 256, else tuples."""
     if k < 1:
         raise PreconditionError("k must be >= 1")
     if strategy not in (None, "brute_force", spec.engine):
@@ -468,9 +450,7 @@ def count_language(spec, k, strategy=None, node_cap=DEFAULT_NODE_CAP):
         return sum(map(spec.accepts, words))
     if spec.engine == "automaton_dp":
         return spec._dp().value(k, node_cap)
-    if spec.engine == "branch_and_bound":
-        return spec._position_count(k, node_cap)
-    return sum(1 for _ in _walk_language(spec, k, node_cap))
+    return spec._position_count(k, node_cap)
 
 
 class EntropyRow(Record):
@@ -602,8 +582,8 @@ def _check_symbol(spec, alpha, k):
 def max_symbol_count(spec, alpha, k, node_cap=DEFAULT_NODE_CAP):
     """D_k(X, alpha): the maximal number of occurrences of alpha over L_k(X).
     Subadditive in k. By spec.engine: the resumable (max, +) DP on a table,
-    the position search (or the family's ones_exact) on a narrowing step, a
-    walk over L_k on a custom spec; each under node_cap."""
+    the position search (or the family's ones_exact) on a narrowing step;
+    each under node_cap."""
     _check_symbol(spec, alpha, k)
     if spec.engine == "automaton_dp":
         return spec._dp(alpha).value(k, node_cap)
@@ -618,8 +598,6 @@ def max_symbol_witness(spec, alpha, k, node_cap=DEFAULT_NODE_CAP):
     _check_symbol(spec, alpha, k)
     if spec.engine == "automaton_dp":
         syms = _table_witness(spec, alpha, k, node_cap)
-    elif spec.engine == "dfs":
-        syms = max(_walk_language(spec, k, node_cap), key=lambda w: w.count(alpha))
     else:
         syms = _max_ones_word(spec, k, node_cap)  # binary, so alpha is 1
     return Word(spec.alphabet, tuple(syms))
@@ -661,7 +639,7 @@ def max_density_word(spec, alpha, k, k_ref=None, require_target=True,
     for i in range(k):
         for a in order:
             nodes += 1
-            ok, st = step(state, i, a)
+            ok, st = step(state, a)
             if ok:
                 break
         else:
@@ -680,7 +658,7 @@ def max_density_word(spec, alpha, k, k_ref=None, require_target=True,
             nodes += 1
             if nodes > node_cap:
                 raise ResourceCapExceeded("max_density_word exceeded %d nodes" % node_cap)
-            ok, st = step(state, i, a)
+            ok, st = step(state, a)
             if not ok:
                 continue
             c = cnt + (a == alpha)
@@ -786,14 +764,15 @@ def counting_shift():
         # i < j keeps every window from a 1 to it in its cap
         return max(map(operator.add, ones, gaps[-len(ones):]))
 
-    def step(state, i, a):
-        # state: tuple of 1-based 1-positions so far
+    def transition(state, a):
+        # state: (symbols read, tuple of 1-based 1-positions so far)
+        i, ones = state
         if a == 0:
-            return True, state
+            return True, (i + 1, ones)
         q = i + 1
-        if state and q < _floor(state):
+        if ones and q < _floor(ones):
             return False, state
-        return True, state + (q,)
+        return True, (q, ones + (q,))
 
     def narrow(chosen, rest):
         f = _floor(chosen)
@@ -843,8 +822,8 @@ def counting_shift():
 
     spec = SubshiftSpec(
         n=2, family="counting", label="counting",
-        start_state=(), step=step, narrow=narrow, position_count=position_count,
-        ones_exact=ones_exact, word_test=word_test)
+        start_state=(0, ()), transition=transition, narrow=narrow,
+        position_count=position_count, ones_exact=ones_exact, word_test=word_test)
     return spec
 
 
@@ -881,15 +860,18 @@ def forbidden_shift(forbidden, n=2):
 
 def custom_shift(predicate, n=2, label="custom"):
     """Subshift from a word predicate; factoriality and right-prolongability are
-    sampled up to length 6 and violations raise SpecValidationError."""
+    sampled up to length 6 and violations raise SpecValidationError. The
+    state is the word itself, so the table DP counts it (one table row per
+    word of each length counted), and ``accepts`` and brute force call the
+    predicate on the whole word."""
 
-    def step(state, i, a):
+    def transition(state, a):
         w = state + (a,)
         return bool(predicate(w)), w
 
     spec = SubshiftSpec(
-        n=n, family="custom", label=label,
-        start_state=(), step=step)
+        n=n, family="custom", label=label, start_state=(), transition=transition,
+        word_test=lambda b: bool(predicate(tuple(b))))
     _validate_factorial(spec, predicate, 6)
     _validate_prolongable(spec, 6)
     return spec

@@ -204,7 +204,7 @@ def spacing_shift(P):
 
         spec = SubshiftSpec(transition=windowed, **common)
     else:
-        spec = SubshiftSpec(step=lambda state, i, a: transition(state, a), narrow=narrow,
+        spec = SubshiftSpec(transition=transition, narrow=narrow,
                             position_count=position_count, **common)
     P._shift.append(spec)
     return spec

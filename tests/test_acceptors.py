@@ -50,7 +50,7 @@ def _walk(spec, rng, length):
     for i in range(length):
         first = rng.randrange(spec.n)
         for a in range(first, first + spec.n):
-            ok, nxt = spec._step(state, i, a % spec.n)
+            ok, nxt = spec._step(state, a % spec.n)
             if ok:
                 break
         else:
@@ -108,10 +108,10 @@ def _step_walk(spec, syms):
     """Membership by feeding the symbols through the step one at a time, each
     first checked against the alphabet."""
     state = spec._start_state
-    for i, a in enumerate(syms):
+    for a in syms:
         if not 0 <= a < spec.n:
             return False
-        ok, state = spec._step(state, i, a)
+        ok, state = spec._step(state, a)
         if not ok:
             return False
     return True
@@ -231,10 +231,10 @@ def test_accepts_never_raises_and_matches_the_step_walk(data):
         assert contains_word(spec, "".join(chr(0x660 + a) for a in syms)) is want
 
 
-def _state(spec, syms, positions=True):
+def _state(spec, syms):
     state = spec._start_state
-    for i, a in enumerate(syms):
-        ok, state = spec._step(state, i if positions else None, a)
+    for a in syms:
+        ok, state = spec._step(state, a)
         assert ok
     return state
 
@@ -248,8 +248,6 @@ def test_spacing_states_hold_relative_distances_only(expr):
         for lead in (1, 5, 77):
             # leading zeros move every 1 but no distance between 1s
             assert _state(spec, (0,) * lead + tail) == _state(spec, tail)
-        # the step never reads the position it is given
-        assert _state(spec, tail, positions=False) == _state(spec, tail)
 
 
 def test_windowed_spacing_state_forgets_beyond_the_window():

@@ -330,3 +330,23 @@ def test_one_parser_serves_consecutive_calls():
         fresh = subprocess.run([sys.executable, "-m", "shiftlab.cli"] + argv, env=env,
                                capture_output=True, text=True, check=False)
         assert (code, text) == (fresh.returncode, fresh.stdout), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["language", "--shift", "full:n=2", "--k", "16", "--list", "--limit", "65536"],
+    ["density", "--set", "evens"],   # short enough to wait in the buffer
+])
+def test_closed_stdout_exits_quietly(argv):
+    # the read end is closed before the child starts, so every write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(shiftlab.__file__)))
+    try:
+        run = subprocess.run([sys.executable, "-m", "shiftlab"] + argv, env=env,
+                             stdout=write_end, stderr=subprocess.PIPE, text=True,
+                             check=False, timeout=120)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in run.stderr
+    assert run.stderr == ""
+    assert run.returncode == 141

@@ -242,10 +242,10 @@ def test_custom_shift_validation():
     ok = custom_shift(lambda w: (1, 1) not in [w[i:i + 2] for i in range(len(w) - 1)],
                       label="no11")
     assert count_language(ok, 4) == 8
-    assert ok.engine == "dfs"
-    assert entropy_estimates(ok, 6).strategy == "dfs"
+    assert ok.engine == "automaton_dp"
+    assert entropy_estimates(ok, 6).strategy == "automaton_dp"
     for k in range(1, 9):
-        assert count_language(ok, k, strategy="dfs") == \
+        assert count_language(ok, k, strategy="automaton_dp") == \
             count_language(ok, k, strategy="brute_force")
     with pytest.raises(SpecValidationError):
         custom_shift(lambda w: len(w) != 2, label="notfactorial")
@@ -353,14 +353,51 @@ def test_max_symbol_count_deep_k_without_recursion(shift, d):
     assert max_symbol_count(parse_shift_spec(shift), 1, 1500) == d
 
 
+def _no11(calls=None):
+    def predicate(w):
+        if calls is not None:
+            calls[0] += 1
+        return (1, 1) not in zip(w, w[1:])
+
+    return custom_shift(predicate, label="no11")
+
+
 def test_custom_shift_walk_counts_under_the_node_cap():
-    no11 = custom_shift(lambda w: (1, 1) not in zip(w, w[1:]), label="no11")
+    no11 = _no11()
     assert [max_symbol_count(no11, 1, k) for k in range(1, 8)] == [1, 1, 2, 2, 3, 3, 4]
-    assert count_language(no11, 7, node_cap=34) == 34
+    # the state is the word, so the layers of lambda_1..lambda_7 hold
+    # 2 + 3 + 5 + 8 + 13 + 21 + 34 = 86 states; columns resume, so each
+    # capped count starts from a fresh spec
+    assert count_language(_no11(), 7, node_cap=86) == 34
     with pytest.raises(ResourceCapExceeded):
-        count_language(no11, 7, node_cap=33)
+        count_language(_no11(), 7, node_cap=85)
     with pytest.raises(ResourceCapExceeded):
-        max_symbol_count(no11, 1, 7, node_cap=33)
+        max_symbol_count(_no11(), 1, 7, node_cap=85)
+
+
+def test_custom_shift_counts_its_column_once():
+    # a K-row entropy table resumes one column: it asks the predicate
+    # exactly what one count of lambda_K asks
+    table_calls, count_calls = [0], [0]
+    for_table, for_count = _no11(table_calls), _no11(count_calls)
+    table_calls[0] = count_calls[0] = 0
+    entropy_estimates(for_table, 12)
+    count_language(for_count, 12)
+    assert table_calls[0] == count_calls[0] > 0
+
+
+def test_custom_shift_queries_do_not_fill_the_table():
+    spec = _no11()
+    rng = random.Random(19)
+    rows = len(spec._table)
+    answers = []
+    for _ in range(200):
+        w = [0] * 200
+        for _ in range(rng.randrange(1, 40)):
+            w[rng.randrange(200)] = 1
+        answers.append(spec.accepts(w))
+    assert len(spec._table) == rows
+    assert True in answers and False in answers
 
 
 # -- the position search ------------------------------------------------------------
@@ -534,7 +571,7 @@ def _max_symbol_spec(name):
         spec._ones_exact = None
         return spec
     if name == "custom-no11":
-        return custom_shift(lambda w: (1, 1) not in zip(w, w[1:]), label="no11")
+        return _no11()
     return parse_shift_spec(name)
 
 
@@ -668,6 +705,13 @@ def test_counting_entropy_to_k_100_under_the_default_cap():
 
 
 def test_a_narrowing_step_needs_a_position_count():
+    # narrow and position_count come together, and the one acceptor hook
+    # is transition(state, a)
+    common = dict(n=2, family="custom", label="custom", start_state=(),
+                  transition=lambda state, a: (True, state))
     with pytest.raises(SpecValidationError):
-        SubshiftSpec(n=2, family="custom", label="custom", start_state=(),
-                     step=lambda state, i, a: (True, state), narrow=lambda chosen, rest: rest)
+        SubshiftSpec(narrow=lambda chosen, rest: rest, **common)
+    with pytest.raises(SpecValidationError):
+        SubshiftSpec(position_count=lambda k, node_cap: 2 ** k, **common)
+    with pytest.raises(TypeError):
+        SubshiftSpec(step=lambda state, i, a: (True, state), **common)

@@ -17,7 +17,8 @@ class SpecParseError(ShiftlabError):
 
 
 class SpecValidationError(ShiftlabError):
-    """A spec violates its structural contract (e.g. non-factorial predicate)."""
+    """A spec violates its structural contract (e.g. a forbidden-word language
+    that is empty or not right-prolongable)."""
 
 
 class ResourceCapExceeded(ShiftlabError):

@@ -4,30 +4,29 @@ maximal symbol density and finite-horizon probes.
 A subshift is described by an incremental acceptor: a start state plus a
 ``transition(state, a) -> (ok, next_state)``, which is given no position.
 Words are fed symbol by symbol, which keeps depth-first enumeration
-output-sensitive (a prefix is extended only while it stays in the language;
-predicates are monotone under subwords by the factorial contract). States
+output-sensitive (a prefix is extended only while it stays in the language,
+and a factorial language holds every prefix of its words). States
 are canonical wherever the family allows it: two prefixes that leave the
 same constraints on every continuation reach equal states. The full shift
 (one state), forbidden-word shifts (the last max_len-1 symbols), beta
-shifts (the length of the current match with a digit prefix), spacing
+shifts (the length of the current match with a digit prefix) and spacing
 shifts with N \\ P finite and small (the relative 1-mask cut to the largest
-excluded difference) and custom specs (the word itself) memoise every
-(state, symbol) row in one transition table that enumeration and the
-counting DPs all read, so a step is one table lookup. Spacing shifts with
-any other P (the relative 1-mask, uncut) and the counting shift (the
-symbols read and the 1-positions) run their transition unmemoised as the
-step.
+excluded difference) memoise every (state, symbol) row in one transition
+table that enumeration and the counting DPs all read, so a step is one table
+lookup. Spacing shifts with any other P (the relative 1-mask, uncut) and the
+counting shift (the symbols read and the 1-positions) run their transition
+unmemoised as the step. Another subshift is a ``SubshiftSpec`` built the
+same way, around a canonical state.
 
 Membership of a whole word does not go through the step when the family can
 test its definition directly. Such a family hands over ``word_test(b)``,
 which gets the word as ``bytes`` of symbol values: spacing shifts test the
 word's 1s as one int against the excluded differences, forbidden-word shifts
-look for each forbidden word with ``in``, the counting shift walks its few
-1s with ``bytes.find``, and custom specs call their predicate on the word.
-``accepts`` checks the alphabet with one ``bytes.translate`` and then calls
-the word test; table specs without one (full and beta shifts) read their
-transition table directly. The step, the table and ``narrow`` serve
-enumeration, the DPs and the position search.
+look for each forbidden word with ``in``, and the counting shift walks its
+few 1s with ``bytes.find``. ``accepts`` checks the alphabet with one
+``bytes.translate`` and then calls the word test; table specs without one
+(full and beta shifts) read their transition table directly. The step, the
+table and ``narrow`` serve enumeration, the DPs and the position search.
 
 Counting engines, named by ``spec.engine`` after what the spec provides:
 
@@ -42,8 +41,8 @@ Counting engines, named by ``spec.engine`` after what the spec provides:
 
 ``node_cap`` bounds what one call of each engine spends: the states of the
 DP layers it builds, the follower lookups of a position_count, the nodes of
-the position search. A trip raises ResourceCapExceeded and leaves every
-cached column valid.
+the position search, the n**k words of brute force. A trip raises
+ResourceCapExceeded and leaves every cached column valid.
 
 ``brute_force`` tests all n**k words independently and is the oracle every
 engine is checked against. It calls ``accepts``, so for a family with a word
@@ -98,7 +97,6 @@ from .errors import (
     SpecValidationError,
 )
 
-BRUTE_FORCE_CAP = 1 << 22
 # largest alphabet a shift spec may name: a transition-table row holds one
 # entry per symbol
 MAX_ALPHABET = 1 << 16
@@ -433,8 +431,9 @@ def count_language(spec, k, strategy=None, node_cap=DEFAULT_NODE_CAP):
     """Exact lambda_k = #L_k(X); independent of the chosen strategy, which is
     None (the spec's own engine), ``brute_force`` or ``spec.engine``.
     node_cap bounds what one call of an engine spends: the states of the
-    automaton DP layers it builds, the lookups of a branch-and-bound count.
-    Brute force feeds ``accepts`` bytes when n <= 256, else tuples."""
+    automaton DP layers it builds, the lookups of a branch-and-bound count,
+    the n**k words of brute force. Brute force feeds ``accepts`` bytes when
+    n <= 256, else tuples."""
     if k < 1:
         raise PreconditionError("k must be >= 1")
     if strategy not in (None, "brute_force", spec.engine):
@@ -442,8 +441,9 @@ def count_language(spec, k, strategy=None, node_cap=DEFAULT_NODE_CAP):
             "unknown counting strategy %r for %s (use %r or 'brute_force')"
             % (strategy, spec.label, spec.engine))
     if strategy == "brute_force":
-        if spec.n ** k > BRUTE_FORCE_CAP:
-            raise ResourceCapExceeded("brute force over %d**%d words" % (spec.n, k))
+        if spec.n ** k > node_cap:
+            raise ResourceCapExceeded(
+                "brute force over %d**%d words exceeds %d" % (spec.n, k, node_cap))
         words = itertools.product(range(spec.n), repeat=k)
         if spec._symbol_bytes is not None:
             words = map(bytes, words)
@@ -721,14 +721,14 @@ def mixing_probe(spec, u, v, m_max):
         raise PreconditionError("u not in the language")
     if not contains_word(spec, v):
         raise PreconditionError("v not in the language")
-    ok = []
-    for m in range(m_max + 1):
-        syms = u.symbols + (0,) * m + v.symbols
-        ok.append(spec.accepts(syms))
-    if not ok[-1]:
+
+    def gap_ok(m):
+        return spec.accepts(u.symbols + (0,) * m + v.symbols)
+
+    if not gap_ok(m_max):
         return None
     g = m_max
-    while g > 0 and ok[g - 1]:
+    while g > 0 and gap_ok(g - 1):
         g -= 1
     return g
 
@@ -856,38 +856,6 @@ def forbidden_shift(forbidden, n=2):
         start_state=(), transition=transition, word_test=word_test)
     _validate_prolongable(spec, max_len + 2)
     return spec
-
-
-def custom_shift(predicate, n=2, label="custom"):
-    """Subshift from a word predicate; factoriality and right-prolongability are
-    sampled up to length 6 and violations raise SpecValidationError. The
-    state is the word itself, so the table DP counts it (one table row per
-    word of each length counted), and ``accepts`` and brute force call the
-    predicate on the whole word."""
-
-    def transition(state, a):
-        w = state + (a,)
-        return bool(predicate(w)), w
-
-    spec = SubshiftSpec(
-        n=n, family="custom", label=label, start_state=(), transition=transition,
-        word_test=lambda b: bool(predicate(tuple(b))))
-    _validate_factorial(spec, predicate, 6)
-    _validate_prolongable(spec, 6)
-    return spec
-
-
-def _validate_factorial(spec, predicate, depth):
-    for k in range(1, depth + 1):
-        for syms in itertools.product(range(spec.n), repeat=k):
-            if predicate(syms):
-                for i in range(k):
-                    for j in range(i + 1, k + 1):
-                        if i == 0 and j == k:
-                            continue
-                        if j > i and not predicate(syms[i:j]):
-                            raise SpecValidationError(
-                                "predicate not factorial: %r in, %r out" % (syms, syms[i:j]))
 
 
 def _validate_prolongable(spec, depth):

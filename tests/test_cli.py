@@ -164,6 +164,45 @@ def test_exit_code_resource_cap():
     assert code == 3
 
 
+def test_brute_force_counts_its_words_against_cap_states():
+    # 2**k words for lambda_k: k <= 3 fits in a cap of 10 and k = 4 trips
+    code, text = run_cli(["entropy", "--shift", "full:n=2", "--kmax", "16",
+                          "--strategy", "brute_force", "--cap-states", "10"])
+    assert code == 3
+    env = json.loads(text)
+    assert env["cap_hit"] is True
+    assert [r["k"] for r in env["result"]["rows"]] == [1, 2, 3]
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--set", "pow2diff", "--kind", "upper", "--horizon", str(10 ** 18)],
+    ["sets", "diff", "--set", "pow2diff", "--horizon", str(10 ** 18)],
+], ids=["density", "sets-diff"])
+def test_out_of_memory_exits_as_a_resource_cap(argv, capsys):
+    # a list of 10**18 entries is refused at once, before anything is allocated
+    code, text = run_cli(argv)
+    assert code == 3 and text == ""
+    assert capsys.readouterr().err == "resource cap: out of memory\n"
+
+
+def test_a_lambda_past_the_int_digit_limit_prints_exactly():
+    # 2**14300 has 4305 digits, past the interpreter's default limit of 4300;
+    # main must print it whole and leave the limit as it found it
+    limited = hasattr(sys, "set_int_max_str_digits")
+    before = sys.get_int_max_str_digits() if limited else None
+    if limited:
+        sys.set_int_max_str_digits(0)
+    try:
+        want = str(2 ** 14300)
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(before)
+    env = run_json(["language", "--shift", "full:n=2", "--k", "14300"])
+    assert env["result"]["lambda"] == want
+    if limited:
+        assert sys.get_int_max_str_digits() == before
+
+
 def test_determinism_byte_identical():
     argv = ["spacing", "delta-star", "--set", "evens", "--k", "3",
             "--trials", "100", "--horizon", "256", "--seed", "42"]

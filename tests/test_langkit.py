@@ -23,7 +23,6 @@ from shiftlab.langkit import (
     contains_word,
     count_language,
     counting_shift,
-    custom_shift,
     entropy_estimates,
     enumerate_language,
     forbidden_shift,
@@ -223,6 +222,36 @@ def test_mixing_probe_counting_shift():
     assert g is not None and g <= 8
 
 
+ACCEPTOR_QUERY_SPECS = ("counting", "spacing:P=periodic:;0111011",
+                        "spacing:P=complement:(finite:{1,3,7,12})", "beta:beta=1.5",
+                        "forbidden:{111,0101}")
+
+
+@pytest.mark.parametrize("text", ACCEPTOR_QUERY_SPECS)
+def test_mixing_probe_gives_the_least_gap_of_the_tail(text):
+    # g is the least gap with u 0^m v in L for every m in [g, m_max], so
+    # g - 1 fails; None when m_max itself fails
+    spec = parse_shift_spec(text)
+    rng = random.Random(20)
+    words = [w for k in range(1, 7) for w in enumerate_language(spec, k)]
+
+    def gap_ok(u, v, m):
+        return spec.accepts(u + (0,) * m + v)
+
+    seen = set()
+    for _ in range(40):
+        u, v, m_max = rng.choice(words), rng.choice(words), rng.randrange(0, 30)
+        g = mixing_probe(spec, u, v, m_max)
+        if g is None:
+            assert not gap_ok(u, v, m_max)
+            seen.add("none")
+            continue
+        assert all(gap_ok(u, v, m) for m in range(g, m_max + 1))
+        assert g == 0 or not gap_ok(u, v, g - 1)
+        seen.add("zero" if g == 0 else "gap")
+    assert "gap" in seen
+
+
 def test_mixing_probe_failure():
     # 11 is forbidden: 1 0^0 1 fails but all gaps >= 1 work
     spec = forbidden_shift(["11"])
@@ -236,21 +265,6 @@ def test_forbidden_shift_counts():
     spec = forbidden_shift(["11"])
     counts = [count_language(spec, k) for k in range(1, 8)]
     assert counts == [2, 3, 5, 8, 13, 21, 34]
-
-
-def test_custom_shift_validation():
-    ok = custom_shift(lambda w: (1, 1) not in [w[i:i + 2] for i in range(len(w) - 1)],
-                      label="no11")
-    assert count_language(ok, 4) == 8
-    assert ok.engine == "automaton_dp"
-    assert entropy_estimates(ok, 6).strategy == "automaton_dp"
-    for k in range(1, 9):
-        assert count_language(ok, k, strategy="automaton_dp") == \
-            count_language(ok, k, strategy="brute_force")
-    with pytest.raises(SpecValidationError):
-        custom_shift(lambda w: len(w) != 2, label="notfactorial")
-    with pytest.raises(SpecValidationError):
-        custom_shift(lambda w: len(w) < 3, label="notprolongable")
 
 
 def test_parse_shift_spec_round_trip():
@@ -353,41 +367,34 @@ def test_max_symbol_count_deep_k_without_recursion(shift, d):
     assert max_symbol_count(parse_shift_spec(shift), 1, 1500) == d
 
 
-def _no11(calls=None):
-    def predicate(w):
+def _user_no11(calls=None):
+    """No two adjacent 1s, built as a user builds a subshift: a canonical state
+    (the last symbol) and a word test over bytes. calls[0] counts the
+    transition's calls."""
+    def transition(last, a):
         if calls is not None:
             calls[0] += 1
-        return (1, 1) not in zip(w, w[1:])
+        return not (last == a == 1), a
 
-    return custom_shift(predicate, label="no11")
-
-
-def test_custom_shift_walk_counts_under_the_node_cap():
-    no11 = _no11()
-    assert [max_symbol_count(no11, 1, k) for k in range(1, 8)] == [1, 1, 2, 2, 3, 3, 4]
-    # the state is the word, so the layers of lambda_1..lambda_7 hold
-    # 2 + 3 + 5 + 8 + 13 + 21 + 34 = 86 states; columns resume, so each
-    # capped count starts from a fresh spec
-    assert count_language(_no11(), 7, node_cap=86) == 34
-    with pytest.raises(ResourceCapExceeded):
-        count_language(_no11(), 7, node_cap=85)
-    with pytest.raises(ResourceCapExceeded):
-        max_symbol_count(_no11(), 1, 7, node_cap=85)
+    return SubshiftSpec(n=2, family="user", label="no11", start_state=0,
+                        transition=transition, word_test=lambda b: b"\x01\x01" not in b)
 
 
-def test_custom_shift_counts_its_column_once():
-    # a K-row entropy table resumes one column: it asks the predicate
+def test_a_user_built_spec_counts_its_column_once():
+    # a K-row entropy table resumes one column: it asks the transition
     # exactly what one count of lambda_K asks
     table_calls, count_calls = [0], [0]
-    for_table, for_count = _no11(table_calls), _no11(count_calls)
-    table_calls[0] = count_calls[0] = 0
-    entropy_estimates(for_table, 12)
-    count_language(for_count, 12)
+    for_table, for_count = _user_no11(table_calls), _user_no11(count_calls)
+    rows = entropy_estimates(for_table, 12).rows
+    assert count_language(for_count, 12) == rows[-1].lam == 377  # Fibonacci: F(14)
     assert table_calls[0] == count_calls[0] > 0
+    # brute force reads the word test, so it checks the table against it
+    assert count_language(for_count, 12, strategy="brute_force") == 377
 
 
-def test_custom_shift_queries_do_not_fill_the_table():
-    spec = _no11()
+def test_word_test_queries_do_not_fill_the_table():
+    spec = _user_no11()
+    count_language(spec, 3)
     rng = random.Random(19)
     rows = len(spec._table)
     answers = []
@@ -396,6 +403,7 @@ def test_custom_shift_queries_do_not_fill_the_table():
         for _ in range(rng.randrange(1, 40)):
             w[rng.randrange(200)] = 1
         answers.append(spec.accepts(w))
+        assert answers[-1] == ("11" not in "".join(map(str, w)))
     assert len(spec._table) == rows
     assert True in answers and False in answers
 
@@ -570,15 +578,13 @@ def _max_symbol_spec(name):
         spec = counting_shift()
         spec._ones_exact = None
         return spec
-    if name == "custom-no11":
-        return _no11()
     return parse_shift_spec(name)
 
 
 @pytest.mark.parametrize("name", POSITION_FAMILIES + (
     "counting-search", "full:n=2", "full:n=3", "forbidden:{111,0101}",
     "spacing:P=complement:(finite:{1,3,7,12})", "beta:beta=1.5", "beta:beta=2.5",
-    "beta:beta=quad:(1+1*sqrt5)/2", "custom-no11"))
+    "beta:beta=quad:(1+1*sqrt5)/2"))
 def test_max_symbol_count_and_witness_match_enumeration(name):
     spec = _max_symbol_spec(name)
     for k in range(1, 11):
@@ -615,7 +621,7 @@ def _least_densest_word(spec, alpha, k):
 @pytest.mark.parametrize("name", POSITION_FAMILIES + (
     "full:n=2", "forbidden:{111,0101}", "forbidden:{22,101}",
     "spacing:P=complement:(finite:{1,3,7,12})", "beta:beta=1.5", "beta:beta=2.5",
-    "beta:beta=quad:(1+1*sqrt5)/2", "custom-no11"))
+    "beta:beta=quad:(1+1*sqrt5)/2"))
 def test_max_density_word_is_the_least_densest_word(name):
     spec = _max_symbol_spec(name)
     d = {j: [max(w.count(alpha) for w in enumerate_language(spec, j))

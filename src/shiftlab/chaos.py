@@ -8,14 +8,19 @@ periodic pair the series is itself eventually periodic, so both functions are
 a single exact step function with breakpoints at the rationals n**-k.
 
 Distances are handled through their integer gaps g_j (d_j = n**-g_j), and
-d_j < t iff g_j reaches the cutoff of t, so a profile is read from a
-histogram of gap values. An exact profile and an empirical one run the same
-gap sweep: past the longer preperiod p the pair repeats with the cycle
-length c, so the sweep runs over the two-cycle window (p, p + 2c] read by
-``prefix``, where every shift in the first cycle meets its next
-disagreement within c places and its gap is exact. An exact profile costs
-O(c + |grid|) integer operations, and an empirical one is linear in its
-last checkpoint.
+d_j < t iff g_j reaches the cutoff of t, so a profile is a count of gaps at
+or above each cutoff. Both kinds of profile read those counts off one
+disagreement mask per pair, bytes that hold 1 exactly where the pair differs.
+A run of zeros with the 1 that ends it (or the run past the last 1) is a
+segment of length s whose gaps are s, s-1, ..., 1, so the counts come from
+the mask's run lengths: ``split(b"\x01")`` gives the runs, a ``Counter``
+groups their lengths, and each checkpoint adds the one segment it cuts. An
+exact profile runs this over one cycle (p, p + c] past the longer preperiod
+p, rotated to end on a disagreement, so that each segment wraps as the
+periodic pair does; an empirical one cuts the mask at its last checkpoint
+when the pair agrees past it. Building the mask is C-level work linear in
+its length; the Python work is one step per distinct run length and cutoff,
+plus one per checkpoint and cutoff.
 
 Generator-backed pairs (the scrambled family below) get empirical profiles:
 prefix frequencies measured at the construction's own checkpoints b_n, with
@@ -24,7 +29,6 @@ liminf estimated by the minimum over checkpoints and limsup by the maximum.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from math import inf, lcm
@@ -35,7 +39,7 @@ from .errors import AlphabetMismatch, PreconditionError
 from .sets import IntSetSpec
 
 DEFAULT_GROWTH = 200
-_CHUNK = 4096  # positions per slice comparison when skipping an equal stretch
+_NONZERO_TO_ONE = bytes([0]) + bytes([1]) * 255  # translate table: byte != 0 -> 1
 
 
 # -- exact machinery for eventually periodic pairs ----------------------------
@@ -45,12 +49,21 @@ def _check_pair(x, y):
         raise AlphabetMismatch("%r vs %r" % (x.alphabet, y.alphabet))
 
 
-def _cycle_window(x, y):
-    """(c, xs, ys): the cycle length c and both points over (p, p + 2c], with
+def _cycle(x, y):
+    """(c, xs, ys): the cycle length c and both points over (p, p + c], with
     p the longer preperiod; beyond index p the pair repeats every c places."""
     p = max(len(x.preperiod), len(y.preperiod))
     c = lcm(len(x.period), len(y.period))
-    return c, x.prefix(p + 2 * c)[p:], y.prefix(p + 2 * c)[p:]
+    return c, x.prefix(p + c)[p:], y.prefix(p + c)[p:]
+
+
+def _disagreements(xs, ys):
+    """bytes with 1 at j exactly when xs[j] != ys[j]: one XOR of two ints for
+    a pair of bytes, else one comparison per position."""
+    if type(xs) is bytes and type(ys) is bytes:
+        diff = int.from_bytes(xs, "big") ^ int.from_bytes(ys, "big")
+        return diff.to_bytes(len(xs), "big").translate(_NONZERO_TO_ONE)
+    return bytes(map(ne, xs, ys))
 
 
 def diff_equal_densities(x, y):
@@ -58,8 +71,8 @@ def diff_equal_densities(x, y):
     and its complement Equal(x,y); both limits exist for eventually periodic
     pairs."""
     _check_pair(x, y)
-    c, xs, ys = _cycle_window(x, y)
-    d = Fraction(sum(map(ne, xs[:c], ys[:c])), c)
+    c, xs, ys = _cycle(x, y)
+    d = Fraction(_disagreements(xs, ys).count(1), c)
     return d, 1 - d
 
 
@@ -129,58 +142,36 @@ def distribution_profile(x, y, thresholds=None, checkpoints=None, n=None):
         raise PreconditionError("mixed exact/empirical pair is not supported")
     if n is None:
         n = 2
-    return _empirical_profile(tuple(x), tuple(y), thresholds, checkpoints, n)
+    if not (type(x) is bytes and type(y) is bytes):
+        x, y = tuple(x), tuple(y)
+    return _empirical_profile(x, y, thresholds, checkpoints, n)
 
 
 def _exact_profile(x, y, thresholds):
     _check_pair(x, y)
     n = x.alphabet.size
-    c, xs, ys = _cycle_window(x, y)
-    agreeing = xs[:c] == ys[:c]
-    gaps = None if agreeing else _gap_series(xs, ys, c)
+    c, xs, ys = _cycle(x, y)
+    mask = _disagreements(xs, ys)
+    last = mask.rfind(1)
+    agreeing = last < 0
+    if not agreeing:
+        # the cycle rotated to end on a disagreement: every segment closes
+        # inside it, exactly as it does on the periodic pair
+        mask = mask[last + 1:] + mask[:last + 1]
     if thresholds is None:
-        thresholds = _default_grid(n, 2 if agreeing else max(gaps) + 1)
+        # the largest gap is the longest segment, its run and the closing 1
+        top = 1 if agreeing else max(map(len, mask.split(b"\x01"))) + 1
+        thresholds = _default_grid(n, top + 1)
     thresholds = tuple(sorted(thresholds))
     if agreeing:
         # every distance is 0 from the cycle on, so d_j < t iff t > 0
         F = tuple(Fraction(1 if t > 0 else 0) for t in thresholds)
     else:
         cutoffs = [_gap_cutoff(n, t) for t in thresholds]
-        F = tuple(row[0] for row in _prefix_frequencies(gaps, cutoffs, (c,)))
+        F = tuple(row[0] for row in _gap_frequencies(mask, cutoffs, (c,)))
     return DistributionProfile(n=n, thresholds=thresholds, F_values=F,
                                Fstar_values=F, exact=True,
                                fstar_one_everywhere=agreeing)
-
-
-def _gap_series(xs, ys, upto=None):
-    """Gaps g_j with d_j = n**-g_j for j = 0..upto-1 (upto defaults to the
-    length N); when no disagreement is visible after j the true distance is
-    below n**-(N-j), and that lower bound on the gap stands in for it.
-    Distances are handled through their exponents to avoid materializing
-    n**100000-denominator rationals. Past `upto` only the first disagreement
-    is needed, so the backward sweep starts there."""
-    N = len(xs)
-    if len(ys) != N:
-        raise PreconditionError("empirical pair needs equal-length prefixes")
-    upto = N if upto is None else upto
-    nxt = _first_disagreement_from(xs, ys, upto) + 1  # 1-based, scanning backwards
-    gaps = [0] * upto
-    for j in range(upto - 1, -1, -1):
-        if xs[j] != ys[j]:
-            nxt = j + 1
-        gaps[j] = nxt - j if nxt <= N else N - j
-    return gaps
-
-
-def _first_disagreement_from(xs, ys, start):
-    """The least 0-based j >= start with xs[j] != ys[j], else len(xs); equal
-    chunks are skipped by one slice comparison each."""
-    N = len(xs)
-    for lo in range(start, N, _CHUNK):
-        hi = min(lo + _CHUNK, N)
-        if xs[lo:hi] != ys[lo:hi]:
-            return next(j for j in range(lo, hi) if xs[j] != ys[j])
-    return N
 
 
 def _gap_cutoff(n, t):
@@ -196,27 +187,37 @@ def _gap_cutoff(n, t):
     return g
 
 
-def _prefix_frequencies(gaps, cutoffs, checkpoints):
-    """rows[i][k] = #{j <= m_k : g_j >= cutoffs[i]} / m_k for the ascending
-    checkpoints m_k <= len(gaps). One pass over the gaps up to the last
-    checkpoint tallies each segment's histogram of gap values into buckets
-    between the sorted cutoffs; a checkpoint then reads its frequencies from
-    the bucket tail sums, so the cost is O(m_last + |cutoffs|*|checkpoints|)
-    integer steps plus one Fraction per row entry."""
-    levels = sorted(set(cutoffs))
-    # tally[b]: gaps g so far with exactly b levels <= g
-    tally = [0] * (len(levels) + 1)
-    at_least = {cut: [] for cut in levels}
-    prev = 0
+def _gap_frequencies(mask, cutoffs, checkpoints, N=None):
+    """rows[i][k] = #{j < m_k : g_j >= cutoffs[i]} / m_k for the ascending
+    checkpoints m_k <= len(mask), where g_j = k - j + 1 for the least k >= j
+    with mask[k] = 1, or N - j when there is none. N defaults to len(mask);
+    a longer N stands for a pair that agrees from len(mask) to N.
+
+    A segment of length s (a run of zeros and the 1 that closes it, or the
+    run past the last 1) holds the gaps s, s-1, ..., 1, so a level L >= 1
+    counts max(0, s - L + 1) of them. The segments closed before a
+    checkpoint are tallied once, by length; the segment open at the
+    checkpoint adds its positions before it."""
+    N = len(mask) if N is None else N
+    levels = [max(cut, 1) for cut in cutoffs]  # every gap is >= 1
+    closed = [0] * len(levels)  # gaps >= each level in the closed segments
+    rows = [[] for _ in levels]
+    start = 0  # where the open segment starts
     for m in checkpoints:
-        for g, count in Counter(gaps[prev:m]).items():
-            tally[bisect_right(levels, g)] += count
-        prev = m
-        above = 0
-        for b in range(len(levels), 0, -1):
-            above += tally[b]
-            at_least[levels[b - 1]].append(Fraction(above, m))
-    return [at_least[cut] for cut in cutoffs]
+        last = mask.rfind(1, start, m)
+        if last >= 0:
+            runs = Counter(map(len, mask[start:last].split(b"\x01")))
+            for run, count in runs.items():
+                for i, L in enumerate(levels):
+                    if run + 1 >= L:
+                        closed[i] += count * (run + 2 - L)
+            start = last + 1
+        nxt = mask.find(1, m)
+        top = (N if nxt < 0 else nxt + 1) - start  # the open segment's length
+        low = top - (m - start) + 1  # the least of its gaps before m
+        for i, L in enumerate(levels):
+            rows[i].append(Fraction(closed[i] + max(0, top - max(L, low) + 1), m))
+    return rows
 
 
 def _empirical_profile(xs, ys, thresholds, checkpoints, n):
@@ -236,9 +237,14 @@ def _empirical_profile(xs, ys, thresholds, checkpoints, n):
     checkpoints = tuple(sorted(set(min(m, N) for m in checkpoints if m > 0)))
     if not checkpoints:
         raise PreconditionError("no positive checkpoint")
-    gaps = _gap_series(xs, ys, checkpoints[-1])
+    if len(ys) != N:
+        raise PreconditionError("empirical pair needs equal-length prefixes")
+    m = checkpoints[-1]
+    if xs[m:] == ys[m:]:
+        # nothing past the last checkpoint to find: the mask can stop there
+        xs, ys = xs[:m], ys[:m]
     cutoffs = [_gap_cutoff(n, t) for t in thresholds]
-    rows = _prefix_frequencies(gaps, cutoffs, checkpoints)
+    rows = _gap_frequencies(_disagreements(xs, ys), cutoffs, checkpoints, N)
     F = [min(freqs) for freqs in rows]
     Fstar = [max(freqs) for freqs in rows]
     fstar_one = all(v >= Fraction(99, 100) for v in Fstar)
@@ -297,7 +303,7 @@ def classify_pair(profile):
 # -- the scrambled family -----------------------------------------------------
 
 class ScrambledFamily(Record):
-    """members: m characteristic sequences, tuples of 0/1 bits; b: the
+    """members: m characteristic sequences, bytes of 0/1; b: the
     checkpoint sequence b_1 < b_2 < ...; blocks: ((lo, hi), ...) with block
     n = (b_{2n-1}, b_{2n}]; index_sets: A_i as tuples of block indices within
     range; density: the exact density of S."""
@@ -361,15 +367,15 @@ def build_scrambled_family(S, m, horizon, growth=DEFAULT_GROWTH):
         blocks.append((b[2 * k], b[2 * k + 1]))
     index_sets = tuple(tuple(n for n in range(1, n_blocks + 1) if n % m == i % m)
                        for i in range(m))
-    bits_S = S.bits(horizon)
+    # S is read up to the last block end; past it every member is 0
+    bits_S = bytes(S.bits(blocks[-1][1]))
     members = []
     for A in index_sets:
-        # one byte per position as scratch, not a horizon-long list
         bits = bytearray(horizon)
         for n in A:
             lo, hi = blocks[n - 1]
-            bits[lo:hi] = bytes(bits_S[lo:hi])
-        members.append(tuple(bits))
+            bits[lo:hi] = bits_S[lo:hi]
+        members.append(bytes(bits))
     log = {
         "b": list(b),
         "growth_ok": all(k * b[k - 1] <= b[k] for k in range(1, len(b))),
@@ -377,7 +383,7 @@ def build_scrambled_family(S, m, horizon, growth=DEFAULT_GROWTH):
         "index_sets": [list(A) for A in index_sets],
         "density": str(dens),
         "growth": growth,
-        "block_ones": [sum(bits_S[lo:hi]) for lo, hi in blocks],
+        "block_ones": [bits_S.count(1, lo, hi) for lo, hi in blocks],
     }
     return ScrambledFamily(members=tuple(members), horizon=horizon, b=tuple(b),
                            blocks=tuple(blocks), index_sets=index_sets,
@@ -394,40 +400,12 @@ def family_pair_profile(fam, i, j):
 def family_pair_frequencies(fam, i, j):
     """Raw Diff/Equal prefix frequencies at every checkpoint b_n, for the
     window-level assertions about the construction."""
-    xs, ys = fam.members[i], fam.members[j]
+    end = fam.b[-1]
+    mask = _disagreements(fam.members[i][:end], fam.members[j][:end])
     rows = []
     diff = prev = 0
     for cp in fam.b:
-        diff += sum(map(ne, xs[prev:cp], ys[prev:cp]))
+        diff += mask.count(1, prev, cp)
         prev = cp
         rows.append((cp, Fraction(diff, cp), 1 - Fraction(diff, cp)))
     return rows
-
-
-# -- minimal DC1-style certificate for syndetic points ------------------------
-
-def dc1_minimal_witness(x, k):
-    """For x with no k-run of zeros, pair x with 0^infinity: every shifted
-    distance is at least n**-k, so F(n**-k) = 0 exactly. The other half of the
-    DC1 definition (F* = 1 for all t > 0) requires the Equal set to have upper
-    density one, which fails for periodic x; both certificate components are
-    reported separately."""
-    if k < 1:
-        raise PreconditionError("k must be >= 1")
-    n = x.alphabet.size
-    span = len(x.preperiod) + 2 * len(x.period) + k
-    run = 0
-    for s in x.prefix(span):
-        run = run + 1 if s == 0 else 0
-        if run >= k:
-            raise PreconditionError("x has a zero run of length %d" % k)
-    zero = EventuallyPeriodicPoint(x.alphabet, (), (0,))
-    t = Fraction(1, n ** k)
-    profile = _exact_profile(x, zero, _default_grid(n, k + 1))
-    f_at_t = profile.F_values[profile.thresholds.index(t)]
-    cls = classify_pair(profile)
-    certs = dict(cls.certificates)
-    certs["F_at_threshold"] = t
-    certs["F_value"] = f_at_t
-    certs["fstar_one_everywhere"] = profile.fstar_one_everywhere
-    return PairClass(cls.verdict, cls.evidence, certs)

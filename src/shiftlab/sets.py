@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import accumulate, chain, compress, cycle, islice
+from itertools import accumulate, compress, islice
 from math import lcm
 from operator import or_, sub
 
@@ -121,9 +121,14 @@ class PeriodicSet(IntSetSpec, Record):
         return bool(self.per[(i - len(self.pre) - 1) % len(self.per)])
 
     def bits(self, H):
-        pre = [1 if b else 0 for b in self.pre]
+        # whole periods by list repetition, so a horizon past memory fails
+        # at the one allocation instead of growing a list until it runs out
+        H = max(H, 0)
+        out = [1 if b else 0 for b in self.pre[:H]]
         per = [1 if b else 0 for b in self.per]
-        return list(islice(chain(pre, cycle(per)), max(H, 0)))
+        out += per * -(-(H - len(out)) // len(per))
+        del out[H:]
+        return out
 
     def to_expr(self):
         if self.name:

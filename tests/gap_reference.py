@@ -1,0 +1,31 @@
+"""The per-position gap series of a pair of finite sequences: the reference
+the run-length gap counts of `shiftlab.chaos` are checked against.
+
+g_j = k - j + 1 for the least k >= j with xs[k] != ys[k]; when no
+disagreement is visible after j the true distance is below n**-(N-j), and
+that lower bound on the gap, N - j, stands in for it. It holds one list entry
+per position, so tests run it on short prefixes."""
+
+from fractions import Fraction
+
+
+def gap_series(xs, ys, upto=None):
+    """Gaps g_j for j = 0..upto-1 (upto defaults to the length N), one
+    backward sweep from the first disagreement at or past `upto`."""
+    N = len(xs)
+    if len(ys) != N:
+        raise ValueError("the pair needs equal-length prefixes")
+    upto = N if upto is None else upto
+    nxt = next((j for j in range(upto, N) if xs[j] != ys[j]), N) + 1  # 1-based
+    gaps = [0] * upto
+    for j in range(upto - 1, -1, -1):
+        if xs[j] != ys[j]:
+            nxt = j + 1
+        gaps[j] = nxt - j if nxt <= N else N - j
+    return gaps
+
+
+def gap_frequencies(gaps, cutoffs, checkpoints):
+    """rows[i][k] = #{j < m_k : g_j >= cutoffs[i]} / m_k, counted gap by gap."""
+    return [[Fraction(sum(1 for g in gaps[:m] if g >= cut), m) for m in checkpoints]
+            for cut in cutoffs]

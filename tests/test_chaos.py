@@ -1,18 +1,21 @@
 import io
 import json
 import random
+import tracemalloc
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gap_reference import gap_frequencies, gap_series
 from shiftlab.chaos import (
     DistributionProfile,
-    _gap_series,
+    _disagreements,
+    _gap_cutoff,
+    _gap_frequencies,
     build_scrambled_family,
     classify_pair,
-    dc1_minimal_witness,
     diff_equal_densities,
     distribution_profile,
     family_pair_frequencies,
@@ -381,8 +384,7 @@ def test_family_members_match_the_block_definition():
                 lo, hi = fam.blocks[n - 1]
                 for p in range(lo + 1, hi + 1):
                     ref[p - 1] = 1 if S.contains(p) else 0
-            assert fam.members[i] == tuple(ref)
-            assert all(type(b) is int for b in fam.members[i])
+            assert fam.members[i] == bytes(ref)
 
 
 def _full_horizon_profile(fam, i, j):
@@ -430,21 +432,135 @@ def test_gap_series_prefix_equals_full_sweep():
         N = rng.randint(1, 9000)
         xs = [rng.randint(0, 1) for _ in range(N)]
         ys = list(xs)
-        # disagreements only in a few stretches, so long agreeing runs cross
-        # the chunk boundaries of the search past the last checkpoint
+        # disagreements only in a few stretches, so long agreeing runs lie
+        # past the end of the sweep
         for _ in range(rng.randint(0, 3)):
             lo = rng.randrange(N)
             for k in range(lo, min(N, lo + rng.randint(1, 20))):
                 ys[k] = rng.randint(0, 1)
-        full = _gap_series(xs, ys)
+        full = gap_series(xs, ys)
         for upto in {0, 1, N, rng.randint(0, N), rng.randint(0, N)}:
-            assert _gap_series(xs, ys, upto) == full[:upto]
-    # the only disagreement past the sweep sits right at its end, or at the
-    # start of a later chunk of the search for it
+            assert gap_series(xs, ys, upto) == full[:upto]
+    # the only disagreement past the sweep sits right at its end, or far past it
     for upto, at in ((10, 10), (10, 4106), (0, 0), (5, 8999)):
         xs, ys = [0] * 9000, [0] * 9000
         ys[at] = 1
-        assert _gap_series(xs, ys, upto) == _gap_series(xs, ys)[:upto]
+        assert gap_series(xs, ys, upto) == gap_series(xs, ys)[:upto]
+
+
+def _random_pair(rng, N, n):
+    """xs and a copy with a few stretches redrawn, so both long agreeing
+    runs and dense disagreements occur."""
+    xs = [rng.randrange(n) for _ in range(N)]
+    ys = list(xs)
+    for _ in range(rng.randint(0, 4)):
+        lo = rng.randrange(N)
+        for k in range(lo, min(N, lo + rng.randint(1, 60))):
+            ys[k] = rng.randrange(n)
+    return xs, ys
+
+
+def _random_checkpoints(rng, N):
+    cps = {N} if rng.random() < 0.7 else set()
+    cps.update(rng.randint(1, N) for _ in range(rng.randint(1, 5)))
+    return sorted(cps)
+
+
+_CUTOFFS = [0, 1, 2, 3, 5, 8, 13, 40, inf]
+
+
+def _assert_mask_counts(xs, ys, checkpoints):
+    want = gap_frequencies(gap_series(xs, ys), _CUTOFFS, checkpoints)
+    assert _gap_frequencies(_disagreements(xs, ys), _CUTOFFS, checkpoints) == want, \
+        (xs, ys, checkpoints)
+    m = checkpoints[-1]
+    if xs[m:] == ys[m:]:
+        # a mask cut at the last checkpoint, the agreeing rest given by N
+        cut = _disagreements(xs[:m], ys[:m])
+        assert _gap_frequencies(cut, _CUTOFFS, checkpoints, len(xs)) == want, \
+            (xs, ys, checkpoints)
+
+
+def test_mask_gap_counts_match_the_per_position_reference():
+    rng = random.Random(2110)
+    for trial in range(400):
+        n = rng.randint(2, 5)
+        N = rng.randint(1, 300)
+        xs, ys = _random_pair(rng, N, n)
+        cps = _random_checkpoints(rng, N)
+        _assert_mask_counts(xs, ys, cps)
+        _assert_mask_counts(bytes(xs), bytes(ys), cps)
+        _assert_mask_counts(tuple(xs), tuple(ys), cps)
+    # a symbol past one byte only comes as a tuple
+    xs, ys = _random_pair(rng, 200, 3)
+    xs[rng.randrange(200)] = ys[17] = 300
+    _assert_mask_counts(tuple(xs), tuple(ys), _random_checkpoints(rng, 200))
+    assert bytes(map(int, _disagreements((300, 1), (300, 2)))) == b"\x00\x01"
+
+
+def test_mask_gap_counts_at_the_ends():
+    rng = random.Random(2111)
+    for N in (1, 2, 7, 64, 300):
+        for n in (2, 4):
+            xs, ys = _random_pair(rng, N, n)
+            # a disagreement at the last position
+            last = list(ys)
+            last[-1] = (xs[-1] + 1) % n
+            # nothing to tell the pair apart past the last checkpoint
+            m = rng.randint(1, N)
+            calm = list(ys[:m]) + list(xs[m:])
+            for y in (last, calm, list(xs)):
+                for cps in ([N], [m], sorted({1, m, N})):
+                    _assert_mask_counts(bytes(xs), bytes(y), cps)
+                    _assert_mask_counts(tuple(xs), tuple(y), cps)
+
+
+def test_exact_profile_counts_the_two_cycle_gaps():
+    # over (p, p + 2c] every shift in the first cycle meets its next
+    # disagreement within c places, so the first c gaps are exact
+    rng = random.Random(2112)
+    for _ in range(200):
+        n = rng.randint(2, 4)
+        x = _random_point(rng, n, rng.randint(0, 5), rng.randint(1, 12))
+        y = _random_point(rng, n, rng.randint(0, 5), rng.randint(1, 12))
+        p = max(len(x.preperiod), len(y.preperiod))
+        c = lcm(len(x.period), len(y.period))
+        xs, ys = x.prefix(p + 2 * c)[p:], y.prefix(p + 2 * c)[p:]
+        if xs == ys:
+            continue
+        gaps = gap_series(xs, ys, c)
+        prof = distribution_profile(x, y)
+        assert prof.thresholds[0] == Fraction(1, n ** (max(gaps) + 1))
+        cutoffs = [_gap_cutoff(n, t) for t in prof.thresholds]
+        assert prof.F_values == tuple(row[0] for row in gap_frequencies(gaps, cutoffs, (c,)))
+
+
+def test_mixed_bytes_tuple_pair_profile_is_the_tuple_profile():
+    rng = random.Random(2113)
+    for _ in range(30):
+        N = rng.randint(1, 500)
+        xs, ys = _random_pair(rng, N, rng.randint(2, 3))
+        cps = _random_checkpoints(rng, N)
+        want = distribution_profile(tuple(xs), tuple(ys), checkpoints=cps)
+        for pair in ((bytes(xs), tuple(ys)), (tuple(xs), bytes(ys)),
+                     (bytes(xs), bytes(ys)), (xs, bytearray(ys))):
+            assert distribution_profile(*pair, checkpoints=cps) == want
+
+
+def test_family_members_stay_small():
+    # bytes members: a tuple member alone holds 8 bytes a position, and the
+    # three of them would take 7.2 MB
+    S = parse_set_expr("periodic:;110")
+    tracemalloc.start()
+    try:
+        fam = build_scrambled_family(S, 3, 300_000)
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            family_pair_profile(fam, i, j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(type(x) is bytes for x in fam.members)
+    assert peak < 3_000_000, peak
 
 
 def test_family_measured_frequencies_evens():
@@ -491,34 +607,6 @@ def test_family_three_members_pairwise():
         for j in range(i + 1, 3):
             rows = family_pair_frequencies(fam, i, j)
             assert max(d for _, d, _ in rows) >= Fraction(1, 2)
-
-
-# -- minimal DC1-style certificate --------------------------------------------
-
-def test_dc1_minimal_witness_10():
-    cls = dc1_minimal_witness(P("", "10"), 2)
-    assert cls.certificates["F_value"] == 0
-    assert cls.certificates["F_at_threshold"] == Fraction(1, 4)
-    assert cls.certificates["fstar_one_everywhere"] is False
-    assert cls.verdict != "DC1"
-
-
-def test_dc1_minimal_witness_all_ones():
-    cls = dc1_minimal_witness(P("", "1"), 1)
-    assert cls.certificates["F_value"] == 0
-    assert cls.certificates["F_at_threshold"] == Fraction(1, 2)
-
-
-def test_dc1_minimal_witness_precondition():
-    with pytest.raises(PreconditionError):
-        dc1_minimal_witness(P("", "100"), 2)
-
-
-@pytest.mark.parametrize("k", [0, -1])
-def test_dc1_minimal_witness_needs_k_at_least_one(k):
-    for x in (P("0110", "1"), P("", "1"), P("", "100")):
-        with pytest.raises(PreconditionError, match="k must be >= 1"):
-            dc1_minimal_witness(x, k)
 
 
 # -- property tests -----------------------------------------------------------

@@ -185,6 +185,30 @@ def test_out_of_memory_exits_as_a_resource_cap(argv, capsys):
     assert capsys.readouterr().err == "resource cap: out of memory\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["sets", "diff", "--set", "evens", "--horizon", str(10 ** 18)],
+    ["chaos", "family", "--set", "evens", "--members", "2", "--horizon", str(10 ** 18)],
+], ids=["sets-diff", "chaos-family"])
+def test_a_periodic_set_past_memory_exits_at_once(argv):
+    # the periodic indicator is one list repetition, which fails as a whole:
+    # the child, held to 1 GiB of address space, stops with a small peak RSS,
+    # where a list grown element by element would fill the limit first
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+             "from shiftlab.cli import main\n"
+             "code = main(sys.argv[1:])\n"
+             "sys.stderr.write('maxrss_kib %d\\n' % "
+             "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+             "sys.exit(code)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(shiftlab.__file__)))
+    run = subprocess.run([sys.executable, "-c", child] + argv, env=env,
+                         capture_output=True, text=True, check=False, timeout=60)
+    assert (run.returncode, run.stdout) == (3, "")
+    message, rss = run.stderr.splitlines()
+    assert message == "resource cap: out of memory"
+    assert int(rss.split()[1]) < 256 * 1024, rss
+
+
 def test_a_lambda_past_the_int_digit_limit_prints_exactly():
     # 2**14300 has 4305 digits, past the interpreter's default limit of 4300;
     # main must print it whole and leave the limit as it found it

@@ -11,12 +11,13 @@ same constraints on every continuation reach equal states. The full shift
 (one state), forbidden-word shifts (the last max_len-1 symbols), beta
 shifts (the length of the current match with a digit prefix) and spacing
 shifts with N \\ P finite and small (the relative 1-mask cut to the largest
-excluded difference) memoise every (state, symbol) row in one transition
-table that enumeration and the counting DPs all read, so a step is one table
-lookup. Spacing shifts with any other P (the relative 1-mask, uncut) and the
-counting shift (the symbols read and the 1-positions) run their transition
-unmemoised as the step. Another subshift is a ``SubshiftSpec`` built the
-same way, around a canonical state.
+excluded difference) grow one numbered state graph from their transition
+(``_StateGraph``): the step, enumeration and the (max, +) DP read its id
+rows, the (+, x) DP its multiplicity rows, so the full shift on n symbols
+costs one entry per layer. Spacing shifts with any other P (the relative
+1-mask, uncut) and the counting shift (the symbols read and the
+1-positions) run their transition unmemoised as the step. Another subshift
+is a ``SubshiftSpec`` built the same way, around a canonical state.
 
 Membership of a whole word does not go through the step when the family can
 test its definition directly. Such a family hands over ``word_test(b)``,
@@ -24,15 +25,17 @@ which gets the word as ``bytes`` of symbol values: spacing shifts test the
 word's 1s as one int against the excluded differences, forbidden-word shifts
 look for each forbidden word with ``in``, and the counting shift walks its
 few 1s with ``bytes.find``. ``accepts`` checks the alphabet with one
-``bytes.translate`` and then calls the word test; table specs without one
-(full and beta shifts) read their transition table directly. The step, the
-table and ``narrow`` serve enumeration, the DPs and the position search.
+``bytes.translate`` and then calls the word test; graph specs without one
+(full and beta shifts) walk their id rows directly. The step, the graph
+and ``narrow`` serve enumeration, the DPs and the position search.
 
 Counting engines, named by ``spec.engine`` after what the spec provides:
 
-* ``automaton_dp`` - a transition table: layered DPs over its states, in
-  (+, x) for lambda_k and in (max, +) with edge weight [a == alpha] for the
-  maximal symbol count D_k (the walk counts of Lind & Marcus, ch. 4);
+* ``automaton_dp`` - a state graph: layered DPs over its ids, in (+, x)
+  over the multiplicity rows for lambda_k and in (max, +) over the id rows
+  with edge weight [a == alpha] for the maximal symbol count D_k and its
+  witness, one layer step for both (the walk counts of Lind & Marcus,
+  ch. 4);
 * ``branch_and_bound`` - ``narrow`` and ``position_count``, which come
   together: lambda_k from position_count, a follower_count with one memo
   for every k (spacing shifts: spacing.count_spacing over candidate masks;
@@ -97,8 +100,8 @@ from .errors import (
     SpecValidationError,
 )
 
-# largest alphabet a shift spec may name: a transition-table row holds one
-# entry per symbol
+# largest alphabet a shift spec may name: a state's id row holds one entry
+# per symbol
 MAX_ALPHABET = 1 << 16
 DEFAULT_NODE_CAP = 2_000_000
 
@@ -121,17 +124,48 @@ def binary_entropy(eps):
     return -eps * math.log2(eps) - (1.0 - eps) * math.log2(1.0 - eps)
 
 
-class _TransitionTable(dict):
-    """state -> the row (ok, next_state) for each symbol a = 0..n-1, computed
-    by ``transition(state, a)`` when the state is first looked up."""
+class _StateGraph:
+    """The states ``transition`` reaches from ``start``, numbered as they are
+    first reached (the start state is id 0). State i is expanded, its n
+    transitions computed once, when a pass first reads it; before that
+    rows[i], single[i] and multi[i] are None. rows[i] is its id row, the n
+    target ids (-1 for a refused symbol). single[i] with multi[i] is its
+    multiplicity row: the ids one symbol leads to, and (id, m) for each id
+    m >= 2 symbols lead to. single[i] is rows[i] itself when the n targets
+    differ, so a binary row costs one tuple; the full shift on n symbols
+    has the multiplicity row ((), ((0, n),))."""
 
-    def __init__(self, n, transition):
-        super().__init__()
-        self._n = n
+    __slots__ = ("n", "ids", "states", "rows", "single", "multi", "_transition")
+
+    def __init__(self, n, start, transition):
+        self.n = n
+        self.ids = {start: 0}  # state -> id
+        self.states = [start]
+        self.rows = [None]
+        self.single = [None]
+        self.multi = [None]
         self._transition = transition
 
-    def __missing__(self, state):
-        row = self[state] = tuple(self._transition(state, a) for a in range(self._n))
+    def expand(self, i):
+        """Sets state i's rows from its n transitions; returns the id row."""
+        ids, states, row, weight = self.ids, self.states, [], {}
+        for a in range(self.n):
+            ok, st = self._transition(states[i], a)
+            if not ok:
+                row.append(-1)
+                continue
+            j = ids.setdefault(st, len(states))
+            if j == len(states):
+                states.append(st)
+                self.rows.append(None)
+                self.single.append(None)
+                self.multi.append(None)
+            row.append(j)
+            weight[j] = weight.get(j, 0) + 1
+        row = self.rows[i] = tuple(row)
+        self.single[i] = row if len(weight) == self.n else tuple(
+            j for j, m in weight.items() if m == 1)
+        self.multi[i] = tuple((j, m) for j, m in weight.items() if m > 1)
         return row
 
 
@@ -139,17 +173,19 @@ class SubshiftSpec:
     """Immutable description of a subshift plus its counting machinery.
 
     The acceptor is ``transition(state, a) -> (ok, next_state)``. Without
-    ``position_count`` it is memoised in a transition table (automaton_dp).
-    ``narrow(chosen, rest)``, which backs position_search (see the module
-    docstring), and ``position_count(k, node_cap)``, the family's lambda_k
-    entry, which extends ``_column``, come together (binary hereditary
-    families only); with them the transition runs unmemoised as the step
-    (branch_and_bound). ``ones_exact(k)``, a closed form (D_k, 1-positions
-    of a witness), may stand in for the search's D_k. ``engine`` names the
-    counting engine these select.
-    ``word_test(b)`` (optional) decides membership of a word over the
-    alphabet, given as ``bytes`` of symbol values, from the family's
-    definition; ``accepts`` calls it in place of the step when n <= 256.
+    ``position_count`` it is expanded into a numbered state graph
+    (automaton_dp), and the step, enumeration and the DPs see ids, the start
+    state as 0. ``narrow(chosen, rest)``, which backs position_search (see
+    the module docstring), and ``position_count(k, node_cap)``, the family's
+    lambda_k entry, which extends ``_column``, come together (binary
+    hereditary families only); with them the transition runs unmemoised as
+    the step, on the family's own states (branch_and_bound).
+    ``ones_exact(k)``, a closed form (D_k, 1-positions of a witness), may
+    stand in for the search's D_k. ``engine`` names the counting engine
+    these select. ``word_test(b)`` (optional) decides membership of a word
+    over the alphabet, given as ``bytes`` of symbol values, from the
+    family's definition; ``accepts`` calls it in place of the step when
+    n <= 256.
     """
 
     def __init__(self, n, family, label, start_state, transition,
@@ -161,12 +197,18 @@ class SubshiftSpec:
         self.family = family
         self.label = label
         self._start_state = start_state
-        self._table = None
+        self._graph = None
         self._step = transition
         self.engine = "branch_and_bound"
         if position_count is None:
-            table = self._table = _TransitionTable(n, transition)
-            self._step = lambda state, a: table[state][a]
+            graph = self._graph = _StateGraph(n, start_state, transition)
+            rows, expand = graph.rows, graph.expand
+
+            def step(i, a):
+                j = (rows[i] or expand(i))[a]
+                return j >= 0, j
+
+            self._start_state, self._step = 0, step
             self.engine = "automaton_dp"
         self._narrow = narrow
         self._position_count = position_count
@@ -178,12 +220,12 @@ class SubshiftSpec:
         self._column = []     # lambda column of the position_count entry
         self._memo = {}       # the memo behind it, where the spec keeps one
         self._witnesses = []  # witnesses[j-1]: 1-positions of a word realising D_j
-        self._dps = {}        # alpha (None for lambda) -> StateDP on the table
+        self._dps = {}        # alpha (None for lambda) -> StateDP on the graph
 
     def _dp(self, alpha=None):
         dp = self._dps.get(alpha)
         if dp is None:
-            dp = self._dps[alpha] = StateDP(self._table, self._start_state, alpha)
+            dp = self._dps[alpha] = StateDP(self._graph, alpha)
         return dp
 
     def __repr__(self):
@@ -203,13 +245,13 @@ class SubshiftSpec:
             return False
         if self._word_test is not None:
             return self._word_test(symbols)
-        table = self._table
-        if table is None:
+        graph = self._graph
+        if graph is None:
             return self._walk(symbols)
-        state = self._start_state
+        rows, expand, i = graph.rows, graph.expand, 0
         for a in symbols:
-            ok, state = table[state][a]
-            if not ok:
+            i = (rows[i] or expand(i))[a]
+            if i < 0:
                 return False
         return True
 
@@ -295,51 +337,70 @@ def extend_column(column, k, next_value):
     return column[k - 1]
 
 
-def _charge(budget, layer, node_cap):
-    # the budget left after a DP layer's states
-    budget -= len(layer)
-    if budget < 0:
+def _layer(graph, layer, alpha, budget, node_cap, back=None):
+    """The DP layer after ``layer`` on a state graph, and its number of
+    states. With alpha None it runs in (+, x) over the multiplicity rows, on
+    a list of counts indexed by id. With a symbol alpha it runs in (max, +)
+    over the id rows with edge weight [a == alpha], on a dict id -> best
+    count in the order the ids are first reached, so a tie goes to the
+    first; ``back``, when given, maps each id to the (id, symbol) its best
+    count came from. A layer of more than ``budget`` states raises
+    ResourceCapExceeded."""
+    rows, expand, states = graph.rows, graph.expand, graph.states
+    if alpha is None:
+        single, multi, nxt = graph.single, graph.multi, [0] * len(states)
+        for i, cnt in enumerate(layer):
+            if cnt:
+                if rows[i] is None:
+                    expand(i)
+                    nxt += [0] * (len(states) - len(nxt))
+                for j in single[i]:
+                    nxt[j] += cnt
+                for j, m in multi[i]:
+                    nxt[j] += cnt * m
+        reached = len(nxt) - nxt.count(0)
+    else:
+        nxt = {}
+        for i, best in layer.items():
+            for a, j in enumerate(rows[i] or expand(i)):
+                if j >= 0:
+                    got = best + (a == alpha)
+                    if got > nxt.get(j, -1):
+                        nxt[j] = got
+                        if back is not None:
+                            back[j] = i, a
+        reached = len(nxt)
+    if reached > budget:
         raise ResourceCapExceeded("automaton DP exceeded %d states" % node_cap)
-    return budget
+    return nxt, reached
 
 
 class StateDP:
-    """A resumable layered DP over a transition table, kept between calls as
-    its last layer and its column. With alpha None it runs in (+, x): the
-    layer maps each state to the number of words that reach it, and
-    column[j-1] = lambda_j. With a symbol alpha it runs in (max, +) with edge
-    weight [a == alpha]: the layer maps each state to the most alphas on a
-    word that reaches it, and column[j-1] = D_j(alpha)."""
+    """A resumable layered DP over a state graph, kept between calls as its
+    last layer and its column. With alpha None it runs in (+, x): the layer
+    maps each id to the number of words that reach it, and column[j-1] =
+    lambda_j. With a symbol alpha it runs in (max, +) with edge weight
+    [a == alpha]: the layer maps each id to the most alphas on a word that
+    reaches it, and column[j-1] = D_j(alpha)."""
 
-    def __init__(self, table, start, alpha=None):
+    def __init__(self, graph, alpha=None):
         self.column = []
-        self._table = table
+        self._graph = graph
         self._alpha = alpha
-        self._layer = {start: 1 if alpha is None else 0}
+        self._layer = [1] if alpha is None else {0: 0}
 
     def value(self, k, node_cap=DEFAULT_NODE_CAP):
         """column[k-1]. node_cap bounds the states of the layers this call
         builds; a trip leaves the layer and the column valid."""
-        self._budget = node_cap
-        return extend_column(self.column, k, lambda j: self._advance(node_cap))
+        budget = node_cap
 
-    def _advance(self, node_cap):
-        table, alpha, nxt = self._table, self._alpha, {}
-        if alpha is None:
-            for state, cnt in self._layer.items():
-                for ok, st in table[state]:
-                    if ok:
-                        nxt[st] = nxt.get(st, 0) + cnt
-        else:
-            for state, best in self._layer.items():
-                for a, (ok, st) in enumerate(table[state]):
-                    if ok:
-                        got = best + (a == alpha)
-                        if got > nxt.get(st, -1):
-                            nxt[st] = got
-        self._budget = _charge(self._budget, nxt, node_cap)
-        self._layer = nxt
-        return sum(nxt.values()) if alpha is None else max(nxt.values())
+        def next_value(j):
+            nonlocal budget
+            layer, reached = _layer(self._graph, self._layer, self._alpha, budget, node_cap)
+            self._layer, budget = layer, budget - reached
+            return sum(layer) if self._alpha is None else max(layer.values())
+
+        return extend_column(self.column, k, next_value)
 
 
 def position_search(narrow, chosen, cands, node_cap, bound=None):
@@ -547,28 +608,20 @@ def _max_ones_word(spec, k, node_cap):
     return syms
 
 
-def _table_witness(spec, alpha, k, node_cap):
-    """Symbols of a word realising D_k(alpha) on a transition table: one
-    forward (max, +) pass that keeps, in every layer, each state's best count
-    with the state and symbol it was reached from, then a walk back from a
-    best state of the last layer. node_cap bounds the states of its layers."""
-    table, budget = spec._table, node_cap
-    layers = [{spec._start_state: (0, None, None)}]
+def _graph_witness(spec, alpha, k, node_cap):
+    """Symbols of a word realising D_k(alpha) on a state graph: the forward
+    (max, +) layers, keeping where each best count came from, then a walk
+    back from a best state of the last layer. node_cap bounds the states of
+    its layers."""
+    layer, backs, budget = {0: 0}, [], node_cap
     for _ in range(k):
-        nxt = {}
-        for state, (best, _, _) in layers[-1].items():
-            for a, (ok, st) in enumerate(table[state]):
-                if ok:
-                    got = best + (a == alpha)
-                    if st not in nxt or got > nxt[st][0]:
-                        nxt[st] = (got, state, a)
-        budget = _charge(budget, nxt, node_cap)
-        layers.append(nxt)
-    last = layers[-1]
-    state = max(last, key=lambda st: last[st][0])
+        backs.append({})
+        layer, reached = _layer(spec._graph, layer, alpha, budget, node_cap, backs[-1])
+        budget -= reached
+    i = max(layer, key=layer.get)
     syms = [0] * k
-    for j in range(k, 0, -1):
-        _, state, syms[j - 1] = layers[j][state]
+    for j in range(k - 1, -1, -1):
+        i, syms[j] = backs[j][i]
     return syms
 
 
@@ -581,9 +634,9 @@ def _check_symbol(spec, alpha, k):
 
 def max_symbol_count(spec, alpha, k, node_cap=DEFAULT_NODE_CAP):
     """D_k(X, alpha): the maximal number of occurrences of alpha over L_k(X).
-    Subadditive in k. By spec.engine: the resumable (max, +) DP on a table,
-    the position search (or the family's ones_exact) on a narrowing step;
-    each under node_cap."""
+    Subadditive in k. By spec.engine: the resumable (max, +) DP on a state
+    graph, the position search (or the family's ones_exact) on a narrowing
+    step; each under node_cap."""
     _check_symbol(spec, alpha, k)
     if spec.engine == "automaton_dp":
         return spec._dp(alpha).value(k, node_cap)
@@ -592,27 +645,15 @@ def max_symbol_count(spec, alpha, k, node_cap=DEFAULT_NODE_CAP):
 
 def max_symbol_witness(spec, alpha, k, node_cap=DEFAULT_NODE_CAP):
     """A word of L_k(X) (as a Word) with D_k(X, alpha) occurrences of alpha,
-    found by the engine that gives D_k. On a transition table it costs one
+    found by the engine that gives D_k. On a state graph it costs one
     forward (max, +) pass kept for the walk back, which max_symbol_count
     does not keep."""
     _check_symbol(spec, alpha, k)
     if spec.engine == "automaton_dp":
-        syms = _table_witness(spec, alpha, k, node_cap)
+        syms = _graph_witness(spec, alpha, k, node_cap)
     else:
         syms = _max_ones_word(spec, k, node_cap)  # binary, so alpha is 1
     return Word(spec.alphabet, tuple(syms))
-
-
-def maximal_density_estimate(spec, alpha, k_max, node_cap=DEFAULT_NODE_CAP):
-    """Upper bounds D_k/k for the maximal density of alpha in X (the infimum of
-    the sequence). Returns a list of (k, D_k, Fraction(D_k, k))."""
-    if alpha == 0:
-        raise PreconditionError("alpha must be nonzero")
-    out = []
-    for k in range(1, k_max + 1):
-        d = max_symbol_count(spec, alpha, k, node_cap=node_cap)
-        out.append((k, d, Fraction(d, k)))
-    return out
 
 
 def max_density_word(spec, alpha, k, k_ref=None, require_target=True,
@@ -696,18 +737,6 @@ def hereditary_check(spec, k):
                 if not spec.accepts(lowered):
                     return False, (Word(spec.alphabet, syms), Word(spec.alphabet, lowered))
     return True, None
-
-
-def heredity_entropy_bound(spec, w):
-    """Lower entropy evidence from one dense word: for hereditary X and
-    w in L_k(X), 2**(#nonzero positions) <= lambda_k, so the returned value
-    (#nonzero)/|w| is a lower bound for log2(lambda_k)/k."""
-    if not contains_word(spec, w):
-        raise PreconditionError("word %s is not in the language" % (w,))
-    w = word(w, spec.n)
-    if not len(w):
-        raise PreconditionError("the empty word gives no bound")
-    return Fraction(w.weight(), len(w))
 
 
 def mixing_probe(spec, u, v, m_max):

@@ -32,7 +32,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .core import Record, Word, set_field
+from .core import Record, set_field
 from .errors import PreconditionError
 from .langkit import (
     DEFAULT_NODE_CAP,
@@ -78,19 +78,6 @@ class PSetSpec(Record):
 
     def __str__(self):
         return str(self.base)
-
-
-def admissible(P, w):
-    """P-admissibility of a binary word: all 1-position differences lie in P."""
-    syms = w.symbols if isinstance(w, Word) else tuple(w)
-    if any(s not in (0, 1) for s in syms):
-        raise PreconditionError("spacing admissibility needs a binary word")
-    ones = [i + 1 for i, s in enumerate(syms) if s == 1]
-    for i in range(len(ones)):
-        for j in range(i + 1, len(ones)):
-            if not P.contains(ones[j] - ones[i]):
-                return False
-    return True
 
 
 def count_spacing(P, k, node_cap=DEFAULT_NODE_CAP):
@@ -208,29 +195,6 @@ def spacing_shift(P):
                             position_count=position_count, **common)
     P._shift.append(spec)
     return spec
-
-
-def transition_set_check(P, H):
-    """Verify N([1]_P, [1]_P) = P up to the horizon on P's acceptor: the gap
-    word 1 0^(m-1) 1 is in its language exactly for m in P."""
-    if H < 1:
-        raise PreconditionError("H must be >= 1")
-    spec = spacing_shift(P)
-    for m in range(1, H + 1):
-        if spec.accepts((1,) + (0,) * (m - 1) + (1,)) != P.contains(m):
-            return False
-    return True
-
-
-def weak_mixing_probe(P, block_len, H):
-    """Finite-horizon thickness evidence: does P contain `block_len` consecutive
-    integers within [1, H]? (Weak mixing of Omega_P is equivalent to P thick.)"""
-    run = 0
-    for b in P.base.bits(H):
-        run = run + 1 if b else 0
-        if run >= block_len:
-            return True
-    return False
 
 
 def recurrence_entropy_probe(R, k_max, node_cap=DEFAULT_NODE_CAP):

@@ -27,7 +27,9 @@ from shiftlab.langkit import (
     parse_shift_spec,
 )
 from shiftlab.sets import difference_set, parse_set_expr
-from shiftlab.spacing import PSetSpec, admissible, delta_star_bound_check, spacing_shift
+from shiftlab.spacing import PSetSpec, delta_star_bound_check, spacing_shift
+
+from spacing_reference import admissible
 
 _WINDOW_RNG = random.Random(7)
 WINDOW_BITS = "".join(_WINDOW_RNG.choice("01") for _ in range(48))

@@ -43,7 +43,8 @@ betas = st.one_of(
 )
 
 shifts = st.one_of(
-    st.sampled_from(["-1", "0", "1", "2", "3", "65536", "65537", "100000000", "x", ""])
+    st.sampled_from(["-1", "0", "1", "2", "3", "257", "4096", "65536", "65537", "100000000",
+                     "x", ""])
     .map(lambda n: "full:n=" + n),
     st.just("counting"),
     set_exprs.map(lambda e: "spacing:P=" + e),

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import json
@@ -28,12 +29,10 @@ from shiftlab.langkit import (
     forbidden_shift,
     full_shift,
     hereditary_check,
-    heredity_entropy_bound,
     log2_int,
     max_density_word,
     max_symbol_count,
     max_symbol_witness,
-    maximal_density_estimate,
     mixing_probe,
     parse_shift_spec,
     position_search,
@@ -158,9 +157,9 @@ def test_max_symbol_count_generic_path_ternary():
 
 
 def test_maximal_density_estimate():
-    rows = maximal_density_estimate(counting_shift(), 1, 8)
-    assert rows[-1] == (8, 3, Fraction(3, 8))
-    vals = [v for _, _, v in rows]
+    spec = counting_shift()
+    vals = [Fraction(max_symbol_count(spec, 1, k), k) for k in range(1, 9)]
+    assert vals[-1] == Fraction(3, 8)
     # D_k/k upper-bounds the maximal density, approaching it from above
     assert min(vals) == vals[-1]
 
@@ -187,24 +186,12 @@ def test_hereditary_check():
     assert not contains_word(forbidden_shift(["00"]), lowered)
 
 
-def test_heredity_entropy_bound():
-    spec = full_shift(2)
-    assert heredity_entropy_bound(spec, "1101") == Fraction(3, 4)
-    with pytest.raises(PreconditionError):
-        heredity_entropy_bound(forbidden_shift(["11"]), "11")
-
-
 def test_lemma_style_weight_bound_full_shift():
     # hereditary X: 2**weight(w) <= lambda_k for every language word
     spec = full_shift(2)
     lam = count_language(spec, 6)
     for syms in enumerate_language(spec, 6):
         assert 2 ** sum(syms) <= lam
-
-
-def test_heredity_entropy_bound_needs_a_nonempty_word():
-    with pytest.raises(PreconditionError):
-        heredity_entropy_bound(full_shift(2), "")
 
 
 def test_mixing_probe_needs_a_nonnegative_horizon():
@@ -392,11 +379,21 @@ def test_a_user_built_spec_counts_its_column_once():
     assert count_language(for_count, 12, strategy="brute_force") == 377
 
 
+def test_wide_alphabets_read_one_multiplicity_entry_per_layer():
+    spec = full_shift(65536)
+    assert count_language(spec, 1000) == 65536 ** 1000
+    # one state, so its multiplicity row is one (id, multiplicity) entry
+    graph = spec._graph
+    assert graph.single[0] + graph.multi[0] == ((0, 65536),)
+    # past a byte alphabet: the (max, +) pass over the id row
+    assert max_symbol_witness(full_shift(300), 299, 50).symbols == (299,) * 50
+
+
 def test_word_test_queries_do_not_fill_the_table():
     spec = _user_no11()
     count_language(spec, 3)
     rng = random.Random(19)
-    rows = len(spec._table)
+    ids = len(spec._graph.ids)
     answers = []
     for _ in range(200):
         w = [0] * 200
@@ -404,7 +401,7 @@ def test_word_test_queries_do_not_fill_the_table():
             w[rng.randrange(200)] = 1
         answers.append(spec.accepts(w))
         assert answers[-1] == ("11" not in "".join(map(str, w)))
-    assert len(spec._table) == rows
+    assert len(spec._graph.ids) == ids
     assert True in answers and False in answers
 
 
@@ -581,20 +578,55 @@ def _max_symbol_spec(name):
     return parse_shift_spec(name)
 
 
+PINNED_COLUMNS = {
+    "forbidden:{111,0101}":
+        "96a023903f879d043022e5b7a4e7508b5a6fc1adbc970ddb2a0deb41fce08bf7",
+    "spacing:P=complement:(finite:{1,3,7,12})":
+        "4320a0a1cfb726f7aeab333cb2db18ce114aff7877d131861f97423781c2a325",
+    "beta:beta=1.5":
+        "e421062128a6a75246b3d0c8c27f1e7cf12d9e245dfc8e4f4be247c20229fe10",
+    "full:n=3":
+        "2609273276bd299c4bcd1c72138e96a4a6d4a8630d5ec73d5afe8bcc164989cf",
+}
+
+
 @pytest.mark.parametrize("name", POSITION_FAMILIES + (
     "counting-search", "full:n=2", "full:n=3", "forbidden:{111,0101}",
     "spacing:P=complement:(finite:{1,3,7,12})", "beta:beta=1.5", "beta:beta=2.5",
     "beta:beta=quad:(1+1*sqrt5)/2"))
 def test_max_symbol_count_and_witness_match_enumeration(name):
     spec = _max_symbol_spec(name)
+    graph = spec._graph
+    if graph is not None:
+        # the start state is id 0, and the prefixes that reach one canonical
+        # state (walked on the family's own transition) all reach one id
+        assert spec._start_state == 0
+        id_of = {graph.states[0]: 0}
     for k in range(1, 11):
         words = list(enumerate_language(spec, k))
+        if graph is not None:
+            for w in words:
+                state, i = graph.states[0], 0
+                for a in w:
+                    state = graph._transition(state, a)[1]
+                    i = spec._step(i, a)[1]
+                    assert id_of.setdefault(state, i) == i
         for alpha in range(1, spec.n):
             best = max(w.count(alpha) for w in words)
             assert max_symbol_count(spec, alpha, k) == best, (k, alpha)
             wit = max_symbol_witness(spec, alpha, k)
             assert len(wit) == k and contains_word(spec, wit)
             assert wit.symbols.count(alpha) == best
+    if name in PINNED_COLUMNS:
+        # lambda, D_k and witness columns to k = 30, pinned as digests: how
+        # the graph numbers its states must move no answer and no tie
+        cols = [[count_language(spec, k) for k in range(1, 31)]]
+        for alpha in range(1, spec.n):
+            cols.append([max_symbol_count(spec, alpha, k) for k in range(1, 31)])
+            cols.append([list(max_symbol_witness(spec, alpha, k).symbols)
+                         for k in range(1, 31)])
+        digest = hashlib.sha256(json.dumps(cols).encode()).hexdigest()
+        assert digest == PINNED_COLUMNS[name]
 
 
 def test_deep_max_symbol_count_on_a_finite_state_spacing_shift():

@@ -29,17 +29,15 @@ from shiftlab.sets import (
 from shiftlab.spacing import (
     WINDOWED_DP_MAX_WINDOW,
     PSetSpec,
-    admissible,
     count_spacing,
     delta_star_bound_check,
     difference_subset_witness,
     recurrence_entropy_probe,
     spacing_shift,
-    transition_set_check,
-    weak_mixing_probe,
 )
 
 from position_reference import count_positions
+from spacing_reference import admissible
 
 GOLDEN_P = PSetSpec(ComplementSet(FiniteSet(frozenset({1}))))
 EVENS_P = PSetSpec(EVENS)
@@ -143,10 +141,18 @@ def test_spacing_hereditary():
         assert ok
 
 
+def _gap_words_match(P, H):
+    """N([1]_P, [1]_P) = P up to H on P's acceptor: the gap word 1 0^(m-1) 1
+    is in its language exactly for m in P."""
+    spec = spacing_shift(P)
+    return all(spec.accepts((1,) + (0,) * (m - 1) + (1,)) == P.contains(m)
+               for m in range(1, H + 1))
+
+
 def test_transition_set_check():
-    assert transition_set_check(GOLDEN_P, 40)
-    assert transition_set_check(EVENS_P, 40)
-    assert transition_set_check(PSetSpec(Pow2DiffSet()), 64)
+    assert _gap_words_match(GOLDEN_P, 40)
+    assert _gap_words_match(EVENS_P, 40)
+    assert _gap_words_match(PSetSpec(Pow2DiffSet()), 64)
 
 
 class _DroppedThree(PSetSpec):
@@ -159,16 +165,9 @@ class _DroppedThree(PSetSpec):
 @pytest.mark.parametrize("text", ["evens", "complement:(finite:{1,3})"])
 def test_transition_set_check_reads_the_acceptor(text):
     # 3 is not in P, but the acceptor's mask lets 1001 through (on the
-    # windowed table and on the uncut mask alike)
-    assert transition_set_check(PSetSpec(parse_set_expr(text)), 40)
-    assert not transition_set_check(_DroppedThree(parse_set_expr(text)), 40)
-
-
-def test_weak_mixing_probe():
-    assert not weak_mixing_probe(EVENS_P, 2, 1000)   # evens are nowhere thick
-    assert weak_mixing_probe(FULL_P, 50, 100)
-    P = PSetSpec(parse_set_expr("complement:(finite:{1,2,3})"))
-    assert weak_mixing_probe(P, 30, 100)
+    # windowed state graph and on the uncut mask alike)
+    assert _gap_words_match(PSetSpec(parse_set_expr(text)), 40)
+    assert not _gap_words_match(_DroppedThree(parse_set_expr(text)), 40)
 
 
 def test_recurrence_probe_naturals():

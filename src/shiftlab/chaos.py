@@ -34,8 +34,8 @@ from fractions import Fraction
 from math import inf, lcm
 from operator import ne
 
-from .core import EventuallyPeriodicPoint, Record, set_field
-from .errors import AlphabetMismatch, PreconditionError
+from .core import EventuallyPeriodicPoint, Record, _same_alphabet, set_field
+from .errors import PreconditionError
 from .sets import IntSetSpec
 
 DEFAULT_GROWTH = 200
@@ -43,11 +43,6 @@ _NONZERO_TO_ONE = bytes([0]) + bytes([1]) * 255  # translate table: byte != 0 ->
 
 
 # -- exact machinery for eventually periodic pairs ----------------------------
-
-def _check_pair(x, y):
-    if x.alphabet != y.alphabet:
-        raise AlphabetMismatch("%r vs %r" % (x.alphabet, y.alphabet))
-
 
 def _cycle(x, y):
     """(c, xs, ys): the cycle length c and both points over (p, p + c], with
@@ -70,7 +65,7 @@ def diff_equal_densities(x, y):
     """Exact (upper = asymptotic) densities of Diff(x,y) = {i : x_i != y_i}
     and its complement Equal(x,y); both limits exist for eventually periodic
     pairs."""
-    _check_pair(x, y)
+    _same_alphabet(x, y)
     c, xs, ys = _cycle(x, y)
     d = Fraction(_disagreements(xs, ys).count(1), c)
     return d, 1 - d
@@ -148,7 +143,7 @@ def distribution_profile(x, y, thresholds=None, checkpoints=None, n=None):
 
 
 def _exact_profile(x, y, thresholds):
-    _check_pair(x, y)
+    _same_alphabet(x, y)
     n = x.alphabet.size
     c, xs, ys = _cycle(x, y)
     mask = _disagreements(xs, ys)

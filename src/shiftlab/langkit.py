@@ -26,58 +26,53 @@ word's 1s as one int against the excluded differences, forbidden-word shifts
 look for each forbidden word with ``in``, and the counting shift walks its
 few 1s with ``bytes.find``. ``accepts`` checks the alphabet with one
 ``bytes.translate`` and then calls the word test; graph specs without one
-(full and beta shifts) walk their id rows directly. The step, the graph
-and ``narrow`` serve enumeration, the DPs and the position search.
+(full and beta shifts) walk their id rows directly. The step and the graph
+serve enumeration and the DPs.
 
-Counting engines, named by ``spec.engine`` after what the spec provides:
+Counting engines, named by ``spec.engine`` after what the spec provides;
+each is one DP run in two semirings, one for lambda_k and one for the
+maximal symbol count D_k:
 
 * ``automaton_dp`` - a state graph: layered DPs over its ids, in (+, x)
   over the multiplicity rows for lambda_k and in (max, +) over the id rows
-  with edge weight [a == alpha] for the maximal symbol count D_k and its
-  witness, one layer step for both (the walk counts of Lind & Marcus,
-  ch. 4);
-* ``branch_and_bound`` - ``narrow`` and ``position_count``, which come
-  together: lambda_k from position_count, a follower_count with one memo
-  for every k (spacing shifts: spacing.count_spacing over candidate masks;
-  the counting shift: over the floors of its next 1s); D_k from
-  position_search over 1-position subsets.
+  with edge weight [a == alpha] for D_k and its witness, one layer step for
+  both (the walk counts of Lind & Marcus, ch. 4);
+* ``branch_and_bound`` - ``position_count`` and ``position_max``, which
+  come together, for binary families that are hereditary and
+  shift-invariant (spacing shifts: keys are candidate masks; the counting
+  shift: the floors of its next 1s). A key says what may follow a word's
+  last 1 in the places left, and its followers are the keys after each
+  admissible next 1. One memoised explicit-stack walk over the keys
+  (``_follow``) folds a key's followers two ways: f(key) = 1 + the sum of
+  f counts the sets of later 1s, and g(key) = 1 + the max of g counts the
+  1s of a densest one. Since 0w is in L_k exactly when w is in L_(k-1),
+
+      lambda_k = lambda_(k-1) + #{w in L_k : w_1 = 1} = lambda_(k-1) + f(root(k))
+
+  with root(k) the key after a 1 at position 1 of a length-k word
+  (follower_count); a densest word shifts to start with its first 1, so
+  D_k = g(root(k)), and the walk back from the root, taking at each key
+  the smallest offset whose follower reaches the max, gives the
+  lexicographically first densest 1-set (follower_max). A family with a
+  closed form hands it over as its position_max (the counting shift).
 
 ``node_cap`` bounds what one call of each engine spends: the states of the
-DP layers it builds, the follower lookups of a position_count, the nodes of
-the position search, the n**k words of brute force. A trip raises
-ResourceCapExceeded and leaves every cached column valid.
+DP layers it builds, the follower lookups of a walk, the n**k words of
+brute force. A trip raises ResourceCapExceeded and leaves every cached
+column and memo valid.
 
 ``brute_force`` tests all n**k words independently and is the oracle every
 engine is checked against. It calls ``accepts``, so for a family with a word
 test it checks the engines against the definition, not against the
-transition they read. D_k follows the same engine, except that a family
-with a closed form for its maximal 1-count hands it over as ``ones_exact``.
+transition they read.
 
 Every engine is resumable. The lambda_1, lambda_2, ... column and the
-engine's working state (a DP layer, say) are cached on the spec object a
-parse builds, so ``count_language(spec, k)`` returns a cached lambda_k or
-advances the saved state from its last length to k: a K-row entropy table
-costs one counting pass, in any order of k. The D_k columns are kept the
+engine's working state (a DP layer, a follower memo) are cached on the spec
+object a parse builds, so ``count_language(spec, k)`` returns a cached
+lambda_k or advances the saved state from its last length to k: a K-row
+entropy table costs one counting pass, in any order of k. D_k is kept the
 same way. Nothing is cached at module level: two separate runs do the same
 work.
-
-The position search serves binary families that are hereditary and
-shift-invariant. Adding a 1 only adds constraints, so the admissible next
-1-positions only shrink as a word grows. A candidate set is one int mask,
-bit q set while position q is a candidate; the search visits its set bits
-in ascending order, and ``narrow(chosen, rest)`` keeps, in one mask
-operation, those of the parent's remaining candidates ``rest`` (the mask of
-those above chosen[-1]) still admissible after the 1s in ``chosen``. Since
-0w is in L_k exactly when w is in L_(k-1),
-
-    lambda_k = lambda_(k-1) + #{w in L_k : w_1 = 1},
-
-where follower_count counts the second term from a memo of what may follow
-a 1, rather than set by set as the walk would. Cut by the suffix bound
-D_(k-q), the walk gives D_k and a witness, and sets.largest_delta_subset a
-Delta-set: D - D lies in A exactly when the indicator word of D is in
-L(Omega_A). A node-cap trip leaves the best set so far in
-ResourceCapExceeded.partial.
 
 Entropy values h_k = log2(lambda_k)/k are reported as upper bounds only:
 h(X) is the infimum of the sequence, so no extrapolation is ever sound.
@@ -175,23 +170,21 @@ class SubshiftSpec:
     The acceptor is ``transition(state, a) -> (ok, next_state)``. Without
     ``position_count`` it is expanded into a numbered state graph
     (automaton_dp), and the step, enumeration and the DPs see ids, the start
-    state as 0. ``narrow(chosen, rest)``, which backs position_search (see
-    the module docstring), and ``position_count(k, node_cap)``, the family's
-    lambda_k entry, which extends ``_column``, come together (binary
-    hereditary families only); with them the transition runs unmemoised as
-    the step, on the family's own states (branch_and_bound).
-    ``ones_exact(k)``, a closed form (D_k, 1-positions of a witness), may
-    stand in for the search's D_k. ``engine`` names the counting engine
-    these select. ``word_test(b)`` (optional) decides membership of a word
-    over the alphabet, given as ``bytes`` of symbol values, from the
-    family's definition; ``accepts`` calls it in place of the step when
-    n <= 256.
+    state as 0. ``position_count(k, node_cap)`` (lambda_k, extending
+    ``_column``) and ``position_max(k, node_cap)`` (the 1-positions of a
+    word realising D_k) come together, for binary hereditary families; with
+    them the transition runs unmemoised as the step (branch_and_bound).
+    ``engine`` names the engine these select. ``word_test(b)`` (optional)
+    decides membership of a word over the alphabet, given as ``bytes`` of
+    symbol values, from the family's definition; ``accepts`` calls it in
+    place of the step when n <= 256.
     """
 
     def __init__(self, n, family, label, start_state, transition,
-                 narrow=None, position_count=None, ones_exact=None, word_test=None):
-        if (narrow is None) != (position_count is None):
-            raise SpecValidationError("%s: narrow and position_count come together" % label)
+                 position_count=None, position_max=None, word_test=None):
+        if (position_count is None) != (position_max is None):
+            raise SpecValidationError(
+                "%s: position_count and position_max come together" % label)
         self.alphabet = Alphabet(n)
         self.n = n
         self.family = family
@@ -210,16 +203,15 @@ class SubshiftSpec:
 
             self._start_state, self._step = 0, step
             self.engine = "automaton_dp"
-        self._narrow = narrow
         self._position_count = position_count
-        self._ones_exact = ones_exact
+        self._position_max = position_max
         self._word_test = word_test
         # the symbol values as bytes: a byte string is over the alphabet
         # exactly when deleting these leaves nothing
         self._symbol_bytes = bytes(range(n)) if n <= 256 else None
         self._column = []     # lambda column of the position_count entry
-        self._memo = {}       # the memo behind it, where the spec keeps one
-        self._witnesses = []  # witnesses[j-1]: 1-positions of a word realising D_j
+        self._memo = {}       # the follower memos behind position_count and
+        self._max_memo = {}   # position_max, where the spec keeps them
         self._dps = {}        # alpha (None for lambda) -> StateDP on the graph
 
     def _dp(self, alpha=None):
@@ -403,89 +395,66 @@ class StateDP:
         return extend_column(self.column, k, next_value)
 
 
-def position_search(narrow, chosen, cands, node_cap, bound=None):
-    """Explicit-stack depth-first walk over the admissible extensions of the
-    1-positions ``chosen`` (next candidates ``cands``, an int mask with bit q
-    set when q is a candidate): each node adds one candidate q, in ascending
-    order, and narrows the candidates above it. Returns (nodes visited, the
-    first largest set seen). ``bound(q)``, an upper bound on the 1s after a
-    1 at q that does not grow with q, cuts (with the candidates left in the
-    level) the branches that cannot beat that set. A node_cap trip leaves
-    that set in ResourceCapExceeded.partial."""
-    chosen = list(chosen)
-    best, nodes = tuple(chosen), 0
-    stack = []  # the candidates each open ancestor level has left
-    m = cands
+def _follow(memo, key, followers, fold, budget, node_cap):
+    """Fills memo[key] = 1 + the fold over followers(key) of memo[child],
+    with 0 for a key without followers, by an explicit stack; returns the
+    lookups left of budget. followers(key) yields (offset, child): the key
+    after a next 1 at that offset past the last, in ascending order. A
+    follower has fewer places left than its key, so none is still open. A
+    trip leaves every memo entry valid."""
+    if key in memo:
+        return budget
+    # the open key, its followers not yet looked up and its fold so far, and
+    # the same for each open ancestor on an explicit stack
+    it, acc, stack = followers(key), 0, []
     while True:
-        while m:
-            low = m & -m
-            m ^= low
-            nodes += 1
-            if nodes > node_cap:
-                e = ResourceCapExceeded("position search exceeded %d nodes" % node_cap)
-                e.partial = best
-                raise e
-            q = low.bit_length() - 1
-            if bound is not None:
-                need = len(best) - len(chosen)  # the 1s a branch must add to win
-                if m.bit_count() < need or bound(q) < need:
-                    # a later q only lowers both bounds: close this level
-                    break
-            chosen.append(q)
-            if len(chosen) > len(best):
-                best = tuple(chosen)
-            rest = narrow(chosen, m) if m else 0
-            if rest:
-                stack.append(m)
-                m = rest
-            else:
-                chosen.pop()
-        if not stack:
-            return nodes, best
-        m = stack.pop()
-        chosen.pop()
+        for _, child in it:
+            budget -= 1
+            if budget < 0:
+                raise ResourceCapExceeded("follower walk exceeded %d lookups" % node_cap)
+            got = memo.get(child)
+            if got is None:
+                stack.append((key, it, acc))
+                key, it, acc = child, followers(child), 0
+                break
+            acc = fold(acc, got)
+        else:
+            got = memo[key] = 1 + acc
+            if not stack:
+                return budget
+            key, it, acc = stack.pop()
+            acc = fold(acc, got)
 
 
 def follower_count(column, memo, k, root, followers, node_cap):
-    """lambda_k of a binary hereditary family, resuming its column: lambda_j =
-    lambda_(j-1) + f(root(j)) (see the module docstring), where a key says
-    what may follow a word's last 1 in the places left, root(j) is the key
-    after a 1 at position 1 of a length-j word, and
-
-        f(key) = 1 + the sum of f over followers(key),
-
-    the keys after each admissible next 1, counts the sets of later 1s. f is
-    summed by an explicit stack and memoised in memo, one for every k.
-    node_cap bounds the follower lookups of this call; a trip leaves the
-    column and every memo entry valid."""
+    """lambda_k of a position family, resuming its column: lambda_j =
+    lambda_(j-1) + f(root(j)), f the sum fold (see the module docstring),
+    memoised in memo for every k. node_cap bounds the follower lookups of
+    this call; a trip leaves the column and every memo entry valid."""
     budget = node_cap
 
     def next_lambda(j):
         nonlocal budget
         key = root(j)
-        # an explicit stack of [key, its followers not yet looked up, sum so
-        # far]; a follower has fewer places left than its key, so none is
-        # still open
-        stack = [] if key in memo else [[key, followers(key), 1]]
-        while stack:
-            frame = stack[-1]
-            for child in frame[1]:
-                budget -= 1
-                if budget < 0:
-                    raise ResourceCapExceeded("follower count exceeded %d lookups" % node_cap)
-                got = memo.get(child)
-                if got is None:
-                    stack.append([child, followers(child), 1])
-                    break
-                frame[2] += got
-            else:
-                memo[frame[0]] = frame[2]
-                stack.pop()
-                if stack:
-                    stack[-1][2] += frame[2]
+        budget = _follow(memo, key, followers, operator.add, budget, node_cap)
         return (column[-1] if column else 1) + memo[key]
 
     return extend_column(column, k, next_lambda)
+
+
+def follower_max(memo, k, root, followers, node_cap):
+    """The 1-positions of the lexicographically first word of L_k with D_k
+    = g(root(k)) 1s, g the max fold (see the module docstring), memoised in
+    memo for every k: from the root, the smallest offset whose follower
+    reaches the max, key by key. node_cap bounds the follower lookups of
+    this call; a trip leaves every memo entry valid."""
+    key = root(k)
+    _follow(memo, key, followers, max, node_cap, node_cap)
+    ones = [1]
+    for want in range(memo[key] - 1, 0, -1):
+        q, key = next((q, child) for q, child in followers(key) if memo[child] == want)
+        ones.append(ones[-1] + q)
+    return tuple(ones)
 
 
 def count_language(spec, k, strategy=None, node_cap=DEFAULT_NODE_CAP):
@@ -578,36 +547,6 @@ def entropy_estimates(spec, k_max, strategy=None, node_cap=DEFAULT_NODE_CAP):
 
 # -- maximal symbol density ------------------------------------------------------
 
-def _max_ones_word(spec, k, node_cap):
-    """A word of L_k with D_k 1s for a binary position family: from its
-    ones_exact closed form when it has one, else from the position search
-    cut by the suffix bound D_(k-q), resuming the spec's witness column (D_j
-    is the length of entry j). node_cap bounds the nodes this call expands."""
-    column, budget = spec._witnesses, node_cap
-
-    def next_witness(j):
-        nonlocal budget
-        nodes, best = position_search(
-            spec._narrow, [], (1 << (j + 1)) - 2, budget,
-            lambda q: len(column[j - q - 1]) if q < j else 0)
-        budget -= nodes
-        return best
-
-    exact = spec._ones_exact
-    if exact is None:
-        ones = extend_column(column, k, next_witness)
-    else:
-        val, ones = exact(k)
-    syms = [0] * k
-    for p in ones:
-        syms[p - 1] = 1
-    # a closed form's witness is verified by membership; its upper bound is
-    # the family's analytic argument
-    if exact is not None and (len(ones) != val or not spec.accepts(tuple(syms))):
-        raise SpecValidationError("ones_exact witness invalid for %s at k=%d" % (spec.label, k))
-    return syms
-
-
 def _graph_witness(spec, alpha, k, node_cap):
     """Symbols of a word realising D_k(alpha) on a state graph: the forward
     (max, +) layers, keeping where each best count came from, then a walk
@@ -635,12 +574,12 @@ def _check_symbol(spec, alpha, k):
 def max_symbol_count(spec, alpha, k, node_cap=DEFAULT_NODE_CAP):
     """D_k(X, alpha): the maximal number of occurrences of alpha over L_k(X).
     Subadditive in k. By spec.engine: the resumable (max, +) DP on a state
-    graph, the position search (or the family's ones_exact) on a narrowing
-    step; each under node_cap."""
+    graph, the family's position_max (binary, so alpha is 1); each under
+    node_cap."""
     _check_symbol(spec, alpha, k)
     if spec.engine == "automaton_dp":
         return spec._dp(alpha).value(k, node_cap)
-    return max_symbol_witness(spec, alpha, k, node_cap).symbols.count(alpha)
+    return len(spec._position_max(k, node_cap))
 
 
 def max_symbol_witness(spec, alpha, k, node_cap=DEFAULT_NODE_CAP):
@@ -651,8 +590,9 @@ def max_symbol_witness(spec, alpha, k, node_cap=DEFAULT_NODE_CAP):
     _check_symbol(spec, alpha, k)
     if spec.engine == "automaton_dp":
         syms = _graph_witness(spec, alpha, k, node_cap)
-    else:
-        syms = _max_ones_word(spec, k, node_cap)  # binary, so alpha is 1
+    else:  # binary, so alpha is 1
+        ones = set(spec._position_max(k, node_cap))
+        syms = [int(q in ones) for q in range(1, k + 1)]
     return Word(spec.alphabet, tuple(syms))
 
 
@@ -803,10 +743,6 @@ def counting_shift():
             return False, state
         return True, (q, ones + (q,))
 
-    def narrow(chosen, rest):
-        f = _floor(chosen)
-        return rest >> f << f
-
     def word_test(b):
         # the definition on 1-positions, and at most _counting_cap(len(b))
         # <= 64 of them, so the walk is short
@@ -817,14 +753,6 @@ def counting_shift():
             ones.append(q)
             q = b.find(1, q + 1)
         return True
-
-    def ones_exact(k):
-        # the window covering the whole word already forces <= cap(k) ones,
-        # and the chain 1, 3, 5, 9, ..., 2**(j-1)+1 realizes it: the window
-        # from position 1 to 2**(j-1)+1 has length in (2**(j-1), 2**j]
-        cap = _counting_cap(k)
-        wit = (1,) + tuple((1 << (i - 1)) + 1 for i in range(2, cap + 1))
-        return cap, wit
 
     def followers(key):
         # key = (r, g_1, g_2, ...): r places are left after the last 1, and
@@ -840,7 +768,7 @@ def counting_shift():
                 if x > r - q:
                     break
                 child.append(x)
-            yield tuple(child)
+            yield q, tuple(child)
 
     def position_count(k, node_cap):
         # a lone 1 at position 1 has the floors g_m = 2**m
@@ -849,16 +777,24 @@ def counting_shift():
             lambda j: (j - 1,) + tuple(1 << m for m in range(1, (j - 1).bit_length())),
             followers, node_cap)
 
+    def position_max(k, node_cap):
+        # the closed form: the window covering the whole word already forces
+        # <= cap(k) ones, and the chain 1, 3, 5, 9, ..., 2**(j-1)+1 realizes
+        # it: the window from position 1 to 2**(j-1)+1 has length in
+        # (2**(j-1), 2**j]
+        return (1,) + tuple((1 << (i - 1)) + 1 for i in range(2, _counting_cap(k) + 1))
+
     spec = SubshiftSpec(
         n=2, family="counting", label="counting",
-        start_state=(0, ()), transition=transition, narrow=narrow,
-        position_count=position_count, ones_exact=ones_exact, word_test=word_test)
+        start_state=(0, ()), transition=transition, position_count=position_count,
+        position_max=position_max, word_test=word_test)
     return spec
 
 
 def forbidden_shift(forbidden, n=2):
     """Subshift avoiding an explicit finite set of forbidden words. Not
-    hereditary in general; validated for right-prolongability by sampling."""
+    hereditary in general; checked for right-prolongability on its whole
+    state graph (the last max_len-1 symbols)."""
     forb = tuple(word(f, n) for f in forbidden)
     if not forb:
         return full_shift(n)
@@ -883,18 +819,25 @@ def forbidden_shift(forbidden, n=2):
     spec = SubshiftSpec(
         n=n, family="forbidden", label=label,
         start_state=(), transition=transition, word_test=word_test)
-    _validate_prolongable(spec, max_len + 2)
+    _validate_prolongable(spec)
     return spec
 
 
-def _validate_prolongable(spec, depth):
-    for k in range(0, depth):
-        words_k = list(enumerate_language(spec, k))
-        for syms in words_k:
-            if not any(spec.accepts(syms + (a,)) for a in range(spec.n)):
-                raise SpecValidationError("language not right-prolongable at %r" % (syms,))
-        if k and not words_k:
-            raise SpecValidationError("language empty at length %d" % k)
+def _validate_prolongable(spec):
+    """Right-prolongability on the state graph: every reachable state reads
+    some symbol. A forbidden-word spec reaches each state by the state
+    itself, a word, and numbers them by length, then lexicographically, so
+    the first dead state is the first word of L with no extension. The
+    states count against DEFAULT_NODE_CAP."""
+    graph, cap, i = spec._graph, DEFAULT_NODE_CAP, 0
+    while i < len(graph.states):
+        if i == cap:
+            raise ResourceCapExceeded(
+                "right-prolongability check exceeded %d states" % cap)
+        if max(graph.expand(i)) < 0:
+            raise SpecValidationError(
+                "language not right-prolongable at %r" % (graph.states[i],))
+        i += 1
 
 
 def parse_shift_spec(text):

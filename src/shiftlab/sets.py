@@ -6,11 +6,18 @@ set's structure (a window slice, the values 2**n - 2**m, the factorial
 blocks, an or of the parts' indicators), never one ``contains`` per integer.
 ``mask(H)`` packs that indicator into the one int layout of a finite set:
 bit i is set exactly when i is in A cap [1, H]. Every range consumer reads
-``bits(H)`` or ``mask(H)``: ``members``, the prefix counts behind the density
-estimates and the Delta-set search read the indicator; the difference set
-(an or of shifted masks), the finite sums (a layered subset-sum over masks)
-and the IP search read the mask, and the first two return through one
+``bits(H)`` or ``mask(H)``: ``members`` and the prefix counts behind the
+density estimates read the indicator; the difference mask (an or of shifted
+masks, which the Delta* check in ``spacing`` reads as it is), the finite sums
+(a layered subset-sum over masks), the IP search and the Delta-set search
+read the mask, and difference_set and sum_set_FS return through one
 unpacking into a WindowSet. ``contains`` is left for one-off queries.
+
+The Delta-set search is ``position_search``, an ascending explicit-stack
+walk over 1-position sets whose candidates are one int mask: D - D lies in
+A exactly when the indicator word of D is in L(Omega_A), so a 1 at p keeps
+the candidates in A's mask << p. It returns the first largest set, and a
+node-cap trip leaves the best set so far in ResourceCapExceeded.partial.
 
 Densities are exact when the description permits (eventually periodic, or a
 generator with a sparsity certificate) and finite-horizon estimates
@@ -35,7 +42,7 @@ from operator import or_, sub
 
 from .core import Record, set_field
 from .errors import PreconditionError, ResourceCapExceeded, SpecParseError
-from .langkit import DEFAULT_NODE_CAP, position_search
+from .langkit import DEFAULT_NODE_CAP
 
 _DEFAULT_HORIZON = 10_000
 IP_MAX_SIZE = 12
@@ -440,12 +447,18 @@ def _window(mask, H):
     return WindowSet(tuple(map(int, reversed(digits))))
 
 
-def difference_set(A, H):
-    """{a - a' : a, a' in A cap [1, H], a > a'} as a windowed set: the or of
-    mask >> a over the members a, whose bit d is set when a + d is in A."""
+def difference_mask(A, H):
+    """{a - a' : a, a' in A cap [1, H], a > a'} as one int, bit d set when d
+    is such a difference: the or of mask >> a over the members a, whose bit
+    d is set when a + d is in A, cut to bits 1..H."""
     _check_horizon(H)
     mask = A.mask(H)
-    return _window(reduce(or_, (mask >> a for a in A.members(H)), 0), H)
+    return reduce(or_, (mask >> a for a in A.members(H)), 0) & ((2 << H) - 2)
+
+
+def difference_set(A, H):
+    """difference_mask(A, H) as a windowed set."""
+    return _window(difference_mask(A, H), H)
 
 
 def sum_set_FS(S, depth, bound):
@@ -505,6 +518,49 @@ def _longest_run(members):
         best = max(best, run)
         prev = m
     return best
+
+
+def position_search(narrow, chosen, cands, node_cap, bound=None):
+    """Explicit-stack depth-first walk over the admissible extensions of the
+    1-positions ``chosen`` (next candidates ``cands``, an int mask with bit q
+    set when q is a candidate): each node adds one candidate q, in ascending
+    order, and narrows the candidates above it. Returns (nodes visited, the
+    first largest set seen). ``bound(q)``, an upper bound on the 1s after a
+    1 at q that does not grow with q, cuts (with the candidates left in the
+    level) the branches that cannot beat that set. A node_cap trip leaves
+    that set in ResourceCapExceeded.partial."""
+    chosen = list(chosen)
+    best, nodes = tuple(chosen), 0
+    stack = []  # the candidates each open ancestor level has left
+    m = cands
+    while True:
+        while m:
+            low = m & -m
+            m ^= low
+            nodes += 1
+            if nodes > node_cap:
+                e = ResourceCapExceeded("position search exceeded %d nodes" % node_cap)
+                e.partial = best
+                raise e
+            q = low.bit_length() - 1
+            if bound is not None:
+                need = len(best) - len(chosen)  # the 1s a branch must add to win
+                if m.bit_count() < need or bound(q) < need:
+                    # a later q only lowers both bounds: close this level
+                    break
+            chosen.append(q)
+            if len(chosen) > len(best):
+                best = tuple(chosen)
+            rest = narrow(chosen, m) if m else 0
+            if rest:
+                stack.append(m)
+                m = rest
+            else:
+                chosen.pop()
+        if not stack:
+            return nodes, best
+        m = stack.pop()
+        chosen.pop()
 
 
 def largest_delta_subset(A, H, node_cap=DEFAULT_NODE_CAP):

@@ -12,13 +12,16 @@ pmask, the candidates after a lone 1 in P's own layout.
 Only the engine depends on P. When N \\ P is finite with largest element
 w <= WINDOWED_DP_MAX_WINDOW, the state is cut to its last w bits and the
 transition is handed over, so lambda_k and D_k come from the automaton DPs
-over at most 2**w states. Otherwise the transition is the step; lambda_k
-comes from count_spacing's candidate-mask count, where one memo keyed by
-the offsets still admissible after a word's last 1 serves every word and
-every k, and D_k from langkit's position search with the narrowing step
-rest & (pmask << chosen[-1]): q stays when q - chosen[-1] is in P, since
-the parent node already tested the earlier 1s. Either way the spec keeps
-the columns, so a K-row column costs one counting pass.
+over at most 2**w states. Otherwise the transition is the step, and
+lambda_k and D_k come from langkit's follower walk over candidate masks: a
+key T has bit u set when a 1 placed u past a word's last 1 is still
+admissible and inside the word, the root after a 1 at position 1 of a
+length-k word is pmask cut to bits 1..k-1, and the follower after a next 1
+at offset t is (T >> t) & pmask, since T already cleared what the earlier
+1s exclude. The sum fold gives lambda_k (count_spacing) and the max fold
+D_k and the lexicographically first densest word, each from one memo on
+the spec that serves every word and every k. Either way the spec keeps the
+columns and memos, so a K-row column costs one counting pass.
 
 The word test reads a whole word as one int W and decides it from the
 definition: no two 1s sit an excluded distance apart. It loops over
@@ -40,9 +43,10 @@ from .langkit import (
     count_language,
     entropy_estimates,
     follower_count,
+    follower_max,
     max_density_word,
 )
-from .sets import difference_set
+from .sets import difference_mask, difference_set
 
 WINDOWED_DP_MAX_WINDOW = 24
 # symbol value byte -> ASCII binary digit
@@ -56,7 +60,8 @@ class PSetSpec(Record):
 
     def __init__(self, base):
         set_field(self, "base", base)
-        # [the langkit spec of Omega_P], built once by spacing_shift
+        # [the langkit spec of Omega_P, its follower walk(k) -> (root,
+        # followers)], built once by spacing_shift
         set_field(self, "_shift", [])
 
     def contains(self, d):
@@ -82,35 +87,21 @@ class PSetSpec(Record):
 
 def count_spacing(P, k, node_cap=DEFAULT_NODE_CAP):
     """lambda_k for Omega_P, exact, resuming the column on P's spec: by the
-    automaton DP when N \\ P is finite and small, else by the candidate-mask
-    count. T is an int whose bit u is set when a 1 placed u past the last 1
-    is still admissible and inside the word; f(T) counts the admissible sets
-    of later 1s, the empty set included:
-
-        f(0) = 1,   f(T) = 1 + sum over t in T of f((T >> t) & pmask),
-
-    with pmask the narrowing step's candidates after a 1 at position 0. One
-    memo, the spec's, serves every k, and langkit's follower_count sums
-    lambda_j = lambda_(j-1) + f(pmask & (2**j - 1)). node_cap bounds the DP's
-    states or the (T, t) lookups of this call; a trip leaves the column and
-    the memo valid."""
+    automaton DP when N \\ P is finite and small, else by the follower walk
+    over candidate masks (see spacing_shift) with the sum fold: one memo, the
+    spec's, serves every k, and langkit's follower_count sums lambda_j =
+    lambda_(j-1) + f(root(j)). node_cap bounds the DP's states or the
+    (T, t) lookups of this call; a trip leaves the column and the memo
+    valid."""
     if k < 1:
         raise PreconditionError("k must be >= 1")
-    spec = spacing_shift(P)
+    if not isinstance(P, PSetSpec):
+        P = PSetSpec(P)
+    spacing_shift(P)
+    spec, walk = P._shift
     if spec.engine == "automaton_dp":
         return count_language(spec, k, node_cap=node_cap)
-    pmask = spec._narrow([0], (1 << (k + 1)) - 2)
-
-    def followers(T):
-        # the masks after a 1 at each offset t in T
-        rest = T
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            yield T >> (low.bit_length() - 1) & pmask
-
-    return follower_count(spec._column, spec._memo, k, lambda j: pmask & ((1 << j) - 1),
-                          followers, node_cap)
+    return follower_count(spec._column, spec._memo, k, *walk(k), node_cap)
 
 
 def spacing_shift(P):
@@ -118,8 +109,8 @@ def spacing_shift(P):
     transition: a 1 is refused when the relative 1-mask meets the excluded
     mask, which grows when the state outruns it. With N \\ P finite and
     small the state is cut to the window and the transition handed over
-    (automaton DP); otherwise it is the step, lambda_k comes from
-    count_spacing and D_k from the position search."""
+    (automaton DP); otherwise it is the step, and lambda_k (count_spacing)
+    and D_k come from one follower walk over candidate masks."""
     if not isinstance(P, PSetSpec):
         P = PSetSpec(P)
     if P._shift:
@@ -145,16 +136,30 @@ def spacing_shift(P):
             return False, state
         return True, (state << 1) | 1
 
-    def narrow(chosen, rest):
-        # rest is admissible after chosen[:-1] already: keep q when
-        # q - chosen[-1] is in P
-        p = chosen[-1]
-        if rest.bit_length() - p > covered:
-            excluded_upto(rest.bit_length() - p)
-        return rest & (pmask << p)
+    def root(j):
+        # the offsets 1..j-1 after a 1 at position 1 of a length-j word
+        return pmask & ((1 << j) - 1)
+
+    def followers(T):
+        # (t, the mask after a 1 at offset t) for each t in T: bit u stays
+        # when u is in P, since T already cleared what the earlier 1s exclude
+        rest = T
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            t = low.bit_length() - 1
+            yield t, T >> t & pmask
+
+    def walk(k):
+        # root and followers with pmask exact past every key of length <= k
+        excluded_upto(k)
+        return root, followers
 
     def position_count(k, node_cap):
         return count_spacing(P, k, node_cap=node_cap)
+
+    def position_max(k, node_cap):
+        return follower_max(spec._max_memo, k, *walk(k), node_cap)
 
     def word_test(b):
         # W: the word as one int, its first symbol the top bit, so a pair of
@@ -191,9 +196,9 @@ def spacing_shift(P):
 
         spec = SubshiftSpec(transition=windowed, **common)
     else:
-        spec = SubshiftSpec(transition=transition, narrow=narrow,
-                            position_count=position_count, **common)
-    P._shift.append(spec)
+        spec = SubshiftSpec(transition=transition, position_count=position_count,
+                            position_max=position_max, **common)
+    P._shift.extend((spec, walk))
     return spec
 
 
@@ -214,7 +219,7 @@ def delta_star_bound_check(A, k, trials, H, seed):
     underlying pigeonhole lemma: the density estimate of A on [1, H] exceeds 1/k."""
     if k < 1:
         raise PreconditionError("k must be >= 1")
-    dmask = difference_set(A, H).mask(H)  # checks the horizon
+    dmask = difference_mask(A, H)  # checks the horizon
     members = A.members(H)
     beta = Fraction(len(members), H)
     if beta * k <= 1:

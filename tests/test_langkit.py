@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shiftlab import sets
+from shiftlab import langkit, sets
 from shiftlab.cli import main
 from shiftlab.errors import (
     PreconditionError,
@@ -35,10 +35,12 @@ from shiftlab.langkit import (
     max_symbol_witness,
     mixing_probe,
     parse_shift_spec,
-    position_search,
 )
+from shiftlab.sets import position_search
+from shiftlab.spacing import PSetSpec
 
-from position_reference import count_positions
+from position_reference import count_positions, counting_narrow, max_ones, spacing_narrow
+from prolongable_reference import validate_prolongable
 
 
 def test_log2_int_exact_powers():
@@ -297,6 +299,44 @@ def test_forbidden_counts_match_brute(forbidden):
         assert count_language(spec, k) == count_language(spec, k, strategy="brute_force")
 
 
+def _refusal(build):
+    """The SpecValidationError message that build() raises, or None."""
+    try:
+        build()
+    except SpecValidationError as e:
+        return str(e)
+    return None
+
+
+def test_prolongability_on_the_state_graph_matches_the_enumeration(monkeypatch):
+    # every set of at most 3 binary words of length <= 3, plus seeded
+    # ternary sets: the same verdict and the same first dead word
+    binary = ["".join(w) for m in (1, 2, 3) for w in itertools.product("01", repeat=m)]
+    cases = [(list(ws), 2) for r in (1, 2, 3) for ws in itertools.combinations(binary, r)]
+    rng = random.Random(23)
+    cases += [(["".join(rng.choice("012") for _ in range(rng.randint(1, 3)))
+                for _ in range(rng.randint(1, 6))], 3) for _ in range(300)]
+    got = [_refusal(lambda: forbidden_shift(ws, n=n)) for ws, n in cases]
+    # the reference runs on the same spec, built without the graph check
+    monkeypatch.setattr(langkit, "_validate_prolongable", lambda spec: None)
+
+    def enumerated(ws, n):
+        validate_prolongable(forbidden_shift(ws, n=n), max(map(len, ws)) + 2)
+
+    assert got == [_refusal(lambda: enumerated(ws, n)) for ws, n in cases]
+    assert None in got and {g for g in got if g} > {"language not right-prolongable at ()"}
+
+
+def test_prolongability_check_charges_the_node_cap(monkeypatch):
+    # forbidden:{999} has the 111 states of length <= 2 over 0..9
+    monkeypatch.setattr(langkit, "DEFAULT_NODE_CAP", 111)
+    assert count_language(parse_shift_spec("forbidden:{999}"), 2) == 100
+    monkeypatch.setattr(langkit, "DEFAULT_NODE_CAP", 110)
+    with pytest.raises(ResourceCapExceeded):
+        parse_shift_spec("forbidden:{999}")
+    assert main(["language", "--shift", "forbidden:{999}", "--k", "2"], out=io.StringIO()) == 3
+
+
 @settings(max_examples=20)
 @given(st.integers(2, 12), st.integers(2, 12))
 def test_counting_lambda_submultiplicative(a, b):
@@ -476,6 +516,13 @@ def _positions(mask):
     return [q for q in range(mask.bit_length()) if mask >> q & 1]
 
 
+def _definition_narrow(text):
+    """The mask narrowing step of a position family, read off its definition."""
+    if text == "counting":
+        return counting_narrow
+    return spacing_narrow(PSetSpec(sets.parse_set_expr(text[len("spacing:P="):])))
+
+
 def _membership_narrow(spec):
     """The list narrowing step from membership: q stays when the word with
     its 1s at chosen and q is in the language."""
@@ -523,24 +570,25 @@ def _check_node_for_node(args, ref_narrow):
 def test_mask_search_matches_the_list_search_node_for_node(text):
     spec = parse_shift_spec(text)
     assert spec.engine == "branch_and_bound"
-    ref = _membership_narrow(spec)
+    # the mask step from the family's definition, the list step from
+    # membership
+    narrow, ref = _definition_narrow(text), _membership_narrow(spec)
     # the counting shift's D_j search, whose bound is loose, grows fastest
     dmax, lmax = (20, 22) if text == "counting" else (30, 16)
     for j in range(1, dmax + 1):
-        # D_j, cut by the suffix bound, as _max_ones_word runs it
+        # D_j, cut by the suffix bound, as max_ones runs it
         d = [max_symbol_count(spec, 1, i) for i in range(1, j)]
 
         def bound(q):
             return d[j - q - 1] if q < j else 0
 
-        _, best = _check_node_for_node(
-            (spec._narrow, [], (1 << (j + 1)) - 2, 10 ** 6, bound), ref)
+        _, best = _check_node_for_node((narrow, [], (1 << (j + 1)) - 2, 10 ** 6, bound), ref)
         assert len(best) == max_symbol_count(spec, 1, j)
     for j in range(1, lmax + 1):
         # lambda_j through position 1, as count_positions runs it
-        cands = spec._narrow([1], (1 << (j + 1)) - 4)
+        cands = narrow([1], (1 << (j + 1)) - 4)
         assert _positions(cands) == ref([1], list(range(2, j + 1)))
-        _check_node_for_node((spec._narrow, [1], cands, 10 ** 6, None), ref)
+        _check_node_for_node((narrow, [1], cands, 10 ** 6, None), ref)
 
 
 def test_delta_search_matches_the_list_search_node_for_node(monkeypatch):
@@ -571,9 +619,10 @@ def test_delta_search_matches_the_list_search_node_for_node(monkeypatch):
 
 def _max_symbol_spec(name):
     if name == "counting-search":
-        # the counting shift without its closed form, so D_k runs the search
-        spec = counting_shift()
-        spec._ones_exact = None
+        # the counting shift with the position search on its window rule in
+        # place of its closed form
+        spec, column = counting_shift(), []
+        spec._position_max = lambda k, node_cap: max_ones(counting_narrow, k, column, node_cap)
         return spec
     return parse_shift_spec(name)
 
@@ -678,14 +727,43 @@ def test_max_density_word_is_the_least_densest_word(name):
 
 def test_capped_max_symbol_count_leaves_a_valid_column():
     text = "spacing:P=periodic:;0111011"
-    fresh = [max_symbol_count(parse_shift_spec(text), 1, k) for k in range(1, 31)]
+    fresh = parse_shift_spec(text)
+    want = [max_symbol_witness(fresh, 1, k) for k in range(1, 61)]
     spec = parse_shift_spec(text)
     with pytest.raises(ResourceCapExceeded):
-        max_symbol_count(spec, 1, 30, node_cap=40)
-    assert 0 < len(spec._witnesses) < 30
-    assert [len(w) for w in spec._witnesses] == fresh[:len(spec._witnesses)]
-    assert max_symbol_count(spec, 1, 30) == fresh[-1]
-    assert [len(w) for w in spec._witnesses] == fresh
+        max_symbol_count(spec, 1, 60, node_cap=40)
+    # every max memo entry kept through the trip is g(key), so a fresh walk
+    # agrees, and the walk resumes from them
+    memo = spec._max_memo
+    assert len(memo) > 1 and all(fresh._max_memo[key] == v for key, v in memo.items())
+    assert [max_symbol_witness(spec, 1, k) for k in range(60, 0, -1)] == want[::-1]
+    assert spec._max_memo == fresh._max_memo
+
+
+@pytest.mark.parametrize("text", POSITION_FAMILIES + (
+    "spacing:P=periodic:;1101", "spacing:P=union:(evens|pow2diff)", "spacing:P=odds"))
+def test_position_max_matches_the_position_search(text):
+    # D_k and its witness from position_max (the max walk; the counting
+    # shift's closed form), against the position search on the family's
+    # definition cut by the suffix bound: the lexicographically first
+    # densest 1-set of every length
+    spec = parse_shift_spec(text)
+    assert spec.engine == "branch_and_bound"
+    narrow, column = _definition_narrow(text), []
+    for k in range(1, 21 if text == "counting" else 31):
+        ones = max_ones(narrow, k, column)
+        assert max_symbol_count(spec, 1, k) == len(ones), k
+        assert max_symbol_witness(spec, 1, k).symbols == \
+            tuple(int(q in ones) for q in range(1, k + 1)), k
+
+
+def test_max_symbol_count_to_120_under_the_default_cap():
+    # P holds every d but those = 3 mod 4: a search over 1-sets cut by the
+    # suffix bound trips the cap; the max walk reads each key once
+    spec = parse_shift_spec("spacing:P=periodic:;1101")
+    assert max_symbol_count(spec, 1, 120) == 60
+    wit = max_symbol_witness(spec, 1, 120)
+    assert wit.weight() == 60 and contains_word(spec, wit)
 
 
 # -- the counting shift's follower-floor count ---------------------------------------
@@ -702,9 +780,9 @@ def test_follower_floor_count_matches_brute_force():
 
 def test_follower_floor_count_matches_the_position_search():
     # the reference walks every admissible 1-set, on a spec of its own
-    spec, searched = counting_shift(), counting_shift()
+    spec, column = counting_shift(), []
     for k in range(1, 41):
-        assert count_language(spec, k) == count_positions(searched, k), k
+        assert count_language(spec, k) == count_positions(counting_narrow, k, column), k
     assert spec._column[-1] == COUNTING_LAMBDA_40
     assert count_language(spec, 54) == 14_386_955
 
@@ -714,7 +792,7 @@ def test_follower_floor_count_work_is_memoised():
     # of its ~1.2M admissible 1-sets through position 1
     assert count_language(counting_shift(), 40, node_cap=20_000) == COUNTING_LAMBDA_40
     with pytest.raises(ResourceCapExceeded):
-        count_positions(counting_shift(), 40, node_cap=20_000)
+        count_positions(counting_narrow, 40, node_cap=20_000)
 
 
 def test_follower_floor_count_resumes_after_a_cap_trip():
@@ -742,14 +820,16 @@ def test_counting_entropy_to_k_100_under_the_default_cap():
     assert len(rows) == 100 and rows[-1]["lambda"] == "9428688316"
 
 
-def test_a_narrowing_step_needs_a_position_count():
-    # narrow and position_count come together, and the one acceptor hook
-    # is transition(state, a)
+def test_a_position_max_needs_a_position_count():
+    # position_count and position_max come together, and the one acceptor
+    # hook is transition(state, a)
     common = dict(n=2, family="custom", label="custom", start_state=(),
                   transition=lambda state, a: (True, state))
     with pytest.raises(SpecValidationError):
-        SubshiftSpec(narrow=lambda chosen, rest: rest, **common)
+        SubshiftSpec(position_max=lambda k, node_cap: (1,), **common)
     with pytest.raises(SpecValidationError):
         SubshiftSpec(position_count=lambda k, node_cap: 2 ** k, **common)
+    with pytest.raises(TypeError):
+        SubshiftSpec(narrow=lambda chosen, rest: rest, **common)
     with pytest.raises(TypeError):
         SubshiftSpec(step=lambda state, i, a: (True, state), **common)

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from shiftlab import sets
 from shiftlab.errors import PreconditionError, ResourceCapExceeded, SpecParseError
-from shiftlab.langkit import position_search
 from shiftlab.sets import (
     EVENS,
     ODDS,
@@ -23,6 +22,7 @@ from shiftlab.sets import (
     largest_delta_subset,
     largest_ip_subset,
     parse_set_expr,
+    position_search,
     sum_set_FS,
     upper_banach_density,
     upper_density,

@@ -36,7 +36,7 @@ from shiftlab.spacing import (
     spacing_shift,
 )
 
-from position_reference import count_positions
+from position_reference import count_positions, max_ones, positions, spacing_narrow
 from spacing_reference import admissible
 
 GOLDEN_P = PSetSpec(ComplementSet(FiniteSet(frozenset({1}))))
@@ -45,8 +45,8 @@ FULL_P = PSetSpec(NATURALS)
 
 
 class _Unperiodic(IntSetSpec):
-    """P with its eventual periodicity hidden, so that spacing_shift counts
-    Omega_P by the candidate-mask count, with the position search for D_k,
+    """P with its eventual periodicity hidden, so that spacing_shift gives
+    lambda_k and D_k of Omega_P by the follower walk over candidate masks,
     even where N \\ P is finite."""
 
     def __init__(self, base):
@@ -102,12 +102,13 @@ def test_strategies_agree():
     for k in range(1, 31):
         assert count_spacing(P, k) == count_language(spec, k)
     # hiding the period puts the same P on the candidate-mask count, and the
-    # position search on it stays a third engine to check against
+    # position search on its definition stays a third engine to check against
     searched = PSetSpec(_Unperiodic(P.base))
     assert spacing_shift(searched).engine == "branch_and_bound"
-    walked = spacing_shift(PSetSpec(_Unperiodic(P.base)))
+    narrow, column = spacing_narrow(P), []
     for k in range(1, 19):
-        assert count_spacing(P, k) == count_spacing(searched, k) == count_positions(walked, k)
+        assert count_spacing(P, k) == count_spacing(searched, k) == \
+            count_positions(narrow, k, column)
 
 
 def test_windowed_dp_needs_finite_excluded():
@@ -260,20 +261,6 @@ def test_spacing_language_hereditary_property(excluded, k):
     assert ok
 
 
-def _reference_narrow(P):
-    """The definition-level narrowing step on candidate masks: q stays when
-    q - p lies in P for every chosen 1 at p."""
-    def narrow(chosen, rest):
-        return sum(1 << q for q in _positions(rest)
-                   if all(P.contains(q - p) for p in chosen))
-    return narrow
-
-
-def _positions(mask):
-    """The set bits of a candidate mask, ascending."""
-    return [q for q in range(mask.bit_length()) if mask >> q & 1]
-
-
 def _span(lo, hi):
     """The candidate mask of lo, ..., hi - 1."""
     return (1 << hi) - (1 << lo)
@@ -290,34 +277,38 @@ def _seeded_window_bits():
 ])
 def test_position_search_reads_the_excluded_mask(text):
     # hiding the period puts every P, the finite-excluded one too, on the
-    # branch-and-bound engine, whose D_k comes from the position search
+    # branch-and-bound engine, whose follower walk reads the excluded mask
     P = PSetSpec(_Unperiodic(parse_set_expr(text)))
     spec = spacing_shift(P)
     assert spec.engine == "branch_and_bound"
-    ref = _reference_narrow(P)
+    ref = spacing_narrow(P)
     rng = random.Random(text)
     for _ in range(200):
-        # an admissible chosen set and the candidates its parent keeps above
-        # chosen[-1]: the positions admissible after chosen[:-1]
+        # an admissible 1-set of a length-k word from position 1 on: the key
+        # after its last 1 at p is the mask of the offsets still admissible
+        # inside the word, and each follower is the key after one more 1
         k = rng.randint(2, 60)
-        chosen = [rng.randint(1, k - 1)]
-        for _ in range(rng.randint(0, 5)):
-            above = ref(chosen, _span(chosen[-1] + 1, k))
-            if not above:
+        root, followers = P._shift[1](k)
+        chosen = [1]
+        assert root(k) == ref(chosen, _span(2, k + 1)) >> 1
+        for _ in range(rng.randint(1, 6)):
+            p = chosen[-1]
+            key = ref(chosen, _span(p + 1, k + 1)) >> p
+            want = [(q - p, ref(chosen + [q], _span(q + 1, k + 1)) >> q)
+                    for q in positions(key << p)]
+            assert list(followers(key)) == want
+            if not want:
                 break
-            chosen.append(rng.choice(_positions(above)))
-        rest = ref(chosen[:-1], _span(chosen[-1] + 1, k + 1))
-        assert spec._narrow(chosen, rest) == ref(chosen, rest)
-    # the same searches on a spec whose narrowing step is the definition (on
-    # its own P: spacing_shift builds one spec per P); its lambda column comes
-    # from the position search, the spec's own from the candidate-mask count
-    ref_spec = spacing_shift(PSetSpec(P.base))
-    ref_spec._narrow = ref
+            chosen.append(p + rng.choice(want)[0])
+    # the spec's columns against the position search on the definition, cut
+    # by the suffix bound for D_k: the same lambda_k, D_k and first witness
+    lams, wits = [], []
     for k in range(1, 31):
-        assert count_language(spec, k) == count_positions(ref_spec, k)
-        assert max_symbol_count(spec, 1, k) == max_symbol_count(ref_spec, 1, k)
-        assert max_symbol_witness(spec, 1, k) == max_symbol_witness(ref_spec, 1, k)
-    assert spec._witnesses == ref_spec._witnesses
+        assert count_language(spec, k) == count_positions(ref, k, lams)
+        ones = max_ones(ref, k, wits)
+        assert max_symbol_count(spec, 1, k) == len(ones)
+        assert max_symbol_witness(spec, 1, k).symbols == \
+            tuple(int(q in ones) for q in range(1, k + 1))
 
 
 # -- the candidate-mask count --------------------------------------------------
@@ -355,9 +346,9 @@ def _check_mask_count(text, kmax, brute_kmax):
     P = PSetSpec(parse_set_expr(text))
     assert spacing_shift(P).engine == "branch_and_bound", text
     got = [count_spacing(P, k) for k in range(1, kmax + 1)]
-    # the position search on a fresh spec of its own: P's spec keeps one column
-    searched = spacing_shift(PSetSpec(parse_set_expr(text)))
-    assert got == [count_positions(searched, k) for k in range(1, kmax + 1)], text
+    # the position search on P's definition, with a column of its own
+    narrow, column = spacing_narrow(P), []
+    assert got == [count_positions(narrow, k, column) for k in range(1, kmax + 1)], text
     brute = spacing_shift(PSetSpec(parse_set_expr(text)))
     assert got[:brute_kmax] == [count_language(brute, k, strategy="brute_force")
                                 for k in range(1, brute_kmax + 1)], text
@@ -398,7 +389,7 @@ def test_mask_count_work_is_memoised():
     # position search does, needs about 2**31 nodes; the memo needs 435
     assert count_spacing(PSetSpec(EVENS), 60, node_cap=1000) == 2 ** 31 - 1
     assert count_spacing(PSetSpec(ODDS), 200, node_cap=10 ** 4) == \
-        count_positions(spacing_shift(PSetSpec(ODDS)), 200)
+        count_positions(spacing_narrow(PSetSpec(ODDS)), 200)
 
 
 @pytest.mark.parametrize("base", [

@@ -51,11 +51,11 @@ def _emit(env, fmt, out):
         out.write(json.dumps(env, sort_keys=True, indent=2))
         out.write("\n")
         return
-    # csv: flatten the result payload into rows
-    rows = _csv_rows(env["result"])
-    for row in rows:
-        out.write(",".join(str(c) for c in row))
-        out.write("\n")
+    # csv: flatten the result payload into rows, quoted where a cell holds a
+    # comma or a quote, a null as an empty cell; imported here so that
+    # importing the CLI does not load it
+    import csv
+    csv.writer(out, lineterminator="\n").writerows(_csv_rows(env["result"]))
 
 
 def _csv_rows(result):

@@ -21,13 +21,15 @@ is a ``SubshiftSpec`` built the same way, around a canonical state.
 
 Membership of a whole word does not go through the step when the family can
 test its definition directly. Such a family hands over ``word_test(b)``,
-which gets the word as ``bytes`` of symbol values: spacing shifts test the
-word's 1s as one int against the excluded differences, forbidden-word shifts
-look for each forbidden word with ``in``, and the counting shift walks its
-few 1s with ``bytes.find``. ``accepts`` checks the alphabet with one
-``bytes.translate`` and then calls the word test; graph specs without one
-(full and beta shifts) walk their id rows directly. The step and the graph
-serve enumeration and the DPs.
+which gets the word as ``bytes`` of symbol values: the full shift accepts
+every word, spacing shifts test the word's 1s as one int against the
+excluded differences, forbidden-word shifts look for each forbidden word
+with ``in``, and the counting shift counts its 1s against the whole-word cap
+and walks the few left with ``bytes.find``. Each spec binds one member test
+when it is built: the word test, or else (beta shifts, alphabets past 256
+symbols) a walk over the id rows. ``accepts`` checks the alphabet with one
+``bytes.translate`` and then calls it. The step and the graph serve
+enumeration and the DPs.
 
 Counting engines, named by ``spec.engine`` after what the spec provides;
 each is one DP run in two semirings, one for lambda_k and one for the
@@ -62,9 +64,9 @@ brute force. A trip raises ResourceCapExceeded and leaves every cached
 column and memo valid.
 
 ``brute_force`` tests all n**k words independently and is the oracle every
-engine is checked against. It calls ``accepts``, so for a family with a word
-test it checks the engines against the definition, not against the
-transition they read.
+engine is checked against. It calls the spec's member test, so for a family
+with a word test it checks the engines against the definition, not against
+the transition they read.
 
 Every engine is resumable. The lambda_1, lambda_2, ... column and the
 engine's working state (a DP layer, a follower memo) are cached on the spec
@@ -176,8 +178,13 @@ class SubshiftSpec:
     them the transition runs unmemoised as the step (branch_and_bound).
     ``engine`` names the engine these select. ``word_test(b)`` (optional)
     decides membership of a word over the alphabet, given as ``bytes`` of
-    symbol values, from the family's definition; ``accepts`` calls it in
-    place of the step when n <= 256.
+    symbol values, from the family's definition.
+
+    ``_member`` is the one membership test of a word already over the
+    alphabet, chosen here once: the word test when there is one and n <=
+    256, else a walk over the graph's id rows, else a walk over the step.
+    ``accepts`` checks the alphabet and calls it; brute force calls it on
+    the words it generates, which are over the alphabet by construction.
     """
 
     def __init__(self, n, family, label, start_state, transition,
@@ -192,6 +199,7 @@ class SubshiftSpec:
         self._start_state = start_state
         self._graph = None
         self._step = transition
+        self._member = self._walk
         self.engine = "branch_and_bound"
         if position_count is None:
             graph = self._graph = _StateGraph(n, start_state, transition)
@@ -201,14 +209,26 @@ class SubshiftSpec:
                 j = (rows[i] or expand(i))[a]
                 return j >= 0, j
 
-            self._start_state, self._step = 0, step
+            def walk_rows(symbols):
+                i = 0
+                for a in symbols:
+                    i = (rows[i] or expand(i))[a]
+                    if i < 0:
+                        return False
+                return True
+
+            self._start_state, self._step, self._member = 0, step, walk_rows
             self.engine = "automaton_dp"
         self._position_count = position_count
         self._position_max = position_max
         self._word_test = word_test
         # the symbol values as bytes: a byte string is over the alphabet
         # exactly when deleting these leaves nothing
-        self._symbol_bytes = bytes(range(n)) if n <= 256 else None
+        self._symbol_bytes = None
+        if n <= 256:
+            self._symbol_bytes = bytes(range(n))
+            if word_test is not None:
+                self._member = word_test
         self._column = []     # lambda column of the position_count entry
         self._memo = {}       # the follower memos behind position_count and
         self._max_memo = {}   # position_max, where the spec keeps them
@@ -227,31 +247,22 @@ class SubshiftSpec:
         """Membership of a word given as symbol values (ints, or bytes); a
         value outside 0..n-1 answers False."""
         if self._symbol_bytes is None:
-            return self._walk(symbols)
-        if not isinstance(symbols, bytes):
-            try:
-                symbols = bytes(symbols)
-            except ValueError:  # a value outside 0..255, so outside the alphabet
+            symbols = tuple(symbols)
+            if not all(0 <= a < self.n for a in symbols):
                 return False
-        if symbols.translate(None, self._symbol_bytes):
-            return False
-        if self._word_test is not None:
-            return self._word_test(symbols)
-        graph = self._graph
-        if graph is None:
-            return self._walk(symbols)
-        rows, expand, i = graph.rows, graph.expand, 0
-        for a in symbols:
-            i = (rows[i] or expand(i))[a]
-            if i < 0:
+        else:
+            if not isinstance(symbols, bytes):
+                try:
+                    symbols = bytes(symbols)
+                except ValueError:  # a value outside 0..255, so outside the alphabet
+                    return False
+            if symbols.translate(None, self._symbol_bytes):
                 return False
-        return True
+        return self._member(symbols)
 
     def _walk(self, symbols):
-        state, step, n = self._start_state, self._step, self.n
+        state, step = self._start_state, self._step
         for a in symbols:
-            if not (0 <= a < n):
-                return False
             ok, state = step(state, a)
             if not ok:
                 return False
@@ -462,8 +473,8 @@ def count_language(spec, k, strategy=None, node_cap=DEFAULT_NODE_CAP):
     None (the spec's own engine), ``brute_force`` or ``spec.engine``.
     node_cap bounds what one call of an engine spends: the states of the
     automaton DP layers it builds, the lookups of a branch-and-bound count,
-    the n**k words of brute force. Brute force feeds ``accepts`` bytes when
-    n <= 256, else tuples."""
+    the n**k words of brute force. Brute force feeds the spec's member test
+    bytes when n <= 256, else tuples."""
     if k < 1:
         raise PreconditionError("k must be >= 1")
     if strategy not in (None, "brute_force", spec.engine):
@@ -471,13 +482,15 @@ def count_language(spec, k, strategy=None, node_cap=DEFAULT_NODE_CAP):
             "unknown counting strategy %r for %s (use %r or 'brute_force')"
             % (strategy, spec.label, spec.engine))
     if strategy == "brute_force":
-        if spec.n ** k > node_cap:
+        # n >= 2, so n**k >= 2**k > node_cap once k passes its bit length,
+        # and the power is not computed for such k
+        if k > node_cap.bit_length() or spec.n ** k > node_cap:
             raise ResourceCapExceeded(
                 "brute force over %d**%d words exceeds %d" % (spec.n, k, node_cap))
         words = itertools.product(range(spec.n), repeat=k)
         if spec._symbol_bytes is not None:
             words = map(bytes, words)
-        return sum(map(spec.accepts, words))
+        return sum(map(spec._member, words))
     if spec.engine == "automaton_dp":
         return spec._dp().value(k, node_cap)
     return spec._position_count(k, node_cap)
@@ -708,9 +721,13 @@ def full_shift(n=2):
     def transition(state, a):
         return True, state
 
+    def word_test(b):
+        # the definition: every word over the alphabet is in the language
+        return True
+
     return SubshiftSpec(
         n=n, family="full", label="full:n=%d" % n,
-        start_state=None, transition=transition)
+        start_state=None, transition=transition, word_test=word_test)
 
 
 def _counting_cap(length):
@@ -744,11 +761,14 @@ def counting_shift():
         return True, (q, ones + (q,))
 
     def word_test(b):
-        # the definition on 1-positions, and at most _counting_cap(len(b))
-        # <= 64 of them, so the walk is short
-        cap, ones, q = _counting_cap(len(b)), [], b.find(1)
+        # the definition on 1-positions. The whole word is one window, so
+        # more than _counting_cap(len(b)) <= 64 1s settle it at once; the
+        # floors would reject such a word too, later. The walk is short.
+        if b.count(1) > _counting_cap(len(b)):
+            return False
+        ones, q = [], b.find(1)
         while q >= 0:
-            if len(ones) == cap or ones and q < _floor(ones):
+            if ones and q < _floor(ones):
                 return False
             ones.append(q)
             q = b.find(1, q + 1)

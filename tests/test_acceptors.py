@@ -1,7 +1,8 @@
 """Acceptors against the definitions of their languages.
 
-`spec.accepts` runs the family's word test where it has one (spacing,
-forbidden words, counting) and a table walk otherwise (beta). It is checked
+`spec.accepts` checks the alphabet and runs the spec's one member test: the
+family's word test where it has one (full shift, spacing, forbidden words,
+counting) and an id-row walk otherwise (beta). It is checked
 here against independent definition-level membership tests and against a
 walk over the step, which enumeration and the DPs read, on seeded words
 both in and out of the language; a property test feeds it arbitrary int
@@ -20,6 +21,8 @@ from shiftlab.beta import parse_beta, word_in_beta_language
 from shiftlab.core import Alphabet, Word
 from shiftlab.errors import PreconditionError
 from shiftlab.langkit import (
+    SubshiftSpec,
+    _counting_cap,
     contains_word,
     count_language,
     forbidden_shift,
@@ -30,6 +33,7 @@ from shiftlab.sets import difference_set, parse_set_expr
 from shiftlab.spacing import PSetSpec, delta_star_bound_check, spacing_shift
 
 from spacing_reference import admissible
+from test_columns import FAMILIES
 
 _WINDOW_RNG = random.Random(7)
 WINDOW_BITS = "".join(_WINDOW_RNG.choice("01") for _ in range(48))
@@ -62,13 +66,14 @@ def _walk(spec, rng, length):
     return out
 
 
-def _seeded_words(spec, seed, count):
-    """`count` words of length 1..700; every other one has a random symbol
-    raised, which usually takes it out of the language."""
+def _seeded_words(spec, seed, count, lengths=(1, 700)):
+    """`count` words with lengths in the closed range `lengths`; every other
+    one has a random symbol raised, which usually takes it out of the
+    language."""
     rng = random.Random("%s/%d" % (spec.label, seed))
     words = []
     for j in range(count):
-        w = _walk(spec, rng, rng.randint(1, 700))
+        w = _walk(spec, rng, rng.randint(*lengths))
         if j % 2:
             low = [i for i, a in enumerate(w) if a < spec.n - 1]
             if low:
@@ -205,6 +210,94 @@ def test_counting_matches_its_window_definition():
         assert [spec.accepts(w) for w in words] == want, k
         assert [_step_walk(spec, w) for w in words] == want, k
         assert count_language(spec, k) == sum(want), k
+
+
+MEMBER_SPECS = FAMILIES + ("forbidden:{00,212}", "full:n=300")
+
+
+@pytest.mark.parametrize("text", MEMBER_SPECS)
+def test_member_is_accepts_over_the_alphabet(text):
+    # the member test that brute force calls takes a word already over the
+    # alphabet: bytes up to 256 symbols, tuples past that. Every word to
+    # k = 10 (while n**k <= 10**5, so to k = 2 for 300 symbols) and seeded
+    # words of length 100-600 get the answer of accepts and of the step walk
+    spec = parse_shift_spec(text)
+    pack = bytes if spec.n <= 256 else tuple
+    if spec._word_test is not None and spec.n <= 256:
+        # the family's definition, so brute force counts against it
+        assert spec._member is spec._word_test
+    words = [w for k in range(11) if spec.n ** k <= 10 ** 5
+             for w in itertools.product(range(spec.n), repeat=k)]
+    words += _seeded_words(spec, 5, 40, lengths=(100, 600))
+    answers = [_step_walk(spec, w) for w in words]
+    assert [spec._member(pack(w)) for w in words] == answers
+    assert [spec.accepts(w) for w in words] == answers
+    if spec.family != "full":
+        assert False in answers
+    assert True in answers
+
+
+def test_brute_force_and_accepts_read_the_word_test():
+    # a spec whose word test (no 11) and transition (the full shift) disagree
+    # on purpose: accepts and brute force read the word test, the state DP
+    # the transition, so the oracle is not the engine checked against itself
+    spec = SubshiftSpec(n=2, family="user", label="no 11 by its word test",
+                        start_state=None, transition=lambda state, a: (True, state),
+                        word_test=lambda b: b"\x01\x01" not in b)
+    assert spec.accepts((1, 0, 1)) and not spec.accepts((0, 1, 1))
+    assert _step_walk(spec, (0, 1, 1))
+    fib = [2, 3, 5, 8, 13, 21, 34, 55]
+    assert [count_language(spec, k, strategy="brute_force") for k in range(1, 9)] == fib
+    assert [count_language(spec, k) for k in range(1, 9)] == [2 ** k for k in range(1, 9)]
+
+
+def test_counting_word_test_is_the_step_walk_on_every_word():
+    spec = parse_shift_spec("counting")
+    for k in range(1, 17):
+        words = list(itertools.product((0, 1), repeat=k))
+        assert [spec._word_test(bytes(w)) for w in words] == \
+            [_step_walk(spec, w) for w in words], k
+
+
+def test_counting_word_test_near_the_whole_word_cap():
+    # words with cap - 1, cap and cap + 1 ones, cap = _counting_cap(length):
+    # at random places, or on the densest chain 0, 2, 4, 8, ..., 2**(cap-1)
+    # moved to a random start (with cap + 1, one more 1 at a random place)
+    spec = parse_shift_spec("counting")
+    rng = random.Random(23)
+    answers = {-1: set(), 0: set(), 1: set()}
+    for _ in range(300):
+        length = rng.randint(3, 700)
+        cap = _counting_cap(length)
+        chain = [0] + [1 << i for i in range(1, cap)]
+        start = rng.randrange(length - chain[-1])
+        for more in (-1, 0, 1):
+            if rng.random() < 0.5:
+                ones = rng.sample(range(length), cap + more)
+            else:
+                ones = [start + p for p in chain[:cap + min(more, 0)]]
+                if more == 1:
+                    ones.append(rng.choice([q for q in range(length) if q not in ones]))
+            syms = [0] * length
+            for q in ones:
+                syms[q] = 1
+            assert syms.count(1) == cap + more
+            want = _step_walk(spec, syms)
+            assert spec._word_test(bytes(syms)) == want == spec.accepts(syms), (length, more)
+            answers[more].add(want)
+    assert answers == {-1: {True, False}, 0: {True, False}, 1: {False}}
+
+
+@pytest.mark.parametrize("n", (2, 3, 10, 255, 256, 257, 300))
+def test_full_shift_rejects_symbols_past_its_alphabet(n):
+    spec = full_shift(n)
+    assert spec.accepts(()) and spec.accepts(range(n)) and spec.accepts([n - 1] * 9)
+    for bad in (n, n + 1, 1 << 70, -1):
+        assert not spec.accepts((bad,))
+        assert not spec.accepts((0, n - 1, bad, 0))
+    if n < 256:
+        assert not spec.accepts(bytes([0, n, 0]))
+        assert not spec.accepts(bytes([255]))
 
 
 ARBITRARY_SPECS = tuple(parse_shift_spec(t) for t in WORD_TEST_SPECS + (

@@ -1,8 +1,10 @@
+import csv
 import io
 import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -369,6 +371,48 @@ def test_csv_format():
     lines = text.strip().splitlines()
     assert lines[0].split(",")[0] == "h_k"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["entropy", "--shift", "spacing:P=evens", "--kmax", "6"],
+    ["selftest", "--kmax", "4"],
+    ["language", "--shift", "full:n=2", "--k", "2", "--list"],
+    ["sets", "diff", "--set", "finite:{1,3,7}", "--horizon", "10"],
+], ids=["entropy", "selftest", "language-list", "sets-diff"])
+def test_csv_reads_back_as_the_json_result(argv):
+    result = run_json(argv)["result"]
+    code, text = run_cli(argv + ["--format", "csv"])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(text)))
+    if "rows" in result:
+        # a table of records: each cell is its value's text, a null is empty
+        header, *cells = rows
+        assert header == sorted(result["rows"][0])
+        assert cells == [["" if r[h] is None else str(r[h]) for h in header]
+                         for r in result["rows"]]
+    else:
+        # one key and its JSON value per row, however many commas the value has
+        assert rows[0] == ["key", "value"]
+        assert all(len(row) == 2 for row in rows)
+        assert {k: json.loads(v) for k, v in rows[1:]} == result
+
+
+def test_brute_force_far_past_the_cap_exits_at_once():
+    # 3**(10**9) is never computed: k past the cap's bit length trips first.
+    # The child is held to 1 GiB of address space and a timeout
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+             "from shiftlab.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    argv = ["language", "--shift", "full:n=3", "--k", str(10 ** 9), "--strategy", "brute_force"]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(shiftlab.__file__)))
+    started = time.monotonic()
+    run = subprocess.run([sys.executable, "-c", child] + argv, env=env,
+                         capture_output=True, text=True, check=False, timeout=30)
+    assert (run.returncode, run.stdout) == (3, "")
+    assert run.stderr == \
+        "resource cap: brute force over 3**1000000000 words exceeds 2000000\n"
+    assert time.monotonic() - started < 10
 
 
 def test_one_parser_serves_consecutive_calls():

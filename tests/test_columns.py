@@ -135,6 +135,18 @@ def test_brute_force_past_a_byte_alphabet_feeds_tuples():
     assert [count_language(spec, k, strategy="brute_force") for k in (1, 2)] == [300, 300 ** 2]
 
 
+@pytest.mark.parametrize("n", (2, 3))
+def test_brute_force_cap_at_its_edge(n):
+    # n**k words fit a cap of n**k and trip one of n**k - 1, with the k
+    # past the cap's bit length refused before the power is taken
+    for k in range(1, 9):
+        assert count_language(parse_shift_spec("full:n=%d" % n), k,
+                              strategy="brute_force", node_cap=n ** k) == n ** k
+        with pytest.raises(ResourceCapExceeded, match=r"brute force over %d\*\*%d words" % (n, k)):
+            count_language(parse_shift_spec("full:n=%d" % n), k,
+                           strategy="brute_force", node_cap=n ** k - 1)
+
+
 def test_unknown_strategy_rejected():
     spec = parse_shift_spec("counting")
     with pytest.raises(PreconditionError):

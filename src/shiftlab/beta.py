@@ -11,9 +11,11 @@ also satisfies
 lambda_k = lambda_(k-1) + #{w in L_k : w_1 > 0} (a 0 in front of a word of
 L_(k-1) keeps it in the language).
 
-The base beta is held exactly: either a rational (decimal strings parse to
-exact fractions) or a quadratic number (a + b*sqrt(d))/c; a rational is the
-case b = 0. Digits come from the greedy recurrence r_0 = 1,
+The base beta is held exactly as the four integers (a, b, c, d) that the
+digit recurrence reads, beta = (a + b*sqrt(d))/c with c > 0: a quadratic
+number quad:(a+b*sqrtd)/c has d >= 2 not a square, and a decimal string is
+its exact fraction p/q, held as (p, 0, q, 0). floor(beta) is the exact
+floor below. Digits come from the greedy recurrence r_0 = 1,
 m_i = floor(beta * r_(i-1)), r_i = beta * r_(i-1) - m_i, run on plain
 integers: the remainder is kept as (x, y, z) with r = (x + y*sqrt(d))/z, and
 one digit is
@@ -44,7 +46,6 @@ it makes membership finite and exact.
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 from math import gcd, isqrt
@@ -55,117 +56,6 @@ from .langkit import SubshiftSpec, count_language
 
 DEFAULT_DIGIT_HORIZON = 4096
 G = 64  # bits of Z kept by the digit bracket, and guard bits of its sqrt(d)
-
-
-class QuadraticNumber:
-    """Exact (a + b*sqrt(d)) / c with integer a, b, c > 0 and d >= 2 not a
-    perfect square. Supports the arithmetic the greedy expansion needs."""
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a, b, c, d):
-        if c == 0:
-            raise ValueError("zero denominator")
-        if d < 2 or isqrt(d) ** 2 == d:
-            raise ValueError("d must be >= 2 and not a perfect square")
-        if c < 0:
-            a, b, c = -a, -b, -c
-        g = gcd(gcd(abs(a), abs(b)), c)
-        if g > 1:
-            a, b, c = a // g, b // g, c // g
-        self.a, self.b, self.c, self.d = a, b, c, d
-
-    def __repr__(self):
-        return "(%d%+d*sqrt%d)/%d" % (self.a, self.b, self.d, self.c)
-
-    def _sign_numerator(self):
-        # sign of a + b*sqrt(d)
-        a, b, d = self.a, self.b, self.d
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        t = a * a - b * b * d
-        if a > 0:  # b < 0: positive iff a^2 > b^2 d
-            return (t > 0) - (t < 0)
-        return (t < 0) - (t > 0)
-
-    def sign(self):
-        return self._sign_numerator()
-
-    def __mul__(self, other):
-        if isinstance(other, QuadraticNumber):
-            if other.d != self.d:
-                raise ValueError("mixed radicands")
-            a = self.a * other.a + self.b * other.b * self.d
-            b = self.a * other.b + self.b * other.a
-            return QuadraticNumber(a, b, self.c * other.c, self.d)
-        other = Fraction(other)
-        return QuadraticNumber(self.a * other.numerator, self.b * other.numerator,
-                               self.c * other.denominator, self.d)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        other = Fraction(other)
-        num = other.numerator
-        den = other.denominator
-        return QuadraticNumber(self.a * den - num * self.c, self.b * den,
-                               self.c * den, self.d)
-
-    def _cmp(self, other):
-        diff = self - other if not isinstance(other, QuadraticNumber) else None
-        if diff is None:
-            if other.d != self.d:
-                raise ValueError("mixed radicands")
-            a = self.a * other.c - other.a * self.c
-            b = self.b * other.c - other.b * self.c
-            if a == 0 and b == 0:
-                return 0
-            return QuadraticNumber(a, b, self.c * other.c, self.d).sign()
-        return diff.sign()
-
-    def __eq__(self, other):
-        try:
-            return self._cmp(other) == 0
-        except (TypeError, ValueError):
-            return NotImplemented
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
-
-    def __floor__(self):
-        # integer guess from isqrt bounds, then exact adjustment
-        a, b, c, d = self.a, self.b, self.c, self.d
-        root = isqrt(b * b * d)
-        num = a + (root if b >= 0 else -root)
-        m = num // c
-        while self._cmp(m + 1) >= 0:
-            m += 1
-        while self._cmp(m) < 0:
-            m -= 1
-        return m
-
-    def __float__(self):
-        return (self.a + self.b * math.sqrt(self.d)) / self.c
-
-
 _QUAD_RE = re.compile(r"^quad:\((-?\d+)\+(-?\d+)\*sqrt(\d+)\)/(\d+)$")
 
 
@@ -175,38 +65,43 @@ def parse_beta(text):
     m = _QUAD_RE.match(text)
     if m:
         a, b, d, c = (int(g) for g in m.groups())
-        try:
-            value = QuadraticNumber(a, b, c, d)
-        except ValueError as e:
-            raise SpecParseError(str(e)) from e
+        if c == 0:
+            raise SpecParseError("zero denominator")
+        if d < 2 or isqrt(d) ** 2 == d:
+            raise SpecParseError("d must be >= 2 and not a perfect square")
+        g = gcd(a, b, c)
+        a, b, c = a // g, b // g, c // g
     else:
         try:
-            value = Fraction(text)
+            q = Fraction(text)
         except (ValueError, ZeroDivisionError) as e:
             raise SpecParseError("bad beta value %r" % (text,)) from e
-    return BetaSpec(value, label=text)
+        a, b, c, d = q.numerator, 0, q.denominator, 0
+    return BetaSpec(a, b, c, d, label=text)
 
 
 class BetaSpec:
-    """An exact non-integer base beta > 1 plus a digit horizon."""
+    """An exact non-integer base beta = (a + b*sqrt(d))/c > 1, with c > 0 and
+    d >= 2 not a square when b != 0, plus a digit horizon."""
 
-    def __init__(self, beta, digit_horizon=DEFAULT_DIGIT_HORIZON, label=None):
-        if not (beta > 1):
+    def __init__(self, a, b, c, d, digit_horizon=DEFAULT_DIGIT_HORIZON, label=None):
+        if c < 1 or b and (d < 2 or isqrt(d) ** 2 == d):
+            raise PreconditionError(
+                "beta = (a + b*sqrt(d))/c needs c >= 1, and d >= 2 not a square when b != 0")
+        self._coef = (a, b, c, d)
+        fl = a // c if b == 0 else self._floor(a, b, c)
+        integer = b == 0 and a % c == 0
+        if fl < 1 or (fl == 1 and integer):
             raise PreconditionError("beta must exceed 1")
-        fl = math.floor(beta)
-        if beta == fl:
+        if integer:
             raise PreconditionError(
                 "integer beta rejected: the digit alphabet {0..floor(beta)} "
                 "has floor(beta)+1 symbols but the ambient shift has ceil(beta)")
-        self.beta = beta
         self.floor_beta = fl
         self.digit_horizon = digit_horizon
-        self.label = label if label is not None else str(beta)
-        if isinstance(beta, QuadraticNumber):
-            self._coef = (beta.a, beta.b, beta.c, beta.d)
-        else:
-            q = Fraction(beta)
-            self._coef = (q.numerator, 0, q.denominator, 0)
+        # by default the text parse_beta reads back
+        self.label = label if label is not None else (
+            "%d/%d" % (a, c) if b == 0 else "quad:(%d+%d*sqrt%d)/%d" % (a, b, d, c))
         self._digits = []
         self._rem = (1, 0, 1)  # r = (x + y*sqrt(d))/z, here r_0 = 1
         self._root = (0, 0)  # (P, isqrt(d * 4^P)): sqrt(d) to P bits

@@ -59,19 +59,21 @@ def _emit(env, fmt, out):
 
 
 def _csv_rows(result):
-    if isinstance(result, dict) and "rows" in result and isinstance(result["rows"], list):
-        items = result["rows"]
-        if items and isinstance(items[0], dict):
-            header = sorted(items[0].keys())
-            return [header] + [[r.get(h, "") for h in header] for r in items]
-    if isinstance(result, dict) and "grid" in result:
-        items = result["grid"]
-        header = ["t", "F", "Fstar"]
-        return [header] + [[r[h] for h in header] for r in items]
-    if isinstance(result, dict):
+    """A result's table (rows or grid) with one more column per other field,
+    its JSON text repeated on every row; else one key and JSON value a row."""
+    if not isinstance(result, dict):
+        return [[json.dumps(result, sort_keys=True)]]
+    items = result.get("rows")
+    if isinstance(items, list) and items and isinstance(items[0], dict):
+        table, header = "rows", sorted(items[0])
+    elif "grid" in result:
+        table, items, header = "grid", result["grid"], ["t", "F", "Fstar"]
+    else:
         return [["key", "value"]] + [[k, json.dumps(v, sort_keys=True)]
                                      for k, v in sorted(result.items())]
-    return [[json.dumps(result, sort_keys=True)]]
+    fields = sorted(k for k in result if k != table)
+    tail = [json.dumps(result[k], sort_keys=True) for k in fields]
+    return [header + fields] + [[r.get(h, "") for h in header] + tail for r in items]
 
 
 # -- command implementations --------------------------------------------------

@@ -8,10 +8,9 @@ blocks, an or of the parts' indicators), never one ``contains`` per integer.
 bit i is set exactly when i is in A cap [1, H]. Every range consumer reads
 ``bits(H)`` or ``mask(H)``: ``members`` and the prefix counts behind the
 density estimates read the indicator; the difference mask (an or of shifted
-masks, which the Delta* check in ``spacing`` reads as it is), the finite sums
-(a layered subset-sum over masks), the IP search and the Delta-set search
-read the mask, and difference_set and sum_set_FS return through one
-unpacking into a WindowSet. ``contains`` is left for one-off queries.
+masks, which the Delta* check in ``spacing`` reads as it is), the IP search
+and the Delta-set search read the mask, and difference_set returns through
+one unpacking into a WindowSet. ``contains`` is left for one-off queries.
 
 The Delta-set search is ``position_search``, an ascending explicit-stack
 walk over 1-position sets whose candidates are one int mask: D - D lies in
@@ -459,24 +458,6 @@ def difference_mask(A, H):
 def difference_set(A, H):
     """difference_mask(A, H) as a windowed set."""
     return _window(difference_mask(A, H), H)
-
-
-def sum_set_FS(S, depth, bound):
-    """All sums of at most `depth` distinct elements of S, truncated at `bound`.
-
-    A layered subset-sum over masks: after each element e, layers[j] has bit s
-    set when s <= bound is a sum of exactly j distinct elements seen so far."""
-    if depth < 1:
-        raise PreconditionError("sum_set_FS: depth must be >= 1")
-    elems = S.members(bound)
-    if not elems:
-        raise PreconditionError("sum_set_FS: no elements of S below %d" % bound)
-    keep = (1 << (bound + 1)) - 1
-    layers = [1] + [0] * depth
-    for e in elems:
-        for j in range(depth, 0, -1):
-            layers[j] |= layers[j - 1] << e & keep
-    return _window(reduce(or_, layers[1:]), bound)
 
 
 # -- finite-horizon classification ---------------------------------------------

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from shiftlab.beta import (
     BetaSpec,
-    QuadraticNumber,
     beta_digits,
     beta_shift,
     count_beta_language,
@@ -22,73 +21,111 @@ from shiftlab.langkit import contains_word, count_language, hereditary_check, lo
 
 GOLDEN = "quad:(1+1*sqrt5)/2"
 LOG2_PHI = math.log2((1 + math.sqrt(5)) / 2)
+NOT_ABOVE_1 = "beta must exceed 1"
+INTEGER = ("integer beta rejected: the digit alphabet {0..floor(beta)} "
+           "has floor(beta)+1 symbols but the ambient shift has ceil(beta)")
 
 
-# -- exact quadratic arithmetic -----------------------------------------------
+# -- an exact reference for u + v*sqrt(d) -------------------------------------
 
-def test_quadratic_basics():
-    phi = QuadraticNumber(1, 1, 2, 5)
-    assert float(phi) == pytest.approx((1 + 5 ** 0.5) / 2)
-    assert phi > 1 and phi < 2
-    assert math.floor(phi) == 1
-    # phi^2 = phi + 1
-    assert phi * phi == phi - (-1)
+def _sign(p, q, d):
+    """The sign of p + q*sqrt(d) for integers p, q and d not a square."""
+    sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
+    if sp == sq or not sq:
+        return sp
+    if not sp:
+        return sq
+    # opposite signs: the term with the larger square wins (no tie, as
+    # sqrt(d) is irrational)
+    return sp if p * p > q * q * d else sq
+
+
+def _floor_ref(u, v, d):
+    """floor(u + v*sqrt(d)) for Fractions u, v: with u = U/D and v = V/D, the
+    m that makes U - m*D + V*sqrt(d) >= 0 and U - (m+1)*D + V*sqrt(d) < 0, a
+    guess from isqrt settled by those sign tests."""
+    if not v:
+        return math.floor(u)
+    D = u.denominator * v.denominator
+    U, V = u.numerator * v.denominator, v.numerator * u.denominator
+    root = isqrt(V * V * d)
+    m = (U + (root if V > 0 else -root - 1)) // D
+    while _sign(U - (m + 1) * D, V, d) >= 0:
+        m += 1
+    while _sign(U - m * D, V, d) < 0:
+        m -= 1
+    return m
+
+
+def _greedy_reference(coef, k):
+    """The first k greedy digits of 1 in base beta = (a + b*sqrt(d))/c:
+    m = floor(beta * r), r <- beta * r - m from r = 1, with r = u + v*sqrt(d)
+    for Fractions u and v."""
+    a, b, c, d = coef
+    u, v, out = Fraction(1), Fraction(0), []
+    for _ in range(k):
+        u, v = (a * u + b * v * d) / c, (a * v + b * u) / c
+        m = _floor_ref(u, v, d)
+        out.append(m)
+        u -= m
+    return out
+
+
+def _quad_id(coef):
+    a, b, c, d = coef
+    return "(%d%+d*sqrt%d)/%d" % (a, b, d, c)
+
+
+def _rational(f):
+    return (f.numerator, 0, f.denominator, 0)
 
 
 def test_quadratic_normalization_and_sign():
-    q = QuadraticNumber(2, 2, 4, 5)
-    assert (q.a, q.b, q.c) == (1, 1, 2)
-    neg = QuadraticNumber(-1, -1, 2, 5)
-    assert neg < 0 < phi_like(neg)
-    mixed = QuadraticNumber(3, -1, 1, 2)    # 3 - sqrt2 > 0
-    assert mixed > 0
-    mixed2 = QuadraticNumber(1, -1, 1, 2)   # 1 - sqrt2 < 0
-    assert mixed2 < 0
-    mixed3 = QuadraticNumber(-1, 1, 1, 2)   # sqrt2 - 1 > 0
-    assert mixed3 > 0
-
-
-def phi_like(q):
-    return QuadraticNumber(-q.a, -q.b, q.c, q.d)
+    # a, b, c are divided by their gcd; the label keeps the text
+    spec = parse_beta("quad:(2+2*sqrt5)/4")
+    assert spec._coef == (1, 1, 2, 5) and spec.label == "quad:(2+2*sqrt5)/4"
+    assert parse_beta("quad:(-4+6*sqrt2)/2")._coef == (-2, 3, 1, 2)
+    # mixed signs of a and b: 3 - sqrt2 and 2*sqrt2 - 1 exceed 1
+    assert parse_beta("quad:(3+-1*sqrt2)/1").floor_beta == 1
+    assert parse_beta("quad:(-1+2*sqrt2)/1").floor_beta == 1
+    # 1 - sqrt2 and (-1 - sqrt2)/2 are negative, and sqrt2 - 1 < 1
+    for text in ("quad:(1+-1*sqrt2)/1", "quad:(-1+1*sqrt2)/1", "quad:(-1+-1*sqrt2)/2"):
+        with pytest.raises(PreconditionError, match="^%s$" % NOT_ABOVE_1):
+            parse_beta(text)
 
 
 def test_quadratic_rejects_square_radicand():
-    with pytest.raises(ValueError):
-        QuadraticNumber(1, 1, 2, 4)
-    with pytest.raises(ValueError):
-        QuadraticNumber(1, 1, 0, 5)
-
-
-def test_quadratic_fraction_interop():
-    r2 = QuadraticNumber(0, 1, 1, 2)
-    assert r2 > Fraction(7, 5)
-    assert r2 < Fraction(3, 2)
-    assert (r2 * Fraction(1, 2)) < 1
-    assert math.floor(r2 * 100) == 141
-
-
-def test_quadratic_mixed_radicand_rejected():
-    with pytest.raises(ValueError):
-        QuadraticNumber(0, 1, 1, 2) * QuadraticNumber(0, 1, 1, 3)
+    for d in (0, 1, 4, 9, 144):
+        with pytest.raises(SpecParseError, match="^d must be >= 2 and not a perfect square$"):
+            parse_beta("quad:(1+1*sqrt%d)/2" % d)
+    with pytest.raises(SpecParseError, match="^zero denominator$"):
+        parse_beta("quad:(1+1*sqrt5)/0")
+    # a spec built from coefficients checks them too
+    for coef in [(3, 1, 1, 4), (3, 1, 2, 1), (3, 1, 2, 0), (3, 0, 0, 0), (-3, 0, -2, 0)]:
+        with pytest.raises(PreconditionError, match="needs c >= 1"):
+            BetaSpec(*coef)
 
 
 @settings(max_examples=60)
-@given(st.integers(-50, 50), st.integers(-50, 50), st.integers(1, 20),
+@given(st.integers(-50, 50), st.integers(-50, 50).filter(bool), st.integers(1, 20),
        st.sampled_from([2, 3, 5, 7, 10]))
 def test_quadratic_floor_matches_float(a, b, c, d):
-    q = QuadraticNumber(a, b, c, d)
-    f = math.floor(q)
-    approx = (a + b * math.sqrt(d)) / c
-    assert abs(f - math.floor(approx)) <= 1  # float can straddle integers
-    assert q >= f
-    assert q < f + 1
+    # floor(beta) of BetaSpec against the sign-test reference and the float
+    fl = _floor_ref(Fraction(a, c), Fraction(b, c), d)
+    assert abs(fl - math.floor((a + b * math.sqrt(d)) / c)) <= 1  # float can straddle
+    if fl < 1:
+        with pytest.raises(PreconditionError, match="^%s$" % NOT_ABOVE_1):
+            BetaSpec(a, b, c, d)
+    else:
+        spec = BetaSpec(a, b, c, d)
+        assert spec.floor_beta == fl and spec.alphabet_size == fl + 1
 
 
 # -- parsing and digits -------------------------------------------------------
 
 def test_parse_beta_decimal():
     spec = parse_beta("1.5")
-    assert spec.beta == Fraction(3, 2)
+    assert spec._coef == (3, 0, 2, 0)
     assert spec.alphabet_size == 2
     spec = parse_beta("2.5")
     assert spec.alphabet_size == 3
@@ -96,19 +133,32 @@ def test_parse_beta_decimal():
 
 def test_parse_beta_quadratic():
     spec = parse_beta(GOLDEN)
-    assert isinstance(spec.beta, QuadraticNumber)
+    assert spec._coef == (1, 1, 2, 5)
     assert spec.floor_beta == 1
+    # a spec built from coefficients is labelled with text that parses back
+    for coef in [(1, 1, 2, 5), (5, -1, 2, 3), (3, 0, 2, 0)]:
+        label = BetaSpec(*coef).label
+        assert parse_beta(label)._coef == coef, label
 
 
 def test_parse_beta_errors():
-    with pytest.raises(SpecParseError):
-        parse_beta("abc")
-    with pytest.raises(SpecParseError):
-        parse_beta("quad:(1+1*sqrt4)/2")
-    with pytest.raises(PreconditionError):
-        parse_beta("2")          # integer base rejected
-    with pytest.raises(PreconditionError):
-        parse_beta("0.5")        # must exceed 1
+    # the exception class and text of each rejected value
+    cases = [
+        ("2", PreconditionError, INTEGER),
+        ("1", PreconditionError, NOT_ABOVE_1),
+        ("0.5", PreconditionError, NOT_ABOVE_1),
+        ("-1.5", PreconditionError, NOT_ABOVE_1),
+        ("1e3", PreconditionError, INTEGER),
+        ("abc", SpecParseError, "bad beta value 'abc'"),
+        ("quad:(1+1*sqrt4)/2", SpecParseError, "d must be >= 2 and not a perfect square"),
+        ("quad:(1+1*sqrt5)/0", SpecParseError, "zero denominator"),
+        ("quad:(4+0*sqrt5)/2", PreconditionError, INTEGER),
+        ("quad:(-5+1*sqrt2)/1", PreconditionError, NOT_ABOVE_1),
+    ]
+    for text, error, message in cases:
+        with pytest.raises(error) as e:
+            parse_beta(text)
+        assert (type(e.value), str(e.value)) == (error, message), text
 
 
 def test_golden_digits():
@@ -122,7 +172,7 @@ def test_three_halves_digits():
 
 
 def test_digit_horizon_enforced():
-    spec = BetaSpec(Fraction(3, 2), digit_horizon=5)
+    spec = BetaSpec(3, 0, 2, 0, digit_horizon=5)
     with pytest.raises(PreconditionError):
         beta_digits(spec, 6)
     with pytest.raises(PreconditionError):
@@ -130,7 +180,7 @@ def test_digit_horizon_enforced():
 
 
 def test_finite_expansion_pads_zero():
-    spec = BetaSpec(Fraction(3, 2))
+    spec = BetaSpec(3, 0, 2, 0)
     # greedy remainder cycles; just confirm digits stay in range forever
     w = beta_digits(spec, 50)
     assert all(s in (0, 1) for s in w.symbols)
@@ -224,7 +274,7 @@ def test_count_preconditions():
 def test_digits_below_floor_beta_property(beta):
     if beta.denominator == 1:
         return
-    spec = BetaSpec(beta)
+    spec = BetaSpec(*_rational(beta))
     w = beta_digits(spec, 40)
     assert w.symbols[0] == spec.floor_beta
     assert all(0 <= s <= spec.floor_beta for s in w.symbols)
@@ -236,23 +286,11 @@ def test_digits_below_floor_beta_property(beta):
 def test_lambda_monotone_in_k(beta, k):
     if beta.denominator == 1:
         return
-    spec = BetaSpec(beta)
+    spec = BetaSpec(*_rational(beta))
     assert count_beta_language(spec, k) > count_beta_language(spec, k - 1)
 
 
-# -- the integer digit recurrence against a greedy reference ------------------
-
-def _greedy_reference(beta, k):
-    """The first k greedy digits of 1 with QuadraticNumber/Fraction objects:
-    m = floor(beta * r), r <- beta * r - m, starting from r = 1."""
-    r, out = Fraction(1), []
-    for _ in range(k):
-        prod = beta * r
-        m = math.floor(prod)
-        out.append(m)
-        r = prod - m
-    return out
-
+# -- the integer digit recurrence against the greedy reference -------------
 
 def _seeded_quadratic_bases(seed, count):
     rng = random.Random(seed)
@@ -260,40 +298,36 @@ def _seeded_quadratic_bases(seed, count):
     while len(out) < count:
         d = rng.choice([2, 3, 5, 6, 7, 10, 11, 13, 19, 1001])
         a, b, c = rng.randint(-15, 15), rng.choice([-5, -3, -2, -1, 1, 2, 3, 5]), rng.randint(1, 7)
-        try:
-            q = QuadraticNumber(a, b, c, d)
-        except ValueError:
-            continue
-        if q > 1 and float(q) < 30:
-            out.append(q)
+        if 1 <= _floor_ref(Fraction(a, c), Fraction(b, c), d) < 30:
+            out.append((a, b, c, d))
     return out
 
 
-def _conjugate(q):
-    return (q.a - q.b * math.sqrt(q.d)) / q.c
+def _conjugate(coef):
+    a, b, c, d = coef
+    return (a - b * math.sqrt(d)) / c
 
 
 # (7+2*sqrt3)/3 and (-1+3*sqrt11)/4 have a conjugate above 1 in absolute
 # value, so Y/Z grows with the digit index and the sqrt(d) precision grows too
-NAMED_QUADRATIC = [QuadraticNumber(7, 2, 3, 3), QuadraticNumber(-1, 3, 4, 11),
-                   QuadraticNumber(1, 1, 2, 7), QuadraticNumber(1, 1, 2, 5),
-                   QuadraticNumber(3, 1, 1, 2), QuadraticNumber(5, -1, 2, 3)]
+NAMED_QUADRATIC = [(7, 2, 3, 3), (-1, 3, 4, 11), (1, 1, 2, 7), (1, 1, 2, 5), (3, 1, 1, 2),
+                   (5, -1, 2, 3)]
 
 
-@pytest.mark.parametrize("beta", NAMED_QUADRATIC, ids=repr)
+@pytest.mark.parametrize("beta", NAMED_QUADRATIC, ids=_quad_id)
 def test_digits_match_greedy_reference_deep(beta):
-    spec = BetaSpec(beta)
+    spec = BetaSpec(*beta)
     assert list(beta_digits(spec, 600).symbols) == _greedy_reference(beta, 600)
 
 
 def test_digits_match_greedy_reference_seeded_quadratic():
     bases = _seeded_quadratic_bases(5, 60)
     # the seeded bases cover every sign and size case of the recurrence
-    assert any(q.b < 0 for q in bases) and any(q.c > 1 for q in bases)
+    assert any(b < 0 for _, b, _, _ in bases) and any(c > 1 for _, _, c, _ in bases)
     assert any(abs(_conjugate(q)) > 1 for q in bases)
     assert any(abs(_conjugate(q)) < 1 for q in bases)
     for q in bases:
-        spec = BetaSpec(q)
+        spec = BetaSpec(*q)
         assert list(beta_digits(spec, 250).symbols) == _greedy_reference(q, 250), q
 
 
@@ -305,8 +339,8 @@ def test_digits_match_greedy_reference_rational():
         if f > 1 and f.denominator > 1:
             bases.append(f)
     for f in bases:
-        spec = BetaSpec(f)
-        assert list(beta_digits(spec, 600).symbols) == _greedy_reference(f, 600), f
+        spec = BetaSpec(*_rational(f))
+        assert list(beta_digits(spec, 600).symbols) == _greedy_reference(_rational(f), 600), f
 
 
 @pytest.mark.parametrize("d", [2, 3, 7, 11, 1001])
@@ -315,7 +349,7 @@ def test_floor_at_near_ties(d, monkeypatch):
     # Y of either sign and |Y| up to far above Z: the bracket straddles the
     # integer there, so the bracketed floor must reach the exact one
     rng = random.Random(d)
-    spec = BetaSpec(QuadraticNumber(3, 1, 2, d))
+    spec = BetaSpec(3, 1, 2, d)
     exact = _count_exact_floors(monkeypatch)
     for _ in range(60):
         Z = rng.getrandbits(rng.randint(129, 400)) | (1 << 128)
@@ -326,7 +360,7 @@ def test_floor_at_near_ties(d, monkeypatch):
         m = rng.randint(1, 40)
         for delta in (-2, -1, 0, 1, rng.randint(2, Z - 1)):
             X = m * Z - floor_y + delta
-            ref = math.floor(QuadraticNumber(X, Y, Z, d))
+            ref = _floor_ref(Fraction(X, Z), Fraction(Y, Z), d)
             assert spec._floor(X, Y, Z) == ref, (X, Y, Z, d)
             assert ref == (m - 1 if delta < 0 else m)
             before = exact[0]
@@ -344,10 +378,11 @@ def test_floor_at_near_ties(d, monkeypatch):
             for sign in (1, -1):
                 m = rng.randint(1, 40)
                 X, Y = m * Z - sign * p, sign * q
-                ref = math.floor(QuadraticNumber(X, Y, Z, d))
+                ref = _floor_ref(Fraction(X, Z), Fraction(Y, Z), d)
                 assert ref == (m - 1 if (p * p > d * q * q) == (sign > 0) else m)
+                fresh = BetaSpec(*spec._coef)
                 before = exact[0]
-                assert BetaSpec(spec.beta)._bracket_floor(X, Y, Z) == ref, (X, Y, Z, d)
+                assert fresh._bracket_floor(X, Y, Z) == ref, (X, Y, Z, d)
                 assert exact[0] == before + 1, (X, Y, Z, d)
 
 
@@ -378,24 +413,23 @@ def _count_exact_floors(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("beta", NAMED_QUADRATIC, ids=repr)
+@pytest.mark.parametrize("beta", NAMED_QUADRATIC, ids=_quad_id)
 def test_digits_take_the_bracket(beta, monkeypatch):
     # a digit reaches the exact floor only when v lies within about 2^-60 of
     # an integer, which none of these bases' first 4096 digits does (they
     # include (1+sqrt7)/2 and the c = 1 base 3+sqrt2, where nothing is cut)
+    spec = BetaSpec(*beta)
     exact = _count_exact_floors(monkeypatch)
-    spec = BetaSpec(beta)
     beta_digits(spec, 4096)
     assert exact[0] <= 2
 
 
 # the bases whose conjugate exceeds 1 in absolute value: Y/Z grows, and the
 # fixed-point sqrt(d) of the bracket has to grow with it
-@pytest.mark.parametrize("beta", [QuadraticNumber(1, 1, 2, 13), QuadraticNumber(7, 2, 3, 3),
-                                  QuadraticNumber(-1, 3, 4, 11)], ids=repr)
+@pytest.mark.parametrize("beta", [(1, 1, 2, 13), (7, 2, 3, 3), (-1, 3, 4, 11)], ids=_quad_id)
 def test_digits_match_greedy_reference_at_the_digit_horizon(beta):
     assert abs(_conjugate(beta)) > 1
-    spec = BetaSpec(beta)
+    spec = BetaSpec(*beta)
     k = spec.digit_horizon
     assert list(beta_digits(spec, k).symbols) == _greedy_reference(beta, k)
     assert spec._root[0] > 2 * 64
@@ -413,9 +447,9 @@ def test_negative_digit_index_rejected():
 
 
 def test_interleaved_digit_requests_agree():
-    beta = QuadraticNumber(-1, 3, 4, 11)
+    beta = (-1, 3, 4, 11)
     ref = _greedy_reference(beta, 500)
-    spec = BetaSpec(beta)
+    spec = BetaSpec(*beta)
     shift = beta_shift(spec)
     rng = random.Random(3)
     assert spec.digit(37) == ref[37]

@@ -378,18 +378,28 @@ def test_csv_format():
     ["selftest", "--kmax", "4"],
     ["language", "--shift", "full:n=2", "--k", "2", "--list"],
     ["sets", "diff", "--set", "finite:{1,3,7}", "--horizon", "10"],
-], ids=["entropy", "selftest", "language-list", "sets-diff"])
+    ["chaos", "profile", "--x", "0;110", "--y", ";01"],
+], ids=["entropy", "selftest", "language-list", "sets-diff", "chaos-profile"])
 def test_csv_reads_back_as_the_json_result(argv):
     result = run_json(argv)["result"]
     code, text = run_cli(argv + ["--format", "csv"])
     assert code == 0
     rows = list(csv.reader(io.StringIO(text)))
-    if "rows" in result:
-        # a table of records: each cell is its value's text, a null is empty
+    table = next((t for t in ("rows", "grid") if t in result), None)
+    if table:
+        # a table of records, each cell its value's text (a null is empty),
+        # then one column per other field with its JSON value on every row
         header, *cells = rows
-        assert header == sorted(result["rows"][0])
-        assert cells == [["" if r[h] is None else str(r[h]) for h in header]
-                         for r in result["rows"]]
+        width = len(result[table][0])
+        cols, fields = header[:width], header[width:]
+        assert sorted(cols) == sorted(result[table][0])
+        assert fields == sorted(set(result) - {table})
+        assert all(len(row) == len(header) for row in cells)
+        assert [row[:width] for row in cells] == \
+            [["" if r[h] is None else str(r[h]) for h in cols] for r in result[table]]
+        for row in cells:
+            assert dict(zip(fields, map(json.loads, row[width:]))) == \
+                {k: result[k] for k in fields}
     else:
         # one key and its JSON value per row, however many commas the value has
         assert rows[0] == ["key", "value"]

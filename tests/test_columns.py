@@ -312,5 +312,5 @@ def test_entropy_cap_trip_in_csv():
     assert main(["entropy", "--shift", "spacing:P=evens", "--kmax", "30",
                  "--cap-states", "10", "--format", "csv"], out=out) == 3
     lines = out.getvalue().splitlines()
-    assert lines[0] == "h_k,increment,inf_so_far,k,lambda"
-    assert lines[1].endswith(",1,2")
+    assert lines[0] == "h_k,increment,inf_so_far,k,lambda,strategy"
+    assert lines[1].endswith(',1,2,"""branch_and_bound"""')

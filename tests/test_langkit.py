@@ -357,7 +357,7 @@ def _automaton_specs(forbidden, beta, excluded):
     from shiftlab.sets import ComplementSet, FiniteSet
     from shiftlab.spacing import PSetSpec, spacing_shift
 
-    specs = [beta_shift(BetaSpec(beta)),
+    specs = [beta_shift(BetaSpec(*beta)),
              spacing_shift(PSetSpec(ComplementSet(FiniteSet(frozenset(excluded)))))]
     try:
         specs.append(forbidden_shift(forbidden, n=3))
@@ -377,7 +377,7 @@ def test_automaton_dp_matches_the_oracles(forbidden, beta, excluded):
     num, den = beta
     if num % den == 0:
         return  # integer bases are rejected
-    for spec in _automaton_specs(forbidden, Fraction(num, den), excluded):
+    for spec in _automaton_specs(forbidden, (num, 0, den, 0), excluded):
         assert spec.engine == "automaton_dp"
         for k in range(1, 7):
             assert count_language(spec, k) == count_language(spec, k, strategy="brute_force")

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from shiftlab import sets
 from shiftlab.errors import PreconditionError, ResourceCapExceeded, SpecParseError
+from shiftlab.langkit import max_symbol_witness
 from shiftlab.sets import (
     EVENS,
     ODDS,
@@ -23,10 +24,10 @@ from shiftlab.sets import (
     largest_ip_subset,
     parse_set_expr,
     position_search,
-    sum_set_FS,
     upper_banach_density,
     upper_density,
 )
+from shiftlab.spacing import PSetSpec, spacing_shift
 
 
 def test_named_sets_membership():
@@ -154,11 +155,6 @@ def test_difference_set():
     assert sorted(d1.members(20)) == [4, 7, 11]
 
 
-def test_sum_set_FS():
-    s = sum_set_FS(FiniteSet(frozenset({1, 3, 9})), depth=3, bound=20)
-    assert sorted(s.members(20)) == [1, 3, 4, 9, 10, 12, 13]
-
-
 def test_largest_delta_subset_evens():
     d = largest_delta_subset(EVENS, 12)
     # any progression with common difference 2 works, so the max has size 6
@@ -249,6 +245,24 @@ def test_largest_delta_subset_under_the_classify_cap(delta_cap_trips):
         assert largest_delta_subset(A, 512, node_cap=20000) == \
             _recursive_delta_reference(A, 512, 20000)
     assert len(delta_cap_trips) == 3
+
+
+def test_delta_witness_is_the_max_follower_walk_at_the_classify_cap(delta_cap_trips):
+    # on the sparse unions of the benchmark's `sets classify` (--horizon 2000
+    # --cap-states 20000, Delta witness at min(H, 512)) the max follower walk
+    # finds within the cap the set the position search returns when it trips
+    def bits(rng, length, ones):
+        pos = set(rng.sample(range(length), ones))
+        return "".join("1" if i in pos else "0" for i in range(length))
+
+    for seed in range(20):
+        rng = random.Random(seed)
+        A = parse_set_expr("union:(window:%s|periodic:;%s)"
+                           % (bits(rng, 128, 24), bits(rng, 16, 1)))
+        w = max_symbol_witness(spacing_shift(PSetSpec(A)), 1, 512, node_cap=20000)
+        ones = tuple(q for q, a in enumerate(w.symbols, 1) if a)
+        assert largest_delta_subset(A, 512, node_cap=20000) == ones, seed
+    assert len(delta_cap_trips) > 10
 
 
 def test_deep_largest_delta_subset_without_recursion():
@@ -488,24 +502,6 @@ def _pairwise_difference_reference(A, H):
     return WindowSet(tuple(1 if d in diffs else 0 for d in range(1, H + 1)))
 
 
-def _recursive_fs_reference(S, depth, bound):
-    """The recursive search sum_set_FS ran before its layered subset-sum."""
-    elems = S.members(bound)
-    sums = set()
-
-    def rec(idx, remaining, acc):
-        for j in range(idx, len(elems)):
-            s = acc + elems[j]
-            if s > bound:
-                break
-            sums.add(s)
-            if remaining > 1:
-                rec(j + 1, remaining - 1, s)
-
-    rec(0, depth, 0)
-    return WindowSet(tuple(1 if v in sums else 0 for v in range(1, bound + 1)))
-
-
 def _algebra_horizons(A):
     return sorted({1, 2, 300} | {n + d for n in _window_lengths(A) for d in (-1, 1)} - {0})
 
@@ -522,35 +518,6 @@ def test_difference_set_matches_the_pairwise_loop():
             assert difference_set(A, H) == _pairwise_difference_reference(A, H), (A, H)
 
 
-def test_sum_set_FS_matches_the_recursive_search():
-    checked = 0
-    for A in _kernel_sets():
-        for H in _algebra_horizons(A):
-            if not A.members(H):
-                with pytest.raises(PreconditionError):
-                    sum_set_FS(A, 1, H)
-                continue
-            for depth in range(1, 6):
-                # the reference visits every subset of <= depth members with
-                # sum <= H: 13 s at depth 5 for a dense set to 300
-                if H == 300 and depth > 3 and len(A.members(H)) > 40:
-                    continue
-                got = sum_set_FS(A, depth, H)
-                assert got == _recursive_fs_reference(A, depth, H), (A, depth, H)
-                checked += 1
-    assert checked > 300
-
-
-def test_sum_set_FS_needs_a_positive_depth():
-    S = FiniteSet(frozenset({1, 3, 9}))
-    for depth in (0, -2):
-        with pytest.raises(PreconditionError):
-            sum_set_FS(S, depth, 20)
-
-
 def test_deep_set_algebra_finishes():
-    # the recursive search visits every subset of up to 12 naturals with sum
-    # <= 4096; the layered subset-sum is 12 shifts per element
-    assert sum_set_FS(sets.NATURALS, 12, 4096).members(4096) == list(range(1, 4097))
-    assert sum_set_FS(sets.NATURALS, 2, 10).members(10) == list(range(1, 11))
+    # difference_set ORs one shifted mask per member, not one set entry per pair
     assert difference_set(ODDS, 4000).members(4000) == list(range(2, 4000, 2))

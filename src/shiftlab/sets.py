@@ -8,15 +8,15 @@ blocks, an or of the parts' indicators), never one ``contains`` per integer.
 bit i is set exactly when i is in A cap [1, H]. Every range consumer reads
 ``bits(H)`` or ``mask(H)``: ``members`` and the prefix counts behind the
 density estimates read the indicator; the difference mask (an or of shifted
-masks, which the Delta* check in ``spacing`` reads as it is), the IP search
-and the Delta-set search read the mask, and difference_set returns through
-one unpacking into a WindowSet. ``contains`` is left for one-off queries.
+masks, which the Delta* check in ``spacing`` reads as it is) and the IP
+search read the mask, and difference_set returns through one unpacking into
+a WindowSet. ``contains`` is left for one-off queries.
 
-The Delta-set search is ``position_search``, an ascending explicit-stack
-walk over 1-position sets whose candidates are one int mask: D - D lies in
-A exactly when the indicator word of D is in L(Omega_A), so a 1 at p keeps
-the candidates in A's mask << p. It returns the first largest set, and a
-node-cap trip leaves the best set so far in ResourceCapExceeded.partial.
+The Delta-set witness reads no search of its own: D - D lies in A exactly
+when the indicator word of D is in L(Omega_A), so a largest such D in
+[1, H] is the 1-set of the D_H witness of the spacing shift Omega_A, from
+langkit's follower walk or table DP. A node-cap trip leaves the greedy
+dive, which puts each 1 at the lowest position still admissible.
 
 Densities are exact when the description permits (eventually periodic, or a
 generator with a sparsity certificate) and finite-horizon estimates
@@ -41,7 +41,7 @@ from operator import or_, sub
 
 from .core import Record, set_field
 from .errors import PreconditionError, ResourceCapExceeded, SpecParseError
-from .langkit import DEFAULT_NODE_CAP
+from .langkit import DEFAULT_NODE_CAP, max_symbol_witness
 
 _DEFAULT_HORIZON = 10_000
 IP_MAX_SIZE = 12
@@ -413,18 +413,19 @@ def asymptotic_density(A, H=_DEFAULT_HORIZON):
 
 def upper_banach_density(A, H=_DEFAULT_HORIZON, min_window=16):
     """limsup of window densities; exact for eventually periodic specs, else the
-    max density over sampled windows [m, n) in [1, H] with n - m >= min_window.
+    max density over sampled windows [m, n) in [1, H] with n - m >= min_window,
+    or the whole of [1, H] when H is shorter.
 
-    The sampled lengths double from min_window, and each length takes the
-    integer maximum of counts[s+L] - counts[s] over its starts before making
-    one Fraction: O(H log H) integer operations."""
+    The sampled lengths double from min(min_window, H), and each length takes
+    the integer maximum of counts[s+L] - counts[s] over its starts before
+    making one Fraction: O(H log H) integer operations."""
     _check_horizon(H)
     ep = A.eventually_periodic()
     if ep is not None:
         return DensityResult(_period_density(ep), exact=True, exists=True)
     counts = _prefix_counts(A, H)
     best = Fraction(0)
-    L = min_window
+    L = min(min_window, H)
     while L <= H:
         most = max(map(sub, islice(counts, L, None), counts))
         best = max(best, Fraction(most, L))
@@ -464,15 +465,20 @@ def difference_set(A, H):
 
 class ClassifyReport(Record):
     __slots__ = ("horizon", "thick_run", "max_gap", "piecewise_syndetic_evidence",
-                 "delta_witness", "ip_witness", "ip_bound", "cap_hit")
+                 "delta_witness", "delta_horizon", "delta_exact", "ip_witness",
+                 "ip_bound", "cap_hit")
 
     def __init__(self, horizon, thick_run, max_gap, piecewise_syndetic_evidence,
-                 delta_witness, ip_witness, ip_bound, cap_hit):
+                 delta_witness, delta_horizon, delta_exact, ip_witness, ip_bound, cap_hit):
         set_field(self, "horizon", horizon)
         set_field(self, "thick_run", thick_run)
         set_field(self, "max_gap", max_gap)              # None when fewer than two members
         set_field(self, "piecewise_syndetic_evidence", piecewise_syndetic_evidence)
-        set_field(self, "delta_witness", delta_witness)  # largest D found with D-D inside A
+        # a D in [1, delta_horizon] with D-D inside A: a largest one when
+        # delta_exact (the walk finished), else the greedy dive
+        set_field(self, "delta_witness", delta_witness)
+        set_field(self, "delta_horizon", delta_horizon)
+        set_field(self, "delta_exact", delta_exact)
         set_field(self, "ip_witness", ip_witness)        # largest S found with FS(S) inside A
         set_field(self, "ip_bound", ip_bound)
         set_field(self, "cap_hit", cap_hit)  # a witness search stopped at the node cap
@@ -485,6 +491,8 @@ class ClassifyReport(Record):
             "piecewise_syndetic_evidence": self.piecewise_syndetic_evidence,
             "delta_witness": list(self.delta_witness),
             "delta_witness_size": len(self.delta_witness),
+            "delta_horizon": self.delta_horizon,
+            "delta_exact": self.delta_exact,
             "ip_witness": list(self.ip_witness),
             "ip_witness_size": len(self.ip_witness),
             "ip_bound": self.ip_bound,
@@ -501,69 +509,27 @@ def _longest_run(members):
     return best
 
 
-def position_search(narrow, chosen, cands, node_cap, bound=None):
-    """Explicit-stack depth-first walk over the admissible extensions of the
-    1-positions ``chosen`` (next candidates ``cands``, an int mask with bit q
-    set when q is a candidate): each node adds one candidate q, in ascending
-    order, and narrows the candidates above it. Returns (nodes visited, the
-    first largest set seen). ``bound(q)``, an upper bound on the 1s after a
-    1 at q that does not grow with q, cuts (with the candidates left in the
-    level) the branches that cannot beat that set. A node_cap trip leaves
-    that set in ResourceCapExceeded.partial."""
-    chosen = list(chosen)
-    best, nodes = tuple(chosen), 0
-    stack = []  # the candidates each open ancestor level has left
-    m = cands
-    while True:
-        while m:
-            low = m & -m
-            m ^= low
-            nodes += 1
-            if nodes > node_cap:
-                e = ResourceCapExceeded("position search exceeded %d nodes" % node_cap)
-                e.partial = best
-                raise e
-            q = low.bit_length() - 1
-            if bound is not None:
-                need = len(best) - len(chosen)  # the 1s a branch must add to win
-                if m.bit_count() < need or bound(q) < need:
-                    # a later q only lowers both bounds: close this level
-                    break
-            chosen.append(q)
-            if len(chosen) > len(best):
-                best = tuple(chosen)
-            rest = narrow(chosen, m) if m else 0
-            if rest:
-                stack.append(m)
-                m = rest
-            else:
-                chosen.pop()
-        if not stack:
-            return nodes, best
-        m = stack.pop()
-        chosen.pop()
-
-
 def largest_delta_subset(A, H, node_cap=DEFAULT_NODE_CAP):
-    """Largest D subset of [1, H] found with D - D inside A: the 1-positions of
-    a densest word of L_H(Omega_A), by the position search in ascending order.
-    Past node_cap it is the best set so far, a lower bound on the true max."""
+    """Largest D subset of [1, H] with D - D inside A: the 1-positions of the
+    densest word of L_H(Omega_A) that max_symbol_witness returns. Past
+    node_cap it is the greedy dive, a lower bound on the true max."""
+    _check_horizon(H)
     return _delta_search(A, H, node_cap)[0]
 
 
 def _delta_search(A, H, node_cap):
-    # (largest_delta_subset, whether the search stopped at node_cap)
-    a_mask = A.mask(H)
-
-    def narrow(chosen, rest):
-        # keep r when r - chosen[-1] is in A
-        return rest & (a_mask << chosen[-1])
-
+    # (largest_delta_subset, whether the walk stopped at node_cap)
+    from .spacing import PSetSpec, spacing_shift  # spacing imports sets
     try:
-        return position_search(narrow, [], (1 << (H + 1)) - 2, node_cap,
-                               lambda q: H - q)[1], False
-    except ResourceCapExceeded as e:
-        return e.partial, True
+        w = max_symbol_witness(spacing_shift(PSetSpec(A)), 1, H, node_cap=node_cap)
+        return tuple(compress(range(1, H + 1), w.symbols)), False
+    except ResourceCapExceeded:
+        # the greedy dive: a 1 at the lowest candidate q keeps q + A
+        a_mask, m, dive = A.mask(H), (2 << H) - 2, []
+        while m:
+            dive.append((m & -m).bit_length() - 1)
+            m &= a_mask << dive[-1]
+        return tuple(dive), True
 
 
 def largest_ip_subset(A, bound, node_cap=DEFAULT_NODE_CAP):
@@ -610,7 +576,8 @@ def _ip_search(A, bound, node_cap):
 def classify(A, H=_DEFAULT_HORIZON, ip_bound=None, node_cap=DEFAULT_NODE_CAP):
     """Finite-horizon structure report: longest run (thickness evidence), max gap
     (syndeticity evidence), and bounded Delta / IP witness searches; cap_hit
-    says that a witness is partial, the best found before node_cap."""
+    says that a search stopped at node_cap, so its witness is a lower bound
+    (the Delta one the greedy dive, the IP one the best found)."""
     _check_horizon(H)
     if ip_bound is None:
         ip_bound = min(H, 4096)
@@ -626,7 +593,8 @@ def classify(A, H=_DEFAULT_HORIZON, ip_bound=None, node_cap=DEFAULT_NODE_CAP):
     else:
         max_gap = None
     pws = thick_run >= 2 and max_gap is not None
-    delta_w, delta_capped = _delta_search(A, min(H, 512), node_cap)
+    delta_h = min(H, 512)
+    delta_w, delta_capped = _delta_search(A, delta_h, node_cap)
     ip_w, ip_capped = _ip_search(A, ip_bound, node_cap)
     return ClassifyReport(
         horizon=H,
@@ -634,6 +602,8 @@ def classify(A, H=_DEFAULT_HORIZON, ip_bound=None, node_cap=DEFAULT_NODE_CAP):
         max_gap=max_gap,
         piecewise_syndetic_evidence=pws,
         delta_witness=delta_w,
+        delta_horizon=delta_h,
+        delta_exact=not delta_capped,
         ip_witness=ip_w,
         ip_bound=ip_bound,
         cap_hit=delta_capped or ip_capped,

@@ -1,6 +1,7 @@
 """The position search run on definition-level narrowing steps: the reference
 the follower walks of the position families (lambda_k from position_count,
-D_k and its witness from position_max) are checked against.
+D_k and its witness from position_max) and the Delta-set witness of
+sets.largest_delta_subset are checked against.
 
 A narrowing step ``narrow(chosen, rest)`` keeps, of the candidate mask
 ``rest`` (bit q set while position q is a candidate), the positions still
@@ -9,8 +10,51 @@ definition for every chosen 1. The search visits every admissible 1-position
 set, so its cost grows with lambda_k; tests run it on small k and keep its
 columns apart from the spec's."""
 
+from shiftlab.errors import ResourceCapExceeded
 from shiftlab.langkit import DEFAULT_NODE_CAP, extend_column
-from shiftlab.sets import position_search
+
+
+def position_search(narrow, chosen, cands, node_cap, bound=None):
+    """Explicit-stack depth-first walk over the admissible extensions of the
+    1-positions ``chosen`` (next candidates ``cands``, an int mask with bit q
+    set when q is a candidate): each node adds one candidate q, in ascending
+    order, and narrows the candidates above it. Returns (nodes visited, the
+    first largest set seen). ``bound(q)``, an upper bound on the 1s after a
+    1 at q that does not grow with q, cuts (with the candidates left in the
+    level) the branches that cannot beat that set. A node_cap trip leaves
+    that set in ResourceCapExceeded.partial."""
+    chosen = list(chosen)
+    best, nodes = tuple(chosen), 0
+    stack = []  # the candidates each open ancestor level has left
+    m = cands
+    while True:
+        while m:
+            low = m & -m
+            m ^= low
+            nodes += 1
+            if nodes > node_cap:
+                e = ResourceCapExceeded("position search exceeded %d nodes" % node_cap)
+                e.partial = best
+                raise e
+            q = low.bit_length() - 1
+            if bound is not None:
+                need = len(best) - len(chosen)  # the 1s a branch must add to win
+                if m.bit_count() < need or bound(q) < need:
+                    # a later q only lowers both bounds: close this level
+                    break
+            chosen.append(q)
+            if len(chosen) > len(best):
+                best = tuple(chosen)
+            rest = narrow(chosen, m) if m else 0
+            if rest:
+                stack.append(m)
+                m = rest
+            else:
+                chosen.pop()
+        if not stack:
+            return nodes, best
+        m = stack.pop()
+        chosen.pop()
 
 
 def spacing_narrow(P):
@@ -78,3 +122,20 @@ def max_ones(narrow, k, column=None, node_cap=DEFAULT_NODE_CAP):
         return best
 
     return extend_column(column, k, next_witness)
+
+
+def delta_search(A, H, node_cap=DEFAULT_NODE_CAP):
+    """(the first largest D in [1, H] with D - D inside A, whether the search
+    stopped at node_cap) from the position search in ascending order, cut
+    by the H - q places left after a 1 at q: a 1 at p keeps the candidates
+    in A's mask << p. A trip gives the best set found so far."""
+    a_mask = A.mask(H)
+
+    def narrow(chosen, rest):
+        return rest & (a_mask << chosen[-1])
+
+    try:
+        return position_search(narrow, [], (1 << (H + 1)) - 2, node_cap,
+                               lambda q: H - q)[1], False
+    except ResourceCapExceeded as e:
+        return e.partial, True

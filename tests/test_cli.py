@@ -10,6 +10,7 @@ import pytest
 
 import shiftlab
 from shiftlab.cli import build_parser, main
+from shiftlab.sets import parse_set_expr
 
 
 def run_cli(argv):
@@ -44,6 +45,12 @@ def test_density_command_exact():
     env = run_json(["density", "--set", "evens"])
     assert env["result"]["exact"] is True
     assert env["result"]["value_exact"] == "1/2"
+
+
+def test_banach_density_below_the_least_window_samples_the_whole_horizon():
+    # H = 10 is shorter than the 16 of the least sampled window
+    env = run_json(["density", "--set", "window:1111", "--kind", "banach", "--horizon", "10"])
+    assert env["result"]["value"] == 0.4 and env["result"]["horizon"] == 10
 
 
 def test_density_command_estimate_carries_horizon():
@@ -273,9 +280,11 @@ def test_sets_classify_reads_cap_states():
     full = run_json(["sets", "classify", "--set", "evens", "--horizon", "64"])
     capped = run_json(["sets", "classify", "--set", "evens", "--horizon", "64",
                        "--cap-states", "3"])
-    # a tripped cap leaves the best sets found so far as witnesses
-    assert full["result"]["delta_witness_size"] == 32
-    assert capped["result"]["delta_witness"] == [1, 3, 5]
+    # a tripped walk leaves the greedy dive, on evens every odd number, as
+    # the Delta witness, and says it is not known to be a largest one
+    assert full["result"]["delta_witness_size"] == 32 and full["result"]["delta_exact"] is True
+    assert capped["result"]["delta_witness"] == list(range(1, 64, 2))
+    assert capped["result"]["delta_exact"] is False and capped["cap_hit"] is True
 
 
 def test_sets_classify_flags_partial_witnesses():
@@ -287,7 +296,27 @@ def test_sets_classify_flags_partial_witnesses():
     assert (full["result"]["delta_witness_size"], full["result"]["ip_witness_size"]) == (100, 12)
     assert capped["cap_hit"] is True
     assert (capped["result"]["delta_witness_size"], capped["result"]["ip_witness_size"]) == \
-        (10, 10)
+        (100, 10)
+
+
+def test_sets_classify_delta_witness_covers_at_most_512():
+    env = run_json(["sets", "classify", "--set", "evens", "--horizon", "1000"])
+    assert env["result"]["horizon"] == 1000 and env["result"]["delta_horizon"] == 512
+    assert env["result"]["delta_witness_size"] == 256
+
+
+def test_sets_classify_delta_witness_is_exact_past_the_old_search():
+    # the densest word of L_512(Omega_A): 147 ones, where a search over
+    # 1-position sets tripped the default cap at 76
+    env = run_json(["sets", "classify", "--set", "periodic:;0111011", "--horizon", "512"])
+    assert env["result"]["delta_witness_size"] == 147 and env["cap_hit"] is False
+    # a tripped walk still returns a Delta-set, flagged
+    A = parse_set_expr("union:(evens|pow2diff)")
+    env = run_json(["sets", "classify", "--set", "union:(evens|pow2diff)", "--horizon", "512",
+                    "--cap-states", "20000"])
+    D = env["result"]["delta_witness"]
+    assert env["cap_hit"] is True and env["result"]["delta_exact"] is False
+    assert all(A.contains(b - a) for i, a in enumerate(D) for b in D[i + 1:])
 
 
 def test_capped_automaton_dp_exits_3_with_its_rows(capsys):

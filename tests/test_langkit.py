@@ -36,10 +36,16 @@ from shiftlab.langkit import (
     mixing_probe,
     parse_shift_spec,
 )
-from shiftlab.sets import position_search
 from shiftlab.spacing import PSetSpec
 
-from position_reference import count_positions, counting_narrow, max_ones, spacing_narrow
+from position_reference import (
+    count_positions,
+    counting_narrow,
+    delta_search,
+    max_ones,
+    position_search,
+    spacing_narrow,
+)
 from prolongable_reference import validate_prolongable
 
 
@@ -591,29 +597,34 @@ def test_mask_search_matches_the_list_search_node_for_node(text):
         _check_node_for_node((narrow, [1], cands, 10 ** 6, None), ref)
 
 
-def test_delta_search_matches_the_list_search_node_for_node(monkeypatch):
-    searches = []
-
-    def spy(*args):
-        searches.append(args)
-        return position_search(*args)
-
-    monkeypatch.setattr(sets, "position_search", spy)
+def test_delta_search_matches_the_list_search_node_for_node():
+    # the Delta-set search of position_reference against the list search,
+    # and largest_delta_subset against both: the same size where the walk
+    # and the search finish, no smaller where only the walk does, and a
+    # lower bound where the walk trips
     trips = 0
     for text in ("evens", "pow2diff", "periodic:;0111011", "complement:(finite:{1,3,7,12})",
                  _seeded_window()):
         A = sets.parse_set_expr(text)
         for H, cap in ((30, 10 ** 6), (60, 400), (90, 50)):
-            del searches[:]
-            got = sets.largest_delta_subset(A, H, node_cap=cap)
-            [args] = searches
+            a_mask = A.mask(H)
+
+            def narrow(chosen, rest):
+                return rest & (a_mask << chosen[-1])
 
             def ref(chosen, rest):
                 return [r for r in rest if A.contains(r - chosen[-1])]
 
-            out = _check_node_for_node(args, ref)
+            out = _check_node_for_node(
+                (narrow, [], (1 << (H + 1)) - 2, cap, lambda q: H - q), ref)
             trips += out[0] == "cap"
-            assert got == out[1]
+            assert delta_search(A, H, cap) == (out[1], out[0] == "cap")
+            got, capped = sets._delta_search(A, H, cap)
+            assert all(A.contains(b - a) for i, a in enumerate(got) for b in got[i + 1:])
+            if out[0] == "cap":
+                assert capped or len(got) >= len(out[1])
+            else:
+                assert len(got) <= len(out[1]) if capped else len(got) == len(out[1])
     assert trips
 
 

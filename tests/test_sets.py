@@ -1,12 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, strategies as st
 
 from shiftlab import sets
-from shiftlab.errors import PreconditionError, ResourceCapExceeded, SpecParseError
-from shiftlab.langkit import max_symbol_witness
+from shiftlab.errors import PreconditionError, SpecParseError
 from shiftlab.sets import (
     EVENS,
     ODDS,
@@ -23,11 +23,11 @@ from shiftlab.sets import (
     largest_delta_subset,
     largest_ip_subset,
     parse_set_expr,
-    position_search,
     upper_banach_density,
     upper_density,
 )
-from shiftlab.spacing import PSetSpec, spacing_shift
+
+from position_reference import delta_search
 
 
 def test_named_sets_membership():
@@ -113,11 +113,11 @@ def test_upper_banach_density_factorial_blocks_estimate():
 
 
 def _reference_banach(A, H, min_window):
-    """The max over doubling window lengths L >= min_window and every start s
-    of the window density Fraction(|A cap (s, s+L]|, L), one Fraction per
-    start."""
+    """The max over doubling window lengths L >= min(min_window, H) and every
+    start s of the window density Fraction(|A cap (s, s+L]|, L), one
+    Fraction per start."""
     best = Fraction(0)
-    L = min_window
+    L = min(min_window, H)
     while L <= H:
         for s in range(H - L + 1):
             best = max(best, Fraction(sum(1 for i in range(s + 1, s + L + 1) if A.contains(i)), L))
@@ -161,34 +161,30 @@ def test_largest_delta_subset_evens():
     diffs = {b - a for i, a in enumerate(d) for b in d[i + 1:]}
     assert all(x in EVENS for x in diffs)
     assert len(d) == 6
+    with pytest.raises(PreconditionError):
+        largest_delta_subset(EVENS, 0)
 
 
-def _recursive_delta_reference(A, H, node_cap):
-    """The recursive backtracking search largest_delta_subset ran before it
-    moved onto the position search, kept as the reference: ascending order,
-    one node per candidate tried (counted before the cap and the level
-    bound), and the best set so far once the cap trips."""
-    bits = [False] + [A.contains(d) for d in range(1, H + 1)]
-    best = []
-    nodes = 0
+def _is_delta_set(D, A, H):
+    return all(1 <= a <= H for a in D) and \
+        all(A.contains(b - a) for i, a in enumerate(D) for b in D[i + 1:])
 
-    def rec(chosen, allowed):
-        nonlocal best, nodes
-        if len(chosen) > len(best):
-            best = list(chosen)
-        for idx, q in enumerate(allowed):
-            nodes += 1
-            if nodes > node_cap:
-                return
-            if len(chosen) + 1 + (len(allowed) - idx - 1) <= len(best):
-                break
-            nxt = [r for r in allowed[idx + 1:] if bits[r - q]]
-            chosen.append(q)
-            rec(chosen, nxt)
-            chosen.pop()
 
-    rec([], list(range(1, H + 1)))
-    return tuple(best)
+def _check_delta_against_reference(A, H, cap):
+    """largest_delta_subset against the position search of position_reference
+    at the same cap: the same size where both finish, at least the search's
+    where only the walk finishes, at most it where only the search does (the
+    walk's greedy dive is a lower bound), and a Delta-set always. Returns
+    (whether the search tripped, whether the walk tripped)."""
+    ref, ref_capped = delta_search(A, H, cap)
+    got, capped = sets._delta_search(A, H, cap)
+    assert got == largest_delta_subset(A, H, node_cap=cap)
+    assert _is_delta_set(got, A, H) and _is_delta_set(ref, A, H)
+    if not capped:
+        assert len(got) >= len(ref) if ref_capped else len(got) == len(ref), (A, H, cap)
+    elif not ref_capped:
+        assert len(got) <= len(ref), (A, H, cap)
+    return ref_capped, capped
 
 
 def _delta_cases():
@@ -203,66 +199,74 @@ def _delta_cases():
         yield "window:" + bits, rng.randint(1, 45), rng.choice([1, 50, 300, 10 ** 6])
 
 
-@pytest.fixture
-def delta_cap_trips(monkeypatch):
-    """The arguments of each largest_delta_subset search that trips its cap."""
-    trips = []
-
-    def spy(*args):
-        try:
-            return position_search(*args)
-        except ResourceCapExceeded:
-            trips.append(args)
-            raise
-
-    monkeypatch.setattr(sets, "position_search", spy)
-    return trips
-
-
-def test_largest_delta_subset_matches_the_recursive_search(delta_cap_trips):
-    for text, H, cap in _delta_cases():
-        A = parse_set_expr(text)
-        got = largest_delta_subset(A, H, node_cap=cap)
-        assert got == _recursive_delta_reference(A, H, cap), (text, H, cap)
-        assert all(A.contains(b - a) for i, a in enumerate(got) for b in got[i + 1:])
-    # a capped search returns the best set so far as its witness
-    assert len(delta_cap_trips) > 20
+def test_largest_delta_subset_matches_the_position_search():
+    trips = [_check_delta_against_reference(parse_set_expr(text), H, cap)
+             for text, H, cap in _delta_cases()]
+    # the search trips where the walk finishes, and the other way round
+    assert sum(r and not g for r, g in trips) >= 10
+    assert sum(g for _, g in trips) > 20
+    # a tripped walk returns the greedy dive, on evens every odd number
     for c in range(1, 8):
-        assert largest_delta_subset(EVENS, 40, node_cap=c) == tuple(range(1, 2 * c, 2))
+        assert sets._delta_search(EVENS, 40, c) == (tuple(range(1, 40, 2)), True)
 
 
-def test_largest_delta_subset_under_the_classify_cap(delta_cap_trips):
-    # sparse unions like those the benchmark's `sets classify` runs with
-    # --cap-states 20000: the cap trips mid-search, and the witness is partial
-    rng = random.Random(43)
-    for _ in range(3):
-        window, period = ["0"] * 128, ["0"] * 16
-        for i in rng.sample(range(128), 24):
-            window[i] = "1"
-        period[rng.randrange(16)] = "1"
-        A = parse_set_expr("union:(window:%s|periodic:;%s)"
-                           % ("".join(window), "".join(period)))
-        assert largest_delta_subset(A, 512, node_cap=20000) == \
-            _recursive_delta_reference(A, 512, 20000)
-    assert len(delta_cap_trips) == 3
-
-
-def test_delta_witness_is_the_max_follower_walk_at_the_classify_cap(delta_cap_trips):
-    # on the sparse unions of the benchmark's `sets classify` (--horizon 2000
-    # --cap-states 20000, Delta witness at min(H, 512)) the max follower walk
-    # finds within the cap the set the position search returns when it trips
-    def bits(rng, length, ones):
+def _sparse_union(rng):
+    # a sparse union like those the benchmark's `sets classify` runs with
+    # --cap-states 20000 (Delta witness at min(H, 512))
+    def bits(length, ones):
         pos = set(rng.sample(range(length), ones))
         return "".join("1" if i in pos else "0" for i in range(length))
 
+    return parse_set_expr("union:(window:%s|periodic:;%s)" % (bits(128, 24), bits(16, 1)))
+
+
+def test_largest_delta_subset_under_the_classify_cap():
+    # the search trips mid-search, and the walk finishes with a set no smaller
+    rng = random.Random(43)
+    for _ in range(3):
+        assert _check_delta_against_reference(_sparse_union(rng), 512, 20000) == (True, False)
+
+
+def test_delta_witness_is_the_max_follower_walk_at_the_classify_cap():
+    # on the benchmark's sparse unions the walk finishes under the cap, where
+    # the search mostly trips
+    searches_tripped = 0
     for seed in range(20):
-        rng = random.Random(seed)
-        A = parse_set_expr("union:(window:%s|periodic:;%s)"
-                           % (bits(rng, 128, 24), bits(rng, 16, 1)))
-        w = max_symbol_witness(spacing_shift(PSetSpec(A)), 1, 512, node_cap=20000)
-        ones = tuple(q for q, a in enumerate(w.symbols, 1) if a)
-        assert largest_delta_subset(A, 512, node_cap=20000) == ones, seed
-    assert len(delta_cap_trips) > 10
+        A = _sparse_union(random.Random(seed))
+        ref_capped, capped = _check_delta_against_reference(A, 512, 20000)
+        assert not capped, seed
+        searches_tripped += ref_capped
+    assert searches_tripped > 10
+
+
+def _brute_force_delta_sizes(A, H):
+    """max |D| over every D subset of [1, j] with D - D inside A, for j =
+    0..H: subsets enumerated as bitmasks (bit i for i in D), each checked
+    from its top element t, whose differences t - i to the rest must lie in
+    A, and the rest, checked before it."""
+    ok = [sum(1 << i for i in range(1, t) if A.contains(t - i)) for t in range(H + 1)]
+    valid, best = {0: True}, [0] * (H + 1)
+    for mask in range(2, 2 << H, 2):
+        t = mask.bit_length() - 1
+        rest = mask ^ (1 << t)
+        valid[mask] = valid[rest] and rest & ~ok[t] == 0
+        if valid[mask]:
+            best[t] = max(best[t], mask.bit_count())
+    return list(accumulate(best, max))
+
+
+def test_largest_delta_subset_is_the_brute_force_max():
+    rng = random.Random(47)
+    texts = ["evens", "odds", "pow2diff", "factorial_blocks", "periodic:;0111011",
+             "complement:(finite:{1,3,7,12})", "union:(window:0010011|periodic:;0001)"]
+    texts += ["window:" + "".join(rng.choice("0111") for _ in range(rng.randint(3, 16)))
+              for _ in range(12)]
+    for text in texts:
+        A = parse_set_expr(text)
+        want = _brute_force_delta_sizes(A, 14)
+        for H in range(1, 15):
+            D = largest_delta_subset(A, H)
+            assert _is_delta_set(D, A, H) and len(D) == want[H], (text, H)
 
 
 def test_deep_largest_delta_subset_without_recursion():
@@ -296,16 +300,17 @@ def test_classify_evens():
 
 
 @pytest.mark.parametrize("A,H,ip_bound,cap,hit", [
-    (EVENS, 200, None, 200, True),           # the Delta search trips, the IP search ends
-    (Pow2DiffSet(), 16, 2000, 500, True),    # the Delta search ends, the IP search trips
+    (EVENS, 200, None, 200, True),           # the Delta walk trips, the IP search ends
+    (Pow2DiffSet(), 16, 2000, 500, True),    # the Delta walk ends, the IP search trips
     (Pow2DiffSet(), 16, 2000, 50_000, False),
-    (EVENS, 200, None, 500, False),          # the IP search stops at IP_MAX_SIZE
+    (EVENS, 200, None, 5000, False),         # the IP search stops at IP_MAX_SIZE
 ])
 def test_classify_cap_hit_says_a_witness_search_stopped_at_the_cap(A, H, ip_bound, cap, hit):
     rep = classify(A, H=H, ip_bound=ip_bound, node_cap=cap)
     assert rep.cap_hit is hit
     # the witnesses are those of the searches on their own
     assert rep.delta_witness == largest_delta_subset(A, min(H, 512), node_cap=cap)
+    assert rep.delta_exact is not sets._delta_search(A, min(H, 512), cap)[1]
     assert rep.ip_witness == largest_ip_subset(A, rep.ip_bound, node_cap=cap)
     assert "cap_hit" not in rep.to_json()
 

@@ -1,11 +1,10 @@
 """Command-line front end.
 
 Every command emits a versioned JSON envelope (schema 1) with the command
-echo, the normalized spec strings, the seed when randomness is involved, and
-a result payload in which each asymptotic number carries an exactness flag or
-a horizon. Output is deterministic for a fixed config and seed; wall time is
-reported only when --timing is passed, precisely so that the default output
-is byte-reproducible.
+echo, the normalized spec strings and a result payload in which each
+asymptotic number carries an exactness flag or a horizon. Output is
+deterministic for a fixed config; wall time is reported only when --timing
+is passed, precisely so that the default output is byte-reproducible.
 
 Exit codes: 0 success, 1 a selftest family failed, 2 spec/usage error, 3
 resource cap (out of memory included), 141 (128 + SIGPIPE) when the reader
@@ -31,7 +30,7 @@ from .errors import PreconditionError, ResourceCapExceeded, ShiftlabError
 SCHEMA = 1
 
 
-def _envelope(command, spec_echo, result, seed=None, timing=None, cap_hit=False):
+def _envelope(command, spec_echo, result, timing=None, cap_hit=False):
     env = {
         "schema": SCHEMA,
         "command": command,
@@ -39,8 +38,6 @@ def _envelope(command, spec_echo, result, seed=None, timing=None, cap_hit=False)
         "result": result,
         "cap_hit": cap_hit,
     }
-    if seed is not None:
-        env["seed"] = seed
     if timing is not None:
         env["wall_time_s"] = timing
     return env
@@ -202,20 +199,19 @@ def _cmd_spacing_recurrence(args):
 
 
 def _cmd_spacing_delta_star(args):
-    if args.trials < 0:
-        raise PreconditionError("trials must be >= 0")
     A = sets.parse_set_expr(args.set)
-    ok, counterexample = spacing.delta_star_bound_check(
-        A, args.k, args.trials, args.horizon, args.seed)
+    holds, B, exact, capped = spacing.delta_star_bound_check(A, args.k, args.horizon)
     return str(A), {
         "k": args.k,
-        "trials": args.trials,
         "horizon": args.horizon,
-        "holds": ok,
-        # a counterexample settles the bound; a pass is sampled evidence
-        "exact": counterexample is not None,
-        "counterexample": list(counterexample) if counterexample else None,
-    }
+        "holds": holds,
+        "exact": exact,
+        "counterexample": None if holds else list(B[:args.k]),
+        # a largest B in [1, horizon] whose differences miss A - A, or the
+        # greedy dive when the walk stopped at the cap
+        "witness": list(B),
+        "witness_size": len(B),
+    }, capped
 
 
 _SELFTEST_FAMILIES = (
@@ -356,9 +352,7 @@ def build_parser():
     q = psub.add_parser("delta-star", help="difference-intersection bound experiment")
     q.add_argument("--set", required=True)
     q.add_argument("--k", type=int, required=True)
-    q.add_argument("--trials", type=int, default=1000)
     q.add_argument("--horizon", type=int, default=512)
-    q.add_argument("--seed", type=int, required=True)
     _add_common(q)
     q.set_defaults(fn=_cmd_spacing_delta_star)
 
@@ -374,10 +368,8 @@ def _emit_result(args, spec_echo, result, started, out, cap_hit=False):
     command = args.command
     if getattr(args, "subcommand", None):
         command = "%s %s" % (args.command, args.subcommand)
-    seed = getattr(args, "seed", None)
     timing = round(time.monotonic() - started, 3) if args.timing else None
-    env = _envelope(command, spec_echo, result, seed=seed, timing=timing,
-                    cap_hit=cap_hit)
+    env = _envelope(command, spec_echo, result, timing=timing, cap_hit=cap_hit)
     _emit(env, args.format, out)
 
 

@@ -8,15 +8,15 @@ blocks, an or of the parts' indicators), never one ``contains`` per integer.
 bit i is set exactly when i is in A cap [1, H]. Every range consumer reads
 ``bits(H)`` or ``mask(H)``: ``members`` and the prefix counts behind the
 density estimates read the indicator; the difference mask (an or of shifted
-masks, which the Delta* check in ``spacing`` reads as it is) and the IP
-search read the mask, and difference_set returns through one unpacking into
-a WindowSet. ``contains`` is left for one-off queries.
+masks) and the IP search read the mask, and difference_set returns through
+one unpacking into a WindowSet. ``contains`` is left for one-off queries.
 
 The Delta-set witness reads no search of its own: D - D lies in A exactly
 when the indicator word of D is in L(Omega_A), so a largest such D in
 [1, H] is the 1-set of the D_H witness of the spacing shift Omega_A, from
 langkit's follower walk or table DP. A node-cap trip leaves the greedy
-dive, which puts each 1 at the lowest position still admissible.
+dive, which puts each 1 at the lowest position still admissible. Both
+``classify`` and the Delta* check in ``spacing`` read largest_delta_subset.
 
 Densities are exact when the description permits (eventually periodic, or a
 generator with a sparsity certificate) and finite-horizon estimates
@@ -510,15 +510,11 @@ def _longest_run(members):
 
 
 def largest_delta_subset(A, H, node_cap=DEFAULT_NODE_CAP):
-    """Largest D subset of [1, H] with D - D inside A: the 1-positions of the
-    densest word of L_H(Omega_A) that max_symbol_witness returns. Past
-    node_cap it is the greedy dive, a lower bound on the true max."""
+    """(D, capped): a largest D subset of [1, H] with D - D inside A, the
+    1-positions of the densest word of L_H(Omega_A) that max_symbol_witness
+    returns. When the walk stops at node_cap, capped is set and D is the
+    greedy dive, a lower bound on the true max."""
     _check_horizon(H)
-    return _delta_search(A, H, node_cap)[0]
-
-
-def _delta_search(A, H, node_cap):
-    # (largest_delta_subset, whether the walk stopped at node_cap)
     from .spacing import PSetSpec, spacing_shift  # spacing imports sets
     try:
         w = max_symbol_witness(spacing_shift(PSetSpec(A)), 1, H, node_cap=node_cap)
@@ -594,7 +590,7 @@ def classify(A, H=_DEFAULT_HORIZON, ip_bound=None, node_cap=DEFAULT_NODE_CAP):
         max_gap = None
     pws = thick_run >= 2 and max_gap is not None
     delta_h = min(H, 512)
-    delta_w, delta_capped = _delta_search(A, delta_h, node_cap)
+    delta_w, delta_capped = largest_delta_subset(A, delta_h, node_cap)
     ip_w, ip_capped = _ip_search(A, ip_bound, node_cap)
     return ClassifyReport(
         horizon=H,

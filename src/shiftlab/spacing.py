@@ -32,7 +32,6 @@ engines against the definition rather than against the transition.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from .core import Record, set_field
@@ -46,7 +45,7 @@ from .langkit import (
     follower_max,
     max_density_word,
 )
-from .sets import difference_mask, difference_set
+from .sets import ComplementSet, WindowSet, difference_set, largest_delta_subset
 
 WINDOWED_DP_MAX_WINDOW = 24
 # symbol value byte -> ASCII binary digit
@@ -205,46 +204,44 @@ def spacing_shift(P):
 def recurrence_entropy_probe(R, k_max, node_cap=DEFAULT_NODE_CAP):
     """Entropy-side evidence for R as a recurrence set: h_k upper bounds for
     Omega_{N \\ R} (R is a recurrence set iff that entropy is zero)."""
-    from .sets import ComplementSet
-
     P = PSetSpec(ComplementSet(R))
     spec = spacing_shift(P)
     return entropy_estimates(spec, k_max, node_cap=node_cap)
 
 
-def delta_star_bound_check(A, k, trials, H, seed):
-    """For `trials` seeded random k-element sets B in [1, H], plus the
-    arithmetic progressions 1, 1 + s, ..., 1 + (k-1)s in [1, H] for s <= 20,
-    verify that A - A contains a positive element of B - B. Precondition of the
-    underlying pigeonhole lemma: the density estimate of A on [1, H] exceeds 1/k."""
+def delta_star_bound_check(A, k, H, node_cap=DEFAULT_NODE_CAP):
+    """(holds, B, exact, capped): whether every k-element set in [1, H] has a
+    positive difference in A - A, the pigeonhole lemma's conclusion under its
+    precondition, a density estimate of A on [1, H] above 1/k. A set's
+    differences miss A - A exactly when it is a Delta-set of N \\ (A - A), so
+    the bound holds exactly when B, a largest one in [1, H], has fewer than k
+    elements, and B[:k] is a counterexample otherwise.
+
+    For eventually periodic A (preperiod L, period p) the differences below H
+    are read exactly: one between members past L + p recurs p places lower,
+    so the members up to H + L + p give them all. Otherwise they are read
+    from A cap [1, H], a subset, which leaves a pass exact but not a
+    counterexample. When the walk stops at node_cap, capped is set and B is
+    the greedy dive, a counterexample only if it reaches k elements."""
     if k < 1:
         raise PreconditionError("k must be >= 1")
-    dmask = difference_mask(A, H)  # checks the horizon
-    members = A.members(H)
-    beta = Fraction(len(members), H)
+    if H < 1:
+        raise PreconditionError("horizon must be >= 1")
+    beta = Fraction(len(A.members(H)), H)
     if beta * k <= 1:
         raise PreconditionError(
             "density estimate %s <= 1/%d; the bound's precondition fails" % (beta, k))
     if k > H:
         raise PreconditionError("no %d-element set fits in [1, %d]" % (k, H))
-
-    def violates(B):
-        # bit d of bmask >> b is set when b + d is in B; bit 0 of dmask is clear
-        bmask = sum(1 << b for b in B)
-        return not any(bmask >> b & dmask for b in B)
-
-    candidates = []
-    for step in range(1, 21):
-        B = [1 + t * step for t in range(k)]
-        if B[-1] <= H:
-            candidates.append(B)
-    rng = random.Random(seed)
-    for _ in range(trials):
-        candidates.append(rng.sample(range(1, H + 1), k))
-    for B in candidates:
-        if violates(B):
-            return False, tuple(sorted(B))
-    return True, None
+    ep = A.eventually_periodic()
+    mask = A.mask(H if ep is None else H + len(ep[0]) + len(ep[1]))
+    # one test per difference d < H, not one shift per member: past H the
+    # members grow with the period while the differences asked for do not
+    D = WindowSet(tuple(int(bool(mask & mask >> d)) for d in range(1, H)))
+    B, capped = largest_delta_subset(ComplementSet(D), H, node_cap)
+    if len(B) < k:
+        return True, B, not capped, capped
+    return False, B, ep is not None, capped
 
 
 def difference_subset_witness(A, H, node_cap=DEFAULT_NODE_CAP):

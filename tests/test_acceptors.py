@@ -7,8 +7,9 @@ here against independent definition-level membership tests and against a
 walk over the step, which enumeration and the DPs read, on seeded words
 both in and out of the language; a property test feeds it arbitrary int
 sequences. `contains_word` is checked against its string parsing rules. The
-spacing excluded mask and the Delta* check are checked against their
-per-difference forms on seeded set expressions."""
+spacing excluded mask is checked against its per-difference form, and the
+Delta* check against brute force and the sampler it replaced, on seeded set
+expressions."""
 
 import itertools
 import random
@@ -29,7 +30,7 @@ from shiftlab.langkit import (
     full_shift,
     parse_shift_spec,
 )
-from shiftlab.sets import difference_set, parse_set_expr
+from shiftlab.sets import parse_set_expr
 from shiftlab.spacing import PSetSpec, delta_star_bound_check, spacing_shift
 
 from spacing_reference import admissible
@@ -406,21 +407,71 @@ def test_excluded_mask_matches_the_per_d_reference():
             assert P.excluded_mask(h) == _excluded_mask_reference(P, h), (A, h)
 
 
-def _delta_star_reference(A, k, trials, H, seed):
-    """delta_star_bound_check as it ran with the pairwise violates test."""
-    diff = difference_set(A, H)
-    beta = Fraction(len(A.members(H)), H)
-    if beta * k <= 1:
-        raise PreconditionError("density precondition")
+def _differences(A, H):
+    """(A - A) cap [1, H - 1] from the pairs of A cap [1, H + L + p] when A
+    is eventually periodic with preperiod L and period p, else of A cap
+    [1, H]: the differences a set B in [1, H] can meet."""
+    ep = A.eventually_periodic()
+    members = A.members(H if ep is None else H + len(ep[0]) + len(ep[1]))
+    out = set()
+    for i, a in enumerate(members):
+        for b in members[i + 1:]:
+            if b - a >= H:
+                break
+            out.add(b - a)
+    return out
 
-    def violates(B):
-        bs = sorted(B)
-        for i in range(len(bs)):
-            for j in range(i + 1, len(bs)):
-                if diff.contains(bs[j] - bs[i]):
-                    return False
-        return True
 
+def _misses(B, D):
+    return all(b - a not in D for i, a in enumerate(B) for b in B[i + 1:])
+
+
+def _brute_force_max(D, H):
+    """max |B| over every B subset of [1, H] whose differences miss D: the
+    subsets enumerated as bitmasks (bit i for i in B), each checked from its
+    top element t against the rest, checked before it."""
+    ok = [sum(1 << i for i in range(1, t) if t - i not in D) for t in range(H + 1)]
+    valid, best = [True] + [False] * ((2 << H) - 1), 0
+    for mask in range(2, 2 << H, 2):
+        t = mask.bit_length() - 1
+        rest = mask ^ (1 << t)
+        if valid[rest] and rest & ~ok[t] == 0:
+            valid[mask] = True
+            best = max(best, mask.bit_count())
+    return best
+
+
+def test_delta_star_is_the_brute_force_max():
+    # the largest B, over every subset of [1, H], and the verdict k > |B|
+    # for every k the density precondition admits; a counterexample is
+    # exact where A - A is read exactly, a pass always. An eventually
+    # periodic A of positive density always passes, so finite sets that are
+    # dense near 1 give the exact counterexamples.
+    verdicts = []
+    finite = ("finite:{1,2}", "finite:{1,11,12,13,14}", "finite:{3,4,5,7,12,14}")
+    for A in _seeded_sets(41, 40) + [parse_set_expr(e) for e in finite]:
+        periodic = A.eventually_periodic() is not None
+        for H in range(1, 15):
+            D = _differences(A, H)
+            best = _brute_force_max(D, H)
+            for k in range(1, H + 1):
+                if Fraction(len(A.members(H)), H) * k <= 1:
+                    with pytest.raises(PreconditionError):
+                        delta_star_bound_check(A, k, H)
+                    continue
+                holds, B, exact, capped = delta_star_bound_check(A, k, H)
+                assert len(B) == best and _misses(B, D) and not capped, (A, H, k)
+                assert holds == (k > best) and exact == (holds or periodic), (A, H, k)
+                verdicts.append((holds, exact))
+    assert all(verdicts.count(v) > 5 for v in ((True, True), (False, True), (False, False)))
+
+
+def _delta_star_reference(D, k, trials, H, seed):
+    """The sampler delta_star_bound_check ran before it read a largest B:
+    `trials` seeded random k-sets in [1, H] plus the progressions 1, 1 + s,
+    ..., 1 + (k-1)s for s <= 20, each tested pair by pair against the
+    differences D. One-sided: a set it finds misses D, a pass proves
+    nothing."""
     candidates = []
     for step in range(1, 21):
         B = [1 + t * step for t in range(k)]
@@ -428,35 +479,38 @@ def _delta_star_reference(A, k, trials, H, seed):
             candidates.append(B)
     rng = random.Random(seed)
     for _ in range(trials):
-        candidates.append(rng.sample(range(1, H + 1), k))
+        candidates.append(sorted(rng.sample(range(1, H + 1), k)))
     for B in candidates:
-        if violates(B):
-            return False, tuple(sorted(B))
+        if _misses(B, D):
+            return False, tuple(B)
     return True, None
 
 
 def test_delta_star_matches_the_pairwise_reference():
-    verdicts = []
+    # wherever the sampler finds a counterexample, the exact check finds
+    # one too
+    verdicts, found = [], 0
     rng = random.Random(37)
     for A in _seeded_sets(41, 40):
         for H in (3, 40, 300):
             k = rng.randint(2, min(H, 12))
-            try:
-                want = _delta_star_reference(A, k, 30, H, seed=H)
-            except PreconditionError:
+            if Fraction(len(A.members(H)), H) * k <= 1:
                 with pytest.raises(PreconditionError):
-                    delta_star_bound_check(A, k, 30, H, seed=H)
+                    delta_star_bound_check(A, k, H)
                 continue
-            assert delta_star_bound_check(A, k, 30, H, seed=H) == want, (A, k, H)
-            verdicts.append(want[0])
-    # both verdicts occur, so neither side of the comparison is vacuous
-    assert verdicts.count(True) > 5 and verdicts.count(False) > 5
+            holds = delta_star_bound_check(A, k, H)[0]
+            ok, ce = _delta_star_reference(_differences(A, H), k, 30, H, seed=H)
+            assert ok or not holds, (A, k, H, ce)
+            verdicts.append(holds)
+            found += not ok
+    # both verdicts occur, and the sampler's counterexamples are checked
+    assert verdicts.count(True) > 5 and verdicts.count(False) > 5 and found > 5
 
 
 def test_delta_star_needs_k_at_most_the_horizon():
     for k, H in ((600, 512), (5, 3), (4, 3)):
         with pytest.raises(PreconditionError):
-            delta_star_bound_check(parse_set_expr("evens"), k, 1, H, seed=1)
+            delta_star_bound_check(parse_set_expr("evens"), k, H)
 
 
 # -- contains_word string parsing ---------------------------------------------

@@ -133,17 +133,28 @@ def test_spacing_recurrence_command():
 
 
 def test_spacing_delta_star_command():
+    # a largest B whose differences miss A - A = evens has 2 elements, so
+    # the bound for k = 3 holds exactly
     env = run_json(["spacing", "delta-star", "--set", "evens", "--k", "3",
-                    "--trials", "50", "--horizon", "256", "--seed", "9"])
+                    "--horizon", "256"])
     assert env["result"]["holds"] is True
-    assert env["result"]["exact"] is False  # sampled candidates only
-    assert env["seed"] == 9
+    assert env["result"]["exact"] is True
+    assert env["result"]["witness_size"] == 2 and env["cap_hit"] is False
+    assert "seed" not in env and "trials" not in env["result"]
     # A = {1, 2}: B = {1, 3} misses A - A = {1}, which settles the bound
     env = run_json(["spacing", "delta-star", "--set", "finite:{1,2}", "--k", "2",
-                    "--trials", "10", "--horizon", "3", "--seed", "1"])
+                    "--horizon", "3"])
     assert env["result"]["holds"] is False
     assert env["result"]["exact"] is True
     assert env["result"]["counterexample"] == [1, 3]
+
+
+@pytest.mark.parametrize("flag", ["--trials", "--seed"])
+def test_spacing_delta_star_takes_no_sampler_flags(flag):
+    with pytest.raises(SystemExit) as e:
+        main(["spacing", "delta-star", "--set", "evens", "--k", "3", flag, "1"],
+             out=io.StringIO())
+    assert e.value.code == 2
 
 
 def test_selftest():
@@ -163,7 +174,7 @@ def test_exit_code_parse_error():
 
 def test_exit_code_precondition():
     code, _ = run_cli(["spacing", "delta-star", "--set", "evens", "--k", "2",
-                       "--trials", "5", "--horizon", "64", "--seed", "1"])
+                       "--horizon", "64"])
     assert code == 2
 
 
@@ -237,8 +248,7 @@ def test_a_lambda_past_the_int_digit_limit_prints_exactly():
 
 
 def test_determinism_byte_identical():
-    argv = ["spacing", "delta-star", "--set", "evens", "--k", "3",
-            "--trials", "100", "--horizon", "256", "--seed", "42"]
+    argv = ["spacing", "delta-star", "--set", "evens", "--k", "3", "--horizon", "256"]
     _, a = run_cli(argv)
     _, b = run_cli(argv)
     assert a == b
@@ -265,11 +275,13 @@ def test_envelope_has_no_cap_seconds():
     ["chaos", "profile", "--x", ";10", "--y", ";0"],
     ["chaos", "classify", "--x", ";10", "--y", ";0"],
     ["chaos", "family", "--set", "evens", "--horizon", "1000"],
-    ["spacing", "delta-star", "--set", "evens", "--k", "3", "--seed", "1"],
+    ["spacing", "delta-star", "--set", "evens", "--k", "3"],
     ["selftest", "--kmax", "2"],
 ])
 def test_cap_states_only_where_a_search_reads_it(argv):
-    # none of these runs a capped search, so the flag is a usage error
+    # none of these takes the flag, so it is a usage error: all but
+    # delta-star run no capped search, and delta-star's walk runs under the
+    # default cap
     assert run_cli(argv)[0] == 0
     with pytest.raises(SystemExit) as e:
         main(argv + ["--cap-states", "-7"], out=io.StringIO())
@@ -335,12 +347,11 @@ def test_capped_automaton_dp_exits_3_with_its_rows(capsys):
     ["sets", "classify", "--set", "evens", "--horizon", "-5"],
     ["sets", "classify", "--set", "evens", "--horizon", "0"],
     ["sets", "diff", "--set", "evens", "--horizon", "-5"],
-    ["spacing", "delta-star", "--set", "evens", "--k", "3", "--trials", "-4", "--seed", "1"],
-    ["spacing", "delta-star", "--set", "evens", "--k", "3", "--horizon", "0", "--seed", "1"],
-    ["spacing", "delta-star", "--set", "evens", "--k", "600", "--horizon", "512", "--seed", "1",
-     "--trials", "1"],
-    ["spacing", "delta-star", "--set", "evens", "--k", "5", "--horizon", "3", "--seed", "1"],
-    ["spacing", "delta-star", "--set", "evens", "--k", "0", "--seed", "1"],
+    ["spacing", "delta-star", "--set", "evens", "--k", "3", "--horizon", "-4"],
+    ["spacing", "delta-star", "--set", "evens", "--k", "3", "--horizon", "0"],
+    ["spacing", "delta-star", "--set", "evens", "--k", "600", "--horizon", "512"],
+    ["spacing", "delta-star", "--set", "evens", "--k", "5", "--horizon", "3"],
+    ["spacing", "delta-star", "--set", "evens", "--k", "0"],
     ["selftest", "--kmax", "-2"],
     ["selftest", "--kmax", "0"],
     ["sets", "classify", "--set", "evens", "--horizon", "5", "--ip-bound", "-3"],

@@ -95,10 +95,9 @@ commands = st.one_of(
               st.integers(-1, 2000).map(str)).map(
         lambda t: ["sets", "classify", "--set", t[0], "--horizon", str(t[1])] + t[2]
         + ["--cap-states", t[3]]),
-    st.tuples(set_exprs, sizes, _flag("--trials", st.integers(-3, 20)), horizons,
-              st.integers(0, 9)).map(
-        lambda t: ["spacing", "delta-star", "--set", t[0], "--k", str(t[1])] + t[2]
-        + ["--horizon", str(t[3]), "--seed", str(t[4])]),
+    st.tuples(set_exprs, sizes, horizons).map(
+        lambda t: ["spacing", "delta-star", "--set", t[0], "--k", str(t[1]),
+                   "--horizon", str(t[2])]),
     st.tuples(set_exprs, st.integers(-2, 6), caps).map(
         lambda t: ["spacing", "recurrence-probe", "--set", t[0], "--kmax", str(t[1]),
                    "--cap-states", t[2]]),
@@ -110,7 +109,7 @@ MINIMUMS = {
     ("entropy", "--kmax"): 1, ("language", "--k"): 1, ("beta digits", "--k"): 0,
     ("beta parry", "--horizon"): 1, ("sets classify", "--horizon"): 1,
     ("sets diff", "--horizon"): 1, ("spacing delta-star", "--horizon"): 1,
-    ("spacing delta-star", "--trials"): 0, ("selftest", "--kmax"): 1,
+    ("selftest", "--kmax"): 1,
     ("sets classify", "--ip-bound"): 1, ("chaos family", "--growth"): 2,
     ("density", "--horizon"): 1, ("entropy", "--cap-states"): 1,
     ("language", "--cap-states"): 1, ("sets classify", "--cap-states"): 1,

@@ -619,7 +619,7 @@ def test_delta_search_matches_the_list_search_node_for_node():
                 (narrow, [], (1 << (H + 1)) - 2, cap, lambda q: H - q), ref)
             trips += out[0] == "cap"
             assert delta_search(A, H, cap) == (out[1], out[0] == "cap")
-            got, capped = sets._delta_search(A, H, cap)
+            got, capped = sets.largest_delta_subset(A, H, cap)
             assert all(A.contains(b - a) for i, a in enumerate(got) for b in got[i + 1:])
             if out[0] == "cap":
                 assert capped or len(got) >= len(out[1])

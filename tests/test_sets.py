@@ -156,11 +156,11 @@ def test_difference_set():
 
 
 def test_largest_delta_subset_evens():
-    d = largest_delta_subset(EVENS, 12)
+    d, capped = largest_delta_subset(EVENS, 12)
     # any progression with common difference 2 works, so the max has size 6
     diffs = {b - a for i, a in enumerate(d) for b in d[i + 1:]}
     assert all(x in EVENS for x in diffs)
-    assert len(d) == 6
+    assert len(d) == 6 and not capped
     with pytest.raises(PreconditionError):
         largest_delta_subset(EVENS, 0)
 
@@ -177,8 +177,7 @@ def _check_delta_against_reference(A, H, cap):
     walk's greedy dive is a lower bound), and a Delta-set always. Returns
     (whether the search tripped, whether the walk tripped)."""
     ref, ref_capped = delta_search(A, H, cap)
-    got, capped = sets._delta_search(A, H, cap)
-    assert got == largest_delta_subset(A, H, node_cap=cap)
+    got, capped = largest_delta_subset(A, H, node_cap=cap)
     assert _is_delta_set(got, A, H) and _is_delta_set(ref, A, H)
     if not capped:
         assert len(got) >= len(ref) if ref_capped else len(got) == len(ref), (A, H, cap)
@@ -207,7 +206,7 @@ def test_largest_delta_subset_matches_the_position_search():
     assert sum(g for _, g in trips) > 20
     # a tripped walk returns the greedy dive, on evens every odd number
     for c in range(1, 8):
-        assert sets._delta_search(EVENS, 40, c) == (tuple(range(1, 40, 2)), True)
+        assert largest_delta_subset(EVENS, 40, c) == (tuple(range(1, 40, 2)), True)
 
 
 def _sparse_union(rng):
@@ -265,13 +264,13 @@ def test_largest_delta_subset_is_the_brute_force_max():
         A = parse_set_expr(text)
         want = _brute_force_delta_sizes(A, 14)
         for H in range(1, 15):
-            D = largest_delta_subset(A, H)
-            assert _is_delta_set(D, A, H) and len(D) == want[H], (text, H)
+            D, capped = largest_delta_subset(A, H)
+            assert _is_delta_set(D, A, H) and len(D) == want[H] and not capped, (text, H)
 
 
 def test_deep_largest_delta_subset_without_recursion():
     # the recursive search overflowed near H = 2000 on evens
-    d = largest_delta_subset(EVENS, 2100)
+    d = largest_delta_subset(EVENS, 2100)[0]
     assert len(d) == 1050 and d[:3] == (1, 3, 5)
 
 
@@ -309,8 +308,8 @@ def test_classify_cap_hit_says_a_witness_search_stopped_at_the_cap(A, H, ip_boun
     rep = classify(A, H=H, ip_bound=ip_bound, node_cap=cap)
     assert rep.cap_hit is hit
     # the witnesses are those of the searches on their own
-    assert rep.delta_witness == largest_delta_subset(A, min(H, 512), node_cap=cap)
-    assert rep.delta_exact is not sets._delta_search(A, min(H, 512), cap)[1]
+    assert (rep.delta_witness, not rep.delta_exact) == \
+        largest_delta_subset(A, min(H, 512), node_cap=cap)
     assert rep.ip_witness == largest_ip_subset(A, rep.ip_bound, node_cap=cap)
     assert "cap_hit" not in rep.to_json()
 

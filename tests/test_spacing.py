@@ -186,36 +186,57 @@ def test_recurrence_probe_odds():
 
 
 def test_delta_star_bound_check_passes():
-    ok, ce = delta_star_bound_check(EVENS, 3, 200, 512, seed=11)
-    assert ok and ce is None
+    # B - B misses evens only for B of one odd and one even element
+    holds, B, exact, capped = delta_star_bound_check(EVENS, 3, 512)
+    assert holds and exact and not capped and B == (1, 2)
 
 
 def test_delta_star_precondition():
     # density 1/2 with k = 2: beta * k = 1, the pigeonhole hypothesis fails
     with pytest.raises(PreconditionError):
-        delta_star_bound_check(EVENS, 2, 10, 512, seed=1)
+        delta_star_bound_check(EVENS, 2, 512)
 
 
 @pytest.mark.parametrize("k", [0, -3])
 def test_delta_star_rejects_k_below_one(k):
     # checked first: the density condition beta > 1/k needs k >= 1
     with pytest.raises(PreconditionError, match="k must be >= 1"):
-        delta_star_bound_check(EVENS, k, 10, 512, seed=1)
+        delta_star_bound_check(EVENS, k, 512)
 
 
 def test_delta_star_deterministic():
-    a = delta_star_bound_check(EVENS, 3, 100, 256, seed=5)
-    b = delta_star_bound_check(EVENS, 3, 100, 256, seed=5)
+    a = delta_star_bound_check(EVENS, 3, 256)
+    b = delta_star_bound_check(EVENS, 3, 256)
     assert a == b
 
 
 def test_delta_star_counterexample_for_sparse_violator():
-    # A = {1, 2}: A - A = {1}; B an arithmetic progression with step 2
-    # misses it, so the check must report a violating B. The density
-    # precondition still holds at a small horizon.
+    # A = {1, 2}: A - A = {1}, which B = {1, 3} misses. The density
+    # precondition still holds at a small horizon, and a finite A is read
+    # exactly; the same members as a window leave the set past 3 unknown.
     A = FiniteSet(frozenset({1, 2}))
-    ok, ce = delta_star_bound_check(A, 2, 10, 3, seed=1)
-    assert not ok and ce is not None
+    assert delta_star_bound_check(A, 2, 3) == (False, (1, 3), True, False)
+    assert delta_star_bound_check(parse_set_expr("window:11"), 2, 3) == \
+        (False, (1, 3), False, False)
+
+
+def test_delta_star_reads_differences_past_the_horizon():
+    # A = 1, 4 mod 7: A - A is every d > 0 that is 0, 3 or 4 mod 7; a B missing it
+    # has at most 3 elements; read from A cap [1, 300] alone, 298 = 302 - 4
+    # is missing and (1, 2, 7, 300) would pass for a counterexample
+    holds, B, exact, capped = delta_star_bound_check(
+        parse_set_expr("periodic:;1001000"), 4, 300)
+    assert holds and exact and not capped and len(B) == 3
+
+
+def test_delta_star_under_a_tripped_walk():
+    # the greedy dive stays a B whose differences miss A - A: shorter than
+    # k it settles nothing, reaching k its first k elements are a
+    # counterexample, exact for a finite A
+    assert delta_star_bound_check(EVENS, 3, 512, node_cap=5) == (True, (1, 2), False, True)
+    A = parse_set_expr("finite:{1,11,12,13,14}")
+    assert delta_star_bound_check(A, 3, 14, node_cap=5) == (False, (1, 5, 9), True, True)
+    assert delta_star_bound_check(A, 3, 14) == (False, (1, 5, 9), True, False)
 
 
 def test_difference_subset_witness_evens():

@@ -74,9 +74,18 @@ class IntSetSpec:
         """bits(H) as one int: bit i is set exactly when i is in A cap [1, H]."""
         return int("".join(map(str, reversed(self.bits(H)))) + "0", 2)
 
-    def eventually_periodic(self):
-        """(pre_bits, per_bits) if membership is provably eventually periodic."""
+    def periodic_shape(self):
+        """(L, p) when membership is provably periodic with period p past L,
+        read from the set's structure alone; else None."""
         return None
+
+    def eventually_periodic(self):
+        """(pre_bits, per_bits) of the lengths periodic_shape() gives, or None."""
+        shape = self.periodic_shape()
+        if shape is None:
+            return None
+        bits = self.bits(sum(shape))
+        return tuple(bits[:shape[0]]), tuple(bits[shape[0]:])
 
     def __str__(self):
         return self.to_expr()
@@ -104,9 +113,8 @@ class FiniteSet(IntSetSpec, Record):
     def to_expr(self):
         return "finite:{%s}" % ",".join(str(e) for e in sorted(self.elements))
 
-    def eventually_periodic(self):
-        m = max(self.elements) if self.elements else 0
-        return tuple(self.bits(m)), (0,)
+    def periodic_shape(self):
+        return max(self.elements, default=0), 1
 
 
 class PeriodicSet(IntSetSpec, Record):
@@ -141,8 +149,8 @@ class PeriodicSet(IntSetSpec, Record):
             return self.name
         return "periodic:%s;%s" % ("".join(map(str, self.pre)), "".join(map(str, self.per)))
 
-    def eventually_periodic(self):
-        return self.pre, self.per
+    def periodic_shape(self):
+        return len(self.pre), len(self.per)
 
 
 class ComplementSet(IntSetSpec, Record):
@@ -160,12 +168,8 @@ class ComplementSet(IntSetSpec, Record):
     def to_expr(self):
         return "complement:(%s)" % self.inner.to_expr()
 
-    def eventually_periodic(self):
-        ep = self.inner.eventually_periodic()
-        if ep is None:
-            return None
-        pre, per = ep
-        return tuple(1 - b for b in pre), tuple(1 - b for b in per)
+    def periodic_shape(self):
+        return self.inner.periodic_shape()
 
 
 class UnionSet(IntSetSpec, Record):
@@ -185,14 +189,11 @@ class UnionSet(IntSetSpec, Record):
     def to_expr(self):
         return "union:(%s)" % "|".join(p.to_expr() for p in self.parts)
 
-    def eventually_periodic(self):
-        eps = [p.eventually_periodic() for p in self.parts]
-        if any(ep is None for ep in eps) or not eps:
+    def periodic_shape(self):
+        shapes = [p.periodic_shape() for p in self.parts]
+        if None in shapes or not shapes:
             return None
-        pre_len = max(len(pre) for pre, _ in eps)
-        per_len = lcm(*[len(per) for _, per in eps])
-        bits = self.bits(pre_len + per_len)
-        return tuple(bits[:pre_len]), tuple(bits[pre_len:])
+        return max(L for L, _ in shapes), lcm(*[p for _, p in shapes])
 
 
 class WindowSet(IntSetSpec, Record):

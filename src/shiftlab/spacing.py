@@ -45,9 +45,12 @@ from .langkit import (
     follower_max,
     max_density_word,
 )
-from .sets import ComplementSet, WindowSet, difference_set, largest_delta_subset
+from .sets import ComplementSet, difference_set, largest_delta_subset
 
 WINDOWED_DP_MAX_WINDOW = 24
+# the Delta* check reads A - A past its horizon H over at most max(H, this)
+# more places, and from A cap [1, H] alone when A's period takes more
+EXACT_DIFFERENCE_SPAN = 4096
 # symbol value byte -> ASCII binary digit
 _BITS_ASCII = bytes.maketrans(b"\x00\x01", b"01")
 
@@ -219,10 +222,12 @@ def delta_star_bound_check(A, k, H, node_cap=DEFAULT_NODE_CAP):
 
     For eventually periodic A (preperiod L, period p) the differences below H
     are read exactly: one between members past L + p recurs p places lower,
-    so the members up to H + L + p give them all. Otherwise they are read
-    from A cap [1, H], a subset, which leaves a pass exact but not a
-    counterexample. When the walk stops at node_cap, capped is set and B is
-    the greedy dive, a counterexample only if it reaches k elements."""
+    so the members up to H + L + p give them all. That read is taken while
+    L + p <= max(H, EXACT_DIFFERENCE_SPAN), so its cost follows H and not the
+    size of A's description. Otherwise they are read from A cap [1, H], a
+    subset, which leaves a pass exact but not a counterexample. When the
+    walk stops at node_cap, capped is set and B is the greedy dive, a
+    counterexample only if it reaches k elements."""
     if k < 1:
         raise PreconditionError("k must be >= 1")
     if H < 1:
@@ -233,15 +238,13 @@ def delta_star_bound_check(A, k, H, node_cap=DEFAULT_NODE_CAP):
             "density estimate %s <= 1/%d; the bound's precondition fails" % (beta, k))
     if k > H:
         raise PreconditionError("no %d-element set fits in [1, %d]" % (k, H))
-    ep = A.eventually_periodic()
-    mask = A.mask(H if ep is None else H + len(ep[0]) + len(ep[1]))
-    # one test per difference d < H, not one shift per member: past H the
-    # members grow with the period while the differences asked for do not
-    D = WindowSet(tuple(int(bool(mask & mask >> d)) for d in range(1, H)))
+    shape = A.periodic_shape()
+    exact = shape is not None and sum(shape) <= max(H, EXACT_DIFFERENCE_SPAN)
+    D = difference_set(A, H + sum(shape) if exact else H)
     B, capped = largest_delta_subset(ComplementSet(D), H, node_cap)
     if len(B) < k:
         return True, B, not capped, capped
-    return False, B, ep is not None, capped
+    return False, B, exact, capped
 
 
 def difference_subset_witness(A, H, node_cap=DEFAULT_NODE_CAP):

@@ -8,7 +8,10 @@ A narrowing step ``narrow(chosen, rest)`` keeps, of the candidate mask
 admissible after the 1s in ``chosen``. The steps here read the family's
 definition for every chosen 1. The search visits every admissible 1-position
 set, so its cost grows with lambda_k; tests run it on small k and keep its
-columns apart from the spec's."""
+columns apart from the spec's. brute_force_delta_sizes, the largest Delta-set
+over every subset of a short horizon, is the exact reference of both."""
+
+from itertools import accumulate
 
 from shiftlab.errors import ResourceCapExceeded
 from shiftlab.langkit import DEFAULT_NODE_CAP, extend_column
@@ -139,3 +142,19 @@ def delta_search(A, H, node_cap=DEFAULT_NODE_CAP):
                                lambda q: H - q)[1], False
     except ResourceCapExceeded as e:
         return e.partial, True
+
+
+def brute_force_delta_sizes(A, H):
+    """max |D| over every D subset of [1, j] with D - D inside A, for j =
+    0..H: subsets enumerated as bitmasks (bit i for i in D), each checked
+    from its top element t, whose differences t - i to the rest must lie in
+    A, and the rest, checked before it."""
+    ok = [sum(1 << i for i in range(1, t) if A.contains(t - i)) for t in range(H + 1)]
+    valid, best = {0: True}, [0] * (H + 1)
+    for mask in range(2, 2 << H, 2):
+        t = mask.bit_length() - 1
+        rest = mask ^ (1 << t)
+        valid[mask] = valid[rest] and rest & ~ok[t] == 0
+        if valid[mask]:
+            best[t] = max(best[t], mask.bit_count())
+    return list(accumulate(best, max))

@@ -30,9 +30,15 @@ from shiftlab.langkit import (
     full_shift,
     parse_shift_spec,
 )
-from shiftlab.sets import parse_set_expr
-from shiftlab.spacing import PSetSpec, delta_star_bound_check, spacing_shift
+from shiftlab.sets import ComplementSet, FiniteSet, parse_set_expr
+from shiftlab.spacing import (
+    EXACT_DIFFERENCE_SPAN,
+    PSetSpec,
+    delta_star_bound_check,
+    spacing_shift,
+)
 
+from position_reference import brute_force_delta_sizes
 from spacing_reference import admissible
 from test_columns import FAMILIES
 
@@ -409,36 +415,23 @@ def test_excluded_mask_matches_the_per_d_reference():
 
 def _differences(A, H):
     """(A - A) cap [1, H - 1] from the pairs of A cap [1, H + L + p] when A
-    is eventually periodic with preperiod L and period p, else of A cap
-    [1, H]: the differences a set B in [1, H] can meet."""
-    ep = A.eventually_periodic()
-    members = A.members(H if ep is None else H + len(ep[0]) + len(ep[1]))
+    is eventually periodic with preperiod L and period p, L + p within the
+    check's span, else of A cap [1, H]: the differences a set B in [1, H]
+    can meet, and whether they are all of A - A there."""
+    shape = A.periodic_shape()
+    exact = shape is not None and sum(shape) <= max(H, EXACT_DIFFERENCE_SPAN)
+    members = A.members(H + sum(shape) if exact else H)
     out = set()
     for i, a in enumerate(members):
         for b in members[i + 1:]:
             if b - a >= H:
                 break
             out.add(b - a)
-    return out
+    return out, exact
 
 
 def _misses(B, D):
     return all(b - a not in D for i, a in enumerate(B) for b in B[i + 1:])
-
-
-def _brute_force_max(D, H):
-    """max |B| over every B subset of [1, H] whose differences miss D: the
-    subsets enumerated as bitmasks (bit i for i in B), each checked from its
-    top element t against the rest, checked before it."""
-    ok = [sum(1 << i for i in range(1, t) if t - i not in D) for t in range(H + 1)]
-    valid, best = [True] + [False] * ((2 << H) - 1), 0
-    for mask in range(2, 2 << H, 2):
-        t = mask.bit_length() - 1
-        rest = mask ^ (1 << t)
-        if valid[rest] and rest & ~ok[t] == 0:
-            valid[mask] = True
-            best = max(best, mask.bit_count())
-    return best
 
 
 def test_delta_star_is_the_brute_force_max():
@@ -450,10 +443,9 @@ def test_delta_star_is_the_brute_force_max():
     verdicts = []
     finite = ("finite:{1,2}", "finite:{1,11,12,13,14}", "finite:{3,4,5,7,12,14}")
     for A in _seeded_sets(41, 40) + [parse_set_expr(e) for e in finite]:
-        periodic = A.eventually_periodic() is not None
         for H in range(1, 15):
-            D = _differences(A, H)
-            best = _brute_force_max(D, H)
+            D, D_exact = _differences(A, H)
+            best = brute_force_delta_sizes(ComplementSet(FiniteSet(frozenset(D))), H)[H]
             for k in range(1, H + 1):
                 if Fraction(len(A.members(H)), H) * k <= 1:
                     with pytest.raises(PreconditionError):
@@ -461,7 +453,7 @@ def test_delta_star_is_the_brute_force_max():
                     continue
                 holds, B, exact, capped = delta_star_bound_check(A, k, H)
                 assert len(B) == best and _misses(B, D) and not capped, (A, H, k)
-                assert holds == (k > best) and exact == (holds or periodic), (A, H, k)
+                assert holds == (k > best) and exact == (holds or D_exact), (A, H, k)
                 verdicts.append((holds, exact))
     assert all(verdicts.count(v) > 5 for v in ((True, True), (False, True), (False, False)))
 
@@ -499,7 +491,7 @@ def test_delta_star_matches_the_pairwise_reference():
                     delta_star_bound_check(A, k, H)
                 continue
             holds = delta_star_bound_check(A, k, H)[0]
-            ok, ce = _delta_star_reference(_differences(A, H), k, 30, H, seed=H)
+            ok, ce = _delta_star_reference(_differences(A, H)[0], k, 30, H, seed=H)
             assert ok or not holds, (A, k, H, ce)
             verdicts.append(holds)
             found += not ok

@@ -147,6 +147,12 @@ def test_spacing_delta_star_command():
     assert env["result"]["holds"] is False
     assert env["result"]["exact"] is True
     assert env["result"]["counterexample"] == [1, 3]
+    # a member far past the horizon leaves A - A read from A cap [1, 3]: the
+    # same counterexample, not exact, with no list as long as that member
+    env = run_json(["spacing", "delta-star", "--set", "finite:{1,2,%d}" % 10 ** 18,
+                    "--k", "2", "--horizon", "3"])
+    assert env["result"]["counterexample"] == [1, 3]
+    assert env["result"]["exact"] is False
 
 
 @pytest.mark.parametrize("flag", ["--trials", "--seed"])

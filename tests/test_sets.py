@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import accumulate
 
 import pytest
 from hypothesis import given, strategies as st
@@ -27,7 +26,7 @@ from shiftlab.sets import (
     upper_density,
 )
 
-from position_reference import delta_search
+from position_reference import brute_force_delta_sizes, delta_search
 
 
 def test_named_sets_membership():
@@ -238,22 +237,6 @@ def test_delta_witness_is_the_max_follower_walk_at_the_classify_cap():
     assert searches_tripped > 10
 
 
-def _brute_force_delta_sizes(A, H):
-    """max |D| over every D subset of [1, j] with D - D inside A, for j =
-    0..H: subsets enumerated as bitmasks (bit i for i in D), each checked
-    from its top element t, whose differences t - i to the rest must lie in
-    A, and the rest, checked before it."""
-    ok = [sum(1 << i for i in range(1, t) if A.contains(t - i)) for t in range(H + 1)]
-    valid, best = {0: True}, [0] * (H + 1)
-    for mask in range(2, 2 << H, 2):
-        t = mask.bit_length() - 1
-        rest = mask ^ (1 << t)
-        valid[mask] = valid[rest] and rest & ~ok[t] == 0
-        if valid[mask]:
-            best[t] = max(best[t], mask.bit_count())
-    return list(accumulate(best, max))
-
-
 def test_largest_delta_subset_is_the_brute_force_max():
     rng = random.Random(47)
     texts = ["evens", "odds", "pow2diff", "factorial_blocks", "periodic:;0111011",
@@ -262,7 +245,7 @@ def test_largest_delta_subset_is_the_brute_force_max():
               for _ in range(12)]
     for text in texts:
         A = parse_set_expr(text)
-        want = _brute_force_delta_sizes(A, 14)
+        want = brute_force_delta_sizes(A, 14)
         for H in range(1, 15):
             D, capped = largest_delta_subset(A, H)
             assert _is_delta_set(D, A, H) and len(D) == want[H] and not capped, (text, H)

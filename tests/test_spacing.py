@@ -27,6 +27,7 @@ from shiftlab.sets import (
     parse_set_expr,
 )
 from shiftlab.spacing import (
+    EXACT_DIFFERENCE_SPAN,
     WINDOWED_DP_MAX_WINDOW,
     PSetSpec,
     count_spacing,
@@ -227,6 +228,21 @@ def test_delta_star_reads_differences_past_the_horizon():
     holds, B, exact, capped = delta_star_bound_check(
         parse_set_expr("periodic:;1001000"), 4, 300)
     assert holds and exact and not capped and len(B) == 3
+
+
+def test_delta_star_reads_past_the_horizon_within_a_span():
+    # the read past H stops at EXACT_DIFFERENCE_SPAN more places, so its cost
+    # follows H and not A's description: beyond it the differences come from
+    # A cap [1, H] and a counterexample is not exact
+    span = EXACT_DIFFERENCE_SPAN
+    for top, exact in ((span - 1, True), (span, False)):
+        A = FiniteSet(frozenset({1, 2, top}))
+        assert delta_star_bound_check(A, 2, 3) == (False, (1, 3), exact, False), top
+    # six prime periods, lcm 7 436 429: a pass stays exact
+    A = parse_set_expr("union:(%s)" % "|".join(
+        "periodic:;" + "0" * (p - 1) + "1" for p in (7, 11, 13, 17, 19, 23)))
+    holds, B, exact, capped = delta_star_bound_check(A, 40, 512)
+    assert holds and exact and not capped and len(B) == 2
 
 
 def test_delta_star_under_a_tripped_walk():

@@ -15,9 +15,11 @@ excluded difference) grow one numbered state graph from their transition
 (``_StateGraph``): the step, enumeration and the (max, +) DP read its id
 rows, the (+, x) DP its multiplicity rows, so the full shift on n symbols
 costs one entry per layer. Spacing shifts with any other P (the relative
-1-mask, uncut) and the counting shift (the symbols read and the
-1-positions) run their transition unmemoised as the step. Another subshift
-is a ``SubshiftSpec`` built the same way, around a canonical state.
+1-mask, uncut) and the counting shift (the symbols read, the 1-positions
+and the floor of the next 1, taken once when a 1 is accepted, so a refused
+1 costs one comparison) run their transition unmemoised as the step.
+Another subshift is a ``SubshiftSpec`` built the same way, around a
+canonical state.
 
 Membership of a whole word does not go through the step when the family can
 test its definition directly. Such a family hands over ``word_test(b)``,
@@ -620,16 +622,20 @@ def max_density_word(spec, alpha, k, k_ref=None, require_target=True,
     the target or the value of a greedy dive (alpha first, then the others
     descending) that reaches length k. require_target=False skips the target
     (difference-set witnesses, whose theorem targets the true maximal
-    density). node_cap bounds the symbols tried, the dive's included."""
+    density). node_cap bounds the symbols tried, the dive's included.
+
+    A frequency c/d is held as the integer pair (c, d), d > 0, and two are
+    compared by cross products (c*d' against c'*d), so the search builds no
+    Fraction; the value returned is the only one it builds."""
     _check_symbol(spec, alpha, k)
-    target = Fraction(0)  # no prefix frequency is below 0
+    tc, td = 0, 1  # the target; no prefix frequency is below 0
     if require_target:
         k_ref = k if k_ref is None else k_ref
         d_ref = max_symbol_count(spec, alpha, k_ref, node_cap=node_cap)
-        target = Fraction(d_ref, k_ref) - Fraction(1, k)
+        tc, td = d_ref * k - k_ref, k_ref * k  # D/k_ref - 1/k
     step, nodes = spec._step, 0
     order = [alpha] + [a for a in range(spec.n - 1, -1, -1) if a != alpha]
-    state, cnt, dive = spec._start_state, 0, Fraction(1)
+    state, cnt, fc, fd = spec._start_state, 0, 1, 1  # the dive's minimum
     for i in range(k):
         for a in order:
             nodes += 1
@@ -637,17 +643,20 @@ def max_density_word(spec, alpha, k, k_ref=None, require_target=True,
             if ok:
                 break
         else:
-            dive = Fraction(0)  # a dead end: no floor from the dive
+            fc, fd = 0, 1  # a dead end: no floor from the dive
             break
         state, cnt = st, cnt + (a == alpha)
-        dive = min(dive, Fraction(cnt, i + 1))
-    floor, best_val, best_word = max(target, dive), Fraction(-1), None
-    # the prefix, and (state, alpha count, minimum prefix frequency, symbols
-    # left to try) of each open ancestor
+        if cnt * fd < fc * (i + 1):
+            fc, fd = cnt, i + 1
+    if fc * td < tc * fd:
+        fc, fd = tc, td  # the floor: the larger of the target and the dive
+    bc, bd, best_word = -1, 1, None
+    # the prefix, and (state, alpha count, minimum prefix frequency as a
+    # pair, symbols left to try) of each open ancestor
     prefix, stack = [], []
-    state, cnt, low, it = spec._start_state, 0, Fraction(1), iter(range(spec.n))
+    state, cnt, lc, ld, it = spec._start_state, 0, 1, 1, iter(range(spec.n))
     while True:
-        i = len(prefix)
+        d = len(prefix) + 1
         for a in it:
             nodes += 1
             if nodes > node_cap:
@@ -656,25 +665,25 @@ def max_density_word(spec, alpha, k, k_ref=None, require_target=True,
             if not ok:
                 continue
             c = cnt + (a == alpha)
-            m = min(low, Fraction(c, i + 1))
-            if m < floor or m <= best_val:
+            mc, md = (c, d) if c * ld < lc * d else (lc, ld)
+            if mc * fd < fc * md or mc * bd <= bc * md:
                 continue
-            if i + 1 == k:
-                best_val, best_word = m, tuple(prefix) + (a,)
+            if d == k:
+                bc, bd, best_word = mc, md, tuple(prefix) + (a,)
                 continue
-            stack.append((state, cnt, low, it))
+            stack.append((state, cnt, lc, ld, it))
             prefix.append(a)
-            state, cnt, low, it = st, c, m, iter(range(spec.n))
+            state, cnt, lc, ld, it = st, c, mc, md, iter(range(spec.n))
             break
         else:
             if not stack:
                 break
-            state, cnt, low, it = stack.pop()
+            state, cnt, lc, ld, it = stack.pop()
             prefix.pop()
     if best_word is None:
-        raise SearchFailure(
-            "no length-%d word meets the prefix-density target %s" % (k, target))
-    return Word(spec.alphabet, best_word), best_val
+        raise SearchFailure("no length-%d word meets the prefix-density target %s"
+                            % (k, Fraction(tc, td)))
+    return Word(spec.alphabet, best_word), Fraction(bc, bd)
 
 
 # -- heredity ----------------------------------------------------------------------
@@ -694,7 +703,9 @@ def hereditary_check(spec, k):
 
 def mixing_probe(spec, u, v, m_max):
     """Smallest gap g such that u 0^m v is in L(X) for all g <= m <= m_max,
-    or None when the scan gives no such tail (finite-horizon evidence only)."""
+    or None when the scan gives no such tail (finite-horizon evidence only).
+    Each u 0^m v is over the alphabet, so it goes straight to the spec's
+    member test: as bytes, or as a tuple past 256 symbols."""
     if m_max < 0:
         raise PreconditionError("m_max must be >= 0")
     u = word(u, spec.n)
@@ -704,8 +715,12 @@ def mixing_probe(spec, u, v, m_max):
     if not contains_word(spec, v):
         raise PreconditionError("v not in the language")
 
+    member = spec._member
+    seq = tuple if spec._symbol_bytes is None else bytes
+    us, zero, vs = seq(u.symbols), seq((0,)), seq(v.symbols)
+
     def gap_ok(m):
-        return spec.accepts(u.symbols + (0,) * m + v.symbols)
+        return member(us + zero * m + vs)
 
     if not gap_ok(m_max):
         return None
@@ -751,14 +766,16 @@ def counting_shift():
         return max(map(operator.add, ones, gaps[-len(ones):]))
 
     def transition(state, a):
-        # state: (symbols read, tuple of 1-based 1-positions so far)
-        i, ones = state
-        if a == 0:
-            return True, (i + 1, ones)
+        # state: (symbols read, tuple of 1-based 1-positions so far, the
+        # floor of the next 1, or 0 before the first 1)
+        i, ones, fl = state
         q = i + 1
-        if ones and q < _floor(ones):
+        if a == 0:
+            return True, (q, ones, fl)
+        if q < fl:
             return False, state
-        return True, (q, ones + (q,))
+        ones += (q,)
+        return True, (q, ones, _floor(ones))
 
     def word_test(b):
         # the definition on 1-positions. The whole word is one window, so
@@ -806,7 +823,7 @@ def counting_shift():
 
     spec = SubshiftSpec(
         n=2, family="counting", label="counting",
-        start_state=(0, ()), transition=transition, position_count=position_count,
+        start_state=(0, (), 0), transition=transition, position_count=position_count,
         position_max=position_max, word_test=word_test)
     return spec
 

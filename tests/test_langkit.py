@@ -178,10 +178,12 @@ def test_max_density_word_full_shift():
 
 
 def test_max_density_word_counting_shift():
+    # the k of the acceptor-queries bench op, against the enumerated language
     spec = counting_shift()
-    w, val = max_density_word(spec, 1, 8, require_target=False)
+    w, val = max_density_word(spec, 1, 24, require_target=False)
+    assert (w.symbols, val) == _least_densest_word(spec, 1, 24)
+    assert str(w) == "100010000100001000010000" and val == Fraction(5, 24)
     assert contains_word(spec, w)
-    assert val > 0
 
 
 def test_hereditary_check():
@@ -734,6 +736,46 @@ def test_max_density_word_is_the_least_densest_word(name):
                         max_density_word(spec, alpha, k, k_ref)
     if name != "full:n=2":
         assert failures
+
+
+@pytest.mark.parametrize("text, nodes", [
+    ("counting", 5437), ("beta:beta=1.5", 334), ("spacing:P=periodic:;0111011", 282),
+    ("spacing:P=complement:(finite:{1,3,7,12})", 177), ("forbidden:{111,0101}", 80)])
+def test_max_density_word_node_charge(text, nodes):
+    # every symbol tried is one node, the dive's included: the search at k =
+    # 24 finishes under a cap of exactly `nodes` and trips one below it
+    want = max_density_word(parse_shift_spec(text), 1, 24, require_target=False)
+    assert max_density_word(parse_shift_spec(text), 1, 24, require_target=False,
+                            node_cap=nodes) == want
+    with pytest.raises(ResourceCapExceeded) as exc:
+        max_density_word(parse_shift_spec(text), 1, 24, require_target=False,
+                         node_cap=nodes - 1)
+    assert str(exc.value) == "max_density_word exceeded %d nodes" % (nodes - 1)
+
+
+def test_max_density_word_builds_one_fraction(monkeypatch):
+    # prefix frequencies are integer pairs: only the returned value is a
+    # Fraction, and a failure still names its target as one
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(langkit, "Fraction", counted)
+    for text in ACCEPTOR_QUERY_SPECS:
+        built.clear()
+        w, val = max_density_word(parse_shift_spec(text), 1, 24, require_target=False)
+        assert len(built) == 1 and val == Fraction(*built[0]), text
+        built.clear()
+        max_density_word(parse_shift_spec(text), 1, 12, 12)
+        assert len(built) == 1, text
+    for text, k, k_ref, target in (("counting", 8, 3, "13/24"), ("beta:beta=1.5", 7, 1, "6/7"),
+                                   ("spacing:P=evens", 9, 3, "5/9")):
+        with pytest.raises(SearchFailure) as exc:
+            max_density_word(parse_shift_spec(text), 1, k, k_ref)
+        assert str(exc.value) == \
+            "no length-%d word meets the prefix-density target %s" % (k, target)
 
 
 def test_capped_max_symbol_count_leaves_a_valid_column():

@@ -363,7 +363,7 @@ def build_scrambled_family(S, m, horizon, growth=DEFAULT_GROWTH):
     index_sets = tuple(tuple(n for n in range(1, n_blocks + 1) if n % m == i % m)
                        for i in range(m))
     # S is read up to the last block end; past it every member is 0
-    bits_S = bytes(S.bits(blocks[-1][1]))
+    bits_S = S.bits(blocks[-1][1])
     members = []
     for A in index_sets:
         bits = bytearray(horizon)

@@ -8,7 +8,8 @@ output-sensitive (a prefix is extended only while it stays in the language,
 and a factorial language holds every prefix of its words). States
 are canonical wherever the family allows it: two prefixes that leave the
 same constraints on every continuation reach equal states. The full shift
-(one state), forbidden-word shifts (the last max_len-1 symbols), beta
+(one state), forbidden-word shifts (the Aho-Corasick state: the longest
+suffix of the word read that is a proper prefix of a forbidden word), beta
 shifts (the length of the current match with a digit prefix) and spacing
 shifts with N \\ P finite and small (the relative 1-mask cut to the largest
 excluded difference) grow one numbered state graph from their transition
@@ -831,20 +832,29 @@ def counting_shift():
 def forbidden_shift(forbidden, n=2):
     """Subshift avoiding an explicit finite set of forbidden words. Not
     hereditary in general; checked for right-prolongability on its whole
-    state graph (the last max_len-1 symbols)."""
+    state graph.
+
+    The state is the Aho-Corasick one (Aho & Corasick, "Efficient string
+    matching", CACM 18(6), 1975): the longest suffix of the word read that
+    is a proper prefix of a forbidden word, so there are at most 1 + the
+    total length of the forbidden words. A forbidden f ending at the next
+    symbol leaves f minus that symbol, a proper prefix, as a suffix of the
+    word read, hence of the state: the refusal test reads the state alone."""
     forb = tuple(word(f, n) for f in forbidden)
     if not forb:
         return full_shift(n)
     syms = tuple(f.symbols for f in forb)
-    max_len = max(len(s) for s in syms)
+    prefixes = {f[:i] for f in syms for i in range(len(f))} | {()}
 
     def transition(state, a):
-        # state: the last (max_len - 1) symbols
+        # state: the longest suffix of the word read in prefixes
         tail = state + (a,)
         for f in syms:
             if len(f) <= len(tail) and tail[-len(f):] == f:
                 return False, state
-        return True, tail[-(max_len - 1):] if max_len > 1 else ()
+        while tail not in prefixes:
+            tail = tail[1:]
+        return True, tail
 
     # the transition never matches an empty forbidden word
     fbytes = tuple(bytes(f) for f in syms if f) if n <= 256 else ()
@@ -862,10 +872,12 @@ def forbidden_shift(forbidden, n=2):
 
 def _validate_prolongable(spec):
     """Right-prolongability on the state graph: every reachable state reads
-    some symbol. A forbidden-word spec reaches each state by the state
-    itself, a word, and numbers them by length, then lexicographically, so
-    the first dead state is the first word of L with no extension. The
-    states count against DEFAULT_NODE_CAP."""
+    some symbol. A forbidden-word state is a word of L, a suffix of every
+    word that reaches it, and the word itself reaches it first: a longer
+    state is reached only from its own prefix one symbol shorter. So the
+    graph numbers its states by length, then lexicographically, and the
+    first dead state is the first word of L with no extension. The states
+    count against DEFAULT_NODE_CAP."""
     graph, cap, i = spec._graph, DEFAULT_NODE_CAP, 0
     while i < len(graph.states):
         if i == cap:

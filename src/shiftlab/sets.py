@@ -1,15 +1,17 @@
 """Integer-set calculus: subsets of N with decidable membership.
 
 Every spec answers membership two ways: ``contains(i)`` for one integer, and
-``bits(H)``, the 0/1 indicator of A cap [1, H] built in one pass over the
-set's structure (a window slice, the values 2**n - 2**m, the factorial
-blocks, an or of the parts' indicators), never one ``contains`` per integer.
-``mask(H)`` packs that indicator into the one int layout of a finite set:
-bit i is set exactly when i is in A cap [1, H]. Every range consumer reads
-``bits(H)`` or ``mask(H)``: ``members`` and the prefix counts behind the
-density estimates read the indicator; the difference mask (an or of shifted
-masks) and the IP search read the mask, and difference_set returns through
-one unpacking into a WindowSet. ``contains`` is left for one-off queries.
+``bits(H)``, the 0/1 indicator of A cap [1, H] as ``bytes``, built by byte
+operations over the set's structure (a window slice, a repeated period, the
+values 2**n - 2**m, the factorial blocks, a translate for a complement, one
+int or of the parts' indicators for a union), never one ``contains`` per
+integer. ``mask(H)`` packs that indicator into the one int layout of a
+finite set: bit i is set exactly when i is in A cap [1, H]. Every range
+consumer reads ``bits(H)`` or ``mask(H)``: ``members`` and the prefix counts
+behind the density estimates read the indicator; the difference mask (an or
+of shifted masks) and the IP search read the mask, and difference_set
+returns through one unpacking into a WindowSet. ``contains`` is left for
+one-off queries.
 
 The Delta-set witness reads no search of its own: D - D lies in A exactly
 when the indicator word of D is in L(Omega_A), so a largest such D in
@@ -34,7 +36,7 @@ Set expression grammar (round-trips bit-exactly through parse/str):
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial, reduce
+from functools import reduce
 from itertools import accumulate, compress, islice
 from math import lcm
 from operator import or_, sub
@@ -47,6 +49,14 @@ _DEFAULT_HORIZON = 10_000
 IP_MAX_SIZE = 12
 # each parenthesis nests parse_set_expr and the set methods one level deeper
 MAX_SET_EXPR_PARENS = 100
+# 0/1 byte -> ASCII binary digit, and 0/1 byte -> its complement
+_BITS_ASCII = bytes.maketrans(b"\x00\x01", b"01")
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def _indicator(values):
+    """The values as bytes, 1 for a truthy one and 0 for the rest."""
+    return bytes(1 if v else 0 for v in values)
 
 
 class IntSetSpec:
@@ -60,8 +70,8 @@ class IntSetSpec:
         raise NotImplementedError
 
     def bits(self, H):
-        """[1 if contains(i) else 0 for i in 1..H] as ints, built from the
-        set's structure; [] for H < 1."""
+        """bytes([1 if contains(i) else 0 for i in 1..H]), built from the
+        set's structure; b"" for H < 1."""
         raise NotImplementedError
 
     def to_expr(self):
@@ -72,7 +82,7 @@ class IntSetSpec:
 
     def mask(self, H):
         """bits(H) as one int: bit i is set exactly when i is in A cap [1, H]."""
-        return int("".join(map(str, reversed(self.bits(H)))) + "0", 2)
+        return int(self.bits(H)[::-1].translate(_BITS_ASCII) + b"0", 2)
 
     def periodic_shape(self):
         """(L, p) when membership is provably periodic with period p past L,
@@ -104,11 +114,11 @@ class FiniteSet(IntSetSpec, Record):
         return i in self.elements
 
     def bits(self, H):
-        out = [0] * max(H, 0)
+        out = bytearray(max(H, 0))
         for e in self.elements:
             if 1 <= e <= H:
                 out[e - 1] = 1
-        return out
+        return bytes(out)
 
     def to_expr(self):
         return "finite:{%s}" % ",".join(str(e) for e in sorted(self.elements))
@@ -135,14 +145,11 @@ class PeriodicSet(IntSetSpec, Record):
         return bool(self.per[(i - len(self.pre) - 1) % len(self.per)])
 
     def bits(self, H):
-        # whole periods by list repetition, so a horizon past memory fails
-        # at the one allocation instead of growing a list until it runs out
+        # whole periods by bytes repetition, so a horizon past memory fails
+        # at the one allocation
         H = max(H, 0)
-        out = [1 if b else 0 for b in self.pre[:H]]
-        per = [1 if b else 0 for b in self.per]
-        out += per * -(-(H - len(out)) // len(per))
-        del out[H:]
-        return out
+        out = _indicator(self.pre[:H])
+        return (out + _indicator(self.per) * -(-(H - len(out)) // len(self.per)))[:H]
 
     def to_expr(self):
         if self.name:
@@ -163,7 +170,7 @@ class ComplementSet(IntSetSpec, Record):
         return i >= 1 and not self.inner.contains(i)
 
     def bits(self, H):
-        return [1 - b for b in self.inner.bits(H)]
+        return self.inner.bits(H).translate(_FLIP)
 
     def to_expr(self):
         return "complement:(%s)" % self.inner.to_expr()
@@ -182,9 +189,10 @@ class UnionSet(IntSetSpec, Record):
         return any(p.contains(i) for p in self.parts)
 
     def bits(self, H):
-        # lazy maps chained part by part, consumed once by list()
-        return list(reduce(partial(map, or_), (p.bits(H) for p in self.parts),
-                           [0] * max(H, 0)))
+        # 0/1 bytes or bytewise as big-endian ints
+        H = max(H, 0)
+        ors = reduce(or_, (int.from_bytes(p.bits(H), "big") for p in self.parts), 0)
+        return ors.to_bytes(H, "big")
 
     def to_expr(self):
         return "union:(%s)" % "|".join(p.to_expr() for p in self.parts)
@@ -214,8 +222,8 @@ class WindowSet(IntSetSpec, Record):
 
     def bits(self, H):
         H = max(H, 0)
-        out = [1 if b else 0 for b in self.window_bits[:H]]
-        return out + [0] * (H - len(out))
+        out = _indicator(self.window_bits[:H])
+        return out + bytes(H - len(out))
 
     def to_expr(self):
         return "window:%s" % "".join(map(str, self.window_bits))
@@ -238,7 +246,7 @@ class Pow2DiffSet(IntSetSpec, Record):
 
     def bits(self, H):
         # the O(log^2 H) values 2**n - 2**m <= H; 2**(n-1) is the least for n
-        out = [0] * max(H, 0)
+        out = bytearray(max(H, 0))
         n = 1
         while 1 << (n - 1) <= H:
             for m in range(n - 1, -1, -1):
@@ -247,7 +255,7 @@ class Pow2DiffSet(IntSetSpec, Record):
                     break
                 out[v - 1] = 1
             n += 1
-        return out
+        return bytes(out)
 
     def to_expr(self):
         return "pow2diff"
@@ -271,14 +279,14 @@ class FactorialBlocksSet(IntSetSpec, Record):
         return False
 
     def bits(self, H):
-        out = [0] * max(H, 0)
+        out = bytearray(max(H, 0))
         f, n = 2, 2
         while f <= H:
             end = min(f + n, H + 1)
-            out[f - 1:end - 1] = [1] * (end - f)
+            out[f - 1:end - 1] = b"\x01" * (end - f)
             n += 1
             f *= n
-        return out
+        return bytes(out)
 
     def to_expr(self):
         return "factorial_blocks"

@@ -45,14 +45,12 @@ from .langkit import (
     follower_max,
     max_density_word,
 )
-from .sets import ComplementSet, difference_set, largest_delta_subset
+from .sets import _BITS_ASCII, ComplementSet, difference_set, largest_delta_subset
 
 WINDOWED_DP_MAX_WINDOW = 24
 # the Delta* check reads A - A past its horizon H over at most max(H, this)
 # more places, and from A cap [1, H] alone when A's period takes more
 EXACT_DIFFERENCE_SPAN = 4096
-# symbol value byte -> ASCII binary digit
-_BITS_ASCII = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class PSetSpec(Record):

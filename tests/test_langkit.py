@@ -38,6 +38,7 @@ from shiftlab.langkit import (
 )
 from shiftlab.spacing import PSetSpec
 
+from forbidden_reference import expand_all, tail_forbidden_shift
 from position_reference import (
     count_positions,
     counting_narrow,
@@ -316,14 +317,19 @@ def _refusal(build):
     return None
 
 
-def test_prolongability_on_the_state_graph_matches_the_enumeration(monkeypatch):
-    # every set of at most 3 binary words of length <= 3, plus seeded
-    # ternary sets: the same verdict and the same first dead word
+def _forbidden_cases():
+    """(words, n): every set of at most 3 binary words of length <= 3, plus
+    300 seeded ternary sets."""
     binary = ["".join(w) for m in (1, 2, 3) for w in itertools.product("01", repeat=m)]
     cases = [(list(ws), 2) for r in (1, 2, 3) for ws in itertools.combinations(binary, r)]
     rng = random.Random(23)
-    cases += [(["".join(rng.choice("012") for _ in range(rng.randint(1, 3)))
-                for _ in range(rng.randint(1, 6))], 3) for _ in range(300)]
+    return cases + [(["".join(rng.choice("012") for _ in range(rng.randint(1, 3)))
+                      for _ in range(rng.randint(1, 6))], 3) for _ in range(300)]
+
+
+def test_prolongability_on_the_state_graph_matches_the_enumeration(monkeypatch):
+    # the same verdict and the same first dead word
+    cases = _forbidden_cases()
     got = [_refusal(lambda: forbidden_shift(ws, n=n)) for ws, n in cases]
     # the reference runs on the same spec, built without the graph check
     monkeypatch.setattr(langkit, "_validate_prolongable", lambda spec: None)
@@ -336,13 +342,60 @@ def test_prolongability_on_the_state_graph_matches_the_enumeration(monkeypatch):
 
 
 def test_prolongability_check_charges_the_node_cap(monkeypatch):
-    # forbidden:{999} has the 111 states of length <= 2 over 0..9
-    monkeypatch.setattr(langkit, "DEFAULT_NODE_CAP", 111)
-    assert count_language(parse_shift_spec("forbidden:{999}"), 2) == 100
-    monkeypatch.setattr(langkit, "DEFAULT_NODE_CAP", 110)
+    # one word of length 22: its 22 proper prefixes are the states
+    text = "forbidden:{1000000000000000000001}"
+    monkeypatch.setattr(langkit, "DEFAULT_NODE_CAP", 22)
+    assert count_language(parse_shift_spec(text), 22) == 2 ** 22 - 1
+    monkeypatch.setattr(langkit, "DEFAULT_NODE_CAP", 21)
     with pytest.raises(ResourceCapExceeded):
-        parse_shift_spec("forbidden:{999}")
-    assert main(["language", "--shift", "forbidden:{999}", "--k", "2"], out=io.StringIO()) == 3
+        parse_shift_spec(text)
+    assert main(["language", "--shift", text, "--k", "2"], out=io.StringIO()) == 3
+
+
+def _brute_columns(spec, k_max):
+    """lambda_k and D_k(alpha) for every nonzero alpha, k = 1..k_max, from
+    the spec's member test alone: a word without a forbidden factor has
+    none in its prefix, so L_k is the words wa of L_(k-1) x A it accepts."""
+    out, words, ext = [], [b""], [bytes([a]) for a in range(spec.n)]
+    for _ in range(k_max):
+        words = [w for w in (u + a for u in words for a in ext) if spec._member(w)]
+        out.append((len(words),) + tuple(max(w.count(a) for w in words)
+                                         for a in range(1, spec.n)))
+    return out
+
+
+def _columns(spec, k_max):
+    return [(count_language(spec, k),) + tuple(max_symbol_count(spec, a, k)
+                                               for a in range(1, spec.n))
+            for k in range(1, k_max + 1)]
+
+
+def test_aho_corasick_states_match_the_tail_reference():
+    # the columns of brute force and of the last-max_len-1 reference, on at
+    # most 1 + sum |f| states and never more than the reference's
+    built = 0
+    for ws, n in _forbidden_cases():
+        try:
+            spec = forbidden_shift(ws, n=n)
+        except SpecValidationError:
+            continue  # not right-prolongable
+        built += 1
+        ref = tail_forbidden_shift(ws, n=n)
+        states = len(spec._graph.states)  # the prolongability check expanded them all
+        assert states <= 1 + sum(map(len, ws)) and states <= expand_all(ref), ws
+        assert _columns(spec, 10) == _columns(ref, 10) == _brute_columns(spec, 10), ws
+    assert built > 200
+
+
+def test_long_sparse_forbidden_words_count_at_once():
+    # 1 0^20 1 overlaps itself in one symbol, so two occurrences need 43
+    # places: lambda_40 = 2**40 - 19 * 2**18 (19 starts, 18 free places)
+    text = "forbidden:{1000000000000000000001}"
+    assert count_language(parse_shift_spec(text), 40) == 2 ** 40 - 19 * 2 ** 18 == 1099506647040
+    assert len(parse_shift_spec("forbidden:{999999}")._graph.states) == 6
+    out = io.StringIO()
+    assert main(["language", "--shift", text, "--k", "40"], out=out) == 0
+    assert "1099506647040" in out.getvalue()
 
 
 @settings(max_examples=20)
@@ -642,7 +695,7 @@ def _max_symbol_spec(name):
 
 PINNED_COLUMNS = {
     "forbidden:{111,0101}":
-        "96a023903f879d043022e5b7a4e7508b5a6fc1adbc970ddb2a0deb41fce08bf7",
+        "08af99148adf9dabf6d8000c2a9fc940b8fcfffccba1546ff42cf26b81397c5a",
     "spacing:P=complement:(finite:{1,3,7,12})":
         "4320a0a1cfb726f7aeab333cb2db18ce114aff7877d131861f97423781c2a325",
     "beta:beta=1.5":

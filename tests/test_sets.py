@@ -338,8 +338,9 @@ def test_parse_str_round_trip_periodic(s):
 
 
 def test_periodic_bits_match_contains():
-    # PeriodicSet.bits builds one list from the cycled period; it must equal
-    # the per-position membership definition of IntSetSpec.bits
+    # PeriodicSet.bits repeats the period as bytes; it must equal the
+    # per-position membership definition of IntSetSpec.bits, 0/1 even where
+    # the pattern holds other truthy values
     rng = random.Random(23)
     sets = [EVENS, ODDS, PeriodicSet((True, 0, 1), (2, 0))]
     for _ in range(40):
@@ -350,8 +351,8 @@ def test_periodic_bits_match_contains():
         for H in (0, len(s.pre) // 2, len(s.pre), len(s.pre) + 1,
                   len(s.pre) + 50 * len(s.per) + 7, -1):
             got = s.bits(H)
-            assert got == [1 if s.contains(i) else 0 for i in range(1, H + 1)], (s, H)
-            assert all(type(b) is int for b in got)
+            assert got == bytes([1 if s.contains(i) else 0 for i in range(1, H + 1)]), (s, H)
+            assert type(got) is bytes
 
 
 # -- whole-horizon kernels -----------------------------------------------------
@@ -400,8 +401,8 @@ def test_bits_match_contains_for_every_class():
         Hs = {-1, 0, 1, 20000} | {n + d for n in lengths for d in (-1, 0, 1)}
         for H in sorted(Hs):
             got = A.bits(H)
-            assert got == [1 if A.contains(i) else 0 for i in range(1, H + 1)], (A, H)
-            assert all(type(b) is int for b in got), (A, H)
+            assert got == bytes([1 if A.contains(i) else 0 for i in range(1, H + 1)]), (A, H)
+            assert type(got) is bytes, (A, H)
             assert A.members(H) == [i for i in range(1, H + 1) if A.contains(i)], (A, H)
 
 

@@ -7,11 +7,21 @@ values 2**n - 2**m, the factorial blocks, a translate for a complement, one
 int or of the parts' indicators for a union), never one ``contains`` per
 integer. ``mask(H)`` packs that indicator into the one int layout of a
 finite set: bit i is set exactly when i is in A cap [1, H]. Every range
-consumer reads ``bits(H)`` or ``mask(H)``: ``members`` and the prefix counts
-behind the density estimates read the indicator; the difference mask (an or
+consumer reads ``bits(H)`` or ``mask(H)``: ``members`` and the density
+estimates read the indicator (the upper and asymptotic ones count its 1
+bytes, the Banach one reads its prefix counts); the difference mask (an or
 of shifted masks) and the IP search read the mask, and difference_set
 returns through one unpacking into a WindowSet. ``contains`` is left for
 one-off queries.
+
+The Banach estimate and the IP search walk members, not positions. A
+densest window of a given length slides, without losing a member, to start
+at a run of A cap [1, H] or at the last start H - L, so
+upper_banach_density reads each length there alone. The IP search keeps
+cand(S), the mask of the x that S may take next (x plus each finite sum of
+S stays in A cap [1, bound]); adding c makes it cand & (cand >> c), and the
+members skipped between two children are charged to the node cap as one
+difference of indices.
 
 The Delta-set witness reads no search of its own: D - D lies in A exactly
 when the indicator word of D is in L(Omega_A), so a largest such D in
@@ -35,11 +45,12 @@ Set expression grammar (round-trips bit-exactly through parse/str):
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, compress, islice
+from itertools import accumulate, compress
 from math import lcm
-from operator import or_, sub
+from operator import or_
 
 from .core import Record, set_field
 from .errors import PreconditionError, ResourceCapExceeded, SpecParseError
@@ -401,8 +412,8 @@ def upper_density(A, H=_DEFAULT_HORIZON):
     ep = A.eventually_periodic()
     if ep is not None:
         return DensityResult(_period_density(ep), exact=True, exists=True)
-    counts = _prefix_counts(A, H)
-    est = max(Fraction(counts[n], n) for n in _grid(H))
+    bits = A.bits(H)
+    est = max(Fraction(bits.count(1, 0, n), n) for n in _grid(H))
     return DensityResult(float(est), exact=False, horizon=H)
 
 
@@ -415,8 +426,7 @@ def asymptotic_density(A, H=_DEFAULT_HORIZON):
     if isinstance(A, FactorialBlocksSet):
         # sparsity certificate: |A cap [1, n!]| <= 2 + 3 + ... + (n-1) = o(n!)
         return DensityResult(Fraction(0), exact=True, exists=True)
-    counts = _prefix_counts(A, H)
-    est = Fraction(counts[H], H)
+    est = Fraction(A.bits(H).count(1), H)
     return DensityResult(float(est), exact=False, exists=None, horizon=H)
 
 
@@ -425,27 +435,40 @@ def upper_banach_density(A, H=_DEFAULT_HORIZON, min_window=16):
     max density over sampled windows [m, n) in [1, H] with n - m >= min_window,
     or the whole of [1, H] when H is shorter.
 
-    The sampled lengths double from min(min_window, H), and each length takes
-    the integer maximum of counts[s+L] - counts[s] over its starts before
-    making one Fraction: O(H log H) integer operations."""
+    The sampled lengths double from min(min_window, H). A length L reads
+    counts[s+L] - counts[s] at few starts s, not all H - L + 1 of them. A
+    window (s, s+L] slides right, losing no member, until it starts at its
+    first member m (s = m - 1), unless that would carry it past H; then the
+    last window (H-L, H] holds every member it had. It slides left, losing
+    no member, while the position before its start is a member. So the
+    maximum over all starts is the maximum over the starts m - 1 of the runs
+    of A cap [1, H] (members m with m - 1 not a member) and the last start
+    H - L. Each length costs O(number of runs) integer operations, and the
+    lengths compare their (count, L) pairs by cross products."""
     _check_horizon(H)
     ep = A.eventually_periodic()
     if ep is not None:
         return DensityResult(_period_density(ep), exact=True, exists=True)
-    counts = _prefix_counts(A, H)
-    best = Fraction(0)
+    bits = A.bits(H)
+    # counts[n] = |A cap [1, n]|, one shared int per value: past the cached
+    # small ints the list holds |A cap [1, H]| + 1 int objects, not H + 1,
+    # so the memory the estimate leaves in the allocator's pools grows with
+    # A and not with H
+    ranks = list(range(bits.count(1) + 1))
+    counts = list(map(ranks.__getitem__, accumulate(bits, initial=0)))
+    # run starts: byte i of x is bits[i], of x >> 8 is bits[i - 1]
+    x = int.from_bytes(bits, "big")
+    starts = list(compress(range(H), (x & ~(x >> 8)).to_bytes(H, "big")))
+    most, length = 0, 1
     L = min(min_window, H)
     while L <= H:
-        most = max(map(sub, islice(counts, L, None), counts))
-        best = max(best, Fraction(most, L))
+        fits = starts[:bisect_right(starts, H - L)]
+        m = max((counts[s + L] - counts[s] for s in fits), default=0)
+        m = max(m, counts[H] - counts[H - L])
+        if m * length > most * L:
+            most, length = m, L
         L *= 2
-    return DensityResult(float(best), exact=False, horizon=H)
-
-
-def _prefix_counts(A, H):
-    """counts[n] = |A cap [1, n]| for n = 0..H, the window every finite-horizon
-    density estimate reads."""
-    return list(accumulate(A.bits(H), initial=0))
+    return DensityResult(most / length, exact=False, horizon=H)
 
 
 # -- set algebra to a horizon --------------------------------------------------
@@ -538,44 +561,63 @@ def largest_delta_subset(A, H, node_cap=DEFAULT_NODE_CAP):
 
 
 def largest_ip_subset(A, bound, node_cap=DEFAULT_NODE_CAP):
-    """Largest S found with FS(S) inside A and every finite sum <= bound.
-    The result is a lower bound on the true maximum: the search stops at
-    IP_MAX_SIZE elements and at the node cap (dense A admits huge IP sets).
+    """(S, capped): a largest S found with FS(S) inside A and every finite
+    sum <= bound, the elements ascending. S is a lower bound on the true
+    maximum: the search stops at IP_MAX_SIZE elements, and capped says it
+    stopped at node_cap (dense A admits huge IP sets).
 
-    The finite sums of the chosen elements are one int, bit s set when s is
-    a sum, and A cap [1, bound] is another, a_mask: adding c makes the sums
-    (sums << c) | (1 << c), which must all lie in a_mask."""
-    return _ip_search(A, bound, node_cap)[0]
+    The search is a depth-first walk over S in ascending order, on an
+    explicit stack. cand(S) is the int whose bit x is set when x and x + s
+    lie in A cap [1, bound] for every finite sum s of S; cand({}) is
+    A.mask(bound). The next elements S may take are the members of cand(S)
+    above max(S), and adding c gives cand(S + {c}) = cand & (cand >> c), one
+    big-int operation per node (x + c must itself be in cand(S)).
 
-
-def _ip_search(A, bound, node_cap):
-    # (largest_ip_subset, whether the search stopped at node_cap)
+    node_cap bounds the candidate indices looked at. A frame for S looks at
+    the members of A cap [1, bound] by index from just past max(S) up to its
+    stop: the first member c with c + sum(S) > bound, clamped to at least
+    the start, looked at itself when it exists (the root has no stop). A
+    child at index jc after resume index j charges jc - j + 1 at once, the
+    members of A in between that are not in cand(S) included, and a frame
+    with no child left charges the rest up to its stop. When S reaches
+    IP_MAX_SIZE, every open frame with an index left charges one more."""
     candidates = A.members(bound)
-    a_mask = A.mask(bound)
-    best = []
-    nodes = 0
-
-    def rec(start, chosen, sums):
-        nonlocal best, nodes
+    n = len(candidates)
+    best, chosen, nodes = (), [], 0
+    # a frame: [members of cand(S) above the last child tried, sum(S),
+    # stop index, resume index]
+    stack = [[A.mask(bound), 0, n, 0]]
+    while stack:
+        frame = stack[-1]
+        rem, top, stop, j = frame
+        if not rem:
+            nodes += stop - j + (stop < n)
+            if nodes > node_cap:
+                return best, True
+            stack.pop()
+            if stack:
+                chosen.pop()
+            continue
+        low = rem & -rem
+        c = low.bit_length() - 1
+        jc = bisect_left(candidates, c, j)
+        nodes += jc - j + 1
+        if nodes > node_cap:
+            return best, True
+        rem ^= low
+        frame[0], frame[3] = rem, jc + 1
+        chosen.append(c)
         if len(chosen) > len(best):
-            best = list(chosen)
-        top = sums.bit_length() - 1
-        for j in range(start, len(candidates)):
-            nodes += 1
-            if nodes > node_cap or len(best) >= IP_MAX_SIZE:
-                return
-            c = candidates[j]
-            if sums and c + top > bound:
-                break  # candidates ascend, later c only overflows more
-            new = (sums << c) | (1 << c)
-            if new & a_mask != new:
-                continue
-            chosen.append(c)
-            rec(j + 1, chosen, sums | new)
-            chosen.pop()
-
-    rec(0, [], 0)
-    return tuple(best), nodes > node_cap
+            best = tuple(chosen)
+        top += c
+        # rem is cand(S) above c, and both x and x + c lie above c, so
+        # rem & (rem >> c) is cand(S + {c}) above c: the child's candidates
+        stack.append([rem & (rem >> c), top, max(bisect_right(candidates, bound - top), jc + 1),
+                      jc + 1])
+        if len(best) == IP_MAX_SIZE:
+            nodes += sum(f[3] < n for f in stack)
+            break
+    return best, nodes > node_cap
 
 
 def classify(A, H=_DEFAULT_HORIZON, ip_bound=None, node_cap=DEFAULT_NODE_CAP):
@@ -600,7 +642,7 @@ def classify(A, H=_DEFAULT_HORIZON, ip_bound=None, node_cap=DEFAULT_NODE_CAP):
     pws = thick_run >= 2 and max_gap is not None
     delta_h = min(H, 512)
     delta_w, delta_capped = largest_delta_subset(A, delta_h, node_cap)
-    ip_w, ip_capped = _ip_search(A, ip_bound, node_cap)
+    ip_w, ip_capped = largest_ip_subset(A, ip_bound, node_cap)
     return ClassifyReport(
         horizon=H,
         thick_run=thick_run,

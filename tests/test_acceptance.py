@@ -220,7 +220,7 @@ def test_criterion_11_sets():
         binform = bin(i)[2:]
         ones_then_zeros = "01" not in binform
         assert p.contains(i) == ones_then_zeros, i
-    ip = largest_ip_subset(p, 1 << 12)
+    ip = largest_ip_subset(p, 1 << 12)[0]
     assert len(ip) <= 2
     mult3 = PeriodicSet((), (0, 0, 1), "mult3")
     # exact passes: a largest B whose differences miss A - A has 2 and 3

@@ -9,7 +9,6 @@ import shiftlab
 
 # module.qualified.name -> why its recursion stays shallow
 ALLOWED = {
-    "sets._ip_search.rec": "one level per element, at most sets.IP_MAX_SIZE = 12",
     "sets.parse_set_expr": "one level per parenthesis, at most sets.MAX_SET_EXPR_PARENS",
 }
 

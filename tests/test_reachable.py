@@ -12,9 +12,8 @@ ALLOWED = {
     "beta.word_in_beta_language": "the suffix-rule reference for beta membership (ROADMAP item 1)",
     "beta.count_beta_language": "bound by name in perfbench/spans.py (ROADMAP item 8)",
     "langkit.binary_entropy": "read by an acceptance test (ROADMAP item 10)",
-    "sets.largest_ip_subset": "read by acceptance tests (ROADMAP item 15)",
-    "spacing.difference_subset_witness": "read by acceptance tests (ROADMAP item 15)",
-    "chaos.diff_equal_densities": "read by acceptance tests (ROADMAP item 15)",
+    "spacing.difference_subset_witness": "read by acceptance tests (ROADMAP item 22)",
+    "chaos.diff_equal_densities": "read by acceptance tests (ROADMAP item 22)",
 }
 
 

@@ -27,6 +27,7 @@ from shiftlab.sets import (
 )
 
 from position_reference import brute_force_delta_sizes, delta_search
+from sets_reference import frozenset_ip_reference, ip_nodes, reference_banach
 
 
 def test_named_sets_membership():
@@ -111,19 +112,6 @@ def test_upper_banach_density_factorial_blocks_estimate():
     assert r.value >= 0.9
 
 
-def _reference_banach(A, H, min_window):
-    """The max over doubling window lengths L >= min(min_window, H) and every
-    start s of the window density Fraction(|A cap (s, s+L]|, L), one
-    Fraction per start."""
-    best = Fraction(0)
-    L = min(min_window, H)
-    while L <= H:
-        for s in range(H - L + 1):
-            best = max(best, Fraction(sum(1 for i in range(s + 1, s + L + 1) if A.contains(i)), L))
-        L *= 2
-    return best
-
-
 def test_upper_banach_density_matches_per_start_reference():
     rng = random.Random(7)
     seeded = WindowSet(tuple(1 if rng.random() < 0.3 else 0 for _ in range(700)))
@@ -131,7 +119,38 @@ def test_upper_banach_density_matches_per_start_reference():
         for H, min_window in ((700, 16), (513, 4), (64, 64), (10, 16)):
             r = upper_banach_density(A, H=H, min_window=min_window)
             assert not r.exact and r.horizon == H
-            assert r.value == float(_reference_banach(A, H, min_window)), (A, H, min_window)
+            assert r.value == float(reference_banach(A, H, min_window)), (A, H, min_window)
+
+
+def _window(ones, length):
+    return WindowSet(tuple(1 if i in ones else 0 for i in range(1, length + 1)))
+
+
+@pytest.mark.parametrize("A,H,min_window", [
+    # members only in the last window: no member starts a window that fits
+    (_window({100}, 100), 100, 16),
+    (_window({90, 95, 100}, 100), 100, 16),
+    (_window({200}, 300), 200, 4),
+    # A cap [1, H] empty
+    (_window(set(), 50), 50, 16),
+    (_window({60}, 80), 40, 4),
+    (FactorialBlocksSet(), 1, 16),
+    # H below min_window: the one window is [1, H]
+    (Pow2DiffSet(), 5, 16),
+    (_window({1, 3}, 7), 7, 64),
+    # H on the doubling grid, so the last length is H itself
+    (Pow2DiffSet(), 128, 16),
+    (FactorialBlocksSet(), 256, 4),
+    (_window({1, 2, 3}, 64), 64, 16),
+    # dense windows: long runs, and runs that start at 1
+    (_window(set(range(1, 301)) - {7, 150, 151, 299}, 300), 300, 4),
+    (_window({i for i in range(1, 513) if i % 7}, 512), 512, 16),
+    (_window(set(range(1, 41)), 40), 40, 8),
+])
+def test_upper_banach_density_edge_cases_match_the_reference(A, H, min_window):
+    r = upper_banach_density(A, H=H, min_window=min_window)
+    assert not r.exact and r.horizon == H
+    assert r.value == float(reference_banach(A, H, min_window))
 
 
 def test_density_estimates_flagged():
@@ -268,7 +287,7 @@ def test_set_expression_nesting_is_bounded():
 
 
 def test_largest_ip_subset_pow2diff_small():
-    s = largest_ip_subset(Pow2DiffSet(), 64)
+    s = largest_ip_subset(Pow2DiffSet(), 64)[0]
     assert len(s) == 2  # e.g. {2, 6}: 2, 6, 8 all of the form 2^n - 2^m
 
 
@@ -293,7 +312,7 @@ def test_classify_cap_hit_says_a_witness_search_stopped_at_the_cap(A, H, ip_boun
     # the witnesses are those of the searches on their own
     assert (rep.delta_witness, not rep.delta_exact) == \
         largest_delta_subset(A, min(H, 512), node_cap=cap)
-    assert rep.ip_witness == largest_ip_subset(A, rep.ip_bound, node_cap=cap)
+    assert rep.ip_witness == largest_ip_subset(A, rep.ip_bound, node_cap=cap)[0]
     assert "cap_hit" not in rep.to_json()
 
 
@@ -419,37 +438,7 @@ def test_density_estimates_match_their_definitions():
             r = asymptotic_density(A, H)
             assert r.exact or r.value == float(Fraction(count[H], H))
         assert upper_banach_density(A, 300, min_window=4).value == \
-            float(_reference_banach(A, 300, 4))
-
-
-def _frozenset_ip_reference(A, bound, node_cap):
-    """The frozenset search largest_ip_subset ran before its bitmask form,
-    kept as the reference: the same candidate order, nodes and stops."""
-    candidates = A.members(bound)
-    best = []
-    nodes = 0
-
-    def rec(start, chosen, sums):
-        nonlocal best, nodes
-        if len(chosen) > len(best):
-            best = list(chosen)
-        top = max(sums) if sums else 0
-        for j in range(start, len(candidates)):
-            nodes += 1
-            if nodes > node_cap or len(best) >= sets.IP_MAX_SIZE:
-                return
-            c = candidates[j]
-            if sums and c + top > bound:
-                break
-            new_sums = {c} | {c + t for t in sums}
-            if any(s > bound or not A.contains(s) for s in new_sums):
-                continue
-            chosen.append(c)
-            rec(j + 1, chosen, sums | new_sums)
-            chosen.pop()
-
-    rec(0, [], frozenset())
-    return tuple(best)
+            float(reference_banach(A, 300, 4))
 
 
 def test_largest_ip_subset_matches_the_frozenset_search():
@@ -458,18 +447,66 @@ def test_largest_ip_subset_matches_the_frozenset_search():
              (FactorialBlocksSet(), 800), (ComplementSet(FactorialBlocksSet()), 300),
              (parse_set_expr("union:(periodic:;0001|finite:{3,6,9})"), 500)]
     cases += [(_seeded_set(rng, 3), rng.choice((1, 5, 80, 400))) for _ in range(20)]
-    capped = 0
+    capped = least_checked = 0
     for A, bound in cases:
+        caps = [20000, 50, 1]
+        if not frozenset_ip_reference(A, bound, 20000)[1]:
+            # the least cap the search finishes under, and one below it
+            least = ip_nodes(A, bound)
+            caps += [least, least - 1]
+            least_checked += 1
         answers = []
-        for cap in (20000, 50, 1):
+        for cap in caps:
             got = largest_ip_subset(A, bound, node_cap=cap)
-            assert got == _frozenset_ip_reference(A, bound, cap), (A, bound, cap)
+            assert got == frozenset_ip_reference(A, bound, cap), (A, bound, cap)
             answers.append(got)
+        assert [hit for _, hit in answers[3:]] in ([], [False, True]), (A, bound)
         capped += answers[2] != answers[0]
+    assert least_checked > 20
     # evens and the naturals stop at IP_MAX_SIZE, and small caps cut searches short
-    assert len(largest_ip_subset(EVENS, 4096)) == sets.IP_MAX_SIZE
-    assert len(largest_ip_subset(sets.NATURALS, 4096)) == sets.IP_MAX_SIZE
+    assert len(largest_ip_subset(EVENS, 4096)[0]) == sets.IP_MAX_SIZE
+    assert len(largest_ip_subset(sets.NATURALS, 4096)[0]) == sets.IP_MAX_SIZE
     assert capped > 5
+
+
+@pytest.mark.parametrize("A,bound", [
+    (EVENS, 40),
+    (FiniteSet(frozenset({3, 5, 6})), 6),
+    (FiniteSet(frozenset({1, 2, 4, 6, 8, 9})), 9),
+    (Pow2DiffSet(), 64),
+    (sets.NATURALS, 16),
+    (parse_set_expr("union:(periodic:;0001|finite:{3,6,9})"), 60),
+    (ComplementSet(FactorialBlocksSet()), 25),
+])
+def test_largest_ip_subset_matches_the_frozenset_search_at_every_cap(A, bound):
+    # every cap up to the least one the search finishes under: each node kind
+    # (a child, a skipped candidate, a frame's stop, an unwinding charge) trips
+    # the cap somewhere in the sweep
+    for cap in range(ip_nodes(A, bound) + 2):
+        assert largest_ip_subset(A, bound, node_cap=cap) == \
+            frozenset_ip_reference(A, bound, cap), (A, bound, cap)
+
+
+@pytest.mark.parametrize("A,bound,cap,expected", [
+    # {1} has 8 as its one child: 2, 4, 6 are skipped (nodes 2-4), 8 is node 5
+    (FiniteSet(frozenset({1, 2, 4, 6, 8, 9})), 9, 2, ((1,), True)),
+    (FiniteSet(frozenset({1, 2, 4, 6, 8, 9})), 9, 3, ((1,), True)),
+    (FiniteSet(frozenset({1, 2, 4, 6, 8, 9})), 9, 4, ((1,), True)),
+    (FiniteSet(frozenset({1, 2, 4, 6, 8, 9})), 9, 5, ((1, 8), True)),
+    # the root child 5 > 6/2: its frame stops at its first index (node 4);
+    # five nodes in all
+    (FiniteSet(frozenset({3, 5, 6})), 6, 3, ((3,), True)),
+    (FiniteSet(frozenset({3, 5, 6})), 6, 4, ((3,), True)),
+    (FiniteSet(frozenset({3, 5, 6})), 6, 5, ((3,), False)),
+    # 1..12 are nodes 1-12; the 13 open frames then charge nodes 13-25
+    (sets.NATURALS, 4096, 11, (tuple(range(1, 12)), True)),
+    (sets.NATURALS, 4096, 12, (tuple(range(1, 13)), True)),
+    (sets.NATURALS, 4096, 24, (tuple(range(1, 13)), True)),
+    (sets.NATURALS, 4096, 25, (tuple(range(1, 13)), False)),
+])
+def test_largest_ip_subset_node_charges(A, bound, cap, expected):
+    assert largest_ip_subset(A, bound, node_cap=cap) == expected
+    assert frozenset_ip_reference(A, bound, cap) == expected
 
 
 def test_classify_rejects_an_ip_bound_below_1():

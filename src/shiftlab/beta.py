@@ -82,9 +82,11 @@ def parse_beta(text):
 
 class BetaSpec:
     """An exact non-integer base beta = (a + b*sqrt(d))/c > 1, with c > 0 and
-    d >= 2 not a square when b != 0, plus a digit horizon."""
+    d >= 2 not a square when b != 0. Its digits exist up to digit_horizon."""
 
-    def __init__(self, a, b, c, d, digit_horizon=DEFAULT_DIGIT_HORIZON, label=None):
+    digit_horizon = DEFAULT_DIGIT_HORIZON
+
+    def __init__(self, a, b, c, d, label=None):
         if c < 1 or b and (d < 2 or isqrt(d) ** 2 == d):
             raise PreconditionError(
                 "beta = (a + b*sqrt(d))/c needs c >= 1, and d >= 2 not a square when b != 0")
@@ -98,7 +100,6 @@ class BetaSpec:
                 "integer beta rejected: the digit alphabet {0..floor(beta)} "
                 "has floor(beta)+1 symbols but the ambient shift has ceil(beta)")
         self.floor_beta = fl
-        self.digit_horizon = digit_horizon
         # by default the text parse_beta reads back
         self.label = label if label is not None else (
             "%d/%d" % (a, c) if b == 0 else "quad:(%d+%d*sqrt%d)/%d" % (a, b, d, c))

@@ -61,16 +61,6 @@ def _disagreements(xs, ys):
     return bytes(map(ne, xs, ys))
 
 
-def diff_equal_densities(x, y):
-    """Exact (upper = asymptotic) densities of Diff(x,y) = {i : x_i != y_i}
-    and its complement Equal(x,y); both limits exist for eventually periodic
-    pairs."""
-    _same_alphabet(x, y)
-    c, xs, ys = _cycle(x, y)
-    d = Fraction(_disagreements(xs, ys).count(1), c)
-    return d, 1 - d
-
-
 class DistributionProfile(Record):
     """F and F* sampled on a threshold grid.
 

@@ -121,13 +121,14 @@ def _cmd_sets_diff(args):
     if args.limit < 0:
         raise PreconditionError("limit must be >= 0")
     A = sets.parse_set_expr(args.set)
-    D = sets.difference_set(A, args.horizon)
-    members = D.members(args.horizon)
+    bits = sets.difference_set(A, args.horizon).bits(args.horizon)
+    count = bits.count(1)
     return str(A), {
         "horizon": args.horizon,
-        "count": len(members),
-        "members": members if len(members) <= args.limit else members[:args.limit],
-        "truncated": len(members) > args.limit,
+        "count": count,
+        "members": list(itertools.islice(
+            itertools.compress(range(1, args.horizon + 1), bits), args.limit)),
+        "truncated": count > args.limit,
     }
 
 

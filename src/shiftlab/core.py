@@ -13,8 +13,8 @@ shifting exact and decidable.
 
 A point has one whole-window kernel, ``prefix(k)``: omega_1 .. omega_k in
 one pass over the preperiod and the repeated period. Everything that reads
-a run of coordinates (the metric here, the exact profiles and Diff/Equal
-densities in ``chaos``, the Parry check in ``beta``) reads it;
+a run of coordinates (the metric here, the exact profiles in ``chaos``, the
+Parry check in ``beta``) reads it;
 ``symbol_at`` is for one-off queries.
 """
 

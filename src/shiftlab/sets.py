@@ -305,7 +305,6 @@ class FactorialBlocksSet(IntSetSpec, Record):
 
 EVENS = PeriodicSet((), (0, 1), name="evens")
 ODDS = PeriodicSet((), (1, 0), name="odds")
-NATURALS = PeriodicSet((), (1,), name="")
 
 _NAMED = {
     "evens": EVENS,
@@ -430,12 +429,12 @@ def asymptotic_density(A, H=_DEFAULT_HORIZON):
     return DensityResult(float(est), exact=False, exists=None, horizon=H)
 
 
-def upper_banach_density(A, H=_DEFAULT_HORIZON, min_window=16):
+def upper_banach_density(A, H=_DEFAULT_HORIZON):
     """limsup of window densities; exact for eventually periodic specs, else the
-    max density over sampled windows [m, n) in [1, H] with n - m >= min_window,
-    or the whole of [1, H] when H is shorter.
+    max density over sampled windows [m, n) in [1, H] with n - m >= 16, or the
+    whole of [1, H] when H is shorter.
 
-    The sampled lengths double from min(min_window, H). A length L reads
+    The sampled lengths double from min(16, H). A length L reads
     counts[s+L] - counts[s] at few starts s, not all H - L + 1 of them. A
     window (s, s+L] slides right, losing no member, until it starts at its
     first member m (s = m - 1), unless that would carry it past H; then the
@@ -460,7 +459,7 @@ def upper_banach_density(A, H=_DEFAULT_HORIZON, min_window=16):
     x = int.from_bytes(bits, "big")
     starts = list(compress(range(H), (x & ~(x >> 8)).to_bytes(H, "big")))
     most, length = 0, 1
-    L = min(min_window, H)
+    L = min(16, H)
     while L <= H:
         fits = starts[:bisect_right(starts, H - L)]
         m = max((counts[s + L] - counts[s] for s in fits), default=0)
@@ -504,7 +503,7 @@ class ClassifyReport(Record):
                  delta_witness, delta_horizon, delta_exact, ip_witness, ip_bound, cap_hit):
         set_field(self, "horizon", horizon)
         set_field(self, "thick_run", thick_run)
-        set_field(self, "max_gap", max_gap)              # None when fewer than two members
+        set_field(self, "max_gap", max_gap)              # None when A cap [1, H] is empty
         set_field(self, "piecewise_syndetic_evidence", piecewise_syndetic_evidence)
         # a D in [1, delta_horizon] with D-D inside A: a largest one when
         # delta_exact (the walk finished), else the greedy dive
@@ -529,16 +528,6 @@ class ClassifyReport(Record):
             "ip_witness_size": len(self.ip_witness),
             "ip_bound": self.ip_bound,
         }
-
-
-def _longest_run(members):
-    best = run = 0
-    prev = None
-    for m in members:
-        run = run + 1 if prev is not None and m == prev + 1 else 1
-        best = max(best, run)
-        prev = m
-    return best
 
 
 def largest_delta_subset(A, H, node_cap=DEFAULT_NODE_CAP):
@@ -630,15 +619,11 @@ def classify(A, H=_DEFAULT_HORIZON, ip_bound=None, node_cap=DEFAULT_NODE_CAP):
         ip_bound = min(H, 4096)
     if ip_bound < 1:
         raise PreconditionError("ip_bound must be >= 1")
-    members = A.members(H)
-    thick_run = _longest_run(members)
-    if len(members) >= 1:
-        gaps = [members[0]]
-        gaps += [b - a for a, b in zip(members, members[1:])]
-        gaps.append(H + 1 - members[-1])
-        max_gap = max(gaps)
-    else:
-        max_gap = None
+    bits = A.bits(H)
+    # the longest run of members, and the longest run of non-members with
+    # the member that ends it (or H + 1 past the last one)
+    thick_run = max(map(len, bits.split(b"\x00")))
+    max_gap = max(map(len, bits.split(b"\x01"))) + 1 if thick_run else None
     pws = thick_run >= 2 and max_gap is not None
     delta_h = min(H, 512)
     delta_w, delta_capped = largest_delta_subset(A, delta_h, node_cap)

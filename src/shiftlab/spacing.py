@@ -43,7 +43,6 @@ from .langkit import (
     entropy_estimates,
     follower_count,
     follower_max,
-    max_density_word,
 )
 from .sets import _BITS_ASCII, ComplementSet, difference_set, largest_delta_subset
 
@@ -230,10 +229,10 @@ def delta_star_bound_check(A, k, H, node_cap=DEFAULT_NODE_CAP):
         raise PreconditionError("k must be >= 1")
     if H < 1:
         raise PreconditionError("horizon must be >= 1")
-    beta = Fraction(len(A.members(H)), H)
-    if beta * k <= 1:
-        raise PreconditionError(
-            "density estimate %s <= 1/%d; the bound's precondition fails" % (beta, k))
+    count = A.bits(H).count(1)
+    if count * k <= H:
+        raise PreconditionError("density estimate %s <= 1/%d; the bound's precondition fails"
+                                % (Fraction(count, H), k))
     if k > H:
         raise PreconditionError("no %d-element set fits in [1, %d]" % (k, H))
     shape = A.periodic_shape()
@@ -244,13 +243,3 @@ def delta_star_bound_check(A, k, H, node_cap=DEFAULT_NODE_CAP):
         return True, B, not capped, capped
     return False, B, exact, capped
 
-
-def difference_subset_witness(A, H, node_cap=DEFAULT_NODE_CAP):
-    """A dense admissible word for Omega_{(A-A) cap [1,H]}: its 1-positions B
-    satisfy (B - B) inside (A - A), restricted to the horizon. The topological
-    route behind 'positive Banach density gives a positive-density difference
-    subset'."""
-    P = PSetSpec(difference_set(A, H))
-    spec = spacing_shift(P)
-    w, value = max_density_word(spec, 1, H, require_target=False, node_cap=node_cap)
-    return w, value, P

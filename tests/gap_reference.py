@@ -1,5 +1,7 @@
 """The per-position gap series of a pair of finite sequences: the reference
-the run-length gap counts of `shiftlab.chaos` are checked against.
+the run-length gap counts of `shiftlab.chaos` are checked against. Also the
+exact Diff/Equal densities of an eventually periodic pair, which its exact
+profile holds as F(1/n).
 
 g_j = k - j + 1 for the least k >= j with xs[k] != ys[k]; when no
 disagreement is visible after j the true distance is below n**-(N-j), and
@@ -7,6 +9,7 @@ that lower bound on the gap, N - j, stands in for it. It holds one list entry
 per position, so tests run it on short prefixes."""
 
 from fractions import Fraction
+from math import lcm
 
 
 def gap_series(xs, ys, upto=None):
@@ -29,3 +32,16 @@ def gap_frequencies(gaps, cutoffs, checkpoints):
     """rows[i][k] = #{j < m_k : g_j >= cutoffs[i]} / m_k, counted gap by gap."""
     return [[Fraction(sum(1 for g in gaps[:m] if g >= cut), m) for m in checkpoints]
             for cut in cutoffs]
+
+
+def diff_equal_densities(x, y):
+    """(d, e): the exact densities of Diff(x, y) = {i : x_i != y_i} and of its
+    complement Equal(x, y) for eventually periodic x and y. Past the longer
+    preperiod p the pair repeats every c places, c the lcm of the periods, so
+    both limits exist; the prefixes are compared coordinate by coordinate
+    over the one cycle (p, p + c]."""
+    p = max(len(x.preperiod), len(y.preperiod))
+    c = lcm(len(x.period), len(y.period))
+    xs, ys = x.prefix(p + c), y.prefix(p + c)
+    d = Fraction(sum(1 for i in range(p, p + c) if xs[i] != ys[i]), c)
+    return d, 1 - d

@@ -1,7 +1,7 @@
 """Per-position and per-candidate forms of the `shiftlab.sets` kernels: the
-references the member-start Banach density and the candidate-mask IP search
-are checked against. Both read `contains` one integer at a time, so tests run
-them at small horizons and bounds."""
+references the member-start Banach density, the candidate-mask IP search and
+the run lengths of `classify` are checked against. All read `contains` one
+integer at a time, so tests run them at small horizons and bounds."""
 
 import math
 from fractions import Fraction
@@ -20,6 +20,22 @@ def reference_banach(A, H, min_window):
             best = max(best, Fraction(sum(1 for i in range(s + 1, s + L + 1) if A.contains(i)), L))
         L *= 2
     return best
+
+
+def reference_runs(A, H):
+    """(thick_run, max_gap) from the list of members of A cap [1, H]: the
+    longest run of consecutive members, and the largest of the first member,
+    the differences of consecutive members and H + 1 less the last member,
+    None when there is no member."""
+    members = [i for i in range(1, H + 1) if A.contains(i)]
+    best = run = 0
+    for prev, m in zip([None] + members, members):
+        run = run + 1 if m - 1 == prev else 1
+        best = max(best, run)
+    if not members:
+        return best, None
+    gaps = [members[0]] + [b - a for a, b in zip(members, members[1:])] + [H + 1 - members[-1]]
+    return best, max(gaps)
 
 
 def frozenset_ip_reference(A, bound, node_cap):

@@ -12,7 +12,6 @@ from shiftlab.beta import beta_digits, count_beta_language, parry_check, parse_b
 from shiftlab.chaos import (
     build_scrambled_family,
     classify_pair,
-    diff_equal_densities,
     distribution_profile,
     family_pair_frequencies,
     family_pair_profile,
@@ -31,12 +30,19 @@ from shiftlab.langkit import (
     mixing_probe,
     parse_shift_spec,
 )
-from shiftlab.sets import EVENS, NATURALS, ODDS, PeriodicSet, Pow2DiffSet, WindowSet, largest_ip_subset
-from shiftlab.spacing import (
-    delta_star_bound_check,
-    difference_subset_witness,
-    recurrence_entropy_probe,
+from shiftlab.sets import (
+    EVENS,
+    ODDS,
+    PeriodicSet,
+    Pow2DiffSet,
+    WindowSet,
+    difference_set,
+    largest_delta_subset,
+    largest_ip_subset,
 )
+from shiftlab.spacing import delta_star_bound_check, recurrence_entropy_probe
+
+from gap_reference import diff_equal_densities
 
 LOG2_PHI = math.log2((1 + math.sqrt(5)) / 2)
 
@@ -229,9 +235,11 @@ def test_criterion_11_sets():
     holds, B, exact, _ = delta_star_bound_check(mult3, 4, 512)
     assert holds and exact and len(B) == 3
     pow2 = WindowSet(tuple(1 if (i & (i - 1)) == 0 else 0 for i in range(1, 513)))
-    for A in (EVENS, pow2):
-        w, _, P = difference_subset_witness(A, 512)
-        ones = [i + 1 for i, s in enumerate(w.symbols) if s == 1]
+    # a B with B - B inside A - A is a Delta-set of (A - A) cap [1, H]: the
+    # engine finds a largest one
+    for A, size in ((EVENS, 256), (pow2, 10)):
+        ones, capped = largest_delta_subset(difference_set(A, 512), 512)
+        assert len(ones) == size and not capped
         AA = set()
         mem = A.members(512)
         for i, a in enumerate(mem):
@@ -248,7 +256,7 @@ def test_criterion_12_recurrence_probe():
     for r in rep.rows:
         assert r.lam >= 2 ** ((r.k + 1) // 2)
         assert r.h_k >= 0.5 - 1e-12
-    rep = recurrence_entropy_probe(NATURALS, 20)
+    rep = recurrence_entropy_probe(PeriodicSet((), (1,)), 20)
     assert [r.lam for r in rep.rows] == [k + 1 for k in range(1, 21)]
     _report(12, "R=odds gives h_k >= 1/2 (lambda_k >= 2^ceil(k/2)); "
                 "R=N gives lambda_k = k+1")

@@ -172,11 +172,12 @@ def test_three_halves_digits():
 
 
 def test_digit_horizon_enforced():
-    spec = BetaSpec(3, 0, 2, 0, digit_horizon=5)
+    spec = BetaSpec(3, 0, 2, 0)
+    assert spec.digit_horizon == 4096
     with pytest.raises(PreconditionError):
-        beta_digits(spec, 6)
+        beta_digits(spec, 4097)
     with pytest.raises(PreconditionError):
-        spec.digit(5)
+        spec.digit(4096)
 
 
 def test_finite_expansion_pads_zero():

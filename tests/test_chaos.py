@@ -8,7 +8,7 @@ from math import inf, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gap_reference import gap_frequencies, gap_series
+from gap_reference import diff_equal_densities, gap_frequencies, gap_series
 from shiftlab.chaos import (
     DistributionProfile,
     _disagreements,
@@ -16,7 +16,6 @@ from shiftlab.chaos import (
     _gap_frequencies,
     build_scrambled_family,
     classify_pair,
-    diff_equal_densities,
     distribution_profile,
     family_pair_frequencies,
     family_pair_profile,
@@ -33,29 +32,42 @@ def P(pre, per):
 
 # -- exact densities ----------------------------------------------------------
 
+def _F_one_over_n(x, y):
+    """F(1/n) of the exact profile: d_j < 1/n iff x_(j+1) = y_(j+1), so it is
+    the Equal density."""
+    return distribution_profile(x, y, thresholds=[Fraction(1, x.alphabet.size)]).F_values[0]
+
+
 def test_diff_equal_basic():
-    d, e = diff_equal_densities(P("", "10"), P("", "0"))
+    x, y = P("", "10"), P("", "0")
+    d, e = diff_equal_densities(x, y)
     assert (d, e) == (Fraction(1, 2), Fraction(1, 2))
+    assert _F_one_over_n(x, y) == e
 
 
 def test_diff_equal_identity():
     x = P("1", "10")
     assert diff_equal_densities(x, x) == (0, 1)
+    assert _F_one_over_n(x, x) == 1
 
 
 def test_diff_equal_antipodal():
-    assert diff_equal_densities(P("", "10"), P("", "01"))[0] == 1
+    x, y = P("", "10"), P("", "01")
+    assert diff_equal_densities(x, y)[0] == 1
+    assert _F_one_over_n(x, y) == 0
 
 
-def test_diff_equal_alphabet_mismatch():
+def test_profile_alphabet_mismatch():
     with pytest.raises(AlphabetMismatch):
-        diff_equal_densities(P("", "10"), periodic_point("", "10", n=3))
+        distribution_profile(P("", "10"), periodic_point("", "10", n=3))
 
 
 def test_diff_equal_preperiod_ignored():
     # disagreements confined to the preperiod have density zero
-    d, e = diff_equal_densities(P("111", "0"), P("", "0"))
+    x, y = P("111", "0"), P("", "0")
+    d, e = diff_equal_densities(x, y)
     assert (d, e) == (0, 1)
+    assert _F_one_over_n(x, y) == 1
 
 
 # -- exact profiles -----------------------------------------------------------
@@ -221,6 +233,7 @@ def test_two_cycle_window_matches_the_cycle_structure_sweep():
                 _cycle_profile_reference(x, y, grid), (x, y, grid)
         p, c, D = _cycle_structure_reference(x, y)
         assert diff_equal_densities(x, y) == (Fraction(len(D), c), 1 - Fraction(len(D), c))
+        assert _F_one_over_n(x, y) == 1 - Fraction(len(D), c)
         agreeing += not D
     assert 0 < agreeing < len(pairs)
 

@@ -1,6 +1,8 @@
 """No dead code at module level: every module-level function and class in
 shiftlab is named by product code outside its own definition, or exported in
-shiftlab.__all__, except those listed here with the reason they stay."""
+shiftlab.__all__, except those listed here with the reason they stay. Every
+module-level constant (an assigned name that is not a dunder) is read the
+same way, with no exception."""
 
 import ast
 import pathlib
@@ -12,8 +14,6 @@ ALLOWED = {
     "beta.word_in_beta_language": "the suffix-rule reference for beta membership (ROADMAP item 1)",
     "beta.count_beta_language": "bound by name in perfbench/spans.py (ROADMAP item 8)",
     "langkit.binary_entropy": "read by an acceptance test (ROADMAP item 10)",
-    "spacing.difference_subset_witness": "read by acceptance tests (ROADMAP item 22)",
-    "chaos.diff_equal_densities": "read by acceptance tests (ROADMAP item 22)",
 }
 
 
@@ -30,19 +30,45 @@ def _names(node):
     return out
 
 
+def _assigned(stmt):
+    """The names a module-level assignment binds, dunder names left out."""
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return set()
+    return {n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name) and not (n.id.startswith("__") and n.id.endswith("__"))}
+
+
 def _unreached():
-    defined, named = {}, set()
+    """(definitions, constants): the module.name of each module-level def or
+    class, and of each assigned name, that nothing outside its own statement
+    names."""
+    defined, constants, named = {}, {}, set()
     for path in sorted(pathlib.Path(shiftlab.__file__).parent.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
-            own = None
+            own = set()
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                own = stmt.name
-                defined[path.stem + "." + own] = own
+                own = {stmt.name}
+                defined[path.stem + "." + stmt.name] = stmt.name
+            for name in _assigned(stmt):
+                own.add(name)
+                constants[path.stem + "." + name] = name
             if path.stem != "__init__":
-                named |= _names(stmt) - {own}
-    return {q for q, name in defined.items()
-            if name not in named and name not in shiftlab.__all__}
+                named |= _names(stmt) - own
+
+    def unread(table):
+        return {q for q, name in table.items()
+                if name not in named and name not in shiftlab.__all__}
+
+    return unread(defined), unread(constants)
 
 
 def test_every_module_level_definition_is_reached():
-    assert _unreached() == set(ALLOWED)
+    assert _unreached()[0] == set(ALLOWED)
+
+
+def test_every_module_level_constant_is_read():
+    assert _unreached()[1] == set()

@@ -27,7 +27,9 @@ from shiftlab.sets import (
 )
 
 from position_reference import brute_force_delta_sizes, delta_search
-from sets_reference import frozenset_ip_reference, ip_nodes, reference_banach
+from sets_reference import frozenset_ip_reference, ip_nodes, reference_banach, reference_runs
+
+NATURALS = PeriodicSet((), (1,))
 
 
 def test_named_sets_membership():
@@ -106,51 +108,57 @@ def test_asymptotic_density_factorial_blocks_exact_zero():
 
 
 def test_upper_banach_density_factorial_blocks_estimate():
-    r = upper_banach_density(FactorialBlocksSet(), H=5100, min_window=4)
+    r = upper_banach_density(FactorialBlocksSet(), H=5100)
     assert not r.exact
-    # the block [5!, 5!+5) is a full run of 5: small windows see density 1
-    assert r.value >= 0.9
+    # the block [7!, 7!+7) is a full run of 7: a window of 16 holds all of it,
+    # far above the asymptotic density 0
+    assert r.value == 7 / 16
 
 
 def test_upper_banach_density_matches_per_start_reference():
     rng = random.Random(7)
     seeded = WindowSet(tuple(1 if rng.random() < 0.3 else 0 for _ in range(700)))
     for A in (Pow2DiffSet(), FactorialBlocksSet(), seeded):
-        for H, min_window in ((700, 16), (513, 4), (64, 64), (10, 16)):
-            r = upper_banach_density(A, H=H, min_window=min_window)
+        # H past the grid, just past it, on it at 4 * 16, and below 16
+        for H in (700, 513, 64, 10):
+            r = upper_banach_density(A, H=H)
             assert not r.exact and r.horizon == H
-            assert r.value == float(reference_banach(A, H, min_window)), (A, H, min_window)
+            assert r.value == float(reference_banach(A, H, 16)), (A, H)
 
 
 def _window(ones, length):
     return WindowSet(tuple(1 if i in ones else 0 for i in range(1, length + 1)))
 
 
-@pytest.mark.parametrize("A,H,min_window", [
+# the lengths double from min(16, H), and every case meets its edge there;
+# each id keeps, last, the first length the case had when that was an argument
+@pytest.mark.parametrize("A,H", [
     # members only in the last window: no member starts a window that fits
-    (_window({100}, 100), 100, 16),
-    (_window({90, 95, 100}, 100), 100, 16),
-    (_window({200}, 300), 200, 4),
+    (_window({100}, 100), 100),
+    (_window({90, 95, 100}, 100), 100),
+    (_window({200}, 300), 200),
     # A cap [1, H] empty
-    (_window(set(), 50), 50, 16),
-    (_window({60}, 80), 40, 4),
-    (FactorialBlocksSet(), 1, 16),
-    # H below min_window: the one window is [1, H]
-    (Pow2DiffSet(), 5, 16),
-    (_window({1, 3}, 7), 7, 64),
+    (_window(set(), 50), 50),
+    (_window({60}, 80), 40),
+    (FactorialBlocksSet(), 1),
+    # H below 16: the one window is [1, H]
+    (Pow2DiffSet(), 5),
+    (_window({1, 3}, 7), 7),
     # H on the doubling grid, so the last length is H itself
-    (Pow2DiffSet(), 128, 16),
-    (FactorialBlocksSet(), 256, 4),
-    (_window({1, 2, 3}, 64), 64, 16),
+    (Pow2DiffSet(), 128),
+    (FactorialBlocksSet(), 256),
+    (_window({1, 2, 3}, 64), 64),
     # dense windows: long runs, and runs that start at 1
-    (_window(set(range(1, 301)) - {7, 150, 151, 299}, 300), 300, 4),
-    (_window({i for i in range(1, 513) if i % 7}, 512), 512, 16),
-    (_window(set(range(1, 41)), 40), 40, 8),
-])
-def test_upper_banach_density_edge_cases_match_the_reference(A, H, min_window):
-    r = upper_banach_density(A, H=H, min_window=min_window)
+    (_window(set(range(1, 301)) - {7, 150, 151, 299}, 300), 300),
+    (_window({i for i in range(1, 513) if i % 7}, 512), 512),
+    (_window(set(range(1, 41)), 40), 40),
+], ids=["A0-100-16", "A1-100-16", "A2-200-4", "A3-50-16", "A4-40-4", "A5-1-16", "A6-5-16",
+        "A7-7-64", "A8-128-16", "A9-256-4", "A10-64-16", "A11-300-4", "A12-512-16",
+        "A13-40-8"])
+def test_upper_banach_density_edge_cases_match_the_reference(A, H):
+    r = upper_banach_density(A, H=H)
     assert not r.exact and r.horizon == H
-    assert r.value == float(reference_banach(A, H, min_window))
+    assert r.value == float(reference_banach(A, H, 16))
 
 
 def test_density_estimates_flagged():
@@ -316,6 +324,23 @@ def test_classify_cap_hit_says_a_witness_search_stopped_at_the_cap(A, H, ip_boun
     assert "cap_hit" not in rep.to_json()
 
 
+def test_classify_runs_match_the_member_list_reference():
+    rng = random.Random(311)
+    named = [EVENS, ODDS, NATURALS, Pow2DiffSet(), FactorialBlocksSet(),
+             ComplementSet(FactorialBlocksSet()), FiniteSet(frozenset()),
+             FiniteSet(frozenset({1, 7, 64}))]
+    seeded = []
+    for _ in range(300):
+        p = rng.random()
+        seeded.append(WindowSet(tuple(int(rng.random() < p)
+                                      for _ in range(rng.randint(1, 1200)))))
+    for A in named + seeded:
+        for H in (1, 2, 7, 64, 1000):
+            # the witness searches at their least: a one-node cap and ip_bound 1
+            rep = classify(A, H=H, ip_bound=1, node_cap=1)
+            assert (rep.thick_run, rep.max_gap) == reference_runs(A, H), (A, H)
+
+
 def test_classify_empty_like():
     rep = classify(FiniteSet(frozenset()), H=50)
     assert rep.max_gap is None and rep.thick_run == 0
@@ -437,13 +462,12 @@ def test_density_estimates_match_their_definitions():
             assert upper_density(A, H).value == float(max(Fraction(count[n], n) for n in grid))
             r = asymptotic_density(A, H)
             assert r.exact or r.value == float(Fraction(count[H], H))
-        assert upper_banach_density(A, 300, min_window=4).value == \
-            float(reference_banach(A, 300, 4))
+        assert upper_banach_density(A, 300).value == float(reference_banach(A, 300, 16))
 
 
 def test_largest_ip_subset_matches_the_frozenset_search():
     rng = random.Random(59)
-    cases = [(EVENS, 4096), (sets.NATURALS, 4096), (EVENS, 40), (Pow2DiffSet(), 600),
+    cases = [(EVENS, 4096), (NATURALS, 4096), (EVENS, 40), (Pow2DiffSet(), 600),
              (FactorialBlocksSet(), 800), (ComplementSet(FactorialBlocksSet()), 300),
              (parse_set_expr("union:(periodic:;0001|finite:{3,6,9})"), 500)]
     cases += [(_seeded_set(rng, 3), rng.choice((1, 5, 80, 400))) for _ in range(20)]
@@ -465,7 +489,7 @@ def test_largest_ip_subset_matches_the_frozenset_search():
     assert least_checked > 20
     # evens and the naturals stop at IP_MAX_SIZE, and small caps cut searches short
     assert len(largest_ip_subset(EVENS, 4096)[0]) == sets.IP_MAX_SIZE
-    assert len(largest_ip_subset(sets.NATURALS, 4096)[0]) == sets.IP_MAX_SIZE
+    assert len(largest_ip_subset(NATURALS, 4096)[0]) == sets.IP_MAX_SIZE
     assert capped > 5
 
 
@@ -474,7 +498,7 @@ def test_largest_ip_subset_matches_the_frozenset_search():
     (FiniteSet(frozenset({3, 5, 6})), 6),
     (FiniteSet(frozenset({1, 2, 4, 6, 8, 9})), 9),
     (Pow2DiffSet(), 64),
-    (sets.NATURALS, 16),
+    (NATURALS, 16),
     (parse_set_expr("union:(periodic:;0001|finite:{3,6,9})"), 60),
     (ComplementSet(FactorialBlocksSet()), 25),
 ])
@@ -499,10 +523,10 @@ def test_largest_ip_subset_matches_the_frozenset_search_at_every_cap(A, bound):
     (FiniteSet(frozenset({3, 5, 6})), 6, 4, ((3,), True)),
     (FiniteSet(frozenset({3, 5, 6})), 6, 5, ((3,), False)),
     # 1..12 are nodes 1-12; the 13 open frames then charge nodes 13-25
-    (sets.NATURALS, 4096, 11, (tuple(range(1, 12)), True)),
-    (sets.NATURALS, 4096, 12, (tuple(range(1, 13)), True)),
-    (sets.NATURALS, 4096, 24, (tuple(range(1, 13)), True)),
-    (sets.NATURALS, 4096, 25, (tuple(range(1, 13)), False)),
+    (NATURALS, 4096, 11, (tuple(range(1, 12)), True)),
+    (NATURALS, 4096, 12, (tuple(range(1, 13)), True)),
+    (NATURALS, 4096, 24, (tuple(range(1, 13)), True)),
+    (NATURALS, 4096, 25, (tuple(range(1, 13)), False)),
 ])
 def test_largest_ip_subset_node_charges(A, bound, cap, expected):
     assert largest_ip_subset(A, bound, node_cap=cap) == expected

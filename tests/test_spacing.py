@@ -12,18 +12,20 @@ from shiftlab.langkit import (
     contains_word,
     count_language,
     hereditary_check,
+    max_density_word,
     max_symbol_count,
     max_symbol_witness,
 )
 from shiftlab.sets import (
     EVENS,
-    NATURALS,
     ODDS,
     ComplementSet,
     FiniteSet,
     IntSetSpec,
     PeriodicSet,
     Pow2DiffSet,
+    difference_set,
+    largest_delta_subset,
     parse_set_expr,
 )
 from shiftlab.spacing import (
@@ -32,7 +34,6 @@ from shiftlab.spacing import (
     PSetSpec,
     count_spacing,
     delta_star_bound_check,
-    difference_subset_witness,
     recurrence_entropy_probe,
     spacing_shift,
 )
@@ -40,6 +41,7 @@ from shiftlab.spacing import (
 from position_reference import count_positions, max_ones, positions, spacing_narrow
 from spacing_reference import admissible
 
+NATURALS = PeriodicSet((), (1,))
 GOLDEN_P = PSetSpec(ComplementSet(FiniteSet(frozenset({1}))))
 EVENS_P = PSetSpec(EVENS)
 FULL_P = PSetSpec(NATURALS)
@@ -256,20 +258,31 @@ def test_delta_star_under_a_tripped_walk():
 
 
 def test_difference_subset_witness_evens():
-    w, value, P = difference_subset_witness(EVENS, 128)
-    ones = [i + 1 for i, s in enumerate(w.symbols) if s == 1]
-    assert value == Fraction(1, 2)
-    diffs = {b - a for i, a in enumerate(ones) for b in ones[i + 1:]}
-    assert all(P.contains(d) for d in diffs)
+    # a B with B - B inside (A - A) cap [1, H] is a Delta-set of it
+    AA = difference_set(EVENS, 128)
+    B, capped = largest_delta_subset(AA, 128)
+    assert len(B) == 64 and not capped
+    diffs = {b - a for i, a in enumerate(B) for b in B[i + 1:]}
+    assert all(AA.contains(d) for d in diffs)
     # (B - B) must sit inside (A - A) = evens
     assert all(d % 2 == 0 for d in diffs)
 
 
 def test_deep_difference_subset_witness_without_recursion():
     # max_density_word recursed once per symbol and overflowed near H = 1000
-    w, value, P = difference_subset_witness(EVENS, 1200)
+    spec = spacing_shift(PSetSpec(difference_set(EVENS, 1200)))
+    w, value = max_density_word(spec, 1, 1200, require_target=False)
     assert value == Fraction(1, 2) and len(w) == 1200
-    assert contains_word(spacing_shift(P), w)
+    assert contains_word(spec, w)
+
+
+@pytest.mark.parametrize("A,H,size", [
+    (EVENS, 1200, 600),
+    (parse_set_expr("periodic:;0111011"), 512, 510),
+])
+def test_difference_subset_witness_sizes(A, H, size):
+    B, capped = largest_delta_subset(difference_set(A, H), H)
+    assert len(B) == size and not capped
 
 
 @settings(max_examples=15)

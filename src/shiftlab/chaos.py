@@ -66,22 +66,14 @@ class DistributionProfile(Record):
 
     `fstar_one_everywhere` records whether F*(t) = 1 for every t > 0 (not just
     on the grid): exactly decidable in the exact case, a tolerance judgement
-    (threshold 0.99 on every grid point) in the empirical case.
+    (threshold 0.99 on every grid point) in the empirical case. `horizon`
+    and `checkpoints` are the empirical case's prefix length and measuring
+    points; an exact profile leaves them None and ().
     """
 
     __slots__ = ("n", "thresholds", "F_values", "Fstar_values", "exact",
                  "fstar_one_everywhere", "horizon", "checkpoints")
-
-    def __init__(self, n, thresholds, F_values, Fstar_values, exact,
-                 fstar_one_everywhere, horizon=None, checkpoints=()):
-        set_field(self, "n", n)
-        set_field(self, "thresholds", thresholds)
-        set_field(self, "F_values", F_values)
-        set_field(self, "Fstar_values", Fstar_values)
-        set_field(self, "exact", exact)
-        set_field(self, "fstar_one_everywhere", fstar_one_everywhere)
-        set_field(self, "horizon", horizon)
-        set_field(self, "checkpoints", checkpoints)
+    _defaults = {"horizon": None, "checkpoints": ()}
 
     def to_json(self):
         rows = []
@@ -142,18 +134,18 @@ def _exact_profile(x, y, thresholds):
     if not agreeing:
         # the cycle rotated to end on a disagreement: every segment closes
         # inside it, exactly as it does on the periodic pair
-        mask = mask[last + 1:] + mask[:last + 1]
+        runs = Counter(map(len, (mask[last + 1:] + mask[:last]).split(b"\x01")))
     if thresholds is None:
         # the largest gap is the longest segment, its run and the closing 1
-        top = 1 if agreeing else max(map(len, mask.split(b"\x01"))) + 1
+        top = 1 if agreeing else max(runs) + 1
         thresholds = _default_grid(n, top + 1)
     thresholds = tuple(sorted(thresholds))
     if agreeing:
         # every distance is 0 from the cycle on, so d_j < t iff t > 0
         F = tuple(Fraction(1 if t > 0 else 0) for t in thresholds)
     else:
-        cutoffs = [_gap_cutoff(n, t) for t in thresholds]
-        F = tuple(row[0] for row in _gap_frequencies(mask, cutoffs, (c,)))
+        levels = [max(_gap_cutoff(n, t), 1) for t in thresholds]
+        F = tuple(Fraction(g, c) for g in _closed_gaps(runs, levels, [0] * len(levels)))
     return DistributionProfile(n=n, thresholds=thresholds, F_values=F,
                                Fstar_values=F, exact=True,
                                fstar_one_everywhere=agreeing)
@@ -170,6 +162,17 @@ def _gap_cutoff(n, t):
         scale /= n
         g += 1
     return g
+
+
+def _closed_gaps(runs, levels, closed):
+    """Add to closed[i] the gaps >= levels[i] (each >= 1) of the closed
+    segments whose zero-run lengths the Counter runs holds: a run r and its
+    closing 1 hold the gaps r + 1, ..., 1, so r + 2 - L of them reach L."""
+    for run, count in runs.items():
+        for i, L in enumerate(levels):
+            if run + 1 >= L:
+                closed[i] += count * (run + 2 - L)
+    return closed
 
 
 def _gap_frequencies(mask, cutoffs, checkpoints, N=None):
@@ -191,11 +194,7 @@ def _gap_frequencies(mask, cutoffs, checkpoints, N=None):
     for m in checkpoints:
         last = mask.rfind(1, start, m)
         if last >= 0:
-            runs = Counter(map(len, mask[start:last].split(b"\x01")))
-            for run, count in runs.items():
-                for i, L in enumerate(levels):
-                    if run + 1 >= L:
-                        closed[i] += count * (run + 2 - L)
+            _closed_gaps(Counter(map(len, mask[start:last].split(b"\x01"))), levels, closed)
             start = last + 1
         nxt = mask.find(1, m)
         top = (N if nxt < 0 else nxt + 1) - start  # the open segment's length
@@ -294,15 +293,6 @@ class ScrambledFamily(Record):
     range; density: the exact density of S."""
 
     __slots__ = ("members", "horizon", "b", "blocks", "index_sets", "density", "log")
-
-    def __init__(self, members, horizon, b, blocks, index_sets, density, log):
-        set_field(self, "members", members)
-        set_field(self, "horizon", horizon)
-        set_field(self, "b", b)
-        set_field(self, "blocks", blocks)
-        set_field(self, "index_sets", index_sets)
-        set_field(self, "density", density)
-        set_field(self, "log", log)
 
     def member_ones(self, i):
         return [p + 1 for p, bit in enumerate(self.members[i]) if bit]

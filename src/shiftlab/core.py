@@ -33,19 +33,47 @@ set_field = object.__setattr__
 
 class Record:
     """Base of shiftlab's immutable value types. A record's fields are the
-    public names in its ``__slots__``, set once by its ``__init__`` through
-    ``object.__setattr__``; slots named with a leading underscore hold private
-    state that is neither compared, hashed nor shown. Records compare equal
-    when their classes are the same and their fields are equal, hash by their
-    field values, show as ``Name(field=value, ...)``, pickle through their
-    constructor, and refuse assignment with an AttributeError."""
+    public names in its ``__slots__``; slots named with a leading underscore
+    hold private state that is neither compared, hashed nor shown. Records
+    compare equal when their classes are the same and their fields are equal,
+    hash by their field values, show as ``Name(field=value, ...)``, pickle
+    through their constructor, and refuse assignment with an AttributeError.
+
+    The constructor binds the fields in ``__slots__`` order, by position or
+    by name. Fields left out at the end take their values from the class's
+    ``_defaults`` dict; a missing, unknown or repeated field, or more
+    positional arguments than fields, raises TypeError. A subclass writes its
+    own ``__init__`` only when construction does more than bind fields
+    (validation, a canonical form, a fresh mutable default or private state),
+    and sets each slot there once through ``set_field``."""
 
     __slots__ = ()
+    _defaults = {}
 
     def __init_subclass__(cls):
         cls._fields = tuple(f for f in cls.__slots__ if not f.startswith("_"))
         # what eq and hash read: the field tuple, or a single field's value
         cls._key = staticmethod(attrgetter(*cls._fields) if cls._fields else lambda record: ())
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError("%s() takes %d arguments but %d were given"
+                            % (type(self).__qualname__, len(fields), len(args)))
+        for field, value in zip(fields, args):
+            set_field(self, field, value)
+        for field in fields[len(args):]:
+            if field in kwargs:
+                set_field(self, field, kwargs.pop(field))
+            elif field in self._defaults:
+                set_field(self, field, self._defaults[field])
+            else:
+                raise TypeError("%s() missing argument %r" % (type(self).__qualname__, field))
+        if kwargs:
+            field = next(iter(kwargs))
+            raise TypeError("%s() got %s %r" % (
+                type(self).__qualname__, "multiple values for argument" if field in fields
+                else "an unexpected keyword argument", field))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

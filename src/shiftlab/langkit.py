@@ -90,7 +90,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .core import Alphabet, Record, Word, set_field, word
+from .core import Alphabet, Record, Word, word
 from .errors import (
     AlphabetMismatch,
     PreconditionError,
@@ -502,13 +502,6 @@ def count_language(spec, k, strategy=None, node_cap=DEFAULT_NODE_CAP):
 class EntropyRow(Record):
     __slots__ = ("k", "lam", "h_k", "increment", "inf_so_far")
 
-    def __init__(self, k, lam, h_k, increment, inf_so_far):
-        set_field(self, "k", k)
-        set_field(self, "lam", lam)
-        set_field(self, "h_k", h_k)
-        set_field(self, "increment", increment)
-        set_field(self, "inf_so_far", inf_so_far)
-
     def to_json(self):
         return {
             "k": self.k,
@@ -521,10 +514,6 @@ class EntropyRow(Record):
 
 class EntropyReport(Record):
     __slots__ = ("rows", "strategy")
-
-    def __init__(self, rows, strategy):
-        set_field(self, "rows", rows)
-        set_field(self, "strategy", strategy)
 
     @property
     def inf_so_far(self):

@@ -118,9 +118,6 @@ class IntSetSpec:
 class FiniteSet(IntSetSpec, Record):
     __slots__ = ("elements",)
 
-    def __init__(self, elements):
-        set_field(self, "elements", elements)
-
     def contains(self, i):
         return i in self.elements
 
@@ -174,9 +171,6 @@ class PeriodicSet(IntSetSpec, Record):
 class ComplementSet(IntSetSpec, Record):
     __slots__ = ("inner",)
 
-    def __init__(self, inner):
-        set_field(self, "inner", inner)
-
     def contains(self, i):
         return i >= 1 and not self.inner.contains(i)
 
@@ -192,9 +186,6 @@ class ComplementSet(IntSetSpec, Record):
 
 class UnionSet(IntSetSpec, Record):
     __slots__ = ("parts",)
-
-    def __init__(self, parts):
-        set_field(self, "parts", parts)
 
     def contains(self, i):
         return any(p.contains(i) for p in self.parts)
@@ -220,9 +211,6 @@ class WindowSet(IntSetSpec, Record):
     and reported as False. Density results over window sets are estimates."""
 
     __slots__ = ("window_bits",)
-
-    def __init__(self, window_bits):
-        set_field(self, "window_bits", window_bits)
 
     @property
     def horizon(self):
@@ -367,13 +355,12 @@ def parse_set_expr(text):
 # -- densities ---------------------------------------------------------------
 
 class DensityResult(Record):
-    __slots__ = ("value", "exact", "exists", "horizon")
+    """value is a Fraction when exact and a float estimate otherwise; exists
+    says whether the asymptotic density exists: True, False or None
+    (unknown); horizon is the H an estimate was read to."""
 
-    def __init__(self, value, exact, exists=None, horizon=None):
-        set_field(self, "value", value)      # Fraction when exact, float estimate otherwise
-        set_field(self, "exact", exact)
-        set_field(self, "exists", exists)    # asymptotic density: True/False/None (unknown)
-        set_field(self, "horizon", horizon)
+    __slots__ = ("value", "exact", "exists", "horizon")
+    _defaults = {"exists": None, "horizon": None}
 
     def to_json(self):
         out = {"value": float(self.value), "exact": self.exact}
@@ -495,24 +482,15 @@ def difference_set(A, H):
 # -- finite-horizon classification ---------------------------------------------
 
 class ClassifyReport(Record):
+    """max_gap is None when A cap [1, H] is empty. delta_witness is a D in
+    [1, delta_horizon] with D - D inside A: a largest one when delta_exact
+    (the walk finished), else the greedy dive. ip_witness is the largest S
+    found with FS(S) inside A and every finite sum at most ip_bound. cap_hit
+    says that a witness search stopped at the node cap."""
+
     __slots__ = ("horizon", "thick_run", "max_gap", "piecewise_syndetic_evidence",
                  "delta_witness", "delta_horizon", "delta_exact", "ip_witness",
                  "ip_bound", "cap_hit")
-
-    def __init__(self, horizon, thick_run, max_gap, piecewise_syndetic_evidence,
-                 delta_witness, delta_horizon, delta_exact, ip_witness, ip_bound, cap_hit):
-        set_field(self, "horizon", horizon)
-        set_field(self, "thick_run", thick_run)
-        set_field(self, "max_gap", max_gap)              # None when A cap [1, H] is empty
-        set_field(self, "piecewise_syndetic_evidence", piecewise_syndetic_evidence)
-        # a D in [1, delta_horizon] with D-D inside A: a largest one when
-        # delta_exact (the walk finished), else the greedy dive
-        set_field(self, "delta_witness", delta_witness)
-        set_field(self, "delta_horizon", delta_horizon)
-        set_field(self, "delta_exact", delta_exact)
-        set_field(self, "ip_witness", ip_witness)        # largest S found with FS(S) inside A
-        set_field(self, "ip_bound", ip_bound)
-        set_field(self, "cap_hit", cap_hit)  # a witness search stopped at the node cap
 
     def to_json(self):
         return {

@@ -2,14 +2,19 @@
 hashes that agree with it, the repr that error messages show, and fields
 that cannot be reassigned."""
 
+import ast
 import copy
+import importlib
+import pathlib
 import pickle
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import shiftlab
 from shiftlab.chaos import DistributionProfile, PairClass, classify_pair, distribution_profile
-from shiftlab.core import Alphabet, Word, metric_rho, parse_point, periodic_point, word
+from shiftlab.core import Alphabet, Record, Word, metric_rho, parse_point, periodic_point, word
 from shiftlab.errors import AlphabetMismatch
 from shiftlab.langkit import EntropyReport, entropy_estimates, parse_shift_spec
 from shiftlab.sets import (
@@ -115,3 +120,91 @@ def test_records_copy_and_pickle_through_their_constructor():
                 PSetSpec(EVENS), upper_density(EVENS), classify_pair(distribution_profile(x, y))]:
         assert pickle.loads(pickle.dumps(obj)) == obj
         assert copy.deepcopy(obj) == obj
+
+
+def _records():
+    for info in pkgutil.iter_modules(shiftlab.__path__):
+        if info.name != "__main__":
+            importlib.import_module("shiftlab." + info.name)
+    found, todo = [], [Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("shiftlab.") and sub not in found:
+                found.append(sub)
+    return found
+
+
+# each of these does more than bind its fields, so it keeps its constructor
+OWN_INIT = {
+    "Alphabet": "validates the size",
+    "Word": "validates the symbols",
+    "EventuallyPeriodicPoint": "canonicalises preperiod and period",
+    "PeriodicSet": "refuses an empty period",
+    "PSetSpec": "sets its private _shift cache",
+    "PairClass": "needs a fresh {} per call",
+}
+
+
+def test_only_the_records_that_do_more_than_bind_fields_write_init():
+    own = {cls.__name__ for cls in _records() if "__init__" in vars(cls)}
+    assert own == set(OWN_INIT)
+
+
+@pytest.mark.parametrize("cls", [c for c in _records() if c.__init__ is Record.__init__],
+                         ids=lambda c: c.__name__)
+def test_base_constructor_contract(cls):
+    fields, defaults = cls._fields, cls._defaults
+    assert list(defaults) == list(fields[len(fields) - len(defaults):])
+    values = tuple(range(10, 10 + len(fields)))
+    record = cls(*values)
+    assert record == cls(**dict(zip(fields, values)))
+    assert record == cls(*values[:1], **dict(zip(fields[1:], values[1:])))
+    assert tuple(getattr(record, f) for f in fields) == values
+    required = len(fields) - len(defaults)
+    filled = cls(*values[:required])
+    assert tuple(getattr(filled, f) for f in fields) == values[:required] + tuple(
+        defaults.values())
+    if required:
+        with pytest.raises(TypeError, match="missing argument %r" % (fields[required - 1],)):
+            cls(*values[:required - 1])
+    with pytest.raises(TypeError, match="unexpected keyword argument 'no_such_field'"):
+        cls(*values, no_such_field=1)
+    if fields:
+        with pytest.raises(TypeError, match="multiple values for argument %r" % (fields[0],)):
+            cls(*values, **{fields[0]: 1})
+    with pytest.raises(TypeError, match="takes %d arguments but %d were given"
+                       % (len(fields), len(fields) + 1)):
+        cls(*values, 0)
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert copy.deepcopy(record) == record
+    for field in fields + ("no_such_field",):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+
+
+def _set_field_only(init):
+    """True when init's body, past a docstring, is only set_field(self, "f", f)
+    statements, which the base constructor already does."""
+    body = init.body[1:] if ast.get_docstring(init) is not None else init.body
+    return bool(body) and all(
+        isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)
+        and isinstance(stmt.value.func, ast.Name) and stmt.value.func.id == "set_field"
+        and len(stmt.value.args) == 3 and not stmt.value.keywords
+        and isinstance(stmt.value.args[0], ast.Name) and stmt.value.args[0].id == "self"
+        and isinstance(stmt.value.args[1], ast.Constant)
+        and isinstance(stmt.value.args[2], ast.Name)
+        and stmt.value.args[2].id == stmt.value.args[1].value
+        for stmt in body)
+
+
+def test_no_record_restates_its_fields_as_an_init():
+    restated = []
+    for path in sorted(pathlib.Path(shiftlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(b, ast.Name) and b.id == "Record" for b in node.bases):
+                restated += ["%s.%s" % (path.stem, node.name) for item in node.body
+                             if isinstance(item, ast.FunctionDef)
+                             and item.name == "__init__" and _set_field_only(item)]
+    assert not restated, restated

@@ -67,9 +67,12 @@ brute force. A trip raises ResourceCapExceeded and leaves every cached
 column and memo valid.
 
 ``brute_force`` tests all n**k words independently and is the oracle every
-engine is checked against. It calls the spec's member test, so for a family
-with a word test it checks the engines against the definition, not against
-the transition they read.
+engine is checked against. It calls the spec's member test once on each
+word, in lexicographic order, so for a family with a word test it checks the
+engines against the definition, not against the transition they read. When
+n <= 256 a word is ``bytes``: a head of k - k//2 symbols joined to a tail of
+k//2, both halves made once, and the join runs in C; past 256 symbols it is
+a tuple.
 
 Every engine is resumable. The lambda_1, lambda_2, ... column and the
 engine's working state (a DP layer, a follower memo) are cached on the spec
@@ -476,8 +479,10 @@ def count_language(spec, k, strategy=None, node_cap=DEFAULT_NODE_CAP):
     None (the spec's own engine), ``brute_force`` or ``spec.engine``.
     node_cap bounds what one call of an engine spends: the states of the
     automaton DP layers it builds, the lookups of a branch-and-bound count,
-    the n**k words of brute force. Brute force feeds the spec's member test
-    bytes when n <= 256, else tuples."""
+    the n**k words of brute force, checked before any word is made. Brute
+    force hands the spec's member test each word once, in lexicographic
+    order: when n <= 256 as ``bytes``, a head of k - k//2 symbols joined to
+    a tail of k//2 from halves made once, else as a tuple."""
     if k < 1:
         raise PreconditionError("k must be >= 1")
     if strategy not in (None, "brute_force", spec.engine):
@@ -490,9 +495,14 @@ def count_language(spec, k, strategy=None, node_cap=DEFAULT_NODE_CAP):
         if k > node_cap.bit_length() or spec.n ** k > node_cap:
             raise ResourceCapExceeded(
                 "brute force over %d**%d words exceeds %d" % (spec.n, k, node_cap))
-        words = itertools.product(range(spec.n), repeat=k)
-        if spec._symbol_bytes is not None:
-            words = map(bytes, words)
+        symbols = range(spec.n)
+        if spec._symbol_bytes is None:
+            words = itertools.product(symbols, repeat=k)
+        else:
+            # tails vary fastest, so the joins come in lexicographic order
+            heads = map(bytes, itertools.product(symbols, repeat=k - k // 2))
+            tails = map(bytes, itertools.product(symbols, repeat=k // 2))
+            words = itertools.starmap(operator.add, itertools.product(heads, tails))
         return sum(map(spec._member, words))
     if spec.engine == "automaton_dp":
         return spec._dp().value(k, node_cap)

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -115,6 +116,65 @@ def test_count_language_strategies_agree_small():
 def test_brute_force_cap():
     with pytest.raises(ResourceCapExceeded):
         count_language(full_shift(2), 40, strategy="brute_force")
+
+
+def _recording_spec(n, seen):
+    """The full n-shift by a word test that appends each word it is handed
+    to seen."""
+    def word_test(w):
+        seen.append(w)
+        return True
+
+    return SubshiftSpec(n=n, family="user", label="recorded full:n=%d" % n, start_state=0,
+                        transition=lambda s, a: (True, s), word_test=word_test)
+
+
+@pytest.mark.parametrize("n", (2, 3, 5))
+def test_brute_force_hands_each_word_once_in_order_as_bytes(n):
+    # odd and even k, and k = 1, whose words have no tail
+    for k in range(1, 8):
+        seen = []
+        assert count_language(_recording_spec(n, seen), k, strategy="brute_force") == n ** k
+        assert all(type(w) is bytes for w in seen), k
+        assert seen == list(map(bytes, itertools.product(range(n), repeat=k))), k
+
+
+def test_brute_force_past_a_byte_alphabet_walks_tuples():
+    spec = full_shift(257)
+    walk, seen = spec._member, []
+
+    def member(w):
+        seen.append(w)
+        return walk(w)
+
+    spec._member = member
+    for k in (1, 2):
+        seen.clear()
+        assert count_language(spec, k, strategy="brute_force") == 257 ** k
+        assert seen == list(itertools.product(range(257), repeat=k)), k
+
+
+def test_brute_force_cap_trips_before_any_word():
+    def member(w):
+        raise AssertionError("member test called on %r" % (w,))
+
+    spec = full_shift(2)
+    spec._member = member
+    with pytest.raises(ResourceCapExceeded):
+        count_language(spec, 40, strategy="brute_force")
+    with pytest.raises(ResourceCapExceeded):
+        count_language(spec, 5, strategy="brute_force", node_cap=31)
+
+
+def test_brute_force_streams_its_words():
+    # 65 536 words of 16 bytes: held in a list they would take about 2.5 MB
+    tracemalloc.start()
+    try:
+        assert count_language(full_shift(2), 16, strategy="brute_force") == 65536
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024, peak
 
 
 def test_entropy_report_full_shift():

@@ -237,7 +237,7 @@ def parse_point(text, n=2):
     pre, per = text.split(";")
     if not per:
         raise SpecParseError("period part must be nonempty in %r" % (text,))
-    if not all(c.isdigit() for c in pre + per):
+    if not (pre + per).isdecimal():
         raise SpecParseError("point symbols must be digits in %r" % (text,))
     try:
         return periodic_point(pre, per, n)

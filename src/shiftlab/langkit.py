@@ -31,7 +31,12 @@ with ``in``, and the counting shift counts its 1s against the whole-word cap
 and walks the few left with ``bytes.find``. Each spec binds one member test
 when it is built: the word test, or else (beta shifts, alphabets past 256
 symbols) a walk over the id rows. ``accepts`` checks the alphabet with one
-``bytes.translate`` and then calls it. The step and the graph serve
+``bytes.translate`` and then calls it. ``contains_word`` tests an ASCII
+string for digits on its encoded bytes (``bytes.isdigit``, a C table, not
+the Unicode tables ``str.isdigit`` reads) and hands ``accepts`` the symbol
+bytes one ``translate`` makes of them. ``hereditary_check`` makes each word
+of L_k ``bytes`` once and hands each lowering, over the alphabet by
+construction, straight to the member test. The step and the graph serve
 enumeration and the DPs.
 
 Counting engines, named by ``spec.engine`` after what the spec provides;
@@ -190,7 +195,8 @@ class SubshiftSpec:
     alphabet, chosen here once: the word test when there is one and n <=
     256, else a walk over the graph's id rows, else a walk over the step.
     ``accepts`` checks the alphabet and calls it; brute force calls it on
-    the words it generates, which are over the alphabet by construction.
+    the words it generates, and ``hereditary_check`` on the lowered words
+    it makes, which are over the alphabet by construction.
     """
 
     def __init__(self, n, family, label, start_state, transition,
@@ -286,8 +292,10 @@ def contains_word(spec, w):
             raise AlphabetMismatch("word over %r, spec over %r" % (w.alphabet, spec.alphabet))
         syms = w.symbols
     elif isinstance(w, str):
-        if w.isascii() and w.isdigit():
-            syms = w.encode().translate(_DIGIT_BYTES)
+        # bytes.isdigit reads a C table; str.isdigit looks each character up
+        # in the Unicode tables
+        if w.isascii() and (b := w.encode()).isdigit():
+            syms = b.translate(_DIGIT_BYTES)
         else:
             # non-ASCII digits parse too; any other character raises
             syms = tuple(int(c) for c in w)
@@ -691,13 +699,21 @@ def max_density_word(spec, alpha, k, k_ref=None, require_target=True,
 def hereditary_check(spec, k):
     """Exhaustively checks closure of L_k(X) under coordinate-wise lowering.
     Returns (True, None) or (False, (word, lowered_word)). Closure under
-    single-symbol decrements implies full coordinate-wise closure."""
+    single-symbol decrements implies full coordinate-wise closure.
+
+    Each word of L_k is made ``bytes`` once (a tuple past 256 symbols), and
+    each lowering of it, over the alphabet by construction, goes straight to
+    the spec's member test, in enumeration order."""
+    member = spec._member
+    seq = tuple if spec._symbol_bytes is None else bytes
     for syms in enumerate_language(spec, k):
+        w = seq(syms)
         for i, s in enumerate(syms):
             if s > 0:
-                lowered = syms[:i] + (s - 1,) + syms[i + 1:]
-                if not spec.accepts(lowered):
-                    return False, (Word(spec.alphabet, syms), Word(spec.alphabet, lowered))
+                lowered = w[:i] + seq((s - 1,)) + w[i + 1:]
+                if not member(lowered):
+                    return False, (Word(spec.alphabet, syms),
+                                   Word(spec.alphabet, tuple(lowered)))
     return True, None
 
 
@@ -919,7 +935,7 @@ def parse_shift_spec(text):
     if text.startswith("forbidden:{") and text.endswith("}"):
         body = text[len("forbidden:{"):-1]
         parts = [p.strip() for p in body.split(",") if p.strip()]
-        if not parts or not all(all(c.isdigit() for c in p) for p in parts):
+        if not parts or not all(p.isdecimal() for p in parts):
             raise SpecParseError("forbidden words must be digit strings: %r" % (text,))
         n = max(2, max(int(c) for p in parts for c in p) + 1)
         return forbidden_shift(parts, n=n)

@@ -540,6 +540,44 @@ def test_contains_word_symbol_outside_the_alphabet_is_false():
     assert not contains_word(parse_shift_spec("spacing:P=evens"), "1002")
 
 
+# the five acceptors of the acceptor-queries bench workload
+QUERY_SPECS = ("counting", "spacing:P=periodic:;0111011",
+               "spacing:P=complement:(finite:{1,3,7,12})", "beta:beta=1.5",
+               "forbidden:{111,0101}")
+
+
+@pytest.mark.parametrize("text", QUERY_SPECS + ("full:n=10", "full:n=12", "full:n=300"))
+def test_contains_word_on_long_words_agrees_across_forms(text):
+    # full:n=12 has every ASCII digit as a symbol; full:n=300 checks tuples.
+    # Every word is over the digits, so it is also a digit string: the full
+    # shift on ten symbols has the words of a larger one over the digits.
+    spec = parse_shift_spec(text)
+    words = _seeded_words(spec if spec.n <= 10 else full_shift(10), 5, 40, (100, 600))
+    answers = []
+    for w in words:
+        want = _step_walk(spec, w)
+        assert contains_word(spec, "".join(map(str, w))) is want
+        assert contains_word(spec, w) is want
+        assert spec.accepts(bytes(w)) is want
+        answers.append(want)
+    if spec.family != "full":
+        assert True in answers and False in answers
+
+
+def test_an_ascii_digit_string_reaches_the_member_test_as_one_bytes():
+    spec = parse_shift_spec("forbidden:{111,0101}")
+    member, seen = spec._member, []
+
+    def record(w):
+        seen.append(w)
+        return member(w)
+
+    spec._member = record
+    assert contains_word(spec, "0110") and not contains_word(spec, "0101")
+    assert seen == [bytes((0, 1, 1, 0)), bytes((0, 1, 0, 1))]
+    assert all(type(w) is bytes for w in seen)
+
+
 @pytest.mark.parametrize("w", ["01a", "0 1", "-1", "1.0", "²"])
 def test_contains_word_non_digit_raises(w):
     with pytest.raises(ValueError):

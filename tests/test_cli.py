@@ -178,6 +178,26 @@ def test_exit_code_parse_error():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["entropy", "--shift", "forbidden:{1²}", "--kmax", "3"],
+    ["language", "--shift", "forbidden:{²}", "--k", "2"],
+    ["chaos", "classify", "--x", "²;1", "--y", ";01"],
+], ids=["entropy", "language", "chaos-classify"])
+def test_a_digit_that_is_not_decimal_is_a_parse_error(argv):
+    # ² passes str.isdigit, but int() refuses it
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(shiftlab.__file__)))
+    run = subprocess.run([sys.executable, "-m", "shiftlab"] + argv, env=env,
+                         capture_output=True, text=True, check=False, timeout=120)
+    assert run.returncode == 2
+    assert run.stderr.startswith("error:") and "Traceback" not in run.stderr
+    assert "digit" in run.stderr
+
+
+def test_arabic_indic_digits_name_forbidden_words():
+    env = run_json(["language", "--shift", "forbidden:{١١}", "--k", "3"])
+    assert env["spec"] == "forbidden:{11}" and env["result"]["lambda"] == "5"
+
+
 def test_exit_code_precondition():
     code, _ = run_cli(["spacing", "delta-star", "--set", "evens", "--k", "2",
                        "--horizon", "64"])

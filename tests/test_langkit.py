@@ -248,13 +248,48 @@ def test_max_density_word_counting_shift():
 
 
 def test_hereditary_check():
-    ok, _ = hereditary_check(counting_shift(), 8)
-    assert ok
-    ok, pair = hereditary_check(forbidden_shift(["00"]), 4)
-    assert not ok
-    bad, lowered = pair
-    assert contains_word(forbidden_shift(["00"]), bad)
-    assert not contains_word(forbidden_shift(["00"]), lowered)
+    assert hereditary_check(counting_shift(), 8) == (True, None)
+    # the first word of L_k in lexicographic order with a lowering outside
+    # L_k, and its first such lowering
+    for text, k, bad, lowered in (
+            ("forbidden:{00}", 4, "0101", "0001"),
+            ("forbidden:{0}", 3, "111", "011"),
+            ("forbidden:{20}", 3, "021", "020"),
+            ("forbidden:{111,0101}", 12, "000000001101", "000000000101")):
+        spec = parse_shift_spec(text)
+        ok, pair = hereditary_check(spec, k)
+        assert not ok, text
+        assert [(str(w), type(w.symbols)) for w in pair] == [(bad, tuple), (lowered, tuple)]
+        assert all(w.alphabet == spec.alphabet for w in pair)
+        assert contains_word(spec, bad) and not contains_word(spec, lowered)
+
+
+@pytest.mark.parametrize("text, k", [
+    ("counting", 12), ("spacing:P=periodic:;0111011", 12),
+    ("spacing:P=complement:(finite:{1,3,7,12})", 12), ("beta:beta=1.5", 12),
+    ("full:n=300", 2),
+])
+def test_hereditary_check_holds(text, k):
+    assert hereditary_check(parse_shift_spec(text), k) == (True, None)
+
+
+@pytest.mark.parametrize("n, k", [(2, 5), (3, 4), (257, 2)])
+def test_hereditary_check_hands_each_lowered_word_once_in_order(n, k):
+    # bytes over a byte alphabet, tuples past it
+    spec = full_shift(n)
+    member, seen = spec._member, []
+
+    def record(w):
+        seen.append(w)
+        return member(w)
+
+    spec._member = record
+    assert hereditary_check(spec, k) == (True, None)
+    seq = bytes if n <= 256 else tuple
+    assert all(type(w) is seq for w in seen)
+    assert seen == [seq(w[:i] + (a - 1,) + w[i + 1:])
+                    for w in itertools.product(range(n), repeat=k)
+                    for i, a in enumerate(w) if a]
 
 
 def test_lemma_style_weight_bound_full_shift():

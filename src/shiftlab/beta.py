@@ -35,7 +35,8 @@ divided by Z have one floor, that is the digit. Otherwise v lies within
 O((sqrt(d) + v) * 2^-G) of an integer, and the exact floor _floor settles
 it with one isqrt of an O(i)-bit integer. So a digit costs O(i)-bit shifts
 and sums plus products of O(P)-bit integers, and P stays O(G) for a
-Pisot base.
+Pisot base. The digits are memoised on the spec, and a read of k digits
+(beta_digits) costs one _extend pass over the digits it lacks, then a slice.
 
 Finite-length membership rule: w is in L(Omega_beta) iff every suffix of w is
 lexicographically <= the equal-length prefix of the digit sequence of 1.
@@ -50,7 +51,7 @@ import re
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .core import EventuallyPeriodicPoint, Word, lex_compare, word
+from .core import Alphabet, EventuallyPeriodicPoint, Word, lex_compare
 from .errors import PreconditionError, SpecParseError
 from .langkit import SubshiftSpec, count_language
 
@@ -187,7 +188,11 @@ def beta_digits(spec, k):
         raise PreconditionError("k must be >= 0")
     if k > spec.digit_horizon:
         raise PreconditionError("k exceeds digit_horizon")
-    return word([spec.digit(i) for i in range(k)], n=spec.alphabet_size)
+    digits = spec._digits
+    if k > len(digits):
+        spec._extend(k)
+    # ints in 0..floor(beta) by construction: no per-symbol conversion
+    return Word(Alphabet(spec.alphabet_size), tuple(digits[:k]))
 
 
 def parry_check(d, H):

@@ -9,8 +9,10 @@ a single exact step function with breakpoints at the rationals n**-k.
 
 Distances are handled through their integer gaps g_j (d_j = n**-g_j), and
 d_j < t iff g_j reaches the cutoff of t, so a profile is a count of gaps at
-or above each cutoff. Both kinds of profile read those counts off one
-disagreement mask per pair, bytes that hold 1 exactly where the pair differs.
+or above each cutoff. A cutoff comes from integers too: the numerator and
+denominator of t against powers of n, with no Fraction arithmetic. Both
+kinds of profile read those counts off one disagreement mask per pair,
+bytes that hold 1 exactly where the pair differs.
 A run of zeros with the 1 that ends it (or the run past the last 1) is a
 segment of length s whose gaps are s, s-1, ..., 1, so the counts come from
 the mask's run lengths: ``split(b"\x01")`` gives the runs, a ``Counter``
@@ -153,13 +155,16 @@ def _exact_profile(x, y, thresholds):
 
 def _gap_cutoff(n, t):
     """Smallest g with n**-g < t, so d_j < t iff g_j >= cutoff; infinite for
-    t <= 0, which no distance is below."""
+    t <= 0, which no distance is below. Read on integers: with t = num/den
+    exactly (a Fraction, int or float), n**-g < t iff den < num * n**g."""
     if t <= 0:
         return inf
-    g = 0
-    scale = Fraction(1)
-    while scale >= t:
-        scale /= n
+    if not t <= 1:
+        return 0  # t > 1, float inf or nan: g = 0, as the test n**-0 >= t fails
+    num, den = t.as_integer_ratio()
+    g, p = 0, 1
+    while den >= num * p:
+        p *= n
         g += 1
     return g
 

@@ -108,15 +108,17 @@ class Alphabet(Record):
 
 
 class Word(Record):
-    """A finite string of symbols over a fixed alphabet."""
+    """A finite string of symbols over a fixed alphabet. The range check is
+    one min and one max, run in C; only a word that fails it is walked, to
+    name its first symbol out of range."""
 
     __slots__ = ("alphabet", "symbols")
 
     def __init__(self, alphabet, symbols):
         n = alphabet.size
-        for s in symbols:
-            if not (0 <= s < n):
-                raise ValueError("symbol %r out of range for alphabet of size %d" % (s, n))
+        if symbols and not (min(symbols) >= 0 and max(symbols) < n):
+            s = next(s for s in symbols if not (0 <= s < n))
+            raise ValueError("symbol %r out of range for alphabet of size %d" % (s, n))
         set_field(self, "alphabet", alphabet)
         set_field(self, "symbols", symbols)
 

@@ -6,10 +6,24 @@ profile holds as F(1/n).
 g_j = k - j + 1 for the least k >= j with xs[k] != ys[k]; when no
 disagreement is visible after j the true distance is below n**-(N-j), and
 that lower bound on the gap, N - j, stands in for it. It holds one list entry
-per position, so tests run it on short prefixes."""
+per position, so tests run it on short prefixes. Also the threshold cutoffs
+as a Fraction scale loop, the reference for the integer cutoffs."""
 
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
+
+
+def gap_cutoff(n, t):
+    """Smallest g with n**-g < t, infinite for t <= 0: the scale n**-g is
+    divided down by n as a Fraction until it falls below t."""
+    if t <= 0:
+        return inf
+    g = 0
+    scale = Fraction(1)
+    while scale >= t:
+        scale /= n
+        g += 1
+    return g
 
 
 def gap_series(xs, ys, upto=None):

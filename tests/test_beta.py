@@ -436,6 +436,28 @@ def test_digits_match_greedy_reference_at_the_digit_horizon(beta):
     assert spec._root[0] > 2 * 64
 
 
+# a rational base, the base of the density-chaos bench, and a base whose
+# sqrt(d) precision grows between digits 3000 and 4096
+@pytest.mark.parametrize("beta", [(3, 0, 2, 0), (1, 1, 2, 7), (7, 2, 3, 3)],
+                         ids=["3/2", "(1+sqrt7)/2", "(7+2*sqrt3)/3"])
+def test_digit_reads_grow_the_memo_in_one_pass(beta, monkeypatch):
+    calls = [0]
+    extend = BetaSpec._extend
+
+    def counted(self, k):
+        calls[0] += 1
+        return extend(self, k)
+    monkeypatch.setattr(BetaSpec, "_extend", counted)
+    spec = BetaSpec(*beta)
+    ref = tuple(_greedy_reference(beta, spec.digit_horizon))
+    assert beta_digits(spec, 3000).symbols == ref[:3000] and calls == [1]
+    root = spec._root[0]
+    assert beta_digits(spec, spec.digit_horizon).symbols == ref and calls == [2]
+    assert beta_digits(spec, 1000).symbols == ref[:1000] and calls == [2]
+    if beta == (7, 2, 3, 3):
+        assert spec._root[0] > root
+
+
 def test_negative_digit_index_rejected():
     for text in ("1.5", GOLDEN, "quad:(7+2*sqrt3)/3"):
         spec = parse_beta(text)

@@ -8,7 +8,7 @@ from math import inf, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gap_reference import diff_equal_densities, gap_frequencies, gap_series
+from gap_reference import diff_equal_densities, gap_cutoff, gap_frequencies, gap_series
 from shiftlab.chaos import (
     DistributionProfile,
     _disagreements,
@@ -546,6 +546,28 @@ def test_exact_profile_counts_the_two_cycle_gaps():
         assert prof.thresholds[0] == Fraction(1, n ** (max(gaps) + 1))
         cutoffs = [_gap_cutoff(n, t) for t in prof.thresholds]
         assert prof.F_values == tuple(row[0] for row in gap_frequencies(gaps, cutoffs, (c,)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 257])
+def test_gap_cutoff_matches_the_fraction_scale_loop(n):
+    rng = random.Random(n)
+    tiny = Fraction(1, 10 ** 40)  # far nearer than any n**-k gap below
+    thresholds = [Fraction(1), Fraction(n + 1, n), Fraction(0), -Fraction(1, n),
+                  1, 2, 0, -3, 1.0, 0.5, 1e-9, 2.5, 0.0, -0.25, inf, -inf]
+    for k in range(1, 20):
+        exact = Fraction(1, n ** k)
+        # n**-k exactly, the Fractions just below and above it, and the
+        # nearest unit fractions on either side
+        thresholds += [exact, exact - tiny, exact + tiny, float(exact),
+                       Fraction(1, n ** k + 1), Fraction(1, n ** k - 1)]
+    for _ in range(300):
+        thresholds.append(Fraction(rng.randint(-10, 10 ** 6), rng.randint(1, 10 ** 9)))
+        thresholds.append(rng.uniform(-1, 1) ** rng.randint(1, 9))
+    for t in thresholds:
+        assert _gap_cutoff(n, t) == gap_cutoff(n, t), (n, t)
+    assert _gap_cutoff(n, Fraction(0)) == _gap_cutoff(n, -1.5) == inf
+    assert _gap_cutoff(n, Fraction(1, n ** 3)) == 4 and _gap_cutoff(n, 1) == 1
+    assert _gap_cutoff(n, 2) == 0
 
 
 def test_mixed_bytes_tuple_pair_profile_is_the_tuple_profile():

@@ -8,6 +8,7 @@ import importlib
 import pathlib
 import pickle
 import pkgutil
+import random
 from fractions import Fraction
 
 import pytest
@@ -75,6 +76,35 @@ def test_constructor_errors_keep_their_text():
         Word(Alphabet(2), (0, 2))
     with pytest.raises(ValueError, match=r"^period bits must be nonempty$"):
         PeriodicSet((1,), ())
+
+
+def _first_out_of_range(symbols, n):
+    """The per-symbol range check: the first symbol outside 0..n-1, or None."""
+    for s in symbols:
+        if not (0 <= s < n):
+            return s
+    return None
+
+
+def test_word_rejects_what_the_symbol_walk_rejects():
+    # a negative symbol first, a too-large one first, and both kinds mixed
+    cases = [((0, -1, 2), 3, -1), ((1, 3, 0), 3, 3), ((2, -2, 7, -1), 3, -2),
+             ((0, 9, -4, 5), 3, 9), ((), 2, None), ((0, 1, 2), 3, None)]
+    rng = random.Random(7)
+    for _ in range(400):
+        n = rng.randint(2, 12)
+        syms = tuple(rng.randint(-3, n + 2) if rng.random() < 0.1 else rng.randrange(n)
+                     for _ in range(rng.randint(0, 30)))
+        cases.append((syms, n, _first_out_of_range(syms, n)))
+    for syms, n, bad in cases:
+        assert bad == _first_out_of_range(syms, n)
+        if bad is None:
+            assert Word(Alphabet(n), syms).symbols == syms
+            continue
+        with pytest.raises(ValueError, match=r"^symbol %d out of range for alphabet of size %d$"
+                           % (bad, n)):
+            Word(Alphabet(n), syms)
+    assert word([], n=3).symbols == ()
 
 
 def test_point_canonicalises_in_its_constructor():

@@ -10,23 +10,27 @@ a single exact step function with breakpoints at the rationals n**-k.
 Distances are handled through their integer gaps g_j (d_j = n**-g_j), and
 d_j < t iff g_j reaches the cutoff of t, so a profile is a count of gaps at
 or above each cutoff. A cutoff comes from integers too: the numerator and
-denominator of t against powers of n, with no Fraction arithmetic. Both
-kinds of profile read those counts off one disagreement mask per pair,
-bytes that hold 1 exactly where the pair differs.
-A run of zeros with the 1 that ends it (or the run past the last 1) is a
-segment of length s whose gaps are s, s-1, ..., 1, so the counts come from
-the mask's run lengths: ``split(b"\x01")`` gives the runs, a ``Counter``
-groups their lengths, and each checkpoint adds the one segment it cuts. An
-exact profile runs this over one cycle (p, p + c] past the longer preperiod
-p, rotated to end on a disagreement, so that each segment wraps as the
-periodic pair does; an empirical one cuts the mask at its last checkpoint
-when the pair agrees past it. Building the mask is C-level work linear in
-its length; the Python work is one step per distinct run length and cutoff,
-plus one per checkpoint and cutoff.
+denominator of t against powers of n, with no Fraction arithmetic. A run of
+zeros in a disagreement mask (1 exactly where the pair differs) with the 1
+that ends it, or the run past the last 1, is a segment of length s whose
+gaps are s, s-1, ..., 1, so the counts come from the mask's run lengths,
+grouped by a ``Counter``: one step per distinct run length and cutoff. An
+exact profile reads the mask over one cycle (p, p + c] past the longer
+preperiod p, rotated to end on a disagreement, so that each segment wraps as
+the periodic pair does. Both cycles are built by whole-period repetition, as
+bytes when the alphabet fits in one, so the mask is one XOR of two ints.
 
 Generator-backed pairs (the scrambled family below) get empirical profiles:
 prefix frequencies measured at the construction's own checkpoints b_n, with
 liminf estimated by the minimum over checkpoints and limsup by the maximum.
+No member is built. A pair's mask is 1_S on the union of the two members'
+blocks, and each block starts on a multiple of S's period, so past the
+preperiod it is whole copies of one rotated cycle: its runs are the
+cycle's inner runs once per copy and the run across each seam between
+copies. Every checkpoint is a block edge; it adds the runs closed by the
+blocks before it and cuts one open segment, which past the last block runs
+to the horizon. So the cost is set by the blocks, O(blocks * (L + p) +
+checkpoints * cutoffs * distinct runs), whatever the horizon.
 """
 
 from __future__ import annotations
@@ -51,7 +55,19 @@ def _cycle(x, y):
     p the longer preperiod; beyond index p the pair repeats every c places."""
     p = max(len(x.preperiod), len(y.preperiod))
     c = lcm(len(x.period), len(y.period))
-    return c, x.prefix(p + c)[p:], y.prefix(p + c)[p:]
+    return c, _cycle_window(x, p, c), _cycle_window(y, p, c)
+
+
+def _cycle_window(x, p, c):
+    """x over (p, p + c]: past its preperiod x is its period rotated to start
+    at place p + 1 and repeated c / len(period) times, as bytes when every
+    symbol fits in one, else as a tuple."""
+    per = x.period
+    k = (p - len(x.preperiod)) % len(per)
+    rotated = per[k:] + per[:k]
+    if x.alphabet.size <= 256:
+        rotated = bytes(rotated)
+    return rotated * (c // len(per))
 
 
 def _disagreements(xs, ys):
@@ -111,22 +127,10 @@ def _default_grid(n, max_k):
     return grid
 
 
-def distribution_profile(x, y, thresholds=None, checkpoints=None, n=None):
-    """Exact profile for a pair of eventually periodic points; empirical
-    profile (measured at checkpoints up to the prefix length) for a pair of
-    finite symbol sequences."""
-    if isinstance(x, EventuallyPeriodicPoint) and isinstance(y, EventuallyPeriodicPoint):
-        return _exact_profile(x, y, thresholds)
-    if isinstance(x, EventuallyPeriodicPoint) or isinstance(y, EventuallyPeriodicPoint):
-        raise PreconditionError("mixed exact/empirical pair is not supported")
-    if n is None:
-        n = 2
-    if not (type(x) is bytes and type(y) is bytes):
-        x, y = tuple(x), tuple(y)
-    return _empirical_profile(x, y, thresholds, checkpoints, n)
-
-
-def _exact_profile(x, y, thresholds):
+def distribution_profile(x, y, thresholds=None):
+    """Exact profile for a pair of eventually periodic points."""
+    if not (isinstance(x, EventuallyPeriodicPoint) and isinstance(y, EventuallyPeriodicPoint)):
+        raise PreconditionError("a distribution profile needs two eventually periodic points")
     _same_alphabet(x, y)
     n = x.alphabet.size
     c, xs, ys = _cycle(x, y)
@@ -180,69 +184,6 @@ def _closed_gaps(runs, levels, closed):
     return closed
 
 
-def _gap_frequencies(mask, cutoffs, checkpoints, N=None):
-    """rows[i][k] = #{j < m_k : g_j >= cutoffs[i]} / m_k for the ascending
-    checkpoints m_k <= len(mask), where g_j = k - j + 1 for the least k >= j
-    with mask[k] = 1, or N - j when there is none. N defaults to len(mask);
-    a longer N stands for a pair that agrees from len(mask) to N.
-
-    A segment of length s (a run of zeros and the 1 that closes it, or the
-    run past the last 1) holds the gaps s, s-1, ..., 1, so a level L >= 1
-    counts max(0, s - L + 1) of them. The segments closed before a
-    checkpoint are tallied once, by length; the segment open at the
-    checkpoint adds its positions before it."""
-    N = len(mask) if N is None else N
-    levels = [max(cut, 1) for cut in cutoffs]  # every gap is >= 1
-    closed = [0] * len(levels)  # gaps >= each level in the closed segments
-    rows = [[] for _ in levels]
-    start = 0  # where the open segment starts
-    for m in checkpoints:
-        last = mask.rfind(1, start, m)
-        if last >= 0:
-            _closed_gaps(Counter(map(len, mask[start:last].split(b"\x01"))), levels, closed)
-            start = last + 1
-        nxt = mask.find(1, m)
-        top = (N if nxt < 0 else nxt + 1) - start  # the open segment's length
-        low = top - (m - start) + 1  # the least of its gaps before m
-        for i, L in enumerate(levels):
-            rows[i].append(Fraction(closed[i] + max(0, top - max(L, low) + 1), m))
-    return rows
-
-
-def _empirical_profile(xs, ys, thresholds, checkpoints, n):
-    N = len(xs)
-    if N == 0:
-        raise PreconditionError("empty prefixes")
-    if thresholds is None:
-        thresholds = _default_grid(n, 12)
-    thresholds = tuple(sorted(thresholds))
-    if checkpoints is None:
-        checkpoints = []
-        m = 16
-        while m < N:
-            checkpoints.append(m)
-            m *= 4
-        checkpoints.append(N)
-    checkpoints = tuple(sorted(set(min(m, N) for m in checkpoints if m > 0)))
-    if not checkpoints:
-        raise PreconditionError("no positive checkpoint")
-    if len(ys) != N:
-        raise PreconditionError("empirical pair needs equal-length prefixes")
-    m = checkpoints[-1]
-    if xs[m:] == ys[m:]:
-        # nothing past the last checkpoint to find: the mask can stop there
-        xs, ys = xs[:m], ys[:m]
-    cutoffs = [_gap_cutoff(n, t) for t in thresholds]
-    rows = _gap_frequencies(_disagreements(xs, ys), cutoffs, checkpoints, N)
-    F = [min(freqs) for freqs in rows]
-    Fstar = [max(freqs) for freqs in rows]
-    fstar_one = all(v >= Fraction(99, 100) for v in Fstar)
-    return DistributionProfile(n=n, thresholds=thresholds, F_values=tuple(F),
-                               Fstar_values=tuple(Fstar), exact=False,
-                               fstar_one_everywhere=fstar_one,
-                               horizon=N, checkpoints=checkpoints)
-
-
 # -- classification -----------------------------------------------------------
 
 class PairClass(Record):
@@ -292,15 +233,16 @@ def classify_pair(profile):
 # -- the scrambled family -----------------------------------------------------
 
 class ScrambledFamily(Record):
-    """members: m characteristic sequences, bytes of 0/1; b: the
-    checkpoint sequence b_1 < b_2 < ...; blocks: ((lo, hi), ...) with block
-    n = (b_{2n-1}, b_{2n}]; index_sets: A_i as tuples of block indices within
-    range; density: the exact density of S."""
+    """The family as its blocks; no member is built. b: the checkpoint
+    sequence b_1 < b_2 < ...; blocks: ((lo, hi), ...) with block n =
+    (b_{2n-1}, b_{2n}]; index_sets: A_i as tuples of block indices within
+    range, member i being 1_S on the blocks of A_i and 0 elsewhere up to the
+    horizon; density: the exact density of S; shapes: S over each block as
+    (ones, first, last, runs), its number of 1s, the 0-based places of its
+    first and last 1 (-1 when it has none) and a Counter of the lengths of
+    the zero runs between consecutive 1s."""
 
-    __slots__ = ("members", "horizon", "b", "blocks", "index_sets", "density", "log")
-
-    def member_ones(self, i):
-        return [p + 1 for p, bit in enumerate(self.members[i]) if bit]
+    __slots__ = ("horizon", "b", "blocks", "index_sets", "density", "log", "shapes")
 
 
 def build_scrambled_family(S, m, horizon, growth=DEFAULT_GROWTH):
@@ -341,21 +283,10 @@ def build_scrambled_family(S, m, horizon, growth=DEFAULT_GROWTH):
     if len(b) < 2:
         raise PreconditionError(
             "horizon %d too small for even one block at growth %d" % (horizon, growth))
-    blocks = []
-    n_blocks = len(b) // 2
-    for k in range(n_blocks):
-        blocks.append((b[2 * k], b[2 * k + 1]))
-    index_sets = tuple(tuple(n for n in range(1, n_blocks + 1) if n % m == i % m)
+    blocks = tuple((b[2 * k], b[2 * k + 1]) for k in range(len(b) // 2))
+    index_sets = tuple(tuple(n for n in range(1, len(blocks) + 1) if n % m == i % m)
                        for i in range(m))
-    # S is read up to the last block end; past it every member is 0
-    bits_S = S.bits(blocks[-1][1])
-    members = []
-    for A in index_sets:
-        bits = bytearray(horizon)
-        for n in A:
-            lo, hi = blocks[n - 1]
-            bits[lo:hi] = bits_S[lo:hi]
-        members.append(bytes(bits))
+    shapes = _block_shapes(pre, per, blocks)
     log = {
         "b": list(b),
         "growth_ok": all(k * b[k - 1] <= b[k] for k in range(1, len(b))),
@@ -363,29 +294,100 @@ def build_scrambled_family(S, m, horizon, growth=DEFAULT_GROWTH):
         "index_sets": [list(A) for A in index_sets],
         "density": str(dens),
         "growth": growth,
-        "block_ones": [bits_S.count(1, lo, hi) for lo, hi in blocks],
+        "block_ones": [ones for ones, _, _, _ in shapes],
     }
-    return ScrambledFamily(members=tuple(members), horizon=horizon, b=tuple(b),
-                           blocks=tuple(blocks), index_sets=index_sets,
-                           density=dens, log=log)
+    return ScrambledFamily(horizon=horizon, b=tuple(b), blocks=blocks, index_sets=index_sets,
+                           density=dens, log=log, shapes=shapes)
+
+
+def _run_shape(bits, offset):
+    """(ones, first, last, runs) of the 0/1 bytes bits placed at offset."""
+    first = bits.find(1)
+    if first < 0:
+        return 0, -1, -1, Counter()
+    last = bits.rfind(1)
+    runs = Counter(map(len, bits[first + 1:last].split(b"\x01"))) if first < last else Counter()
+    return bits.count(1), offset + first, offset + last, runs
+
+
+def _block_shapes(pre, per, blocks):
+    """The shape of S over each block [lo, hi) (0-based; lo and hi are
+    multiples of the period p). From E, the first multiple of p at or past
+    the preperiod, S is whole copies of one rotated cycle, so a block is a
+    head below E, read directly over at most L + p places, and c copies of
+    the cycle: its inner runs c times and the run across the seam between
+    two copies c - 1 times."""
+    L, p = len(pre), len(per)
+    E = -(-L // p) * p
+    lead = bytes(pre) + bytes(per[:E - L])  # S over [0, E)
+    ones, f, l, inner = _run_shape(bytes(per[E - L:] + per[:E - L]), 0)
+    shapes = []
+    for lo, hi in blocks:
+        mid = min(max(lo, E), hi)
+        count, first, last, runs = _run_shape(lead[lo:mid], lo)
+        c = (hi - mid) // p
+        if c:
+            if count:
+                runs[mid + f - last - 1] += 1
+            else:
+                first = mid + f
+            for run, k in inner.items():
+                runs[run] += c * k
+            if c > 1:
+                runs[p - 1 - l + f] += c - 1
+            last = mid + (c - 1) * p + l
+            count += c * ones
+        shapes.append((count, first, last, runs))
+    return tuple(shapes)
+
+
+def _pair_checkpoints(fam, i, j):
+    """(m, ones, start, nxt, runs) at each checkpoint m for the disagreement
+    mask of members i and j, 1_S on the blocks of A_i ^ A_j: its 1s before m,
+    one past its last 1 before m (0 with none), its first 1 at or past m
+    (None with none), and a Counter of the zero runs that a 1 closed since the
+    previous checkpoint. Every checkpoint is a block edge, so each block lies
+    wholly before or wholly past it."""
+    # the pair's blocks that hold a 1, as indices into blocks and shapes
+    active = [n - 1 for n in sorted(set(fam.index_sets[i]) ^ set(fam.index_sets[j]))
+              if fam.shapes[n - 1][0]]
+    k = start = ones = 0
+    for m in fam.b:
+        runs = Counter()
+        while k < len(active) and fam.blocks[active[k]][1] <= m:
+            count, first, last, inner = fam.shapes[active[k]]
+            runs[first - start] += 1
+            runs.update(inner)
+            start, ones, k = last + 1, ones + count, k + 1
+        nxt = fam.shapes[active[k]][1] if k < len(active) else None
+        yield m, ones, start, nxt, runs
 
 
 def family_pair_profile(fam, i, j):
     """Empirical distribution profile of members i and j, measured at the
-    construction's own checkpoints."""
-    return distribution_profile(fam.members[i], fam.members[j],
-                                checkpoints=fam.b, n=2)
+    construction's own checkpoints. A checkpoint m counts the gaps of the
+    segments closed before it and those before m of the one open at m; past
+    the last block that segment runs to the horizon H, the gap H - j standing
+    for the pair's agreeing rest."""
+    thresholds = tuple(_default_grid(2, 12))
+    levels = [max(_gap_cutoff(2, t), 1) for t in thresholds]
+    closed = [0] * len(levels)
+    rows = [[] for _ in levels]
+    for m, _, start, nxt, runs in _pair_checkpoints(fam, i, j):
+        _closed_gaps(runs, levels, closed)
+        top = (fam.horizon if nxt is None else nxt + 1) - start  # the open segment
+        low = top - (m - start) + 1  # the least of its gaps before m
+        for row, L, gaps in zip(rows, levels, closed):
+            row.append(Fraction(gaps + max(0, top - max(L, low) + 1), m))
+    Fstar = tuple(map(max, rows))
+    return DistributionProfile(n=2, thresholds=thresholds, F_values=tuple(map(min, rows)),
+                               Fstar_values=Fstar, exact=False,
+                               fstar_one_everywhere=all(v >= Fraction(99, 100) for v in Fstar),
+                               horizon=fam.horizon, checkpoints=fam.b)
 
 
 def family_pair_frequencies(fam, i, j):
     """Raw Diff/Equal prefix frequencies at every checkpoint b_n, for the
     window-level assertions about the construction."""
-    end = fam.b[-1]
-    mask = _disagreements(fam.members[i][:end], fam.members[j][:end])
-    rows = []
-    diff = prev = 0
-    for cp in fam.b:
-        diff += mask.count(1, prev, cp)
-        prev = cp
-        rows.append((cp, Fraction(diff, cp), 1 - Fraction(diff, cp)))
-    return rows
+    return [(m, Fraction(ones, m), 1 - Fraction(ones, m))
+            for m, ones, _, _, _ in _pair_checkpoints(fam, i, j)]

@@ -45,6 +45,7 @@ Set expression grammar (round-trips bit-exactly through parse/str):
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import reduce
@@ -82,7 +83,14 @@ class IntSetSpec:
 
     def bits(self, H):
         """bytes([1 if contains(i) else 0 for i in 1..H]), built from the
-        set's structure; b"" for H < 1."""
+        set's structure by _bits(max(H, 0)); b"" for H < 1. A horizon past
+        the index range (sys.maxsize) is refused before anything is built."""
+        if H > sys.maxsize:
+            raise ResourceCapExceeded(
+                "horizon %d is past the index range (%d)" % (H, sys.maxsize))
+        return self._bits(max(H, 0))
+
+    def _bits(self, H):
         raise NotImplementedError
 
     def to_expr(self):
@@ -121,8 +129,8 @@ class FiniteSet(IntSetSpec, Record):
     def contains(self, i):
         return i in self.elements
 
-    def bits(self, H):
-        out = bytearray(max(H, 0))
+    def _bits(self, H):
+        out = bytearray(H)
         for e in self.elements:
             if 1 <= e <= H:
                 out[e - 1] = 1
@@ -152,10 +160,9 @@ class PeriodicSet(IntSetSpec, Record):
             return bool(self.pre[i - 1])
         return bool(self.per[(i - len(self.pre) - 1) % len(self.per)])
 
-    def bits(self, H):
+    def _bits(self, H):
         # whole periods by bytes repetition, so a horizon past memory fails
         # at the one allocation
-        H = max(H, 0)
         out = _indicator(self.pre[:H])
         return (out + _indicator(self.per) * -(-(H - len(out)) // len(self.per)))[:H]
 
@@ -174,7 +181,7 @@ class ComplementSet(IntSetSpec, Record):
     def contains(self, i):
         return i >= 1 and not self.inner.contains(i)
 
-    def bits(self, H):
+    def _bits(self, H):
         return self.inner.bits(H).translate(_FLIP)
 
     def to_expr(self):
@@ -190,9 +197,8 @@ class UnionSet(IntSetSpec, Record):
     def contains(self, i):
         return any(p.contains(i) for p in self.parts)
 
-    def bits(self, H):
+    def _bits(self, H):
         # 0/1 bytes or bytewise as big-endian ints
-        H = max(H, 0)
         ors = reduce(or_, (int.from_bytes(p.bits(H), "big") for p in self.parts), 0)
         return ors.to_bytes(H, "big")
 
@@ -219,8 +225,7 @@ class WindowSet(IntSetSpec, Record):
     def contains(self, i):
         return 1 <= i <= len(self.window_bits) and bool(self.window_bits[i - 1])
 
-    def bits(self, H):
-        H = max(H, 0)
+    def _bits(self, H):
         out = _indicator(self.window_bits[:H])
         return out + bytes(H - len(out))
 
@@ -243,9 +248,9 @@ class Pow2DiffSet(IntSetSpec, Record):
         x = i >> ((i & -i).bit_length() - 1)
         return (x & (x + 1)) == 0
 
-    def bits(self, H):
+    def _bits(self, H):
         # the O(log^2 H) values 2**n - 2**m <= H; 2**(n-1) is the least for n
-        out = bytearray(max(H, 0))
+        out = bytearray(H)
         n = 1
         while 1 << (n - 1) <= H:
             for m in range(n - 1, -1, -1):
@@ -277,8 +282,8 @@ class FactorialBlocksSet(IntSetSpec, Record):
             f *= n
         return False
 
-    def bits(self, H):
-        out = bytearray(max(H, 0))
+    def _bits(self, H):
+        out = bytearray(H)
         f, n = 2, 2
         while f <= H:
             end = min(f + n, H + 1)

@@ -1,7 +1,9 @@
 """The per-position gap series of a pair of finite sequences: the reference
 the run-length gap counts of `shiftlab.chaos` are checked against. Also the
 exact Diff/Equal densities of an eventually periodic pair, which its exact
-profile holds as F(1/n).
+profile holds as F(1/n). Also the empirical profile of a pair of finite
+sequences, read off their whole disagreement mask: the reference for the
+scrambled family's block-wise profiles.
 
 g_j = k - j + 1 for the least k >= j with xs[k] != ys[k]; when no
 disagreement is visible after j the true distance is below n**-(N-j), and
@@ -9,8 +11,18 @@ that lower bound on the gap, N - j, stands in for it. It holds one list entry
 per position, so tests run it on short prefixes. Also the threshold cutoffs
 as a Fraction scale loop, the reference for the integer cutoffs."""
 
+from collections import Counter
 from fractions import Fraction
 from math import inf, lcm
+
+from shiftlab.chaos import (
+    DistributionProfile,
+    _closed_gaps,
+    _default_grid,
+    _disagreements,
+    _gap_cutoff,
+)
+from shiftlab.errors import PreconditionError
 
 
 def gap_cutoff(n, t):
@@ -59,3 +71,72 @@ def diff_equal_densities(x, y):
     xs, ys = x.prefix(p + c), y.prefix(p + c)
     d = Fraction(sum(1 for i in range(p, p + c) if xs[i] != ys[i]), c)
     return d, 1 - d
+
+
+def mask_gap_frequencies(mask, cutoffs, checkpoints, N=None):
+    """rows[i][k] = #{j < m_k : g_j >= cutoffs[i]} / m_k for the ascending
+    checkpoints m_k <= len(mask), where g_j = k - j + 1 for the least k >= j
+    with mask[k] = 1, or N - j when there is none. N defaults to len(mask);
+    a longer N stands for a pair that agrees from len(mask) to N.
+
+    A segment of length s (a run of zeros and the 1 that closes it, or the
+    run past the last 1) holds the gaps s, s-1, ..., 1, so a level L >= 1
+    counts max(0, s - L + 1) of them. The segments closed before a
+    checkpoint are tallied once, by length; the segment open at the
+    checkpoint adds its positions before it."""
+    N = len(mask) if N is None else N
+    levels = [max(cut, 1) for cut in cutoffs]  # every gap is >= 1
+    closed = [0] * len(levels)  # gaps >= each level in the closed segments
+    rows = [[] for _ in levels]
+    start = 0  # where the open segment starts
+    for m in checkpoints:
+        last = mask.rfind(1, start, m)
+        if last >= 0:
+            _closed_gaps(Counter(map(len, mask[start:last].split(b"\x01"))), levels, closed)
+            start = last + 1
+        nxt = mask.find(1, m)
+        top = (N if nxt < 0 else nxt + 1) - start  # the open segment's length
+        low = top - (m - start) + 1  # the least of its gaps before m
+        for i, L in enumerate(levels):
+            rows[i].append(Fraction(closed[i] + max(0, top - max(L, low) + 1), m))
+    return rows
+
+
+def empirical_profile(xs, ys, thresholds=None, checkpoints=None, n=2):
+    """F and F* of a pair of equal-length finite sequences as the min and max
+    of its prefix frequencies at the checkpoints (by default 16, 64, ...
+    below the length N, and N), the mask cut at the last checkpoint when the
+    pair agrees past it."""
+    if not (type(xs) is bytes and type(ys) is bytes):
+        xs, ys = tuple(xs), tuple(ys)
+    N = len(xs)
+    if N == 0:
+        raise PreconditionError("empty prefixes")
+    if thresholds is None:
+        thresholds = _default_grid(n, 12)
+    thresholds = tuple(sorted(thresholds))
+    if checkpoints is None:
+        checkpoints = []
+        m = 16
+        while m < N:
+            checkpoints.append(m)
+            m *= 4
+        checkpoints.append(N)
+    checkpoints = tuple(sorted(set(min(m, N) for m in checkpoints if m > 0)))
+    if not checkpoints:
+        raise PreconditionError("no positive checkpoint")
+    if len(ys) != N:
+        raise PreconditionError("empirical pair needs equal-length prefixes")
+    m = checkpoints[-1]
+    if xs[m:] == ys[m:]:
+        # nothing past the last checkpoint to find: the mask can stop there
+        xs, ys = xs[:m], ys[:m]
+    cutoffs = [_gap_cutoff(n, t) for t in thresholds]
+    rows = mask_gap_frequencies(_disagreements(xs, ys), cutoffs, checkpoints, N)
+    F = [min(freqs) for freqs in rows]
+    Fstar = [max(freqs) for freqs in rows]
+    fstar_one = all(v >= Fraction(99, 100) for v in Fstar)
+    return DistributionProfile(n=n, thresholds=thresholds, F_values=tuple(F),
+                               Fstar_values=tuple(Fstar), exact=False,
+                               fstar_one_everywhere=fstar_one,
+                               horizon=N, checkpoints=checkpoints)

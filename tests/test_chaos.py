@@ -1,6 +1,9 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from math import inf, lcm
@@ -8,12 +11,22 @@ from math import inf, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gap_reference import diff_equal_densities, gap_cutoff, gap_frequencies, gap_series
+import shiftlab
+from family_reference import ReferenceFamily
+from gap_reference import (
+    diff_equal_densities,
+    empirical_profile,
+    gap_cutoff,
+    gap_frequencies,
+    gap_series,
+    mask_gap_frequencies,
+)
 from shiftlab.chaos import (
+    DEFAULT_GROWTH,
     DistributionProfile,
+    _cycle,
     _disagreements,
     _gap_cutoff,
-    _gap_frequencies,
     build_scrambled_family,
     classify_pair,
     distribution_profile,
@@ -23,7 +36,7 @@ from shiftlab.chaos import (
 from shiftlab.cli import main
 from shiftlab.core import periodic_point
 from shiftlab.errors import AlphabetMismatch, PreconditionError
-from shiftlab.sets import EVENS, FiniteSet, PeriodicSet, parse_set_expr
+from shiftlab.sets import EVENS, ComplementSet, FiniteSet, PeriodicSet, parse_set_expr
 
 
 def P(pre, per):
@@ -240,7 +253,7 @@ def test_two_cycle_window_matches_the_cycle_structure_sweep():
 
 def test_nonpositive_thresholds_give_zero():
     grid = [Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1)]
-    finite = distribution_profile((0, 1, 1, 0) * 8, (0, 0, 1, 1) * 8, thresholds=grid)
+    finite = empirical_profile((0, 1, 1, 0) * 8, (0, 0, 1, 1) * 8, thresholds=grid)
     periodic = distribution_profile(P("1", "0110"), P("", "0011"), thresholds=grid)
     for prof in (finite, periodic):
         assert prof.F_values[:2] == prof.Fstar_values[:2] == (0, 0)
@@ -357,14 +370,14 @@ def test_family_growth_condition():
 
 def test_family_members_inside_S():
     S = parse_set_expr("periodic:;110")
-    fam = build_scrambled_family(S, 3, 100_000)
+    fam = ReferenceFamily(S, 3, 100_000, DEFAULT_GROWTH)
     for i in range(3):
         for p in fam.member_ones(i):
             assert S.contains(p)
 
 
 def test_family_blocks_disjoint_across_members():
-    fam = build_scrambled_family(EVENS, 2, 100_000, growth=20)
+    fam = ReferenceFamily(EVENS, 2, 100_000, 20)
     ones = [set(fam.member_ones(i)) for i in range(2)]
     assert not (ones[0] & ones[1])
     # pairwise difference nonempty on every block with index in A_i \ A_j
@@ -390,7 +403,7 @@ def test_family_members_match_the_block_definition():
             continue
         m = rng.randint(2, 4)
         H = rng.randint(2000, 30000)
-        fam = build_scrambled_family(S, m, H, growth=rng.choice((2, 5, 200)))
+        fam = ReferenceFamily(S, m, H, rng.choice((2, 5, 200)))
         for i, A in enumerate(fam.index_sets):
             ref = [0] * H
             for n in A:
@@ -401,11 +414,11 @@ def test_family_members_match_the_block_definition():
 
 
 def _full_horizon_profile(fam, i, j):
-    """The family pair's profile from the definition, sweeping gaps over the
-    whole horizon: g_k is the distance from k to the next disagreement, or
-    N - k when none is visible; d_k = 2**-g_k < t is compared in floats,
-    which is exact for these powers of two (gaps past 64 are below every
-    grid threshold)."""
+    """The profile of the reference family's pair from the definition,
+    sweeping gaps over the whole horizon: g_k is the distance from k to the
+    next disagreement, or N - k when none is visible; d_k = 2**-g_k < t is
+    compared in floats, which is exact for these powers of two (gaps past 64
+    are below every grid threshold)."""
     xs, ys = fam.members[i], fam.members[j]
     N = len(xs)
     gaps, nxt = [0] * N, None
@@ -429,13 +442,14 @@ def test_family_profile_equals_full_horizon_sweep():
         per = [rng.randint(0, 1) for _ in range(rng.randint(4, 10))]
         per[rng.randrange(len(per))] = 1
         S = PeriodicSet((), tuple(per))
-        fam = build_scrambled_family(S, rng.randint(2, 4), rng.randint(3000, 20000),
-                                     growth=rng.choice((3, 10, 200)))
-        for i in range(len(fam.members)):
-            for j in range(i + 1, len(fam.members)):
+        m, H, growth = rng.randint(2, 4), rng.randint(3000, 20000), rng.choice((3, 10, 200))
+        fam = build_scrambled_family(S, m, H, growth=growth)
+        ref = ReferenceFamily(S, m, H, growth)
+        for i in range(m):
+            for j in range(i + 1, m):
                 prof = family_pair_profile(fam, i, j)
                 assert (prof.thresholds, prof.F_values, prof.Fstar_values) == \
-                    _full_horizon_profile(fam, i, j)
+                    _full_horizon_profile(ref, i, j)
                 assert prof.horizon == fam.horizon
 
 
@@ -484,13 +498,13 @@ _CUTOFFS = [0, 1, 2, 3, 5, 8, 13, 40, inf]
 
 def _assert_mask_counts(xs, ys, checkpoints):
     want = gap_frequencies(gap_series(xs, ys), _CUTOFFS, checkpoints)
-    assert _gap_frequencies(_disagreements(xs, ys), _CUTOFFS, checkpoints) == want, \
+    assert mask_gap_frequencies(_disagreements(xs, ys), _CUTOFFS, checkpoints) == want, \
         (xs, ys, checkpoints)
     m = checkpoints[-1]
     if xs[m:] == ys[m:]:
         # a mask cut at the last checkpoint, the agreeing rest given by N
         cut = _disagreements(xs[:m], ys[:m])
-        assert _gap_frequencies(cut, _CUTOFFS, checkpoints, len(xs)) == want, \
+        assert mask_gap_frequencies(cut, _CUTOFFS, checkpoints, len(xs)) == want, \
             (xs, ys, checkpoints)
 
 
@@ -576,26 +590,103 @@ def test_mixed_bytes_tuple_pair_profile_is_the_tuple_profile():
         N = rng.randint(1, 500)
         xs, ys = _random_pair(rng, N, rng.randint(2, 3))
         cps = _random_checkpoints(rng, N)
-        want = distribution_profile(tuple(xs), tuple(ys), checkpoints=cps)
+        want = empirical_profile(tuple(xs), tuple(ys), checkpoints=cps)
         for pair in ((bytes(xs), tuple(ys)), (tuple(xs), bytes(ys)),
                      (bytes(xs), bytes(ys)), (xs, bytearray(ys))):
-            assert distribution_profile(*pair, checkpoints=cps) == want
+            assert empirical_profile(*pair, checkpoints=cps) == want
 
 
-def test_family_members_stay_small():
-    # bytes members: a tuple member alone holds 8 bytes a position, and the
-    # three of them would take 7.2 MB
+def test_family_memory_is_set_by_the_blocks():
+    # the family and its three pair profiles hold a few block shapes, at a
+    # horizon of 3e5 as at one past every memory
     S = parse_set_expr("periodic:;110")
-    tracemalloc.start()
-    try:
-        fam = build_scrambled_family(S, 3, 300_000)
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            family_pair_profile(fam, i, j)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert all(type(x) is bytes for x in fam.members)
-    assert peak < 3_000_000, peak
+    for H in (300_000, 3 * 10 ** 18):
+        tracemalloc.start()
+        try:
+            fam = build_scrambled_family(S, 3, H)
+            for i, j in ((0, 1), (0, 2), (1, 2)):
+                family_pair_profile(fam, i, j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000, (H, peak)
+
+
+def test_family_at_a_horizon_of_1e8_runs_in_a_small_child():
+    # the member-per-horizon construction peaked at 556 MiB here. The child
+    # reads its own VmHWM: ru_maxrss of an exec'd child also carries the high
+    # water mark of the process it was forked from, this test runner
+    child = ("import sys\n"
+             "from shiftlab.cli import main\n"
+             "code = main(sys.argv[1:])\n"
+             "with open('/proc/self/status') as f:\n"
+             "    sys.stderr.write(next(l for l in f if l.startswith('VmHWM:')))\n"
+             "sys.exit(code)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(shiftlab.__file__)))
+    argv = ["chaos", "family", "--set", "evens", "--members", "4", "--horizon", "100000000"]
+    run = subprocess.run([sys.executable, "-c", child] + argv, env=env,
+                         capture_output=True, text=True, check=False, timeout=120)
+    assert run.returncode == 0, run.stderr
+    hwm = run.stderr.split()
+    assert hwm[0] == "VmHWM:" and hwm[2] == "kB" and int(hwm[1]) < 64 * 1024, run.stderr
+    assert json.loads(run.stdout)["result"]["horizon"] == 10 ** 8
+
+
+def _seeded_family_sets(rng):
+    """Eventually periodic S with period <= 24 and preperiod <= 8, one with
+    a preperiod longer than b_1, and a cofinite S of period 1."""
+    sets = [PeriodicSet((0,) * 8, (1, 0)), PeriodicSet((1, 0, 1, 1, 0, 0, 0), (0, 1, 1)),
+            ComplementSet(FiniteSet(frozenset({1, 2, 6}))), EVENS]
+    for trial in range(36):
+        # every other S has a short period under a long preperiod, so that
+        # the first blocks overlap the preperiod
+        short = trial % 2
+        pre = tuple(rng.randint(0, 1) for _ in range(rng.randint(3 * short, 8)))
+        per = [rng.randint(0, 1) for _ in range(rng.randint(1, 4 if short else 24))]
+        per[rng.randrange(len(per))] = 1
+        sets.append(PeriodicSet(pre, tuple(per)))
+    return sets
+
+
+def test_family_matches_the_bytes_reference():
+    # every Fraction, log entry and checkpoint chaos family prints, against
+    # the construction that builds each member as H bytes
+    rng = random.Random(37)
+    long_pre = 0
+    for S in _seeded_family_sets(rng):
+        m, growth = rng.randint(2, 5), rng.choice((2, 5, 200))
+        H = int(10 ** rng.uniform(2, 6))
+        try:
+            ref = ReferenceFamily(S, m, H, growth)
+        except PreconditionError:  # no block below H
+            with pytest.raises(PreconditionError):
+                build_scrambled_family(S, m, H, growth=growth)
+            continue
+        fam = build_scrambled_family(S, m, H, growth=growth)
+        assert (fam.b, fam.blocks, fam.index_sets, fam.horizon, fam.log) == \
+            (ref.b, ref.blocks, ref.index_sets, H, ref.log), (S, m, H, growth)
+        long_pre += len(S.eventually_periodic()[0]) > fam.b[0]
+        for i in range(m):
+            for j in range(m):
+                assert family_pair_frequencies(fam, i, j) == ref.pair_frequencies(i, j)
+                if i <= j:
+                    assert family_pair_profile(fam, i, j) == ref.pair_profile(i, j), \
+                        (S, m, H, growth, i, j)
+    assert long_pre
+
+
+def test_cycle_windows_are_the_prefix_slice():
+    # bytes by whole-period repetition up to 256 symbols, tuples past it
+    rng = random.Random(49)
+    for n in (2, 3, 256, 257):
+        for _ in range(40):
+            x = _random_point(rng, n, rng.randint(0, 6), rng.randint(1, 13))
+            y = _random_point(rng, n, rng.randint(0, 6), rng.randint(1, 13))
+            p = max(len(x.preperiod), len(y.preperiod))
+            c, xs, ys = _cycle(x, y)
+            assert c == lcm(len(x.period), len(y.period))
+            assert type(xs) is type(ys) is (bytes if n <= 256 else tuple)
+            assert (tuple(xs), tuple(ys)) == (x.prefix(p + c)[p:], y.prefix(p + c)[p:])
 
 
 def test_family_measured_frequencies_evens():
@@ -624,9 +715,10 @@ def test_family_frequencies_match_the_per_position_count():
         growth = rng.randint(2, 5)
         end = build_scrambled_family(S, m, horizon, growth=growth).b[-1]
         fam = build_scrambled_family(S, m, end, growth=growth)
+        ref = ReferenceFamily(S, m, end, growth)
         for i in range(m):
             for j in range(m):
-                xs, ys = fam.members[i], fam.members[j]
+                xs, ys = ref.members[i], ref.members[j]
                 want = []
                 for cp in fam.b:
                     diff = sum(1 for p in range(cp) if xs[p] != ys[p])

@@ -233,8 +233,7 @@ def test_out_of_memory_exits_as_a_resource_cap(argv, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["sets", "diff", "--set", "evens", "--horizon", str(10 ** 18)],
-    ["chaos", "family", "--set", "evens", "--members", "2", "--horizon", str(10 ** 18)],
-], ids=["sets-diff", "chaos-family"])
+], ids=["sets-diff"])
 def test_a_periodic_set_past_memory_exits_at_once(argv):
     # the periodic indicator is one list repetition, which fails as a whole:
     # the child, held to 1 GiB of address space, stops with a small peak RSS,
@@ -253,6 +252,34 @@ def test_a_periodic_set_past_memory_exits_at_once(argv):
     message, rss = run.stderr.splitlines()
     assert message == "resource cap: out of memory"
     assert int(rss.split()[1]) < 256 * 1024, rss
+
+
+_PAST_INDEX = str(10 ** 22)  # above sys.maxsize, the largest length a bytes can have
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["density", "--set", "pow2diff", "--kind", "upper", "--horizon", _PAST_INDEX], 3),
+    (["density", "--set", "window:1011", "--kind", "upper", "--horizon", _PAST_INDEX], 3),
+    (["sets", "classify", "--set", "evens", "--horizon", _PAST_INDEX], 3),
+    (["sets", "diff", "--set", "evens", "--horizon", _PAST_INDEX], 3),
+    (["spacing", "delta-star", "--set", "evens", "--k", "3", "--horizon", _PAST_INDEX], 3),
+    (["density", "--set", "evens", "--horizon", _PAST_INDEX], 0),
+    (["chaos", "family", "--set", "evens", "--members", "2", "--horizon", _PAST_INDEX], 0),
+], ids=["density-pow2diff", "density-window", "sets-classify", "sets-diff", "delta-star",
+        "density-evens", "chaos-family"])
+def test_a_horizon_past_the_index_range_ends_without_a_traceback(argv, code):
+    # an indicator that long cannot be built, so bits() refuses it before
+    # any allocation; an exact density and the block-wise family build none
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(shiftlab.__file__)))
+    run = subprocess.run([sys.executable, "-m", "shiftlab"] + argv, env=env,
+                         capture_output=True, text=True, check=False, timeout=60)
+    assert run.returncode == code, run.stderr
+    assert "Traceback" not in run.stderr
+    if code == 3:
+        assert run.stderr.startswith("resource cap: horizon %s is past the index range"
+                                     % _PAST_INDEX), run.stderr
+    else:
+        assert json.loads(run.stdout)["result"]
 
 
 def test_a_lambda_past_the_int_digit_limit_prints_exactly():

@@ -8,11 +8,8 @@ from .core import (
     Word,
     format_point,
     lex_compare,
-    metric_rho,
     parse_point,
     periodic_point,
-    point_prefix,
-    shift_point,
     word,
 )
 from .errors import (
@@ -45,8 +42,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alphabet", "EventuallyPeriodicPoint", "Word", "format_point",
-    "lex_compare", "metric_rho", "parse_point", "periodic_point",
-    "point_prefix", "shift_point", "word",
+    "lex_compare", "parse_point", "periodic_point", "word",
     "AlphabetMismatch", "PreconditionError",
     "ResourceCapExceeded", "SearchFailure", "ShiftlabError",
     "SpecParseError", "SpecValidationError",

@@ -203,10 +203,10 @@ def parry_check(d, H):
     so only k <= K = min(H, |u| + |v|) are checked, through
     d.prefix(K + 2|u| + |v| + 1). For k <= K, sigma^k d has preperiod at
     most |u| and period |v|, so it equals d once the two agree on more than
-    2|u| + |v| places (core.equality_horizon), and more than that many
-    remain in the window after the shift. A shift whose tail matches d to
-    the end of the window therefore equals d, and the verdict is exact
-    (True/False). For a finite prefix the result may be
+    2|u| + |v| places (both preperiods plus the lcm of the periods), and
+    more than that many remain in the window after the shift. A shift whose
+    tail matches d to the end of the window therefore equals d, and the
+    verdict is exact (True/False). For a finite prefix the result may be
     None: some shifted copy agreed with the prefix over the whole available
     comparison length, which decides nothing.
     """

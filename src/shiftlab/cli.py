@@ -254,115 +254,112 @@ def _cmd_selftest(args):
 
 # -- argument parsing ---------------------------------------------------------
 
-def _add_common(p, cap_states=False):
+_REQUIRED = {"required": True}
+_INT_REQUIRED = {"type": int, "required": True}
+
+
+def _int(default):
+    return {"type": int, "default": default}
+
+
+# Every command by its path. A group's entry is its help; a command's is its
+# help, its handler, its own arguments in order (each flag with the keywords
+# of its add_argument) and whether it takes --cap-states after --format and
+# --timing, which every command takes.
+_COMMANDS = {
+    "entropy": ("h_k upper bounds for a shift spec", _cmd_entropy, {
+        "--shift": _REQUIRED, "--kmax": _INT_REQUIRED, "--strategy": {}}, True),
+    "language": ("count (and list) language words", _cmd_language, {
+        "--shift": _REQUIRED, "--k": _INT_REQUIRED, "--strategy": {},
+        "--list": {"action": "store_true"}, "--limit": _int(64)}, True),
+    "density": ("density of an integer set", _cmd_density, {
+        "--set": _REQUIRED,
+        "--kind": {"choices": ("upper", "asymptotic", "banach"), "default": "upper"},
+        "--horizon": _int(10_000)}, False),
+    "sets": "integer-set analyses",
+    "sets classify": ("finite-horizon structure report", _cmd_sets_classify, {
+        "--set": _REQUIRED, "--horizon": _int(10_000), "--ip-bound": _int(None)}, True),
+    "sets diff": ("difference set to a horizon", _cmd_sets_diff, {
+        "--set": _REQUIRED, "--horizon": _int(256), "--limit": _int(128)}, False),
+    "beta": "beta expansion tools",
+    "beta digits": ("greedy digits of 1", _cmd_beta_digits, {
+        "--beta": _REQUIRED, "--k": _INT_REQUIRED}, False),
+    "beta parry": ("shift-dominance check of the digit word", _cmd_beta_parry, {
+        "--beta": _REQUIRED, "--horizon": _int(10_000)}, False),
+    "chaos": "distribution functions and families",
+    "chaos profile": ("exact F/F* for a periodic pair", _cmd_chaos_profile, {
+        "--x": {"required": True, "help": "point as pre;per"}, "--y": _REQUIRED,
+        "--n": _int(2)}, False),
+    "chaos classify": ("DC classification of a periodic pair", _cmd_chaos_classify, {
+        "--x": _REQUIRED, "--y": _REQUIRED, "--n": _int(2)}, False),
+    "chaos family": ("scrambled family construction + measurement", _cmd_chaos_family, {
+        "--set": _REQUIRED, "--members": _int(2), "--horizon": _INT_REQUIRED,
+        "--growth": _int(chaos_mod.DEFAULT_GROWTH)}, False),
+    "spacing": "spacing-shift probes",
+    "spacing recurrence-probe": ("entropy of the complement spacing shift",
+                                 _cmd_spacing_recurrence, {
+        "--set": {"required": True, "help": "candidate recurrence set R"},
+        "--kmax": _INT_REQUIRED}, True),
+    "spacing delta-star": ("difference-intersection bound experiment",
+                           _cmd_spacing_delta_star, {
+        "--set": _REQUIRED, "--k": _INT_REQUIRED, "--horizon": _int(512)}, False),
+    "selftest": ("oracle-equivalence suite", _cmd_selftest, {"--kmax": _int(12)}, False),
+}
+
+
+def _add_arguments(p, path):
+    _, fn, arguments, cap_states = _COMMANDS[path]
+    for flag, options in arguments.items():
+        p.add_argument(flag, **options)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--timing", action="store_true",
                    help="include wall time (breaks byte-reproducibility)")
     if cap_states:
         p.add_argument("--cap-states", type=int, default=langkit.DEFAULT_NODE_CAP)
+    p.set_defaults(fn=fn)
+
+
+@functools.cache
+def _command_parser(path):
+    """One command's parser on its own, equal to its subparser in the tree."""
+    p = argparse.ArgumentParser(prog="shiftlab " + path)
+    _add_arguments(p, path)
+    return p
 
 
 @functools.cache
 def build_parser():
-    """The parser, built on the first call and shared by every later main()
-    call in the process (parse_args leaves it unchanged)."""
+    """The whole parser tree, built on the first call and shared by every
+    later one in the process (parsing leaves it unchanged)."""
     ap = argparse.ArgumentParser(prog="shiftlab",
                                  description="subshift language and density workbench")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("entropy", help="h_k upper bounds for a shift spec")
-    p.add_argument("--shift", required=True)
-    p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--strategy", default=None)
-    _add_common(p, cap_states=True)
-    p.set_defaults(fn=_cmd_entropy)
-
-    p = sub.add_parser("language", help="count (and list) language words")
-    p.add_argument("--shift", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--strategy", default=None)
-    p.add_argument("--list", action="store_true")
-    p.add_argument("--limit", type=int, default=64)
-    _add_common(p, cap_states=True)
-    p.set_defaults(fn=_cmd_language)
-
-    p = sub.add_parser("density", help="density of an integer set")
-    p.add_argument("--set", required=True)
-    p.add_argument("--kind", choices=("upper", "asymptotic", "banach"), default="upper")
-    p.add_argument("--horizon", type=int, default=10_000)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_density)
-
-    p = sub.add_parser("sets", help="integer-set analyses")
-    ssub = p.add_subparsers(dest="subcommand", required=True)
-    q = ssub.add_parser("classify", help="finite-horizon structure report")
-    q.add_argument("--set", required=True)
-    q.add_argument("--horizon", type=int, default=10_000)
-    q.add_argument("--ip-bound", type=int, default=None)
-    _add_common(q, cap_states=True)
-    q.set_defaults(fn=_cmd_sets_classify)
-    q = ssub.add_parser("diff", help="difference set to a horizon")
-    q.add_argument("--set", required=True)
-    q.add_argument("--horizon", type=int, default=256)
-    q.add_argument("--limit", type=int, default=128)
-    _add_common(q)
-    q.set_defaults(fn=_cmd_sets_diff)
-
-    p = sub.add_parser("beta", help="beta expansion tools")
-    bsub = p.add_subparsers(dest="subcommand", required=True)
-    q = bsub.add_parser("digits", help="greedy digits of 1")
-    q.add_argument("--beta", required=True)
-    q.add_argument("--k", type=int, required=True)
-    _add_common(q)
-    q.set_defaults(fn=_cmd_beta_digits)
-    q = bsub.add_parser("parry", help="shift-dominance check of the digit word")
-    q.add_argument("--beta", required=True)
-    q.add_argument("--horizon", type=int, default=10_000)
-    _add_common(q)
-    q.set_defaults(fn=_cmd_beta_parry)
-
-    p = sub.add_parser("chaos", help="distribution functions and families")
-    csub = p.add_subparsers(dest="subcommand", required=True)
-    q = csub.add_parser("profile", help="exact F/F* for a periodic pair")
-    q.add_argument("--x", required=True, help="point as pre;per")
-    q.add_argument("--y", required=True)
-    q.add_argument("--n", type=int, default=2)
-    _add_common(q)
-    q.set_defaults(fn=_cmd_chaos_profile)
-    q = csub.add_parser("classify", help="DC classification of a periodic pair")
-    q.add_argument("--x", required=True)
-    q.add_argument("--y", required=True)
-    q.add_argument("--n", type=int, default=2)
-    _add_common(q)
-    q.set_defaults(fn=_cmd_chaos_classify)
-    q = csub.add_parser("family", help="scrambled family construction + measurement")
-    q.add_argument("--set", required=True)
-    q.add_argument("--members", type=int, default=2)
-    q.add_argument("--horizon", type=int, required=True)
-    q.add_argument("--growth", type=int, default=chaos_mod.DEFAULT_GROWTH)
-    _add_common(q)
-    q.set_defaults(fn=_cmd_chaos_family)
-
-    p = sub.add_parser("spacing", help="spacing-shift probes")
-    psub = p.add_subparsers(dest="subcommand", required=True)
-    q = psub.add_parser("recurrence-probe", help="entropy of the complement spacing shift")
-    q.add_argument("--set", required=True, help="candidate recurrence set R")
-    q.add_argument("--kmax", type=int, required=True)
-    _add_common(q, cap_states=True)
-    q.set_defaults(fn=_cmd_spacing_recurrence)
-    q = psub.add_parser("delta-star", help="difference-intersection bound experiment")
-    q.add_argument("--set", required=True)
-    q.add_argument("--k", type=int, required=True)
-    q.add_argument("--horizon", type=int, default=512)
-    _add_common(q)
-    q.set_defaults(fn=_cmd_spacing_delta_star)
-
-    p = sub.add_parser("selftest", help="oracle-equivalence suite")
-    p.add_argument("--kmax", type=int, default=12)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_selftest)
-
+    subparsers = {"": ap.add_subparsers(dest="command", required=True)}
+    for path, entry in _COMMANDS.items():
+        group, _, name = path.rpartition(" ")
+        if isinstance(entry, str):
+            p = subparsers[group].add_parser(name, help=entry)
+            subparsers[path] = p.add_subparsers(dest="subcommand", required=True)
+        else:
+            _add_arguments(subparsers[group].add_parser(name, help=entry[0]), path)
     return ap
+
+
+def _parse(argv):
+    """What build_parser().parse_args(argv) gives, without building the tree
+    when argv names one command whose own parser reads all the rest. Any
+    other argv (none, help or an unknown name at the top, tokens left over)
+    goes to the tree, so help, usage errors and exit codes are the tree's."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    head = argv[:2] if argv and isinstance(_COMMANDS.get(argv[0]), str) else argv[:1]
+    path = " ".join(head)
+    if isinstance(_COMMANDS.get(path), tuple) and path.split() == head:
+        args, rest = _command_parser(path).parse_known_args(argv[len(head):])
+        if not rest:
+            args.command = head[0]
+            if len(head) == 2:
+                args.subcommand = head[1]
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _emit_result(args, spec_echo, result, started, out, cap_hit=False):
@@ -383,7 +380,7 @@ def main(argv=None, out=None):
         digits = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        code = _run(build_parser().parse_args(argv), out)
+        code = _run(_parse(argv), out)
         out.flush()
         return code
     except BrokenPipeError:

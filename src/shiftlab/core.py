@@ -1,28 +1,23 @@
-"""Alphabets, finite words, eventually periodic points and the shift metric.
+"""Alphabets, finite words and eventually periodic points.
 
 Conventions used everywhere in the package:
 
 * symbols are the integers ``0 .. n-1`` for an alphabet of size ``n >= 2``;
-* sequence indices are 1-based, so a point is ``omega = (omega_i), i >= 1``;
-* the metric returns exact rationals ``n**-k`` where ``k`` is the 1-based
-  index of the first disagreement.
+* sequence indices are 1-based, so a point is ``omega = (omega_i), i >= 1``.
 
 An eventually periodic point ``u . v v v ...`` is kept in a canonical form
-(minimal preperiod, primitive period), which makes equality, the metric and
-shifting exact and decidable.
+(minimal preperiod, primitive period), which makes equality exact and
+decidable.
 
 A point has one whole-window kernel, ``prefix(k)``: omega_1 .. omega_k in
 one pass over the preperiod and the repeated period. Everything that reads
-a run of coordinates (the metric here, the exact profiles in ``chaos``, the
-Parry check in ``beta``) reads it;
-``symbol_at`` is for one-off queries.
+a run of coordinates (the exact profiles in ``chaos``, the Parry check in
+``beta``) reads it; ``symbol_at`` is for one-off queries.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain, cycle, islice
-from math import lcm
 from operator import attrgetter
 
 from .errors import AlphabetMismatch, SpecParseError
@@ -255,41 +250,3 @@ def format_point(x):
 def _same_alphabet(x, y):
     if x.alphabet != y.alphabet:
         raise AlphabetMismatch("%r vs %r" % (x.alphabet, y.alphabet))
-
-
-def equality_horizon(x, y):
-    """Comparison length after which two eventually periodic points must agree."""
-    return len(x.preperiod) + len(y.preperiod) + lcm(len(x.period), len(y.period))
-
-
-def first_disagreement(x, y):
-    """1-based index of the first coordinate where x and y differ, or None."""
-    _same_alphabet(x, y)
-    L = equality_horizon(x, y)
-    return next((i for i, (a, b) in enumerate(zip(x.prefix(L), y.prefix(L)), 1)
-                 if a != b), None)
-
-
-def metric_rho(x, y):
-    """The shift metric rho(x, y) = n**-k at the first disagreement k, 0 if equal."""
-    k = first_disagreement(x, y)
-    if k is None:
-        return Fraction(0)
-    return Fraction(1, x.alphabet.size ** k)
-
-
-def shift_point(x, j):
-    """sigma**j applied to an eventually periodic point, in canonical form."""
-    if j < 0:
-        raise ValueError("shift amount must be nonnegative")
-    pre, per = x.preperiod, x.period
-    if j <= len(pre):
-        return EventuallyPeriodicPoint(x.alphabet, pre[j:], per)
-    r = (j - len(pre)) % len(per)
-    return EventuallyPeriodicPoint(x.alphabet, (), per[r:] + per[:r])
-
-
-def point_prefix(x, k):
-    """The first k coordinates of x as a Word."""
-    return Word(x.alphabet, x.prefix(k))
-

@@ -15,9 +15,11 @@ from shiftlab.beta import (
     parse_beta,
     word_in_beta_language,
 )
-from shiftlab.core import equality_horizon, lex_compare, periodic_point, shift_point, word
+from shiftlab.core import lex_compare, periodic_point, word
 from shiftlab.errors import PreconditionError, SpecParseError
 from shiftlab.langkit import contains_word, count_language, hereditary_check, log2_int
+
+from point_reference import equality_horizon, shift_point
 
 GOLDEN = "quad:(1+1*sqrt5)/2"
 LOG2_PHI = math.log2((1 + math.sqrt(5)) / 2)

@@ -9,6 +9,7 @@ import time
 import pytest
 
 import shiftlab
+from shiftlab import cli
 from shiftlab.cli import build_parser, main
 from shiftlab.sets import parse_set_expr
 
@@ -237,13 +238,20 @@ def test_out_of_memory_exits_as_a_resource_cap(argv, capsys):
 def test_a_periodic_set_past_memory_exits_at_once(argv):
     # the periodic indicator is one list repetition, which fails as a whole:
     # the child, held to 1 GiB of address space, stops with a small peak RSS,
-    # where a list grown element by element would fill the limit first
+    # where a list grown element by element would fill the limit first. The
+    # child reads its own VmHWM, which starts afresh at the exec: ru_maxrss
+    # also carries the high water mark of the process it was forked from, this
+    # test runner, and is read only where /proc is missing
     child = ("import resource, sys\n"
              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
              "from shiftlab.cli import main\n"
              "code = main(sys.argv[1:])\n"
-             "sys.stderr.write('maxrss_kib %d\\n' % "
-             "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+             "try:\n"
+             "    with open('/proc/self/status') as f:\n"
+             "        kib = int(next(l for l in f if l.startswith('VmHWM:')).split()[1])\n"
+             "except (OSError, StopIteration):\n"
+             "    kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+             "sys.stderr.write('peak_kib %d\\n' % kib)\n"
              "sys.exit(code)\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(shiftlab.__file__)))
     run = subprocess.run([sys.executable, "-c", child] + argv, env=env,
@@ -518,10 +526,13 @@ def test_brute_force_far_past_the_cap_exits_at_once():
     assert time.monotonic() - started < 10
 
 
-def test_one_parser_serves_consecutive_calls():
-    # main() reuses the parser built by its first call: a run of commands in
-    # one process, usage errors among them, prints what separate processes do
+def test_one_parser_serves_consecutive_calls(monkeypatch, capsys):
+    # main() builds each command's own parser once, and the whole tree once,
+    # on the first argv that needs it (here a usage error), and reuses them:
+    # a run of commands in one process, usage errors among them, prints to
+    # stdout and stderr what separate processes do
     assert build_parser() is build_parser()
+    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the same width
     runs = [
         ["density", "--set", "pow2diff", "--kind", "banach", "--horizon", "300"],
         ["sets", "classify", "--set", "union:(window:0110|periodic:;001)",
@@ -533,13 +544,56 @@ def test_one_parser_serves_consecutive_calls():
     ]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(shiftlab.__file__)))
     for argv in runs:
-        with pytest.raises(SystemExit) as e:
-            main(argv + ["--no-such-flag"], out=io.StringIO())
-        assert e.value.code == 2
-        code, text = run_cli(argv)
-        fresh = subprocess.run([sys.executable, "-m", "shiftlab.cli"] + argv, env=env,
-                               capture_output=True, text=True, check=False)
-        assert (code, text) == (fresh.returncode, fresh.stdout), argv
+        for args, expected in ((argv + ["--no-such-flag"], 2), (argv, 0)):
+            capsys.readouterr()
+            out = io.StringIO()
+            try:
+                code = main(args, out=out)
+            except SystemExit as e:
+                code = e.code
+            assert code == expected, args
+            fresh = subprocess.run([sys.executable, "-m", "shiftlab.cli"] + args, env=env,
+                                   capture_output=True, text=True, check=False)
+            assert (code, out.getvalue(), capsys.readouterr().err) == \
+                (fresh.returncode, fresh.stdout, fresh.stderr), args
+
+
+def _dispatch_corpus():
+    """Per command path of the table: a valid argv (each required flag given
+    "3" or "x" by its type), help, a missing required flag, a non-integer, a
+    bad choice, --flag=value, an abbreviated flag, an unknown flag and a
+    trailing positional; then argvs that name no command."""
+    cases = []
+    for path, entry in cli._COMMANDS.items():
+        if isinstance(entry, str):
+            continue
+        head, flags = path.split(), entry[2]
+        required = [f for f, options in flags.items() if options.get("required")]
+        valid = head + [a for f in required
+                        for a in (f, "3" if flags[f].get("type") is int else "x")]
+        number = next(f for f, options in flags.items() if options.get("type") is int)
+        cases += [valid, head + ["-h"], head + valid[len(head) + 2:], valid + [number, "x"],
+                  valid + ["--format", "xml"], valid + ["--format=csv"],
+                  valid + ["--form", "csv"], valid + ["--no-such-flag"], valid + ["extra"]]
+    return cases + [[], ["-h"], ["bogus"], ["sets"], ["sets", "bogus"], ["sets", "-h"],
+                    ["sets classify", "--set", "x"]]
+
+
+def _parse_outcome(parse, argv, capsys):
+    capsys.readouterr()
+    try:
+        return vars(parse(argv))
+    except SystemExit as e:
+        return (e.code,) + tuple(capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", _dispatch_corpus(), ids=" ".join)
+def test_a_command_parser_reads_argv_as_the_whole_tree_does(argv, capsys):
+    # main parses with the named command's own parser when it reads all of
+    # argv, and with the tree otherwise: the namespace, or the exit code and
+    # what is printed, is the tree's either way
+    assert _parse_outcome(cli._parse, argv, capsys) == \
+        _parse_outcome(build_parser().parse_args, argv, capsys)
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,18 +6,21 @@ from hypothesis import given, strategies as st
 
 from shiftlab.core import (
     Alphabet,
-    equality_horizon,
-    first_disagreement,
     format_point,
     lex_compare,
-    metric_rho,
     parse_point,
     periodic_point,
-    point_prefix,
-    shift_point,
     word,
 )
 from shiftlab.errors import AlphabetMismatch, SpecParseError
+
+from point_reference import (
+    equality_horizon,
+    first_disagreement,
+    metric_rho,
+    point_prefix,
+    shift_point,
+)
 
 
 def test_alphabet_rejects_small():

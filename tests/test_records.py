@@ -15,7 +15,7 @@ import pytest
 
 import shiftlab
 from shiftlab.chaos import DistributionProfile, PairClass, classify_pair, distribution_profile
-from shiftlab.core import Alphabet, Record, Word, metric_rho, parse_point, periodic_point, word
+from shiftlab.core import Alphabet, Record, Word, parse_point, periodic_point, word
 from shiftlab.errors import AlphabetMismatch
 from shiftlab.langkit import EntropyReport, entropy_estimates, parse_shift_spec
 from shiftlab.sets import (
@@ -31,6 +31,8 @@ from shiftlab.sets import (
     upper_density,
 )
 from shiftlab.spacing import PSetSpec, count_spacing
+
+from point_reference import metric_rho
 
 SET_EXPRS = [
     "finite:{1,5}",

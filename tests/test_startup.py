@@ -1,5 +1,6 @@
-"""Start-up: importing the CLI loads no introspection machinery, and the
-package runs as ``python -m shiftlab`` from a checkout."""
+"""Start-up: importing the CLI loads no introspection machinery, a command
+builds only its own parser, and the package runs as ``python -m shiftlab``
+from a checkout."""
 
 import json
 import os
@@ -35,3 +36,21 @@ def test_python_m_shiftlab_runs_the_cli():
     run = _fresh(["-m", "shiftlab", "selftest", "--kmax", "4"])
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout)["result"]["all_pass"] is True
+
+
+def test_a_command_builds_only_its_own_parser():
+    code = ("import io, json; from shiftlab import cli\n"
+            "cli.main(['density', '--set', 'evens'], out=io.StringIO())\n"
+            "print(json.dumps([cli.build_parser.cache_info().currsize,\n"
+            "                  cli._command_parser.cache_info().currsize]))\n")
+    run = _fresh(["-c", code])
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == [0, 1]
+
+
+def test_help_still_names_every_command():
+    run = _fresh(["-m", "shiftlab", "--help"])
+    assert run.returncode == 0, run.stderr
+    commands = run.stdout.split("{", 1)[1].split("}", 1)[0].split(",")
+    assert commands == ["entropy", "language", "density", "sets", "beta", "chaos",
+                        "spacing", "selftest"]

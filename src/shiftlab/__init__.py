@@ -7,7 +7,6 @@ from .core import (
     EventuallyPeriodicPoint,
     Word,
     format_point,
-    lex_compare,
     parse_point,
     periodic_point,
     word,
@@ -30,10 +29,7 @@ from .langkit import (
     enumerate_language,
     forbidden_shift,
     full_shift,
-    hereditary_check,
-    max_density_word,
     max_symbol_count,
-    mixing_probe,
     parse_shift_spec,
 )
 from .sets import parse_set_expr
@@ -42,14 +38,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alphabet", "EventuallyPeriodicPoint", "Word", "format_point",
-    "lex_compare", "parse_point", "periodic_point", "word",
+    "parse_point", "periodic_point", "word",
     "AlphabetMismatch", "PreconditionError",
     "ResourceCapExceeded", "SearchFailure", "ShiftlabError",
     "SpecParseError", "SpecValidationError",
     "SubshiftSpec", "contains_word", "count_language", "counting_shift",
     "entropy_estimates", "enumerate_language", "forbidden_shift",
-    "full_shift", "hereditary_check", "max_density_word",
-    "max_symbol_count", "mixing_probe", "parse_shift_spec",
+    "full_shift", "max_symbol_count", "parse_shift_spec",
     "parse_set_expr",
     "__version__",
 ]

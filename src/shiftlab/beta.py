@@ -51,7 +51,7 @@ import re
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .core import Alphabet, EventuallyPeriodicPoint, Word, lex_compare
+from .core import Alphabet, EventuallyPeriodicPoint, Word
 from .errors import PreconditionError, SpecParseError
 from .langkit import SubshiftSpec, count_language
 
@@ -235,22 +235,6 @@ def parry_check(d, H):
         elif syms[k + n] > syms[n]:
             return False
     return None if indeterminate and not point else True
-
-
-def word_in_beta_language(spec, w):
-    """Suffix rule: every suffix of w is <= the equal-length digit prefix."""
-    syms = w.symbols if isinstance(w, Word) else tuple(w)
-    if len(syms) > spec.digit_horizon:
-        raise PreconditionError("word longer than digit_horizon")
-    n = spec.alphabet_size
-    if any(not (0 <= s < n) for s in syms):
-        return False
-    digits = [spec.digit(i) for i in range(len(syms))]
-    for start in range(len(syms)):
-        suffix = syms[start:]
-        if lex_compare(suffix, tuple(digits[:len(suffix)])) > 0:
-            return False
-    return True
 
 
 def count_beta_language(spec, k):

@@ -7,15 +7,14 @@ The lower distribution F(t) is the liminf of prefix frequencies of
 periodic pair the series is itself eventually periodic, so both functions are
 a single exact step function with breakpoints at the rationals n**-k.
 
-Distances are handled through their integer gaps g_j (d_j = n**-g_j), and
-d_j < t iff g_j reaches the cutoff of t, so a profile is a count of gaps at
-or above each cutoff. A cutoff comes from integers too: the numerator and
-denominator of t against powers of n, with no Fraction arithmetic. A run of
-zeros in a disagreement mask (1 exactly where the pair differs) with the 1
-that ends it, or the run past the last 1, is a segment of length s whose
-gaps are s, s-1, ..., 1, so the counts come from the mask's run lengths,
-grouped by a ``Counter``: one step per distinct run length and cutoff. An
-exact profile reads the mask over one cycle (p, p + c] past the longer
+Distances are handled through their integer gaps g_j (d_j = n**-g_j). A
+profile is read on the grid n**-k, ..., n**-1, 1, where it can change:
+d_j < t iff g_j >= e + 1 for every t in (n**-(e+1), n**-e], so it is a
+count of gaps at or above each cutoff e + 1. A run of zeros in a disagreement mask
+(1 exactly where the pair differs) with the 1 that ends it, or the run past
+the last 1, is a segment of length s whose gaps are s, s-1, ..., 1, so the
+counts come from the mask's run lengths, grouped by a ``Counter``: one step
+per distinct run length and cutoff. An exact profile reads the mask over one cycle (p, p + c] past the longer
 preperiod p, rotated to end on a disagreement, so that each segment wraps as
 the periodic pair does. Both cycles are built by whole-period repetition, as
 bytes when the alphabet fits in one, so the mask is one XOR of two ints.
@@ -37,10 +36,10 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import inf, lcm
+from math import lcm
 from operator import ne
 
-from .core import EventuallyPeriodicPoint, Record, _same_alphabet, set_field
+from .core import EventuallyPeriodicPoint, Record, _same_alphabet
 from .errors import PreconditionError
 from .sets import IntSetSpec
 
@@ -80,7 +79,7 @@ def _disagreements(xs, ys):
 
 
 class DistributionProfile(Record):
-    """F and F* sampled on a threshold grid.
+    """F and F* sampled on the grid n**-k, ..., n**-1, 1.
 
     `fstar_one_everywhere` records whether F*(t) = 1 for every t > 0 (not just
     on the grid): exactly decidable in the exact case, a tolerance judgement
@@ -95,8 +94,10 @@ class DistributionProfile(Record):
 
     def to_json(self):
         rows = []
-        for t, f, fs in zip(self.thresholds, self.F_values, self.Fstar_values):
-            rows.append({"t": _threshold_str(self.n, t),
+        k = len(self.thresholds)
+        for f, fs in zip(self.F_values, self.Fstar_values):
+            k -= 1  # the threshold n**-k
+            rows.append({"t": "%d^-%d" % (self.n, k) if k else "1",
                          "F": str(f), "Fstar": str(fs)})
         out = {"exact": self.exact, "grid": rows,
                "fstar_one_everywhere": self.fstar_one_everywhere}
@@ -106,28 +107,14 @@ class DistributionProfile(Record):
         return out
 
 
-def _threshold_str(n, t):
-    if t >= 1:
-        return str(t)
-    # render n**-k thresholds symbolically, anything else as a plain fraction
-    num, den = t.numerator, t.denominator
-    if num == 1:
-        k, q = 0, 1
-        while q < den:
-            q *= n
-            k += 1
-        if q == den:
-            return "%d^-%d" % (n, k)
-    return str(t)
+def _grid(n, k):
+    """(thresholds, cutoffs): n**-k, ..., n**-1, 1 and the gap cutoff of
+    each, e + 1 for n**-e, since n**-g < n**-e iff g >= e + 1."""
+    exponents = range(k, -1, -1)
+    return tuple(Fraction(1, n ** e) for e in exponents), [e + 1 for e in exponents]
 
 
-def _default_grid(n, max_k):
-    grid = [Fraction(1, n ** a) for a in range(max_k, 0, -1)]
-    grid.append(Fraction(1))
-    return grid
-
-
-def distribution_profile(x, y, thresholds=None):
+def distribution_profile(x, y):
     """Exact profile for a pair of eventually periodic points."""
     if not (isinstance(x, EventuallyPeriodicPoint) and isinstance(y, EventuallyPeriodicPoint)):
         raise PreconditionError("a distribution profile needs two eventually periodic points")
@@ -136,41 +123,21 @@ def distribution_profile(x, y, thresholds=None):
     c, xs, ys = _cycle(x, y)
     mask = _disagreements(xs, ys)
     last = mask.rfind(1)
-    agreeing = last < 0
-    if not agreeing:
+    if last < 0:
+        # every distance is 0 from the cycle on, so d_j < t for every t > 0
+        thresholds, _ = _grid(n, 2)
+        F = (Fraction(1),) * len(thresholds)
+    else:
         # the cycle rotated to end on a disagreement: every segment closes
         # inside it, exactly as it does on the periodic pair
         runs = Counter(map(len, (mask[last + 1:] + mask[:last]).split(b"\x01")))
-    if thresholds is None:
-        # the largest gap is the longest segment, its run and the closing 1
-        top = 1 if agreeing else max(runs) + 1
-        thresholds = _default_grid(n, top + 1)
-    thresholds = tuple(sorted(thresholds))
-    if agreeing:
-        # every distance is 0 from the cycle on, so d_j < t iff t > 0
-        F = tuple(Fraction(1 if t > 0 else 0) for t in thresholds)
-    else:
-        levels = [max(_gap_cutoff(n, t), 1) for t in thresholds]
+        # the largest gap, the longest run and its closing 1, is max(runs) + 1;
+        # the grid runs one step below it, where F is 0
+        thresholds, levels = _grid(n, max(runs) + 2)
         F = tuple(Fraction(g, c) for g in _closed_gaps(runs, levels, [0] * len(levels)))
     return DistributionProfile(n=n, thresholds=thresholds, F_values=F,
                                Fstar_values=F, exact=True,
-                               fstar_one_everywhere=agreeing)
-
-
-def _gap_cutoff(n, t):
-    """Smallest g with n**-g < t, so d_j < t iff g_j >= cutoff; infinite for
-    t <= 0, which no distance is below. Read on integers: with t = num/den
-    exactly (a Fraction, int or float), n**-g < t iff den < num * n**g."""
-    if t <= 0:
-        return inf
-    if not t <= 1:
-        return 0  # t > 1, float inf or nan: g = 0, as the test n**-0 >= t fails
-    num, den = t.as_integer_ratio()
-    g, p = 0, 1
-    while den >= num * p:
-        p *= n
-        g += 1
-    return g
+                               fstar_one_everywhere=last < 0)
 
 
 def _closed_gaps(runs, levels, closed):
@@ -187,12 +154,11 @@ def _closed_gaps(runs, levels, closed):
 # -- classification -----------------------------------------------------------
 
 class PairClass(Record):
-    __slots__ = ("verdict", "evidence", "certificates")
+    """verdict: DC1, DC2-not-DC1, DC3-not-DC2 or none; evidence: set for an
+    empirical verdict, which is evidence, never exact; certificates: the
+    grid points that witness the verdict."""
 
-    def __init__(self, verdict, evidence, certificates=None):
-        set_field(self, "verdict", verdict)    # DC1 | DC2-not-DC1 | DC3-not-DC2 | none
-        set_field(self, "evidence", evidence)  # empirical verdicts are evidence, never exact
-        set_field(self, "certificates", {} if certificates is None else certificates)
+    __slots__ = ("verdict", "evidence", "certificates")
 
     def to_json(self):
         return {"verdict": self.verdict, "evidence": self.evidence,
@@ -369,8 +335,7 @@ def family_pair_profile(fam, i, j):
     segments closed before it and those before m of the one open at m; past
     the last block that segment runs to the horizon H, the gap H - j standing
     for the pair's agreeing rest."""
-    thresholds = tuple(_default_grid(2, 12))
-    levels = [max(_gap_cutoff(2, t), 1) for t in thresholds]
+    thresholds, levels = _grid(2, 12)
     closed = [0] * len(levels)
     rows = [[] for _ in levels]
     for m, _, start, nxt, runs in _pair_checkpoints(fam, i, j):

@@ -10,9 +10,10 @@ An eventually periodic point ``u . v v v ...`` is kept in a canonical form
 decidable.
 
 A point has one whole-window kernel, ``prefix(k)``: omega_1 .. omega_k in
-one pass over the preperiod and the repeated period. Everything that reads
-a run of coordinates (the exact profiles in ``chaos``, the Parry check in
-``beta``) reads it; ``symbol_at`` is for one-off queries.
+one pass over the preperiod and the repeated period. The point branch of
+the Parry check in ``beta`` reads it; the exact profiles in ``chaos`` build
+their cycle windows by whole-period repetition instead, and ``symbol_at``
+is for one-off queries.
 """
 
 from __future__ import annotations
@@ -144,29 +145,6 @@ def word(text_or_symbols, n=2):
     else:
         syms = tuple(int(s) for s in text_or_symbols)
     return Word(Alphabet(n), syms)
-
-
-def _symbols(x):
-    return x.symbols if isinstance(x, Word) else tuple(x)
-
-
-def lex_compare(x, y):
-    """Lexicographic comparison of two equal-length symbol prefixes.
-
-    Returns -1, 0 or 1. Raises AlphabetMismatch for Words over different
-    alphabets.
-    """
-    if isinstance(x, Word) and isinstance(y, Word) and x.alphabet != y.alphabet:
-        raise AlphabetMismatch("lex_compare: %r vs %r" % (x.alphabet, y.alphabet))
-    xs, ys = _symbols(x), _symbols(y)
-    if len(xs) != len(ys):
-        raise ValueError("lex_compare expects equal-length prefixes")
-    for a, b in zip(xs, ys):
-        if a < b:
-            return -1
-        if a > b:
-            return 1
-    return 0
 
 
 def _primitive_root(per):

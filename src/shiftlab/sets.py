@@ -57,7 +57,6 @@ from .core import Record, set_field
 from .errors import PreconditionError, ResourceCapExceeded, SpecParseError
 from .langkit import DEFAULT_NODE_CAP, max_symbol_witness
 
-_DEFAULT_HORIZON = 10_000
 IP_MAX_SIZE = 12
 # each parenthesis nests parse_set_expr and the set methods one level deeper
 MAX_SET_EXPR_PARENS = 100
@@ -397,7 +396,7 @@ def _grid(H):
     return ns
 
 
-def upper_density(A, H=_DEFAULT_HORIZON):
+def upper_density(A, H):
     """limsup of |A \\cap [1,n]| / n; exact for eventually periodic specs."""
     _check_horizon(H)
     ep = A.eventually_periodic()
@@ -408,7 +407,7 @@ def upper_density(A, H=_DEFAULT_HORIZON):
     return DensityResult(float(est), exact=False, horizon=H)
 
 
-def asymptotic_density(A, H=_DEFAULT_HORIZON):
+def asymptotic_density(A, H):
     """Density limit where it provably exists, window estimates otherwise."""
     _check_horizon(H)
     ep = A.eventually_periodic()
@@ -421,7 +420,7 @@ def asymptotic_density(A, H=_DEFAULT_HORIZON):
     return DensityResult(float(est), exact=False, exists=None, horizon=H)
 
 
-def upper_banach_density(A, H=_DEFAULT_HORIZON):
+def upper_banach_density(A, H):
     """limsup of window densities; exact for eventually periodic specs, else the
     max density over sampled windows [m, n) in [1, H] with n - m >= 16, or the
     whole of [1, H] when H is shorter.
@@ -592,7 +591,7 @@ def largest_ip_subset(A, bound, node_cap=DEFAULT_NODE_CAP):
     return best, nodes > node_cap
 
 
-def classify(A, H=_DEFAULT_HORIZON, ip_bound=None, node_cap=DEFAULT_NODE_CAP):
+def classify(A, H, ip_bound=None, node_cap=DEFAULT_NODE_CAP):
     """Finite-horizon structure report: longest run (thickness evidence), max gap
     (syndeticity evidence), and bounded Delta / IP witness searches; cap_hit
     says that a search stopped at node_cap, so its witness is a lower bound

@@ -63,9 +63,6 @@ class PSetSpec(Record):
         # followers)], built once by spacing_shift
         set_field(self, "_shift", [])
 
-    def contains(self, d):
-        return self.base.contains(d)
-
     def excluded_mask(self, horizon):
         """The int whose bit d-1 is set exactly when d <= horizon is not in P."""
         return ((1 << horizon) - 1) & ~(self.base.mask(horizon) >> 1)
@@ -94,8 +91,6 @@ def count_spacing(P, k, node_cap=DEFAULT_NODE_CAP):
     valid."""
     if k < 1:
         raise PreconditionError("k must be >= 1")
-    if not isinstance(P, PSetSpec):
-        P = PSetSpec(P)
     spacing_shift(P)
     spec, walk = P._shift
     if spec.engine == "automaton_dp":
@@ -110,8 +105,6 @@ def spacing_shift(P):
     small the state is cut to the window and the transition handed over
     (automaton DP); otherwise it is the step, and lambda_k (count_spacing)
     and D_k come from one follower walk over candidate masks."""
-    if not isinstance(P, PSetSpec):
-        P = PSetSpec(P)
     if P._shift:
         return P._shift[0]
     excluded = covered = pmask = 0

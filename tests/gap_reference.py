@@ -9,19 +9,13 @@ g_j = k - j + 1 for the least k >= j with xs[k] != ys[k]; when no
 disagreement is visible after j the true distance is below n**-(N-j), and
 that lower bound on the gap, N - j, stands in for it. It holds one list entry
 per position, so tests run it on short prefixes. Also the threshold cutoffs
-as a Fraction scale loop, the reference for the integer cutoffs."""
+as a Fraction scale loop, the reference for the grid's cutoffs."""
 
 from collections import Counter
 from fractions import Fraction
 from math import inf, lcm
 
-from shiftlab.chaos import (
-    DistributionProfile,
-    _closed_gaps,
-    _default_grid,
-    _disagreements,
-    _gap_cutoff,
-)
+from shiftlab.chaos import DistributionProfile, _closed_gaps, _disagreements
 from shiftlab.errors import PreconditionError
 
 
@@ -113,7 +107,7 @@ def empirical_profile(xs, ys, thresholds=None, checkpoints=None, n=2):
     if N == 0:
         raise PreconditionError("empty prefixes")
     if thresholds is None:
-        thresholds = _default_grid(n, 12)
+        thresholds = [Fraction(1, n ** a) for a in range(12, 0, -1)] + [Fraction(1)]
     thresholds = tuple(sorted(thresholds))
     if checkpoints is None:
         checkpoints = []
@@ -131,7 +125,7 @@ def empirical_profile(xs, ys, thresholds=None, checkpoints=None, n=2):
     if xs[m:] == ys[m:]:
         # nothing past the last checkpoint to find: the mask can stop there
         xs, ys = xs[:m], ys[:m]
-    cutoffs = [_gap_cutoff(n, t) for t in thresholds]
+    cutoffs = [gap_cutoff(n, t) for t in thresholds]
     rows = mask_gap_frequencies(_disagreements(xs, ys), cutoffs, checkpoints, N)
     F = [min(freqs) for freqs in rows]
     Fstar = [max(freqs) for freqs in rows]

@@ -65,7 +65,7 @@ def spacing_narrow(P):
     lies in P for every chosen 1 at p."""
     def narrow(chosen, rest):
         return sum(1 << q for q in positions(rest)
-                   if all(P.contains(q - p) for p in chosen))
+                   if all(P.base.contains(q - p) for p in chosen))
     return narrow
 
 

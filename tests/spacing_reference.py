@@ -9,13 +9,14 @@ from shiftlab.errors import PreconditionError
 
 
 def admissible(P, w):
-    """P-admissibility of a binary word: all 1-position differences lie in P."""
+    """P-admissibility of a binary word: all 1-position differences lie in
+    the parameter set of the PSetSpec P."""
     syms = w.symbols if isinstance(w, Word) else tuple(w)
     if any(s not in (0, 1) for s in syms):
         raise PreconditionError("spacing admissibility needs a binary word")
     ones = [i + 1 for i, s in enumerate(syms) if s == 1]
     for i in range(len(ones)):
         for j in range(i + 1, len(ones)):
-            if not P.contains(ones[j] - ones[i]):
+            if not P.base.contains(ones[j] - ones[i]):
                 return False
     return True

@@ -13,12 +13,12 @@ from shiftlab.beta import (
     count_beta_language,
     parry_check,
     parse_beta,
-    word_in_beta_language,
 )
-from shiftlab.core import lex_compare, periodic_point, word
+from shiftlab.core import periodic_point, word
 from shiftlab.errors import PreconditionError, SpecParseError
 from shiftlab.langkit import contains_word, count_language, hereditary_check, log2_int
 
+from beta_reference import lex_compare, word_in_beta_language
 from point_reference import equality_horizon, shift_point
 
 GOLDEN = "quad:(1+1*sqrt5)/2"

@@ -26,7 +26,7 @@ from shiftlab.chaos import (
     DistributionProfile,
     _cycle,
     _disagreements,
-    _gap_cutoff,
+    _grid,
     build_scrambled_family,
     classify_pair,
     distribution_profile,
@@ -48,7 +48,8 @@ def P(pre, per):
 def _F_one_over_n(x, y):
     """F(1/n) of the exact profile: d_j < 1/n iff x_(j+1) = y_(j+1), so it is
     the Equal density."""
-    return distribution_profile(x, y, thresholds=[Fraction(1, x.alphabet.size)]).F_values[0]
+    prof = distribution_profile(x, y)
+    return dict(zip(prof.thresholds, prof.F_values))[Fraction(1, x.alphabet.size)]
 
 
 def test_diff_equal_basic():
@@ -149,6 +150,18 @@ def _reference_exact_F(x, y, thresholds):
     return thresholds, F, all(d == 0 for d in dists)
 
 
+def _grid_step(prof, t):
+    """F(t) for 0 < t <= 1 read off the profile's grid: F is constant on
+    each (n**-(e+1), n**-e], so it is F at the least threshold >= t (the
+    least threshold itself when t lies below them all)."""
+    return next(f for s, f in zip(prof.thresholds, prof.F_values) if s >= t)
+
+
+# off-grid thresholds in (0, 1], where F is read off the grid
+OFF_GRID = (Fraction(1, 100), Fraction(1, 5), Fraction(1, 3), Fraction(1, 9), Fraction(2, 3),
+            Fraction(1, 10 ** 9))
+
+
 def _random_point(rng, n, pre_len, per_len):
     digits = lambda m: "".join(str(rng.randrange(n)) for _ in range(m))
     return periodic_point(digits(pre_len), digits(per_len), n=n)
@@ -156,30 +169,31 @@ def _random_point(rng, n, pre_len, per_len):
 
 def test_exact_profile_matches_reference_gap_loop():
     rng = random.Random(20261018)
-    caller_grid = [Fraction(-1), Fraction(0), Fraction(1, 100), Fraction(1, 5),
-                   Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2)]
     for n in (2, 3):
         for trial in range(40):
             pre_x = rng.randrange(4) if trial % 2 else 0
             pre_y = rng.randrange(4) if trial % 2 else 0
             x = _random_point(rng, n, pre_x, rng.randrange(1, 13))
             y = _random_point(rng, n, pre_y, rng.randrange(1, 13))
-            for grid in (None, caller_grid):
-                prof = distribution_profile(x, y, thresholds=grid)
-                ts, F, fstar_one = _reference_exact_F(x, y, grid)
-                assert prof.thresholds == ts, (x, y)
-                assert prof.F_values == prof.Fstar_values == F, (x, y, grid)
-                assert prof.fstar_one_everywhere == fstar_one
+            prof = distribution_profile(x, y)
+            ts, F, fstar_one = _reference_exact_F(x, y, None)
+            assert prof.thresholds == ts, (x, y)
+            assert prof.F_values == prof.Fstar_values == F, (x, y)
+            assert prof.fstar_one_everywhere == fstar_one
+            # the grid determines F everywhere in (0, 1]
+            ts, F, _ = _reference_exact_F(x, y, OFF_GRID)
+            assert F == tuple(_grid_step(prof, t) for t in ts), (x, y)
 
 
 def test_exact_profile_agreeing_pair_matches_reference():
     for n in (2, 3):
         x, y = periodic_point("0", "1", n=n), periodic_point("1", "1", n=n)
-        for grid in (None, [Fraction(-1, 2), Fraction(0), Fraction(1, 9), Fraction(2)]):
-            prof = distribution_profile(x, y, thresholds=grid)
-            ts, F, fstar_one = _reference_exact_F(x, y, grid)
-            assert (prof.thresholds, prof.F_values) == (ts, F)
-            assert prof.fstar_one_everywhere and fstar_one
+        prof = distribution_profile(x, y)
+        ts, F, fstar_one = _reference_exact_F(x, y, None)
+        assert (prof.thresholds, prof.F_values) == (ts, F)
+        assert prof.fstar_one_everywhere and fstar_one
+        ts, F, _ = _reference_exact_F(x, y, OFF_GRID)
+        assert F == tuple(_grid_step(prof, t) for t in ts) == (1,) * len(OFF_GRID)
 
 
 def _cycle_structure_reference(x, y):
@@ -208,7 +222,7 @@ def _gap_cycle_reference(x, y):
     return c, gaps
 
 
-def _cycle_profile_reference(x, y, thresholds):
+def _cycle_profile_reference(x, y, thresholds=None):
     n = x.alphabet.size
     c, gaps = _gap_cycle_reference(x, y)
     agreeing = gaps is None
@@ -241,9 +255,10 @@ def test_two_cycle_window_matches_the_cycle_structure_sweep():
         pairs.append((x, periodic_point(head, x.period, n=n)))
     agreeing = 0
     for x, y in pairs:
-        for grid in (None, [Fraction(0), Fraction(1, 7), Fraction(1, 2), Fraction(1)]):
-            assert distribution_profile(x, y, thresholds=grid) == \
-                _cycle_profile_reference(x, y, grid), (x, y, grid)
+        prof = distribution_profile(x, y)
+        assert prof == _cycle_profile_reference(x, y), (x, y)
+        ref = _cycle_profile_reference(x, y, OFF_GRID)
+        assert ref.F_values == tuple(_grid_step(prof, t) for t in ref.thresholds), (x, y)
         p, c, D = _cycle_structure_reference(x, y)
         assert diff_equal_densities(x, y) == (Fraction(len(D), c), 1 - Fraction(len(D), c))
         assert _F_one_over_n(x, y) == 1 - Fraction(len(D), c)
@@ -254,10 +269,15 @@ def test_two_cycle_window_matches_the_cycle_structure_sweep():
 def test_nonpositive_thresholds_give_zero():
     grid = [Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1)]
     finite = empirical_profile((0, 1, 1, 0) * 8, (0, 0, 1, 1) * 8, thresholds=grid)
-    periodic = distribution_profile(P("1", "0110"), P("", "0011"), thresholds=grid)
-    for prof in (finite, periodic):
-        assert prof.F_values[:2] == prof.Fstar_values[:2] == (0, 0)
-        assert prof.F_values[-1] == 1
+    assert finite.F_values[:2] == finite.Fstar_values[:2] == (0, 0)
+    assert finite.F_values[-1] == 1
+    # the exact grid holds no t <= 0: an agreeing pair reads 1 on all of it,
+    # and a disagreeing one 0 at its least threshold, below every distance
+    agreeing = distribution_profile(P("1", "0110"), P("", "0011"))
+    assert agreeing.thresholds[0] > 0 and set(agreeing.F_values) == {1}
+    periodic = distribution_profile(P("1", "0110"), P("", "0101"))
+    assert periodic.F_values[0] == periodic.Fstar_values[0] == 0
+    assert periodic.F_values[-1] == 1
 
 
 def test_classify_large_cycle_F_at_one_over_n_is_equal_density():
@@ -558,30 +578,18 @@ def test_exact_profile_counts_the_two_cycle_gaps():
         gaps = gap_series(xs, ys, c)
         prof = distribution_profile(x, y)
         assert prof.thresholds[0] == Fraction(1, n ** (max(gaps) + 1))
-        cutoffs = [_gap_cutoff(n, t) for t in prof.thresholds]
+        cutoffs = [gap_cutoff(n, t) for t in prof.thresholds]
         assert prof.F_values == tuple(row[0] for row in gap_frequencies(gaps, cutoffs, (c,)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 10, 257])
 def test_gap_cutoff_matches_the_fraction_scale_loop(n):
-    rng = random.Random(n)
-    tiny = Fraction(1, 10 ** 40)  # far nearer than any n**-k gap below
-    thresholds = [Fraction(1), Fraction(n + 1, n), Fraction(0), -Fraction(1, n),
-                  1, 2, 0, -3, 1.0, 0.5, 1e-9, 2.5, 0.0, -0.25, inf, -inf]
-    for k in range(1, 20):
-        exact = Fraction(1, n ** k)
-        # n**-k exactly, the Fractions just below and above it, and the
-        # nearest unit fractions on either side
-        thresholds += [exact, exact - tiny, exact + tiny, float(exact),
-                       Fraction(1, n ** k + 1), Fraction(1, n ** k - 1)]
-    for _ in range(300):
-        thresholds.append(Fraction(rng.randint(-10, 10 ** 6), rng.randint(1, 10 ** 9)))
-        thresholds.append(rng.uniform(-1, 1) ** rng.randint(1, 9))
-    for t in thresholds:
-        assert _gap_cutoff(n, t) == gap_cutoff(n, t), (n, t)
-    assert _gap_cutoff(n, Fraction(0)) == _gap_cutoff(n, -1.5) == inf
-    assert _gap_cutoff(n, Fraction(1, n ** 3)) == 4 and _gap_cutoff(n, 1) == 1
-    assert _gap_cutoff(n, 2) == 0
+    # the grid's cutoff e + 1 for n**-e against the scale loop
+    for k in (0, 1, 2, 12, 40):
+        thresholds, cutoffs = _grid(n, k)
+        assert thresholds == tuple(sorted(thresholds)) and thresholds[-1] == 1
+        assert thresholds[0] == Fraction(1, n ** k)
+        assert cutoffs == [gap_cutoff(n, t) for t in thresholds], (n, k)
 
 
 def test_mixed_bytes_tuple_pair_profile_is_the_tuple_profile():

@@ -115,6 +115,20 @@ def test_chaos_profile_command():
     assert {"t": "2^-1", "F": "1/2", "Fstar": "1/2"} in grid
 
 
+@pytest.mark.parametrize("argv,path,labels", [
+    (["profile", "--x", ";12", "--y", ";0", "--n", "3"], ("grid",), ["3^-2", "3^-1", "1"]),
+    (["profile", "--x", ";19", "--y", ";0", "--n", "10"], ("grid",), ["10^-2", "10^-1", "1"]),
+    (["family", "--set", "evens", "--members", "2", "--horizon", "4000"],
+     ("pair_profiles", "0,1", "grid"), ["2^-%d" % e for e in range(12, 0, -1)] + ["1"]),
+], ids=["n3", "n10", "family"])
+def test_chaos_grid_labels(argv, path, labels):
+    # every threshold prints as n^-k, the last as 1
+    grid = run_json(["chaos"] + argv)["result"]
+    for key in path:
+        grid = grid[key]
+    assert [row["t"] for row in grid] == labels
+
+
 def test_chaos_classify_command():
     env = run_json(["chaos", "classify", "--x", ";10", "--y", ";0"])
     assert env["result"]["class"]["verdict"] == "none"

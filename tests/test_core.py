@@ -7,13 +7,13 @@ from hypothesis import given, strategies as st
 from shiftlab.core import (
     Alphabet,
     format_point,
-    lex_compare,
     parse_point,
     periodic_point,
     word,
 )
 from shiftlab.errors import AlphabetMismatch, SpecParseError
 
+from beta_reference import lex_compare
 from point_reference import (
     equality_horizon,
     first_disagreement,

@@ -126,9 +126,9 @@ def test_fields_refuse_assignment():
     report = entropy_estimates(parse_shift_spec("full:n=2"), 2)
     for obj, field in [(Alphabet(2), "size"), (word("10"), "symbols"), (x, "period"),
                        (EVENS, "per"), (PSetSpec(EVENS), "base"),
-                       (upper_density(EVENS), "value"), (report, "rows"),
+                       (upper_density(EVENS, 10_000), "value"), (report, "rows"),
                        (report.rows[0], "lam"), (distribution_profile(x, y), "exact"),
-                       (PairClass("none", False), "verdict")]:
+                       (PairClass("none", False, {}), "verdict")]:
         with pytest.raises(AttributeError):
             setattr(obj, field, None)
         with pytest.raises(AttributeError):
@@ -136,8 +136,8 @@ def test_fields_refuse_assignment():
 
 
 def test_defaults_and_repr():
-    assert PairClass("none", True).certificates == {}
-    assert PairClass("none", True).certificates is not PairClass("none", True).certificates
+    with pytest.raises(TypeError):
+        PairClass("none", True)  # classify_pair always passes its certificates
     p = DistributionProfile(2, (Fraction(1),), (1,), (1,), True, True)
     assert (p.horizon, p.checkpoints) == (None, ())
     assert repr(DensityResult(Fraction(1, 2), True)) == (
@@ -149,7 +149,7 @@ def test_defaults_and_repr():
 def test_records_copy_and_pickle_through_their_constructor():
     x, y = parse_point("1;01"), parse_point(";0")
     for obj in [Alphabet(3), word("0110"), x, parse_set_expr("union:(evens|finite:{1})"),
-                PSetSpec(EVENS), upper_density(EVENS), classify_pair(distribution_profile(x, y))]:
+                PSetSpec(EVENS), upper_density(EVENS, 10_000), classify_pair(distribution_profile(x, y))]:
         assert pickle.loads(pickle.dumps(obj)) == obj
         assert copy.deepcopy(obj) == obj
 
@@ -174,7 +174,6 @@ OWN_INIT = {
     "EventuallyPeriodicPoint": "canonicalises preperiod and period",
     "PeriodicSet": "refuses an empty period",
     "PSetSpec": "sets its private _shift cache",
-    "PairClass": "needs a fresh {} per call",
 }
 
 

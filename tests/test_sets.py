@@ -96,14 +96,14 @@ def test_factorial_blocks():
 
 
 def test_upper_density_exact_periodic():
-    r = upper_density(EVENS)
+    r = upper_density(EVENS, 10_000)
     assert r.exact and r.value == Fraction(1, 2) and r.exists
-    r = upper_density(parse_set_expr("periodic:;110"))
+    r = upper_density(parse_set_expr("periodic:;110"), 10_000)
     assert r.exact and r.value == Fraction(2, 3)
 
 
 def test_asymptotic_density_factorial_blocks_exact_zero():
-    r = asymptotic_density(FactorialBlocksSet())
+    r = asymptotic_density(FactorialBlocksSet(), 10_000)
     assert r.exact and r.value == 0 and r.exists
 
 
@@ -168,7 +168,7 @@ def test_density_estimates_flagged():
 
 
 def test_density_json_carries_exactness():
-    j = upper_density(EVENS).to_json()
+    j = upper_density(EVENS, 10_000).to_json()
     assert j["exact"] is True and j["value_exact"] == "1/2"
     j = upper_density(Pow2DiffSet(), H=512).to_json()
     assert j["exact"] is False and j["horizon"] == 512
@@ -368,7 +368,7 @@ def test_complement_involution(s):
 
 @given(periodic_sets)
 def test_periodic_density_matches_counting(s):
-    r = upper_density(s)
+    r = upper_density(s, 10_000)
     H = 40 * len(s.per) + len(s.pre)
     lo = len(s.pre)
     cnt = sum(1 for i in range(lo + 1, H + 1) if s.contains(i))

@@ -149,7 +149,7 @@ def _gap_words_match(P, H):
     """N([1]_P, [1]_P) = P up to H on P's acceptor: the gap word 1 0^(m-1) 1
     is in its language exactly for m in P."""
     spec = spacing_shift(P)
-    return all(spec.accepts((1,) + (0,) * (m - 1) + (1,)) == P.contains(m)
+    return all(spec.accepts((1,) + (0,) * (m - 1) + (1,)) == P.base.contains(m)
                for m in range(1, H + 1))
 
 
@@ -446,10 +446,9 @@ def test_mask_count_work_is_memoised():
     EVENS, ODDS, PeriodicSet((), (0, 1, 1, 1, 0, 1, 1)), _Unperiodic(EVENS),
     ComplementSet(FiniteSet(frozenset({1, 3, 12}))),
 ], ids=["evens", "odds", "periodic", "unperiodic", "windowed"])
-def test_count_spacing_on_a_bare_set_matches_its_pset(base):
-    P = PSetSpec(base)
-    want = [count_spacing(P, k) for k in range(1, 31)]
-    assert [count_spacing(base, k) for k in range(1, 31)] == want
-    assert [count_language(spacing_shift(base), k) for k in range(1, 31)] == want
-    assert want[:12] == [count_language(spacing_shift(base), k, strategy="brute_force")
+def test_count_spacing_matches_the_spec_count_and_brute_force(base):
+    want = [count_spacing(PSetSpec(base), k) for k in range(1, 31)]
+    spec = spacing_shift(PSetSpec(base))
+    assert [count_language(spec, k) for k in range(1, 31)] == want
+    assert want[:12] == [count_language(spec, k, strategy="brute_force")
                          for k in range(1, 13)]

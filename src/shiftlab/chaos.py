@@ -40,10 +40,12 @@ from math import lcm
 from operator import ne
 
 from .core import EventuallyPeriodicPoint, Record, _same_alphabet
-from .errors import PreconditionError
+from .errors import PreconditionError, ResourceCapExceeded
+from .langkit import DEFAULT_NODE_CAP
 from .sets import IntSetSpec
 
 DEFAULT_GROWTH = 200
+_FAMILY_DEPTH = 12  # a family pair's profile is read on the grid 2**-12, ..., 1
 _NONZERO_TO_ONE = bytes([0]) + bytes([1]) * 255  # translate table: byte != 0 -> 1
 
 
@@ -223,6 +225,11 @@ def build_scrambled_family(S, m, horizon, growth=DEFAULT_GROWTH):
     takes the blocks with index congruent to i mod m; the in-between ranges
     (b_{2n}, b_{2n+1}] are empty for every member, which is what drives the
     Equal frequency toward 1.
+
+    The family is built to be measured pair by pair: m(m - 1)/2 pairs, each
+    read at every checkpoint and grid point. When those readings pass
+    langkit.DEFAULT_NODE_CAP, ResourceCapExceeded is raised before any
+    index set is built.
     """
     if m < 2:
         raise PreconditionError("need at least 2 members")
@@ -249,6 +256,13 @@ def build_scrambled_family(S, m, horizon, growth=DEFAULT_GROWTH):
     if len(b) < 2:
         raise PreconditionError(
             "horizon %d too small for even one block at growth %d" % (horizon, growth))
+    pairs = m * (m - 1) // 2
+    readings = pairs * (len(b) + _FAMILY_DEPTH + 1)
+    if readings > DEFAULT_NODE_CAP:
+        raise ResourceCapExceeded(
+            "%d members give %d pairs, each read at %d checkpoints and %d grid points: "
+            "%d readings, over the cap of %d"
+            % (m, pairs, len(b), _FAMILY_DEPTH + 1, readings, DEFAULT_NODE_CAP))
     blocks = tuple((b[2 * k], b[2 * k + 1]) for k in range(len(b) // 2))
     index_sets = tuple(tuple(n for n in range(1, len(blocks) + 1) if n % m == i % m)
                        for i in range(m))
@@ -335,7 +349,7 @@ def family_pair_profile(fam, i, j):
     segments closed before it and those before m of the one open at m; past
     the last block that segment runs to the horizon H, the gap H - j standing
     for the pair's agreeing rest."""
-    thresholds, levels = _grid(2, 12)
+    thresholds, levels = _grid(2, _FAMILY_DEPTH)
     closed = [0] * len(levels)
     rows = [[] for _ in levels]
     for m, _, start, nxt, runs in _pair_checkpoints(fam, i, j):

@@ -6,6 +6,14 @@ asymptotic number carries an exactness flag or a horizon. Output is
 deterministic for a fixed config; wall time is reported only when --timing
 is passed, precisely so that the default output is byte-reproducible.
 
+Every command and its flags are declared once, in the table _COMMANDS.
+An argv that names a command and gives it only whole flags with values
+they accept is read straight from that table (_read), without argparse;
+any other (help, an abbreviated or unknown flag, a value that starts with
+"-", a missing required flag, a bad int or choice) goes to the argparse
+tree built from the same table (build_parser), so help, usage errors and
+exit codes are argparse's.
+
 Exit codes: 0 success, 1 a selftest family failed, 2 spec/usage error, 3
 resource cap (out of memory included), 141 (128 + SIGPIPE) when the reader
 closed stdout before the output was written.
@@ -13,13 +21,13 @@ closed stdout before the output was written.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
 import json
 import os
 import sys
 import time
+import types
 
 from . import beta as beta_mod
 from . import chaos as chaos_mod
@@ -256,81 +264,74 @@ def _cmd_selftest(args):
 
 _REQUIRED = {"required": True}
 _INT_REQUIRED = {"type": int, "required": True}
+_SWITCH = {"action": "store_true", "default": False}
 
 
 def _int(default):
     return {"type": int, "default": default}
 
 
+# The flags every command takes after its own (_SHARED), and the same with
+# --cap-states for a command whose search reads the cap (_CAPPED).
+_SHARED = {
+    "--format": {"choices": ("json", "csv"), "default": "json"},
+    "--timing": {**_SWITCH, "help": "include wall time (breaks byte-reproducibility)"},
+}
+_CAPPED = {**_SHARED, "--cap-states": _int(langkit.DEFAULT_NODE_CAP)}
+
 # Every command by its path. A group's entry is its help; a command's is its
-# help, its handler, its own arguments in order (each flag with the keywords
-# of its add_argument) and whether it takes --cap-states after --format and
-# --timing, which every command takes.
+# help, its handler and its flags in order, each with the keywords of its
+# add_argument. The tree (build_parser) and the argv reader (_read) both
+# read it.
 _COMMANDS = {
     "entropy": ("h_k upper bounds for a shift spec", _cmd_entropy, {
-        "--shift": _REQUIRED, "--kmax": _INT_REQUIRED, "--strategy": {}}, True),
+        "--shift": _REQUIRED, "--kmax": _INT_REQUIRED, "--strategy": {}, **_CAPPED}),
     "language": ("count (and list) language words", _cmd_language, {
         "--shift": _REQUIRED, "--k": _INT_REQUIRED, "--strategy": {},
-        "--list": {"action": "store_true"}, "--limit": _int(64)}, True),
+        "--list": _SWITCH, "--limit": _int(64), **_CAPPED}),
     "density": ("density of an integer set", _cmd_density, {
         "--set": _REQUIRED,
         "--kind": {"choices": ("upper", "asymptotic", "banach"), "default": "upper"},
-        "--horizon": _int(10_000)}, False),
+        "--horizon": _int(10_000), **_SHARED}),
     "sets": "integer-set analyses",
     "sets classify": ("finite-horizon structure report", _cmd_sets_classify, {
-        "--set": _REQUIRED, "--horizon": _int(10_000), "--ip-bound": _int(None)}, True),
+        "--set": _REQUIRED, "--horizon": _int(10_000), "--ip-bound": _int(None),
+        **_CAPPED}),
     "sets diff": ("difference set to a horizon", _cmd_sets_diff, {
-        "--set": _REQUIRED, "--horizon": _int(256), "--limit": _int(128)}, False),
+        "--set": _REQUIRED, "--horizon": _int(256), "--limit": _int(128), **_SHARED}),
     "beta": "beta expansion tools",
     "beta digits": ("greedy digits of 1", _cmd_beta_digits, {
-        "--beta": _REQUIRED, "--k": _INT_REQUIRED}, False),
+        "--beta": _REQUIRED, "--k": _INT_REQUIRED, **_SHARED}),
     "beta parry": ("shift-dominance check of the digit word", _cmd_beta_parry, {
-        "--beta": _REQUIRED, "--horizon": _int(10_000)}, False),
+        "--beta": _REQUIRED, "--horizon": _int(10_000), **_SHARED}),
     "chaos": "distribution functions and families",
     "chaos profile": ("exact F/F* for a periodic pair", _cmd_chaos_profile, {
         "--x": {"required": True, "help": "point as pre;per"}, "--y": _REQUIRED,
-        "--n": _int(2)}, False),
+        "--n": _int(2), **_SHARED}),
     "chaos classify": ("DC classification of a periodic pair", _cmd_chaos_classify, {
-        "--x": _REQUIRED, "--y": _REQUIRED, "--n": _int(2)}, False),
+        "--x": _REQUIRED, "--y": _REQUIRED, "--n": _int(2), **_SHARED}),
     "chaos family": ("scrambled family construction + measurement", _cmd_chaos_family, {
         "--set": _REQUIRED, "--members": _int(2), "--horizon": _INT_REQUIRED,
-        "--growth": _int(chaos_mod.DEFAULT_GROWTH)}, False),
+        "--growth": _int(chaos_mod.DEFAULT_GROWTH), **_SHARED}),
     "spacing": "spacing-shift probes",
     "spacing recurrence-probe": ("entropy of the complement spacing shift",
                                  _cmd_spacing_recurrence, {
         "--set": {"required": True, "help": "candidate recurrence set R"},
-        "--kmax": _INT_REQUIRED}, True),
+        "--kmax": _INT_REQUIRED, **_CAPPED}),
     "spacing delta-star": ("difference-intersection bound experiment",
                            _cmd_spacing_delta_star, {
-        "--set": _REQUIRED, "--k": _INT_REQUIRED, "--horizon": _int(512)}, False),
-    "selftest": ("oracle-equivalence suite", _cmd_selftest, {"--kmax": _int(12)}, False),
+        "--set": _REQUIRED, "--k": _INT_REQUIRED, "--horizon": _int(512), **_SHARED}),
+    "selftest": ("oracle-equivalence suite", _cmd_selftest, {
+        "--kmax": _int(12), **_SHARED}),
 }
-
-
-def _add_arguments(p, path):
-    _, fn, arguments, cap_states = _COMMANDS[path]
-    for flag, options in arguments.items():
-        p.add_argument(flag, **options)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--timing", action="store_true",
-                   help="include wall time (breaks byte-reproducibility)")
-    if cap_states:
-        p.add_argument("--cap-states", type=int, default=langkit.DEFAULT_NODE_CAP)
-    p.set_defaults(fn=fn)
-
-
-@functools.cache
-def _command_parser(path):
-    """One command's parser on its own, equal to its subparser in the tree."""
-    p = argparse.ArgumentParser(prog="shiftlab " + path)
-    _add_arguments(p, path)
-    return p
 
 
 @functools.cache
 def build_parser():
-    """The whole parser tree, built on the first call and shared by every
-    later one in the process (parsing leaves it unchanged)."""
+    """The whole argparse tree, built on the first call and shared by every
+    later one in the process (parsing leaves it unchanged). argparse is
+    imported here, so a command that _read parses never loads it."""
+    import argparse
     ap = argparse.ArgumentParser(prog="shiftlab",
                                  description="subshift language and density workbench")
     subparsers = {"": ap.add_subparsers(dest="command", required=True)}
@@ -339,27 +340,71 @@ def build_parser():
         if isinstance(entry, str):
             p = subparsers[group].add_parser(name, help=entry)
             subparsers[path] = p.add_subparsers(dest="subcommand", required=True)
-        else:
-            _add_arguments(subparsers[group].add_parser(name, help=entry[0]), path)
+            continue
+        p = subparsers[group].add_parser(name, help=entry[0])
+        for flag, options in entry[2].items():
+            p.add_argument(flag, **options)
+        p.set_defaults(fn=entry[1])
     return ap
 
 
-def _parse(argv):
-    """What build_parser().parse_args(argv) gives, without building the tree
-    when argv names one command whose own parser reads all the rest. Any
-    other argv (none, help or an unknown name at the top, tokens left over)
-    goes to the tree, so help, usage errors and exit codes are the tree's."""
-    argv = sys.argv[1:] if argv is None else list(argv)
+def _read(argv):
+    """The namespace build_parser().parse_args(argv) gives, read straight
+    from _COMMANDS when argv names a command and every token after it is a
+    whole flag of that command with its value (--flag value or
+    --flag=value) or a switch, every int passes int() and every choice is
+    listed; None for any other argv. A value that starts with "-" is left to
+    the tree too: argparse reads it as an option, a negative number or "--"
+    depending on the token and the Python version."""
     head = argv[:2] if argv and isinstance(_COMMANDS.get(argv[0]), str) else argv[:1]
     path = " ".join(head)
-    if isinstance(_COMMANDS.get(path), tuple) and path.split() == head:
-        args, rest = _command_parser(path).parse_known_args(argv[len(head):])
-        if not rest:
-            args.command = head[0]
-            if len(head) == 2:
-                args.subcommand = head[1]
-            return args
-    return build_parser().parse_args(argv)
+    entry = _COMMANDS.get(path)
+    if not isinstance(entry, tuple) or path.split() != head:
+        return None
+    _, fn, flags = entry
+    values = {}
+    tokens = iter(argv[len(head):])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        options = flags.get(flag)
+        if options is None:
+            return None
+        if options.get("action") == "store_true":
+            if eq:
+                return None
+            value = True
+        else:
+            if not eq:
+                value = next(tokens, None)
+                if value is None:
+                    return None
+            if value.startswith("-"):
+                return None
+            if "type" in options:
+                try:
+                    value = options["type"](value)
+                except ValueError:
+                    return None
+            if value not in options.get("choices", (value,)):
+                return None
+        values[flag] = value
+    args = {"command": head[0], "fn": fn}
+    if len(head) == 2:
+        args["subcommand"] = head[1]
+    for flag, options in flags.items():
+        if flag not in values and options.get("required"):
+            return None
+        args[flag[2:].replace("-", "_")] = values.get(flag, options.get("default"))
+    return types.SimpleNamespace(**args)
+
+
+def _parse(argv):
+    """What build_parser().parse_args(argv) gives: _read's namespace when it
+    reads argv, else the tree's answer, so help, usage errors and exit codes
+    are the tree's."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def _emit_result(args, spec_echo, result, started, out, cap_hit=False):

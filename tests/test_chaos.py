@@ -35,7 +35,7 @@ from shiftlab.chaos import (
 )
 from shiftlab.cli import main
 from shiftlab.core import periodic_point
-from shiftlab.errors import AlphabetMismatch, PreconditionError
+from shiftlab.errors import AlphabetMismatch, PreconditionError, ResourceCapExceeded
 from shiftlab.sets import EVENS, ComplementSet, FiniteSet, PeriodicSet, parse_set_expr
 
 
@@ -379,6 +379,14 @@ def test_family_requires_positive_density():
 def test_family_requires_room():
     with pytest.raises(PreconditionError):
         build_scrambled_family(EVENS, 2, 10)
+
+
+def test_family_pairs_are_priced_before_the_index_sets():
+    # at H = 1000 the checkpoints of EVENS are 2 and 400: m(m - 1)/2 pairs,
+    # each read at 2 checkpoints and 13 grid points, against the 2M cap
+    assert len(build_scrambled_family(EVENS, 516, 1000).index_sets) == 516  # 1 993 050
+    with pytest.raises(ResourceCapExceeded, match="2000790 readings"):
+        build_scrambled_family(EVENS, 517, 1000)
 
 
 def test_family_growth_condition():

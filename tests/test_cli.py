@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -7,11 +8,14 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import shiftlab
 from shiftlab import cli
 from shiftlab.cli import build_parser, main
 from shiftlab.sets import parse_set_expr
+
+from argv_agreement import disagreements, draw_argv, outcome, systematic
 
 
 def run_cli(argv):
@@ -140,6 +144,40 @@ def test_chaos_family_command():
     log = env["result"]["log"]
     assert log["growth_ok"] is True
     assert env["result"]["pair_profiles"]["0,1"]["fstar_one_everywhere"] is True
+
+
+def test_a_family_past_the_cap_exits_at_once():
+    # the pairs are priced before the family is built; a fresh wrapper runs
+    # the command, so its RUSAGE_CHILDREN peak is this command's alone
+    argv = ["chaos", "family", "--set", "evens", "--horizon", "1000",
+            "--members", "100000000"]
+    code = ("import json, resource, subprocess, sys, time\n"
+            "started = time.monotonic()\n"
+            "run = subprocess.run([sys.executable, '-m', 'shiftlab'] + %r,\n"
+            "                     capture_output=True, text=True)\n"
+            "print(json.dumps([run.returncode, run.stdout, run.stderr,\n"
+            "                  time.monotonic() - started,\n"
+            "                  resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss]))\n"
+            % argv)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(shiftlab.__file__)))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=False, timeout=120)
+    assert run.returncode == 0, run.stderr
+    code, out, err, seconds, peak_kib = json.loads(run.stdout)
+    assert (code, out) == (3, "")
+    assert err.startswith("resource cap: 100000000 members give"), err
+    assert seconds < 1
+    assert peak_kib < 200 * 1024
+
+
+def test_a_family_of_fifty_prints_what_it_did_before_the_cap():
+    # nine checkpoints, four blocks, 1225 pairs: sha256 of the output before
+    # the pairs were priced
+    code, text = run_cli(["chaos", "family", "--set", "periodic:;0110", "--horizon",
+                          "10000000", "--growth", "5", "--members", "50"])
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "850f1f005dd7eb93bb5403eaceaac42c7fdd0ae324f87ea669ef0bba36a284bf"
 
 
 def test_spacing_recurrence_command():
@@ -541,8 +579,8 @@ def test_brute_force_far_past_the_cap_exits_at_once():
 
 
 def test_one_parser_serves_consecutive_calls(monkeypatch, capsys):
-    # main() builds each command's own parser once, and the whole tree once,
-    # on the first argv that needs it (here a usage error), and reuses them:
+    # main() reads a whole command from the table, and builds the tree once,
+    # on the first argv that needs it (here a usage error), and reuses it:
     # a run of commands in one process, usage errors among them, prints to
     # stdout and stderr what separate processes do
     assert build_parser() is build_parser()
@@ -593,21 +631,46 @@ def _dispatch_corpus():
                     ["sets classify", "--set", "x"]]
 
 
-def _parse_outcome(parse, argv, capsys):
-    capsys.readouterr()
-    try:
-        return vars(parse(argv))
-    except SystemExit as e:
-        return (e.code,) + tuple(capsys.readouterr())
-
-
 @pytest.mark.parametrize("argv", _dispatch_corpus(), ids=" ".join)
-def test_a_command_parser_reads_argv_as_the_whole_tree_does(argv, capsys):
-    # main parses with the named command's own parser when it reads all of
-    # argv, and with the tree otherwise: the namespace, or the exit code and
-    # what is printed, is the tree's either way
-    assert _parse_outcome(cli._parse, argv, capsys) == \
-        _parse_outcome(build_parser().parse_args, argv, capsys)
+def test_a_command_parser_reads_argv_as_the_whole_tree_does(argv):
+    # main reads argv from the command table when every token is a whole
+    # flag with a value it accepts, and hands it to the tree otherwise: the
+    # namespace, or the exit code and what is printed, is the tree's either way
+    assert outcome(cli._parse, argv) == outcome(build_parser().parse_args, argv)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_the_reader_agrees_with_the_tree_on_drawn_argvs(data):
+    # whole and abbreviated flags, --flag=value and --flag=, repeats, switches
+    # given =value, ints with a sign, a space, _ or Arabic-Indic digits,
+    # values that start with -, bad choices, missing required flags, --, -h
+    # and strays, drawn from the command table
+    argv = draw_argv(lambda options: data.draw(st.sampled_from(options)))
+    assert outcome(cli._parse, argv) == outcome(build_parser().parse_args, argv)
+
+
+def test_the_reader_agrees_with_the_tree_on_every_flag_form():
+    assert disagreements(systematic()) == []
+
+
+@pytest.mark.parametrize("path", [p for p, e in cli._COMMANDS.items() if isinstance(e, tuple)])
+def test_a_whole_command_is_read_without_the_tree(path):
+    # every flag given whole, with a value apart and after "=": the reader
+    # answers alone, as the tree would
+    head, flags = path.split(), cli._COMMANDS[path][2]
+    for eq in (False, True):
+        argv = list(head)
+        for flag, options in flags.items():
+            if options.get("action") == "store_true":
+                argv.append(flag)
+                continue
+            value = options["choices"][-1] if "choices" in options else \
+                "7" if options.get("type") is int else "x"
+            argv += [flag + "=" + value] if eq else [flag, value]
+        args = cli._read(argv)
+        assert args is not None, argv
+        assert vars(args) == vars(build_parser().parse_args(argv))
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,6 @@
 """Start-up: importing the CLI loads no introspection machinery, a command
-builds only its own parser, and the package runs as ``python -m shiftlab``
-from a checkout."""
+that parses loads no argparse, and the package runs as ``python -m
+shiftlab`` from a checkout."""
 
 import json
 import os
@@ -15,8 +15,8 @@ SRC = os.path.dirname(os.path.dirname(shiftlab.__file__))
 INTROSPECTION = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
-def _fresh(args):
-    return subprocess.run([sys.executable] + args, env=dict(os.environ, PYTHONPATH=SRC),
+def _fresh(args, **env):
+    return subprocess.run([sys.executable] + args, env=dict(os.environ, PYTHONPATH=SRC, **env),
                           capture_output=True, text=True, check=False, timeout=120)
 
 
@@ -38,14 +38,31 @@ def test_python_m_shiftlab_runs_the_cli():
     assert json.loads(run.stdout)["result"]["all_pass"] is True
 
 
-def test_a_command_builds_only_its_own_parser():
-    code = ("import io, json; from shiftlab import cli\n"
+def test_a_command_that_parses_loads_no_argparse():
+    # the command is read from the table: neither argparse nor the gettext
+    # it loads is imported, and the tree stays unbuilt
+    code = ("import io, json, sys; before = set(sys.modules); from shiftlab import cli\n"
             "cli.main(['density', '--set', 'evens'], out=io.StringIO())\n"
-            "print(json.dumps([cli.build_parser.cache_info().currsize,\n"
-            "                  cli._command_parser.cache_info().currsize]))\n")
+            "print(json.dumps([sorted(set(sys.modules) - before),\n"
+            "                  cli.build_parser.cache_info().currsize]))\n")
     run = _fresh(["-c", code])
     assert run.returncode == 0, run.stderr
-    assert json.loads(run.stdout) == [0, 1]
+    added, trees = json.loads(run.stdout)
+    assert "shiftlab.cli" in added
+    assert not {"argparse", "gettext"} & set(added)
+    assert trees == 0
+
+
+def test_a_usage_error_still_gets_the_tree_usage_text():
+    run = _fresh(["-m", "shiftlab", "density", "--set", "evens", "--no-such-flag"],
+                 COLUMNS="80")
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert run.stderr == (
+        "usage: shiftlab [-h]\n"
+        "                {entropy,language,density,sets,beta,chaos,spacing,selftest}\n"
+        "                ...\n"
+        "shiftlab: error: unrecognized arguments: --no-such-flag\n")
 
 
 def test_help_still_names_every_command():

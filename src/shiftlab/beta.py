@@ -23,20 +23,36 @@ one digit is
     X = a*x + b*y*d,  Y = a*y + b*x,  Z = c*z,
     m = floor((X + Y*sqrt(d))/Z),  next remainder (X - m*Z, Y, Z).
 
-No gcd is taken, so x, y and z grow by O(1) bits per digit. Every floor is
-exact. When Y = 0 it is X // Z. Otherwise v = (X + Y*sqrt(d))/Z is
-irrational and its floor is read from a certified bracket: X, Y and Z are
-shifted right by s = max(0, bitlen(Z) - G), G = 64, sqrt(d) is one cached
-fixed-point value S = isqrt(d * 4^P) with P >= bitlen(Y >> s) + G (P
-doubles when the conjugate makes Y outgrow it), and the numerator scaled by
-2^(P-s) lies within e of mid = (X >> s << P) + (Y >> s)*S, where e bounds
-the truncation of X, Y, Z and the error of S. When both ends of the bracket
-divided by Z have one floor, that is the digit. Otherwise v lies within
-O((sqrt(d) + v) * 2^-G) of an integer, and the exact floor _floor settles
-it with one isqrt of an O(i)-bit integer. So a digit costs O(i)-bit shifts
-and sums plus products of O(P)-bit integers, and P stays O(G) for a
-Pisot base. The digits are memoised on the spec, and a read of k digits
-(beta_digits) costs one _extend pass over the digits it lacks, then a slice.
+No gcd is taken, so x, y and z grow by O(1) bits per digit, and when r
+reaches 0 (the expansion of 1 is finite) every later digit is 0 and the
+remainder is held as (0, 0, 1). Every digit is exact, and they are computed
+in blocks. At the start of a block r is read once as a fixed-point integer
+u ~ r * 2^F (F = 2W, W = 64) from the top G = 64 bits of z, with sqrt(d)
+one cached fixed-point value S = isqrt(d * 4^P) (P at least doubles when
+the conjugate makes y outgrow it). Each digit of the block is the greedy
+step on that small integer, t = floor(beta_w * u / 2^W) with
+beta_w = floor(beta * 2^W), m = floor(t / 2^F), u = t mod 2^F, and it is
+accepted only when t - E_j and t + E_j have one floor, where E_j is a bound
+on the error of t after j steps that depends on beta alone (derived in
+_block_tables). A block ends before E_j passes 2^(F-16), after at most
+BLOCK = 80 digits, or at the first digit it cannot certify. The exact
+remainder then advances once by the n steps composed: with
+(c*beta)^n = P_n + Q_n*sqrt(d),
+
+    x <- P_n*x + d*Q_n*y - z * sum_j m_j*c^j*P_(n-j),
+    y <- P_n*y + Q_n*x - z * sum_j m_j*c^j*Q_(n-j),
+    z <- c^n * z,
+
+so (x, y, z) is what the per-digit recurrence gives, bit for bit. A digit
+that no block certifies (v within about 2^-112 of an integer, or every
+digit when beta * (4 + sqrt(d)) passes about 2^47, so that no block fits)
+is taken exactly: X // Z when Y = 0, else one isqrt of an O(i)-bit integer
+(_floor). So a block of n digits costs n steps on integers of about 3W bits
+and a few products of O(i)-bit integers, where the per-digit recurrence
+costs a dozen O(i)-bit operations per digit. The digits are memoised on the
+spec. A read of k digits (beta_digits) costs one _extend pass over the
+digits it lacks, then a slice, and a pass reads at least one full block
+ahead, since the acceptor reads one index at a time.
 
 Finite-length membership rule: w is in L(Omega_beta) iff every suffix of w is
 lexicographically <= the equal-length prefix of the digit sequence of 1.
@@ -50,13 +66,18 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import mul
 
 from .core import Alphabet, EventuallyPeriodicPoint, Word
 from .errors import PreconditionError, SpecParseError
 from .langkit import SubshiftSpec, count_language
 
 DEFAULT_DIGIT_HORIZON = 4096
-G = 64  # bits of Z kept by the digit bracket, and guard bits of its sqrt(d)
+W = 64  # bits of beta in a block's fixed-point step
+F = 2 * W  # a block holds the remainder r as u ~ r * 2^F
+G = 64  # bits of z kept by a block's reading of r, and guard bits of its sqrt(d)
+BLOCK = 80  # the most digits one block certifies
+_MASK = (1 << F) - 1
 _QUAD_RE = re.compile(r"^quad:\((-?\d+)\+(-?\d+)\*sqrt(\d+)\)/(\d+)$")
 
 
@@ -107,6 +128,7 @@ class BetaSpec:
         self._digits = []
         self._rem = (1, 0, 1)  # r = (x + y*sqrt(d))/z, here r_0 = 1
         self._root = (0, 0)  # (P, isqrt(d * 4^P)): sqrt(d) to P bits
+        self._blocks = None  # the tables of _block_tables, built on the first read
         self._shift = None  # the langkit spec beta_shift builds once
 
     def __repr__(self):
@@ -129,55 +151,131 @@ class BetaSpec:
         return digits[i]
 
     def _extend(self, k):
-        """Grow the digit list in place to k digits (the greedy recurrence in
-        the module docstring)."""
+        """Grow the digit list in place to at least k digits, and to one full
+        block more than it holds, up to digit_horizon (the acceptor reads one
+        index at a time): blocks of certified digits, each followed by one
+        exact update of the remainder, and an exact digit where a block
+        cannot certify one (the module docstring)."""
+        if self._blocks is None:
+            self._blocks = self._block_tables()
+        beta_w, bounds, powers, sums_p, sums_q = self._blocks
+        full = len(bounds)
+        digits = self._digits
+        k = max(k, min(len(digits) + full, self.digit_horizon))
         a, b, c, d = self._coef
         x, y, z = self._rem
-        digits = self._digits
-        append = digits.append
-        for _ in range(k - len(digits)):
+        while True:
+            if not (x or y):
+                # r = 0: the expansion of 1 is finite, and every later
+                # digit is 0
+                z = 1
+                digits += [0] * (k - len(digits))
+                break
+            if len(digits) >= k:
+                break
+            room = bounds[:k - len(digits)]
+            block = []
+            if room:
+                u = self._read(x, y, z)
+                for low, high in room:
+                    t = beta_w * u >> W
+                    u = t & _MASK
+                    if not low <= u < high:
+                        break
+                    block.append(t >> F)
+            n = len(block)
+            if n:
+                # one exact update: the per-digit step composed n times,
+                # with c^(N-n) divided out of the full-block sums
+                digits += block
+                p, q, cn = powers[n]
+                cut = powers[full - n][2]
+                sp = sum(map(mul, block, sums_p[full - n + 1:])) // cut
+                sq = sum(map(mul, block, sums_q[full - n + 1:])) // cut
+                x, y, z = p * x + d * q * y - z * sp, p * y + q * x - z * sq, cn * z
+            if room and n == len(room):
+                continue  # the block ran to its end
+            # the digit this block cannot certify, or any digit when no
+            # block fits, exact
             X, Y, Z = a * x + b * y * d, a * y + b * x, c * z
             if Y:
-                m = self._bracket_floor(X, Y, Z)
+                m = self._floor(X, Y, Z)
                 x = X - m * Z
             else:
                 m, x = divmod(X, Z)
-                if not x:
-                    Z = 1  # r = 0: every later digit is 0
             y, z = Y, Z
-            append(m)
+            digits.append(m)
         self._rem = (x, y, z)
 
-    def _bracket_floor(self, X, Y, Z):
-        """floor((X + Y*sqrt(d))/Z) for Z > 0 and Y != 0 from the certified
-        bracket of the module docstring, or from _floor when the bracket
-        straddles an integer."""
-        s = max(0, Z.bit_length() - G)
-        Xs, Ys, Zs = X >> s, Y >> s, Z >> s
+    def _read(self, x, y, z):
+        """r = (x + y*sqrt(d))/z as u = floor(r * 2^F), to within the
+        half-width E_0 of _block_tables: x, y and z are cut to the top G
+        bits of z, and sqrt(d) is the cached S = isqrt(d * 4^P) with
+        P >= bitlen(y >> s) + G (P at least doubles when it grows)."""
+        s = max(0, z.bit_length() - G)
+        xs, ys, zs = x >> s, y >> s, z >> s
+        if not ys:
+            return (xs << F) // zs
         P, S = self._root
-        need = abs(Ys).bit_length() + G
+        need = abs(ys).bit_length() + G
         if P < need:
             P = max(2 * P, need)
             S = isqrt(self._coef[3] << 2 * P)
             self._root = (P, S)
-        # numerator * 2^(P-s) lies in [mid - e, mid + e]; with s = 0 only
-        # S is inexact, by less than 1, so Y*S is off by less than |Y|
-        mid = (Xs << P) + Ys * S
-        e = abs(Ys) + (S + (1 << P) + 2 if s else 1)
-        lo = mid - e
-        if lo >= 0:
-            # Z lies in [Zs * 2^s, (Zs + 1) * 2^s), exactly Zs when s = 0
-            m = (lo >> P) // (Zs + 1 if s else Zs)
-            if m == ((mid + e) >> P) // Zs:
-                return m
-        return self._floor(X, Y, Z)
+        return ((xs << P) + ys * S << F) // (zs << P)
+
+    def _block_tables(self):
+        """(beta_w, bounds, powers, sums_p, sums_q) for the blocks of
+        _extend. beta_w = floor(beta * 2^W). bounds[j-1] = (E_j, 2^F - E_j),
+        where E_j bounds |t_j - beta * r_(j-1) * 2^F| for the j-th digit of a
+        block; the block is as long as E_j <= 2^(F-16), at most BLOCK
+        digits. powers[n] = (P_n, Q_n, c^n) with (c*beta)^n = P_n + Q_n
+        sqrt(d), and sums_p[i] = c^i * P_(N-i), sums_q[i] = c^i * Q_(N-i)
+        for the full block length N.
+
+        The half-widths. The read of _read: with s > 0, z/2^s lies in
+        [zs, zs + 1) and zs >= 2^(G-1); x/2^s and y/2^s exceed xs and ys by
+        less than 1, and |ys| * (sqrt(d) * 2^P - S) < |ys| <= 2^(P-G). So
+        the numerator (x + y*sqrt(d)) * 2^(P-s) lies within
+        2^P * (1 + sqrt(d)) + 2^(P-G) of (xs << P) + ys*S, dividing by zs in
+        place of z/2^s moves r * 2^P by less than 2^P / zs, and the floor
+        costs 1 more:
+            E_0 = 2^(F-G+1) * (3 + ceil(sqrt(d))) + 1
+        (with s = 0 only S is inexact, and the error is below 2^(F-G) + 1).
+        A step: t_j = floor(beta_w * u / 2^W) for u = u_(j-1), read to within
+        E_(j-1) of r_(j-1) * 2^F, with |u| < 2^(F+1). Then
+            beta * r * 2^F - beta_w * u / 2^W
+                = (beta * 2^W - beta_w) * u / 2^W + beta * (r * 2^F - u),
+        where 0 <= beta * 2^W - beta_w < 1 and beta < (beta_w + 1) / 2^W, so
+            E_j = floor((beta_w + 1) * E_(j-1) / 2^W) + 2^(W+1) + 2.
+        The digit floor(beta * r_(j-1)) is certified when t_j - E_j and
+        t_j + E_j have one floor over 2^F, that is E_j <= u_j < 2^F - E_j
+        for u_j = t_j mod 2^F; then u_j is r_j * 2^F to within E_j. Each
+        E_j depends on beta alone, so one table serves every block."""
+        a, b, c, d = self._coef
+        beta_w = (a << W) // c if not b else self._floor(a << W, b << W, c)
+        e = (3 + isqrt(d) + 1 << F - G + 1) + 1
+        grow, step, cap = beta_w + 1, (1 << W + 1) + 2, 1 << F - 16
+        bounds = []
+        while len(bounds) < BLOCK:
+            e = (grow * e >> W) + step
+            if e > cap:
+                break
+            bounds.append((e, (1 << F) - e))
+        p, q, cn = 1, 0, 1
+        powers = [(p, q, cn)]
+        for _ in bounds:
+            p, q, cn = a * p + b * d * q, a * q + b * p, c * cn
+            powers.append((p, q, cn))
+        sums_p = [cn * p for (_, _, cn), (p, _, _) in zip(powers, reversed(powers))]
+        sums_q = [cn * q for (_, _, cn), (_, q, _) in zip(powers, reversed(powers))]
+        return beta_w, tuple(bounds), powers, sums_p, sums_q
 
     def _floor(self, X, Y, Z):
         """floor((X + Y*sqrt(d))/Z) for Z > 0 and Y != 0, exact: with
         v = X + Y*sqrt(d), floor(v/Z) = floor(floor(v)/Z), and
         floor(Y*sqrt(d)) is isqrt(Y*Y*d) for Y > 0 and -isqrt(Y*Y*d) - 1 for
-        Y < 0 (d is not a square). The reference for _bracket_floor and its
-        fallback where the bracket cannot decide."""
+        Y < 0 (d is not a square). One isqrt of an integer of the size of Y."""
         root = isqrt(Y * Y * self._coef[3])
         return (X + root) // Z if Y > 0 else (X - root - 1) // Z
 

@@ -407,12 +407,29 @@ def _parse(argv):
     return build_parser().parse_args(argv) if args is None else args
 
 
-def _emit_result(args, spec_echo, result, started, out, cap_hit=False):
-    command = args.command
+def _path(args):
+    """The command path args was parsed for: "density", "sets classify"."""
     if getattr(args, "subcommand", None):
-        command = "%s %s" % (args.command, args.subcommand)
+        return "%s %s" % (args.command, args.subcommand)
+    return args.command
+
+
+def _one_value_each(args):
+    """args, once every flag that takes a value holds one. On Python
+    3.10-3.12 argparse strips a "--" given as an explicit value (--set=--,
+    --k=--) and keeps an empty list, the flag with no value; 3.13 keeps the
+    string "--". The empty list gets the tree's usage error for the flag
+    given no value, exit 2."""
+    path = _path(args)
+    for flag, options in _COMMANDS[path][2].items():
+        if "action" not in options and isinstance(getattr(args, flag[2:].replace("-", "_")), list):
+            build_parser().parse_args(path.split() + [flag])
+    return args
+
+
+def _emit_result(args, spec_echo, result, started, out, cap_hit=False):
     timing = round(time.monotonic() - started, 3) if args.timing else None
-    env = _envelope(command, spec_echo, result, timing=timing, cap_hit=cap_hit)
+    env = _envelope(_path(args), spec_echo, result, timing=timing, cap_hit=cap_hit)
     _emit(env, args.format, out)
 
 
@@ -425,7 +442,7 @@ def main(argv=None, out=None):
         digits = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        code = _run(_parse(argv), out)
+        code = _run(_one_value_each(_parse(argv)), out)
         out.flush()
         return code
     except BrokenPipeError:

@@ -1,28 +1,32 @@
-"""The CLI's argv reader against the argparse tree, with the standard library
-alone.
+"""The CLI's argv reader against the argparse tree, and the whole CLI on the
+same argvs, with the standard library alone.
 
     PYTHONPATH=src python3 tests/argv_agreement.py [random-count] [seed]
+    PYTHONPATH=src python3 tests/argv_agreement.py --execute [random-count] [seed]
 
 For every argv of a corpus built from ``cli._COMMANDS``, ``cli._parse``
 (the table reader, or the tree when the reader declines) must give what
 ``build_parser().parse_args`` gives: the same namespace, or the same exit
-code and the same text on stdout and stderr. argparse differs from one
-Python version to the next, so this runs on every supported version; it
-needs no pytest. Exit status 0 when every argv agrees, 1 otherwise.
-``tests/test_cli.py`` draws argvs with the same ``draw_argv`` under
-Hypothesis.
+code and the same text on stdout and stderr. With ``--execute`` each argv
+of the corpus runs through ``cli.main`` instead, which must return or exit
+with 0, 1, 2, 3 or 141, let no exception escape and print no traceback.
+argparse differs from one Python version to the next, so this runs on every
+supported version; it needs no pytest. Exit status 0 when every argv
+passes, 1 otherwise. ``tests/test_cli.py`` runs both modes and draws argvs
+with the same ``draw_argv`` under Hypothesis.
 """
 
 import contextlib
 import io
 import random
 import sys
+import traceback
 
 from shiftlab import cli
 
 COMMANDS = [path for path, entry in cli._COMMANDS.items() if isinstance(entry, tuple)]
 # ١٢ is 12 in Arabic-Indic digits, which int() reads
-INTS = ("3", "12", "+3", " 4", "5 ", "1_0", "١٢", "0", "-3", "x", "", "3.0", "1__0")
+INTS = ("3", "12", "+3", " 4", "5 ", "1_0", "١٢", "0", "-3", "x", "", "3.0", "1__0", "--")
 STRINGS = ("x", "evens", "a=b", "x y", "", "-x", "--", "-", " -x")
 # tokens that are no whole flag: help, the end of options, strays, unknown
 # or malformed flags
@@ -35,7 +39,7 @@ def values(options):
     """The values drawn for a flag that takes one: its choices and some that
     are not, the int pool for an int, else the string pool."""
     if "choices" in options:
-        return tuple(options["choices"]) + ("xml", "", "-json")
+        return tuple(options["choices"]) + ("xml", "", "-json", "--")
     return INTS if options.get("type") is int else STRINGS
 
 
@@ -123,9 +127,53 @@ def disagreements(argvs):
     return found
 
 
-def main(count=2000, seed=0):
+EXIT_CODES = (0, 1, 2, 3, 141)
+
+
+def execute(argv):
+    """What cli.main(argv) does: (exit code, stdout, stderr), with the
+    traceback in place of the stderr when an exception escapes it (exit code
+    None)."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv, out=out)
+    except SystemExit as e:
+        code = e.code
+    except Exception:
+        return None, out.getvalue(), traceback.format_exc()
+    return code, out.getvalue(), err.getvalue()
+
+
+def crashes(argvs):
+    """(argv, exit code, stderr) for each argv that cli.main ends in an
+    escaped exception, a traceback or an exit code outside EXIT_CODES."""
+    found = []
+    for argv in argvs:
+        code, _, err = execute(argv)
+        if code not in EXIT_CODES or "Traceback" in err:
+            found.append((argv, code, err))
+    return found
+
+
+def corpus(count, seed):
+    """The systematic corpus and count random draws from seed."""
     rng = random.Random(seed)
-    argvs = systematic() + [draw_argv(rng.choice) for _ in range(count)]
+    return systematic() + [draw_argv(rng.choice) for _ in range(count)]
+
+
+def main_execute(count=300, seed=0):
+    argvs = corpus(count, seed)
+    found = crashes(argvs)
+    for argv, code, err in found[:20]:
+        print("argv %r\n  exit %r\n%s" % (argv, code, err))
+    print("Python %s: %d argvs run, %d failed"
+          % (sys.version.split()[0], len(argvs), len(found)))
+    return 1 if found else 0
+
+
+def main(count=2000, seed=0):
+    argvs = corpus(count, seed)
     read = sum(cli._read(argv) is not None for argv in argvs)
     found = disagreements(argvs)
     for argv, got, want in found[:20]:
@@ -136,4 +184,7 @@ def main(count=2000, seed=0):
 
 
 if __name__ == "__main__":
-    sys.exit(main(*map(int, sys.argv[1:])))
+    args = sys.argv[1:]
+    if args[:1] == ["--execute"]:
+        sys.exit(main_execute(*map(int, args[1:])))
+    sys.exit(main(*map(int, args)))

@@ -18,7 +18,8 @@ from shiftlab.core import periodic_point, word
 from shiftlab.errors import PreconditionError, SpecParseError
 from shiftlab.langkit import contains_word, count_language, hereditary_check, log2_int
 
-from beta_reference import lex_compare, word_in_beta_language
+import beta_reference
+from beta_reference import PerDigit, exact_floor, lex_compare, word_in_beta_language
 from point_reference import equality_horizon, shift_point
 
 GOLDEN = "quad:(1+1*sqrt5)/2"
@@ -346,47 +347,90 @@ def test_digits_match_greedy_reference_rational():
         assert list(beta_digits(spec, 600).symbols) == _greedy_reference(_rational(f), 600), f
 
 
-@pytest.mark.parametrize("d", [2, 3, 7, 11, 1001])
-def test_floor_at_near_ties(d, monkeypatch):
-    # v = (X + Y*sqrt(d))/Z within 2^-126 of an integer on either side, with
-    # Y of either sign and |Y| up to far above Z: the bracket straddles the
-    # integer there, so the bracketed floor must reach the exact one
-    rng = random.Random(d)
-    spec = BetaSpec(3, 1, 2, d)
-    exact = _count_exact_floors(monkeypatch)
-    for _ in range(60):
+def _near_ties(d, rng, count, top=40):
+    """(X, Y, Z, m) with v = (X + Y*sqrt(d))/Z within 2^-126 of an integer in
+    1..top, on either side, Y of either sign and |Y| up to far above Z, and
+    m the floor of v."""
+    out = []
+    for _ in range(count):
         Z = rng.getrandbits(rng.randint(129, 400)) | (1 << 128)
         Y = rng.getrandbits(rng.randint(1, 600)) + 1
         Y = Y if rng.random() < 0.5 else -Y
         root = isqrt(Y * Y * d)
         floor_y = root if Y > 0 else -root - 1    # floor(Y*sqrt(d))
-        m = rng.randint(1, 40)
-        for delta in (-2, -1, 0, 1, rng.randint(2, Z - 1)):
-            X = m * Z - floor_y + delta
-            ref = _floor_ref(Fraction(X, Z), Fraction(Y, Z), d)
-            assert spec._floor(X, Y, Z) == ref, (X, Y, Z, d)
-            assert ref == (m - 1 if delta < 0 else m)
-            before = exact[0]
-            assert spec._bracket_floor(X, Y, Z) == ref, (X, Y, Z, d)
-            if delta < 2:
-                assert exact[0] == before + 1, (X, Y, Z, d)
-    # Z below 2^64 cuts nothing, and only sqrt(d) is inexact: a convergent
-    # p/q of sqrt(d) puts q*sqrt(d) within 1/q of p, so v = m + (q*sqrt(d)
-    # - p)/Z lies within 2^-100/Z of m, above or below as the side of the
-    # convergent. A fresh spec holds sqrt(d) to bitlen(q) + 64 bits only.
+        m = rng.randint(1, top)
+        for delta in (-2, -1, 0, 1):
+            out.append((m * Z - floor_y + delta, Y, Z, m - 1 if delta < 0 else m))
+    return out
+
+
+def _convergent_ties(d, rng, top=40):
+    """(X, Y, Z, m) with Z below 2^64, where only sqrt(d) is inexact: a
+    convergent p/q of sqrt(d) puts q*sqrt(d) within 1/q of p, so
+    v = m + (q*sqrt(d) - p)/Z lies within 2^-100/Z of m, above or below as
+    the side of the convergent, for an integer in 1..top; and m the floor
+    of v."""
+    out = []
     for p, q in _sqrt_convergents(d, 400):
         if q < 1 << 100:
             continue
         for Z in (1, 3, rng.getrandbits(63) | 1):
             for sign in (1, -1):
-                m = rng.randint(1, 40)
-                X, Y = m * Z - sign * p, sign * q
-                ref = _floor_ref(Fraction(X, Z), Fraction(Y, Z), d)
-                assert ref == (m - 1 if (p * p > d * q * q) == (sign > 0) else m)
-                fresh = BetaSpec(*spec._coef)
-                before = exact[0]
-                assert fresh._bracket_floor(X, Y, Z) == ref, (X, Y, Z, d)
-                assert exact[0] == before + 1, (X, Y, Z, d)
+                m = rng.randint(1, top)
+                below = (p * p > d * q * q) == (sign > 0)
+                out.append((m * Z - sign * p, sign * q, Z, m - 1 if below else m))
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3, 7, 11, 1001])
+def test_floor_at_near_ties(d, monkeypatch):
+    # at a near tie the per-digit reference's bracket straddles the integer,
+    # so it must reach the exact floor, and BetaSpec._floor is that floor. A
+    # fresh reference holds sqrt(d) to bitlen(Y) + 64 bits only.
+    rng = random.Random(d)
+    spec = BetaSpec(3, 1, 2, d)
+    exact = [0]
+    monkeypatch.setattr(beta_reference, "exact_floor", _counted(exact, exact_floor))
+    for X, Y, Z, m in _near_ties(d, rng, 60) + _convergent_ties(d, rng):
+        assert _floor_ref(Fraction(X, Z), Fraction(Y, Z), d) == m
+        assert spec._floor(X, Y, Z) == m, (X, Y, Z, d)
+        before = exact[0]
+        assert PerDigit(spec._coef).bracket_floor(X, Y, Z) == m, (X, Y, Z, d)
+        assert exact[0] == before + 1, (X, Y, Z, d)
+    # away from an integer the bracket decides alone
+    Z = rng.getrandbits(300) | (1 << 299)
+    before = exact[0]
+    assert PerDigit(spec._coef).bracket_floor(7 * Z + Z // 2, 1, Z) == 7
+    assert exact[0] == before
+
+
+def _before(coef, X, Y, Z):
+    """A remainder (x, y, z) whose next step reads v = (X + Y*sqrt(d))/Z:
+    r = v/beta = c*(X + Y*sqrt(d))*(a - b*sqrt(d)) / (Z*(a*a - b*b*d))."""
+    a, b, c, d = coef
+    D = a * a - b * b * d
+    sign = 1 if D > 0 else -1
+    return sign * c * (a * X - b * d * Y), sign * c * (a * Y - b * X), Z * abs(D)
+
+
+@pytest.mark.parametrize("d", [2, 3, 7, 11, 1001])
+def test_blocks_take_the_exact_digit_at_near_ties(d, monkeypatch):
+    # a remainder whose next digit is a near tie: no block can certify it, so
+    # it is taken by the exact floor, and the digits and the remainder after
+    # it equal the per-digit recurrence's from the same remainder
+    rng = random.Random(d + 100)
+    coef = (3, 1, 2, d)
+    top = BetaSpec(*coef).floor_beta
+    exact = _count_exact_floors(monkeypatch)
+    for X, Y, Z, m in _near_ties(d, rng, 4, top) + _convergent_ties(d, rng, top)[:12]:
+        spec = BetaSpec(*coef)
+        spec._blocks = spec._block_tables()
+        spec._rem = start = _before(coef, X, Y, Z)
+        before = exact[0]
+        spec._extend(150)
+        assert exact[0] > before and spec._digits[0] == m, (X, Y, Z, d)
+        digits, rem = PerDigit(coef, start).extend(len(spec._digits))
+        assert spec._digits == digits and spec._rem == rem, (X, Y, Z, d)
 
 
 def _sqrt_convergents(d, count):
@@ -404,31 +448,102 @@ def _sqrt_convergents(d, count):
     return out
 
 
+def _counted(calls, fn):
+    def counted(*args):
+        calls[0] += 1
+        return fn(*args)
+    return counted
+
+
 def _count_exact_floors(monkeypatch):
     """Count the calls of BetaSpec._floor from here on: [calls]."""
     calls = [0]
-    floor = BetaSpec._floor
-
-    def counted(self, X, Y, Z):
-        calls[0] += 1
-        return floor(self, X, Y, Z)
-    monkeypatch.setattr(BetaSpec, "_floor", counted)
+    monkeypatch.setattr(BetaSpec, "_floor", _counted(calls, BetaSpec._floor))
     return calls
 
 
 @pytest.mark.parametrize("beta", NAMED_QUADRATIC, ids=_quad_id)
-def test_digits_take_the_bracket(beta, monkeypatch):
-    # a digit reaches the exact floor only when v lies within about 2^-60 of
-    # an integer, which none of these bases' first 4096 digits does (they
-    # include (1+sqrt7)/2 and the c = 1 base 3+sqrt2, where nothing is cut)
+def test_digits_come_from_the_blocks(beta, monkeypatch):
+    # a digit reaches the exact floor only when no block can certify it (v
+    # within about 2^-112 of an integer), which none of these bases' first
+    # 4096 digits is (they include (1+sqrt7)/2 and the c = 1 base 3+sqrt2)
     spec = BetaSpec(*beta)
+    spec._blocks = spec._block_tables()
+    assert 10 <= len(spec._blocks[1]) <= 80
     exact = _count_exact_floors(monkeypatch)
     beta_digits(spec, 4096)
     assert exact[0] <= 2
 
 
-# the bases whose conjugate exceeds 1 in absolute value: Y/Z grows, and the
-# fixed-point sqrt(d) of the bracket has to grow with it
+# -- the blocks against the per-digit recurrence, read by read ----------------
+
+BIG = (0, 1, 1, 99999999999999999999999999999999999999)  # floor(beta) >= 2^64
+# bases whose remainder reaches 0: phi, (2 + sqrt8)/2 and 4 + 3*sqrt2
+FINITE = [(1, 1, 2, 5), (2, 1, 2, 8), (4, 3, 1, 2)]
+# and one whose floor is too large for any block, a base just above 1, two
+# whose conjugate exceeds 1 in absolute value, and the bench's two bases
+READ_BASES = FINITE + [BIG, (10000000001, 0, 10000000000, 0), (7, 2, 3, 3), (-1, 3, 4, 11),
+                       (1, 1, 2, 7), (3, 0, 2, 0)]
+
+
+def _reads_agree(coef, reads, horizon=None):
+    """Run reads (("digit", i) or ("word", k)) on a fresh spec, and after each
+    one compare its digits and its exact remainder (x, y, z) with the
+    per-digit recurrence run to as many digits."""
+    spec = BetaSpec(*coef)
+    if horizon is not None:
+        spec.digit_horizon = horizon
+    reference = PerDigit(coef)
+    for kind, i in reads:
+        if kind == "digit":
+            spec.digit(min(i, spec.digit_horizon - 1))
+        else:
+            beta_digits(spec, min(i, spec.digit_horizon))
+        digits, rem = reference.extend(len(spec._digits))
+        assert spec._digits == digits and spec._rem == rem, (coef, kind, i)
+    return spec
+
+
+def _read_orders(seed):
+    """One read of 4096; reads one index at a time to 600 (the acceptor's
+    order); interleaved digit and word reads."""
+    rng = random.Random(seed)
+    mixed = [(rng.choice(("digit", "word")), rng.randrange(4097)) for _ in range(12)]
+    mixed[3:3] = [("digit", i) for i in range(130, 170)]
+    return [[("word", 4096)], [("digit", i) for i in range(600)], mixed]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2], ids=["one", "by-index", "interleaved"])
+@pytest.mark.parametrize("beta", READ_BASES, ids=_quad_id)
+def test_blocks_match_the_per_digit_recurrence(beta, order):
+    # the base with floor(beta) >= 2^64 takes every digit by the exact
+    # floor, an isqrt of an integer that grows by 64 bits a digit, so it is
+    # read to 300 digits only
+    horizon = 300 if beta == BIG else None
+    spec = _reads_agree(beta, _read_orders(order)[order], horizon)
+    if beta == BIG:
+        assert spec._blocks[1] == ()
+    if beta in FINITE:
+        assert spec._rem == (0, 0, 1)
+
+
+def test_blocks_match_the_per_digit_recurrence_seeded():
+    # seeded quadratic bases (conjugates above and below 1) and seeded
+    # rationals, one read to the digit horizon, then single digit reads
+    bases = _seeded_quadratic_bases(41, 16)
+    assert any(abs(_conjugate(q)) > 1 for q in bases)
+    assert any(abs(_conjugate(q)) < 1 for q in bases)
+    rng = random.Random(43)
+    while len(bases) < 32:
+        f = Fraction(rng.randint(11, 400), rng.randint(2, 97))
+        if f > 1 and f.denominator > 1:
+            bases.append(_rational(f))
+    for q in bases:
+        _reads_agree(q, [("word", 1000), ("digit", 1000), ("word", 4096)])
+
+
+# the bases whose conjugate exceeds 1 in absolute value: y/z grows, and the
+# fixed-point sqrt(d) of a block's read has to grow with it
 @pytest.mark.parametrize("beta", [(1, 1, 2, 13), (7, 2, 3, 3), (-1, 3, 4, 11)], ids=_quad_id)
 def test_digits_match_greedy_reference_at_the_digit_horizon(beta):
     assert abs(_conjugate(beta)) > 1
@@ -439,7 +554,7 @@ def test_digits_match_greedy_reference_at_the_digit_horizon(beta):
 
 
 # a rational base, the base of the density-chaos bench, and a base whose
-# sqrt(d) precision grows between digits 3000 and 4096
+# conjugate exceeds 1
 @pytest.mark.parametrize("beta", [(3, 0, 2, 0), (1, 1, 2, 7), (7, 2, 3, 3)],
                          ids=["3/2", "(1+sqrt7)/2", "(7+2*sqrt3)/3"])
 def test_digit_reads_grow_the_memo_in_one_pass(beta, monkeypatch):
@@ -452,12 +567,35 @@ def test_digit_reads_grow_the_memo_in_one_pass(beta, monkeypatch):
     monkeypatch.setattr(BetaSpec, "_extend", counted)
     spec = BetaSpec(*beta)
     ref = tuple(_greedy_reference(beta, spec.digit_horizon))
-    assert beta_digits(spec, 3000).symbols == ref[:3000] and calls == [1]
-    root = spec._root[0]
-    assert beta_digits(spec, spec.digit_horizon).symbols == ref and calls == [2]
-    assert beta_digits(spec, 1000).symbols == ref[:1000] and calls == [2]
+    roots = []
+    assert beta_digits(spec, 600).symbols == ref[:600] and calls == [1]
+    roots.append(spec._root[0])
+    assert beta_digits(spec, 3000).symbols == ref[:3000] and calls == [2]
+    roots.append(spec._root[0])
+    assert beta_digits(spec, spec.digit_horizon).symbols == ref and calls == [3]
+    roots.append(spec._root[0])
+    assert beta_digits(spec, 1000).symbols == ref[:1000] and calls == [3]
     if beta == (7, 2, 3, 3):
-        assert spec._root[0] > root
+        # the conjugate exceeds 1: the sqrt(d) precision grows with the index
+        assert roots[0] < roots[1] < roots[2]
+    else:
+        # a rational needs no sqrt(d); for the Pisot base y/z shrinks, so
+        # the precision of the first reads lasts
+        assert roots[0] == roots[2] and roots[2] <= 4 * 64
+
+
+def test_a_read_reads_one_block_ahead():
+    # the acceptor reads one index at a time: a read past the memo computes
+    # at least one full block more, up to the digit horizon
+    spec = BetaSpec(1, 1, 2, 7)
+    full = len(spec._block_tables()[1])
+    spec.digit(0)
+    assert len(spec._digits) >= full
+    spec.digit_horizon = 2 * full + 5
+    beta_digits(spec, full + 2)
+    assert len(spec._digits) == 2 * full
+    spec.digit(2 * full)
+    assert len(spec._digits) == spec.digit_horizon
 
 
 def test_negative_digit_index_rejected():

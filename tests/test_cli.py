@@ -15,7 +15,8 @@ from shiftlab import cli
 from shiftlab.cli import build_parser, main
 from shiftlab.sets import parse_set_expr
 
-from argv_agreement import disagreements, draw_argv, outcome, systematic
+from argv_agreement import (corpus, crashes, disagreements, draw_argv, execute, outcome,
+                            systematic)
 
 
 def run_cli(argv):
@@ -671,6 +672,27 @@ def test_a_whole_command_is_read_without_the_tree(path):
         args = cli._read(argv)
         assert args is not None, argv
         assert vars(args) == vars(build_parser().parse_args(argv))
+
+
+def test_no_argv_of_the_corpus_ends_in_a_traceback():
+    # the agreement corpus and its random draws run through main: each ends
+    # in an exit code main documents, with no exception and no traceback
+    assert crashes(corpus(300, 0)) == []
+
+
+@pytest.mark.parametrize("path", [p for p, e in cli._COMMANDS.items() if isinstance(e, tuple)])
+def test_a_flag_given_the_value_dashdash_is_a_usage_error(path):
+    # argparse on Python 3.10-3.12 strips a "--" given after "=" and keeps an
+    # empty list: every flag that takes a value, given "=--", exits 2 with no
+    # traceback on every Python
+    head, flags = path.split(), cli._COMMANDS[path][2]
+    required = [a for f, options in flags.items() if options.get("required")
+                for a in (f, "3" if options.get("type") is int else "x")]
+    for flag, options in flags.items():
+        if "action" in options:
+            continue
+        code, _, err = execute(head + required + [flag + "=--"])
+        assert code == 2 and "Traceback" not in err, (flag, err)
 
 
 @pytest.mark.parametrize("argv", [
